@@ -227,25 +227,33 @@ def _modp_second_generator(p: int, q: int, g: int, label: bytes) -> int:
         counter += 1
 
 
-@lru_cache(maxsize=None)
+# Every seeded group this process has generated, by self-reported name:
+# the generators' memo, and all that :func:`known_group` may look in.
+_built: dict[str, SchnorrGroup] = {}
+
+
+def _seeded_group(family: str, seed: int, q_bits: int, p_bits: int) -> SchnorrGroup:
+    name = f"{family}-{seed}"
+    group = _built.get(name)
+    if group is None:
+        params = generate_schnorr_params(q_bits=q_bits, p_bits=p_bits, seed=seed)
+        group = _built[name] = SchnorrGroup(params.p, params.q, params.g, name=name)
+    return group
+
+
 def toy_group(seed: int = 0) -> SchnorrGroup:
     """64-bit-q group: fast enough for whole-protocol property tests."""
-    params = generate_schnorr_params(q_bits=64, p_bits=128, seed=seed)
-    return SchnorrGroup(params.p, params.q, params.g, name=f"toy-{seed}")
+    return _seeded_group("toy", seed, 64, 128)
 
 
-@lru_cache(maxsize=None)
 def small_group(seed: int = 0) -> SchnorrGroup:
     """160-bit-q group: matches the classic DSA parameter shape."""
-    params = generate_schnorr_params(q_bits=160, p_bits=512, seed=seed)
-    return SchnorrGroup(params.p, params.q, params.g, name=f"small-{seed}")
+    return _seeded_group("small", seed, 160, 512)
 
 
-@lru_cache(maxsize=None)
 def medium_group(seed: int = 0) -> SchnorrGroup:
     """256-bit-q group in a 1024-bit field: realistic modern shape."""
-    params = generate_schnorr_params(q_bits=256, p_bits=1024, seed=seed)
-    return SchnorrGroup(params.p, params.q, params.g, name=f"medium-{seed}")
+    return _seeded_group("medium", seed, 256, 1024)
 
 
 # RFC 5114 section 2.1: 1024-bit MODP group with 160-bit prime-order subgroup.
@@ -303,11 +311,9 @@ RFC5114_2048_256 = SchnorrGroup(
 )
 
 
-@lru_cache(maxsize=None)
 def large_group(seed: int = 0) -> SchnorrGroup:
     """256-bit-q group in a 2048-bit field (slow to generate; lazy+cached)."""
-    params = generate_schnorr_params(q_bits=256, p_bits=2048, seed=seed)
-    return SchnorrGroup(params.p, params.q, params.g, name=f"large-{seed}")
+    return _seeded_group("large", seed, 256, 2048)
 
 
 GROUP_REGISTRY = {
@@ -320,16 +326,10 @@ GROUP_REGISTRY = {
 BACKENDS = ("modp", "secp256k1")
 
 
-def group_by_name(name: str, seed: int = 0):
-    """Look up a named parameter set.
-
-    modp sets: toy/small/medium/large (seeded) and rfc5114-1024-160;
-    ``"secp256k1"`` resolves to the elliptic-curve backend
-    (:class:`repro.crypto.ec.EcGroup`) at matched ~128-bit security
-    against 2048-bit modp groups.
-    """
-    if name in GROUP_REGISTRY:
-        return GROUP_REGISTRY[name](seed)
+def known_group(name: str):
+    """The group ``name`` denotes if finding out costs no parameter
+    search — a fixed-parameter set, or a seeded group this process has
+    already built — else ``None``.  What an untrusted name may reach."""
     if name == "rfc5114-1024-160":
         return RFC5114_1024_160
     if name == "rfc5114-2048-256":
@@ -338,4 +338,27 @@ def group_by_name(name: str, seed: int = 0):
         from repro.crypto.ec import secp256k1_group
 
         return secp256k1_group()
+    return _built.get(name)
+
+
+def group_by_name(name: str, seed: int = 0):
+    """Look up a named parameter set, generating it if need be.
+
+    modp sets: toy/small/medium/large (seeded) and the rfc5114 groups;
+    ``"secp256k1"`` resolves to the elliptic-curve backend
+    (:class:`repro.crypto.ec.EcGroup`) at matched ~128-bit security
+    against 2048-bit modp groups.  A group's self-reported name
+    (``"toy-3"``: family and seed) resolves too, so a name recorded in
+    a capture or a STATUS response leads back to its group.  For names
+    the caller trusts: a ``large-<seed>`` is a multi-second parameter
+    search.  Bytes off the network go through :func:`known_group`.
+    """
+    if name in GROUP_REGISTRY:
+        return GROUP_REGISTRY[name](seed)
+    group = known_group(name)
+    if group is not None:
+        return group
+    family, sep, digits = name.rpartition("-")
+    if sep and family in GROUP_REGISTRY and digits.isascii() and digits.isdigit():
+        return GROUP_REGISTRY[family](int(digits))
     raise KeyError(f"unknown group {name!r}")

@@ -405,7 +405,9 @@ class AsyncioTransport:
 
     def _dispatch_frame(self, peer: int, frame: bytes) -> None:
         try:
-            message = wire.decode(frame, resolve=self._commitments.get)
+            message = wire.decode(
+                frame, resolve=self._commitments.get, group=self.group
+            )
         except wire.UnresolvedDigest as exc:
             # Compressed vote arrived before the dealer's send; hold it
             # until the matrix shows up (the receiver-side cache the

@@ -14,6 +14,15 @@ those widths, :func:`encoded_size` is value-independent, so stamping
 length (the E1/E3 communication measurements) while staying
 deterministic across runs.
 
+Every layout is stated once, in :data:`SCHEMA`: ``kind -> (message
+type, since-version, ((attribute, field type), ...))`` over the closed
+set of field types defined above it, walked by one generic encoder and
+one generic decoder; ``docs/wire.md`` and the round-trip and
+hostile-decode tests are generated from it.  ``since`` is the codec
+version that introduced the kind (history in ``docs/protocols.md``):
+:func:`encode` stamps it — or 3 when a non-modp group shaped the
+frame — and :func:`decode` rejects a kind claiming an earlier one.
+
 Commitment compression (Cachin et al., the paper's §3 efficiency note)
 is a first-class wire feature: ``echo``/``ready`` frames may carry the
 32-byte commitment digest instead of the full matrix
@@ -21,188 +30,52 @@ is a first-class wire feature: ``echo``/``ready`` frames may carry the
 callable mapping digests to previously seen commitments — exactly the
 cache a receiver builds from the dealer's ``send``.
 
-Covered payloads: everything in :mod:`repro.vss.messages`,
-:mod:`repro.dkg.messages` and :mod:`repro.proactive.messages`,
-including operator in/out records so hosts can checkpoint them.  (The
-group-modification layer of §6 keeps its simulator-only cost models and
-is not framed here.)
-
-Codec **version 2** adds the client-facing service frames of
-:mod:`repro.service.protocol` (kinds ``0x30+``): SIGN, BEACON_NEXT,
-BEACON_GET, DPRF_EVAL, DECRYPT, STATUS and their responses.  Frames
-are stamped with the minimum version able to decode them — protocol
-kinds stay byte-identical to v1, so mixed-version clusters keep
-interoperating; service kinds claiming version 1 are rejected — they
-did not exist.
-
-Codec **version 3** makes element fields backend-typed: group elements
-travel in the owning group's canonical serialization (fixed-width
-residues for modp — byte-identical to v2 — or 33-byte compressed
-points for secp256k1), groups resolve by registry name for every
-backend, and ``STATUS`` responses carry the group name *before* the
-public key so the element decodes without out-of-band context
-(``STATUS`` is therefore the one kind whose layout changed; v2 status
-frames are rejected by version gate).  Frames whose payload contains
-loose elements decode against the ``group`` argument of
-:func:`decode` when provided; without it, element fields fall back to
-raw big-endian ints (the legacy modp reading).
-
-Codec **version 4** adds the session-multiplexing runtime and takes
-the group-modification layer onto the wire (kinds ``0x23``–``0x2F``):
-
-* :class:`~repro.runtime.envelope.SessionEnvelope` (kind ``0x2F``) —
-  a session id plus one complete embedded inner frame, letting one
-  endpoint interleave any number of concurrent protocol sessions.
-  Commitment compression applies to the *inner* payload, and
-  digest-resolution (including :class:`UnresolvedDigest` buffering)
-  passes straight through the envelope;
-* the §6 agreement/addition messages (proposals, echo/ready votes,
-  Node-Add requests, subshares, joined outputs), so proactive phase
-  changes and member additions run over real sockets.
-
-All pre-v4 kinds stay byte-identical; v4 kinds claiming an earlier
-version are rejected.
-
-Codec **version 5** adds the observability frames (kinds ``0x3C`` /
-``0x3D``): ``OPS`` requests a node's metrics-registry snapshot and the
-response carries it as one length-prefixed JSON document (the same
-schema the ``/metrics.json`` HTTP endpoint serves), so new metric
-families never require a codec change.  All pre-v5 kinds stay
-byte-identical; OPS frames claiming an earlier version are rejected —
-they did not exist.
-
-Codec **version 6** adds the shard-router frames (kinds ``0x3E``–
-``0x43``) of :mod:`repro.service.shard.api`: the keyed data path
-(SHARD_SIGN / SHARD_STATUS — the single-committee requests plus the
-``key_id`` that consistent hashing maps to a shard), the fleet
-observability pair (FLEET_OPS carrying one aggregated JSON snapshot,
-OPS-style), and the admin pair (SHARDCTL: a one-byte verb index into
-``SHARDCTL_OPS`` + target shard id, answered with an opaque JSON
-document).  Responses to the keyed path reuse the existing v2/v3
-SIGN/STATUS response frames — a sharded signature is wire-identical to
-a single-committee one.  All pre-v6 kinds stay byte-identical; shard
-frames claiming an earlier version are rejected — they did not exist.
+:func:`decode` takes bytes from the network, so it raises nothing but
+:class:`WireError` and does no work a peer can inflate: a group named
+in a frame resolves to the ``group=`` context, a fixed-parameter set or
+a seeded group this process already built — never to a parameter
+search — and session envelopes do not nest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from typing import Any, Callable
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
-from repro.crypto.groups import GROUP_REGISTRY, SchnorrGroup, group_by_name
+from repro.crypto.groups import SchnorrGroup, group_by_name, known_group
 from repro.crypto.hashing import commitment_digest
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import Signature
-from repro.groupmod.messages import (
-    JoinedOutput,
-    ModProposal,
-    NodeAddInput,
-    NodeAddRequestMsg,
-    ProposalDeliveredOutput,
-    ProposalEchoMsg,
-    ProposalMsg,
-    ProposalReadyMsg,
-    ProposeInput,
-    SubshareMsg,
-)
-from repro.proactive.messages import ClockTickMsg, RenewedOutput, RenewInput
-from repro.runtime import envelope as _envelope_module
+from repro.dkg import messages as dkg
+from repro.dkg.messages import DIGEST_BYTES, INDEX_BYTES, TAU_BYTES, VIEW_BYTES
+from repro.groupmod import messages as gm
+from repro.proactive import messages as proactive
+from repro.runtime import envelope
 from repro.runtime.envelope import SessionEnvelope
-from repro.vss import messages as _vss_messages
-from repro.vss.messages import (
-    EchoMsg,
-    HelpMsg,
-    ReadyMsg,
-    ReadyWitness,
-    ReconstructInput,
-    ReconstructedOutput,
-    RecoverInput,
-    SendMsg,
-    SessionId,
-    SharedOutput,
-    ShareInput,
-    SharePointMsg,
-)
-from repro.service.protocol import (
-    ERROR_NAMES,
-    BeaconGetRequest,
-    BeaconNextRequest,
-    BeaconResponse,
-    DecryptRequest,
-    DecryptResponse,
-    DprfEvalRequest,
-    DprfResponse,
-    ErrorResponse,
-    OpsRequest,
-    OpsResponse,
-    SignRequest,
-    SignResponse,
-    StatusRequest,
-    StatusResponse,
-)
-from repro.service.shard.api import (
-    SHARDCTL_OPS,
-    FleetOpsRequest,
-    FleetOpsResponse,
-    ShardCtlRequest,
-    ShardCtlResponse,
-    ShardSignRequest,
-    ShardStatusRequest,
-)
-from repro.dkg.messages import (
-    DIGEST_BYTES,
-    INDEX_BYTES,
-    TAU_BYTES,
-    VIEW_BYTES,
-    DkgCompletedOutput,
-    DkgEchoMsg,
-    DkgHelpMsg,
-    DkgReadyMsg,
-    DkgReconstructedOutput,
-    DkgReconstructInput,
-    DkgRecoverInput,
-    DkgSendMsg,
-    DkgSharePointMsg,
-    DkgStartInput,
-    LeadChMsg,
-    LeadChWitness,
-    MTypeProof,
-    ReadyCert,
-    RTypeProof,
-    SetVote,
-)
+from repro.service import protocol as svc
+from repro.service.shard import api as shard
+from repro.vss import messages as vss
 
 MAGIC = b"KG"
-VERSION = 6  # v6: shard-router frames (see module doc)
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6)
-SERVICE_KIND_MIN = 0x30
+VERSION = 6  # the newest ``since`` in SCHEMA
+SUPPORTED_VERSIONS = range(1, VERSION + 1)
+SERVICE_KIND_MIN = 0x30  # kinds from here up are client <-> gateway frames
 ENVELOPE_KIND = 0x2F
-# Kinds introduced by codec v4: the groupmod range plus the envelope.
-V4_KINDS = frozenset(range(0x23, 0x30))
-STATUS_RESPONSE_KIND = 0x3A  # layout changed in v3 (name precedes key)
-OPS_REQUEST_KIND = 0x3C
-OPS_RESPONSE_KIND = 0x3D
-# Kinds introduced by codec v5: the observability pair.
-V5_KINDS = frozenset({OPS_REQUEST_KIND, OPS_RESPONSE_KIND})
-SHARD_SIGN_KIND = 0x3E
-SHARD_STATUS_KIND = 0x3F
-FLEET_OPS_REQUEST_KIND = 0x40
-FLEET_OPS_RESPONSE_KIND = 0x41
-SHARDCTL_REQUEST_KIND = 0x42
-SHARDCTL_RESPONSE_KIND = 0x43
-# Kinds introduced by codec v6: the shard-router range.
-V6_KINDS = frozenset(range(SHARD_SIGN_KIND, SHARDCTL_RESPONSE_KIND + 1))
 HEADER_BYTES = 4 + len(MAGIC) + 1 + 1  # length + magic + version + kind
 # Fixed-size messages bake this framing cost into byte_size() directly.
-assert HEADER_BYTES == _vss_messages.WIRE_FRAME_OVERHEAD
-assert HEADER_BYTES == _envelope_module._FRAME_OVERHEAD
+assert HEADER_BYTES == vss.WIRE_FRAME_OVERHEAD
+assert HEADER_BYTES == envelope._FRAME_OVERHEAD
+MAX_FRAME_BYTES = 1 << 24  # 16 MiB — far above any honest frame
 
 PHASE_BYTES = 4
 REQUEST_ID_BYTES = 8  # client-chosen correlation id (service frames)
 ROUND_BYTES = 8  # beacon round numbers
+MAX_COMMITMENT_SIDE = 1024
+MAX_POLYNOMIAL_COEFFS = 4096
+
+Resolver = Callable[[bytes], FeldmanCommitment | None]
 
 
 class WireError(ValueError):
@@ -219,37 +92,12 @@ class UnresolvedDigest(WireError):
         self.digest = digest
 
 
-@lru_cache(maxsize=64)
-def _group_from_name(name: str):
-    """Resolve a group's self-reported name ("toy-3", "rfc5114-1024-160",
-    "secp256k1") back to a group object of the right backend, or None
-    for unregistered/custom names."""
+def _trusted_group(name: str):
+    """The group behind a name this process wrote itself, or None."""
     try:
         return group_by_name(name)
     except KeyError:
-        pass
-    base, sep, seed = name.rpartition("-")
-    if sep and base in GROUP_REGISTRY and seed.isdigit():
-        return GROUP_REGISTRY[base](int(seed))
-    return None
-
-
-# -- primitive writers ---------------------------------------------------------
-
-
-def _uvarint(n: int) -> bytes:
-    """Unsigned LEB128."""
-    if n < 0:
-        raise WireError("uvarint cannot encode negative values")
-    out = bytearray()
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+        return None
 
 
 def _fixed(n: int, width: int) -> bytes:
@@ -259,21 +107,26 @@ def _fixed(n: int, width: int) -> bytes:
         raise WireError(f"value {n} does not fit in {width} bytes") from exc
 
 
+def _byte_length(n: int) -> int:
+    return (n.bit_length() + 7) // 8
+
+
 def _scalar_width(group, *values: int) -> int:
     """Field width for scalars: the group's if known, else minimal."""
-    if group is not None:
-        width = group.scalar_bytes
-    else:
-        width = 1
-    for v in values:
-        width = max(width, (v.bit_length() + 7) // 8 or 1)
-    return width
+    width = group.scalar_bytes if group is not None else 1
+    return max(width, *(_byte_length(v) for v in values))
+
+
+# -- primitive writers ---------------------------------------------------------
 
 
 class _Writer:
-    def __init__(self, group=None):
+    def __init__(self, group, mode: str):
         self.buf = bytearray()
-        self.group = group  # width context for signatures/loose scalars
+        # Width context for signatures and loose scalars/elements: the
+        # ``group=`` argument until a commitment field replaces it.
+        self.group = group
+        self.mode = mode  # "inline" | "digest": how commitments travel
         # Set when a non-modp group shapes any field: such frames are
         # not decodable pre-v3 and must be stamped accordingly.
         self.needs_v3 = False
@@ -282,48 +135,59 @@ class _Writer:
         self.buf += _fixed(n, 1)
 
     def uvarint(self, n: int) -> None:
-        self.buf += _uvarint(n)
+        """Unsigned LEB128."""
+        if n < 0:
+            raise WireError("uvarint cannot encode negative values")
+        while n > 0x7F:
+            self.buf.append(n & 0x7F | 0x80)
+            n >>= 7
+        self.buf.append(n)
 
     def fixed(self, n: int, width: int) -> None:
         self.buf += _fixed(n, width)
-
-    def index(self, n: int) -> None:
-        self.fixed(n, INDEX_BYTES)
-
-    def raw(self, data: bytes) -> None:
-        self.buf += data
 
     def lbytes(self, data: bytes) -> None:
         self.uvarint(len(data))
         self.buf += data
 
-    def session(self, sid: SessionId) -> None:
-        self.raw(sid.as_bytes())  # 4-byte dealer + 4-byte tau
+    def flag(self, value: bool) -> None:
+        """One byte, 0 or 1."""
+        self.u8(1 if value else 0)
+
+    def digest(self, value: bytes) -> None:
+        """32 bytes: a SHA-256 commitment digest."""
+        if len(value) != DIGEST_BYTES:
+            raise WireError(f"digest must be {DIGEST_BYTES} bytes")
+        self.buf += value
+
+    def point(self, n: int) -> None:
+        """A share point: |q| bytes, q from the preceding commitment's group."""
+        self.fixed(n, self.group.scalar_bytes)
 
     def scalar(self, n: int) -> None:
-        """A loose scalar: width prefix + fixed-width value."""
+        """A loose scalar: uvarint width, then the value in that many
+        bytes.  The width is |q| of the group in context, else minimal."""
         width = _scalar_width(self.group, n)
         self.uvarint(width)
         self.fixed(n, width)
 
     def element(self, e) -> None:
-        """A loose group element: length prefix + the owning backend's
-        canonical bytes.  With no group context, plain ints write in
-        their minimal big-endian form (byte-identical to the legacy
-        ``scalar`` encoding of modp elements)."""
+        """A loose group element: uvarint length, then the owning
+        backend's canonical bytes (|p| bytes for modp, a 33-byte
+        compressed point for secp256k1).  With no group in context, a
+        modp element travels as a minimal big-endian int."""
         if self.group is not None:
             if not isinstance(self.group, SchnorrGroup):
                 self.needs_v3 = True
             self.lbytes(self.group.element_to_bytes(e))
         elif isinstance(e, int):
-            self.lbytes(_fixed(e, (e.bit_length() + 7) // 8 or 1))
+            self.lbytes(_fixed(e, _byte_length(e) or 1))
         else:
-            raise WireError(
-                f"cannot encode element {type(e).__name__} without a group"
-            )
+            raise WireError(f"cannot encode element {type(e).__name__} without a group")
 
     def signature(self, sig: Signature | None) -> None:
-        """Optional signature: uvarint width (0 = absent) + two scalars."""
+        """A Schnorr signature: uvarint scalar width w (0 = absent),
+        then challenge and response, w bytes each."""
         if sig is None:
             self.uvarint(0)
             return
@@ -332,64 +196,100 @@ class _Writer:
         self.fixed(sig.challenge, width)
         self.fixed(sig.response, width)
 
-    def group_params(self, group) -> None:
+    def group_ref(self, group) -> None:
         """Named registry reference when possible, inline (p, q, g) for
         custom modp groups.  Non-modp backends are always registry-named
-        (the curve is fixed), so the inline form stays modp-only."""
+        (the curve is fixed), so the inline form stays modp-only.  The
+        group becomes the width context for the fields that follow."""
+        self.group = group
         if not isinstance(group, SchnorrGroup):
             self.needs_v3 = True
-        if group.name != "custom" and _group_from_name(group.name) == group:
+        if group.name != "custom" and _trusted_group(group.name) == group:
             self.u8(0)
             self.lbytes(group.name.encode())
             return
         if not isinstance(group, SchnorrGroup):
-            raise WireError(
-                f"group {group.name!r} is not registry-resolvable"
-            )
+            raise WireError(f"group {group.name!r} is not registry-resolvable")
         self.u8(1)
-        self.lbytes(_fixed(group.p, (group.p.bit_length() + 7) // 8))
-        self.lbytes(_fixed(group.q, (group.q.bit_length() + 7) // 8))
-        self.lbytes(_fixed(group.g, (group.g.bit_length() + 7) // 8))
+        for param in (group.p, group.q, group.g):
+            self.lbytes(_fixed(param, _byte_length(param)))
 
-    def feldman_matrix(self, c: FeldmanCommitment) -> None:
-        self.group_params(c.group)
+    def _elements(self, group, entries) -> None:
+        to_bytes = group.element_to_bytes
+        for entry in entries:
+            self.buf += to_bytes(entry)
+
+    def matrix(self, c: FeldmanCommitment) -> None:
+        """A Feldman commitment matrix: group reference (u8 tag: 0 +
+        length-prefixed registry name | 1 + length-prefixed p, q, g),
+        uvarint side s, then s*s fixed-width elements, row by row."""
+        self.group_ref(c.group)
         self.uvarint(c.degree + 1)
-        to_bytes = c.group.element_to_bytes
         for row in c.matrix:
-            for entry in row:
-                self.raw(to_bytes(entry))
+            self._elements(c.group, row)
 
-    def feldman_vector(self, v: FeldmanVector) -> None:
-        self.group_params(v.group)
+    def vector(self, v: FeldmanVector) -> None:
+        """A Feldman commitment vector: group reference (as in matrix),
+        uvarint count, then that many fixed-width elements."""
+        self.group_ref(v.group)
         self.uvarint(len(v.entries))
-        to_bytes = v.group.element_to_bytes
-        for entry in v.entries:
-            self.raw(to_bytes(entry))
+        self._elements(v.group, v.entries)
 
     def pedersen(self, c: PedersenCommitment) -> None:
-        self.group_params(c.group)
-        self.raw(c.group.element_to_bytes(c.h))
+        """A Pedersen commitment vector: group reference (as in matrix),
+        element h, uvarint count, then that many fixed-width elements."""
+        self.group_ref(c.group)
+        self._elements(c.group, (c.h,))
         self.uvarint(len(c.entries))
-        to_bytes = c.group.element_to_bytes
-        for entry in c.entries:
-            self.raw(to_bytes(entry))
+        self._elements(c.group, c.entries)
+
+    def commitment(self, c: FeldmanCommitment) -> None:
+        """u8 tag, then 0 = the matrix inline | 1 = its 32-byte digest
+        (how echo/ready travel under the hashed codec; the receiver
+        resolves it against the dealer's send)."""
+        if self.mode == "digest":
+            self.u8(1)
+            self.buf += commitment_digest(c)
+            self.group = c.group
+        else:
+            self.u8(0)
+            self.matrix(c)
 
     def polynomial(self, poly: Polynomial) -> None:
-        width = (poly.q.bit_length() + 7) // 8
+        """A univariate polynomial: length-prefixed modulus q, uvarint
+        count, then that many coefficients of |q| bytes."""
+        width = _byte_length(poly.q)
         self.lbytes(_fixed(poly.q, width))
         self.uvarint(len(poly.coeffs))
         for coeff in poly.coeffs:
             self.fixed(coeff, width)
+
+    def group_name(self, name: str) -> None:
+        """Length-prefixed utf-8 name of the service's group.  When the
+        receiver was given no group of its own, the element after it
+        decodes in this one — if it is known without a parameter search."""
+        self.lbytes(name.encode())
+        if self.group is None:
+            self.group = _trusted_group(name)
+
+    def frame(self, payload: Any) -> None:
+        """One complete embedded frame, to the end of the body, in the
+        commitment mode the deployment codec chose for it.  Never
+        another envelope."""
+        if isinstance(payload, SessionEnvelope):
+            raise WireError("session envelopes do not nest")
+        self.buf += encode(payload, group=self.group, commitments=self.mode)
 
 
 # -- primitive readers ---------------------------------------------------------
 
 
 class _Reader:
-    def __init__(self, data: bytes, group=None):
+    def __init__(self, data: bytes, group, resolve: Resolver | None):
         self.data = data
         self.pos = 0
-        self.group = group
+        self.group = group  # element-decoding context (see _Writer.group)
+        self.resolve = resolve
 
     def take(self, n: int) -> bytes:
         if n < 0 or self.pos + n > len(self.data):
@@ -400,6 +300,13 @@ class _Reader:
 
     def u8(self) -> int:
         return self.take(1)[0]
+
+    def choice(self, valid, what: str) -> int:
+        """A tag / enum / flag byte, which must be one of ``valid``."""
+        byte = self.u8()
+        if byte not in valid:
+            raise WireError(f"unknown {what} {byte}")
+        return byte
 
     def uvarint(self) -> int:
         shift = 0
@@ -413,42 +320,48 @@ class _Reader:
             if shift > 63:
                 raise WireError("uvarint too long")
 
+    def count(self, limit: int, what: str) -> int:
+        """An element count in ``1..limit``."""
+        count = self.uvarint()
+        if not 1 <= count <= limit:
+            raise WireError(f"implausible {what} {count}")
+        return count
+
     def fixed(self, width: int) -> int:
         return int.from_bytes(self.take(width), "big")
-
-    def index(self) -> int:
-        return self.fixed(INDEX_BYTES)
 
     def lbytes(self) -> bytes:
         return self.take(self.uvarint())
 
-    def session(self) -> SessionId:
-        dealer = self.fixed(4)
-        tau = self.fixed(4)
-        return SessionId(dealer, tau)
+    def flag(self) -> bool:
+        return bool(self.choice(range(2), "flag"))
+
+    def digest(self) -> bytes:
+        return self.take(DIGEST_BYTES)
+
+    def point(self) -> int:
+        return self.fixed(self.group.scalar_bytes)
 
     def scalar(self) -> int:
         return self.fixed(self.uvarint())
 
     def element(self):
-        """A loose group element (see ``_Writer.element``): decoded by
-        the group in context, or as a raw big-endian int without one."""
-        raw = self.take(self.uvarint())
+        raw = self.lbytes()
         if self.group is None:
             return int.from_bytes(raw, "big")
+        return self._decode_element(self.group, raw)
+
+    @staticmethod
+    def _decode_element(group, raw: bytes):
         try:
-            return self.group.element_decode(bytes(raw))
+            return group.element_decode(raw)
         except ValueError as exc:
             raise WireError(f"garbled group element: {exc}") from exc
 
     def sized_element(self, group):
         """A fixed-width element (commitment entries): exactly
         ``group.element_bytes`` bytes of the backend's canonical form."""
-        raw = self.take(group.element_bytes)
-        try:
-            return group.element_decode(bytes(raw))
-        except ValueError as exc:
-            raise WireError(f"garbled group element: {exc}") from exc
+        return self._decode_element(group, self.take(group.element_bytes))
 
     def signature(self) -> Signature | None:
         width = self.uvarint()
@@ -456,968 +369,494 @@ class _Reader:
             return None
         return Signature(self.fixed(width), self.fixed(width))
 
-    def require_signature(self) -> Signature:
-        sig = self.signature()
-        if sig is None:
-            raise WireError("missing required signature")
-        return sig
-
     def expect_end(self) -> None:
         if self.pos != len(self.data):
-            raise WireError(
-                f"{len(self.data) - self.pos} trailing bytes after payload"
-            )
+            raise WireError(f"{len(self.data) - self.pos} trailing bytes after payload")
 
-    def group_params(self):
-        tag = self.u8()
-        if tag == 0:
-            try:
-                name = self.lbytes().decode()
-            except UnicodeDecodeError as exc:
-                raise WireError("garbled group name") from exc
-            group = _group_from_name(name)
+    def group_ref(self):
+        """See ``_Writer.group_ref``.  A name is looked up, never
+        generated: a hostile ``large-<seed>`` must not cost the receiver
+        a 2048-bit parameter search."""
+        if self.choice(range(2), "group tag") == 0:
+            name = _utf8(self.lbytes(), "group name")
+            if self.group is not None and self.group.name == name:
+                return self.group
+            group = known_group(name)
             if group is None:
                 raise WireError(f"unknown group name {name!r}")
-            return group
-        if tag == 1:
-            p = int.from_bytes(self.lbytes(), "big")
-            q = int.from_bytes(self.lbytes(), "big")
-            g = int.from_bytes(self.lbytes(), "big")
-            return SchnorrGroup(p, q, g)
-        raise WireError(f"bad group tag {tag}")
+        else:
+            p, q, g = (int.from_bytes(self.lbytes(), "big") for _ in range(3))
+            if not (1 < q < p and 1 < g < p):
+                raise WireError("implausible inline group parameters")
+            group = SchnorrGroup(p, q, g)
+        self.group = group
+        return group
 
-    def feldman_matrix(self) -> FeldmanCommitment:
-        group = self.group_params()
-        side = self.uvarint()
-        if not 1 <= side <= 1024:
-            raise WireError(f"implausible commitment side {side}")
-        matrix = tuple(
-            tuple(self.sized_element(group) for _ in range(side))
-            for _ in range(side)
-        )
-        return FeldmanCommitment(matrix, group)
+    def _elements(self, group, count: int) -> tuple:
+        return tuple(self.sized_element(group) for _ in range(count))
 
-    def feldman_vector(self) -> FeldmanVector:
-        group = self.group_params()
-        count = self.uvarint()
-        if not 1 <= count <= 1024:
-            raise WireError(f"implausible vector length {count}")
-        return FeldmanVector(
-            tuple(self.sized_element(group) for _ in range(count)), group
-        )
+    def matrix(self) -> FeldmanCommitment:
+        group = self.group_ref()
+        side = self.count(MAX_COMMITMENT_SIDE, "commitment side")
+        rows = tuple(self._elements(group, side) for _ in range(side))
+        return FeldmanCommitment(rows, group)
+
+    def vector(self) -> FeldmanVector:
+        group = self.group_ref()
+        count = self.count(MAX_COMMITMENT_SIDE, "vector length")
+        return FeldmanVector(self._elements(group, count), group)
 
     def pedersen(self) -> PedersenCommitment:
-        group = self.group_params()
+        group = self.group_ref()
         h = self.sized_element(group)
-        count = self.uvarint()
-        if not 1 <= count <= 1024:
-            raise WireError(f"implausible vector length {count}")
-        return PedersenCommitment(
-            tuple(self.sized_element(group) for _ in range(count)), group, h
-        )
+        count = self.count(MAX_COMMITMENT_SIDE, "vector length")
+        return PedersenCommitment(self._elements(group, count), group, h)
+
+    def commitment(self) -> FeldmanCommitment:
+        if self.choice(range(2), "commitment tag") == 0:
+            return self.matrix()
+        digest = self.digest()
+        commitment = self.resolve(digest) if self.resolve is not None else None
+        if commitment is None:
+            # The transport buffers the frame (the *outer* one, when
+            # enveloped) until the referenced commitment arrives.
+            raise UnresolvedDigest(digest)
+        self.group = commitment.group
+        return commitment
 
     def polynomial(self) -> Polynomial:
         q_bytes = self.lbytes()
         q = int.from_bytes(q_bytes, "big")
         if q < 2:
             raise WireError("bad polynomial modulus")
+        count = self.count(MAX_POLYNOMIAL_COEFFS, "coefficient count")
         width = len(q_bytes)
-        count = self.uvarint()
-        if not 1 <= count <= 4096:
-            raise WireError(f"implausible coefficient count {count}")
         return Polynomial(tuple(self.fixed(width) for _ in range(count)), q)
 
+    def group_name(self) -> str:
+        name = _utf8(self.lbytes(), "group name")
+        if self.group is None:
+            self.group = known_group(name)
+        return name
 
-# -- commitment field: inline matrix or digest reference -----------------------
-
-Resolver = Callable[[bytes], FeldmanCommitment | None]
-
-
-def _write_commitment_field(
-    w: _Writer, commitment: FeldmanCommitment, mode: str
-) -> None:
-    if mode == "digest":
-        w.u8(1)
-        w.raw(commitment_digest(commitment))
-    else:
-        w.u8(0)
-        w.feldman_matrix(commitment)
+    def frame(self) -> Any:
+        inner = self.take(len(self.data) - self.pos)
+        if inner[HEADER_BYTES - 1 : HEADER_BYTES] == bytes([ENVELOPE_KIND]):
+            raise WireError("session envelopes do not nest")
+        return decode(inner, resolve=self.resolve, group=self.group)
 
 
-def _read_commitment_field(r: _Reader, resolve: Resolver | None) -> FeldmanCommitment:
-    tag = r.u8()
-    if tag == 0:
-        return r.feldman_matrix()
-    if tag == 1:
-        digest = bytes(r.take(DIGEST_BYTES))
-        commitment = resolve(digest) if resolve is not None else None
-        if commitment is None:
-            raise UnresolvedDigest(digest)
-        return commitment
-    raise WireError(f"bad commitment tag {tag}")
-
-
-# -- evidence structures (§4) --------------------------------------------------
-
-
-def _write_witness(w: _Writer, witness: ReadyWitness) -> None:
-    w.index(witness.signer)
-    w.signature(witness.signature)
-
-
-def _read_witness(r: _Reader) -> ReadyWitness:
-    return ReadyWitness(r.index(), r.require_signature())
-
-
-def _write_cert(w: _Writer, cert: ReadyCert) -> None:
-    w.index(cert.dealer)
-    if len(cert.digest) != DIGEST_BYTES:
-        raise WireError("ReadyCert digest must be 32 bytes")
-    w.raw(cert.digest)
-    w.uvarint(len(cert.witnesses))
-    for witness in cert.witnesses:
-        _write_witness(w, witness)
-
-
-def _read_cert(r: _Reader) -> ReadyCert:
-    dealer = r.index()
-    digest = bytes(r.take(DIGEST_BYTES))
-    count = r.uvarint()
-    witnesses = tuple(_read_witness(r) for _ in range(count))
-    return ReadyCert(dealer, digest, witnesses)
-
-
-_VOTE_KINDS = ("echo", "ready")
-
-
-def _write_set_vote(w: _Writer, vote: SetVote) -> None:
-    w.index(vote.voter)
+def _utf8(raw: bytes, what: str) -> str:
     try:
-        w.u8(_VOTE_KINDS.index(vote.vote_kind))
-    except ValueError as exc:
-        raise WireError(f"unknown vote kind {vote.vote_kind!r}") from exc
-    w.signature(vote.signature)
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise WireError(f"garbled {what}") from exc
 
 
-def _read_set_vote(r: _Reader) -> SetVote:
-    voter = r.index()
-    kind = r.u8()
-    if kind >= len(_VOTE_KINDS):
-        raise WireError(f"bad vote kind byte {kind}")
-    return SetVote(voter, _VOTE_KINDS[kind], r.require_signature())
+# -- field types ---------------------------------------------------------------
 
 
-def _write_q(w: _Writer, q: tuple[int, ...]) -> None:
-    w.uvarint(len(q))
-    for idx in q:
-        w.index(idx)
+@dataclasses.dataclass(frozen=True)
+class _Field:
+    """One of the closed set of field types SCHEMA is written in.
+    ``doc`` names it in docs/wire.md, ``detail`` spells its layout out
+    there, ``inner`` lists the field types it is built from."""
+
+    doc: str
+    detail: str
+    write: Callable[[_Writer, Any], None]
+    read: Callable[[_Reader], Any]
+    inner: tuple[_Field, ...] = ()
 
 
-def _read_q(r: _Reader) -> tuple[int, ...]:
-    return tuple(r.index() for _ in range(r.uvarint()))
+def _prim(name: str) -> _Field:
+    """The field type the ``_Writer``/``_Reader`` methods called ``name``
+    code; the writer's docstring is its entry in docs/wire.md."""
+    write = getattr(_Writer, name)
+    detail = " ".join((write.__doc__ or "").split())
+    return _Field(name.replace("_", " "), detail, write, getattr(_Reader, name))
 
 
-def _write_proof(w: _Writer, proof: RTypeProof | MTypeProof | None) -> None:
-    if proof is None:
-        w.u8(0)
-    elif isinstance(proof, RTypeProof):
-        w.u8(1)
-        w.uvarint(len(proof.certs))
-        for cert in proof.certs:
-            _write_cert(w, cert)
-    elif isinstance(proof, MTypeProof):
-        w.u8(2)
-        _write_q(w, proof.q)
-        w.uvarint(len(proof.votes))
-        for vote in proof.votes:
-            _write_set_vote(w, vote)
+def _int(width: int, what: str, bias: int = 0) -> _Field:
+    """Fixed-width big-endian unsigned int; ``bias`` shifts a small
+    signed range into it."""
+
+    def write(w: _Writer, value: int) -> None:
+        w.fixed(value + bias, width)
+
+    def read(r: _Reader) -> int:
+        return r.fixed(width) - bias
+
+    return _Field(f"u{8 * width} {what}", "", write, read)
+
+
+def _bytes(what: str, text: bool = False, limit: int | None = None) -> _Field:
+    """Length-prefixed bytes; ``text`` makes them a UTF-8 string."""
+
+    def check(raw: bytes) -> bytes:
+        if limit is not None and len(raw) > limit:
+            raise WireError(f"{what} too long")
+        return raw
+
+    def write(w: _Writer, value) -> None:
+        w.lbytes(check(value.encode() if text else value))
+
+    def read(r: _Reader):
+        raw = check(r.lbytes())
+        return _utf8(raw, what) if text else raw
+
+    detail = f"uvarint length, then that many bytes{' of utf-8' if text else ''}"
+    if limit is not None:
+        detail += f"; at most {limit}"
+    return _Field(what, detail, write, read)
+
+
+def _enum(what: str, values) -> _Field:
+    """One byte standing for one of a fixed set of values: an index
+    into a tuple of names, or a code table's keys themselves."""
+    if isinstance(values, dict):
+        names, by_byte = values, {code: code for code in values}
     else:
-        raise WireError(f"unknown proof type {proof!r}")
+        names = by_byte = dict(enumerate(values))
+    by_value = {value: byte for byte, value in by_byte.items()}
+
+    def write(w: _Writer, value) -> None:
+        if value not in by_value:
+            raise WireError(f"unknown {what} {value!r}")
+        w.u8(by_value[value])
+
+    def read(r: _Reader):
+        return by_byte[r.choice(by_byte, f"{what} index")]
+
+    listing = ", ".join(f"{byte} = {name}" for byte, name in names.items())
+    return _Field(what, f"u8: {listing}", write, read)
 
 
-def _read_proof(r: _Reader) -> RTypeProof | MTypeProof | None:
-    tag = r.u8()
-    if tag == 0:
-        return None
-    if tag == 1:
-        return RTypeProof(tuple(_read_cert(r) for _ in range(r.uvarint())))
-    if tag == 2:
-        q = _read_q(r)
-        votes = tuple(_read_set_vote(r) for _ in range(r.uvarint()))
-        return MTypeProof(q, votes)
-    raise WireError(f"bad proof tag {tag}")
+def _optional(field: _Field) -> _Field:
+    """A presence flag, then the value if present (else ``None``)."""
+
+    def write(w: _Writer, value) -> None:
+        w.flag(value is not None)
+        if value is not None:
+            field.write(w, value)
+
+    def read(r: _Reader):
+        return field.read(r) if r.flag() else None
+
+    return _Field(f"optional {field.doc}", "", write, read, (field,))
 
 
-def _write_lead_ch_witness(w: _Writer, witness: LeadChWitness) -> None:
-    w.index(witness.voter)
-    w.fixed(witness.view, VIEW_BYTES)
-    w.signature(witness.signature)
+def _required(field: _Field) -> _Field:
+    """``field``, whose absent encoding decode refuses."""
+
+    def read(r: _Reader):
+        value = field.read(r)
+        if value is None:
+            raise WireError(f"missing required {field.doc}")
+        return value
+
+    return _Field(f"required {field.doc}", "", field.write, read, (field,))
 
 
-def _read_lead_ch_witness(r: _Reader) -> LeadChWitness:
-    return LeadChWitness(r.index(), r.fixed(VIEW_BYTES), r.require_signature())
+def _list(field: _Field) -> _Field:
+    """uvarint count, then that many items; decodes to a tuple."""
+
+    def write(w: _Writer, values) -> None:
+        w.uvarint(len(values))
+        for value in values:
+            field.write(w, value)
+
+    def read(r: _Reader) -> tuple:
+        return tuple(field.read(r) for _ in range(r.uvarint()))
+
+    return _Field(f"list of {field.doc}", "", write, read, (field,))
 
 
-# -- per-message body codecs ---------------------------------------------------
-#
-# Each entry: kind id -> (type, encode_body, decode_body).  Encoders
-# receive (_Writer, msg, commitment_mode); decoders (_Reader, resolve).
+def _union(what: str, *alternatives: tuple[type, _Field | None]) -> _Field:
+    """A tag byte, then the alternative it selects — chosen by Python
+    type on the way out.  ``None`` for a field: no body, decodes to
+    ``None``."""
+
+    def write(w: _Writer, value) -> None:
+        for tag, (typ, field) in enumerate(alternatives):
+            if isinstance(value, typ):
+                w.u8(tag)
+                if field is not None:
+                    field.write(w, value)
+                return
+        raise WireError(f"unencodable {what} {type(value).__name__}")
+
+    def read(r: _Reader):
+        field = alternatives[r.choice(range(len(alternatives)), f"{what} tag")][1]
+        return field.read(r) if field is not None else None
+
+    listing = " | ".join(
+        f"{tag} = {field.doc if field is not None else 'nothing'}"
+        for tag, (_, field) in enumerate(alternatives)
+    )
+    inner = tuple(field for _, field in alternatives if field is not None)
+    return _Field(what, f"u8 tag, then {listing}", write, read, inner)
 
 
-def _enc_vss_send(w: _Writer, m: SendMsg, mode: str) -> None:
-    w.session(m.session)
-    w.feldman_matrix(m.commitment)  # send always carries the matrix
-    if m.poly is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.polynomial(m.poly)
+def _write_fields(w: _Writer, fields, value) -> None:
+    """The generic encoder: one table row (or nested record) out."""
+    for attr, field in fields:
+        field.write(w, getattr(value, attr))
 
 
-def _dec_vss_send(r: _Reader, resolve: Resolver | None) -> SendMsg:
-    session = r.session()
-    commitment = r.feldman_matrix()
-    poly = r.polynomial() if r.u8() else None
-    return SendMsg(session, commitment, poly)
+def _read_fields(r: _Reader, typ: type, fields, **stamped):
+    """The generic decoder: one table row (or nested record) back."""
+    values = {attr: field.read(r) for attr, field in fields}
+    try:
+        return typ(**values, **stamped)
+    except ValueError as exc:  # the type's own range checks
+        raise WireError(f"invalid {typ.__name__}: {exc}") from exc
 
 
-def _enc_vss_echo(w: _Writer, m: EchoMsg, mode: str) -> None:
-    w.session(m.session)
-    _write_commitment_field(w, m.commitment, mode)
-    w.fixed(m.point, m.commitment.group.scalar_bytes)
-
-
-def _dec_vss_echo(r: _Reader, resolve: Resolver | None) -> EchoMsg:
-    session = r.session()
-    commitment = _read_commitment_field(r, resolve)
-    point = r.fixed(commitment.group.scalar_bytes)
-    return EchoMsg(session, commitment, point)
-
-
-def _enc_vss_ready(w: _Writer, m: ReadyMsg, mode: str) -> None:
-    w.session(m.session)
-    _write_commitment_field(w, m.commitment, mode)
-    w.fixed(m.point, m.commitment.group.scalar_bytes)
-    w.group = m.commitment.group
-    w.signature(m.signature)
-
-
-def _dec_vss_ready(r: _Reader, resolve: Resolver | None) -> ReadyMsg:
-    session = r.session()
-    commitment = _read_commitment_field(r, resolve)
-    point = r.fixed(commitment.group.scalar_bytes)
-    return ReadyMsg(session, commitment, point, r.signature())
-
-
-def _enc_vss_help(w: _Writer, m: HelpMsg, mode: str) -> None:
-    w.session(m.session)
-
-
-def _dec_vss_help(r: _Reader, resolve: Resolver | None) -> HelpMsg:
-    return HelpMsg(r.session())
-
-
-def _enc_vss_rec_share(w: _Writer, m: SharePointMsg, mode: str) -> None:
-    w.session(m.session)
-    w.scalar(m.point)
-
-
-def _dec_vss_rec_share(r: _Reader, resolve: Resolver | None) -> SharePointMsg:
-    return SharePointMsg(r.session(), r.scalar())
-
-
-def _enc_vss_in_share(w: _Writer, m: ShareInput, mode: str) -> None:
-    w.session(m.session)
-    w.scalar(m.secret)
-
-
-def _dec_vss_in_share(r: _Reader, resolve: Resolver | None) -> ShareInput:
-    return ShareInput(r.session(), r.scalar())
-
-
-def _enc_vss_in_reconstruct(w: _Writer, m: ReconstructInput, mode: str) -> None:
-    w.session(m.session)
-
-
-def _dec_vss_in_reconstruct(r: _Reader, resolve: Resolver | None) -> ReconstructInput:
-    return ReconstructInput(r.session())
-
-
-def _enc_vss_in_recover(w: _Writer, m: RecoverInput, mode: str) -> None:
-    w.session(m.session)
-
-
-def _dec_vss_in_recover(r: _Reader, resolve: Resolver | None) -> RecoverInput:
-    return RecoverInput(r.session())
-
-
-def _enc_vss_out_shared(w: _Writer, m: SharedOutput, mode: str) -> None:
-    w.session(m.session)
-    w.feldman_matrix(m.commitment)
-    w.group = m.commitment.group
-    w.scalar(m.share)
-    w.uvarint(len(m.ready_proof))
-    for witness in m.ready_proof:
-        _write_witness(w, witness)
-
-
-def _dec_vss_out_shared(r: _Reader, resolve: Resolver | None) -> SharedOutput:
-    session = r.session()
-    commitment = r.feldman_matrix()
-    share = r.scalar()
-    proof = tuple(_read_witness(r) for _ in range(r.uvarint()))
-    return SharedOutput(session, commitment, share, proof)
-
-
-def _enc_vss_out_reconstructed(w: _Writer, m: ReconstructedOutput, mode: str) -> None:
-    w.session(m.session)
-    w.scalar(m.value)
-
-
-def _dec_vss_out_reconstructed(
-    r: _Reader, resolve: Resolver | None
-) -> ReconstructedOutput:
-    return ReconstructedOutput(r.session(), r.scalar())
-
-
-def _enc_dkg_send(w: _Writer, m: DkgSendMsg, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.fixed(m.view, VIEW_BYTES)
-    _write_proof(w, m.proof)
-    w.uvarint(len(m.election))
-    for witness in m.election:
-        _write_lead_ch_witness(w, witness)
-
-
-def _dec_dkg_send(r: _Reader, resolve: Resolver | None) -> DkgSendMsg:
-    tau = r.fixed(TAU_BYTES)
-    view = r.fixed(VIEW_BYTES)
-    proof = _read_proof(r)
-    if proof is None:
-        raise WireError("dkg send must carry a proof")
-    election = tuple(_read_lead_ch_witness(r) for _ in range(r.uvarint()))
-    return DkgSendMsg(tau, view, proof, election)
-
-
-def _enc_dkg_vote(w: _Writer, m: DkgEchoMsg | DkgReadyMsg, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.fixed(m.view, VIEW_BYTES)
-    _write_q(w, m.q)
-    w.signature(m.signature)
-
-
-def _dec_dkg_echo(r: _Reader, resolve: Resolver | None) -> DkgEchoMsg:
-    return DkgEchoMsg(
-        r.fixed(TAU_BYTES), r.fixed(VIEW_BYTES), _read_q(r), r.require_signature()
+def _record(typ: type, /, **fields: _Field) -> _Field:
+    """A nested dataclass: its fields back to back, no framing."""
+    pairs = tuple(fields.items())
+    return _Field(
+        typ.__name__,
+        ", ".join(f"`{attr}`: {field.doc}" for attr, field in pairs),
+        lambda w, value: _write_fields(w, pairs, value),
+        lambda r: _read_fields(r, typ, pairs),
+        tuple(fields.values()),
     )
 
 
-def _dec_dkg_ready(r: _Reader, resolve: Resolver | None) -> DkgReadyMsg:
-    return DkgReadyMsg(
-        r.fixed(TAU_BYTES), r.fixed(VIEW_BYTES), _read_q(r), r.require_signature()
-    )
-
-
-def _enc_dkg_lead_ch(w: _Writer, m: LeadChMsg, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.fixed(m.view, VIEW_BYTES)
-    _write_proof(w, m.proof)
-    w.signature(m.signature)
-
-
-def _dec_dkg_lead_ch(r: _Reader, resolve: Resolver | None) -> LeadChMsg:
-    tau = r.fixed(TAU_BYTES)
-    view = r.fixed(VIEW_BYTES)
-    proof = _read_proof(r)
-    return LeadChMsg(tau, view, proof, r.require_signature())
-
-
-def _enc_dkg_rec_share(w: _Writer, m: DkgSharePointMsg, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.scalar(m.point)
-
-
-def _dec_dkg_rec_share(r: _Reader, resolve: Resolver | None) -> DkgSharePointMsg:
-    return DkgSharePointMsg(r.fixed(TAU_BYTES), r.scalar())
-
-
-def _enc_dkg_help(w: _Writer, m: DkgHelpMsg, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-
-
-def _dec_dkg_help(r: _Reader, resolve: Resolver | None) -> DkgHelpMsg:
-    return DkgHelpMsg(r.fixed(TAU_BYTES))
-
-
-def _enc_dkg_in_start(w: _Writer, m: DkgStartInput, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-
-
-def _dec_dkg_in_start(r: _Reader, resolve: Resolver | None) -> DkgStartInput:
-    return DkgStartInput(r.fixed(TAU_BYTES))
-
-
-def _enc_dkg_in_recover(w: _Writer, m: DkgRecoverInput, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-
-
-def _dec_dkg_in_recover(r: _Reader, resolve: Resolver | None) -> DkgRecoverInput:
-    return DkgRecoverInput(r.fixed(TAU_BYTES))
-
-
-def _enc_dkg_in_reconstruct(w: _Writer, m: DkgReconstructInput, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-
-
-def _dec_dkg_in_reconstruct(
-    r: _Reader, resolve: Resolver | None
-) -> DkgReconstructInput:
-    return DkgReconstructInput(r.fixed(TAU_BYTES))
-
-
-def _enc_dkg_out_reconstructed(
-    w: _Writer, m: DkgReconstructedOutput, mode: str
-) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.scalar(m.value)
-
-
-def _dec_dkg_out_reconstructed(
-    r: _Reader, resolve: Resolver | None
-) -> DkgReconstructedOutput:
-    return DkgReconstructedOutput(r.fixed(TAU_BYTES), r.scalar())
-
-
-def _enc_dkg_out_completed(w: _Writer, m: DkgCompletedOutput, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.fixed(m.view, VIEW_BYTES)
-    _write_q(w, m.q_set)
-    if isinstance(m.commitment, FeldmanCommitment):
-        w.u8(0)
-        w.feldman_matrix(m.commitment)
-        w.group = m.commitment.group
-    elif isinstance(m.commitment, FeldmanVector):
-        w.u8(1)
-        w.feldman_vector(m.commitment)
-        w.group = m.commitment.group
-    elif isinstance(m.commitment, PedersenCommitment):
-        # Pedersen-hardened variants (Gennaro et al. baseline, E9
-        # ablation) publish an unconditionally hiding commitment.
-        w.u8(2)
-        w.pedersen(m.commitment)
-        w.group = m.commitment.group
-    else:
-        raise WireError(f"unencodable commitment {type(m.commitment).__name__}")
-    w.scalar(m.share)
-    w.element(m.public_key)  # w.group was set by the commitment branch
-
-
-def _dec_dkg_out_completed(r: _Reader, resolve: Resolver | None) -> DkgCompletedOutput:
-    tau = r.fixed(TAU_BYTES)
-    view = r.fixed(VIEW_BYTES)
-    q_set = _read_q(r)
-    shape = r.u8()
-    if shape == 0:
-        commitment: Any = r.feldman_matrix()
-    elif shape == 1:
-        commitment = r.feldman_vector()
-    elif shape == 2:
-        commitment = r.pedersen()
-    else:
-        raise WireError(f"bad commitment shape {shape}")
-    share = r.scalar()
-    r.group = commitment.group
-    public_key = r.element()
-    return DkgCompletedOutput(tau, view, q_set, commitment, share, public_key)
-
-
-def _enc_proactive_tick(w: _Writer, m: ClockTickMsg, mode: str) -> None:
-    w.fixed(m.phase, PHASE_BYTES)
-
-
-def _dec_proactive_tick(r: _Reader, resolve: Resolver | None) -> ClockTickMsg:
-    return ClockTickMsg(r.fixed(PHASE_BYTES))
-
-
-def _enc_proactive_in_renew(w: _Writer, m: RenewInput, mode: str) -> None:
-    w.fixed(m.phase, PHASE_BYTES)
-
-
-def _dec_proactive_in_renew(r: _Reader, resolve: Resolver | None) -> RenewInput:
-    return RenewInput(r.fixed(PHASE_BYTES))
-
-
-def _enc_proactive_out_renewed(w: _Writer, m: RenewedOutput, mode: str) -> None:
-    w.fixed(m.phase, PHASE_BYTES)
-    w.feldman_vector(m.commitment)
-    w.group = m.commitment.group
-    w.scalar(m.share)
-    _write_q(w, m.q_set)
-
-
-def _dec_proactive_out_renewed(r: _Reader, resolve: Resolver | None) -> RenewedOutput:
-    phase = r.fixed(PHASE_BYTES)
-    commitment = r.feldman_vector()
-    share = r.scalar()
-    q_set = _read_q(r)
-    return RenewedOutput(phase, commitment, share, q_set)
-
-
-# -- group modification frames (codec v4, §6) ----------------------------------
-
-
-_PROPOSAL_ACTIONS = ("add", "remove")
-_DELTA_BIAS = 128  # t/f deltas are signed small ints; bias into a u8
-
-
-def _write_proposal(w: _Writer, proposal: ModProposal) -> None:
-    try:
-        w.u8(_PROPOSAL_ACTIONS.index(proposal.action))
-    except ValueError as exc:
-        raise WireError(f"unknown action {proposal.action!r}") from exc
-    w.index(proposal.node)
-    for delta in (proposal.t_delta, proposal.f_delta):
-        if not -_DELTA_BIAS <= delta < _DELTA_BIAS:
-            raise WireError(f"delta {delta} out of wire range")
-        w.u8(delta + _DELTA_BIAS)
-
-
-def _read_proposal(r: _Reader) -> ModProposal:
-    action = r.u8()
-    if action >= len(_PROPOSAL_ACTIONS):
-        raise WireError(f"bad action byte {action}")
-    node = r.index()
-    t_delta = r.u8() - _DELTA_BIAS
-    f_delta = r.u8() - _DELTA_BIAS
-    return ModProposal(_PROPOSAL_ACTIONS[action], node, t_delta, f_delta)
-
-
-def _make_proposal_codec(typ: type) -> tuple[type, Callable, Callable]:
-    def enc(w: _Writer, m: Any, mode: str) -> None:
-        _write_proposal(w, m.proposal)
-
-    def dec(r: _Reader, resolve: Resolver | None) -> Any:
-        return typ(_read_proposal(r))
-
-    return (typ, enc, dec)
-
-
-def _enc_gm_add_request(w: _Writer, m: NodeAddRequestMsg, mode: str) -> None:
-    w.index(m.new_node)
-    w.fixed(m.tau, TAU_BYTES)
-
-
-def _dec_gm_add_request(r: _Reader, resolve: Resolver | None) -> NodeAddRequestMsg:
-    return NodeAddRequestMsg(r.index(), r.fixed(TAU_BYTES))
-
-
-def _enc_gm_add_input(w: _Writer, m: NodeAddInput, mode: str) -> None:
-    w.index(m.new_node)
-    w.fixed(m.tau, TAU_BYTES)
-
-
-def _dec_gm_add_input(r: _Reader, resolve: Resolver | None) -> NodeAddInput:
-    return NodeAddInput(r.index(), r.fixed(TAU_BYTES))
-
-
-def _enc_gm_subshare(w: _Writer, m: SubshareMsg, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.feldman_vector(m.vector)
-    w.group = m.vector.group
-    w.scalar(m.subshare)
-
-
-def _dec_gm_subshare(r: _Reader, resolve: Resolver | None) -> SubshareMsg:
-    tau = r.fixed(TAU_BYTES)
-    vector = r.feldman_vector()
-    return SubshareMsg(tau, vector, r.scalar())
-
-
-def _enc_gm_joined(w: _Writer, m: JoinedOutput, mode: str) -> None:
-    w.fixed(m.tau, TAU_BYTES)
-    w.feldman_vector(m.vector)
-    w.group = m.vector.group
-    w.scalar(m.share)
-
-
-def _dec_gm_joined(r: _Reader, resolve: Resolver | None) -> JoinedOutput:
-    tau = r.fixed(TAU_BYTES)
-    vector = r.feldman_vector()
-    return JoinedOutput(tau, r.scalar(), vector)
-
-
-# -- the session envelope (codec v4): multiplexed traffic -----------------------
-
-
-def _enc_envelope(w: _Writer, m: SessionEnvelope, mode: str) -> None:
-    raw = m.session.encode()
-    if len(raw) > 255:
-        raise WireError("session id too long")
-    w.lbytes(raw)
-    # The inner payload travels as one complete embedded frame, with
-    # the commitment mode the deployment codec chose for *it*.
-    w.raw(encode(m.payload, group=w.group, commitments=mode))
-
-
-def _dec_envelope(r: _Reader, resolve: Resolver | None) -> SessionEnvelope:
-    try:
-        session = r.lbytes().decode()
-    except UnicodeDecodeError as exc:
-        raise WireError("garbled session id") from exc
-    inner = bytes(r.take(len(r.data) - r.pos))
-    # UnresolvedDigest propagates: the transport buffers the *outer*
-    # frame until the referenced commitment arrives, then re-decodes.
-    return SessionEnvelope(session, decode(inner, resolve=resolve, group=r.group))
-
-
-# -- service frames (codec v2): client <-> gateway -----------------------------
-
-
-def _enc_svc_sign_req(w: _Writer, m: SignRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.message)
-
-
-def _dec_svc_sign_req(r: _Reader, resolve: Resolver | None) -> SignRequest:
-    return SignRequest(r.fixed(REQUEST_ID_BYTES), r.lbytes())
-
-
-def _enc_svc_sign_resp(w: _Writer, m: SignResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.scalar(m.challenge)
-    w.scalar(m.response)
-    w.u8(1 if m.presig_used else 0)
-
-
-def _dec_svc_sign_resp(r: _Reader, resolve: Resolver | None) -> SignResponse:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    challenge = r.scalar()
-    response = r.scalar()
-    flag = r.u8()
-    if flag > 1:
-        raise WireError(f"bad presig flag {flag}")
-    return SignResponse(request_id, challenge, response, bool(flag))
-
-
-def _enc_svc_beacon_next(w: _Writer, m: BeaconNextRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-
-
-def _dec_svc_beacon_next(r: _Reader, resolve: Resolver | None) -> BeaconNextRequest:
-    return BeaconNextRequest(r.fixed(REQUEST_ID_BYTES))
-
-
-def _enc_svc_beacon_get(w: _Writer, m: BeaconGetRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.fixed(m.round_number, ROUND_BYTES)
-
-
-def _dec_svc_beacon_get(r: _Reader, resolve: Resolver | None) -> BeaconGetRequest:
-    return BeaconGetRequest(r.fixed(REQUEST_ID_BYTES), r.fixed(ROUND_BYTES))
-
-
-def _enc_svc_beacon_resp(w: _Writer, m: BeaconResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.fixed(m.round_number, ROUND_BYTES)
-    w.lbytes(m.output)
-    w.element(m.value)
-
-
-def _dec_svc_beacon_resp(r: _Reader, resolve: Resolver | None) -> BeaconResponse:
-    return BeaconResponse(
-        r.fixed(REQUEST_ID_BYTES), r.fixed(ROUND_BYTES), r.lbytes(), r.element()
-    )
-
-
-def _enc_svc_dprf_req(w: _Writer, m: DprfEvalRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.tag)
-
-
-def _dec_svc_dprf_req(r: _Reader, resolve: Resolver | None) -> DprfEvalRequest:
-    return DprfEvalRequest(r.fixed(REQUEST_ID_BYTES), r.lbytes())
-
-
-def _enc_svc_dprf_resp(w: _Writer, m: DprfResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.output)
-
-
-def _dec_svc_dprf_resp(r: _Reader, resolve: Resolver | None) -> DprfResponse:
-    return DprfResponse(r.fixed(REQUEST_ID_BYTES), r.lbytes())
-
-
-def _enc_svc_decrypt_req(w: _Writer, m: DecryptRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.element(m.c1)
-    w.lbytes(m.pad)
-
-
-def _dec_svc_decrypt_req(r: _Reader, resolve: Resolver | None) -> DecryptRequest:
-    return DecryptRequest(r.fixed(REQUEST_ID_BYTES), r.element(), r.lbytes())
-
-
-def _enc_svc_decrypt_resp(w: _Writer, m: DecryptResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.plaintext)
-
-
-def _dec_svc_decrypt_resp(r: _Reader, resolve: Resolver | None) -> DecryptResponse:
-    return DecryptResponse(r.fixed(REQUEST_ID_BYTES), r.lbytes())
-
-
-def _enc_svc_status_req(w: _Writer, m: StatusRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-
-
-def _dec_svc_status_req(r: _Reader, resolve: Resolver | None) -> StatusRequest:
-    return StatusRequest(r.fixed(REQUEST_ID_BYTES))
-
-
-def _enc_svc_status_resp(w: _Writer, m: StatusResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.index(m.n)
-    w.index(m.t)
-    w.index(m.alive)
-    w.uvarint(m.pool_ready)
-    w.uvarint(m.pool_target)
-    w.uvarint(m.served)
-    w.uvarint(m.failed)
-    w.uvarint(m.beacon_height)
-    # v3: the name travels first so the key decodes with no context.
-    w.lbytes(m.group_name.encode())
-    if w.group is None:
-        w.group = _group_from_name(m.group_name)
-    w.element(m.public_key)
-
-
-def _dec_svc_status_resp(r: _Reader, resolve: Resolver | None) -> StatusResponse:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    n = r.index()
-    t = r.index()
-    alive = r.index()
-    pool_ready = r.uvarint()
-    pool_target = r.uvarint()
-    served = r.uvarint()
-    failed = r.uvarint()
-    beacon_height = r.uvarint()
-    try:
-        group_name = r.lbytes().decode()
-    except UnicodeDecodeError as exc:
-        raise WireError("garbled group name") from exc
-    if r.group is None:
-        r.group = _group_from_name(group_name)
-    public_key = r.element()
-    return StatusResponse(
-        request_id,
-        n,
-        t,
-        alive,
-        pool_ready,
-        pool_target,
-        served,
-        failed,
-        beacon_height,
-        public_key,
-        group_name,
-    )
-
-
-def _enc_svc_error(w: _Writer, m: ErrorResponse, mode: str) -> None:
-    if m.code not in ERROR_NAMES:
-        raise WireError(f"unknown service error code {m.code}")
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.u8(m.code)
-    w.lbytes(m.detail.encode())
-
-
-def _dec_svc_error(r: _Reader, resolve: Resolver | None) -> ErrorResponse:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    code = r.u8()
-    if code not in ERROR_NAMES:
-        raise WireError(f"unknown service error code {code}")
-    try:
-        detail = r.lbytes().decode()
-    except UnicodeDecodeError as exc:
-        raise WireError("garbled error detail") from exc
-    return ErrorResponse(request_id, code, detail)
-
-
-def _enc_svc_ops_req(w: _Writer, m: OpsRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-
-
-def _dec_svc_ops_req(r: _Reader, resolve: Resolver | None) -> OpsRequest:
-    return OpsRequest(r.fixed(REQUEST_ID_BYTES))
-
-
-def _enc_svc_ops_resp(w: _Writer, m: OpsResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.snapshot)
-
-
-def _dec_svc_ops_resp(r: _Reader, resolve: Resolver | None) -> OpsResponse:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    return OpsResponse(request_id, r.lbytes())
-
-
-# -- shard-router frames (codec v6) --------------------------------------------
-
-
-def _enc_shard_sign(w: _Writer, m: ShardSignRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.key_id)
-    w.lbytes(m.message)
-
-
-def _dec_shard_sign(r: _Reader, resolve: Resolver | None) -> ShardSignRequest:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    key_id = r.lbytes()
-    return ShardSignRequest(request_id, key_id, r.lbytes())
-
-
-def _enc_shard_status(w: _Writer, m: ShardStatusRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.key_id)
-
-
-def _dec_shard_status(r: _Reader, resolve: Resolver | None) -> ShardStatusRequest:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    return ShardStatusRequest(request_id, r.lbytes())
-
-
-def _enc_fleet_ops_req(w: _Writer, m: FleetOpsRequest, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-
-
-def _dec_fleet_ops_req(r: _Reader, resolve: Resolver | None) -> FleetOpsRequest:
-    return FleetOpsRequest(r.fixed(REQUEST_ID_BYTES))
-
-
-def _enc_fleet_ops_resp(w: _Writer, m: FleetOpsResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.snapshot)
-
-
-def _dec_fleet_ops_resp(r: _Reader, resolve: Resolver | None) -> FleetOpsResponse:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    return FleetOpsResponse(request_id, r.lbytes())
-
-
-def _enc_shardctl_req(w: _Writer, m: ShardCtlRequest, mode: str) -> None:
-    if m.op not in SHARDCTL_OPS:
-        raise WireError(f"unknown shardctl op {m.op!r}")
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.u8(SHARDCTL_OPS.index(m.op))
-    w.lbytes(m.shard_id.encode())
-
-
-def _dec_shardctl_req(r: _Reader, resolve: Resolver | None) -> ShardCtlRequest:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    op_index = r.u8()
-    if op_index >= len(SHARDCTL_OPS):
-        raise WireError(f"unknown shardctl op index {op_index}")
-    try:
-        shard_id = r.lbytes().decode()
-    except UnicodeDecodeError as exc:
-        raise WireError("garbled shard id") from exc
-    return ShardCtlRequest(request_id, SHARDCTL_OPS[op_index], shard_id)
-
-
-def _enc_shardctl_resp(w: _Writer, m: ShardCtlResponse, mode: str) -> None:
-    w.fixed(m.request_id, REQUEST_ID_BYTES)
-    w.lbytes(m.document)
-
-
-def _dec_shardctl_resp(r: _Reader, resolve: Resolver | None) -> ShardCtlResponse:
-    request_id = r.fixed(REQUEST_ID_BYTES)
-    return ShardCtlResponse(request_id, r.lbytes())
-
-
-_CODECS: dict[int, tuple[type, Callable, Callable]] = {
-    0x01: (SendMsg, _enc_vss_send, _dec_vss_send),
-    0x02: (EchoMsg, _enc_vss_echo, _dec_vss_echo),
-    0x03: (ReadyMsg, _enc_vss_ready, _dec_vss_ready),
-    0x04: (HelpMsg, _enc_vss_help, _dec_vss_help),
-    0x05: (SharePointMsg, _enc_vss_rec_share, _dec_vss_rec_share),
-    0x06: (ShareInput, _enc_vss_in_share, _dec_vss_in_share),
-    0x07: (ReconstructInput, _enc_vss_in_reconstruct, _dec_vss_in_reconstruct),
-    0x08: (RecoverInput, _enc_vss_in_recover, _dec_vss_in_recover),
-    0x09: (SharedOutput, _enc_vss_out_shared, _dec_vss_out_shared),
-    0x0A: (ReconstructedOutput, _enc_vss_out_reconstructed, _dec_vss_out_reconstructed),
-    0x10: (DkgSendMsg, _enc_dkg_send, _dec_dkg_send),
-    0x11: (DkgEchoMsg, _enc_dkg_vote, _dec_dkg_echo),
-    0x12: (DkgReadyMsg, _enc_dkg_vote, _dec_dkg_ready),
-    0x13: (LeadChMsg, _enc_dkg_lead_ch, _dec_dkg_lead_ch),
-    0x14: (DkgSharePointMsg, _enc_dkg_rec_share, _dec_dkg_rec_share),
-    0x15: (DkgHelpMsg, _enc_dkg_help, _dec_dkg_help),
-    0x16: (DkgStartInput, _enc_dkg_in_start, _dec_dkg_in_start),
-    0x17: (DkgRecoverInput, _enc_dkg_in_recover, _dec_dkg_in_recover),
-    0x18: (DkgReconstructInput, _enc_dkg_in_reconstruct, _dec_dkg_in_reconstruct),
-    0x19: (DkgReconstructedOutput, _enc_dkg_out_reconstructed, _dec_dkg_out_reconstructed),
-    0x1A: (DkgCompletedOutput, _enc_dkg_out_completed, _dec_dkg_out_completed),
-    0x20: (ClockTickMsg, _enc_proactive_tick, _dec_proactive_tick),
-    0x21: (RenewInput, _enc_proactive_in_renew, _dec_proactive_in_renew),
-    0x22: (RenewedOutput, _enc_proactive_out_renewed, _dec_proactive_out_renewed),
-    # group modification (codec v4)
-    0x23: _make_proposal_codec(ProposalMsg),
-    0x24: _make_proposal_codec(ProposalEchoMsg),
-    0x25: _make_proposal_codec(ProposalReadyMsg),
-    0x26: _make_proposal_codec(ProposeInput),
-    0x27: _make_proposal_codec(ProposalDeliveredOutput),
-    0x28: (NodeAddRequestMsg, _enc_gm_add_request, _dec_gm_add_request),
-    0x29: (NodeAddInput, _enc_gm_add_input, _dec_gm_add_input),
-    0x2A: (SubshareMsg, _enc_gm_subshare, _dec_gm_subshare),
-    0x2B: (JoinedOutput, _enc_gm_joined, _dec_gm_joined),
-    # session multiplexing (codec v4)
-    ENVELOPE_KIND: (SessionEnvelope, _enc_envelope, _dec_envelope),
-    # service frames: v2 only (SERVICE_KIND_MIN marks the boundary)
-    0x30: (SignRequest, _enc_svc_sign_req, _dec_svc_sign_req),
-    0x31: (SignResponse, _enc_svc_sign_resp, _dec_svc_sign_resp),
-    0x32: (BeaconNextRequest, _enc_svc_beacon_next, _dec_svc_beacon_next),
-    0x33: (BeaconGetRequest, _enc_svc_beacon_get, _dec_svc_beacon_get),
-    0x34: (BeaconResponse, _enc_svc_beacon_resp, _dec_svc_beacon_resp),
-    0x35: (DprfEvalRequest, _enc_svc_dprf_req, _dec_svc_dprf_req),
-    0x36: (DprfResponse, _enc_svc_dprf_resp, _dec_svc_dprf_resp),
-    0x37: (DecryptRequest, _enc_svc_decrypt_req, _dec_svc_decrypt_req),
-    0x38: (DecryptResponse, _enc_svc_decrypt_resp, _dec_svc_decrypt_resp),
-    0x39: (StatusRequest, _enc_svc_status_req, _dec_svc_status_req),
-    0x3A: (StatusResponse, _enc_svc_status_resp, _dec_svc_status_resp),
-    0x3B: (ErrorResponse, _enc_svc_error, _dec_svc_error),
-    # observability frames (codec v5)
-    OPS_REQUEST_KIND: (OpsRequest, _enc_svc_ops_req, _dec_svc_ops_req),
-    OPS_RESPONSE_KIND: (OpsResponse, _enc_svc_ops_resp, _dec_svc_ops_resp),
-    # shard-router frames (codec v6)
-    SHARD_SIGN_KIND: (ShardSignRequest, _enc_shard_sign, _dec_shard_sign),
-    SHARD_STATUS_KIND: (ShardStatusRequest, _enc_shard_status, _dec_shard_status),
-    FLEET_OPS_REQUEST_KIND: (FleetOpsRequest, _enc_fleet_ops_req, _dec_fleet_ops_req),
-    FLEET_OPS_RESPONSE_KIND: (
-        FleetOpsResponse,
-        _enc_fleet_ops_resp,
-        _dec_fleet_ops_resp,
+INDEX = _int(INDEX_BYTES, "node index")
+TAU = _int(TAU_BYTES, "tau")
+VIEW = _int(VIEW_BYTES, "view")
+PHASE = _int(PHASE_BYTES, "phase")
+REQUEST_ID = _int(REQUEST_ID_BYTES, "request id")
+COUNT = _int(INDEX_BYTES, "count")  # of nodes, so as wide as an index
+ROUND = _int(ROUND_BYTES, "beacon round")
+DELTA = _int(1, "delta + 128", bias=128)  # t/f deltas are small signed ints
+UVARINT = _prim("uvarint")
+FLAG = _prim("flag")
+BYTES = _bytes("bytes")
+DIGEST = _prim("digest")
+SESSION = _record(vss.SessionId, dealer=_int(4, "dealer"), tau=_int(4, "tau"))
+SCALAR = _prim("scalar")
+ELEMENT = _prim("element")
+SIGNATURE = _prim("signature")
+# The four commitment fields set the width context: scalars, share
+# points, signatures and elements after one are sized by its group.
+MATRIX = _prim("matrix")
+VECTOR = _prim("vector")
+PEDERSEN = _prim("pedersen")
+COMMITMENT = _prim("commitment")
+POINT = _prim("point")
+POLYNOMIAL = _prim("polynomial")
+GROUP_NAME = _prim("group_name")
+FRAME = _prim("frame")
+
+SIGNED = _required(SIGNATURE)
+INDEX_LIST = _list(INDEX)
+WITNESS = _record(vss.ReadyWitness, signer=INDEX, signature=SIGNED)
+CERT = _record(dkg.ReadyCert, dealer=INDEX, digest=DIGEST, witnesses=_list(WITNESS))
+SET_VOTE = _record(
+    dkg.SetVote,
+    voter=INDEX,
+    vote_kind=_enum("vote kind", ("echo", "ready")),
+    signature=SIGNED,
+)
+LEAD_CH_WITNESS = _record(dkg.LeadChWitness, voter=INDEX, view=VIEW, signature=SIGNED)
+PROOF = _union(
+    "proof",
+    (type(None), None),
+    (dkg.RTypeProof, _record(dkg.RTypeProof, certs=_list(CERT))),
+    (dkg.MTypeProof, _record(dkg.MTypeProof, q=INDEX_LIST, votes=_list(SET_VOTE))),
+)
+PROPOSAL = _record(
+    gm.ModProposal,
+    action=_enum("action", ("add", "remove")),
+    node=INDEX,
+    t_delta=DELTA,
+    f_delta=DELTA,
+)
+# Pedersen: the hardened variants (Gennaro et al. baseline, E9
+# ablation) publish an unconditionally hiding commitment.
+OUTPUT_COMMITMENT = _union(
+    "commitment shape",
+    (FeldmanCommitment, MATRIX),
+    (FeldmanVector, VECTOR),
+    (PedersenCommitment, PEDERSEN),
+)
+
+
+def _row(typ: type, since: int, /, **fields: _Field):
+    return typ, since, tuple(fields.items())
+
+
+_DKG_VOTE = dict(tau=TAU, view=VIEW, q=INDEX_LIST, signature=SIGNED)
+_JSON_SNAPSHOT = dict(request_id=REQUEST_ID, snapshot=BYTES)
+
+# kind -> (message type, since-version, ((attribute, field type), ...)).
+# Fields travel in the order written; attributes are the dataclass's
+# own.  Kind bytes and layouts are frozen (tests/net/golden_frames.json):
+# a new message takes a new kind, a changed layout a new ``since``.
+SCHEMA: dict[int, tuple[type, int, tuple[tuple[str, _Field], ...]]] = {
+    # HybridVSS (§3); ``send`` always carries the matrix
+    0x01: _row(
+        vss.SendMsg, 1, session=SESSION, commitment=MATRIX, poly=_optional(POLYNOMIAL)
     ),
-    SHARDCTL_REQUEST_KIND: (ShardCtlRequest, _enc_shardctl_req, _dec_shardctl_req),
-    SHARDCTL_RESPONSE_KIND: (
-        ShardCtlResponse,
-        _enc_shardctl_resp,
-        _dec_shardctl_resp,
+    0x02: _row(vss.EchoMsg, 1, session=SESSION, commitment=COMMITMENT, point=POINT),
+    0x03: _row(
+        vss.ReadyMsg,
+        1,
+        session=SESSION,
+        commitment=COMMITMENT,
+        point=POINT,
+        signature=SIGNATURE,
     ),
+    0x04: _row(vss.HelpMsg, 1, session=SESSION),
+    0x05: _row(vss.SharePointMsg, 1, session=SESSION, point=SCALAR),
+    0x06: _row(vss.ShareInput, 1, session=SESSION, secret=SCALAR),
+    0x07: _row(vss.ReconstructInput, 1, session=SESSION),
+    0x08: _row(vss.RecoverInput, 1, session=SESSION),
+    0x09: _row(
+        vss.SharedOutput,
+        1,
+        session=SESSION,
+        commitment=MATRIX,
+        share=SCALAR,
+        ready_proof=_list(WITNESS),
+    ),
+    0x0A: _row(vss.ReconstructedOutput, 1, session=SESSION, value=SCALAR),
+    # asynchronous DKG (§4)
+    0x10: _row(
+        dkg.DkgSendMsg,
+        1,
+        tau=TAU,
+        view=VIEW,
+        proof=_required(PROOF),
+        election=_list(LEAD_CH_WITNESS),
+    ),
+    0x11: _row(dkg.DkgEchoMsg, 1, **_DKG_VOTE),
+    0x12: _row(dkg.DkgReadyMsg, 1, **_DKG_VOTE),
+    0x13: _row(dkg.LeadChMsg, 1, tau=TAU, view=VIEW, proof=PROOF, signature=SIGNED),
+    0x14: _row(dkg.DkgSharePointMsg, 1, tau=TAU, point=SCALAR),
+    0x15: _row(dkg.DkgHelpMsg, 1, tau=TAU),
+    0x16: _row(dkg.DkgStartInput, 1, tau=TAU),
+    0x17: _row(dkg.DkgRecoverInput, 1, tau=TAU),
+    0x18: _row(dkg.DkgReconstructInput, 1, tau=TAU),
+    0x19: _row(dkg.DkgReconstructedOutput, 1, tau=TAU, value=SCALAR),
+    0x1A: _row(
+        dkg.DkgCompletedOutput,
+        1,
+        tau=TAU,
+        view=VIEW,
+        q_set=INDEX_LIST,
+        commitment=OUTPUT_COMMITMENT,
+        share=SCALAR,
+        public_key=ELEMENT,
+    ),
+    # proactive renewal (§5)
+    0x20: _row(proactive.ClockTickMsg, 1, phase=PHASE),
+    0x21: _row(proactive.RenewInput, 1, phase=PHASE),
+    0x22: _row(
+        proactive.RenewedOutput,
+        1,
+        phase=PHASE,
+        commitment=VECTOR,
+        share=SCALAR,
+        q_set=INDEX_LIST,
+    ),
+    # group modification (§6)
+    0x23: _row(gm.ProposalMsg, 4, proposal=PROPOSAL),
+    0x24: _row(gm.ProposalEchoMsg, 4, proposal=PROPOSAL),
+    0x25: _row(gm.ProposalReadyMsg, 4, proposal=PROPOSAL),
+    0x26: _row(gm.ProposeInput, 4, proposal=PROPOSAL),
+    0x27: _row(gm.ProposalDeliveredOutput, 4, proposal=PROPOSAL),
+    0x28: _row(gm.NodeAddRequestMsg, 4, new_node=INDEX, tau=TAU),
+    0x29: _row(gm.NodeAddInput, 4, new_node=INDEX, tau=TAU),
+    0x2A: _row(gm.SubshareMsg, 4, tau=TAU, vector=VECTOR, subshare=SCALAR),
+    0x2B: _row(gm.JoinedOutput, 4, tau=TAU, vector=VECTOR, share=SCALAR),
+    # session multiplexing: the payload's commitment mode and digest
+    # resolution pass straight through the envelope
+    ENVELOPE_KIND: _row(
+        SessionEnvelope,
+        4,
+        session=_bytes("session id", text=True, limit=255),
+        payload=FRAME,
+    ),
+    # client <-> gateway service frames
+    0x30: _row(svc.SignRequest, 2, request_id=REQUEST_ID, message=BYTES),
+    0x31: _row(
+        svc.SignResponse,
+        2,
+        request_id=REQUEST_ID,
+        challenge=SCALAR,
+        response=SCALAR,
+        presig_used=FLAG,
+    ),
+    0x32: _row(svc.BeaconNextRequest, 2, request_id=REQUEST_ID),
+    0x33: _row(svc.BeaconGetRequest, 2, request_id=REQUEST_ID, round_number=ROUND),
+    0x34: _row(
+        svc.BeaconResponse,
+        2,
+        request_id=REQUEST_ID,
+        round_number=ROUND,
+        output=BYTES,
+        value=ELEMENT,
+    ),
+    0x35: _row(svc.DprfEvalRequest, 2, request_id=REQUEST_ID, tag=BYTES),
+    0x36: _row(svc.DprfResponse, 2, request_id=REQUEST_ID, output=BYTES),
+    0x37: _row(svc.DecryptRequest, 2, request_id=REQUEST_ID, c1=ELEMENT, pad=BYTES),
+    0x38: _row(svc.DecryptResponse, 2, request_id=REQUEST_ID, plaintext=BYTES),
+    0x39: _row(svc.StatusRequest, 2, request_id=REQUEST_ID),
+    # since 3, when the layout changed: the name moved ahead of the key
+    0x3A: _row(
+        svc.StatusResponse,
+        3,
+        request_id=REQUEST_ID,
+        n=COUNT,
+        t=COUNT,
+        alive=COUNT,
+        pool_ready=UVARINT,
+        pool_target=UVARINT,
+        served=UVARINT,
+        failed=UVARINT,
+        beacon_height=UVARINT,
+        group_name=GROUP_NAME,
+        public_key=ELEMENT,
+    ),
+    0x3B: _row(
+        svc.ErrorResponse,
+        2,
+        request_id=REQUEST_ID,
+        code=_enum("service error code", svc.ERROR_NAMES),
+        detail=_bytes("error detail", text=True),
+    ),
+    # observability: the metrics registry as one JSON document
+    0x3C: _row(svc.OpsRequest, 5, request_id=REQUEST_ID),
+    0x3D: _row(svc.OpsResponse, 5, **_JSON_SNAPSHOT),
+    # shard router: keyed data path, fleet observability, admin
+    0x3E: _row(
+        shard.ShardSignRequest, 6, request_id=REQUEST_ID, key_id=BYTES, message=BYTES
+    ),
+    0x3F: _row(shard.ShardStatusRequest, 6, request_id=REQUEST_ID, key_id=BYTES),
+    0x40: _row(shard.FleetOpsRequest, 6, request_id=REQUEST_ID),
+    0x41: _row(shard.FleetOpsResponse, 6, **_JSON_SNAPSHOT),
+    0x42: _row(
+        shard.ShardCtlRequest,
+        6,
+        request_id=REQUEST_ID,
+        op=_enum("shardctl op", shard.SHARDCTL_OPS),
+        shard_id=_bytes("shard id", text=True),
+    ),
+    0x43: _row(shard.ShardCtlResponse, 6, request_id=REQUEST_ID, document=BYTES),
 }
 
-_KIND_BY_TYPE: dict[type, int] = {typ: kind for kind, (typ, _, _) in _CODECS.items()}
-
-MAX_FRAME_BYTES = 1 << 24  # 16 MiB — far above any honest frame
+_KIND_BY_TYPE: dict[type, int] = {typ: kind for kind, (typ, _, _) in SCHEMA.items()}
 
 
 # -- public API ----------------------------------------------------------------
 
 
-def encode(
-    message: Any,
-    *,
-    group=None,
-    commitments: str = "inline",
-) -> bytes:
+def encode(message: Any, *, group=None, commitments: str = "inline") -> bytes:
     """Serialize ``message`` into one length-prefixed frame.
 
     ``group`` pins scalar field widths (signatures, loose scalars) so
@@ -1430,46 +869,28 @@ def encode(
     kind = _KIND_BY_TYPE.get(type(message))
     if kind is None:
         raise WireError(f"no wire codec for {type(message).__name__}")
-    w = _Writer(group)
-    _, enc, _ = _CODECS[kind]
-    enc(w, message, commitments)
-    # Stamp the *minimum* version able to decode the frame: modp
-    # protocol kinds are byte-identical to v1 (rolling upgrades keep
-    # working) and unchanged service kinds to v2; STATUS changed layout
-    # in v3, and any frame shaped by a non-modp group (EC commitments,
-    # compressed-point elements) is only decodable by v3 peers.
-    # Envelope and groupmod kinds did not exist before v4, the OPS
-    # observability pair not before v5, the shard-router range not
-    # before v6.
-    if kind in V6_KINDS:
-        version = 6
-    elif kind in V5_KINDS:
-        version = 5
-    elif kind in V4_KINDS:
-        version = 4
-    elif kind == STATUS_RESPONSE_KIND or w.needs_v3:
-        version = 3
-    elif kind >= SERVICE_KIND_MIN:
-        version = 2
-    else:
-        version = 1
+    _, since, fields = SCHEMA[kind]
+    w = _Writer(group, commitments)
+    _write_fields(w, fields, message)
+    # The version that introduced the kind, so frames stay byte-stable
+    # as the codec grows; a frame shaped by a non-modp group (EC
+    # commitments, compressed-point elements) only reads under v3 rules.
+    version = max(since, 3) if w.needs_v3 else since
     frame = MAGIC + bytes([version, kind]) + bytes(w.buf)
     return len(frame).to_bytes(4, "big") + frame
 
 
-def decode(
-    data: bytes, *, resolve: Resolver | None = None, group=None
-) -> Any:
+def decode(data: bytes, *, resolve: Resolver | None = None, group=None) -> Any:
     """Parse exactly one frame produced by :func:`encode`.
 
-    ``group`` supplies the element-decoding context for frames whose
-    payload carries loose elements with no embedded group reference
-    (service frames); without it such fields fall back to raw ints —
-    correct for modp, opaque for EC backends.  The decoded message's
+    ``group`` is the deployment's group: what a frame naming it resolves
+    to, and the context for loose elements with no group reference
+    before them (service frames; without it they fall back to raw ints
+    — correct for modp, opaque for EC backends).  The decoded message's
     ``size`` field (when the type has one) is stamped with the frame
     length, so ``byte_size()`` reports the true wire footprint on the
-    receive path too.  Raises :class:`WireError` on truncation,
-    garbage, unknown kinds or trailing bytes.
+    receive path too.  Raises :class:`WireError`, and nothing else, on
+    truncation, garbage, unknown kinds or trailing bytes.
     """
     if len(data) < HEADER_BYTES:
         raise WireError("frame shorter than header")
@@ -1480,38 +901,19 @@ def decode(
         raise WireError("frame length mismatch")
     if data[4:6] != MAGIC:
         raise WireError("bad magic")
-    if data[6] not in SUPPORTED_VERSIONS:
-        raise WireError(f"unsupported wire version {data[6]}")
-    kind = data[7]
-    if kind >= SERVICE_KIND_MIN and data[6] < 2:
-        raise WireError(
-            f"service frame kind 0x{kind:02x} requires codec version >= 2"
-        )
-    if kind == STATUS_RESPONSE_KIND and data[6] < 3:
-        raise WireError(
-            "status frame predates codec version 3 (layout changed)"
-        )
-    if kind in V4_KINDS and data[6] < 4:
-        raise WireError(
-            f"frame kind 0x{kind:02x} requires codec version >= 4"
-        )
-    if kind in V5_KINDS and data[6] < 5:
-        raise WireError(
-            f"frame kind 0x{kind:02x} requires codec version >= 5"
-        )
-    if kind in V6_KINDS and data[6] < 6:
-        raise WireError(
-            f"frame kind 0x{kind:02x} requires codec version >= 6"
-        )
-    entry = _CODECS.get(kind)
+    version, kind = data[6], data[7]
+    if version not in SUPPORTED_VERSIONS:
+        raise WireError(f"unsupported wire version {version}")
+    entry = SCHEMA.get(kind)
     if entry is None:
         raise WireError(f"unknown frame kind 0x{kind:02x}")
-    _, _, dec = entry
-    reader = _Reader(data[HEADER_BYTES:], group)
-    message = dec(reader, resolve)
+    typ, since, fields = entry
+    if version < since:
+        raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
+    reader = _Reader(data[HEADER_BYTES:], group, resolve)
+    stamped = {"size": len(data)} if "size" in typ.__dataclass_fields__ else {}
+    message = _read_fields(reader, typ, fields, **stamped)
     reader.expect_end()
-    if "size" in getattr(type(message), "__dataclass_fields__", {}):
-        message = dataclasses.replace(message, size=len(data))
     return message
 
 
@@ -1524,10 +926,9 @@ def commitment_mode(codec: Any, message: Any) -> str:
     Session envelopes compress by what they *carry*.
     """
     if isinstance(message, SessionEnvelope):
-        return commitment_mode(codec, message.payload)
-    if getattr(codec, "name", None) == "hashed-matrix" and getattr(
-        message, "kind", ""
-    ) in ("vss.echo", "vss.ready"):
+        message = message.payload
+    hashed = getattr(codec, "name", None) == "hashed-matrix"
+    if hashed and getattr(message, "kind", "") in ("vss.echo", "vss.ready"):
         return "digest"
     return "inline"
 
@@ -1540,13 +941,10 @@ def encoded_size(message: Any, codec: Any = None, group=None) -> int:
     paper's O(kappa n^3) accounting; everything else (and the default
     full-matrix codec) is priced as the self-contained inline frame.
     """
-    return len(
-        encode(message, group=group, commitments=commitment_mode(codec, message))
-    )
+    mode = commitment_mode(codec, message)
+    return len(encode(message, group=group, commitments=mode))
 
 
 def stamp(message: Any, codec: Any = None, group=None) -> Any:
     """Return ``message`` with ``size`` set to its true wire length."""
-    return dataclasses.replace(
-        message, size=encoded_size(message, codec, group)
-    )
+    return dataclasses.replace(message, size=encoded_size(message, codec, group))

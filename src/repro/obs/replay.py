@@ -170,12 +170,12 @@ def capture_meta(
 
 def resolve_group_name(name: str) -> Any:
     """A group object for a capture's recorded group name."""
-    from repro.net.wire import _group_from_name
+    from repro.crypto.groups import group_by_name
 
-    group = _group_from_name(name)
-    if group is None:
-        raise ReplayError(f"unknown group name {name!r} in capture meta")
-    return group
+    try:
+        return group_by_name(name)
+    except KeyError:
+        raise ReplayError(f"unknown group name {name!r} in capture meta") from None
 
 
 def _config_from_meta(meta: dict[str, Any]) -> Any:

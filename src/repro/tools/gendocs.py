@@ -1,14 +1,17 @@
-"""Generate ``docs/cli.md`` from the live argparse tree.
+"""Generate ``docs/cli.md`` and ``docs/wire.md`` from the live code.
 
-The CLI reference is derived, never hand-written: this script walks
-:func:`repro.cli.build_parser`'s subcommands and emits one section per
-command with its usage line, description and an option table.  CI runs
-``python -m repro.tools.gendocs --check`` to assert the checked-in file
-matches a fresh render, so the doc can't drift from the code.
+Both references are derived, never hand-written.  The CLI reference
+walks :func:`repro.cli.build_parser`'s subcommands and emits one
+section per command with its usage line, description and an option
+table; the wire-format reference walks :data:`repro.net.wire.SCHEMA`
+and emits one row per frame kind plus a glossary of the field types
+the layouts are written in.  CI runs ``python -m repro.tools.gendocs
+--check`` to assert the checked-in files match a fresh render, so the
+docs can't drift from the code.
 
 Run::
 
-    PYTHONPATH=src python -m repro.tools.gendocs            # rewrite docs/cli.md
+    PYTHONPATH=src python -m repro.tools.gendocs            # rewrite both
     PYTHONPATH=src python -m repro.tools.gendocs --check    # CI diff gate
 """
 
@@ -20,6 +23,7 @@ import sys
 from pathlib import Path
 
 from repro.cli import build_parser
+from repro.net import wire
 
 HEADER = (
     "<!-- Generated by `python -m repro.tools.gendocs`. Do not edit by "
@@ -116,43 +120,106 @@ def render() -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+_WIRE_INTRO = """\
+# Wire format
+
+Every frame `repro.net.wire` writes or accepts, rendered from its
+`SCHEMA` table: the one place a layout is stated.  A frame is
+
+    [u32 length] [b"KG"] [u8 version] [u8 kind] [body]
+
+where `length` counts everything after itself and `body` is the kind's
+fields back to back, in the order listed.  Integers are big-endian; a
+*uvarint* is unsigned LEB128.  `since` is the codec version that
+introduced the kind: the version byte `encode` stamps (3 instead, when
+that is higher and a non-modp group shaped the frame) and the lowest
+one `decode` accepts for it — the version history is in
+[protocols.md](protocols.md#protocol-bearing-wire-codec).  The bytes
+themselves are pinned by `tests/net/golden_frames.json`.
+"""
+
+_COMBINATORS = [
+    ("u8 / u16 / u32 / u64 *x*", "fixed-width unsigned int"),
+    ("optional *X*", "u8 flag (0 or 1), then *X* if 1"),
+    ("required *X*", "as *X*, but decode rejects the absent form"),
+    ("list of *X*", "uvarint count, then that many *X*"),
+]
+
+
+def _field_types() -> list[tuple[str, str]]:
+    """``(name, layout)`` for every field type SCHEMA reaches that has a
+    layout to spell out, in first-use order."""
+    seen: dict[str, str] = {}
+
+    def walk(field) -> None:
+        if field.detail:
+            seen.setdefault(field.doc, field.detail)
+        for part in field.inner:
+            walk(part)
+
+    for _, _, fields in wire.SCHEMA.values():
+        for _, field in fields:
+            walk(field)
+    return list(seen.items())
+
+
+def render_wire() -> str:
+    lines = [HEADER, "", _WIRE_INTRO]
+    lines += ["## Frames", "", "| kind | message | since | body |", "|---|---|---|---|"]
+    for kind, (typ, since, fields) in wire.SCHEMA.items():
+        body = ", ".join(f"`{attr}`: {field.doc}" for attr, field in fields)
+        lines.append(
+            f"| `0x{kind:02X}` | `{typ.__name__}` (`{typ.kind}`) | {since} "
+            f"| {_escape(body)} |"
+        )
+    lines += ["", "## Field types", "", "| field type | layout |", "|---|---|"]
+    for name, layout in _COMBINATORS + _field_types():
+        lines.append(f"| {name} | {_escape(layout)} |")
+    return "\n".join(lines).rstrip() + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument(
         "--out",
         type=Path,
         default=Path(__file__).resolve().parents[3] / "docs" / "cli.md",
-        help="target file (default: docs/cli.md at the repo root)",
+        help="target file for the CLI reference (default: docs/cli.md at "
+        "the repo root); wire.md is written beside it",
     )
     cli.add_argument(
         "--check",
         action="store_true",
-        help="do not write; exit 1 if the file differs from a fresh render",
+        help="do not write; exit 1 if a file differs from a fresh render",
     )
     args = cli.parse_args(argv)
-    rendered = render()
+    targets = {args.out: render(), args.out.with_name("wire.md"): render_wire()}
     if args.check:
-        current = args.out.read_text() if args.out.exists() else ""
-        if current != rendered:
+        stale = 0
+        for path, rendered in targets.items():
+            current = path.read_text() if path.exists() else ""
+            if current == rendered:
+                print(f"{path} is current")
+                continue
+            stale = 1
             sys.stderr.writelines(
                 difflib.unified_diff(
                     current.splitlines(keepends=True),
                     rendered.splitlines(keepends=True),
-                    fromfile=str(args.out),
+                    fromfile=str(path),
                     tofile="freshly generated",
                 )
             )
             print(
-                f"{args.out} is stale — regenerate with "
+                f"{path} is stale — regenerate with "
                 "`PYTHONPATH=src python -m repro.tools.gendocs`",
                 file=sys.stderr,
             )
-            return 1
-        print(f"{args.out} is current")
-        return 0
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(rendered)
-    print(f"wrote {args.out}")
+        return stale
+    for path, rendered in targets.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(rendered)
+        print(f"wrote {path}")
     return 0
 
 

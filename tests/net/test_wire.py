@@ -94,103 +94,111 @@ from repro.dkg.messages import (
     SetVote,
 )
 
-G = toy_group()
-RNG = random.Random(42)
-POLY = BivariatePolynomial.random_symmetric(2, G.q, RNG)
-C = FeldmanCommitment.commit(POLY, G)
-VEC = C.column_vector(0)
-KEY = SigningKey.generate(G, RNG)
-SIG = KEY.sign(b"wire-test", RNG)
-SID = SessionId(3, 7)
-
-WITNESSES = (ReadyWitness(1, SIG), ReadyWitness(4, KEY.sign(b"w2", RNG)))
-CERT = ReadyCert(2, b"\xab" * 32, WITNESSES)
-R_PROOF = RTypeProof((CERT, ReadyCert(5, b"\xcd" * 32, WITNESSES[:1])))
-M_PROOF = MTypeProof(
-    (1, 2, 3),
-    (SetVote(1, "echo", SIG), SetVote(6, "ready", KEY.sign(b"v", RNG))),
-)
-ELECTION = (LeadChWitness(2, 1, SIG), LeadChWitness(5, 1, KEY.sign(b"l", RNG)))
-
 from repro.crypto.pedersen import PedersenCommitment  # noqa: E402
 
-_PEDERSEN = PedersenCommitment.commit(
-    Polynomial((3, 1, 4), G.q), Polynomial((1, 5, 9), G.q), G
-)
+SID = SessionId(3, 7)
 
-# One representative instance per wire-codec message type.  Every type
-# the codec registers must appear here — enforced below.
-MESSAGES = [
-    SendMsg(SID, C, POLY.row_polynomial(2)),
-    SendMsg(SID, C, None),  # §5.2 erased-polynomial retransmission
-    EchoMsg(SID, C, 12345),
-    ReadyMsg(SID, C, 99, SIG),
-    ReadyMsg(SID, C, 99, None),
-    HelpMsg(SID),
-    SharePointMsg(SID, 42),
-    ShareInput(SID, 5),
-    ReconstructInput(SID),
-    RecoverInput(SID),
-    SharedOutput(SID, C, 77, WITNESSES),
-    ReconstructedOutput(SID, 123),
-    DkgSendMsg(0, 0, R_PROOF),
-    DkgSendMsg(1, 2, M_PROOF, ELECTION),
-    DkgEchoMsg(0, 1, (1, 2, 3), SIG),
-    DkgReadyMsg(9, 0, (2, 5), SIG),
-    LeadChMsg(0, 1, None, SIG),
-    LeadChMsg(0, 1, M_PROOF, SIG),
-    LeadChMsg(0, 2, R_PROOF, SIG),
-    DkgSharePointMsg(0, 888),
-    DkgHelpMsg(4),
-    DkgStartInput(0),
-    DkgRecoverInput(1),
-    DkgReconstructInput(2),
-    DkgReconstructedOutput(0, 55),
-    DkgCompletedOutput(0, 1, (1, 2, 3), C, 10, C.public_key()),
-    DkgCompletedOutput(0, 1, (1, 2), VEC, 10, VEC.public_key()),
-    DkgCompletedOutput(0, 1, (1, 2), _PEDERSEN, 10, 1),
-    ClockTickMsg(3),
-    RenewInput(2),
-    RenewedOutput(1, VEC, 9, (1, 2)),
-    # group modification frames (codec v4)
-    ProposalMsg(ModProposal("add", 8, 1, 0)),
-    ProposalEchoMsg(ModProposal("remove", 2, -1, 0)),
-    ProposalReadyMsg(ModProposal("add", 9)),
-    ProposeInput(ModProposal("add", 10, 0, 1)),
-    ProposalDeliveredOutput(ModProposal("remove", 3)),
-    NodeAddRequestMsg(8, 3),
-    NodeAddInput(8, 3),
-    SubshareMsg(2, VEC, 4242),
-    JoinedOutput(2, 77, VEC),
-    # session envelopes (codec v4): multiplexed protocol traffic
-    SessionEnvelope("dkg-0", DkgStartInput(0)),
-    SessionEnvelope("renew-1", ClockTickMsg(1)),
-    SessionEnvelope("vss", EchoMsg(SID, C, 12345)),
-    # service frames (codec v2)
-    SignRequest(7, b"pay carol"),
-    SignResponse(7, 123, 456, True),
-    BeaconNextRequest(8),
-    BeaconGetRequest(9, 4),
-    BeaconResponse(9, 4, b"\xaa" * 32, 5),
-    DprfEvalRequest(10, b"tag"),
-    DprfResponse(10, b"\xbb" * 32),
-    DecryptRequest(11, 4, b"\x01\x02"),
-    DecryptResponse(11, b"plaintext"),
-    StatusRequest(12),
-    StatusResponse(12, 7, 2, 6, 5, 16, 100, 2, 3, 9, "toy-0"),
-    ErrorResponse(13, ERR_UNAVAILABLE, "too few signers"),
-    # observability frames (codec v5)
-    OpsRequest(14),
-    OpsResponse(14, b'{"schema":1,"status":{},"metrics":{}}'),
-    # shard-router frames (codec v6)
-    ShardSignRequest(15, b"wallet-7", b"pay carol"),
-    ShardStatusRequest(16, b"wallet-7"),
-    FleetOpsRequest(17),
-    FleetOpsResponse(17, b'{"schema":1,"api_version":1,"fleet":{}}'),
-    ShardCtlRequest(18, "drain", "shard-1"),
-    ShardCtlRequest(19, "add", ""),
-    ShardCtlResponse(18, b'{"api_version":1,"state":"retired"}'),
-]
+
+def build_messages(group) -> list:
+    """One representative instance per wire-codec message type, over
+    ``group``.  Every type the codec registers must appear here —
+    enforced below — and the golden frames of ``golden_frames.json``
+    are this list encoded on both backends."""
+    rng = random.Random(42)
+    poly = BivariatePolynomial.random_symmetric(2, group.q, rng)
+    c = FeldmanCommitment.commit(poly, group)
+    vec = c.column_vector(0)
+    key = SigningKey.generate(group, rng)
+    sig = key.sign(b"wire-test", rng)
+    witnesses = (ReadyWitness(1, sig), ReadyWitness(4, key.sign(b"w2", rng)))
+    cert = ReadyCert(2, b"\xab" * 32, witnesses)
+    r_proof = RTypeProof((cert, ReadyCert(5, b"\xcd" * 32, witnesses[:1])))
+    m_proof = MTypeProof(
+        (1, 2, 3),
+        (SetVote(1, "echo", sig), SetVote(6, "ready", key.sign(b"v", rng))),
+    )
+    election = (LeadChWitness(2, 1, sig), LeadChWitness(5, 1, key.sign(b"l", rng)))
+    pedersen = PedersenCommitment.commit(
+        Polynomial((3, 1, 4), group.q), Polynomial((1, 5, 9), group.q), group
+    )
+    return [
+        SendMsg(SID, c, poly.row_polynomial(2)),
+        SendMsg(SID, c, None),  # §5.2 erased-polynomial retransmission
+        EchoMsg(SID, c, 12345),
+        ReadyMsg(SID, c, 99, sig),
+        ReadyMsg(SID, c, 99, None),
+        HelpMsg(SID),
+        SharePointMsg(SID, 42),
+        ShareInput(SID, 5),
+        ReconstructInput(SID),
+        RecoverInput(SID),
+        SharedOutput(SID, c, 77, witnesses),
+        ReconstructedOutput(SID, 123),
+        DkgSendMsg(0, 0, r_proof),
+        DkgSendMsg(1, 2, m_proof, election),
+        DkgEchoMsg(0, 1, (1, 2, 3), sig),
+        DkgReadyMsg(9, 0, (2, 5), sig),
+        LeadChMsg(0, 1, None, sig),
+        LeadChMsg(0, 1, m_proof, sig),
+        LeadChMsg(0, 2, r_proof, sig),
+        DkgSharePointMsg(0, 888),
+        DkgHelpMsg(4),
+        DkgStartInput(0),
+        DkgRecoverInput(1),
+        DkgReconstructInput(2),
+        DkgReconstructedOutput(0, 55),
+        DkgCompletedOutput(0, 1, (1, 2, 3), c, 10, c.public_key()),
+        DkgCompletedOutput(0, 1, (1, 2), vec, 10, vec.public_key()),
+        DkgCompletedOutput(0, 1, (1, 2), pedersen, 10, group.identity),
+        ClockTickMsg(3),
+        RenewInput(2),
+        RenewedOutput(1, vec, 9, (1, 2)),
+        # group modification frames (codec v4)
+        ProposalMsg(ModProposal("add", 8, 1, 0)),
+        ProposalEchoMsg(ModProposal("remove", 2, -1, 0)),
+        ProposalReadyMsg(ModProposal("add", 9)),
+        ProposeInput(ModProposal("add", 10, 0, 1)),
+        ProposalDeliveredOutput(ModProposal("remove", 3)),
+        NodeAddRequestMsg(8, 3),
+        NodeAddInput(8, 3),
+        SubshareMsg(2, vec, 4242),
+        JoinedOutput(2, 77, vec),
+        # session envelopes (codec v4): multiplexed protocol traffic
+        SessionEnvelope("dkg-0", DkgStartInput(0)),
+        SessionEnvelope("renew-1", ClockTickMsg(1)),
+        SessionEnvelope("vss", EchoMsg(SID, c, 12345)),
+        SessionEnvelope("vss", ReadyMsg(SID, c, 99, sig)),
+        # service frames (codec v2)
+        SignRequest(7, b"pay carol"),
+        SignResponse(7, 123, 456, True),
+        BeaconNextRequest(8),
+        BeaconGetRequest(9, 4),
+        BeaconResponse(9, 4, b"\xaa" * 32, group.commit(5)),
+        DprfEvalRequest(10, b"tag"),
+        DprfResponse(10, b"\xbb" * 32),
+        DecryptRequest(11, group.commit(4), b"\x01\x02"),
+        DecryptResponse(11, b"plaintext"),
+        StatusRequest(12),
+        StatusResponse(12, 7, 2, 6, 5, 16, 100, 2, 3, group.commit(9), group.name),
+        ErrorResponse(13, ERR_UNAVAILABLE, "too few signers"),
+        # observability frames (codec v5)
+        OpsRequest(14),
+        OpsResponse(14, b'{"schema":1,"status":{},"metrics":{}}'),
+        # shard-router frames (codec v6)
+        ShardSignRequest(15, b"wallet-7", b"pay carol"),
+        ShardStatusRequest(16, b"wallet-7"),
+        FleetOpsRequest(17),
+        FleetOpsResponse(17, b'{"schema":1,"api_version":1,"fleet":{}}'),
+        ShardCtlRequest(18, "drain", "shard-1"),
+        ShardCtlRequest(19, "add", ""),
+        ShardCtlResponse(18, b'{"api_version":1,"state":"retired"}'),
+    ]
+
+
+G = toy_group()
+MESSAGES = build_messages(G)
+C = MESSAGES[0].commitment
+SIG = MESSAGES[3].signature
 
 _IDS = [f"{type(m).__name__}-{i}" for i, m in enumerate(MESSAGES)]
 
@@ -206,7 +214,7 @@ class TestRoundTrip:
 
     def test_every_registered_type_is_covered(self) -> None:
         covered = {type(m) for m in MESSAGES}
-        registered = {typ for typ, _, _ in wire._CODECS.values()}
+        registered = {typ for typ, _, _ in wire.SCHEMA.values()}
         assert registered <= covered, registered - covered
 
     def test_decode_stamps_true_size(self) -> None:
@@ -363,7 +371,7 @@ class TestRejection:
         # A surviving parse must at least be a registered message type —
         # flipped signature bits are caught by signature verification
         # one layer up, not by framing.
-        assert type(decoded) in {typ for typ, _, _ in wire._CODECS.values()}
+        assert type(decoded) in {typ for typ, _, _ in wire.SCHEMA.values()}
 
 
 class TestSessionSizesAreWireTrue:

@@ -33,10 +33,10 @@ def test_stamped_version_6(message):
 def test_version_constants():
     assert wire.VERSION == 6
     assert 6 in wire.SUPPORTED_VERSIONS
-    assert wire.V6_KINDS == frozenset(range(0x3E, 0x44))
-    # The v6 range collides with no earlier kind assignment.
-    assert not wire.V6_KINDS & wire.V4_KINDS
-    assert not wire.V6_KINDS & wire.V5_KINDS
+    # The v6 kinds are one contiguous range, colliding with no earlier
+    # kind assignment.
+    v6_kinds = {kind for kind, (_, since, _) in wire.SCHEMA.items() if since == 6}
+    assert v6_kinds == set(range(0x3E, 0x44))
 
 
 @pytest.mark.parametrize("claimed", [2, 3, 4, 5])

@@ -1,11 +1,12 @@
 """The documentation tree stays true.
 
-Two freshness gates, mirrored in the CI ``docs`` job so drift fails
+Freshness gates, mirrored in the CI ``docs`` job so drift fails
 locally before it fails a pull request:
 
 * ``docs/cli.md`` must match what ``repro.tools.gendocs`` renders from
   the live argparse tree — a CLI change without a regeneration is a
   stale reference;
+* ``docs/wire.md`` likewise, rendered from ``repro.net.wire.SCHEMA``;
 * every repo-relative link and ``#anchor`` in README.md and
   ``docs/*.md`` must resolve.
 """
@@ -55,6 +56,40 @@ class TestGeneratedCliReference:
         stale.write_text(gendocs.HEADER + "\n\nnothing else\n")
         assert gendocs.main(["--check", "--out", str(stale)]) == 1
         assert "stale" in capsys.readouterr().err
+
+
+class TestGeneratedWireReference:
+    def test_wire_md_is_current(self) -> None:
+        on_disk = (REPO / "docs" / "wire.md").read_text(encoding="utf-8")
+        assert on_disk == gendocs.render_wire(), (
+            "docs/wire.md is stale — regenerate with "
+            "`python -m repro.tools.gendocs`"
+        )
+
+    def test_render_covers_every_kind_and_field_type(self) -> None:
+        from repro.net import wire
+
+        rendered = gendocs.render_wire()
+        assert rendered.startswith(gendocs.HEADER)
+        for kind, (typ, since, fields) in wire.SCHEMA.items():
+            row = next(
+                line
+                for line in rendered.splitlines()
+                if line.startswith(f"| `0x{kind:02X}` |")
+            )
+            assert f"`{typ.__name__}`" in row and f"| {since} |" in row
+            for attr, field in fields:
+                assert f"`{attr}`: {field.doc}" in row
+        glossary = rendered[rendered.index("## Field types") :]
+        for name, _ in gendocs._field_types():
+            assert f"| {name} |" in glossary
+
+    def test_check_mode_fails_on_stale_wire_md(self, tmp_path, capsys) -> None:
+        (tmp_path / "cli.md").write_text(gendocs.render())
+        (tmp_path / "wire.md").write_text(gendocs.HEADER + "\n")
+        assert gendocs.main(["--check", "--out", str(tmp_path / "cli.md")]) == 1
+        err = capsys.readouterr().err
+        assert "wire.md is stale" in err and "cli.md is stale" not in err
 
 
 class TestDocLinks:
