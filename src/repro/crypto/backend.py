@@ -18,7 +18,8 @@ hashable values produced and consumed by group methods, the
 multiplicative vocabulary (``power``/``mul``/``commit``) is shared by
 both backends, and the multiexp engines are reached through
 ``group.multiexp`` / ``group.fixed_base`` / ``group.shared_bases`` /
-``group.batch_verifier`` instead of the int-typed module functions.
+``group.comb_pair`` / ``group.batch_verifier`` instead of the int-typed
+module functions.
 
 :class:`BatchedClaimVerifier` is the backend-generic realization of the
 randomized-linear-combination batch check (it replaces the int-typed
@@ -77,6 +78,7 @@ class AbstractGroup(Protocol):
     def multiexp(self, pairs: Any) -> Any: ...
     def fixed_base(self, base: Any) -> Any: ...
     def shared_bases(self, bases: Any) -> Any: ...
+    def comb_pair(self, base: Any) -> Any: ...
     def batch_verifier(self, entries: Any, base: Any = None) -> Any: ...
 
     # serialization with stable sizes (communication metering)

@@ -20,7 +20,9 @@ The arithmetic core mirrors :mod:`repro.crypto.multiexp` term for term:
   of the int engine;
 * windowed fixed-base tables (:class:`EcFixedBaseTable`) and reusable
   Straus tables for a fixed base vector (:class:`EcSharedBases`),
-  cached process-wide exactly like their modp counterparts.
+  cached process-wide exactly like their modp counterparts;
+* the fixed-base comb for ``a * G + b * X`` (:class:`EcCombPair`) behind
+  Schnorr verification.
 
 Group elements are immutable :class:`EcPoint` values (affine, with a
 single :data:`INFINITY` identity), so they hash and compare exactly
@@ -46,7 +48,10 @@ from functools import lru_cache
 
 from repro.crypto import metering, parallel
 from repro.crypto.multiexp import (
+    COMB_TEETH,
     PIPPENGER_CUTOFF,
+    comb_digits,
+    comb_span,
     _pippenger_window,
     _straus_window,
 )
@@ -211,7 +216,7 @@ def _batch_to_affine(
         prefix.append(acc)
         if z:
             acc = acc * z % P
-    inv_acc = pow(acc, P - 2, P)
+    inv_acc = pow(acc, -1, P)
     out: list[tuple[int, int] | None] = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
         z = zs[i]
@@ -229,7 +234,7 @@ def _from_jacobian(pt: tuple[int, int, int]) -> EcPoint:
     X, Y, Z = pt
     if not Z:
         return INFINITY
-    z_inv = pow(Z, P - 2, P)
+    z_inv = pow(Z, -1, P)
     zi2 = z_inv * z_inv % P
     return EcPoint(X * zi2 % P, Y * zi2 * z_inv % P)
 
@@ -545,6 +550,66 @@ def ec_fixed_base(base: EcPoint, window: int = 5) -> EcFixedBaseTable:
     return EcFixedBaseTable(base, window)
 
 
+_COMB_SPAN = comb_span(N)
+
+
+def _comb_table(base: EcPoint) -> list[tuple[int, int] | None]:
+    """The ``2^COMB_TEETH`` affine comb entries of ``base``:
+    ``table[d] = sum_{j in bits(d)} 2^(j * span) * base``, entry 0 (and
+    every entry of the identity's table) ``None``.  One batch inversion
+    for the whole table."""
+    tooth = _JAC_INF if base.is_infinity() else (base.x, base.y, 1)
+    table = [_JAC_INF]
+    for j in range(COMB_TEETH):
+        table += [_jac_add(entry, tooth) for entry in table]
+        if j < COMB_TEETH - 1:
+            for _ in range(_COMB_SPAN):
+                tooth = _jac_double(*tooth)
+    return _batch_to_affine(table)
+
+
+@lru_cache(maxsize=1)
+def _generator_comb() -> list[tuple[int, int] | None]:
+    return _comb_table(GENERATOR)
+
+
+class EcCombPair:
+    """Lim--Lee fixed-base comb for ``a * G + b * base`` with both
+    points fixed — the EC mirror of
+    :class:`repro.crypto.multiexp.CombPair`: ``span`` shared doublings
+    and at most ``2 * span`` mixed additions.  The generator's table is
+    shared process-wide, ``base``'s belongs to this object."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, base: EcPoint):
+        self._table = _comb_table(base)
+
+    def multiexp(self, a: int, b: int) -> EcPoint:
+        """``a * G + b * base`` (scalars reduced mod the group order)."""
+        g_table, table = _generator_comb(), self._table
+        p = P
+        X1, Y1, Z1 = _JAC_INF
+        for d_g, d_b in zip(
+            comb_digits(a % N, _COMB_SPAN), comb_digits(b % N, _COMB_SPAN)
+        ):
+            if Z1:  # inlined _jac_double
+                A = X1 * X1 % p
+                Bv = Y1 * Y1 % p
+                C = Bv * Bv % p
+                sm = X1 + Bv
+                D = 2 * (sm * sm - A - C) % p
+                E = 3 * A % p
+                X3 = (E * E - 2 * D) % p
+                Z1 = 2 * Y1 * Z1 % p
+                Y1 = (E * (D - X3) - 8 * C) % p
+                X1 = X3
+            for entry in (g_table[d_g], table[d_b]):
+                if entry is not None:
+                    X1, Y1, Z1 = _jac_add_affine((X1, Y1, Z1), entry[0], entry[1])
+        return _from_jacobian((X1, Y1, Z1))
+
+
 class EcSharedBases:
     """Straus tables for a fixed base vector reused across many scalar
     vectors — the EC mirror of :class:`repro.crypto.multiexp.SharedBases`."""
@@ -722,6 +787,9 @@ class EcGroup:
 
     def shared_bases(self, bases) -> EcSharedBases:
         return EcSharedBases(bases)
+
+    def comb_pair(self, base: EcPoint) -> EcCombPair:
+        return EcCombPair(base)
 
     def batch_verifier(self, entries, base: EcPoint | None = None):
         from repro.crypto.backend import BatchedClaimVerifier

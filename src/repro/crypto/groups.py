@@ -32,7 +32,12 @@ from functools import lru_cache
 
 from repro.crypto.intops import invert, powmod
 from repro.crypto import metering, parallel
-from repro.crypto.multiexp import SharedBases, fixed_base_table, multiexp
+from repro.crypto.multiexp import (
+    CombPair,
+    SharedBases,
+    fixed_base_table,
+    multiexp,
+)
 from repro.crypto.primes import SchnorrParams, generate_schnorr_params
 
 
@@ -135,6 +140,9 @@ class SchnorrGroup:
 
     def shared_bases(self, bases) -> SharedBases:
         return SharedBases(tuple(bases), self.p, self.q)
+
+    def comb_pair(self, base: int) -> CombPair:
+        return CombPair(self.p, self.q, self.g, base)
 
     def batch_verifier(self, entries, base: int | None = None):
         from repro.crypto.backend import BatchedClaimVerifier

@@ -18,6 +18,9 @@ work three ways:
 * :class:`SharedBases` — Straus tables for a fixed base *vector*
   exponentiated with many different scalar vectors (one collapsed
   commitment row checked against many senders);
+* :class:`CombPair` — a fixed-base comb for ``g^a * X^b``: a sixth of
+  the squarings from a table small enough to keep per verifier key
+  (Schnorr verification against a certified public key).
 The randomized-linear-combination batch verifier that used to live
 here is now the backend-generic
 :class:`repro.crypto.backend.BatchedClaimVerifier`, reached through
@@ -29,8 +32,8 @@ Everything here is plain-int arithmetic — no dependency on the group
 or protocol layers — so :mod:`repro.crypto.groups` can build on it.
 Since the backend refactor this module is the *modp engine*: protocol
 code reaches it through ``group.multiexp`` / ``group.fixed_base`` /
-``group.shared_bases`` / ``group.batch_verifier`` on
-:class:`~repro.crypto.groups.SchnorrGroup` (the secp256k1 mirror lives
+``group.shared_bases`` / ``group.comb_pair`` / ``group.batch_verifier``
+on :class:`~repro.crypto.groups.SchnorrGroup` (the secp256k1 mirror lives
 in :mod:`repro.crypto.ec`, the backend-generic batch verifier in
 :mod:`repro.crypto.backend`), but the int-typed entry points below stay
 public and byte-for-byte compatible.
@@ -124,9 +127,7 @@ def _pippenger(bases: Sequence[int], exps: Sequence[int], p: int) -> int:
     return acc
 
 
-def multiexp(
-    pairs: Iterable[tuple[int, int]], p: int, q: int | None = None
-) -> int:
+def multiexp(pairs: Iterable[tuple[int, int]], p: int, q: int | None = None) -> int:
     """``prod_i base_i^{exp_i} mod p``; exponents reduced mod ``q``.
 
     Dispatches by term count: 0/1 terms short-circuit to ``pow``, small
@@ -201,6 +202,84 @@ def fixed_base_table(p: int, q: int, base: int, window: int = 5) -> FixedBaseTab
     group object with the same ``(p, q)`` shares tables for ``g``,
     ``h`` and recurring public keys."""
     return FixedBaseTable(p, q, base, window)
+
+
+# Teeth of the fixed-base comb.  A table has 2^teeth entries and every
+# verifier key keeps one (:func:`repro.crypto.schnorr._key_verifier`),
+# so this constant is what the signature layer costs in resident
+# memory; tests/sim/test_pki.py pins the resulting table length.
+COMB_TEETH = 6
+
+
+def comb_span(q: int) -> int:
+    """Columns of a :data:`COMB_TEETH`-tooth comb over scalars below ``q``."""
+    return -(-q.bit_length() // COMB_TEETH)
+
+
+def comb_digits(e: int, span: int) -> list[int]:
+    """The comb columns of ``e``, most significant first: bit ``j`` of
+    column ``i`` is bit ``j * span + i`` of ``e``.  Slicing the binary
+    string into teeth and transposing is several times cheaper than
+    ``teeth * span`` shift-and-mask steps."""
+    width = COMB_TEETH * span
+    bits = format(e, f"0{width}b")
+    teeth = [bits[k : k + span] for k in range(0, width, span)]
+    return [int("".join(column), 2) for column in zip(*teeth)]
+
+
+def _comb_table(p: int, q: int, base: int) -> list[int]:
+    """The ``2^COMB_TEETH`` comb entries of ``base`` (entry 0 is 1)."""
+    span = comb_span(q)
+    table = [1]
+    tooth = base % p
+    for j in range(COMB_TEETH):
+        table += [entry * tooth % p for entry in table]
+        if j < COMB_TEETH - 1:
+            for _ in range(span):
+                tooth = tooth * tooth % p
+    return table
+
+
+@lru_cache(maxsize=16)
+def _generator_comb(p: int, q: int, g: int) -> list[int]:
+    return _comb_table(p, q, g)
+
+
+class CombPair:
+    """Lim--Lee fixed-base comb for ``g^a * base^b mod p`` with both
+    bases fixed: ``span`` shared squarings and at most ``2 * span``
+    multiplications, against ``|q|`` squarings for Straus.
+
+    ``table[d] = prod_{j in bits(d)} base^(2^(j * span))``; the comb
+    walks the scalar's columns from the top, squaring once per column
+    for both bases together.  The generator's table is shared
+    process-wide, ``base``'s belongs to this object.
+    """
+
+    __slots__ = ("p", "q", "span", "_g_table", "_table")
+
+    def __init__(self, p: int, q: int, g: int, base: int):
+        self.p = p
+        self.q = q
+        self.span = comb_span(q)
+        self._g_table = _generator_comb(p, q, g)
+        self._table = _comb_table(p, q, base)
+
+    def multiexp(self, a: int, b: int) -> int:
+        """``g^a * base^b mod p`` (exponents reduced mod q)."""
+        p, span = self.p, self.span
+        g_table, table = self._g_table, self._table
+        acc = 1
+        for d_g, d_b in zip(
+            comb_digits(a % self.q, span), comb_digits(b % self.q, span)
+        ):
+            if acc != 1:
+                acc = acc * acc % p
+            if d_g:
+                acc = acc * g_table[d_g] % p
+            if d_b:
+                acc = acc * table[d_b] % p
+        return acc
 
 
 class SharedBases:

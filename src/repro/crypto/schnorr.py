@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.crypto.backend import AbstractGroup
 
@@ -50,7 +50,7 @@ class SigningKey:
     secret: int
     group: AbstractGroup
 
-    @property
+    @cached_property
     def public_key(self):
         return self.group.commit(self.secret)
 
@@ -73,25 +73,36 @@ class SigningKey:
         return Signature(c, z)
 
 
-@lru_cache(maxsize=512)
-def _verifier_bases(group: AbstractGroup, public_key):
-    """Straus tables for (g, X), cached per public key: a long-lived
-    signer (every CA-certified protocol node) is verified thousands of
-    times against the same key."""
-    return group.shared_bases((group.g, public_key))
+# Keys whose verifier is kept.  Each holds one comb table
+# (``2^COMB_TEETH`` elements), and benchmark operations enroll fresh
+# keys by the dozen, so this bound — not the lifetime of whoever issued
+# the certificate — is what frees a table.
+_VERIFIER_KEYS = 64
 
 
-def verify(
-    group: AbstractGroup, public_key, message: bytes, sig: Signature
-) -> bool:
-    """Verify a Schnorr signature against ``public_key``."""
+@lru_cache(maxsize=_VERIFIER_KEYS)
+def _key_verifier(group: AbstractGroup, public_key):
+    """Everything a verification needs that depends on the key alone:
+    the group-membership verdict (``None`` for a key that is no group
+    element) and the comb tables for ``g^a * X^b``.  A long-lived signer
+    (every CA-certified protocol node) is verified thousands of times
+    against the same key."""
     if not group.is_element(public_key):
+        return None
+    return group.comb_pair(public_key)
+
+
+def verify(group: AbstractGroup, public_key, message: bytes, sig: Signature) -> bool:
+    """Verify a Schnorr signature against ``public_key``."""
+    try:
+        verifier = _key_verifier(group, public_key)
+    except TypeError:  # unhashable: not an element of either backend
+        return False
+    if verifier is None:
         return False
     if not (0 <= sig.challenge < group.q and 0 <= sig.response < group.q):
         return False
-    # R = g^z * X^{-c}, one interleaved two-term multiexp; X^{-c} =
-    # X^{q-c} since X is in the order-q subgroup (checked above).
-    r = _verifier_bases(group, public_key).multiexp(
-        (sig.response, (-sig.challenge) % group.q)
-    )
+    # R = g^z * X^{-c}; X^{-c} = X^{q-c} since X is in the order-q
+    # subgroup (checked when the verifier was built).
+    r = verifier.multiexp(sig.response, (-sig.challenge) % group.q)
     return _challenge(group, public_key, r, message) == sig.challenge

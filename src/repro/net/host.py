@@ -32,6 +32,10 @@ from repro.sim.node import OutputRecord, ProtocolNode
 DEFAULT_SESSION = "main"
 
 
+def _discard(*_args: Any) -> None:
+    """Dispatch hook of a stopped endpoint."""
+
+
 class NodeHost:
     """Drives one runtime (one or many sessions) over one endpoint."""
 
@@ -116,6 +120,11 @@ class NodeHost:
 
     async def stop(self) -> None:
         await self.transport.stop()
+        # End of deployment: nothing is delivered any more, so take the
+        # hooks installed in __init__ back out.  They are what ties host,
+        # driver and transport into a cycle that would keep a finished
+        # DKG's state alive until the next full garbage collection.
+        self.transport.on_message = self.transport.on_timer = _discard
 
     def crash(self) -> None:
         """Transport links down + every session's crash hook (§2.2)."""

@@ -25,6 +25,7 @@ node identity).
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Any
 
 from repro.runtime.driver import MachineDriver
@@ -81,7 +82,12 @@ class Simulation:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
-        self._drivers[node.node_id] = MachineDriver(node, self, node.node_id)
+        # The simulation owns its drivers; the way back is weak so that a
+        # finished world is freed when dropped, not at the next full
+        # garbage collection.
+        self._drivers[node.node_id] = MachineDriver(
+            node, weakref.proxy(self), node.node_id
+        )
 
     def node_rng(self, node_id: int) -> random.Random:
         """A per-node RNG derived deterministically from the seed."""

@@ -98,7 +98,7 @@ class VssSession:
         self.config = config
         self.me = me
         self.session = session
-        self.on_shared = on_shared
+        self.on_shared: Callable[[SharedOutput], None] | None = on_shared
         self.on_reconstructed = on_reconstructed or (lambda _out: None)
         self.keystore = keystore
         self.ca = ca
@@ -374,11 +374,13 @@ class VssSession:
         if sender in state.ready_seen:
             return
         state.ready_seen.add(sender)
-        if self.sign_ready:
+        if self.sign_ready and self.completed is None:
             # Extended mode: only count readies carrying a valid signature,
             # and retain them as the R_d proof set.  Signatures bind to
             # the sender individually, so they are checked on arrival;
-            # only the point check batches.
+            # only the point check batches.  Once this session has output
+            # `shared`, R_d is fixed and no later signature can enter it,
+            # so the t + f late readies are buffered unchecked.
             if msg.signature is None or self.ca is None:
                 return
             payload = ready_signing_bytes(
@@ -456,6 +458,11 @@ class VssSession:
         self.completed = SharedOutput(self.session, commitment, share, proof)
         ctx.output(self.completed)
         self.on_shared(self.completed)
+        # Fired once.  Its owner holds this session, so keeping the bound
+        # method would leave every finished DKG in a reference cycle that
+        # only a full collection frees — and one DKG is ~1 MB behind so
+        # few container objects that the collector's thresholds miss it.
+        self.on_shared = None
 
     # upon a message (P_d, tau, help) from P_l:
     def _on_help(self, sender: int, ctx: Context) -> None:

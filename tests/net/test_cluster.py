@@ -10,6 +10,8 @@ behave like their simulated counterparts.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -122,6 +124,24 @@ class TestClusterOrchestration:
 
         result = asyncio.run(scenario())
         assert result.succeeded
+
+    def test_stopped_cluster_is_freed_without_the_collector(self) -> None:
+        async def scenario() -> list[weakref.ref]:
+            cluster = LocalCluster(_config(), seed=13, time_scale=SCALE)
+            try:
+                res = await cluster.run_dkg(timeout=20.0)
+            finally:
+                await cluster.stop()
+            assert res.succeeded
+            return [weakref.ref(host.node) for host in cluster.hosts.values()]
+
+        gc.collect()
+        gc.disable()
+        try:
+            nodes = asyncio.run(scenario())
+            assert nodes and all(ref() is None for ref in nodes)
+        finally:
+            gc.enable()
 
     def test_ports_are_ephemeral_and_distinct(self) -> None:
         async def scenario():

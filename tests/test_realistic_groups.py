@@ -9,11 +9,24 @@ from __future__ import annotations
 
 import random
 
+import pytest
 
 from repro.crypto import Share, reconstruct_secret
-from repro.crypto.groups import RFC5114_1024_160, medium_group
+from repro.crypto.groups import (
+    RFC5114_1024_160,
+    RFC5114_2048_256,
+    group_by_name,
+    medium_group,
+)
+from repro.crypto.schnorr import SigningKey, verify
 from repro.dkg import DkgConfig, run_dkg
 from repro.vss import VssConfig, run_vss
+
+from tests.crypto.test_schnorr_sigs import (
+    comb_edge_scalars,
+    non_elements,
+    textbook_pair,
+)
 
 
 class TestRfcGroupVss:
@@ -48,3 +61,33 @@ class TestMediumGroupDkg:
             eg.partial_decrypt(group, ct, i, res.shares[i], rng) for i in (1, 3)
         ]
         assert eg.combine(group, ct, res.commitment, partials, t=1) == message
+
+
+@pytest.mark.parametrize(
+    "group",
+    [RFC5114_2048_256, group_by_name("secp256k1")],
+    ids=["rfc5114-2048-256", "secp256k1"],
+)
+class TestSignatureVerifierOnBenchmarkGroups:
+    """The two groups the benchmark signs over: 256-bit scalars fill the
+    comb's top tooth, which the 64-bit toy group never reaches."""
+
+    def test_comb_matches_textbook(self, group) -> None:
+        rng = random.Random(17)
+        base = SigningKey.generate(group, rng).public_key
+        pair = group.comb_pair(base)
+        scalars = comb_edge_scalars(group.q) + [
+            group.random_scalar(rng) for _ in range(4)
+        ]
+        for a, b in zip(scalars, reversed(scalars)):
+            assert pair.multiexp(a, b) == textbook_pair(group, base, a, b)
+
+    def test_sign_verify_and_rejections(self, group) -> None:
+        rng = random.Random(18)
+        key = SigningKey.generate(group, rng)
+        sig = key.sign(b"msg", rng)
+        for _ in range(2):
+            assert verify(group, key.public_key, b"msg", sig)
+            assert not verify(group, key.public_key, b"other", sig)
+            for bad in non_elements(group) + [group.identity, None, [1]]:
+                assert verify(group, bad, b"msg", sig) is False
