@@ -31,14 +31,23 @@ def commitment_digest(commitment: FeldmanCommitment) -> bytes:
 
     Entries are hashed in the group's canonical serialization, so the
     digest is well defined for every backend (fixed-width residues for
-    modp, compressed points for secp256k1) and unchanged for modp."""
-    h = hashlib.sha256()
-    h.update(b"feldman-matrix|")
-    to_bytes = commitment.group.element_to_bytes
-    for row in commitment.matrix:
-        for entry in row:
-            h.update(to_bytes(entry))
-    return h.digest()
+    modp, compressed points for secp256k1) and unchanged for modp.
+    Computed once per commitment object: the matrix is immutable."""
+    digest = commitment._cache.get("digest")
+    if digest is None:
+        to_bytes = commitment.group.element_to_bytes
+        digest = encoded_matrix_digest(
+            b"".join(to_bytes(entry) for row in commitment.matrix for entry in row)
+        )
+        commitment._cache["digest"] = digest
+    return digest
+
+
+def encoded_matrix_digest(raw: bytes) -> bytes:
+    """:func:`commitment_digest` of the matrix whose entries, row by
+    row in canonical serialization, are ``raw`` — what a wire frame
+    carries, hashed without decoding it."""
+    return hashlib.sha256(b"feldman-matrix|" + raw).digest()
 
 
 def hash_to_scalar(q: int, *parts: bytes) -> int:

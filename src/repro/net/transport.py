@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -46,6 +47,8 @@ DEFAULT_TIME_SCALE = 0.02  # seconds of wall clock per simulation time unit
 _CONNECT_ATTEMPTS = 20
 _CONNECT_BACKOFF_S = 0.05
 _MAX_PENDING_FRAMES = 1024  # digest frames held awaiting their matrix
+_MAX_COMMITMENTS = 1024  # decoded matrices kept (the commitment table)
+_PEER_QUOTA = 64  # of either, charged to any one link
 
 
 @runtime_checkable
@@ -73,15 +76,13 @@ class Transport(Protocol):
         """Arm a timer; returns a cancellation id."""
         ...
 
-    def cancel_timer(self, node: int, timer_id: int) -> None:
-        ...
+    def cancel_timer(self, node: int, timer_id: int) -> None: ...
 
     def record_output(self, node: int, payload: Any) -> None:
         """Emit an operator ``out`` message."""
         ...
 
-    def record_leader_change(self) -> None:
-        ...
+    def record_leader_change(self) -> None: ...
 
 
 class SimTransport:
@@ -209,11 +210,12 @@ class AsyncioTransport:
 
         self._net_rng = random.Random(("net", seed, node_id).__repr__())
         self._node_rngs: dict[int, random.Random] = {}
-        # Cachin-style compression state (hashed codec): commitments we
-        # have seen inline, and digest-only frames awaiting their matrix.
-        self._commitments: dict[bytes, FeldmanCommitment] = {}
+        # Every matrix this endpoint has decoded: repeats of it are not
+        # decoded again, and digest-only frames (hashed codec) resolve
+        # against it — or wait here, by digest, for their matrix.
+        self._table = wire.CommitmentTable(_MAX_COMMITMENTS, _PEER_QUOTA)
         self._pending_frames: dict[bytes, list[tuple[int, bytes]]] = {}
-        self._pending_count = 0
+        self._pending_by_peer: Counter[int] = Counter()
         # Broadcast encode memo (identity-keyed, single entry).
         self._last_payload: Any = None
         self._last_mode = "inline"
@@ -261,6 +263,8 @@ class AsyncioTransport:
             "repro_net_crashes_total", help="endpoint crash transitions"
         )
         self._close_links()
+        self._pending_frames.clear()
+        self._pending_by_peer.clear()
 
     async def recover(self) -> None:
         """Come back up on the same address."""
@@ -313,9 +317,7 @@ class AsyncioTransport:
         # session id is transport framing (like the TCP header), and
         # keeping per-kind/per-byte accounting identical across
         # drivers is what makes sim-vs-real comparisons exact (E12).
-        metered = (
-            payload.payload if isinstance(payload, SessionEnvelope) else payload
-        )
+        metered = payload.payload if isinstance(payload, SessionEnvelope) else payload
         self.metrics.record_send(sender, metered.kind, metered.byte_size())
         obs_metrics.counter_inc(
             "repro_net_frames_sent_total",
@@ -347,9 +349,7 @@ class AsyncioTransport:
             observe = getattr(self.delay_model, "observe_time", None)
             if observe is not None:
                 observe(self.current_time())
-            delay_units = self.delay_model.sample(
-                self._net_rng, sender, recipient
-            )
+            delay_units = self.delay_model.sample(self._net_rng, sender, recipient)
         task = self._loop.create_task(
             self._deliver(recipient, frame, delay_units * self.time_scale)
         )
@@ -406,22 +406,23 @@ class AsyncioTransport:
     def _dispatch_frame(self, peer: int, frame: bytes) -> None:
         try:
             message = wire.decode(
-                frame, resolve=self._commitments.get, group=self.group
+                frame, commitments=self._table.charged_to(peer), group=self.group
             )
         except wire.UnresolvedDigest as exc:
             # Compressed vote arrived before the dealer's send; hold it
             # until the matrix shows up (the receiver-side cache the
             # Cachin trick presumes).  Under a non-hashed codec nothing
-            # will ever resolve it, and the buffer is bounded against
-            # peers flooding bogus digests.
+            # will ever resolve it, and the buffer is bounded, per link,
+            # against peers flooding bogus digests.
             if (
                 getattr(self.codec, "name", None) != "hashed-matrix"
-                or self._pending_count >= _MAX_PENDING_FRAMES
+                or self._pending_by_peer[peer] >= _PEER_QUOTA
+                or self._pending_by_peer.total() >= _MAX_PENDING_FRAMES
             ):
                 self.metrics.record_drop()
                 return
             self._pending_frames.setdefault(exc.digest, []).append((peer, frame))
-            self._pending_count += 1
+            self._pending_by_peer[peer] += 1
             return
         except wire.WireError:
             self.metrics.record_drop()
@@ -443,27 +444,22 @@ class AsyncioTransport:
             help="wire bytes received, by protocol message kind",
             kind=kind,
         )
-        self._remember_commitment(message)
+        self._release_pending(inner)
         try:
             self.on_message(peer, message)
         except Exception as exc:
             self.errors.append(exc)
 
-    def _remember_commitment(self, message: Any) -> None:
-        if getattr(self.codec, "name", None) != "hashed-matrix":
-            return  # no compressed frames will ever reference the cache
-        if isinstance(message, SessionEnvelope):
-            message = message.payload
+    def _release_pending(self, message: Any) -> None:
+        """Dispatch the digest frames that waited for ``message``'s matrix
+        (which decoding it has just put in the table)."""
         commitment = getattr(message, "commitment", None)
-        if not isinstance(commitment, FeldmanCommitment):
+        if not self._pending_frames or not isinstance(commitment, FeldmanCommitment):
             return
-        digest = commitment_digest(commitment)
-        if digest in self._commitments:
-            return
-        self._commitments[digest] = commitment
-        held = self._pending_frames.pop(digest, [])
-        self._pending_count -= len(held)
-        for peer, frame in held:
+        for peer, frame in self._pending_frames.pop(commitment_digest(commitment), ()):
+            self._pending_by_peer[peer] -= 1
+            if not self._pending_by_peer[peer]:
+                del self._pending_by_peer[peer]
             self._dispatch_frame(peer, frame)
 
     async def _deliver(self, recipient: int, frame: bytes, delay_s: float) -> None:
@@ -488,9 +484,7 @@ class AsyncioTransport:
             writer = self._writers.get(recipient)
             if writer is not None and not writer.is_closing():
                 return writer
-            last_error: Exception = ConnectionError(
-                f"no route to node {recipient}"
-            )
+            last_error: Exception = ConnectionError(f"no route to node {recipient}")
             for attempt in range(self.connect_attempts):
                 if self.crashed:
                     break

@@ -26,9 +26,11 @@ frame — and :func:`decode` rejects a kind claiming an earlier one.
 Commitment compression (Cachin et al., the paper's §3 efficiency note)
 is a first-class wire feature: ``echo``/``ready`` frames may carry the
 32-byte commitment digest instead of the full matrix
-(``commitments="digest"``); decoding such a frame needs a ``resolve``
-callable mapping digests to previously seen commitments — exactly the
-cache a receiver builds from the dealer's ``send``.
+(``commitments="digest"``); decoding such a frame needs the
+:class:`CommitmentTable` the receiver filled from the dealer's ``send``.
+The same table makes inline matrices decode once: every ``echo`` and
+``ready`` of a sharing repeats the dealer's matrix, and a frame whose
+matrix bytes the table has already decoded gets that object back.
 
 :func:`decode` takes bytes from the network, so it raises nothing but
 :class:`WireError` and does no work a peer can inflate: a group named
@@ -40,11 +42,11 @@ search — and session envelopes do not nest.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.groups import SchnorrGroup, group_by_name, known_group
-from repro.crypto.hashing import commitment_digest
+from repro.crypto.hashing import commitment_digest, encoded_matrix_digest
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import Signature
@@ -75,21 +77,88 @@ ROUND_BYTES = 8  # beacon round numbers
 MAX_COMMITMENT_SIDE = 1024
 MAX_POLYNOMIAL_COEFFS = 4096
 
-Resolver = Callable[[bytes], FeldmanCommitment | None]
-
 
 class WireError(ValueError):
     """Raised for truncated, garbled, oversized or unknown frames."""
 
 
 class UnresolvedDigest(WireError):
-    """A digest-compressed frame referenced a commitment the resolver
-    does not (yet) know.  Receivers buffer such frames until the
+    """A digest-compressed frame referenced a commitment the table
+    does not (yet) hold.  Receivers buffer such frames until the
     dealer's ``send`` supplies the matrix (Cachin-style compression)."""
 
     def __init__(self, digest: bytes):
         super().__init__("digest-compressed frame with no matching commitment")
         self.digest = digest
+
+
+class CommitmentTable:
+    """The commitment matrices one endpoint has decoded, by digest.
+
+    :func:`decode` consults it for every inline matrix — identical
+    matrix bytes under an equal group come back as the object the first
+    decode built, element validation and collapse memo included — and
+    resolves digest-form frames against it.  A miss takes the ordinary
+    validating path and inserts, so a hit skips no check the first
+    decode performed.
+
+    One per endpoint (or replay world), never per process: nodes that
+    share an interpreter must each pay for their own decoding.  At most
+    ``cap`` entries, at most ``quota`` of them charged to any one owner
+    — the link whose frame inserted them, see :meth:`charged_to`.  An
+    owner at its quota evicts its own oldest entry; a full table evicts
+    the oldest entry of whoever holds the most.  Eviction costs a later
+    re-decode, nothing else.
+    """
+
+    def __init__(self, cap: int, quota: int):
+        self.cap = cap
+        self.quota = quota
+        self._entries: dict[bytes, FeldmanCommitment] = {}
+        self._owned: dict[Hashable, dict[bytes, None]] = {}  # oldest first
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, digest: bytes) -> FeldmanCommitment | None:
+        return self._entries.get(digest)
+
+    def insert(
+        self, digest: bytes, commitment: FeldmanCommitment, owner: Hashable = None
+    ) -> None:
+        if len(self._owned.get(owner, ())) >= self.quota:
+            self._evict_oldest(owner)
+        elif len(self._entries) >= self.cap:
+            self._evict_oldest(max(self._owned, key=lambda o: len(self._owned[o])))
+        self._entries[digest] = commitment
+        self._owned.setdefault(owner, {})[digest] = None
+
+    def _evict_oldest(self, owner: Hashable) -> None:
+        owned = self._owned[owner]
+        digest = next(iter(owned))
+        del owned[digest], self._entries[digest]
+        if not owned:
+            del self._owned[owner]
+
+    def charged_to(self, owner: Hashable) -> "_ChargedTable":
+        """This table, with inserts charged to ``owner``'s quota."""
+        return _ChargedTable(self, owner)
+
+
+class _ChargedTable:
+    """What :func:`decode` sees of a table while reading one link's frame."""
+
+    __slots__ = ("_table", "_owner")
+
+    def __init__(self, table: CommitmentTable, owner: Hashable):
+        self._table = table
+        self._owner = owner
+
+    def get(self, digest: bytes) -> FeldmanCommitment | None:
+        return self._table.get(digest)
+
+    def insert(self, digest: bytes, commitment: FeldmanCommitment) -> None:
+        self._table.insert(digest, commitment, self._owner)
 
 
 def _trusted_group(name: str):
@@ -285,11 +354,11 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes, group, resolve: Resolver | None):
+    def __init__(self, data: bytes, group, commitments):
         self.data = data
         self.pos = 0
         self.group = group  # element-decoding context (see _Writer.group)
-        self.resolve = resolve
+        self.commitments = commitments  # CommitmentTable (or a charged view)
 
     def take(self, n: int) -> bytes:
         if n < 0 or self.pos + n > len(self.data):
@@ -398,8 +467,22 @@ class _Reader:
     def matrix(self) -> FeldmanCommitment:
         group = self.group_ref()
         side = self.count(MAX_COMMITMENT_SIDE, "commitment side")
+        table = self.commitments
+        known = None
+        if table is not None:
+            start = self.pos
+            # Both backends' encodings are canonical, so this is
+            # commitment_digest of whatever the bytes decode to.
+            digest = encoded_matrix_digest(self.take(side * side * group.element_bytes))
+            known = table.get(digest)
+            if known is not None and known.group == group:
+                return known
+            self.pos = start
         rows = tuple(self._elements(group, side) for _ in range(side))
-        return FeldmanCommitment(rows, group)
+        commitment = FeldmanCommitment(rows, group)
+        if table is not None and known is None:
+            table.insert(digest, commitment)
+        return commitment
 
     def vector(self) -> FeldmanVector:
         group = self.group_ref()
@@ -416,7 +499,8 @@ class _Reader:
         if self.choice(range(2), "commitment tag") == 0:
             return self.matrix()
         digest = self.digest()
-        commitment = self.resolve(digest) if self.resolve is not None else None
+        table = self.commitments
+        commitment = table.get(digest) if table is not None else None
         if commitment is None:
             # The transport buffers the frame (the *outer* one, when
             # enveloped) until the referenced commitment arrives.
@@ -443,7 +527,7 @@ class _Reader:
         inner = self.take(len(self.data) - self.pos)
         if inner[HEADER_BYTES - 1 : HEADER_BYTES] == bytes([ENVELOPE_KIND]):
             raise WireError("session envelopes do not nest")
-        return decode(inner, resolve=self.resolve, group=self.group)
+        return decode(inner, commitments=self.commitments, group=self.group)
 
 
 def _utf8(raw: bytes, what: str) -> str:
@@ -862,7 +946,8 @@ def encode(message: Any, *, group=None, commitments: str = "inline") -> bytes:
     ``group`` pins scalar field widths (signatures, loose scalars) so
     frame sizes are value-independent; without it minimal widths are
     used.  ``commitments="digest"`` emits the Cachin-style compressed
-    form for ``echo``/``ready`` frames (decoding then needs ``resolve``).
+    form for ``echo``/``ready`` frames (decoding then needs the
+    receiver's :class:`CommitmentTable`).
     """
     if commitments not in ("inline", "digest"):
         raise WireError(f"unknown commitment mode {commitments!r}")
@@ -880,8 +965,14 @@ def encode(message: Any, *, group=None, commitments: str = "inline") -> bytes:
     return len(frame).to_bytes(4, "big") + frame
 
 
-def decode(data: bytes, *, resolve: Resolver | None = None, group=None) -> Any:
+def decode(data: bytes, *, commitments=None, group=None) -> Any:
     """Parse exactly one frame produced by :func:`encode`.
+
+    ``commitments`` is the receiver's :class:`CommitmentTable` (or its
+    :meth:`~CommitmentTable.charged_to` view): matrices already in it
+    are not decoded again, new ones are added, and digest-form frames
+    resolve against it — :class:`UnresolvedDigest` when it has no match
+    or none was given.
 
     ``group`` is the deployment's group: what a frame naming it resolves
     to, and the context for loose elements with no group reference
@@ -910,7 +1001,7 @@ def decode(data: bytes, *, resolve: Resolver | None = None, group=None) -> Any:
     typ, since, fields = entry
     if version < since:
         raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
-    reader = _Reader(data[HEADER_BYTES:], group, resolve)
+    reader = _Reader(data[HEADER_BYTES:], group, commitments)
     stamped = {"size": len(data)} if "size" in typ.__dataclass_fields__ else {}
     message = _read_fields(reader, typ, fields, **stamped)
     reader.expect_end()

@@ -54,6 +54,8 @@ from repro.runtime.events import (
 from repro.runtime.runtime import ProtocolRuntime
 from repro.runtime.trace import transcript_hash
 
+_TABLE_ENTRIES = 1024  # decoded commitment matrices a replay world keeps
+
 
 class ReplayError(Exception):
     """The capture cannot be re-executed (wrong mode, missing data)."""
@@ -448,6 +450,11 @@ class ReplayWorld:
                 f"sim-transport {cmd!r} captures are analysis-only; "
                 "record with --transport tcp to replay"
             )
+        from repro.net import wire
+
+        # One table for the whole world: a capture repeats each dealer's
+        # matrix in every echo and ready, for every node.
+        self.commitments = wire.CommitmentTable(_TABLE_ENTRIES, _TABLE_ENTRIES)
         self.outputs: list[tuple[int, Any]] = []
         self.transports: dict[int, ReplayTransport] = {}
         self.drivers: dict[int, MachineDriver] = {}
@@ -487,7 +494,9 @@ class ReplayWorld:
         from repro.net import wire
 
         try:
-            return wire.decode(bytes.fromhex(frame_hex), group=self.group)
+            return wire.decode(
+                bytes.fromhex(frame_hex), commitments=self.commitments, group=self.group
+            )
         except ValueError as exc:
             # WireError is a ValueError; bad hex raises one directly.
             raise FrameDecodeError(f"frame does not decode: {exc}") from exc

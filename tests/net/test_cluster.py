@@ -200,6 +200,42 @@ class TestClusterOrchestration:
         assert hashed.metrics.bytes_total < full.metrics.bytes_total
         assert hashed.public_key
 
+    def test_hashed_codec_digest_frames_that_overtake_their_send(
+        self, monkeypatch
+    ) -> None:
+        """Node 4 hears of dealer 1's sharing from everyone else first:
+        the digest-form echoes and readies wait, and resolve through
+        node 4's commitment table once the slow ``send`` is decoded."""
+        from repro.crypto.hashing import HashedMatrixCodec
+        from repro.net import wire
+        from repro.sim.network import DelayModel
+
+        class SlowLink(DelayModel):
+            def sample(self, rng, sender, recipient) -> float:
+                return 4.0 if (sender, recipient) == (1, 4) else 0.0
+
+        unresolved = []
+        decode = wire.decode
+
+        def watching(frame, **kwargs):
+            try:
+                return decode(frame, **kwargs)
+            except wire.UnresolvedDigest:
+                unresolved.append(frame)
+                raise
+
+        monkeypatch.setattr(wire, "decode", watching)
+        result = run_local_cluster(
+            DkgConfig(n=4, t=1, group=G, codec=HashedMatrixCodec()),
+            seed=8,
+            delay_model=SlowLink(),
+            time_scale=SCALE,
+        )
+        assert unresolved  # the out-of-order path was taken
+        assert result.errors == [] and result.succeeded
+        assert result.completed_nodes == [1, 2, 3, 4]
+        assert result.metrics.deliveries_dropped == 0
+
     def test_timeout_yields_failed_result(self) -> None:
         # An impossible deadline: the run returns (rather than hangs)
         # with succeeded=False.

@@ -271,15 +271,16 @@ class TestDigestCompression:
     def test_digest_frames_resolve_against_store(self) -> None:
         msg = ReadyMsg(SID, C, 7, SIG)
         data = wire.encode(msg, group=G, commitments="digest")
-        store = {commitment_digest(C): C}
-        assert wire.decode(data, resolve=store.get) == msg
+        table = wire.CommitmentTable(8, 8)
+        table.insert(commitment_digest(C), C)
+        assert wire.decode(data, commitments=table) == msg
 
     def test_digest_frame_without_resolver_is_rejected(self) -> None:
         data = wire.encode(EchoMsg(SID, C, 7), commitments="digest")
         with pytest.raises(wire.WireError):
             wire.decode(data)
         with pytest.raises(wire.WireError):
-            wire.decode(data, resolve=lambda digest: None)
+            wire.decode(data, commitments=wire.CommitmentTable(8, 8))
 
     def test_digest_mode_is_smaller(self) -> None:
         msg = EchoMsg(SID, C, 7)

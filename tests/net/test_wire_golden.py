@@ -56,10 +56,12 @@ CASES = golden_cases()
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
 
 
-def resolver(message):
-    """The receiver-side digest store a digest-mode frame needs."""
+def table_holding(message):
+    """The receiver-side table a digest-mode frame needs."""
     commitment = getattr(message, "payload", message).commitment
-    return {commitment_digest(commitment): commitment}.get
+    table = wire.CommitmentTable(8, 8)
+    table.insert(commitment_digest(commitment), commitment)
+    return table
 
 
 def test_golden_file_covers_exactly_the_generated_cases() -> None:
@@ -76,8 +78,8 @@ def test_encode_reproduces_golden_frame(case: str) -> None:
 def test_golden_frame_decodes_and_re_encodes(case: str) -> None:
     message, group, kwargs = CASES[case]
     frame = bytes.fromhex(GOLDEN[case])
-    resolve = resolver(message) if "commitments" in kwargs else None
-    decoded = wire.decode(frame, resolve=resolve, group=kwargs.get("group"))
+    table = table_holding(message) if "commitments" in kwargs else None
+    decoded = wire.decode(frame, commitments=table, group=kwargs.get("group"))
     assert decoded == message
     assert wire.encode(decoded, **kwargs) == frame
 

@@ -26,7 +26,7 @@ from repro.service.protocol import StatusResponse
 from repro.vss.messages import EchoMsg, HelpMsg, SessionId
 
 from tests.net.test_wire import build_messages
-from tests.net.test_wire_golden import CASES, GOLDEN, resolver
+from tests.net.test_wire_golden import CASES, GOLDEN, table_holding
 
 GROUPS = {"modp": toy_group(), "secp256k1": group_by_name("secp256k1")}
 SAMPLES = {name: build_messages(group) for name, group in GROUPS.items()}
@@ -203,10 +203,16 @@ def test_hostile_decode_raises_only_wire_error(case: str) -> None:
     frame = bytes.fromhex(GOLDEN[case])
     decode_kwargs = {"group": kwargs.get("group")}
     if "commitments" in kwargs:
-        decode_kwargs["resolve"] = resolver(message)
+        decode_kwargs["commitments"] = table_holding(message)
     marks = structural_reads(frame, **decode_kwargs)
+    attempts = [decode_kwargs, {}]
+    if "commitments" not in kwargs:
+        # Also against a table that has already decoded the honest frame.
+        warm = {**decode_kwargs, "commitments": wire.CommitmentTable(64, 64)}
+        wire.decode(frame, **warm)
+        attempts.append(warm)
     for hostile in lies(frame, marks):
-        for attempt in (decode_kwargs, {}):
+        for attempt in attempts:
             try:
                 decoded = wire.decode(hostile, **attempt)
             except wire.WireError:
