@@ -64,13 +64,25 @@ class FeldmanCommitment:
     def commit(
         cls, poly: BivariatePolynomial, group: AbstractGroup
     ) -> "FeldmanCommitment":
-        """Compute C_jl = g^{f_jl} for every coefficient of ``poly``."""
+        """Compute C_jl = g^{f_jl} for every coefficient of ``poly``.
+
+        A coefficient equal to its transpose is exponentiated once: the
+        symmetric polynomials HybridVSS deals cost (t+1)(t+2)/2
+        exponentiations instead of (t+1)^2.
+        """
         if poly.q != group.q:
             raise ValueError("polynomial field does not match group order")
-        matrix = tuple(
-            tuple(group.commit(c) for c in row) for row in poly.coeffs
-        )
-        return cls(matrix, group)
+        coeffs = poly.coeffs
+        side = len(coeffs)
+        rows: list[list] = [[None] * side for _ in range(side)]
+        for j in range(side):
+            for ell in range(j, side):
+                rows[j][ell] = group.commit(coeffs[j][ell])
+                if coeffs[ell][j] == coeffs[j][ell]:
+                    rows[ell][j] = rows[j][ell]
+                else:
+                    rows[ell][j] = group.commit(coeffs[ell][j])
+        return cls(tuple(tuple(row) for row in rows), group)
 
     # -- the per-node collapse cache -----------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.crypto.hashing import commitment_digest
 from repro.sim.node import Context, ProtocolNode
-from repro.sim.pki import CertificateAuthority, KeyStore
+from repro.sim.pki import AcceptedSignatures, CertificateAuthority, KeyStore
 from repro.vss.messages import (
     EchoMsg,
     HelpMsg,
@@ -84,7 +84,9 @@ class DkgNode(ProtocolNode):
         super().__init__(node_id)
         self.config = config
         self.keystore = keystore
-        self.ca = ca
+        # Every signature this node makes or checks goes through here,
+        # its VSS sessions' included, so none is verified twice.
+        self.signatures = AcceptedSignatures(keystore, ca)
         self.tau = tau
         self.vss_config = config.vss()
         self.rng = random.Random(("dkg", tau, node_id).__repr__())
@@ -100,8 +102,8 @@ class DkgNode(ProtocolNode):
                 node_id,
                 SessionId(dealer, tau),
                 on_shared=self._on_vss_shared,
-                keystore=keystore,
-                ca=ca,
+                keystore=self.signatures,
+                ca=self.signatures,
                 sign_ready=True,
             )
         self.q_hat: dict[int, ReadyCert] = {}  # b-Q with b-R certificates
@@ -279,7 +281,7 @@ class DkgNode(ProtocolNode):
         if msg.view > self.view:
             # Catch up using the election proof embedded in the send.
             if not verify_election(
-                self.vss_config, self.ca, self.tau, msg.view, msg.election
+                self.vss_config, self.signatures, self.tau, msg.view, msg.election
             ):
                 return
             self._enter_view(msg.view, ctx)
@@ -288,14 +290,14 @@ class DkgNode(ProtocolNode):
             return
         # if verify-signature(Q, R/M) and (Q = empty or Q = Q):
         if not verify_proof(
-            self.vss_config, self.ca, self.tau, msg.proof,
+            self.vss_config, self.signatures, self.tau, msg.proof,
             q_size=self.config.proposal_size,
         ):
             return
         if self.locked_q is not None and self.locked_q != q:
             return
         self.sent_echo_for.add((self.view, q))
-        signature = self.keystore.sign(dkg_echo_bytes(self.tau, q), self.rng)
+        signature = self.signatures.sign(dkg_echo_bytes(self.tau, q), self.rng)
         echo = self._stamp(DkgEchoMsg(self.tau, self.view, q, signature))
         self._log_and_broadcast(ctx, echo)
 
@@ -308,7 +310,7 @@ class DkgNode(ProtocolNode):
         votes = self.echo_votes.setdefault(q, {})
         if sender in votes:
             return
-        if not self.ca.verify(
+        if not self.signatures.verify(
             sender, dkg_echo_bytes(self.tau, q), msg.signature
         ):
             return
@@ -331,7 +333,7 @@ class DkgNode(ProtocolNode):
         votes = self.ready_votes.setdefault(q, {})
         if sender in votes:
             return
-        if not self.ca.verify(
+        if not self.signatures.verify(
             sender, dkg_ready_bytes(self.tau, q), msg.signature
         ):
             return
@@ -358,7 +360,7 @@ class DkgNode(ProtocolNode):
         if q in self.sent_ready_for:
             return
         self.sent_ready_for.add(q)
-        signature = self.keystore.sign(dkg_ready_bytes(self.tau, q), self.rng)
+        signature = self.signatures.sign(dkg_ready_bytes(self.tau, q), self.rng)
         ready = self._stamp(DkgReadyMsg(self.tau, self.view, q, signature))
         self._log_and_broadcast(ctx, ready)
 
@@ -411,7 +413,7 @@ class DkgNode(ProtocolNode):
 
     def _send_lead_ch(self, target_view: int, ctx: Context) -> None:
         proof = self._current_proof()
-        signature = self.keystore.sign(
+        signature = self.signatures.sign(
             lead_ch_bytes(self.tau, target_view), self.rng
         )
         msg = self._stamp(LeadChMsg(self.tau, target_view, proof, signature))
@@ -431,7 +433,7 @@ class DkgNode(ProtocolNode):
         votes = self.lc_votes.setdefault(msg.view, {})
         if sender in votes:
             return
-        if not self.ca.verify(
+        if not self.signatures.verify(
             sender, lead_ch_bytes(self.tau, msg.view), msg.signature
         ):
             return
@@ -439,7 +441,7 @@ class DkgNode(ProtocolNode):
         # Adopt the carried evidence if it is valid (Fig. 3: if R/M = R
         # then b-Q <- Q, b-R <- R else Q <- Q, M <- M).
         if msg.proof is not None and verify_proof(
-            self.vss_config, self.ca, self.tau, msg.proof,
+            self.vss_config, self.signatures, self.tau, msg.proof,
             q_size=self.config.proposal_size,
         ):
             if isinstance(msg.proof, RTypeProof):

@@ -8,7 +8,7 @@ evidence without controlling more than t signing keys.
 
 from __future__ import annotations
 
-from repro.sim.pki import CertificateAuthority
+from repro.sim.pki import AcceptedSignatures, CertificateAuthority
 from repro.vss.config import VssConfig
 from repro.vss.messages import SessionId, ready_signing_bytes
 from repro.dkg.messages import (
@@ -24,7 +24,7 @@ from repro.dkg.messages import (
 
 def verify_ready_cert(
     config: VssConfig,
-    ca: CertificateAuthority,
+    ca: CertificateAuthority | AcceptedSignatures,
     tau: int,
     cert: "RTypeProof | object",
 ) -> bool:
@@ -52,7 +52,7 @@ def verify_ready_cert(
 
 def verify_r_proof(
     config: VssConfig,
-    ca: CertificateAuthority,
+    ca: CertificateAuthority | AcceptedSignatures,
     tau: int,
     proof: RTypeProof,
     q_size: int | None = None,
@@ -71,7 +71,7 @@ def verify_r_proof(
 
 def verify_m_proof(
     config: VssConfig,
-    ca: CertificateAuthority,
+    ca: CertificateAuthority | AcceptedSignatures,
     tau: int,
     proof: MTypeProof,
     q_size: int | None = None,
@@ -103,7 +103,7 @@ def verify_m_proof(
 
 def verify_proof(
     config: VssConfig,
-    ca: CertificateAuthority,
+    ca: CertificateAuthority | AcceptedSignatures,
     tau: int,
     proof: Proof,
     q_size: int | None = None,
@@ -118,7 +118,7 @@ def verify_proof(
 
 def verify_election(
     config: VssConfig,
-    ca: CertificateAuthority,
+    ca: CertificateAuthority | AcceptedSignatures,
     tau: int,
     view: int,
     witnesses: tuple[LeadChWitness, ...],

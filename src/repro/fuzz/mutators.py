@@ -24,7 +24,10 @@ operators:
 ``crash``
     Insert a ``Crashed`` marker before an anchor record and a
     ``Recovered`` marker ``gap`` records later, dropping the node's
-    own events in the window (a down node receives nothing).
+    own events in the window (a down node receives nothing).  Refused
+    when a dropped step is the first to emit a kind that a surviving
+    later record receives from the node: the mutant would deliver a
+    message nobody sent.
 ``mutate``
     Byzantine payload mutation through the wire codec: ``bitflip``
     flips one bit of the captured frame, ``stale`` substitutes an
@@ -68,6 +71,7 @@ from repro import quorum
 from repro.fuzz.schedule import (
     Schedule,
     can_swap,
+    emitted_kinds,
     is_message,
     is_span,
     message_kind,
@@ -235,6 +239,35 @@ class _Applier:
                     return self._move_by_swaps(index, op["delta"]) > 0
         return False
 
+    def _crash_orphans_receive(self, node: int, start: int, stop: int) -> bool:
+        """Would dropping ``node``'s steps in ``records[start:stop]``
+        leave a later receive from ``node`` with no earlier emitter?"""
+        orphaned: set[tuple[Any, str]] = set()  # (session, kind)
+        emitted: set[tuple[Any, str]] = set()  # by surviving steps so far
+        for index, record in enumerate(self.schedule.records):
+            dropped = (
+                start <= index < stop
+                and is_span(record)
+                and record.get("node") == node
+            )
+            session = record.get("session")
+            if (
+                not dropped
+                and is_message(record)
+                and (record.get("data") or {}).get("sender") == node
+                and (session, message_kind(record)) in orphaned
+            ):
+                return True
+            if record.get("node") != node:
+                continue
+            kinds = {(session, kind) for kind in emitted_kinds(record)}
+            if dropped:
+                orphaned |= kinds - emitted
+            else:
+                emitted |= kinds
+                orphaned -= kinds
+        return False
+
     def _op_crash(self, op: dict[str, Any]) -> bool:
         node = op["node"]
         anchor = self._find(op["at"])
@@ -244,6 +277,8 @@ class _Applier:
             node not in self.report.crashed
             and len(self.report.crashed) >= self.budget.crash_nodes
         ):
+            return False
+        if self._crash_orphans_receive(node, anchor, anchor + max(op["gap"], 0)):
             return False
         count = self._crash_counts.get(node, 0) + 1
         self._crash_counts[node] = count

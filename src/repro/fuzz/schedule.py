@@ -66,12 +66,18 @@ def message_kind(record: dict[str, Any]) -> str | None:
     return None
 
 
+def emitted_kinds(record: dict[str, Any]) -> set[str]:
+    """The wire kinds this span's effects sent or broadcast."""
+    return {
+        effect.split(":", 1)[1]
+        for effect in record.get("effects", ())
+        if effect.startswith(("send:", "broadcast:"))
+    }
+
+
 def emits(record: dict[str, Any], kind: str) -> bool:
     """Whether this span's effects sent or broadcast wire kind ``kind``."""
-    for effect in record.get("effects", ()):
-        if effect == f"send:{kind}" or effect == f"broadcast:{kind}":
-            return True
-    return False
+    return kind in emitted_kinds(record)
 
 
 @dataclass

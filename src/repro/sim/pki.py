@@ -101,3 +101,40 @@ class KeyStore:
         """Proactive reboot key rotation: revoke + re-issue (§5.1)."""
         self.signing_key = SigningKey.generate(self.ca.group, rng)
         self.ca.issue(self.node, self.signing_key.public_key)
+
+
+class AcceptedSignatures:
+    """One node's signing key and CA behind the same ``sign`` / ``verify``
+    calls, remembering which signatures this node has already accepted.
+
+    A signed ready is checked when it arrives and again inside every
+    ``R_d`` certificate that quotes it; the second check re-derives a
+    verdict the node already holds.  Successful ``(public key, message,
+    signature)`` triples are kept and only a miss reaches
+    :meth:`CertificateAuthority.verify`.  The key is the *public key*
+    the CA currently certifies for the signer, not the node id, so a
+    rotated or revoked certificate never resurrects a verdict; failures
+    are not kept.  Owned by one protocol node and dropped with it —
+    never shared: n simulated nodes must do n hosts' verifications.
+    """
+
+    def __init__(self, keystore: KeyStore, ca: CertificateAuthority):
+        self.keystore = keystore
+        self.ca = ca
+        self._accepted: set[tuple] = set()
+
+    def sign(self, message: bytes, rng: random.Random) -> Signature:
+        """Sign with the node's key; its own signature needs no check
+        when a copy is delivered back to it."""
+        sig = self.keystore.sign(message, rng)
+        self._accepted.add((self.keystore.signing_key.public_key, message, sig))
+        return sig
+
+    def verify(self, node: int, message: bytes, sig: Signature) -> bool:
+        triple = (self.ca.public_key_of(node), message, sig)
+        if triple in self._accepted:
+            return True
+        if not self.ca.verify(node, message, sig):
+            return False
+        self._accepted.add(triple)
+        return True

@@ -27,7 +27,7 @@ from repro.crypto.polynomials import Polynomial, interpolate_polynomial
 from repro.crypto.schnorr import Signature
 from repro.crypto.shares import PointCollector, reconstruct_raw
 from repro.sim.node import Context
-from repro.sim.pki import CertificateAuthority, KeyStore
+from repro.sim.pki import AcceptedSignatures, CertificateAuthority, KeyStore
 from repro.vss.config import VssConfig
 from repro.vss.messages import (
     EchoMsg,
@@ -61,6 +61,12 @@ class _PerCommitmentState:
     count *verified* points (as in Fig. 1); bad points are pinpointed
     by the batch fallback and dropped, so a Byzantine sender degrades
     the batch back to per-item checks but cannot stall progress.
+
+    ``verified_row`` is the dealer's row ``a(y) = f(i, y)`` once it has
+    passed ``verify-poly`` against a *symmetric* C.  Then the point
+    verifier's entries are exactly ``g^{a_l}``, so
+    ``verify-point(C, i, m, alpha)`` holds iff ``alpha = a(m) mod q``
+    and the wave is checked in the field, with no group operation.
     """
 
     points: dict[int, int] = field(default_factory=dict)  # m -> alpha = f(m, i)
@@ -72,6 +78,7 @@ class _PerCommitmentState:
     echo_seen: set[int] = field(default_factory=set)
     ready_seen: set[int] = field(default_factory=set)
     row_poly: Polynomial | None = None
+    verified_row: Polynomial | None = None
     sent_ready: bool = False
     ready_witnesses: dict[int, ReadyWitness] = field(default_factory=dict)
     point_verifier: FeldmanVector | None = None
@@ -87,8 +94,8 @@ class VssSession:
         session: SessionId,
         on_shared: Callable[[SharedOutput], None],
         on_reconstructed: Callable[[ReconstructedOutput], None] | None = None,
-        keystore: KeyStore | None = None,
-        ca: CertificateAuthority | None = None,
+        keystore: KeyStore | AcceptedSignatures | None = None,
+        ca: CertificateAuthority | AcceptedSignatures | None = None,
         sign_ready: bool = False,
         rng: random.Random | None = None,
         expected_secret_commitment: int | None = None,
@@ -147,8 +154,10 @@ class VssSession:
         pending: dict[int, int],
         promote_witnesses: bool = False,
     ) -> int:
-        """Batch-verify buffered points against C; admit good ones to A_C.
+        """Verify buffered points against C; admit good ones to A_C.
 
+        Against the verified row when this session holds one for C (see
+        :class:`_PerCommitmentState`), else in one group batch.
         Returns the number of points accepted.  In a *ready* flush
         (``promote_witnesses``), verified points also promote their
         buffered witness signatures into the R_d proof set — an echo
@@ -157,11 +166,22 @@ class VssSession:
         """
         if not pending:
             return 0
-        if state.point_verifier is None:
-            state.point_verifier = commitment.column_vector(self.me)
         items = list(pending.items())
         pending.clear()
-        good, _bad = state.point_verifier.batch_verify(items, rng=self.rng)
+        row = state.verified_row
+        if row is not None:
+            # The group batch draws one 128-bit weight salt from the
+            # session rng for >= 2 claims (none for 1), and the same rng
+            # then supplies the ready-signature nonce: consume the draw
+            # here too, or every seeded transcript changes.
+            if len(items) >= 2:
+                self.rng.getrandbits(128)
+            q = row.q
+            good = [(m, alpha) for m, alpha in items if row(m) == alpha % q]
+        else:
+            if state.point_verifier is None:
+                state.point_verifier = commitment.column_vector(self.me)
+            good, _bad = state.point_verifier.batch_verify(items, rng=self.rng)
         for m, alpha in good:
             state.points[m] = alpha
             if promote_witnesses:
@@ -339,6 +359,8 @@ class VssSession:
         # if verify-poly(C, i, a) then send echo(C, a(j)) to each P_j
         if not commitment.verify_poly(self.me, msg.poly):
             return
+        if commitment._is_symmetric():
+            self._state_for(commitment).verified_row = msg.poly
         size = self._echo_size(commitment)
         for j in self.config.indices:
             echo = EchoMsg(self.session, commitment, msg.poly(j), size=size)

@@ -129,6 +129,31 @@ class TestCommitmentAlgebra:
         f, c = _commit(bgroup, t, seed)
         assert c.share_commitment(i) == bgroup.commit(f.evaluate(i, 0))
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_commit_exponentiates_each_distinct_coefficient_once(
+        self, bgroup, monkeypatch, symmetric: bool
+    ) -> None:
+        t = 3
+        make = (
+            BivariatePolynomial.random_symmetric
+            if symmetric
+            else BivariatePolynomial.random_general
+        )
+        f = make(t, bgroup.q, random.Random(9))
+        expected = tuple(tuple(bgroup.commit(c) for c in row) for row in f.coeffs)
+        exponentiated = []
+        commit = type(bgroup).commit
+
+        def counting(self, scalar):
+            exponentiated.append(scalar)
+            return commit(self, scalar)
+
+        monkeypatch.setattr(type(bgroup), "commit", counting)
+        assert FeldmanCommitment.commit(f, bgroup).matrix == expected
+        # The triangle of a symmetric f (10 of 16 at t = 3), else all.
+        wanted = (t + 1) * (t + 2) // 2 if symmetric else (t + 1) ** 2
+        assert len(exponentiated) == wanted
+
     def test_byte_size(self, bgroup) -> None:
         _, c = _commit(bgroup, 3, 0)
         assert c.byte_size() == 16 * bgroup.element_bytes

@@ -97,6 +97,30 @@ def test_reordering_preserves_causal_delivery(base_schedule):
     assert checked > 20
 
 
+def test_crash_never_orphans_a_receive():
+    """A crash window that swallows the step which first emitted a kind
+    must not leave other nodes receiving it: on the toy n=4 seed-0
+    capture this plan dropped node 4's first echo broadcasts (f8, f11)
+    while f21, node 1's receive of one, survived."""
+    from repro.crypto.groups import toy_group
+    from repro.fuzz.schedule import Schedule
+
+    base = Schedule.from_capture(
+        generate_capture("dkg", n=4, t=1, f=0, seed=0, group=toy_group())
+    )
+    plan = [{"op": "crash", "node": 4, "at": "f5", "gap": 14}]
+    mutated, report = apply_plan(base, plan)
+    _assert_causal_delivery(mutated)
+    assert report.skipped == plan and not report.crashed
+    assert mutated.canonical_bytes() == base.canonical_bytes()
+    # A window that ends before the node's first echo still applies.
+    mutated, report = apply_plan(
+        base, [{"op": "crash", "node": 4, "at": "f5", "gap": 2}]
+    )
+    _assert_causal_delivery(mutated)
+    assert report.crashed == {4}
+
+
 def test_budgets_respected(base_schedule):
     budget = MutationBudget(t=1, f=1)
     mutator = ScheduleMutator(base_schedule, budget)

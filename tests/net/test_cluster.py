@@ -74,15 +74,23 @@ class TestRealSocketDkg:
         assert result.public_key
 
     def test_added_latency_slows_but_completes(self) -> None:
-        fast = run_local_cluster(_config(), seed=5, time_scale=SCALE)
+        """Asserted on the delays injected, not on two wall times whose
+        gap shrinks whenever the DKG itself gets faster."""
+        drawn: list[float] = []
+
+        class Recorded(UniformDelay):
+            def sample(self, rng, sender, recipient) -> float:
+                drawn.append(super().sample(rng, sender, recipient))
+                return drawn[-1]
+
         slow = run_local_cluster(
-            _config(),
-            seed=5,
-            time_scale=SCALE,
-            delay_model=UniformDelay(1.0, 2.0),
+            _config(), seed=5, time_scale=SCALE, delay_model=Recorded(1.0, 2.0)
         )
-        assert fast.succeeded and slow.succeeded
-        assert slow.wall_seconds > fast.wall_seconds
+        assert slow.succeeded
+        # Every message sent was held back by at least one protocol
+        # time unit, and the session still completed.
+        assert len(drawn) == slow.metrics.messages_total > 0
+        assert min(drawn) >= 1.0
 
     def test_message_loss_with_retry(self) -> None:
         result = run_local_cluster(

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 from repro.crypto import schnorr
-from repro.dkg import DkgConfig, run_dkg
+from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
+from repro.dkg import DkgConfig, DkgNode, run_dkg
 from repro.sim.pki import CertificateAuthority, KeyStore
+from repro.vss.messages import SendMsg
 
 from tests.helpers import default_test_group
 
@@ -95,7 +97,17 @@ class TestVerifierCache:
 def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> None:
     """A count that needs no clock: n=4, t=1, every node verifies for
     itself (no verdict shared across nodes through the CA), and readies
-    arriving after a VSS session completed are not verified."""
+    arriving after a VSS session completed are not verified.
+
+    Before a node remembered what it had accepted the count was 100:
+    48 VSS readies on arrival (4 nodes x 4 sessions x n-t-f = 3), 24
+    certificate signatures (4 nodes x t+1 = 2 certificates x 3), 16 DKG
+    echoes and 12 DKG readies.  Now 59: a node's own ready is among the
+    first three in 13 of the 16 sessions (48 - 13 = 35), its own DKG
+    echo always (16 - 4 = 12), its own DKG ready twice (12 - 2 = 10),
+    and only 2 of the 24 certificate signatures were not already
+    accepted on arrival by the node checking the proposal.
+    """
     calls = []
     verify = CertificateAuthority.verify
 
@@ -106,4 +118,50 @@ def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> No
     monkeypatch.setattr(CertificateAuthority, "verify", counting)
     res = run_dkg(DkgConfig(n=4, t=1, group=default_test_group()), seed=7)
     assert res.succeeded
-    assert len(calls) == 100
+    assert len(calls) == 59
+
+
+def test_dkg_checks_points_in_the_field_unless_a_send_is_missing(monkeypatch) -> None:
+    """The twin count for commitments: the same seeded DKG runs
+    ``verify-poly`` once per (node, dealer) and never batches points in
+    the group; deny one node one dealer's ``send`` and exactly that
+    session verifies its points in the group instead."""
+    counts = {"verify_poly": 0, "batch_verify": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(FeldmanCommitment, "verify_poly")
+    counted(FeldmanVector, "batch_verify")
+    config = DkgConfig(n=4, t=1, group=default_test_group())
+
+    assert run_dkg(config, seed=7).succeeded
+    assert counts == {"verify_poly": 16, "batch_verify": 0}
+
+    class MissesOneSend(DkgNode):
+        def on_message(self, sender, payload, ctx):
+            if isinstance(payload, SendMsg) and payload.session.dealer == 3:
+                return
+            super().on_message(sender, payload, ctx)
+
+    def factory(i, config, keystore, ca):
+        return MissesOneSend(i, config, keystore, ca) if i == 2 else None
+
+    counts.update(verify_poly=0, batch_verify=0)
+    res = run_dkg(config, seed=7, node_factory=factory)
+    assert res.succeeded
+    assert counts == {"verify_poly": 15, "batch_verify": 2}
+    fell_back = {
+        (node.node_id, dealer)
+        for node in res.nodes.values()
+        for dealer, session in node.sessions.items()
+        for state in session._per_c.values()
+        if state.point_verifier is not None
+    }
+    assert fell_back == {(2, 3)}
