@@ -109,9 +109,8 @@ def measure_batched_verification(
     }
 
 
-def measure_signing(group, key, nonce, rounds: int = 5, seed: int = 16) -> dict:
-    """Threshold-Schnorr: partial generation + batched combine."""
-    rng = random.Random(seed)
+def measure_signing(group, key, nonce, rounds: int = 5) -> dict:
+    """Threshold-Schnorr: partial generation + verified combine."""
     message = b"bench-e15"
     t = key.nodes[1].config.t
     indices = sorted(key.nodes)[: 2 * t + 1]
@@ -144,9 +143,7 @@ def measure_signing(group, key, nonce, rounds: int = 5, seed: int = 16) -> dict:
     nonce_c = nonce.nodes[indices[0]].completed.commitment
 
     def combine() -> None:
-        sig = threshold_schnorr.combine(
-            group, message, partials, key_c, nonce_c, t, rng=rng
-        )
+        sig = threshold_schnorr.combine(group, message, partials, key_c, nonce_c, t)
         assert schnorr.verify(group, key.public_key, message, sig)
 
     combine_s = _time(combine, rounds)

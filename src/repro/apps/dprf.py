@@ -27,6 +27,7 @@ from repro.crypto import dleq
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.polynomials import lagrange_coefficients
+from repro.crypto.shares import lowest_valid
 
 
 @dataclass(frozen=True)
@@ -81,21 +82,21 @@ def combine(
     partials: list[PartialEval],
     t: int,
 ):
-    """Interpolate >= t+1 verified partials to the PRF value H1(tag)^s."""
-    valid: dict[int, int] = {}
-    for partial in partials:
-        if partial.index in valid:
-            continue
-        if verify_partial(group, tag, commitment, partial):
-            valid[partial.index] = partial.value
+    """Interpolate the t+1 lowest-index valid partials to the PRF value
+    H1(tag)^s; the rest are never verified (see :func:`lowest_valid`)."""
+    valid = lowest_valid(
+        partials,
+        group.q,
+        t + 1,
+        lambda partial: verify_partial(group, tag, commitment, partial),
+    )
     if len(valid) < t + 1:
         raise EvaluationError(
             f"need {t + 1} valid partial evaluations, have {len(valid)}"
         )
-    chosen = sorted(valid.items())[: t + 1]
-    lambdas = lagrange_coefficients([i for i, _ in chosen], 0, group.q)
+    lambdas = lagrange_coefficients(list(valid), 0, group.q)
     return group.multiexp(
-        (v, lam) for lam, (_, v) in zip(lambdas, chosen)
+        (partial.value, lam) for partial, lam in zip(valid.values(), lambdas)
     )
 
 

@@ -22,6 +22,7 @@ from repro.crypto import dleq
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.polynomials import lagrange_coefficients
+from repro.crypto.shares import lowest_valid
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,33 @@ def verify_partial(
     )
 
 
+def _shared_point(
+    group: AbstractGroup,
+    c1,
+    commitment: FeldmanCommitment | FeldmanVector,
+    partials: list[PartialDecryption],
+    t: int,
+):
+    """c1^s from the t+1 lowest-index valid partials; the rest are never
+    verified (see :func:`lowest_valid`)."""
+    ciphertext = Ciphertext(c1, group.identity)
+    valid = lowest_valid(
+        partials,
+        group.q,
+        t + 1,
+        lambda partial: verify_partial(group, ciphertext, commitment, partial),
+    )
+    if len(valid) < t + 1:
+        raise DecryptionError(
+            f"need {t + 1} valid partial decryptions, have {len(valid)}"
+        )
+    lambdas = lagrange_coefficients(list(valid), 0, group.q)
+    # c1^s = prod c1^{s_i * lambda_i}  (interpolation in the exponent)
+    return group.multiexp(
+        (partial.value, lam) for partial, lam in zip(valid.values(), lambdas)
+    )
+
+
 def combine(
     group: AbstractGroup,
     ciphertext: Ciphertext,
@@ -91,28 +119,13 @@ def combine(
     partials: list[PartialDecryption],
     t: int,
 ) -> int:
-    """Combine >= t+1 verified partials into the plaintext group element.
+    """Combine >= t+1 valid partials into the plaintext group element.
 
     Invalid partials (bad proofs — Byzantine contributions) are
     discarded; raises :class:`DecryptionError` if fewer than ``t + 1``
     valid ones remain.
     """
-    valid: dict[int, int] = {}
-    for partial in partials:
-        if partial.index in valid:
-            continue
-        if verify_partial(group, ciphertext, commitment, partial):
-            valid[partial.index] = partial.value
-    if len(valid) < t + 1:
-        raise DecryptionError(
-            f"need {t + 1} valid partial decryptions, have {len(valid)}"
-        )
-    chosen = sorted(valid.items())[: t + 1]
-    lambdas = lagrange_coefficients([i for i, _ in chosen], 0, group.q)
-    # c1^s = prod c1^{s_i * lambda_i}  (interpolation in the exponent)
-    c1_s = group.multiexp(
-        (value, lam) for lam, (_, value) in zip(lambdas, chosen)
-    )
+    c1_s = _shared_point(group, ciphertext.c1, commitment, partials, t)
     return group.mul(ciphertext.c2, group.inv(c1_s))
 
 
@@ -168,22 +181,7 @@ def decrypt_bytes_combine(
     t: int,
 ) -> bytes:
     """Combine partials and strip the KDF pad."""
-    as_elgamal = Ciphertext(ciphertext.c1, group.identity)
-    valid: dict[int, int] = {}
-    for partial in partials:
-        if partial.index in valid:
-            continue
-        if verify_partial(group, as_elgamal, commitment, partial):
-            valid[partial.index] = partial.value
-    if len(valid) < t + 1:
-        raise DecryptionError(
-            f"need {t + 1} valid partial decryptions, have {len(valid)}"
-        )
-    chosen = sorted(valid.items())[: t + 1]
-    lambdas = lagrange_coefficients([i for i, _ in chosen], 0, group.q)
-    shared = group.multiexp(
-        (value, lam) for lam, (_, value) in zip(lambdas, chosen)
-    )
+    shared = _shared_point(group, ciphertext.c1, commitment, partials, t)
     return bytes(
         a ^ b
         for a, b in zip(ciphertext.pad, _kdf(group, shared, len(ciphertext.pad)))

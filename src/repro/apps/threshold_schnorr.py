@@ -6,14 +6,19 @@ DKG instance (this is why the paper calls DKG the fundamental building
 block): the group runs an ephemeral DKG for ``k`` with public nonce
 point ``R = g^k``, each signer publishes the partial response
 ``z_i = k_i + c * s_i mod q`` where ``c = H(X || R || m)`` and ``k_i``,
-``s_i`` are its nonce and key shares, and any ``t + 1`` verified
+``s_i`` are its nonce and key shares, and any ``t + 1`` honest
 partials Lagrange-interpolate to the full response ``z`` with
 ``(c, z)`` an ordinary Schnorr signature under the group key ``X``.
 
 Partial responses are publicly verifiable against the Feldman
 commitments of both sharings: ``g^{z_i} == R_i * X_i^c`` where
 ``R_i = g^{k_i}`` and ``X_i = g^{s_i}`` are the per-node commitment
-evaluations.
+evaluations.  :func:`combine` does not start there: ``c`` depends on no
+partial and ``z`` is the one degree-``t`` interpolation at 0, so it
+interpolates first, verifies the *signature* once, and looks at the
+partials one by one only when that fails -- to find which to leave out.
+:func:`batch_verify` audits a whole set of partials for callers that
+want that; it is not on the signing path.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.crypto import schnorr
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.polynomials import lagrange_coefficients
-from repro.crypto.schnorr import Signature, _challenge
+from repro.crypto.shares import lowest_valid
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ def challenge(
     """The Fiat-Shamir challenge c = H(X || R || m) — identical to the
     single-signer scheme, so threshold signatures verify with the plain
     :func:`repro.crypto.schnorr.verify`."""
-    return _challenge(group, public_key, nonce_point, message)
+    return schnorr._challenge(group, public_key, nonce_point, message)
 
 
 def partial_sign(
@@ -121,10 +127,9 @@ def batch_verify(
         a_j = sum_i gamma_i * i^j  (scalar arithmetic only),
 
     so the whole batch costs O(t) exponentiations instead of the
-    O(n*t) of one-by-one verification — the serving layer's combine
-    hot path.  On mismatch it falls back to per-partial
-    :func:`verify_partial` to *identify* the bad signers rather than
-    just reject the batch.  Duplicate indices keep only the first
+    O(n*t) of one-by-one verification.  On mismatch it falls back to
+    per-partial :func:`verify_partial` to *identify* the bad signers
+    rather than just reject the batch.  Duplicate indices keep only the first
     occurrence (a duplicate with a different response would otherwise
     let one signer spoil the combination).
     """
@@ -174,6 +179,15 @@ def batch_verify(
     return valid, bad
 
 
+def _interpolate(
+    group: AbstractGroup, c: int, points: list[tuple[int, PartialSignature]]
+) -> schnorr.Signature:
+    """(c, z) with z the interpolation at 0 of ``(x_i, z_i)`` points."""
+    lambdas = lagrange_coefficients([x for x, _ in points], 0, group.q)
+    z = sum(lam * p.response for lam, (_, p) in zip(lambdas, points)) % group.q
+    return schnorr.Signature(c, z)
+
+
 def combine(
     group: AbstractGroup,
     message: bytes,
@@ -181,37 +195,50 @@ def combine(
     key_commitment: FeldmanCommitment | FeldmanVector,
     nonce_commitment: FeldmanCommitment | FeldmanVector,
     t: int,
-    rng: random.Random | None = None,
-) -> Signature:
-    """Interpolate >= t+1 verified partials into a standard signature.
+    *,
+    rejected: list[int] | None = None,
+) -> schnorr.Signature:
+    """Interpolate ``t + 1`` partials into a signature that verifies
+    under the group key, or raise :class:`SigningError`.
 
-    Byzantine partials are filtered by :func:`verify_partial` — or, when
-    ``rng`` is supplied, by one :func:`batch_verify` pass (the serving
-    hot path); raises :class:`SigningError` when fewer than ``t + 1``
-    valid ones remain.
+    The result is checked, not the parts: the ``t + 1`` lowest-index
+    partials are interpolated and the signature verified once.  Only
+    when that fails is every partial put through :func:`verify_partial`;
+    the signers that fail it are appended to ``rejected`` (when given)
+    and the ``t + 1`` lowest-index survivors are interpolated and
+    verified again.  A partial outside the lowest ``t + 1`` is therefore
+    never looked at unless one inside them is bad.
+
+    Signers are told apart, and named in ``rejected``, by ``index mod q``
+    -- where the commitments evaluate -- keeping each signer's first
+    partial; an index that is 0 mod q names no signer (that "share" is
+    the secret) and is dropped (:func:`repro.crypto.shares.lowest_valid`).
     """
-    valid: dict[int, int] = {}
-    if rng is not None:
-        for partial in batch_verify(
-            group, message, partials, key_commitment, nonce_commitment, rng
-        )[0]:
-            valid[partial.index] = partial.response
-    else:
-        for partial in partials:
-            if partial.index in valid:
-                continue
-            if verify_partial(
-                group, message, partial, key_commitment, nonce_commitment
-            ):
-                valid[partial.index] = partial.response
+    # Every partial "valid": lowest_valid is the one holder of the
+    # signer-identity rule, and here it only deduplicates.
+    points = list(
+        lowest_valid(partials, group.q, len(partials), lambda p: True).items()
+    )
+    if len(points) < t + 1:
+        raise SigningError(
+            f"need {t + 1} partial signatures, have {len(points)}"
+        )
+    public_key = key_commitment.public_key()
+    c = challenge(group, public_key, nonce_commitment.public_key(), message)
+    signature = _interpolate(group, c, points[: t + 1])
+    if schnorr.verify(group, public_key, message, signature):
+        return signature
+    valid = []
+    for x, partial in points:
+        if verify_partial(group, message, partial, key_commitment, nonce_commitment):
+            valid.append((x, partial))
+        elif rejected is not None:
+            rejected.append(x)
     if len(valid) < t + 1:
         raise SigningError(
             f"need {t + 1} valid partial signatures, have {len(valid)}"
         )
-    chosen = sorted(valid.items())[: t + 1]
-    lambdas = lagrange_coefficients([i for i, _ in chosen], 0, group.q)
-    z = sum(lam * resp for lam, (_, resp) in zip(lambdas, chosen)) % group.q
-    c = challenge(
-        group, key_commitment.public_key(), nonce_commitment.public_key(), message
-    )
-    return Signature(c, z)
+    signature = _interpolate(group, c, valid[: t + 1])
+    if not schnorr.verify(group, public_key, message, signature):
+        raise SigningError("combined signature failed verification")
+    return signature

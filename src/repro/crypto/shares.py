@@ -11,8 +11,9 @@ interpolate at 0.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import Any
 
 from repro.crypto.feldman import (
     FeldmanCommitment,
@@ -156,3 +157,29 @@ def reconstruct_raw(
     node that validated ready messages via verify-point).
     """
     return interpolate_at(list(points), 0, q)
+
+
+def lowest_valid(
+    partials: Iterable[Any], q: int, need: int, is_valid: Callable[[Any], bool]
+) -> dict[int, Any]:
+    """The ``need`` lowest-index valid partials, as ``{index mod q: partial}``
+    in index order -- fewer if the input runs out.
+
+    Anything with an ``index`` attribute is walked in index order and put
+    to ``is_valid`` only until ``need`` have passed: a threshold combine
+    interpolates that many and the rest could not change its output.
+    Signers are told apart by ``index mod q`` -- where a commitment
+    evaluates -- so a partial relabelled ``i + q`` is signer ``i`` again
+    (the first valid one is kept), and an index that is 0 mod q names no
+    signer: that "share" would be the secret itself.
+    """
+    chosen: dict[int, Any] = {}
+    for partial in sorted(partials, key=lambda p: p.index % q):
+        x = partial.index % q
+        if x == 0 or x in chosen:
+            continue
+        if is_valid(partial):
+            chosen[x] = partial
+            if len(chosen) == need:
+                break
+    return chosen

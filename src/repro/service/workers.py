@@ -14,9 +14,11 @@ ascribes to rebooted nodes (§2.2).
 group key with one DKG, builds a worker per member, attaches the
 presignature pool (:mod:`repro.service.presig`) and the randomness
 beacon chain, and exposes the operation handlers the frontend gateway
-fans requests out to.  Every threshold combine on the signing path
-verifies partials in batch (:func:`repro.apps.threshold_schnorr.batch_verify`)
-rather than one by one.
+fans requests out to.  The signing path verifies the signature, not
+the partials: :func:`repro.apps.threshold_schnorr.combine` interpolates,
+checks the result once under the group key, and examines partials one by
+one only when that check fails; the signers it then rejects are counted
+in ``repro_service_bad_partials_total``.
 """
 
 from __future__ import annotations
@@ -363,7 +365,9 @@ class ThresholdService:
         self.logger = get_logger(
             "repro.service.workers", n=config.n, t=config.t
         )
-        self._combine_rng = random.Random(("svc-combine", config.seed).__repr__())
+        # The seed string is older than the name; changing it would change
+        # the share-check weights.
+        self._share_check_rng = random.Random(("svc-combine", config.seed).__repr__())
         self._beacon_lock = asyncio.Lock()
         self._forge_gate = asyncio.Semaphore(max(1, config.forge_concurrency))
         # The forge's process pool (None = serial).  Created and warmed
@@ -493,7 +497,7 @@ class ThresholdService:
         # that would later produce an unusable partial is caught here,
         # off the request path, with the culprit identified.
         _good, bad = share_verifier(presig.commitment).batch_verify(
-            list(shares.items()), rng=self._combine_rng
+            list(shares.items()), rng=self._share_check_rng
         )
         if bad:
             raise RuntimeError(
@@ -524,12 +528,21 @@ class ThresholdService:
         if presig is None:
             async with self._forge_gate:
                 presig = await self.pool.forge_now()
-        partials = await collect_partials(
-            list(self.workers.values()),
-            lambda w: w.partial_sign(presig.presig_id, presig.nonce_point, message),
-            self.t + 1,
-        )
+
+        async def ask(worker: SignerWorker) -> tuple[int, PartialSignature]:
+            return worker.index, await worker.partial_sign(
+                presig.presig_id, presig.nonce_point, message
+            )
+
+        answers = await collect_partials(list(self.workers.values()), ask, self.t + 1)
+        # A worker answers for itself only: a partial under another index
+        # is dropped and charged to the worker that sent it, so it can
+        # neither shadow that signer's own partial nor get it blamed.
+        partials = [partial for index, partial in answers if partial.index == index]
+        rejected = [index for index, partial in answers if partial.index != index]
         try:
+            # Returns a signature that verifies under the group key as an
+            # ordinary single-signer Schnorr signature, or raises.
             signature = threshold_schnorr.combine(
                 self.group,
                 message,
@@ -537,15 +550,34 @@ class ThresholdService:
                 self.key_commitment,
                 presig.commitment,
                 self.t,
-                rng=self._combine_rng,
+                rejected=rejected,
             )
         except threshold_schnorr.SigningError as exc:
             raise ServiceUnavailable(str(exc)) from exc
-        # Defense in depth: what leaves the service must verify as an
-        # ordinary single-signer Schnorr signature.
-        if not schnorr.verify(self.group, self.public_key, message, signature):
-            raise RuntimeError("combined signature failed verification")
+        finally:
+            if rejected:
+                self._charge_bad_partials(presig.presig_id, rejected)
         return signature, from_pool
+
+    def _charge_bad_partials(self, presig_id: int, indices: list[int]) -> None:
+        # Counted and logged, and nothing more.  In particular NOT
+        # PresigPool.invalidate(index): that discards every pooled
+        # presignature the node contributed to (all of them, when every
+        # member deals), so one bad partial per request would cost a
+        # whole pool of nonce DKGs -- a denial-of-service amplifier
+        # handed to exactly the signer being charged.
+        for index in indices:
+            obs_metrics.counter_inc(
+                "repro_service_bad_partials_total",
+                help="partial signatures that failed verification, by signer",
+                node=index,
+                **self._labels,
+            )
+        self.logger.warning(
+            "presignature %d: bad partial signatures from nodes %s",
+            presig_id,
+            sorted(indices),
+        )
 
     async def beacon_next(self) -> BeaconRound:
         """Advance the beacon chain by one round (serialized: rounds

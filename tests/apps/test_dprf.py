@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.apps import dprf
 from repro.dkg import DkgConfig, run_dkg
 
-from tests.helpers import default_test_group
+from tests.helpers import default_test_group, record_calls
 
 G = default_test_group()
 
@@ -68,6 +69,43 @@ class TestDprf:
     def test_too_few_partials_raises(self, dkg) -> None:
         with pytest.raises(dprf.EvaluationError):
             dprf.combine(G, b"t", dkg.commitment, [], t=2)
+
+    def test_aliased_index_is_one_signer(self, dkg) -> None:
+        # The commitment evaluates at index mod q: signer 1's partial
+        # relabelled 1 + q verifies but is still signer 1, and q itself
+        # (the secret's own index) is no signer.
+        rng = random.Random(7)
+        tag = b"alias"
+        p1, p2, p3 = (
+            dprf.partial_eval(G, tag, i, dkg.shares[i], rng) for i in (1, 2, 3)
+        )
+        alias = dataclasses.replace(p1, index=1 + G.q)
+        zero = dataclasses.replace(p1, index=G.q)
+        assert dprf.verify_partial(G, tag, dkg.commitment, alias)
+        with pytest.raises(dprf.EvaluationError):
+            dprf.combine(G, tag, dkg.commitment, [p1, alias, zero, p2], t=2)
+        value = dprf.combine(G, tag, dkg.commitment, [alias, zero, p2, p3], t=2)
+        assert value == G.power(dprf.input_point(G, tag), dkg.reconstruct())
+
+    def test_verifies_only_the_partials_it_interpolates(
+        self, dkg, monkeypatch
+    ) -> None:
+        rng = random.Random(8)
+        tag = b"count"
+        partials = [
+            dprf.partial_eval(G, tag, i, dkg.shares[i], rng) for i in range(1, 8)
+        ]
+        rng.shuffle(partials)
+        calls = record_calls(monkeypatch, dprf, "verify_partial")
+        oracle = G.power(dprf.input_point(G, tag), dkg.reconstruct())
+        assert dprf.combine(G, tag, dkg.commitment, partials, t=2) == oracle
+        assert [args[3].index for args in calls] == [1, 2, 3]
+        # A bad partial at the lowest index costs exactly one more.
+        del calls[:]
+        bad = dprf.partial_eval(G, tag, 1, dkg.shares[1] + 1, rng)
+        partials = [bad] + [p for p in partials if p.index != 1]
+        assert dprf.combine(G, tag, dkg.commitment, partials, t=2) == oracle
+        assert [args[3].index for args in calls] == [1, 2, 3, 4]
 
     def test_prf_bytes_deterministic_and_sized(self, dkg) -> None:
         value = G.commit(5)

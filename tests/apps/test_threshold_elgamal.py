@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.apps import threshold_elgamal as eg
 from repro.dkg import DkgConfig, run_dkg
 
-from tests.helpers import default_test_group
+from tests.helpers import default_test_group, record_calls
 
 G = default_test_group()
 
@@ -77,6 +78,43 @@ class TestElementEncryption:
         ]
         with pytest.raises(eg.DecryptionError):
             eg.combine(G, ct, dkg.commitment, bad, t=2)
+
+    def test_aliased_index_is_one_signer(self, dkg) -> None:
+        # The commitment evaluates at index mod q: signer 1's partial
+        # relabelled 1 + q verifies but is still signer 1, and q itself
+        # (the secret's own index) is no signer.
+        rng = random.Random(12)
+        message = G.commit(4242)
+        ct = eg.encrypt(G, dkg.public_key, message, rng)
+        p1, p2, p3 = (
+            eg.partial_decrypt(G, ct, i, dkg.shares[i], rng) for i in (1, 2, 3)
+        )
+        alias = dataclasses.replace(p1, index=1 + G.q)
+        zero = dataclasses.replace(p1, index=G.q)
+        assert eg.verify_partial(G, ct, dkg.commitment, alias)
+        with pytest.raises(eg.DecryptionError):
+            eg.combine(G, ct, dkg.commitment, [p1, alias, zero, p2], t=2)
+        assert eg.combine(G, ct, dkg.commitment, [alias, zero, p2, p3], t=2) == message
+
+    def test_verifies_only_the_partials_it_interpolates(
+        self, dkg, monkeypatch
+    ) -> None:
+        rng = random.Random(13)
+        message = G.commit(2024)
+        ct = eg.encrypt(G, dkg.public_key, message, rng)
+        partials = [
+            eg.partial_decrypt(G, ct, i, dkg.shares[i], rng) for i in range(1, 8)
+        ]
+        rng.shuffle(partials)
+        calls = record_calls(monkeypatch, eg, "verify_partial")
+        assert eg.combine(G, ct, dkg.commitment, partials, t=2) == message
+        assert [args[3].index for args in calls] == [1, 2, 3]
+        # A bad partial at the lowest index costs exactly one more.
+        del calls[:]
+        bad = eg.partial_decrypt(G, ct, 1, dkg.shares[1] + 1, rng)
+        partials = [bad] + [p for p in partials if p.index != 1]
+        assert eg.combine(G, ct, dkg.commitment, partials, t=2) == message
+        assert [args[3].index for args in calls] == [1, 2, 3, 4]
 
     def test_non_element_message_rejected(self, dkg) -> None:
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.apps import threshold_schnorr as ts
 from repro.crypto import schnorr
 from repro.dkg import DkgConfig, run_dkg
 
-from tests.helpers import default_test_group
+from tests.helpers import default_test_group, record_calls
 
 G = default_test_group()
 
@@ -158,21 +158,117 @@ class TestThresholdSchnorr:
             random.Random(4),
         ) == ([], [])
 
-    def test_combine_batch_path_matches_sequential(self, key_dkg, nonce_dkg) -> None:
+    def test_forged_partial_inside_quorum_filtered(
+        self, key_dkg, nonce_dkg
+    ) -> None:
+        # Index 2 is among the t+1 lowest, so the first interpolation
+        # fails and the per-partial filter has to leave it out.
         message = b"same signature either way"
-        partials = _partials(key_dkg, nonce_dkg, message, (2, 4, 6, 7))
+        partials = _partials(key_dkg, nonce_dkg, message, (1, 4, 6, 7))
+        forged = ts.PartialSignature(2, 99)
+        rejected: list[int] = []
+        sig = ts.combine(
+            G, message, partials + [forged],
+            key_dkg.commitment, nonce_dkg.commitment, t=2, rejected=rejected,
+        )
+        honest = ts.combine(
+            G, message, partials[:3],
+            key_dkg.commitment, nonce_dkg.commitment, t=2,
+        )
+        assert sig == honest
+        assert rejected == [2]
+        assert schnorr.verify(G, key_dkg.public_key, message, sig)
+
+    def test_forged_partial_outside_lowest_quorum_is_never_looked_at(
+        self, key_dkg, nonce_dkg, monkeypatch
+    ) -> None:
+        message = b"verify the result, not the parts"
+        partials = _partials(key_dkg, nonce_dkg, message, (1, 2, 3, 6))
         forged = ts.PartialSignature(5, 99)
-        sequential = ts.combine(
+        calls = record_calls(monkeypatch, ts, "verify_partial")
+        rejected: list[int] = []
+        sig = ts.combine(
             G, message, partials + [forged],
+            key_dkg.commitment, nonce_dkg.commitment, t=2, rejected=rejected,
+        )
+        assert calls == [] and rejected == []
+        assert sig == ts.combine(
+            G, message, partials[:3],
             key_dkg.commitment, nonce_dkg.commitment, t=2,
         )
-        batched = ts.combine(
-            G, message, partials + [forged],
+
+    def test_t_byzantine_partials_are_absorbed_t_plus_one_are_not(
+        self, key_dkg, nonce_dkg
+    ) -> None:
+        message = b"resilience"
+        honest = _partials(key_dkg, nonce_dkg, message, (3, 4, 5))
+        liars = [ts.PartialSignature(i, 7 + i) for i in (1, 2)]
+        sig = ts.combine(
+            G, message, liars + honest,
             key_dkg.commitment, nonce_dkg.commitment, t=2,
-            rng=random.Random(5),
         )
-        assert batched == sequential
-        assert schnorr.verify(G, key_dkg.public_key, message, batched)
+        assert schnorr.verify(G, key_dkg.public_key, message, sig)
+        rejected: list[int] = []
+        with pytest.raises(ts.SigningError):
+            ts.combine(
+                G, message, liars + [ts.PartialSignature(3, 11)] + honest[1:],
+                key_dkg.commitment, nonce_dkg.commitment, t=2, rejected=rejected,
+            )
+        assert rejected == [1, 2, 3]
+
+    def test_duplicate_index_keeps_first_occurrence(
+        self, key_dkg, nonce_dkg, monkeypatch
+    ) -> None:
+        message = b"dup"
+        partials = _partials(key_dkg, nonce_dkg, message, (1, 2, 3, 4))
+        spoiler = ts.PartialSignature(1, (partials[0].response + 1) % G.q)
+        honest = ts.combine(
+            G, message, partials, key_dkg.commitment, nonce_dkg.commitment, t=2
+        )
+        # Honest first: the spoiler is shadowed and nothing is filtered.
+        calls = record_calls(monkeypatch, ts, "verify_partial")
+        assert honest == ts.combine(
+            G, message, partials + [spoiler],
+            key_dkg.commitment, nonce_dkg.commitment, t=2,
+        )
+        assert calls == []
+        # Spoiler first: it shadows signer 1's honest partial, so the
+        # fallback runs and rejects signer 1 without consulting the copy.
+        rejected: list[int] = []
+        assert honest == ts.combine(
+            G, message, [spoiler] + partials,
+            key_dkg.commitment, nonce_dkg.commitment, t=2, rejected=rejected,
+        )
+        assert rejected == [1]
+        assert [args[2].index for args in calls] == [1, 2, 3, 4]
+
+    def test_aliased_index_is_one_signer(self, key_dkg, nonce_dkg) -> None:
+        # The commitments evaluate at index mod q, so signer 1's partial
+        # relabelled 1 + q verifies -- it must not count as a second
+        # signer, and q itself (the secret's own index) as none at all.
+        message = b"alias"
+        p1, p2 = _partials(key_dkg, nonce_dkg, message, (1, 2))
+        alias = ts.PartialSignature(1 + G.q, p1.response)
+        zero = ts.PartialSignature(G.q, 5)
+        with pytest.raises(ts.SigningError):
+            ts.combine(
+                G, message, [p1, alias, zero, p2],
+                key_dkg.commitment, nonce_dkg.commitment, t=2,
+            )
+        p3, p4 = _partials(key_dkg, nonce_dkg, message, (3, 4))
+        sig = ts.combine(
+            G, message, [alias, zero, p1, p2, p3],
+            key_dkg.commitment, nonce_dkg.commitment, t=2,
+        )
+        assert schnorr.verify(G, key_dkg.public_key, message, sig)
+        # A forged partial under an alias is charged to the signer it is.
+        forged = ts.PartialSignature(1 + G.q, (p1.response + 1) % G.q)
+        rejected: list[int] = []
+        assert sig == ts.combine(
+            G, message, [forged, p2, p3, p4],
+            key_dkg.commitment, nonce_dkg.commitment, t=2, rejected=rejected,
+        )
+        assert rejected == [1]
 
     def test_fresh_nonce_prevents_key_recovery(self, key_dkg, nonce_dkg) -> None:
         nonce2 = run_dkg(DkgConfig(n=7, t=2, f=0, group=G), seed=300)

@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.apps import PartialSignature
 from repro.crypto.groups import group_by_name, toy_group
 
 TEST_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "modp")
@@ -79,3 +80,36 @@ class StubContext:
     def clear(self) -> None:
         self.sent.clear()
         self.outputs.clear()
+
+
+def make_worker_lie(worker):
+    """Make one service ``SignerWorker`` Byzantine: every partial
+    signature it returns is ``response + 1``.  Returns the undo."""
+    honest = worker.partial_sign
+
+    async def lying(presig_id, nonce_point, message):
+        partial = await honest(presig_id, nonce_point, message)
+        return PartialSignature(
+            partial.index, (partial.response + 1) % worker.group.q
+        )
+
+    worker.partial_sign = lying
+
+    def stop_lying() -> None:
+        del worker.partial_sign  # the class's method shows through again
+
+    return stop_lying
+
+
+def record_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name`` for the test's duration; returns the list
+    that collects the positional arguments of every call to it."""
+    real = getattr(owner, name)
+    calls: list[tuple] = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
