@@ -34,6 +34,7 @@ from contextlib import contextmanager
 from repro.crypto.backend import element_hex
 from repro.crypto.groups import BACKENDS, group_by_name
 from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
+from repro.crypto.parallel import resolve_cores
 from repro.dkg import DkgConfig, run_dkg
 from repro.proactive import ProactiveSystem
 from repro.sim.adversary import Adversary
@@ -93,33 +94,14 @@ def _trace_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cores_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cores", type=int, default=1, metavar="N",
-        help="process-pool width for batchable crypto: 1 = serial "
-             "(default), 0 = all cores, N = explicit.  Parallelism "
-             "never changes protocol transcripts",
-    )
-
-
-@contextmanager
-def _crypto_pool(args: argparse.Namespace):
-    """Install the ambient :class:`CryptoExecutor` for the wrapped run
-    (no-op at --cores 1, the default)."""
-    from repro.crypto import parallel
-
-    cores = getattr(args, "cores", 1)
-    if parallel.resolve_cores(cores) <= 1:
-        yield None
-        return
-    executor = parallel.CryptoExecutor(cores=cores)
-    executor.warm()
-    previous = parallel.set_executor(executor)
+def _cores(value: str) -> int:
+    """``--cores`` type: a non-negative width (0 = all cores)."""
+    cores = int(value)
     try:
-        yield executor
-    finally:
-        parallel.set_executor(previous)
-        executor.close()
+        resolve_cores(cores)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return cores
 
 
 @contextmanager
@@ -176,10 +158,7 @@ def cmd_dkg(args: argparse.Namespace) -> int:
         group=_group(args), codec=_codec(args),
     )
     with _flight_recorder(args, "dkg", transport="sim", config=config, tau=0):
-        with _crypto_pool(args):
-            result = run_dkg(
-                config, seed=args.seed, reconstruct=args.reconstruct
-            )
+        result = run_dkg(config, seed=args.seed, reconstruct=args.reconstruct)
     payload = {
         "succeeded": result.succeeded,
         "q_set": list(result.q_set),
@@ -405,15 +384,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             base=delay_model, drop_probability=args.drop
         )
     with _flight_recorder(args, "cluster", transport="tcp", config=config, tau=0):
-        with _crypto_pool(args):
-            result = run_local_cluster(
-                config,
-                seed=args.seed,
-                delay_model=delay_model,
-                time_scale=args.time_scale,
-                crash_plan=args.crash,
-                timeout=args.timeout,
-            )
+        result = run_local_cluster(
+            config,
+            seed=args.seed,
+            delay_model=delay_model,
+            time_scale=args.time_scale,
+            crash_plan=args.crash,
+            timeout=args.timeout,
+        )
     payload = {
         "transport": "asyncio-tcp",
         "succeeded": result.succeeded,
@@ -479,12 +457,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _serve_shards(args, config)
 
     async def _main() -> dict:
-        from repro.crypto import parallel
-
         service = ThresholdService(config)
-        # One pool serves both the forge fan-out and (as the ambient
-        # executor) any large batched verification on the combine path.
-        previous_executor = parallel.set_executor(service.crypto_executor)
         await service.start()
         frontend = ServiceFrontend(
             service, host=args.host, port=args.port, max_queue=args.max_queue
@@ -524,7 +497,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 await metrics_server.stop()
             await frontend.stop()
             await service.stop()
-            parallel.set_executor(previous_executor)
         return {
             "address": f"{frontend.host}:{frontend.port}",
             "metrics_address": (
@@ -653,8 +625,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.obs.replay import ReplayError, TruncatedCaptureError, replay_file
 
     try:
-        with _crypto_pool(args):
-            result = replay_file(args.capture)
+        result = replay_file(args.capture)
     except (ReplayError, OSError) as exc:
         # A structured, machine-readable failure: the fuzzer's
         # reproducer-emit path makes truncated/partial JSONL captures a
@@ -844,7 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dkg = sub.add_parser("dkg", help="run one DKG session")
     _common_args(p_dkg)
-    _cores_arg(p_dkg)
     p_dkg.add_argument("--reconstruct", action="store_true",
                        help="also run protocol Rec afterwards")
     _trace_arg(p_dkg)
@@ -912,7 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster", help="run one DKG over real asyncio TCP on localhost"
     )
     _common_args(p_cluster)
-    _cores_arg(p_cluster)
     p_cluster.add_argument(
         "--time-scale", type=float, default=0.02,
         help="wall seconds per protocol time unit (timers and delays)",
@@ -941,7 +910,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the client-facing threshold service over TCP"
     )
     _common_args(p_serve)
-    _cores_arg(p_serve)
+    p_serve.add_argument(
+        "--cores", type=_cores, default=1, metavar="N",
+        help="process-pool width for the presignature forge: 1 = serial "
+             "(default), 0 = all cores, N = explicit",
+    )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=int, default=7710, help="listen port (0 = ephemeral)"
@@ -987,7 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and verify the transcript hash",
     )
     p_replay.add_argument("capture", help="capture file from --trace-out")
-    _cores_arg(p_replay)
     p_replay.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )

@@ -34,13 +34,7 @@ from repro.crypto.groups import (
     small_group,
     toy_group,
 )
-from repro.crypto.parallel import (
-    CryptoExecutor,
-    acceleration_status,
-    active_executor,
-    executor_scope,
-    set_executor,
-)
+from repro.crypto.parallel import CryptoExecutor, acceleration_status
 from repro.crypto.pedersen import PedersenCommitment, PedersenShare, deal_pedersen
 from repro.crypto.polynomials import (
     Polynomial,
@@ -63,9 +57,6 @@ __all__ = [
     "CryptoExecutor",
     "DleqProof",
     "acceleration_status",
-    "active_executor",
-    "executor_scope",
-    "set_executor",
     "FeldmanCommitment",
     "FeldmanVector",
     "FixedBaseTable",

@@ -35,7 +35,7 @@ import random
 from collections.abc import Sequence
 from typing import Any, Protocol, runtime_checkable
 
-from repro.crypto import metering, parallel
+from repro.crypto import metering
 from repro.obs import metrics as obs_metrics
 
 
@@ -190,31 +190,9 @@ class BatchedClaimVerifier:
             if self.check_one(index, value):
                 return batch, []
             return [], [index]
-        # One salt draw regardless of execution mode: the parallel path
-        # derives per-chunk salts from this single draw, so the caller's
-        # rng stream — and therefore seeded transcripts — are identical
-        # whether or not a process pool is installed.
+        # Exactly one salt draw per multi-claim batch: seeded transcripts
+        # (and the pinned capture digests) depend on this rng stream.
         salt = rng.getrandbits(128)
-        executor = parallel.active_executor()
-        if executor is not None and executor.wants_claims(len(batch)):
-            result = executor.verify_claims(
-                self.group, self.entries, self.base, batch, salt
-            )
-            if result is not None:
-                return result
-        good, bad, _ = self.verify_salted(batch, salt)
-        return good, bad
-
-    def verify_salted(
-        self, batch: list[tuple[int, int]], salt: int
-    ) -> tuple[list[tuple[int, int]], list[int], bool]:
-        """The serial RLC check over an already-deduplicated batch with
-        an explicit weight salt; returns ``(good, bad, fell_back)``.
-
-        This is also the in-worker body of one parallel chunk (see
-        :mod:`repro.crypto.parallel`): per-item fallback runs inside
-        the chunk, so Byzantine claims still pinpoint their senders.
-        """
         group = self.group
         q = group.q
         lhs_exp = 0
@@ -236,7 +214,7 @@ class BatchedClaimVerifier:
                 backend=backend,
                 outcome="batch_ok",
             )
-            return batch, [], False
+            return batch, []
         obs_metrics.counter_inc(
             metering.BATCH_VERIFY,
             help="batch-verify outcomes",
@@ -250,4 +228,4 @@ class BatchedClaimVerifier:
                 good.append((index, value))
             else:
                 bad.append(index)
-        return good, bad, True
+        return good, bad

@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.crypto import metering, parallel
+from repro.crypto import metering
 from repro.crypto.multiexp import (
     COMB_TEETH,
     PIPPENGER_CUTOFF,
@@ -773,13 +773,6 @@ class EcGroup:
 
     def multiexp(self, pairs) -> EcPoint:
         metering.EC.multiexp += 1
-        executor = parallel.active_executor()
-        if executor is not None and executor.parallel:
-            pairs = list(pairs)
-            if executor.wants_terms(len(pairs)):
-                result = executor.multiexp(self, pairs)
-                if result is not None:
-                    return result
         return ec_multiexp(pairs)
 
     def fixed_base(self, base: EcPoint) -> EcFixedBaseTable:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.crypto.intops import invert, powmod
-from repro.crypto import metering, parallel
+from repro.crypto import metering
 from repro.crypto.multiexp import (
     CombPair,
     SharedBases,
@@ -123,16 +123,8 @@ class SchnorrGroup:
     # -- multiexp engines (the backend-generic entry points) -----------------
 
     def multiexp(self, pairs) -> int:
-        """``prod_i base_i^{exp_i}`` via the shared-squaring-chain engine;
-        very large claim sets fan out across the ambient process pool."""
+        """``prod_i base_i^{exp_i}`` via the shared-squaring-chain engine."""
         metering.MODP.multiexp += 1
-        executor = parallel.active_executor()
-        if executor is not None and executor.parallel:
-            pairs = list(pairs)
-            if executor.wants_terms(len(pairs)):
-                result = executor.multiexp(self, pairs)
-                if result is not None:
-                    return result
         return multiexp(pairs, self.p, self.q)
 
     def fixed_base(self, base: int):

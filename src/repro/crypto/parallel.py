@@ -1,56 +1,33 @@
-"""Process-pool crypto executor: fan the batchable hot paths across cores.
+"""Process-pool crypto executor behind the presignature forge.
 
-BENCH_e14/e15 show the system is arithmetic-bound: one node saturates
-one core while batched verification, large multiexps and whole-deficit
-presignature forging are embarrassingly parallel over independent
-claims.  This module is the seam that lets the effect-interpreter side
-of the sans-I/O split use every core without touching the protocol
-machines:
+Whole-deficit presignature forging is embarrassingly parallel over
+independent nonce DKGs, and it is the one fan-out that measurably pays
+(``BENCH_e18.json``): protocol-sized verification batches and multiexps
+are far too small to amortize the IPC.  :class:`ThresholdService
+<repro.service.workers.ThresholdService>` owns one
+:class:`CryptoExecutor` when configured with ``cores > 1`` and maps
+forge chunks over it with :meth:`CryptoExecutor.map_jobs`.
 
-* :class:`CryptoExecutor` owns a lazy :class:`ProcessPoolExecutor` and
-  exposes the three fan-out shapes — chunked randomized-linear-
-  combination verification (:meth:`CryptoExecutor.verify_claims`),
-  chunked multi-exponentiation (:meth:`CryptoExecutor.multiexp`), and a
-  generic ordered parallel map (:meth:`CryptoExecutor.map_jobs`) used
-  by the service forge and the benchmarks;
+* :class:`CryptoExecutor` owns a lazy :class:`ProcessPoolExecutor`;
 * work crosses the process boundary in picklable form: group parameters
   travel as small spec tuples (rebuilt per worker through an
-  ``lru_cache``, so fixed-base tables stay warm across chunks), entry
-  vectors and results as the canonical group serialization, and claims
-  as plain ``(index, value)`` int pairs;
+  ``lru_cache``, so fixed-base tables stay warm across chunks) and
+  results in the canonical group serialization;
 * every fan-out degrades serially: ``cores <= 1`` disables the pool, a
-  failed chunk falls back to the in-process path for that call, and a
-  broken pool (killed worker, fork failure) permanently degrades the
-  executor to serial — callers never see an exception, only the same
-  results slower.
-
-Determinism contract: parallelism never changes protocol transcripts.
-The chunked verifier consumes exactly one 128-bit salt from the
-caller's rng — the same single draw as the serial path — and derives
-per-chunk salts by hashing, and chunk partitioning is contiguous, so
-``(good, bad)`` results are identical to serial verification (per-item
-fallback still pinpoints Byzantine senders, now localized to the
-offending chunk).
-
-The ambient-executor pattern mirrors :func:`repro.obs.metrics.set_registry`:
-drivers and services install an executor for a scope
-(:func:`executor_scope`), hot paths consult :func:`active_executor` and
-run serially when none is installed.
+  failed chunk makes :meth:`~CryptoExecutor.map_jobs` return ``None``
+  for that call (the caller runs its serial path), and a broken pool
+  (killed worker, fork failure) permanently degrades the executor to
+  serial — callers never see an exception, only the same results slower.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
-
 from functools import lru_cache
+from typing import Any, Callable, Sequence
 
-from repro.crypto import metering
 from repro.obs import metrics as obs_metrics
 
 # Metric names (see repro.obs.metrics):
@@ -58,13 +35,6 @@ CHUNKS_TOTAL = "repro_crypto_parallel_chunks_total"
 WORKERS_GAUGE = "repro_crypto_parallel_workers"
 INFLIGHT_GAUGE = "repro_crypto_parallel_inflight_chunks"
 CHUNK_SECONDS = "repro_crypto_parallel_chunk_seconds"
-
-# Engagement thresholds.  Below these sizes the fan-out costs more in
-# IPC + per-chunk RLC overhead than it saves; protocol-sized batches
-# (n <= 25 claims) stay on the serial path by default, which also keeps
-# the parallel path out of the way of seeded unit tests.
-MIN_CLAIMS = 32
-MIN_TERMS = 600
 
 
 def available_cpus() -> int:
@@ -76,10 +46,13 @@ def available_cpus() -> int:
 
 
 def resolve_cores(cores: int | None) -> int:
-    """``--cores`` semantics: ``None``/``1`` serial, ``0`` = all cores."""
+    """``--cores`` semantics: ``None``/``1`` serial, ``0`` = all cores;
+    negative widths are rejected rather than read as "all cores"."""
     if cores is None:
         return 1
-    if cores <= 0:
+    if cores < 0:
+        raise ValueError(f"cores must be >= 0 (0 = all cores), got {cores}")
+    if cores == 0:
         return max(1, available_cpus())
     return cores
 
@@ -111,8 +84,8 @@ def group_from_spec(spec: tuple) -> Any:
 def partition(items: Sequence[Any], parts: int) -> list[list[Any]]:
     """Split into at most ``parts`` contiguous, near-equal chunks.
 
-    Contiguity is what makes chunked verification order-preserving:
-    concatenating per-chunk results reproduces the serial ordering.
+    Contiguity keeps results order-preserving: concatenating per-chunk
+    results reproduces the serial ordering.
     """
     items = list(items)
     if not items:
@@ -128,97 +101,27 @@ def partition(items: Sequence[Any], parts: int) -> list[list[Any]]:
     return chunks
 
 
-def derive_chunk_salt(salt: int, index: int) -> int:
-    """Per-chunk 128-bit weight salt from the single caller-drawn salt.
-
-    The serial verifier draws one ``getrandbits(128)`` from the protocol
-    rng; the parallel path consumes that same single draw and fans it
-    out by hashing, so rng streams — and therefore transcripts — are
-    identical whether or not a pool is installed.
-    """
-    digest = hashlib.sha256(
-        b"parallel-chunk-salt|"
-        + salt.to_bytes(16, "big")
-        + index.to_bytes(4, "big")
-    ).digest()
-    return int.from_bytes(digest[:16], "big")
-
-
-# -- worker-side jobs (module-level: picklable by reference) -------------------
-
-
 def _worker_init() -> None:
-    """Pool-worker initializer: a forked worker must never consult the
-    parent's ambient executor (its pool handle is not usable here) or
-    publish to the parent's registry."""
-    set_executor(None)
+    """Pool-worker initializer: a forked worker must never publish to
+    the parent's metrics registry."""
     obs_metrics.set_registry(None)
-
-
-def _verify_chunk_job(payload: tuple) -> tuple[float, list, list, bool]:
-    """One RLC check over a contiguous claim chunk, per-item fallback
-    included; returns ``(elapsed, good, bad, fell_back)``."""
-    spec, entries_raw, base_raw, chunk, salt = payload
-    started = time.perf_counter()
-    group = group_from_spec(spec)
-    from repro.crypto.backend import BatchedClaimVerifier
-
-    verifier = BatchedClaimVerifier(
-        group,
-        [group.element_decode(raw) for raw in entries_raw],
-        group.element_decode(base_raw),
-    )
-    good, bad, fell_back = verifier.verify_salted(chunk, salt)
-    return time.perf_counter() - started, good, bad, fell_back
-
-
-def _multiexp_chunk_job(payload: tuple) -> tuple[float, bytes]:
-    """Partial product over one chunk of ``(element, exponent)`` pairs;
-    the partial result returns in canonical serialized form."""
-    spec, chunk = payload
-    started = time.perf_counter()
-    group = group_from_spec(spec)
-    if spec[0] == "secp256k1":
-        from repro.crypto.ec import ec_multiexp
-
-        partial = ec_multiexp(
-            (group.element_decode(raw), exp) for raw, exp in chunk
-        )
-    else:
-        from repro.crypto.multiexp import multiexp
-
-        partial = multiexp(
-            ((group.element_decode(raw), exp) for raw, exp in chunk),
-            group.p,
-            group.q,
-        )
-    return time.perf_counter() - started, group.element_to_bytes(partial)
 
 
 # -- the executor --------------------------------------------------------------
 
 
 class CryptoExecutor:
-    """A process-pool seam for the batchable crypto hot paths.
+    """A process pool for the presignature forge.
 
-    ``cores`` follows the CLI contract: ``1`` (default) is serial,
-    ``0`` resolves to every available core, ``N > 1`` is explicit.  The
-    pool is created lazily on first fan-out (or eagerly via
-    :meth:`warm`, which services call before their event loop starts so
-    the fork happens from a quiet process).
+    ``cores`` follows the CLI contract: ``1`` is serial, ``0`` resolves
+    to every available core, ``N > 1`` is explicit.  The pool
+    is created lazily on first fan-out (or eagerly via :meth:`warm`,
+    which services call before their event loop starts so the fork
+    happens from a quiet process).
     """
 
-    def __init__(
-        self,
-        cores: int | None = 0,
-        *,
-        min_claims: int = MIN_CLAIMS,
-        min_terms: int = MIN_TERMS,
-    ):
-        self.requested = cores
+    def __init__(self, cores: int | None):
         self.cores = resolve_cores(cores)
-        self.min_claims = min_claims
-        self.min_terms = min_terms
         self._pool: ProcessPoolExecutor | None = None
         self._broken = False
 
@@ -227,12 +130,6 @@ class CryptoExecutor:
     @property
     def parallel(self) -> bool:
         return self.cores > 1 and not self._broken
-
-    def wants_claims(self, count: int) -> bool:
-        return self.parallel and count >= self.min_claims
-
-    def wants_terms(self, count: int) -> bool:
-        return self.parallel and count >= self.min_terms
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if not self.parallel:
@@ -277,16 +174,10 @@ class CryptoExecutor:
                 help="process-pool workers available to the crypto executor",
             )
 
-    def __enter__(self) -> "CryptoExecutor":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- the generic fan-out core ------------------------------------------
+    # -- the fan-out -------------------------------------------------------
 
     def _run_chunks(
-        self, kind: str, job: Callable[[tuple], Any], payloads: list[tuple]
+        self, kind: str, job: Callable[[Any], Any], payloads: list[Any]
     ) -> list[Any] | None:
         """Submit every payload, collect results in order.
 
@@ -344,102 +235,6 @@ class CryptoExecutor:
             mode=mode,
         )
 
-    # -- fan-out shape 1: chunked RLC claim verification -------------------
-
-    def verify_claims(
-        self,
-        group: Any,
-        entries: Sequence[Any],
-        base: Any,
-        batch: list[tuple[int, int]],
-        salt: int,
-    ) -> tuple[list[tuple[int, int]], list[int]] | None:
-        """Chunked batch verification; ``None`` means "run serially".
-
-        Chunks are contiguous so concatenation reproduces the serial
-        ordering; a chunk whose RLC fails falls back per item *inside
-        the worker*, so Byzantine claims still pinpoint their senders.
-        """
-        chunks = partition(batch, self.cores)
-        if len(chunks) < 2:
-            return None
-        spec = group_spec(group)
-        entries_raw = [group.element_to_bytes(entry) for entry in entries]
-        base_raw = group.element_to_bytes(base)
-        payloads = [
-            (spec, entries_raw, base_raw, chunk, derive_chunk_salt(salt, i))
-            for i, chunk in enumerate(chunks)
-        ]
-        results = self._run_chunks("verify", _verify_chunk_job, payloads)
-        if results is None:
-            return None
-        backend = "secp256k1" if group.name == "secp256k1" else "modp"
-        good: list[tuple[int, int]] = []
-        bad: list[int] = []
-        for _, chunk_good, chunk_bad, fell_back in results:
-            good.extend(chunk_good)
-            bad.extend(chunk_bad)
-            obs_metrics.counter_inc(
-                metering.BATCH_VERIFY,
-                help="batch-verify outcomes",
-                backend=backend,
-                outcome="fallback" if fell_back else "batch_ok",
-            )
-        return good, bad
-
-    def verify_claim_sets(
-        self,
-        group: Any,
-        jobs: Sequence[tuple[Sequence[Any], Any, list[tuple[int, int]], int]],
-    ) -> list[tuple[list[tuple[int, int]], list[int]]] | None:
-        """Many *independent* claim sets in parallel (one worker job per
-        set): ``jobs`` is ``[(entries, base, batch, salt), ...]``.  The
-        embarrassingly-parallel shape behind BENCH_e18's throughput axis.
-        """
-        if not self.parallel or not jobs:
-            return None
-        spec = group_spec(group)
-        payloads = [
-            (
-                spec,
-                [group.element_to_bytes(entry) for entry in entries],
-                group.element_to_bytes(base),
-                list(batch),
-                salt,
-            )
-            for entries, base, batch, salt in jobs
-        ]
-        results = self._run_chunks("claim_sets", _verify_chunk_job, payloads)
-        if results is None:
-            return None
-        return [(good, bad) for _, good, bad, _ in results]
-
-    # -- fan-out shape 2: chunked multiexp ---------------------------------
-
-    def multiexp(self, group: Any, pairs: Sequence[tuple[Any, int]]) -> Any | None:
-        """Partial products across chunks, combined with ``group.mul``;
-        ``None`` means "run serially"."""
-        chunks = partition(list(pairs), self.cores)
-        if len(chunks) < 2:
-            return None
-        spec = group_spec(group)
-        payloads = [
-            (
-                spec,
-                [(group.element_to_bytes(elem), exp) for elem, exp in chunk],
-            )
-            for chunk in chunks
-        ]
-        results = self._run_chunks("multiexp", _multiexp_chunk_job, payloads)
-        if results is None:
-            return None
-        acc = group.identity
-        for _, partial_raw in results:
-            acc = group.mul(acc, group.element_from_bytes(partial_raw))
-        return acc
-
-    # -- fan-out shape 3: generic ordered map (forge, benchmarks) ----------
-
     def map_jobs(
         self, kind: str, job: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> list[Any] | None:
@@ -451,47 +246,12 @@ class CryptoExecutor:
             return None
         return self._run_chunks(kind, job, payloads)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "broken" if self._broken else f"cores={self.cores}"
-        return f"CryptoExecutor({state})"
-
-
-# -- the ambient executor ------------------------------------------------------
-
-_ACTIVE: CryptoExecutor | None = None
-
-
-def active_executor() -> CryptoExecutor | None:
-    """The currently installed executor, or ``None`` (serial)."""
-    return _ACTIVE
-
-
-def set_executor(executor: CryptoExecutor | None) -> CryptoExecutor | None:
-    """Install the ambient executor; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = executor
-    return previous
-
-
-@contextmanager
-def executor_scope(
-    executor: CryptoExecutor | None,
-) -> Iterator[CryptoExecutor | None]:
-    """Install ``executor`` for a ``with`` scope, restoring on exit."""
-    previous = set_executor(executor)
-    try:
-        yield executor
-    finally:
-        set_executor(previous)
-
 
 def acceleration_status(executor: CryptoExecutor | None = None) -> dict[str, Any]:
-    """What fast paths this process actually has (for STATUS/OPS)."""
+    """What fast paths this process actually has (for STATUS/OPS);
+    ``executor`` is the caller's forge pool, if it has one."""
     from repro.crypto import intops
 
-    if executor is None:
-        executor = active_executor()
     ec_mod = sys.modules.get("repro.crypto.ec")
     if ec_mod is None:
         from repro.crypto import ec as ec_mod

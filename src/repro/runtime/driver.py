@@ -13,10 +13,8 @@ execution semantics live here exactly once.
 from __future__ import annotations
 
 import time as _time
-from contextlib import nullcontext
 from typing import Any
 
-from repro.crypto import parallel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.core import Env, Machine
@@ -50,7 +48,6 @@ class MachineDriver:
         node_id: int,
         *,
         trace_sink: Any = None,
-        crypto_executor: parallel.CryptoExecutor | None = None,
     ):
         self.machine = machine
         self.transport = transport
@@ -58,12 +55,6 @@ class MachineDriver:
         # Per-driver sink override; falls back to the process-wide one
         # installed with repro.obs.trace.set_trace_sink.
         self.trace_sink = trace_sink
-        # Per-driver crypto executor: installed as the ambient executor
-        # for the duration of each step, so the machine's verification
-        # work fans out across the pool while the machine itself stays
-        # single-threaded and deterministic.  None = the process-wide
-        # ambient executor (usually none: serial).
-        self.crypto_executor = crypto_executor
         # machine-chosen timer id <-> backend timer id
         self._backend_by_machine: dict[int, int] = {}
         self._machine_by_backend: dict[int, int] = {}
@@ -115,14 +106,8 @@ class MachineDriver:
         # was consumed, not whatever applying the effects advanced to.
         clock = self.transport.current_time()
         started = _time.perf_counter()
-        scope = (
-            parallel.executor_scope(self.crypto_executor)
-            if self.crypto_executor is not None
-            else nullcontext()
-        )
-        with scope:
-            effects = self.machine.step(event, self.env())
-            self.apply(effects)
+        effects = self.machine.step(event, self.env())
+        self.apply(effects)
         duration = _time.perf_counter() - started
         self._observe(event, effects, clock, duration)
         return effects

@@ -289,6 +289,9 @@ class ServiceConfig:
     # merge to scope by (see repro.obs.fleet).
     shard: str | None = None
 
+    def __post_init__(self) -> None:
+        parallel.resolve_cores(self.cores)  # rejects negative widths
+
 
 class ThresholdService:
     """A DKG'd cluster turned into a long-running request servant.

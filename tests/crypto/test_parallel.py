@@ -1,45 +1,23 @@
-"""The process-pool crypto executor: serial ≡ parallel under seeded
-claims, per-item Byzantine fallback, and pool-crash degradation.
-
-The determinism contract under test: installing an executor never
-changes results *or* the caller's rng stream — transcripts are
-identical whether work fanned out or not.
+"""The process-pool crypto executor's building blocks: contiguous
+partitioning, ``--cores`` resolution, the ordered map, its per-call
+degradation, chunk metrics and the acceleration report.  Its degradation
+is also exercised through its one caller, the presignature forge:
+``tests/service/test_parallel_forge.py``.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.crypto import parallel
-from repro.crypto.backend import BatchedClaimVerifier
 from repro.crypto.parallel import CryptoExecutor
-from repro.crypto.polynomials import Polynomial
 from repro.obs import metrics as obs_metrics
 
-from tests.helpers import default_test_group
 
-G = default_test_group()
-
-
-def _claims(group, t: int = 3, count: int = 40, seed: int = 11):
-    """A degree-t sharing: entries commit to the coefficients, claims
-    are the polynomial's evaluations (the DKG/VSS verification shape)."""
-    rng = random.Random(seed)
-    poly = Polynomial(
-        tuple(rng.randrange(group.q) for _ in range(t + 1)), group.q
-    )
-    entries = [group.power(group.g, c) for c in poly.coeffs]
-    batch = [(i, poly.evaluate(i)) for i in range(1, count + 1)]
-    return entries, batch
-
-
-def _pool_executor(**kwargs) -> CryptoExecutor:
-    """A real 2-worker pool with thresholds protocol-sized tests meet."""
-    kwargs.setdefault("min_claims", 8)
-    kwargs.setdefault("min_terms", 10)
-    return CryptoExecutor(cores=2, **kwargs)
+def _timed_sum(chunk: list[int]) -> tuple[float, int]:
+    """A picklable job in the ``(elapsed, ...)`` shape that feeds the
+    chunk-latency histogram."""
+    return 0.001, sum(chunk)
 
 
 class _FailingFuture:
@@ -78,18 +56,6 @@ class TestPartition:
         assert parallel.partition([], 4) == []
 
 
-class TestChunkSalt:
-    def test_deterministic_and_distinct(self) -> None:
-        salt = random.Random(0).getrandbits(128)
-        derived = [parallel.derive_chunk_salt(salt, i) for i in range(8)]
-        assert derived == [parallel.derive_chunk_salt(salt, i) for i in range(8)]
-        assert len(set(derived)) == 8
-        assert all(0 <= s < 2**128 for s in derived)
-
-    def test_salt_sensitivity(self) -> None:
-        assert parallel.derive_chunk_salt(1, 0) != parallel.derive_chunk_salt(2, 0)
-
-
 class TestResolveCores:
     def test_semantics(self) -> None:
         assert parallel.resolve_cores(None) == 1
@@ -98,139 +64,58 @@ class TestResolveCores:
         assert parallel.resolve_cores(0) == parallel.available_cpus()
         assert parallel.resolve_cores(0) >= 1
 
-
-class TestSerialParallelEquivalence:
-    def test_results_and_rng_stream_identical(self) -> None:
-        entries, batch = _claims(G)
-        serial_rng, pool_rng = random.Random(7), random.Random(7)
-        serial = BatchedClaimVerifier(G, entries).verify(batch, rng=serial_rng)
-        with _pool_executor() as executor:
-            with parallel.executor_scope(executor):
-                pooled = BatchedClaimVerifier(G, entries).verify(
-                    batch, rng=pool_rng
-                )
-        assert pooled == serial
-        assert pooled[0] == batch and pooled[1] == []
-        # The parallel path consumed exactly the serial path's one draw.
-        assert pool_rng.getstate() == serial_rng.getstate()
-
-    def test_byzantine_claims_pinpointed_across_chunks(self) -> None:
-        entries, batch = _claims(G)
-        # Corrupt one claim in each half, i.e. one per worker chunk.
-        batch[3] = (batch[3][0], (batch[3][1] + 1) % G.q)
-        batch[29] = (batch[29][0], (batch[29][1] + 5) % G.q)
-        serial = BatchedClaimVerifier(G, entries).verify(
-            batch, rng=random.Random(7)
-        )
-        with _pool_executor() as executor:
-            with parallel.executor_scope(executor):
-                good, bad = BatchedClaimVerifier(G, entries).verify(
-                    batch, rng=random.Random(7)
-                )
-        assert (good, bad) == serial
-        assert sorted(bad) == [batch[3][0], batch[29][0]]
-        assert len(good) == len(batch) - 2
-
-    def test_verify_claim_sets_matches_serial(self) -> None:
-        jobs = []
-        expected = []
-        for seed in (1, 2, 3):
-            entries, batch = _claims(G, count=12, seed=seed)
-            salt = random.Random(seed).getrandbits(128)
-            jobs.append((entries, G.g, batch, salt))
-            good, bad, _ = BatchedClaimVerifier(G, entries).verify_salted(
-                batch, salt
-            )
-            expected.append((good, bad))
-        with _pool_executor() as executor:
-            results = executor.verify_claim_sets(G, jobs)
-        assert results == expected
-
-    def test_multiexp_matches_serial(self) -> None:
-        rng = random.Random(13)
-        pairs = [
-            (G.power(G.g, rng.randrange(1, G.q)), rng.randrange(G.q))
-            for _ in range(30)
-        ]
-        serial = G.multiexp(pairs)
-        with _pool_executor() as executor:
-            direct = executor.multiexp(G, pairs)
-            with parallel.executor_scope(executor):
-                routed = G.multiexp(pairs)
-        assert direct == serial
-        assert routed == serial
+    def test_negative_width_is_rejected(self) -> None:
+        with pytest.raises(ValueError, match="cores must be >= 0"):
+            parallel.resolve_cores(-1)
 
 
 class TestThresholdsAndPassthrough:
     def test_serial_executor_never_engages(self) -> None:
         executor = CryptoExecutor(cores=1)
         assert not executor.parallel
-        assert not executor.wants_claims(10**6)
-        entries, batch = _claims(G, count=10)
-        assert executor.verify_claims(G, entries, G.g, batch, salt=1) is None
-
-    def test_small_batches_stay_serial(self) -> None:
-        with _pool_executor(min_claims=64) as executor:
-            assert not executor.wants_claims(40)
-            assert executor.wants_claims(64)
-
-    def test_single_chunk_is_refused(self) -> None:
-        # One chunk would serialize through the pool for pure overhead.
-        entries, batch = _claims(G, count=1)
-        with _pool_executor() as executor:
-            assert executor.verify_claims(G, entries, G.g, batch, 1) is None
+        assert executor.map_jobs("test", tuple, [[1], [2]]) is None
+        assert executor._pool is None
 
 
 class TestDegradation:
-    def test_broken_pool_degrades_permanently_to_serial(self) -> None:
-        from concurrent.futures.process import BrokenProcessPool
-
-        entries, batch = _claims(G)
-        executor = _pool_executor()
-        fake = _FailingPool(BrokenProcessPool("worker died"))
-        executor._pool = fake
-        with parallel.executor_scope(executor):
-            good, bad = BatchedClaimVerifier(G, entries).verify(
-                batch, rng=random.Random(7)
-            )
-        # Same answer through the serial fallback...
-        assert (good, bad) == (batch, [])
-        # ...and the executor is poisoned: no further fan-out attempts.
-        assert executor._broken and not executor.parallel
-        assert fake.shutdowns == 1
-        assert executor.verify_claims(G, entries, G.g, batch, 1) is None
-
     def test_chunk_exception_fails_one_call_only(self) -> None:
-        entries, batch = _claims(G)
-        executor = _pool_executor()
-        executor._pool = _FailingPool(ValueError("bad payload"))
-        with parallel.executor_scope(executor):
-            good, bad = BatchedClaimVerifier(G, entries).verify(
-                batch, rng=random.Random(7)
-            )
-        assert (good, bad) == (batch, [])
-        # An ordinary failure does not poison the executor.
-        assert not executor._broken and executor.parallel
+        chunks = parallel.partition(list(range(10)), 2)
+        executor = CryptoExecutor(cores=2)
+        fake = _FailingPool(ValueError("bad payload"))
+        executor._pool = fake
+        try:
+            # The failing call hands the work back to the caller...
+            assert executor.map_jobs("test", _timed_sum, chunks) is None
+            # ...but an ordinary failure does not poison the executor.
+            assert not executor._broken and executor.parallel
+            assert fake.shutdowns == 0
+            executor._pool = None
+            results = executor.map_jobs("test", _timed_sum, chunks)
+        finally:
+            executor.close()
+        assert [total for _elapsed, total in results] == [sum(c) for c in chunks]
 
 
 class TestMetrics:
     def test_chunks_counted_by_mode(self) -> None:
-        entries, batch = _claims(G)
+        chunks = parallel.partition(list(range(10)), 2)
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.set_registry(registry)
+        executor = CryptoExecutor(cores=2)
         try:
-            with _pool_executor() as executor:
-                with parallel.executor_scope(executor):
-                    BatchedClaimVerifier(G, entries).verify(
-                        batch, rng=random.Random(7)
-                    )
+            executor._pool = _FailingPool(ValueError("bad payload"))
+            assert executor.map_jobs("verify", _timed_sum, chunks) is None
+            executor._pool = None
+            assert executor.map_jobs("verify", _timed_sum, chunks) is not None
             families = registry.snapshot()
         finally:
+            executor.close()
             obs_metrics.set_registry(previous)
         chunk_counts = {
             tuple(sorted(sample["labels"].items())): sample["value"]
             for sample in families[parallel.CHUNKS_TOTAL]["samples"]
         }
+        assert chunk_counts[(("kind", "verify"), ("mode", "serial"))] == 2
         assert chunk_counts[(("kind", "verify"), ("mode", "pool"))] == 2
         assert parallel.CHUNK_SECONDS in families
         assert parallel.WORKERS_GAUGE in families
@@ -247,28 +132,18 @@ class TestAccelerationStatus:
             "available_cpus",
         }
         assert status["parallel_cores"] == 1 and not status["parallel_active"]
-        with _pool_executor() as executor:
-            active = parallel.acceleration_status(executor)
+        active = parallel.acceleration_status(CryptoExecutor(cores=2))
         assert active["parallel_cores"] == 2 and active["parallel_active"]
-
-    def test_ambient_scope_install_and_restore(self) -> None:
-        assert parallel.active_executor() is None
-        executor = CryptoExecutor(cores=1)
-        with parallel.executor_scope(executor) as installed:
-            assert installed is executor
-            assert parallel.active_executor() is executor
-        assert parallel.active_executor() is None
 
 
 @pytest.mark.parametrize("count", [32, 33, 47])
 def test_uneven_batch_sizes_round_trip(count: int) -> None:
     # Chunk-boundary property check: odd sizes partition unevenly and
-    # must still concatenate back to the serial answer.
-    entries, batch = _claims(G, count=count, seed=count)
-    serial = BatchedClaimVerifier(G, entries).verify(batch, rng=random.Random(3))
-    with _pool_executor() as executor:
-        with parallel.executor_scope(executor):
-            pooled = BatchedClaimVerifier(G, entries).verify(
-                batch, rng=random.Random(3)
-            )
-    assert pooled == serial
+    # the pool's ordered map must still concatenate back to the input.
+    items = list(range(count))
+    executor = CryptoExecutor(cores=2)
+    try:
+        results = executor.map_jobs("test", tuple, parallel.partition(items, 2))
+    finally:
+        executor.close()
+    assert [x for chunk in results for x in chunk] == items

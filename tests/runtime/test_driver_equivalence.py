@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto import parallel
 from repro.crypto.groups import group_by_name, toy_group
 from repro.net.cluster import run_local_cluster
 from repro.runtime.trace import transcript_hash
@@ -79,30 +78,3 @@ def test_same_seeded_dkg_same_outputs_on_both_drivers(group) -> None:
     )
     assert other_hash != sim_hash
 
-
-@pytest.mark.parametrize(
-    "group",
-    [toy_group(), group_by_name("secp256k1")],
-    ids=["modp", "secp256k1"],
-)
-def test_crypto_pool_leaves_transcript_unchanged(group) -> None:
-    """The ``--cores 2`` determinism guarantee: a process-pool executor
-    with thresholds forced low enough that a 4-node run actually fans
-    out must reproduce the serial run's transcript hash bit-for-bit."""
-    config = _config(group)
-
-    serial = run_dkg(config, seed=SEED, delay_model=ConstantDelay(1.0))
-    assert serial.succeeded
-    serial_hash = transcript_hash(
-        ((i, node.completed) for i, node in serial.nodes.items()), group=group
-    )
-
-    with parallel.CryptoExecutor(cores=2, min_claims=2, min_terms=2) as executor:
-        with parallel.executor_scope(executor):
-            pooled = run_dkg(config, seed=SEED, delay_model=ConstantDelay(1.0))
-    assert pooled.succeeded
-    assert not executor._broken
-    pooled_hash = transcript_hash(
-        ((i, node.completed) for i, node in pooled.nodes.items()), group=group
-    )
-    assert pooled_hash == serial_hash

@@ -143,6 +143,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["loadgen", "--op", "nope"])
 
+    def test_serve_rejects_negative_cores(self) -> None:
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--cores", "0"]).cores == 0
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", "--cores", "-3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["dkg", "cluster", "replay"])
+    def test_cores_is_a_serve_only_option(self, command) -> None:
+        argv = [command, "--cores", "2"]
+        if command == "replay":
+            argv.append("capture.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_parser_requires_command(self) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
