@@ -1,12 +1,14 @@
 """E18 — the parallel presignature forge: cores axis over pool refill.
 
 ``repro.crypto.parallel`` fans one workload across a process pool: a
-:class:`~repro.service.workers.ThresholdService` with ``cores > 1``
-partitions a whole-deficit presignature refill into per-core chunks of
+:class:`~repro.service.workers.ThresholdService` on a multi-CPU machine
+partitions a whole-deficit presignature refill into per-worker chunks of
 nonce DKGs, one embedded protocol world per pool worker.  This bench
 times that forge call (``ThresholdService._forge_nonce_batch``, the
-blocking body of every pool refill) swept over ``cores`` ∈ {1, 2,
-auto}, in alternating rounds so drift hits every core count alike
+blocking body of every pool refill) swept over pool widths ∈ {1, 2,
+auto = every available CPU}, each set by swapping a
+:class:`~repro.crypto.parallel.CryptoExecutor` of that width onto the
+service, in alternating rounds so drift hits every core count alike
 (after one untimed warm-up round), and reports every run plus the
 per-core-count median.
 
@@ -42,7 +44,18 @@ CORES_AXIS: list[int | str] = [1, 2, "auto"]
 
 
 def _resolve(cores: int | str) -> int:
-    return parallel.resolve_cores(0 if cores == "auto" else int(cores))
+    return parallel.available_cpus() if cores == "auto" else int(cores)
+
+
+def _service(group, n: int, t: int, seed: int, width: int) -> ThresholdService:
+    """A pool-less service (so no executor of its own) forging at ``width``."""
+    service = ThresholdService(
+        ServiceConfig(n=n, t=t, group=group, seed=seed, pool_target=0)
+    )
+    if width > 1:
+        service.crypto_executor = parallel.CryptoExecutor(width)
+        service.crypto_executor.warm()
+    return service
 
 
 def _batch_digest(group, batch) -> str:
@@ -59,16 +72,7 @@ def measure_pool_refill(
 ) -> dict:
     """Seconds per ``nonces``-presignature forge, per core count."""
     services = {
-        str(cores): ThresholdService(
-            ServiceConfig(
-                n=n,
-                t=t,
-                group=group,
-                seed=seed,
-                pool_target=0,
-                cores=_resolve(cores),
-            )
-        )
+        str(cores): _service(group, n, t, seed, _resolve(cores))
         for cores in CORES_AXIS
     }
     runs: dict[str, list[float]] = {key: [] for key in services}

@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from repro.crypto.backend import element_hex
 from repro.crypto.groups import BACKENDS, group_by_name
 from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
-from repro.crypto.parallel import resolve_cores
 from repro.dkg import DkgConfig, run_dkg
 from repro.proactive import ProactiveSystem
 from repro.sim.adversary import Adversary
@@ -92,16 +91,6 @@ def _trace_arg(parser: argparse.ArgumentParser) -> None:
              "file (replayable with `repro replay`, analyzable with "
              "`repro trace`)",
     )
-
-
-def _cores(value: str) -> int:
-    """``--cores`` type: a non-negative width (0 = all cores)."""
-    cores = int(value)
-    try:
-        resolve_cores(cores)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return cores
 
 
 @contextmanager
@@ -451,7 +440,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         pool_target=args.pool,
         pool_low_watermark=args.low_watermark,
-        cores=args.cores,
     )
     if args.shards is not None:
         return _serve_shards(args, config)
@@ -910,11 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the client-facing threshold service over TCP"
     )
     _common_args(p_serve)
-    p_serve.add_argument(
-        "--cores", type=_cores, default=1, metavar="N",
-        help="process-pool width for the presignature forge: 1 = serial "
-             "(default), 0 = all cores, N = explicit",
-    )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=int, default=7710, help="listen port (0 = ephemeral)"

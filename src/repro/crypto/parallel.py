@@ -5,15 +5,16 @@ independent nonce DKGs, and it is the one fan-out that measurably pays
 (``BENCH_e18.json``): protocol-sized verification batches and multiexps
 are far too small to amortize the IPC.  :class:`ThresholdService
 <repro.service.workers.ThresholdService>` owns one
-:class:`CryptoExecutor` when configured with ``cores > 1`` and maps
-forge chunks over it with :meth:`CryptoExecutor.map_jobs`.
+:class:`CryptoExecutor` of width ``min(available_cpus(), pool_target)``
+when that is above one, and maps forge chunks over it with
+:meth:`CryptoExecutor.map_jobs`.
 
 * :class:`CryptoExecutor` owns a lazy :class:`ProcessPoolExecutor`;
 * work crosses the process boundary in picklable form: group parameters
   travel as small spec tuples (rebuilt per worker through an
   ``lru_cache``, so fixed-base tables stay warm across chunks) and
   results in the canonical group serialization;
-* every fan-out degrades serially: ``cores <= 1`` disables the pool, a
+* every fan-out degrades serially: ``width == 1`` disables the pool, a
   failed chunk makes :meth:`~CryptoExecutor.map_jobs` return ``None``
   for that call (the caller runs its serial path), and a broken pool
   (killed worker, fork failure) permanently degrades the executor to
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from functools import lru_cache
 from typing import Any, Callable, Sequence
@@ -36,6 +39,8 @@ WORKERS_GAUGE = "repro_crypto_parallel_workers"
 INFLIGHT_GAUGE = "repro_crypto_parallel_inflight_chunks"
 CHUNK_SECONDS = "repro_crypto_parallel_chunk_seconds"
 
+_PARENT_POLL_S = 1.0  # how often a pool worker checks its parent is alive
+
 
 def available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
@@ -43,18 +48,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-linux
         return os.cpu_count() or 1
-
-
-def resolve_cores(cores: int | None) -> int:
-    """``--cores`` semantics: ``None``/``1`` serial, ``0`` = all cores;
-    negative widths are rejected rather than read as "all cores"."""
-    if cores is None:
-        return 1
-    if cores < 0:
-        raise ValueError(f"cores must be >= 0 (0 = all cores), got {cores}")
-    if cores == 0:
-        return max(1, available_cpus())
-    return cores
 
 
 # -- picklable group specs -----------------------------------------------------
@@ -101,10 +94,24 @@ def partition(items: Sequence[Any], parts: int) -> list[list[Any]]:
     return chunks
 
 
-def _worker_init() -> None:
+def _worker_init(parent: int) -> None:
     """Pool-worker initializer: a forked worker must never publish to
-    the parent's metrics registry."""
+    the parent's metrics registry, and must not outlive its parent.  A
+    forked worker holds the call queue's write end itself, so when the
+    parent dies without shutting the pool down (``repro serve`` under
+    SIGTERM) no EOF ever reaches it and it would block forever."""
     obs_metrics.set_registry(None)
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(0)
+
+
+def _ready() -> None:
+    """The no-op job :meth:`CryptoExecutor.warm` waits on."""
 
 
 # -- the executor --------------------------------------------------------------
@@ -113,15 +120,14 @@ def _worker_init() -> None:
 class CryptoExecutor:
     """A process pool for the presignature forge.
 
-    ``cores`` follows the CLI contract: ``1`` is serial, ``0`` resolves
-    to every available core, ``N > 1`` is explicit.  The pool
-    is created lazily on first fan-out (or eagerly via :meth:`warm`,
-    which services call before their event loop starts so the fork
-    happens from a quiet process).
+    ``width`` is the number of worker processes; ``1`` is serial.  The
+    pool is created lazily on first fan-out, or eagerly via
+    :meth:`warm`, which services call before their event loop starts
+    so the fork happens from a quiet process.
     """
 
-    def __init__(self, cores: int | None):
-        self.cores = resolve_cores(cores)
+    def __init__(self, width: int):
+        self.width = width
         self._pool: ProcessPoolExecutor | None = None
         self._broken = False
 
@@ -129,7 +135,7 @@ class CryptoExecutor:
 
     @property
     def parallel(self) -> bool:
-        return self.cores > 1 and not self._broken
+        return self.width > 1 and not self._broken
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if not self.parallel:
@@ -137,21 +143,32 @@ class CryptoExecutor:
         if self._pool is None:
             try:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.cores, initializer=_worker_init
+                    max_workers=self.width,
+                    initializer=_worker_init,
+                    initargs=(os.getpid(),),
                 )
             except OSError:
                 self._mark_broken()
                 return None
             obs_metrics.gauge_set(
                 WORKERS_GAUGE,
-                self.cores,
+                self.width,
                 help="process-pool workers available to the crypto executor",
             )
         return self._pool
 
     def warm(self) -> None:
-        """Create the pool now (before event loops / threads start)."""
-        self._ensure_pool()
+        """Start every worker process now, before event loops and forge
+        threads exist.  The pool forks its workers at the first submit,
+        so one no-op job per worker is submitted and waited on."""
+        pool = self._ensure_pool()
+        if pool is None:
+            return
+        try:
+            for future in [pool.submit(_ready) for _ in range(self.width)]:
+                future.result()
+        except (BrokenExecutor, OSError):
+            self._mark_broken()
 
     def _mark_broken(self) -> None:
         self._broken = True
@@ -258,7 +275,7 @@ def acceleration_status(executor: CryptoExecutor | None = None) -> dict[str, Any
     return {
         "gmpy2": intops.HAVE_GMPY2,
         "coincurve": ec_mod.HAVE_COINCURVE,
-        "parallel_cores": executor.cores if executor is not None else 1,
+        "parallel_cores": executor.width if executor is not None else 1,
         "parallel_active": bool(executor is not None and executor.parallel),
         "available_cpus": available_cpus(),
     }

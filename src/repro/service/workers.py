@@ -68,7 +68,7 @@ def _forge_sessions(
     over one embedded runtime world.  Pure and process-safe: the serial
     forge calls it directly, the parallel forge runs one call per chunk
     in a pool worker (seeded exactly as a serial run of that chunk
-    alone, so forge results are deterministic given (seed, cores))."""
+    alone, so forge results are deterministic given seed)."""
     specs = [
         DkgSessionSpec(
             session=f"nonce-{presig_id}",
@@ -282,15 +282,11 @@ class ServiceConfig:
     pool_low_watermark: int | None = None  # default: half the target
     beacon_output_bytes: int = 32
     forge_concurrency: int = 4  # concurrent on-demand nonce DKGs
-    cores: int = 1  # process-pool width for the forge (0 = all cores)
     # Shard id when this service is one committee of a ShardRouter
     # fleet: embedded shards share the process registry, so every
     # service/pool metric is labelled with the shard for the fleet
     # merge to scope by (see repro.obs.fleet).
     shard: str | None = None
-
-    def __post_init__(self) -> None:
-        parallel.resolve_cores(self.cores)  # rejects negative widths
 
 
 class ThresholdService:
@@ -373,12 +369,14 @@ class ThresholdService:
         self._share_check_rng = random.Random(("svc-combine", config.seed).__repr__())
         self._beacon_lock = asyncio.Lock()
         self._forge_gate = asyncio.Semaphore(max(1, config.forge_concurrency))
-        # The forge's process pool (None = serial).  Created and warmed
-        # here, before any event loop runs, so the fork happens from a
-        # quiet process.
+        # The forge's process pool: one worker per CPU, never more than
+        # a refill can use (None = serial: one CPU, or pool disabled).
+        # Created and warmed here, before any event loop runs, so the
+        # fork happens from a quiet process.
         self.crypto_executor: parallel.CryptoExecutor | None = None
-        if parallel.resolve_cores(config.cores) > 1:
-            self.crypto_executor = parallel.CryptoExecutor(cores=config.cores)
+        width = min(parallel.available_cpus(), config.pool_target)
+        if width > 1:
+            self.crypto_executor = parallel.CryptoExecutor(width)
             self.crypto_executor.warm()
 
     # -- lifecycle -------------------------------------------------------------
@@ -436,7 +434,7 @@ class ThresholdService:
         """Fresh shared nonces = more DKGs (§1), run among the
         currently-live members as *concurrent sessions* multiplexed
         over one runtime endpoint per node.  With a crypto executor the
-        whole-deficit batch is partitioned into per-core chunks, each
+        whole-deficit batch is partitioned into per-worker chunks, each
         chunk one embedded protocol world in a pool worker; without one
         (or if the pool fails) the batch runs serially in one world.
         Blocking; the pool calls it off the event loop."""
@@ -446,22 +444,19 @@ class ThresholdService:
                 f"{len(live)} live nodes cannot run a t={self.t} nonce DKG"
             )
         executor = self.crypto_executor
+        # A single nonce is one chunk: it stays in process.
         if executor is not None and executor.parallel and len(presig_ids) > 1:
-            chunks = parallel.partition(presig_ids, executor.cores)
-            if len(chunks) > 1:
-                spec = parallel.group_spec(self.group)
-                payloads = [
-                    (spec, tuple(live), self.t, self.config.seed, chunk)
-                    for chunk in chunks
-                ]
-                results = executor.map_jobs("forge", _forge_sessions_job, payloads)
-                if results is not None:
-                    batch: list[tuple[Presignature, dict[int, int]]] = []
-                    for _, encoded in results:
-                        batch.extend(
-                            self._decode_forged(item) for item in encoded
-                        )
-                    return batch
+            spec = parallel.group_spec(self.group)
+            payloads = [
+                (spec, tuple(live), self.t, self.config.seed, chunk)
+                for chunk in parallel.partition(presig_ids, executor.width)
+            ]
+            results = executor.map_jobs("forge", _forge_sessions_job, payloads)
+            if results is not None:
+                batch: list[tuple[Presignature, dict[int, int]]] = []
+                for _, encoded in results:
+                    batch.extend(self._decode_forged(item) for item in encoded)
+                return batch
         return _forge_sessions(
             self.group, tuple(live), self.t, self.config.seed, presig_ids
         )

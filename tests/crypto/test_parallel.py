@@ -1,14 +1,22 @@
 """The process-pool crypto executor's building blocks: contiguous
-partitioning, ``--cores`` resolution, the ordered map, its per-call
-degradation, chunk metrics and the acceleration report.  Its degradation
-is also exercised through its one caller, the presignature forge:
-``tests/service/test_parallel_forge.py``.
+partitioning, warming, workers exiting with their parent, the ordered
+map, its per-call degradation, chunk metrics and the acceleration
+report.  Its degradation is also exercised through its one caller, the
+presignature forge: ``tests/service/test_parallel_forge.py``.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.crypto import parallel
 from repro.crypto.parallel import CryptoExecutor
 from repro.obs import metrics as obs_metrics
@@ -18,6 +26,16 @@ def _timed_sum(chunk: list[int]) -> tuple[float, int]:
     """A picklable job in the ``(elapsed, ...)`` shape that feeds the
     chunk-latency histogram."""
     return 0.001, sum(chunk)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaiting its reaper
+    has exited)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return "\nState:\tZ" not in status
 
 
 class _FailingFuture:
@@ -56,22 +74,52 @@ class TestPartition:
         assert parallel.partition([], 4) == []
 
 
-class TestResolveCores:
-    def test_semantics(self) -> None:
-        assert parallel.resolve_cores(None) == 1
-        assert parallel.resolve_cores(1) == 1
-        assert parallel.resolve_cores(3) == 3
-        assert parallel.resolve_cores(0) == parallel.available_cpus()
-        assert parallel.resolve_cores(0) >= 1
+class TestWarm:
+    def test_warm_starts_every_worker(self) -> None:
+        executor = CryptoExecutor(2)
+        try:
+            executor.warm()
+            workers = list(executor._pool._processes.values())
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+        finally:
+            executor.close()
+        assert not any(worker.is_alive() for worker in workers)
 
-    def test_negative_width_is_rejected(self) -> None:
-        with pytest.raises(ValueError, match="cores must be >= 0"):
-            parallel.resolve_cores(-1)
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_workers_exit_when_their_parent_is_killed(self) -> None:
+        # A parent killed without closing its executor (SIGKILL here,
+        # SIGTERM for a server) must not leave its forge workers behind.
+        script = (
+            "import os, signal\n"
+            "from repro.crypto.parallel import CryptoExecutor\n"
+            "executor = CryptoExecutor(2)\n"
+            "executor.warm()\n"
+            "print(*executor._pool._processes, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        # Read one line, not to EOF: the workers inherit the pipe.
+        with subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+        ) as parent:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            parent.wait()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10 * parallel._PARENT_POLL_S
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = [pid for pid in workers if _running(pid)]
+        for pid in leaked:
+            os.kill(pid, signal.SIGKILL)
+        assert not leaked
 
 
 class TestThresholdsAndPassthrough:
     def test_serial_executor_never_engages(self) -> None:
-        executor = CryptoExecutor(cores=1)
+        executor = CryptoExecutor(1)
+        executor.warm()
         assert not executor.parallel
         assert executor.map_jobs("test", tuple, [[1], [2]]) is None
         assert executor._pool is None
@@ -80,7 +128,7 @@ class TestThresholdsAndPassthrough:
 class TestDegradation:
     def test_chunk_exception_fails_one_call_only(self) -> None:
         chunks = parallel.partition(list(range(10)), 2)
-        executor = CryptoExecutor(cores=2)
+        executor = CryptoExecutor(2)
         fake = _FailingPool(ValueError("bad payload"))
         executor._pool = fake
         try:
@@ -101,7 +149,7 @@ class TestMetrics:
         chunks = parallel.partition(list(range(10)), 2)
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.set_registry(registry)
-        executor = CryptoExecutor(cores=2)
+        executor = CryptoExecutor(2)
         try:
             executor._pool = _FailingPool(ValueError("bad payload"))
             assert executor.map_jobs("verify", _timed_sum, chunks) is None
@@ -132,7 +180,7 @@ class TestAccelerationStatus:
             "available_cpus",
         }
         assert status["parallel_cores"] == 1 and not status["parallel_active"]
-        active = parallel.acceleration_status(CryptoExecutor(cores=2))
+        active = parallel.acceleration_status(CryptoExecutor(2))
         assert active["parallel_cores"] == 2 and active["parallel_active"]
 
 
@@ -141,7 +189,7 @@ def test_uneven_batch_sizes_round_trip(count: int) -> None:
     # Chunk-boundary property check: odd sizes partition unevenly and
     # the pool's ordered map must still concatenate back to the input.
     items = list(range(count))
-    executor = CryptoExecutor(cores=2)
+    executor = CryptoExecutor(2)
     try:
         results = executor.map_jobs("test", tuple, parallel.partition(items, 2))
     finally:
