@@ -1088,7 +1088,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "transport", None) == "sim" and getattr(args, "crash", None):
+        # The sim lifecycles take no wall-clock crash plan.
+        parser.error("--crash needs --transport tcp")
     return args.func(args)
 
 

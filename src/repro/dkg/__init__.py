@@ -39,7 +39,7 @@ from repro.dkg.proofs import (
     verify_r_proof,
     verify_ready_cert,
 )
-from repro.dkg.runner import DkgResult, build_dkg_deployment, run_dkg
+from repro.dkg.runner import DkgResult, run_dkg
 
 __all__ = [
     "DkgCompletedOutput",
@@ -61,7 +61,6 @@ __all__ = [
     "ReadyCert",
     "RTypeProof",
     "SetVote",
-    "build_dkg_deployment",
     "run_dkg",
     "verify_election",
     "verify_m_proof",

@@ -9,17 +9,16 @@ and the run's metrics.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.shares import Share, reconstruct_secret
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
-from repro.sim.network import DelayModel, UniformDelay
+from repro.sim.network import DelayModel
 from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.sim.runner import Simulation
+from repro.deployment import AgreementView, dkg_machines, dkg_pki, simulate
 from repro.dkg.config import DkgConfig
 from repro.dkg.messages import (
     DkgCompletedOutput,
@@ -30,7 +29,7 @@ from repro.dkg.node import DkgNode
 
 
 @dataclass
-class DkgResult:
+class DkgResult(AgreementView):
     """Outcome of one simulated DKG session."""
 
     config: DkgConfig
@@ -48,10 +47,6 @@ class DkgResult:
         }
 
     @property
-    def completed_nodes(self) -> list[int]:
-        return sorted(self.completions)
-
-    @property
     def succeeded(self) -> bool:
         """True iff every honest, finally-up node completed."""
         finally_up = [
@@ -61,31 +56,6 @@ class DkgResult:
             and not self.simulation.adversary.is_byzantine(i)
         ]
         return all(self.nodes[i].completed is not None for i in finally_up)
-
-    @property
-    def public_key(self) -> int:
-        keys = {out.public_key for out in self.completions.values()}
-        if len(keys) != 1:
-            raise AssertionError(f"public key disagreement: {len(keys)} keys")
-        return keys.pop()
-
-    @property
-    def q_set(self) -> tuple[int, ...]:
-        sets = {out.q_set for out in self.completions.values()}
-        if len(sets) != 1:
-            raise AssertionError("agreement violation: divergent Q sets")
-        return sets.pop()
-
-    @property
-    def commitment(self) -> FeldmanCommitment:
-        commitments = {out.commitment for out in self.completions.values()}
-        if len(commitments) != 1:
-            raise AssertionError("agreement violation: divergent commitments")
-        return commitments.pop()
-
-    @property
-    def shares(self) -> dict[int, int]:
-        return {i: out.share for i, out in self.completions.items()}
 
     @property
     def last_completion_time(self) -> float | None:
@@ -122,43 +92,6 @@ class DkgResult:
         return sum(self.nodes[d].secret for d in self.q_set) % q
 
 
-def build_dkg_deployment(
-    config: DkgConfig,
-    seed: int = 0,
-    tau: int = 0,
-    secrets: dict[int, int] | None = None,
-    node_factory: Callable[[int, DkgConfig, KeyStore, CertificateAuthority], Any]
-    | None = None,
-) -> tuple[CertificateAuthority, dict[int, Any]]:
-    """Enroll a PKI and construct one node per member index.
-
-    Shared by the simulator entry point below and the real-socket
-    :class:`~repro.net.cluster.LocalCluster` — both execution layers
-    drive byte-identical node state machines.  ``node_factory`` may
-    return a replacement (Byzantine) node for an index or None for the
-    default honest :class:`DkgNode`.
-    """
-    enroll_rng = random.Random(("dkg-pki", seed).__repr__())
-    ca = CertificateAuthority(config.group)
-    nodes: dict[int, Any] = {}
-    for i in config.vss().indices:
-        keystore = KeyStore.enroll(i, ca, enroll_rng)
-        node = None
-        if node_factory is not None:
-            node = node_factory(i, config, keystore, ca)
-        if node is None:
-            node = DkgNode(
-                i,
-                config,
-                keystore,
-                ca,
-                tau=tau,
-                secret=(secrets or {}).get(i),
-            )
-        nodes[i] = node
-    return ca, nodes
-
-
 def run_dkg(
     config: DkgConfig,
     seed: int = 0,
@@ -177,23 +110,25 @@ def run_dkg(
     ``node_factory(i, config, keystore, ca)`` may return a replacement
     (Byzantine) node for index ``i`` or None for the default honest node.
     """
-    adversary = adversary or Adversary.passive(config.t, config.f)
-    sim = Simulation(
-        delay_model=delay_model or UniformDelay(),
-        adversary=adversary,
+    pki = dkg_pki(config, seed)
+    machines = dkg_machines(
+        config,
+        pki,
+        config.vss().indices,
+        tau=tau,
+        secrets=secrets,
+        node_factory=node_factory,
+    )
+    sim = simulate(
+        machines,
+        [(i, DkgStartInput(tau), 0.0) for i in machines],
+        until=until,
+        max_events=max_events,
+        delay_model=delay_model,
+        adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
     )
-    ca, all_nodes = build_dkg_deployment(
-        config, seed=seed, tau=tau, secrets=secrets, node_factory=node_factory
-    )
-    nodes: dict[int, DkgNode] = {}
-    for i, node in all_nodes.items():
-        sim.add_node(node)
-        if isinstance(node, DkgNode):
-            nodes[i] = node
-    for i in all_nodes:
-        sim.inject(i, DkgStartInput(tau), at=0.0)
-    sim.run(until=until, max_events=max_events)
+    nodes = {i: m for i, m in machines.items() if isinstance(m, DkgNode)}
     if reconstruct:
         # Run protocol Rec on the combined shares (Definition 4.1's
         # consistency clause) as a second stage of the same simulation.
@@ -201,4 +136,4 @@ def run_dkg(
             if node.completed is not None and i not in sim.crashed:
                 sim.inject(i, DkgReconstructInput(tau), at=sim.queue.now)
         sim.run(until=until, max_events=max_events)
-    return DkgResult(config, nodes, sim.metrics, sim, ca)
+    return DkgResult(config, nodes, sim.metrics, sim, pki[0])

@@ -21,7 +21,6 @@ untouched, so additions compose with (or substitute for) renewal.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,10 +29,11 @@ from repro.crypto.polynomials import lagrange_coefficients
 from repro.crypto.shares import reconstruct_raw
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
-from repro.sim.network import DelayModel, UniformDelay
+from repro.sim.network import DelayModel
 from repro.sim.node import Context, ProtocolNode
 from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.sim.runner import Simulation
+from repro.deployment import addition_machines, addition_pki, simulate
 from repro.dkg.config import DkgConfig
 from repro.dkg.node import DkgNode
 from repro.proactive.renewal import share_commitment_at
@@ -224,49 +224,33 @@ def run_node_additions(
             raise ValueError(f"node {new_node} is already a member")
     if len(set(new_nodes)) != len(new_nodes):
         raise ValueError("duplicate joiner indices")
-    sim = Simulation(
-        delay_model=delay_model or UniformDelay(),
+    machines = addition_machines(
+        config,
+        addition_pki(config, seed),
+        [*members, *new_nodes],
+        new_nodes,
+        shares=shares,
+        commitment=commitment,
+        tau=tau,
+    )
+    sim = simulate(
+        machines,
+        [(i, NodeAddInput(new_nodes[0], tau), 0.0) for i in members],
+        until=until,
+        delay_model=delay_model,
         adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
     )
-    ca = CertificateAuthority(config.group)
-    enroll_rng = random.Random(("add-pki", seed).__repr__())
-    for i in members:
-        keystore = KeyStore.enroll(i, ca, enroll_rng)
-        sim.add_node(
-            AdditionNode(
-                i,
-                config,
-                keystore,
-                ca,
-                new_node=list(new_nodes),
-                current_share=shares[i],
-                current_commitment=commitment,
-                tau=tau,
-            )
-        )
-    joiners = {}
-    for new_node in new_nodes:
-        joining = JoiningNode(
-            new_node,
-            t=config.t,
-            group_q=config.group.q,
-            expected_share_pk=share_commitment_at(commitment, new_node),
-        )
-        sim.add_node(joining)
-        joiners[new_node] = joining
-    for i in members:
-        sim.inject(i, NodeAddInput(new_nodes[0], tau), at=0.0)
-    sim.run(until=until)
+    joined = {new_node: machines[new_node].joined for new_node in new_nodes}
     return {
         new_node: AdditionResult(
             new_node=new_node,
-            share=joining.joined.share if joining.joined else None,
-            vector=joining.joined.vector if joining.joined else None,
+            share=out.share if out else None,
+            vector=out.vector if out else None,
             metrics=sim.metrics,
             simulation=sim,
         )
-        for new_node, joining in joiners.items()
+        for new_node, out in joined.items()
     }
 
 

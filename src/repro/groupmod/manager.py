@@ -13,25 +13,23 @@ changes), and supports §6.2 node addition inside a phase.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
 
-from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
-from repro.crypto.shares import Share, reconstruct_secret
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
-from repro.sim.network import DelayModel, UniformDelay
-from repro.sim.pki import CertificateAuthority, KeyStore
-from repro.sim.runner import Simulation
-from repro.dkg.config import DkgConfig
-from repro.dkg.runner import DkgResult, run_dkg
-from repro.proactive.messages import RenewInput
-from repro.proactive.renewal import RenewalNode
-from repro.groupmod.addition import AdditionResult, run_node_addition
-from repro.groupmod.agreement import (
-    GroupModAgreementNode,
-    apply_proposals,
+from repro.sim.network import DelayModel
+from repro.deployment import (
+    addition_seed,
+    adopt,
+    agreement_machines,
+    agreement_seed,
+    groupmod_phase,
+    simulate,
 )
+from repro.dkg.config import DkgConfig
+from repro.proactive.system import ShareLifecycle
+from repro.groupmod.addition import AdditionResult, run_node_addition
+from repro.groupmod.agreement import apply_proposals
 from repro.groupmod.messages import ModProposal, ProposeInput
 
 
@@ -53,33 +51,16 @@ class AgreementReport:
         return sorted(common, key=lambda p: p.as_bytes())
 
 
-class GroupManager:
+class GroupManager(ShareLifecycle):
     """A threshold deployment with evolving membership."""
 
     def __init__(self, config: DkgConfig, seed: int = 0):
-        self.config = config
-        self.seed = seed
-        self.phase = 0
-        self.shares: dict[int, int] = {}
-        self.commitment: FeldmanCommitment | FeldmanVector | None = None
-        self.public_key: int | None = None
+        super().__init__(config, seed)
         self.pending: list[ModProposal] = []
-        self._rng = random.Random(("groupmod", seed).__repr__())
 
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(self.config.vss().indices)
-
-    # -- phase 0 ------------------------------------------------------------------
-
-    def bootstrap(self, **kwargs: object) -> DkgResult:
-        result = run_dkg(self.config, seed=self.seed, **kwargs)  # type: ignore[arg-type]
-        if not result.completions:
-            raise RuntimeError("bootstrap DKG did not complete")
-        self.shares = dict(result.shares)
-        self.commitment = result.commitment
-        self.public_key = result.public_key
-        return result
 
     # -- §6.1 agreement --------------------------------------------------------------
 
@@ -95,20 +76,15 @@ class GroupManager:
         Proposals delivered at every node are appended to the pending
         modification queue (applied at the next phase change).
         """
-        vss_config = self.config.vss()
-        sim = Simulation(
-            delay_model=delay_model or UniformDelay(),
+        nodes = agreement_machines(self.config, self.members)
+        sim = simulate(
+            nodes,
+            [(proposer, ProposeInput(p), 0.0) for proposer, p in proposals.items()],
+            until=until,
+            delay_model=delay_model,
             adversary=Adversary.passive(self.config.t, self.config.f),
-            seed=self.seed * 31 + seed_offset + self.phase,
+            seed=agreement_seed(self.seed, seed_offset, self.phase),
         )
-        nodes = {
-            i: GroupModAgreementNode(i, vss_config) for i in vss_config.indices
-        }
-        for node in nodes.values():
-            sim.add_node(node)
-        for proposer, proposal in proposals.items():
-            sim.inject(proposer, ProposeInput(proposal), at=0.0)
-        sim.run(until=until)
         report = AgreementReport(
             queues={i: list(node.queue) for i, node in nodes.items()},
             metrics=sim.metrics,
@@ -133,7 +109,7 @@ class GroupManager:
             self.shares,
             self.commitment,
             new_node,
-            seed=self.seed * 17 + seed_offset,
+            seed=addition_seed(self.seed, seed_offset),
             tau=self.phase + 1,
             delay_model=delay_model,
         )
@@ -181,53 +157,15 @@ class GroupManager:
             initial_leader=min(new_members),
             q_size=old_t + 1,
         )
-        adversary = (
-            Adversary.crash_only(new_t, new_f, crash_plan)
-            if crash_plan
-            else Adversary.passive(new_t, new_f)
+        renewed, metrics = self._renewal_phase(
+            new_config,
+            list(new_members),
+            groupmod_phase(self.seed, self.phase),
+            crash_plan=crash_plan,
+            delay_model=delay_model,
+            until=until,
         )
-        sim = Simulation(
-            delay_model=delay_model or UniformDelay(),
-            adversary=adversary,
-            seed=self.seed * 101 + self.phase,
-        )
-        ca = CertificateAuthority(self.config.group)
-        enroll_rng = random.Random(("gm-pki", self.seed, self.phase).__repr__())
-        nodes: dict[int, RenewalNode] = {}
-        for i in new_members:
-            keystore = KeyStore.enroll(i, ca, enroll_rng)
-            node = RenewalNode(
-                i,
-                new_config,
-                keystore,
-                ca,
-                phase=self.phase,
-                prev_share=self.shares.get(i),
-                prev_commitment=self.commitment,
-            )
-            sim.add_node(node)
-            nodes[i] = node
-        for i in new_members:
-            sim.inject(i, RenewInput(self.phase), at=0.0)
-        sim.run(until=until)
-        renewed = {
-            i: node.renewed for i, node in nodes.items() if node.renewed is not None
-        }
-        if not renewed:
-            raise RuntimeError("phase change renewal did not complete")
-        commitments = {out.commitment for out in renewed.values()}
-        if len(commitments) != 1:
-            raise AssertionError("phase change consistency violation")
+        self.shares, self.commitment, _ = adopt(renewed, "phase change renewal")
         # Adopt the new world: config without the q_size override.
         self.config = dataclasses.replace(new_config, q_size=None)
-        self.commitment = commitments.pop()
-        self.shares = {i: out.share for i, out in renewed.items()}
-        return sim.metrics
-
-    # -- oracle helper ---------------------------------------------------------------------------
-
-    def reconstruct(self) -> int:
-        if self.commitment is None:
-            raise RuntimeError("no shares yet")
-        shares = [Share(i, v, self.commitment) for i, v in self.shares.items()]
-        return reconstruct_secret(shares, self.config.t, self.config.group.q)
+        return metrics

@@ -34,9 +34,9 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.deployment import DKG_SESSION, AgreementView, dkg_machines, dkg_pki
 from repro.dkg.config import DkgConfig
 from repro.dkg.messages import DkgCompletedOutput, DkgStartInput
-from repro.dkg.runner import build_dkg_deployment
 from repro.net.host import NodeHost
 from repro.net.peers import PeerRegistry
 from repro.net.transport import DEFAULT_TIME_SCALE, AsyncioTransport
@@ -45,7 +45,6 @@ from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 
 COMPLETED_KIND = "dkg.out.completed"
-DKG_SESSION = "dkg"
 
 
 class SessionCluster:
@@ -138,6 +137,23 @@ class SessionCluster:
             for i, host in sorted(self.hosts.items())
             if session in host.runtime.sessions
         }
+
+    async def run_session(
+        self,
+        session: str,
+        nodes: dict[int, Any],
+        inputs: dict[int, Any],
+        kind: str,
+        expected: set[int],
+        timeout: float = 60.0,
+    ) -> dict[int, Any]:
+        """Open ``session``, inject each ``inputs`` entry at its node, and
+        wait for ``kind`` outputs from ``expected`` (see
+        :meth:`wait_session_outputs`)."""
+        self.open_session(session, nodes)
+        for index, payload in inputs.items():
+            self.inject(session, index, payload)
+        return await self.wait_session_outputs(session, kind, expected, timeout)
 
     async def wait_session_outputs(
         self,
@@ -315,55 +331,7 @@ class SessionCluster:
 
 
 @dataclass
-class DkgBootstrap:
-    """The agreed world state a bootstrap DKG session establishes."""
-
-    completions: dict[int, DkgCompletedOutput]
-    commitment: Any
-    public_key: Any
-    shares: dict[int, int]
-
-
-async def bootstrap_dkg(
-    cluster: SessionCluster,
-    config: DkgConfig,
-    keystores: dict[int, Any],
-    ca: Any,
-    *,
-    session: str = DKG_SESSION,
-    tau: int = 0,
-    timeout: float = 60.0,
-) -> DkgBootstrap:
-    """Run one DKG as a session on ``cluster`` and return the agreed
-    commitment/shares — the first step of every multi-protocol
-    lifecycle (renewal phases, group modification)."""
-    from repro.dkg.node import DkgNode
-
-    members = config.vss().indices
-    cluster.open_session(
-        session,
-        {i: DkgNode(i, config, keystores[i], ca, tau=tau) for i in members},
-    )
-    cluster.inject_all(session, DkgStartInput(tau))
-    completions = await cluster.wait_session_outputs(
-        session, COMPLETED_KIND, set(members), timeout
-    )
-    if not completions:
-        raise RuntimeError("bootstrap DKG did not complete")
-    commitments = {out.commitment for out in completions.values()}
-    if len(commitments) != 1:
-        raise AssertionError("bootstrap commitment disagreement")
-    commitment = commitments.pop()
-    return DkgBootstrap(
-        completions=completions,
-        commitment=commitment,
-        public_key=commitment.public_key(),
-        shares={i: out.share for i, out in completions.items()},
-    )
-
-
-@dataclass
-class ClusterResult:
+class ClusterResult(AgreementView):
     """Outcome of one real-network DKG session."""
 
     config: DkgConfig
@@ -376,41 +344,14 @@ class ClusterResult:
     errors: list[Exception] = field(default_factory=list)
 
     @property
-    def completed_nodes(self) -> list[int]:
-        return sorted(self.completions)
-
-    @property
     def succeeded(self) -> bool:
         """Every honest, finally-up node completed; no handler errors;
         and all completions agree (Definition 4.1 agreement)."""
-        if self.errors:
-            return False
-        if not self.expected <= set(self.completions):
-            return False
-        try:
-            self.public_key
-            self.q_set
-        except AssertionError:
-            return False
-        return True
-
-    @property
-    def public_key(self) -> int:
-        keys = {out.public_key for out in self.completions.values()}
-        if len(keys) != 1:
-            raise AssertionError(f"public key disagreement: {len(keys)} keys")
-        return keys.pop()
-
-    @property
-    def q_set(self) -> tuple[int, ...]:
-        sets = {out.q_set for out in self.completions.values()}
-        if len(sets) != 1:
-            raise AssertionError("agreement violation: divergent Q sets")
-        return sets.pop()
-
-    @property
-    def shares(self) -> dict[int, int]:
-        return {i: out.share for i, out in self.completions.items()}
+        return (
+            not self.errors
+            and self.expected <= set(self.completions)
+            and self.agrees
+        )
 
 
 class LocalCluster(SessionCluster):
@@ -436,8 +377,13 @@ class LocalCluster(SessionCluster):
     ):
         self.config = config
         self.tau = tau
-        self.ca, self.nodes = build_dkg_deployment(
-            config, seed=seed, tau=tau, secrets=secrets, node_factory=node_factory
+        self.nodes = dkg_machines(
+            config,
+            dkg_pki(config, seed),
+            config.vss().indices,
+            tau=tau,
+            secrets=secrets,
+            node_factory=node_factory,
         )
         super().__init__(
             config.vss().indices,

@@ -14,20 +14,18 @@ checks by reconstructing the secret from a mixed share set.
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.shares import Share, reconstruct_secret
-from repro.net.cluster import SessionCluster, bootstrap_dkg
+from repro.deployment import DKG_SESSION, adopt, groupmod_cluster_sessions
+from repro.net.cluster import COMPLETED_KIND, SessionCluster
 from repro.net.transport import DEFAULT_TIME_SCALE
 from repro.proactive.renewal import share_commitment_at
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
-from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.dkg.config import DkgConfig
-from repro.groupmod.addition import AdditionNode, JoiningNode
-from repro.groupmod.agreement import GroupModAgreementNode
+from repro.dkg.messages import DkgStartInput
 from repro.groupmod.messages import (
     ModProposal,
     NodeAddInput,
@@ -97,9 +95,7 @@ def run_groupmod_cluster(
         joiner = new_node if new_node is not None else max(members) + 1
         if joiner in members:
             raise ValueError(f"node {joiner} is already a member")
-        enroll_rng = random.Random(("net-groupmod-pki", seed).__repr__())
-        ca = CertificateAuthority(config.group)
-        keystores = {i: KeyStore.enroll(i, ca, enroll_rng) for i in members}
+        machines = groupmod_cluster_sessions(config, seed, joiner)
         cluster = SessionCluster(
             list(members),
             seed=seed,
@@ -114,10 +110,15 @@ def run_groupmod_cluster(
             t_start = loop.time()
 
             # Session 1 — bootstrap DKG.
-            boot = await bootstrap_dkg(
-                cluster, config, keystores, ca, timeout=timeout
+            boot = await cluster.run_session(
+                DKG_SESSION,
+                machines(DKG_SESSION, members, None),
+                {i: DkgStartInput(0) for i in members},
+                COMPLETED_KIND,
+                set(members),
+                timeout,
             )
-            commitment, shares = boot.commitment, boot.shares
+            shares, commitment, _ = adopt(boot, "bootstrap DKG")
             secret_before = reconstruct_secret(
                 [Share(i, v, commitment) for i, v in shares.items()],
                 config.t,
@@ -125,17 +126,15 @@ def run_groupmod_cluster(
             )
 
             # Session 2 — §6.1 agreement on the add proposal.
-            vss_config = config.vss()
-            proposal = ModProposal("add", joiner)
-            cluster.open_session(
+            delivered = await cluster.run_session(
                 AGREE_SESSION,
-                {i: GroupModAgreementNode(i, vss_config) for i in members},
+                machines(AGREE_SESSION, members, None),
+                {min(members): ProposeInput(ModProposal("add", joiner))},
+                DELIVERED_KIND,
+                set(members),
+                timeout,
             )
-            cluster.inject(AGREE_SESSION, min(members), ProposeInput(proposal))
-            delivered = await cluster.wait_session_outputs(
-                AGREE_SESSION, DELIVERED_KIND, set(members), timeout
-            )
-            if len(delivered) < vss_config.output_threshold:
+            if len(delivered) < config.vss().output_threshold:
                 raise RuntimeError(
                     f"agreement delivered at only {sorted(delivered)}"
                 )
@@ -143,30 +142,15 @@ def run_groupmod_cluster(
             # Session 3 — §6.2 node addition over a real joiner endpoint.
             await cluster.add_member(joiner)
             cluster.schedule_crashes_from_now(list(crash_plan or []))
-            add_nodes: dict[int, Any] = {
-                i: AdditionNode(
-                    i,
-                    config,
-                    keystores[i],
-                    ca,
-                    new_node=joiner,
-                    current_share=shares[i],
-                    current_commitment=commitment,
-                    tau=1,
-                )
-                for i in members
-            }
-            add_nodes[joiner] = JoiningNode(
-                joiner,
-                t=config.t,
-                group_q=config.group.q,
-                expected_share_pk=share_commitment_at(commitment, joiner),
-            )
-            cluster.open_session(ADD_SESSION, add_nodes)
-            for i in members:
-                cluster.inject(ADD_SESSION, i, NodeAddInput(joiner, 1))
-            joined = await cluster.wait_session_outputs(
-                ADD_SESSION, JOINED_KIND, {joiner}, timeout
+            joined = await cluster.run_session(
+                ADD_SESSION,
+                machines(
+                    ADD_SESSION, [*members, joiner], lambda _: (shares, commitment)
+                ),
+                {i: NodeAddInput(joiner, 1) for i in members},
+                JOINED_KIND,
+                {joiner},
+                timeout,
             )
             await cluster.settle_recoveries()
             joined_share = (
@@ -192,7 +176,7 @@ def run_groupmod_cluster(
                 config=config,
                 seed=seed,
                 new_node=joiner,
-                public_key=boot.public_key,
+                public_key=commitment.public_key(),
                 agreement_nodes=sorted(delivered),
                 joined_share=joined_share,
                 share_verified=share_verified,

@@ -14,19 +14,18 @@ B logs per session.
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.shares import Share, reconstruct_secret
-from repro.net.cluster import SessionCluster, bootstrap_dkg
+from repro.deployment import DKG_SESSION, adopt, renewal_cluster_sessions
+from repro.net.cluster import COMPLETED_KIND, SessionCluster
 from repro.net.transport import DEFAULT_TIME_SCALE
-from repro.proactive.messages import RenewedOutput, RenewInput
-from repro.proactive.renewal import RenewalNode
+from repro.proactive.messages import RenewInput
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
-from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.dkg.config import DkgConfig
+from repro.dkg.messages import DkgStartInput
 
 RENEWED_KIND = "proactive.out.renewed"
 
@@ -67,66 +66,6 @@ class RenewalClusterResult:
         )
 
 
-async def _renewal_phases(
-    cluster: SessionCluster,
-    config: DkgConfig,
-    *,
-    phases: int,
-    keystores: dict[int, KeyStore],
-    ca: CertificateAuthority,
-    shares: dict[int, int],
-    commitment: Any,
-    public_key: Any,
-    crash_plan: list[tuple[int, float, float | None]],
-    timeout: float,
-) -> tuple[list[NetPhaseReport], dict[int, int], Any]:
-    loop = asyncio.get_running_loop()
-    reports: list[NetPhaseReport] = []
-    # Crash entries are relative to the *first renewal phase* (the
-    # interesting window); offset them past the bootstrap's wall time.
-    cluster.schedule_crashes_from_now(crash_plan)
-    for phase in range(1, phases + 1):
-        session = f"renew-{phase}"
-        nodes = {
-            i: RenewalNode(
-                i,
-                config,
-                keystores[i],
-                ca,
-                phase=phase,
-                prev_share=shares.get(i),
-                prev_commitment=commitment,
-            )
-            for i in config.vss().indices
-        }
-        cluster.open_session(session, nodes)
-        t_phase = loop.time()
-        cluster.inject_all(session, RenewInput(phase))
-        expected = cluster.finally_up()
-        renewed: dict[int, RenewedOutput] = await cluster.wait_session_outputs(
-            session, RENEWED_KIND, expected, timeout
-        )
-        if not renewed:
-            raise RuntimeError(f"renewal phase {phase} did not complete")
-        vectors = {out.commitment for out in renewed.values()}
-        if len(vectors) != 1:
-            raise AssertionError("renewal consistency violation")
-        commitment = vectors.pop()
-        # §5.1: safety over liveness — shares not renewed are gone.
-        shares = {i: out.share for i, out in renewed.items()}
-        reports.append(
-            NetPhaseReport(
-                phase=phase,
-                session=session,
-                renewed_nodes=sorted(renewed),
-                public_key=commitment.public_key(),
-                public_key_stable=commitment.public_key() == public_key,
-                wall_seconds=loop.time() - t_phase,
-            )
-        )
-    return reports, shares, commitment
-
-
 def run_renewal_cluster(
     config: DkgConfig,
     seed: int = 0,
@@ -147,9 +86,7 @@ def run_renewal_cluster(
 
     async def _run() -> RenewalClusterResult:
         members = config.vss().indices
-        enroll_rng = random.Random(("net-renewal-pki", seed).__repr__())
-        ca = CertificateAuthority(config.group)
-        keystores = {i: KeyStore.enroll(i, ca, enroll_rng) for i in members}
+        machines = renewal_cluster_sessions(config, seed)
         cluster = SessionCluster(
             list(members),
             seed=seed,
@@ -160,47 +97,67 @@ def run_renewal_cluster(
         )
         try:
             await cluster.start()
-            boot = await bootstrap_dkg(
-                cluster, config, keystores, ca, timeout=timeout
+            loop = asyncio.get_running_loop()
+            boot = await cluster.run_session(
+                DKG_SESSION,
+                machines(DKG_SESSION, members, None),
+                {i: DkgStartInput(0) for i in members},
+                COMPLETED_KIND,
+                set(members),
+                timeout,
             )
-            secret_before = reconstruct_secret(
-                [
-                    Share(i, v, boot.commitment)
-                    for i, v in boot.shares.items()
-                ],
-                config.t,
-                config.group.q,
-            )
-            reports, shares, commitment = await _renewal_phases(
-                cluster,
-                config,
-                phases=phases,
-                keystores=keystores,
-                ca=ca,
-                shares=boot.shares,
-                commitment=boot.commitment,
-                public_key=boot.public_key,
-                crash_plan=list(crash_plan or []),
-                timeout=timeout,
-            )
+            shares, commitment, _ = adopt(boot, "bootstrap DKG")
+            public_key = commitment.public_key()
+            secret_before = _secret(config, shares, commitment)
+            # Crash entries are relative to the *first renewal phase*
+            # (the interesting window); offset them past the bootstrap.
+            cluster.schedule_crashes_from_now(list(crash_plan or []))
+            reports: list[NetPhaseReport] = []
+            for phase in range(1, phases + 1):
+                session = f"renew-{phase}"
+                t_phase = loop.time()
+                nodes = machines(session, members, lambda _: (shares, commitment))
+                renewed = await cluster.run_session(
+                    session,
+                    nodes,
+                    {i: RenewInput(phase) for i in nodes},
+                    RENEWED_KIND,
+                    cluster.finally_up(),
+                    timeout,
+                )
+                shares, commitment, _ = adopt(renewed, f"renewal phase {phase}")
+                reports.append(
+                    NetPhaseReport(
+                        phase=phase,
+                        session=session,
+                        renewed_nodes=sorted(renewed),
+                        public_key=commitment.public_key(),
+                        public_key_stable=commitment.public_key() == public_key,
+                        wall_seconds=loop.time() - t_phase,
+                    )
+                )
             await cluster.settle_recoveries()
-            secret_after = reconstruct_secret(
-                [Share(i, v, commitment) for i, v in shares.items()],
-                config.t,
-                config.group.q,
-            )
             return RenewalClusterResult(
                 config=config,
                 seed=seed,
-                public_key=boot.public_key,
-                bootstrap_nodes=sorted(boot.completions),
+                public_key=public_key,
+                bootstrap_nodes=sorted(boot),
                 phases=reports,
                 crashed=set(cluster.crashed),
                 metrics=cluster.metrics,
-                secret_invariant=secret_after == secret_before,
+                secret_invariant=_secret(config, shares, commitment) == secret_before,
                 errors=cluster.collect_errors(),
             )
         finally:
             await cluster.stop()
 
     return asyncio.run(_run())
+
+
+def _secret(config: DkgConfig, shares: dict[int, int], commitment: Any) -> int:
+    """The secret the shares reconstruct (oracle check, not protocol)."""
+    return reconstruct_secret(
+        [Share(i, v, commitment) for i, v in shares.items()],
+        config.t,
+        config.group.q,
+    )

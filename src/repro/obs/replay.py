@@ -15,8 +15,9 @@ What replay rebuilds (and how it knows):
 
 * the deployment — the capture's leading meta record names the CLI
   command, group, codec and full :class:`~repro.dkg.config.DkgConfig`
-  parameters, so machines are reconstructed with the runner's exact
-  enrollment-RNG seeds (``("dkg-pki", seed)`` etc.);
+  parameters, so machines are built by the live runner's own
+  per-session constructor in :mod:`repro.deployment`, PKI label and
+  all;
 * the network — not at all: captured ``MessageReceived`` events stand
   in for it, and ``Send``/``Broadcast`` effects are dropped on the
   replay transport;
@@ -24,10 +25,10 @@ What replay rebuilds (and how it knows):
   Re-execution re-arms the same timers in the same order (machine and
   runtime timer-id counters are deterministic), so recorded ids route
   to the right session;
-* multi-session state — ``renew-N`` / ``add-1`` sessions are built
-  from the *replayed* outputs of their predecessor sessions, mirroring
-  the live orchestrators' share/commitment chaining (crashed nodes
-  that never renewed get ``prev_share=None``, exactly like live).
+* multi-session state — that constructor is handed the *replayed*
+  outputs of a ``renew-N`` / ``add-1`` session's predecessor where the
+  live runner hands it its own (a crashed node that never renewed gets
+  ``prev_share=None``, exactly like live).
 
 Captures from ``repro serve`` (client-driven traffic) record fine but
 are analysis-only; :func:`replay_capture` raises :class:`ReplayError`
@@ -40,7 +41,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.trace import tag_from_json
 from repro.runtime.driver import MachineDriver
@@ -263,157 +264,27 @@ class ReplayTransport:
         pass
 
 
-# -- deployment factories ------------------------------------------------------
-#
-# One per recorded command: given the replayed world so far, build the
-# machine a session-open control record asks for — with the exact
-# construction (PKI seeds, prior-session state) the live runner used.
+def _session_machines(meta: dict[str, Any], config: Any) -> Any:
+    """The recorded lifecycle's own per-session constructor (see
+    :mod:`repro.deployment`), with the live runner's PKI label."""
+    from repro import deployment
 
-
-class _DeploymentFactory:
-    def __init__(self, meta: dict[str, Any], config: Any, world: "ReplayWorld"):
-        self.meta = meta
-        self.config = config
-        self.world = world
-
-    def machine(self, node: int, session: str) -> Any:
-        raise NotImplementedError
-
-    # Prior-session results, re-derived from the *replayed* outputs.
-
-    def _session_result(
-        self, session: str, kind_attr: str = "share"
-    ) -> tuple[dict[int, Any], Any]:
-        """(per-node payload with ``share``, any node's commitment)."""
-        payloads: dict[int, Any] = {}
-        commitment = None
-        for node, runtime in self.world.runtimes.items():
-            for payload in runtime.session_outputs.get(session, []):
-                if hasattr(payload, kind_attr):
-                    payloads[node] = payload
-                    commitment = getattr(payload, "commitment", commitment)
-        if not payloads:
-            raise ReplayError(
-                f"session {session!r} produced no outputs to chain from"
-            )
-        return payloads, commitment
-
-
-class _DkgFactory(_DeploymentFactory):
-    """``repro dkg`` / ``repro cluster``: one DKG session."""
-
-    def __init__(self, meta: dict[str, Any], config: Any, world: "ReplayWorld"):
-        super().__init__(meta, config, world)
-        from repro.dkg.runner import build_dkg_deployment
-
-        _ca, self.nodes = build_dkg_deployment(
-            config, seed=meta["seed"], tau=meta.get("tau", 0)
+    cmd, seed = meta.get("cmd"), meta["seed"]
+    if cmd in ("dkg", "cluster"):
+        nodes = deployment.dkg_machines(
+            config,
+            deployment.dkg_pki(config, seed),
+            config.vss().indices,
+            tau=meta.get("tau", 0),
         )
-
-    def machine(self, node: int, session: str) -> Any:
-        try:
-            return self.nodes[node]
-        except KeyError:
-            raise ReplayError(f"node {node} is not in the DKG deployment")
-
-
-class _RenewalFactory(_DeploymentFactory):
-    """``repro renew --transport tcp``: bootstrap + renew-N sessions."""
-
-    def __init__(self, meta: dict[str, Any], config: Any, world: "ReplayWorld"):
-        super().__init__(meta, config, world)
-        from repro.sim.pki import CertificateAuthority, KeyStore
-
-        enroll_rng = random.Random(("net-renewal-pki", meta["seed"]).__repr__())
-        self.ca = CertificateAuthority(config.group)
-        self.keystores = {
-            i: KeyStore.enroll(i, self.ca, enroll_rng)
-            for i in config.vss().indices
-        }
-
-    def machine(self, node: int, session: str) -> Any:
-        from repro.dkg.node import DkgNode
-        from repro.proactive.renewal import RenewalNode
-
-        if session == "dkg":
-            return DkgNode(node, self.config, self.keystores[node], self.ca, tau=0)
-        if not session.startswith("renew-"):
-            raise ReplayError(f"unexpected session {session!r} in renew capture")
-        phase = int(session.split("-", 1)[1])
-        previous = "dkg" if phase == 1 else f"renew-{phase - 1}"
-        payloads, commitment = self._session_result(previous)
-        prior = payloads.get(node)
-        return RenewalNode(
-            node,
-            self.config,
-            self.keystores[node],
-            self.ca,
-            phase=phase,
-            prev_share=prior.share if prior is not None else None,
-            prev_commitment=commitment,
-        )
-
-
-class _GroupModFactory(_DeploymentFactory):
-    """``repro groupmod --transport tcp``: dkg, agree-1, add-1."""
-
-    def __init__(self, meta: dict[str, Any], config: Any, world: "ReplayWorld"):
-        super().__init__(meta, config, world)
-        from repro.sim.pki import CertificateAuthority, KeyStore
-
-        enroll_rng = random.Random(
-            ("net-groupmod-pki", meta["seed"]).__repr__()
-        )
-        self.ca = CertificateAuthority(config.group)
-        self.keystores = {
-            i: KeyStore.enroll(i, self.ca, enroll_rng)
-            for i in config.vss().indices
-        }
-        self.joiner = meta.get("new_node")
-        if self.joiner is None:
+        return lambda session, members, prior: {i: nodes[i] for i in members}
+    if cmd == "renew":
+        return deployment.renewal_cluster_sessions(config, seed)
+    if cmd == "groupmod":
+        if meta.get("new_node") is None:
             raise ReplayError("groupmod capture meta lacks 'new_node'")
-
-    def machine(self, node: int, session: str) -> Any:
-        from repro.dkg.node import DkgNode
-        from repro.groupmod.addition import AdditionNode, JoiningNode
-        from repro.groupmod.agreement import GroupModAgreementNode
-        from repro.proactive.renewal import share_commitment_at
-
-        if session == "dkg":
-            return DkgNode(node, self.config, self.keystores[node], self.ca, tau=0)
-        if session.startswith("agree-"):
-            return GroupModAgreementNode(node, self.config.vss())
-        if session.startswith("add-"):
-            payloads, commitment = self._session_result("dkg")
-            if node == self.joiner:
-                return JoiningNode(
-                    node,
-                    t=self.config.t,
-                    group_q=self.config.group.q,
-                    expected_share_pk=share_commitment_at(commitment, node),
-                )
-            prior = payloads.get(node)
-            if prior is None:
-                raise ReplayError(f"node {node} has no bootstrap share")
-            return AdditionNode(
-                node,
-                self.config,
-                self.keystores[node],
-                self.ca,
-                new_node=self.joiner,
-                current_share=prior.share,
-                current_commitment=commitment,
-                tau=1,
-            )
-        raise ReplayError(f"unexpected session {session!r} in groupmod capture")
-
-
-_FACTORIES: dict[str, Callable[..., _DeploymentFactory]] = {
-    "dkg": _DkgFactory,
-    "cluster": _DkgFactory,
-    "renew": _RenewalFactory,
-    "groupmod": _GroupModFactory,
-}
+        return deployment.groupmod_cluster_sessions(config, seed, meta["new_node"])
+    raise ReplayError(f"captures from {cmd!r} are analysis-only (no replay factory)")
 
 
 # -- the replay world ----------------------------------------------------------
@@ -437,11 +308,6 @@ class ReplayWorld:
         self.seed = meta["seed"]
         self.transport_kind = meta.get("transport", "sim")
         cmd = meta.get("cmd")
-        factory_cls = _FACTORIES.get(cmd)
-        if factory_cls is None:
-            raise ReplayError(
-                f"captures from {cmd!r} are analysis-only (no replay factory)"
-            )
         if cmd in ("renew", "groupmod") and self.transport_kind != "tcp":
             # The sim orchestrators spin up a fresh simulation per
             # stage, so their captures interleave worlds replay cannot
@@ -450,6 +316,7 @@ class ReplayWorld:
                 f"sim-transport {cmd!r} captures are analysis-only; "
                 "record with --transport tcp to replay"
             )
+        self.session_machines = _session_machines(meta, self.config)
         from repro.net import wire
 
         # One table for the whole world: a capture repeats each dealer's
@@ -459,7 +326,6 @@ class ReplayWorld:
         self.transports: dict[int, ReplayTransport] = {}
         self.drivers: dict[int, MachineDriver] = {}
         self.runtimes: dict[int, ProtocolRuntime] = {}
-        self.factory = factory_cls(meta, self.config, self)
         if self.transport_kind == "sim":
             # Plain machines, no session multiplexing, fixed membership
             # (exactly what the sim runner drives).
@@ -468,9 +334,7 @@ class ReplayWorld:
                     i, self.seed, list(self.config.vss().indices), self.outputs
                 )
                 self.transports[i] = transport
-                self.drivers[i] = MachineDriver(
-                    self.factory.machine(i, "dkg"), transport, i
-                )
+                self.drivers[i] = MachineDriver(self.machine(i, "dkg"), transport, i)
 
     def _tcp_driver(self, node: int) -> MachineDriver:
         if node not in self.drivers:
@@ -484,11 +348,36 @@ class ReplayWorld:
     def open_session(self, record: dict[str, Any]) -> None:
         node = record["node"]
         session = record["session"]
-        driver = self._tcp_driver(node)
+        self._tcp_driver(node)
         self.transports[node].members = sorted(record.get("members", []))
         runtime = self.runtimes[node]
         if session not in runtime.sessions:
-            runtime.open_session(session, self.factory.machine(node, session))
+            runtime.open_session(session, self.machine(node, session))
+
+    def machine(self, node: int, session: str) -> Any:
+        """The machine the live runner built for ``node`` in ``session``,
+        chained from the *replayed* outputs of earlier sessions."""
+        try:
+            return self.session_machines(session, [node], self._prior)[node]
+        except (KeyError, ValueError) as exc:
+            raise ReplayError(
+                f"cannot build node {node} of session {session!r}: {exc!r}"
+            ) from exc
+
+    def _prior(self, session: str) -> tuple[dict[int, int], Any]:
+        """(shares, commitment) of a finished session, as replayed."""
+        shares: dict[int, int] = {}
+        commitment = None
+        for node, runtime in self.runtimes.items():
+            for payload in runtime.session_outputs.get(session, []):
+                if hasattr(payload, "share"):
+                    shares[node] = payload.share
+                    commitment = getattr(payload, "commitment", commitment)
+        if not shares:
+            raise ReplayError(
+                f"session {session!r} produced no outputs to chain from"
+            )
+        return shares, commitment
 
     def decode_frame(self, frame_hex: str) -> Any:
         from repro.net import wire

@@ -13,9 +13,7 @@ clock and wall clock, and the transition's ``perf_counter`` duration.
 
 Spans are JSON-ready; :class:`JsonlTraceSink` appends one JSON object
 per line, :class:`MemoryTraceSink` keeps a bounded in-memory list for
-tests and interactive debugging.  This supersedes the sim-only
-:class:`repro.sim.tracing.Tracer`, which remains for queue-level
-(pre-dispatch) views of simulated runs.
+tests and interactive debugging.  This is the package's one tracer.
 
 **Flight recording.**  With ``payloads=True`` a :class:`JsonlTraceSink`
 is a full-fidelity flight recorder: every span additionally carries the

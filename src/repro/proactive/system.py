@@ -15,20 +15,23 @@ useless.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.shares import Share, reconstruct_secret
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
-from repro.sim.network import DelayModel, UniformDelay
-from repro.sim.pki import CertificateAuthority, KeyStore
-from repro.sim.runner import Simulation
+from repro.sim.network import DelayModel
+from repro.deployment import (
+    adopt,
+    enroll,
+    proactive_phase,
+    renewal_machines,
+    simulate,
+)
 from repro.dkg.config import DkgConfig
 from repro.dkg.runner import DkgResult, run_dkg
-from repro.proactive.messages import RenewInput
-from repro.proactive.renewal import RenewalNode
+from repro.proactive.messages import RenewedOutput, RenewInput
 
 
 @dataclass
@@ -47,8 +50,11 @@ class PhaseReport:
         return self.commitment.public_key()
 
 
-class ProactiveSystem:
-    """A long-lived (n, t, f) threshold system with periodic renewal."""
+class ShareLifecycle:
+    """What a long-lived deployment carries from phase to phase: its
+    config, the live shares and the commitment they verify against.
+    Shared by :class:`ProactiveSystem` and
+    :class:`~repro.groupmod.manager.GroupManager`."""
 
     def __init__(self, config: DkgConfig, seed: int = 0):
         self.config = config
@@ -57,21 +63,71 @@ class ProactiveSystem:
         self.shares: dict[int, int] = {}
         self.commitment: FeldmanCommitment | FeldmanVector | None = None
         self.public_key: int | None = None
-        self.reports: list[PhaseReport] = []
-        self.adversary_view: dict[int, dict[int, int]] = {}  # phase -> node -> share
-        self._rng = random.Random(("proactive", seed).__repr__())
-
-    # -- phase 0: the initial DKG ----------------------------------------------
 
     def bootstrap(self, **kwargs: object) -> DkgResult:
         """Run the initial DKG and adopt its shares as phase 0."""
         result = run_dkg(self.config, seed=self.seed, **kwargs)  # type: ignore[arg-type]
-        if not result.completions:
-            raise RuntimeError("bootstrap DKG did not complete")
-        self.shares = dict(result.shares)
-        self.commitment = result.commitment
+        self.shares, self.commitment, _ = adopt(result.completions, "bootstrap DKG")
         self.public_key = result.public_key
         return result
+
+    def _renewal_phase(
+        self,
+        config: DkgConfig,
+        members: list[int],
+        label_and_seed: tuple[tuple, int],
+        *,
+        crash_plan: list[tuple[float, int, float | None]] | None,
+        delay_model: DelayModel | None,
+        until: float | None,
+        starts: dict[int, float] | None = None,
+    ) -> tuple[dict[int, RenewedOutput], Metrics]:
+        """Simulate renewal phase ``self.phase`` of ``config`` over
+        ``members`` (a fresh PKI and world per phase, under the PKI
+        label and simulation seed given); each member starts at its
+        ``starts`` offset.  Returns the renewed outputs and metrics."""
+        label, seed = label_and_seed
+        adversary = (
+            Adversary.crash_only(config.t, config.f, crash_plan)
+            if crash_plan
+            else Adversary.passive(config.t, config.f)
+        )
+        machines = renewal_machines(
+            config,
+            enroll(config.group, members, label),
+            members,
+            phase=self.phase,
+            shares=self.shares,
+            commitment=self.commitment,
+        )
+        sim = simulate(
+            machines,
+            [(i, RenewInput(self.phase), (starts or {}).get(i, 0.0)) for i in machines],
+            until=until,
+            delay_model=delay_model,
+            adversary=adversary,
+            seed=seed,
+        )
+        renewed = {
+            i: node.renewed for i, node in machines.items() if node.renewed is not None
+        }
+        return renewed, sim.metrics
+
+    def reconstruct(self) -> int:
+        """Reconstruct the current secret from the live share set."""
+        if self.commitment is None:
+            raise RuntimeError("no shares yet")
+        shares = [Share(i, v, self.commitment) for i, v in self.shares.items()]
+        return reconstruct_secret(shares, self.config.t, self.config.group.q)
+
+
+class ProactiveSystem(ShareLifecycle):
+    """A long-lived (n, t, f) threshold system with periodic renewal."""
+
+    def __init__(self, config: DkgConfig, seed: int = 0):
+        super().__init__(config, seed)
+        self.reports: list[PhaseReport] = []
+        self.adversary_view: dict[int, dict[int, int]] = {}  # phase -> node -> share
 
     # -- renewal phases ------------------------------------------------------------
 
@@ -104,74 +160,34 @@ class ProactiveSystem:
         exposed = {i: self.shares[i] for i in corrupted if i in self.shares}
         self.adversary_view[phase] = dict(exposed)
 
-        adversary = (
-            Adversary.crash_only(self.config.t, self.config.f, crash_plan)
-            if crash_plan
-            else Adversary.passive(self.config.t, self.config.f)
+        renewed, metrics = self._renewal_phase(
+            self.config,
+            # A node that lost its share (e.g. crashed through a phase)
+            # sits the phase out.
+            [i for i in range(1, self.config.n + 1) if i in self.shares],
+            proactive_phase(self.seed, phase),
+            crash_plan=crash_plan,
+            delay_model=delay_model,
+            until=until,
+            starts=clock_skews,
         )
-        sim = Simulation(
-            delay_model=delay_model or UniformDelay(),
-            adversary=adversary,
-            seed=(self.seed * 1009 + phase),
-        )
-        ca = CertificateAuthority(self.config.group)
-        enroll_rng = random.Random(("proactive-pki", self.seed, phase).__repr__())
-        nodes: dict[int, RenewalNode] = {}
-        for i in range(1, self.config.n + 1):
-            if i not in self.shares:
-                continue  # node lost its share (e.g. crashed through a phase)
-            keystore = KeyStore.enroll(i, ca, enroll_rng)
-            node = RenewalNode(
-                i,
-                self.config,
-                keystore,
-                ca,
-                phase=phase,
-                prev_share=self.shares[i],
-                prev_commitment=self.commitment,
-            )
-            sim.add_node(node)
-            nodes[i] = node
-        skews = clock_skews or {}
-        for i in nodes:
-            sim.inject(i, RenewInput(phase), at=skews.get(i, 0.0))
-        sim.run(until=until)
-
-        renewed = {
-            i: node.renewed for i, node in nodes.items() if node.renewed is not None
-        }
-        if not renewed:
-            raise RuntimeError(f"renewal phase {phase} did not complete")
-        commitments = {out.commitment for out in renewed.values()}
-        if len(commitments) != 1:
-            raise AssertionError("renewal consistency violation")
-        commitment = commitments.pop()
         # §5.1: safety over liveness — shares not renewed this phase are
         # gone (their owners deleted them when the protocol started).
-        self.shares = {i: out.share for i, out in renewed.items()}
-        self.commitment = commitment
-        q_sets = {out.q_set for out in renewed.values()}
-        if len(q_sets) != 1:
-            raise AssertionError("renewal agreement violation on Q")
+        self.shares, self.commitment, q_set = adopt(
+            renewed, f"renewal phase {phase}"
+        )
         report = PhaseReport(
             phase=phase,
             shares=dict(self.shares),
-            commitment=commitment,
-            metrics=sim.metrics,
+            commitment=self.commitment,
+            metrics=metrics,
             exposed_shares=exposed,
-            q_set=q_sets.pop(),
+            q_set=q_set,
         )
         self.reports.append(report)
         return report
 
     # -- oracle helpers for tests/benches ---------------------------------------------
-
-    def reconstruct(self) -> int:
-        """Reconstruct the current secret from the live share set."""
-        if self.commitment is None:
-            raise RuntimeError("no shares yet")
-        shares = [Share(i, v, self.commitment) for i, v in self.shares.items()]
-        return reconstruct_secret(shares, self.config.t, self.config.group.q)
 
     def exposed_union(self) -> dict[int, list[tuple[int, int]]]:
         """Everything the mobile adversary ever saw: phase -> (node, share)."""

@@ -13,18 +13,14 @@ one-world-per-protocol arrangement.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Any
 
+from repro.deployment import AgreementView, dkg_machines, sessions_pki, simulate
 from repro.runtime.envelope import SessionEnvelope
 from repro.runtime.runtime import ProtocolRuntime
-from repro.sim.network import DelayModel, UniformDelay
-from repro.sim.pki import CertificateAuthority, KeyStore
-from repro.sim.runner import Simulation
+from repro.sim.network import DelayModel
 from repro.dkg.config import DkgConfig
 from repro.dkg.messages import DkgCompletedOutput, DkgStartInput
-from repro.dkg.node import DkgNode
 
 COMPLETED_KIND = "dkg.out.completed"
 
@@ -43,7 +39,7 @@ class DkgSessionSpec:
 
 
 @dataclass
-class DkgSessionResult:
+class DkgSessionResult(AgreementView):
     """Per-session outcome of one multiplexed run."""
 
     spec: DkgSessionSpec
@@ -52,38 +48,7 @@ class DkgSessionResult:
     @property
     def succeeded(self) -> bool:
         members = set(self.spec.config.vss().indices)
-        return members <= set(self.completions) and self._agreed()
-
-    def _agreed(self) -> bool:
-        return (
-            len({out.public_key for out in self.completions.values()}) == 1
-            and len({out.q_set for out in self.completions.values()}) == 1
-        )
-
-    @property
-    def public_key(self) -> Any:
-        keys = {out.public_key for out in self.completions.values()}
-        if len(keys) != 1:
-            raise AssertionError("public key disagreement")
-        return keys.pop()
-
-    @property
-    def q_set(self) -> tuple[int, ...]:
-        sets = {out.q_set for out in self.completions.values()}
-        if len(sets) != 1:
-            raise AssertionError("divergent Q sets")
-        return sets.pop()
-
-    @property
-    def commitment(self) -> Any:
-        commitments = {out.commitment for out in self.completions.values()}
-        if len(commitments) != 1:
-            raise AssertionError("divergent commitments")
-        return commitments.pop()
-
-    @property
-    def shares(self) -> dict[int, int]:
-        return {i: out.share for i, out in self.completions.items()}
+        return members <= set(self.completions) and self.agrees
 
 
 def run_dkg_sessions(
@@ -109,41 +74,33 @@ def run_dkg_sessions(
     universe = sorted(
         {i for spec in specs for i in spec.config.vss().indices}
     )
-    sim = Simulation(
-        delay_model=delay_model or UniformDelay(),
+    pki = sessions_pki(specs[0].config.group, universe, seed)
+    # Completed DKG sessions are evicted as they finish (their outputs
+    # survive for the result sweep below) so a large batch holds live
+    # machines only for its stragglers.
+    runtimes = {i: ProtocolRuntime(i, evict_completed=True) for i in universe}
+    for spec in specs:
+        machines = dkg_machines(
+            spec.config,
+            pki,
+            spec.config.vss().indices,
+            tau=spec.tau,
+            secrets=spec.secrets,
+        )
+        for i, machine in machines.items():
+            runtimes[i].open_session(spec.session, machine)
+    simulate(
+        runtimes,
+        [
+            (i, SessionEnvelope(spec.session, DkgStartInput(spec.tau)), 0.0)
+            for spec in specs
+            for i in spec.config.vss().indices
+        ],
+        until=until,
+        max_events=max_events,
+        delay_model=delay_model,
         seed=seed,
     )
-    enroll_rng = random.Random(("sessions-pki", seed).__repr__())
-    ca = CertificateAuthority(specs[0].config.group)
-    keystores = {i: KeyStore.enroll(i, ca, enroll_rng) for i in universe}
-    runtimes: dict[int, ProtocolRuntime] = {}
-    for i in universe:
-        # Completed DKG sessions are evicted as they finish (their
-        # outputs survive for the result sweep below) so a large batch
-        # holds live machines only for its stragglers.
-        runtimes[i] = ProtocolRuntime(i, evict_completed=True)
-        sim.add_node(runtimes[i])
-    for spec in specs:
-        for i in spec.config.vss().indices:
-            runtimes[i].open_session(
-                spec.session,
-                DkgNode(
-                    i,
-                    spec.config,
-                    keystores[i],
-                    ca,
-                    tau=spec.tau,
-                    secret=(spec.secrets or {}).get(i),
-                ),
-            )
-    for spec in specs:
-        for i in spec.config.vss().indices:
-            sim.inject(
-                i,
-                SessionEnvelope(spec.session, DkgStartInput(spec.tau)),
-                at=0.0,
-            )
-    sim.run(until=until, max_events=max_events)
     results: dict[str, DkgSessionResult] = {}
     for spec in specs:
         result = DkgSessionResult(spec)

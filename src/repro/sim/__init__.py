@@ -34,7 +34,6 @@ from repro.sim.scenarios import (
     leader_assassination,
     rolling_restart,
 )
-from repro.sim.tracing import TraceRecord, Tracer
 from repro.sim.node import Context, OutputRecord, ProtocolNode, RecordingNode
 from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.sim.runner import Simulation
@@ -66,8 +65,6 @@ __all__ = [
     "ScenarioSpec",
     "Simulation",
     "TimeoutPolicy",
-    "TraceRecord",
-    "Tracer",
     "UniformDelay",
     "crash_storm",
     "fault_free",

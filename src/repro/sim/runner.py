@@ -49,7 +49,6 @@ class Simulation:
 
     def __init__(
         self,
-        nodes: dict[int, ProtocolNode] | None = None,
         delay_model: DelayModel | None = None,
         adversary: Adversary | None = None,
         seed: int = 0,
@@ -57,7 +56,7 @@ class Simulation:
     ):
         self.queue = EventQueue()
         self.metrics = Metrics()
-        # Observers see every dispatched event (see repro.sim.tracing).
+        # Observers see every dispatched event: on_event(time, event).
         self.observers = list(observers or [])
         self.nodes: dict[int, ProtocolNode] = {}
         self._drivers: dict[int, MachineDriver] = {}
@@ -72,8 +71,6 @@ class Simulation:
         self._cancelled_timers: set[int] = set()
         self._events_processed = 0
         self._schedule_crash_plan()
-        for node in (nodes or {}).values():
-            self.add_node(node)
 
     # -- construction --------------------------------------------------------
 

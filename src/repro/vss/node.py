@@ -15,9 +15,10 @@ from typing import Any
 
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
-from repro.sim.network import DelayModel, UniformDelay
+from repro.sim.network import DelayModel
 from repro.sim.node import Context, ProtocolNode
 from repro.sim.runner import Simulation
+from repro.deployment import simulate
 from repro.vss.config import VssConfig
 from repro.vss.messages import (
     ReconstructInput,
@@ -139,31 +140,31 @@ def run_vss(
 
     ``node_factory`` maps node indices to replacement ProtocolNode
     instances, which is how tests inject Byzantine dealers/participants.
-    ``observers`` are forwarded to the simulation (see
-    :mod:`repro.sim.tracing`); the wire-codec tests use one to check
-    that every delivered payload is stamped with its true frame length.
+    ``observers`` are forwarded to the simulation, whose run loop hands
+    each one every event it dispatches (``on_event(time, event)``); the
+    wire-codec tests use one to check that every delivered payload is
+    stamped with its true frame length.
     """
     rng = random.Random(("run-vss", seed).__repr__())
     if secret is None:
         secret = config.group.random_scalar(rng)
     session_id = SessionId(dealer, tau)
-    sim = Simulation(
-        delay_model=delay_model or UniformDelay(),
+    machines = {
+        i: node_factory[i]
+        if node_factory and i in node_factory
+        else VssNode(i, config, session_id)
+        for i in config.indices
+    }
+    sim = simulate(
+        machines,
+        [(dealer, ShareInput(session_id, secret), 0.0)],
+        until=until,
+        delay_model=delay_model,
         adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
         observers=observers,
     )
-    nodes: dict[int, VssNode] = {}
-    for i in config.indices:
-        if node_factory and i in node_factory:
-            node = node_factory[i]
-        else:
-            node = VssNode(i, config, session_id)
-        sim.add_node(node)
-        if isinstance(node, VssNode):
-            nodes[i] = node
-    sim.inject(dealer, ShareInput(session_id, secret), at=0.0)
-    sim.run(until=until)
+    nodes = {i: m for i, m in machines.items() if isinstance(m, VssNode)}
     if reconstruct:
         for i, node in nodes.items():
             if node.shared is not None and i not in sim.crashed:

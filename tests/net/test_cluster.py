@@ -32,6 +32,23 @@ def _config(n: int = 4, t: int = 1, f: int = 0) -> DkgConfig:
     return DkgConfig(n=n, t=t, f=f, group=G)
 
 
+def _construction(machine) -> tuple:
+    """What a lifecycle machine was built from: its kind, keystore,
+    prior share and the prior commitment each dealing is checked against."""
+    keystore = getattr(machine, "keystore", None)
+    return (
+        type(machine).__name__,
+        keystore.signing_key.public_key if keystore else None,
+        getattr(machine, "secret", None),
+        getattr(machine, "_deals", None),
+        {
+            dealer: session.expected_secret_commitment
+            for dealer, session in getattr(machine, "sessions", {}).items()
+        },
+        getattr(machine, "expected_share_pk", None),
+    )
+
+
 class TestRealSocketDkg:
     def test_dkg_completes_with_agreement(self) -> None:
         result = run_local_cluster(_config(), seed=7, time_scale=SCALE)
@@ -253,15 +270,56 @@ class TestClusterOrchestration:
         assert not result.succeeded
 
     def test_sim_and_cluster_build_identical_nodes(self) -> None:
-        """Both execution layers share build_dkg_deployment: same PKI
-        derivation, same per-node secrets."""
-        from repro.dkg.runner import build_dkg_deployment
+        """Both execution layers build DKG nodes through
+        repro.deployment: same PKI derivation, same per-node secrets."""
+        from repro.deployment import dkg_machines, dkg_pki
 
-        _, sim_nodes = build_dkg_deployment(_config(), seed=7)
-        cluster = LocalCluster(_config(), seed=7)
+        config = _config()
+        sim_nodes = dkg_machines(config, dkg_pki(config, 7), config.vss().indices)
+        cluster = LocalCluster(config, seed=7)
         for i, node in cluster.nodes.items():
             assert node.secret == sim_nodes[i].secret
             assert (
                 node.keystore.signing_key.secret
                 == sim_nodes[i].keystore.signing_key.secret
             )
+
+    @pytest.mark.parametrize("protocol", ["renew", "groupmod"])
+    def test_replay_builds_the_live_lifecycle_machines(
+        self, protocol, monkeypatch
+    ) -> None:
+        """For every (node, session) of a TCP lifecycle, replay rebuilds
+        the machine the live runner built: same keystore, same prior
+        share and commitment."""
+        from repro.fuzz.schedule import generate_capture
+        from repro.net.cluster import SessionCluster
+        from repro.obs.replay import ReplayWorld
+
+        live: dict[tuple[int, str], object] = {}
+        open_session = SessionCluster.open_session
+
+        def recording(cluster, session, nodes):
+            live.update({(i, session): node for i, node in nodes.items()})
+            open_session(cluster, session, nodes)
+
+        monkeypatch.setattr(SessionCluster, "open_session", recording)
+        capture = generate_capture(protocol, n=4, t=1, seed=7, group=G, phases=2)
+        world = ReplayWorld(capture)
+        for record in capture.records:
+            if record.get("record") == "open":
+                world.open_session(record)
+            elif "event" in record:
+                world.dispatch_span(record)
+        replayed = {
+            (node, session): machine
+            for node, runtime in world.runtimes.items()
+            for session, machine in runtime.sessions.items()
+        }
+        assert replayed.keys() == live.keys()
+        assert {session for _node, session in live} == (
+            {"dkg", "renew-1", "renew-2"}
+            if protocol == "renew"
+            else {"dkg", "agree-1", "add-1"}
+        )
+        for key, machine in live.items():
+            assert _construction(replayed[key]) == _construction(machine), key

@@ -88,6 +88,26 @@ class TestCli:
         assert payload["share_verified"] is True
         assert payload["agreement_nodes"] == [1, 2, 3, 4]
 
+    def test_renew_sim_rejects_crash(self, capsys) -> None:
+        # The sim lifecycle has no place for a wall-clock crash plan; a
+        # plan that exceeds f must not print a green result.
+        argv = ["renew", "--n", "6", "--t", "1", "--f", "1", "--phases", "1"]
+        for crash in ("3@2+25", "4@2+25", "5@2", "6@2"):
+            argv += ["--crash", crash]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--crash needs --transport tcp" in capsys.readouterr().err
+
+    def test_groupmod_sim_rejects_crash(self, capsys) -> None:
+        argv = ["groupmod", "--n", "4", "--t", "1", "--f", "0"]
+        for node in (1, 2, 3):
+            argv += ["--crash", f"{node}@0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--crash needs --transport tcp" in capsys.readouterr().err
+
     def test_resilience_command(self, capsys) -> None:
         code = main(["resilience", "--t", "1", "--f", "0", "--json"])
         payload = json.loads(capsys.readouterr().out)
