@@ -13,6 +13,12 @@ collecting ``n - t - f`` signed lead-ch votes for ``v`` (Fig. 3) or by
 receiving the view-``v`` leader's proposal carrying those votes as an
 election proof — the paper's provision for nodes "who have not received
 enough lead-ch messages".
+
+Signatures are checked where they become evidence.  The §2.3 channels
+already authenticate every sender, so a signed VSS ready, DKG echo or
+DKG ready is recorded unchecked; its signature is verified only when it
+goes into a certificate or lock proof this node builds (an R_d it ships,
+an M it locks on) or when it arrives inside another node's proof.
 """
 
 from __future__ import annotations
@@ -107,6 +113,14 @@ class DkgNode(ProtocolNode):
                 sign_ready=True,
             )
         self.q_hat: dict[int, ReadyCert] = {}  # b-Q with b-R certificates
+        # Dealers whose b-R was adopted from a verified lead-ch proof;
+        # the rest name this node's own VSS outputs, whose witnesses are
+        # candidates until shipped (see _certificate).
+        self._adopted: set[int] = set()
+        # The view in which this node, as leader, held t + 1 candidate
+        # certificates but too few of them verified: a late VSS ready
+        # may complete one, so it retries the proposal.
+        self._short_in_view: int | None = None
         self.locked_q: tuple[int, ...] | None = None  # bold Q
         self.locked_proof: MTypeProof | None = None  # M
         self.echo_votes: dict[tuple[int, ...], dict[int, SetVote]] = {}
@@ -161,16 +175,33 @@ class DkgNode(ProtocolNode):
 
     def _current_proof(self) -> Proof | None:
         """The best evidence this node can attach: locked (Q, M) if any,
-        else (Q-hat, R-hat) once it holds t + 1 certificates."""
+        else (Q-hat, R-hat) once t + 1 of its certificates verify —
+        lowest dealers first, skipping any that come up short."""
         if self.locked_q is not None and self.locked_proof is not None:
             return self.locked_proof
-        if len(self.q_hat) >= self.config.proposal_size:
-            certs = tuple(
-                self.q_hat[d]
-                for d in sorted(self.q_hat)[: self.config.proposal_size]
-            )
-            return RTypeProof(certs)
+        size = self.config.proposal_size
+        if len(self.q_hat) < size:
+            return None
+        certs = []
+        for dealer in sorted(self.q_hat):
+            cert = self._certificate(dealer)
+            if cert is not None:
+                certs.append(cert)
+                if len(certs) == size:
+                    return RTypeProof(tuple(certs))
         return None
+
+    def _certificate(self, dealer: int) -> ReadyCert | None:
+        """b-R_d as it may leave this node: an adopted certificate was
+        verified when its lead-ch arrived; one from this node's own VSS
+        output is filled with witnesses that verify, or is short."""
+        cert = self.q_hat[dealer]
+        if dealer in self._adopted:
+            return cert
+        witnesses = self.sessions[dealer].certificate()
+        if witnesses is None:
+            return None
+        return ReadyCert(dealer, cert.digest, witnesses)
 
     # -- operator input ----------------------------------------------------------
 
@@ -200,6 +231,12 @@ class DkgNode(ProtocolNode):
                 session = self.sessions.get(payload.session.dealer)
                 if session is not None and payload.session.tau == self.tau:
                     session.handle(sender, payload, ctx)
+                    if (
+                        self._short_in_view == self.view
+                        and isinstance(payload, ReadyMsg)
+                        and session.completed is not None
+                    ):
+                        self._propose(ctx)
             elif isinstance(payload, DkgSendMsg):
                 self._on_send(sender, payload, ctx)
             elif isinstance(payload, DkgEchoMsg):
@@ -230,8 +267,7 @@ class DkgNode(ProtocolNode):
             self.q_hat[dealer] = ReadyCert(dealer, digest, output.ready_proof)
             # if |b-Q| = t + 1 and Q = empty: propose (leader) or arm timer
             if ctx is not None and (
-                len(self.q_hat) >= self.config.proposal_size
-                and self.locked_q is None
+                len(self.q_hat) >= self.config.proposal_size and self.locked_q is None
             ):
                 self._maybe_propose_or_arm(ctx)
         if ctx is not None:
@@ -250,7 +286,11 @@ class DkgNode(ProtocolNode):
             return
         proof = self._current_proof()
         if proof is None:
-            return  # will retry when more VSS sessions finish
+            # Retried when more VSS sessions finish, or — when enough
+            # finished but a certificate came up short — on a late ready.
+            if len(self.q_hat) >= self.config.proposal_size:
+                self._short_in_view = self.view
+            return
         self.proposed_in_view.add(self.view)
         election = tuple(self.lc_votes.get(self.view, {}).values())
         msg = self._stamp(DkgSendMsg(self.tau, self.view, proof, election))
@@ -290,7 +330,10 @@ class DkgNode(ProtocolNode):
             return
         # if verify-signature(Q, R/M) and (Q = empty or Q = Q):
         if not verify_proof(
-            self.vss_config, self.signatures, self.tau, msg.proof,
+            self.vss_config,
+            self.signatures,
+            self.tau,
+            msg.proof,
             q_size=self.config.proposal_size,
         ):
             return
@@ -310,16 +353,14 @@ class DkgNode(ProtocolNode):
         votes = self.echo_votes.setdefault(q, {})
         if sender in votes:
             return
-        if not self.signatures.verify(
-            sender, dkg_echo_bytes(self.tau, q), msg.signature
-        ):
-            return
         votes[sender] = SetVote(sender, "echo", msg.signature)
         ready_count = len(self.ready_votes.get(q, {}))
-        # if e_Q = ceil((n+t+1)/2) and r_Q < t+1: lock and go ready
+        # if e_Q = ceil((n+t+1)/2) and r_Q < t+1: lock and go ready —
+        # on a quorum whose signatures all verify, since it becomes M
         if (
             len(votes) == self.vss_config.echo_threshold
             and ready_count < self.vss_config.ready_threshold
+            and self._all_verify(votes, dkg_echo_bytes(self.tau, q))
         ):
             self._lock(q, MTypeProof(q, tuple(votes.values())))
             self._send_ready(q, ctx)
@@ -333,24 +374,37 @@ class DkgNode(ProtocolNode):
         votes = self.ready_votes.setdefault(q, {})
         if sender in votes:
             return
-        if not self.signatures.verify(
-            sender, dkg_ready_bytes(self.tau, q), msg.signature
-        ):
-            return
         votes[sender] = SetVote(sender, "ready", msg.signature)
         echo_count = len(self.echo_votes.get(q, {}))
         if (
             len(votes) == self.vss_config.ready_threshold
             and echo_count < self.vss_config.echo_threshold
         ):
-            # if r_Q = t+1 and e_Q < ceil((n+t+1)/2): lock and amplify
-            self._lock(q, MTypeProof(q, tuple(votes.values())))
-            self._send_ready(q, ctx)
+            # if r_Q = t+1 and e_Q < ceil((n+t+1)/2): lock and amplify —
+            # the t + 1 votes become M, so their signatures must verify
+            if self._all_verify(votes, dkg_ready_bytes(self.tau, q)):
+                self._lock(q, MTypeProof(q, tuple(votes.values())))
+                self._send_ready(q, ctx)
         elif len(votes) == self.vss_config.output_threshold:
-            # else if r_Q = n-t-f: stop timer; decide Q
+            # else if r_Q = n-t-f: stop timer; decide Q.  This counts
+            # authenticated senders; the signatures are never evidence
+            # here, and a Byzantine sender could have signed validly.
             self._stop_timer(ctx)
             self.decided_q = q
             self._try_complete(ctx)
+
+    def _all_verify(self, votes: dict[int, SetVote], payload: bytes) -> bool:
+        """Check a quorum about to become M.  A vote whose signature
+        fails is evicted and its sender forgotten, so the quorum forms
+        again, and is checked again, only when one more vote arrives."""
+        bad = [
+            voter
+            for voter, vote in votes.items()
+            if not self.signatures.verify(voter, payload, vote.signature)
+        ]
+        for voter in bad:
+            del votes[voter]
+        return not bad
 
     def _lock(self, q: tuple[int, ...], proof: MTypeProof) -> None:
         self.locked_q = q
@@ -413,9 +467,7 @@ class DkgNode(ProtocolNode):
 
     def _send_lead_ch(self, target_view: int, ctx: Context) -> None:
         proof = self._current_proof()
-        signature = self.signatures.sign(
-            lead_ch_bytes(self.tau, target_view), self.rng
-        )
+        signature = self.signatures.sign(lead_ch_bytes(self.tau, target_view), self.rng)
         msg = self._stamp(LeadChMsg(self.tau, target_view, proof, signature))
         self._log_and_broadcast(ctx, msg)
         # Record our own vote so we can count it toward the quorum.
@@ -441,26 +493,27 @@ class DkgNode(ProtocolNode):
         # Adopt the carried evidence if it is valid (Fig. 3: if R/M = R
         # then b-Q <- Q, b-R <- R else Q <- Q, M <- M).
         if msg.proof is not None and verify_proof(
-            self.vss_config, self.signatures, self.tau, msg.proof,
+            self.vss_config,
+            self.signatures,
+            self.tau,
+            msg.proof,
             q_size=self.config.proposal_size,
         ):
             if isinstance(msg.proof, RTypeProof):
                 for cert in msg.proof.certs:
-                    self.q_hat.setdefault(cert.dealer, cert)
+                    if cert.dealer not in self.q_hat:
+                        self.q_hat[cert.dealer] = cert
+                        self._adopted.add(cert.dealer)
             elif self.locked_q is None:
                 self._lock(msg.proof.q_set, msg.proof)
         self._check_lead_ch_quorums(ctx)
 
     def _check_lead_ch_quorums(self, ctx: Context) -> None:
-        pending = {
-            v: votes for v, votes in self.lc_votes.items() if v > self.view
-        }
+        pending = {v: votes for v, votes in self.lc_votes.items() if v > self.view}
         if not pending:
             return
         # if sum lc_L = t+1 and lcflag = false: join the smallest request
-        total = len({
-            voter for votes in pending.values() for voter in votes
-        })
+        total = len({voter for votes in pending.values() for voter in votes})
         if total >= self.config.t + 1 and not self.lcflag:
             smallest = min(pending)
             self.lcflag = True
@@ -503,9 +556,7 @@ class DkgNode(ProtocolNode):
         msg = self._stamp(DkgSharePointMsg(self.tau, self.completed.share))
         self._log_and_broadcast(ctx, msg)
 
-    def _on_rec_share(
-        self, sender: int, msg: DkgSharePointMsg, ctx: Context
-    ) -> None:
+    def _on_rec_share(self, sender: int, msg: DkgSharePointMsg, ctx: Context) -> None:
         if (
             self.reconstructed is not None
             or not self._rec_started
@@ -519,9 +570,7 @@ class DkgNode(ProtocolNode):
         if self._rec.add(sender, msg.point, rng=self.rng):
             from repro.crypto.shares import reconstruct_raw
 
-            value = reconstruct_raw(
-                self._rec.first_points(), self.config.group.q
-            )
+            value = reconstruct_raw(self._rec.first_points(), self.config.group.q)
             self.reconstructed = DkgReconstructedOutput(self.tau, value)
             ctx.output(self.reconstructed)
 

@@ -107,10 +107,11 @@ class AcceptedSignatures:
     """One node's signing key and CA behind the same ``sign`` / ``verify``
     calls, remembering which signatures this node has already accepted.
 
-    A signed ready is checked when it arrives and again inside every
-    ``R_d`` certificate that quotes it; the second check re-derives a
-    verdict the node already holds.  Successful ``(public key, message,
-    signature)`` triples are kept and only a miss reaches
+    A signed ready is checked when the node builds an ``R_d`` certificate
+    from it, and again inside every certificate that quotes it, its own
+    proposal's included; the later checks re-derive a verdict the node
+    already holds.  Successful ``(public key, message, signature)``
+    triples are kept and only a miss reaches
     :meth:`CertificateAuthority.verify`.  The key is the *public key*
     the CA currently certifies for the signer, not the node id, so a
     rotated or revoked certificate never resurrects a verdict; failures

@@ -8,9 +8,10 @@ for standalone use.
 
 The implementation mirrors Fig. 1 ``upon``-clause by ``upon``-clause;
 comments quote the pseudocode lines being implemented.  The *extended*
-mode (§4) additionally signs ready messages and hands the completed
-session an ``R_d`` proof set of ``n - t - f`` signed ready witnesses,
-which the DKG leader uses to justify its proposal.
+mode (§4) additionally signs ready messages and keeps the signed readies
+it receives; :meth:`VssSession.certificate` turns them into the ``R_d``
+proof set of ``n - t - f`` verified witnesses that the DKG leader uses
+to justify its proposal.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class _PerCommitmentState:
     verifier's entries are exactly ``g^{a_l}``, so
     ``verify-point(C, i, m, alpha)`` holds iff ``alpha = a(m) mod q``
     and the wave is checked in the field, with no group operation.
+
+    Extended mode keeps each signed ready as a witness whose signature
+    is *not* checked here: ``pending_witness`` while its point waits,
+    ``ready_witnesses`` (in promotion order) once the point verified.
+    A witness whose point fails is dropped with it.  Signatures are
+    checked only when :meth:`VssSession.certificate` builds R_d.
     """
 
     points: dict[int, int] = field(default_factory=dict)  # m -> alpha = f(m, i)
@@ -160,9 +167,9 @@ class VssSession:
         :class:`_PerCommitmentState`), else in one group batch.
         Returns the number of points accepted.  In a *ready* flush
         (``promote_witnesses``), verified points also promote their
-        buffered witness signatures into the R_d proof set — an echo
-        flush must not, since a sender's verified echo says nothing
-        about its (separately buffered) ready point.
+        buffered witnesses into the R_d candidates and failed points
+        drop theirs — an echo flush must do neither, since a sender's
+        echo says nothing about its (separately buffered) ready point.
         """
         if not pending:
             return 0
@@ -188,6 +195,9 @@ class VssSession:
                 witness = state.pending_witness.pop(m, None)
                 if witness is not None:
                     state.ready_witnesses[m] = witness
+        if promote_witnesses:
+            for m, _alpha in items:
+                state.pending_witness.pop(m, None)
         return len(good)
 
     def _log_and_send(self, ctx: Context, recipient: int, msg: Any) -> None:
@@ -208,9 +218,7 @@ class VssSession:
     def _wire_size(self, prototype: Any) -> int:
         from repro.net import wire
 
-        return wire.encoded_size(
-            prototype, self.config.codec, group=self.config.group
-        )
+        return wire.encoded_size(prototype, self.config.codec, group=self.config.group)
 
     def _sized(self, key: tuple, prototype_fn: Callable[[], Any]) -> int:
         # The memo is module-level: frames are fixed-width, so the same
@@ -271,9 +279,7 @@ class VssSession:
         self.dealt_secret = secret % cfg.group.q
         size = self._send_size(commitment, with_poly=True)
         for j in cfg.indices:
-            msg = SendMsg(
-                self.session, commitment, poly.row_polynomial(j), size=size
-            )
+            msg = SendMsg(self.session, commitment, poly.row_polynomial(j), size=size)
             self._log_and_send(ctx, j, msg)
         return poly
 
@@ -396,19 +402,14 @@ class VssSession:
         if sender in state.ready_seen:
             return
         state.ready_seen.add(sender)
-        if self.sign_ready and self.completed is None:
-            # Extended mode: only count readies carrying a valid signature,
-            # and retain them as the R_d proof set.  Signatures bind to
-            # the sender individually, so they are checked on arrival;
-            # only the point check batches.  Once this session has output
-            # `shared`, R_d is fixed and no later signature can enter it,
-            # so the t + f late readies are buffered unchecked.
-            if msg.signature is None or self.ca is None:
-                return
-            payload = ready_signing_bytes(
-                self.session, commitment_digest(msg.commitment)
-            )
-            if not self.ca.verify(sender, payload, msg.signature):
+        if self.sign_ready:
+            # Extended mode: a ready must be signed, but the channel has
+            # already authenticated its sender — the signature is only
+            # evidence for third parties, checked when certificate()
+            # puts it into R_d.  The point check still gates r_C.  Late
+            # readies (after `shared`) are kept as well: they can fill
+            # a certificate whose first n - t - f witnesses fell short.
+            if msg.signature is None:
                 return
             state.pending_witness[sender] = ReadyWitness(sender, msg.signature)
         state.pending_ready[sender] = msg.point
@@ -486,6 +487,33 @@ class VssSession:
         # few container objects that the collector's thresholds miss it.
         self.on_shared = None
 
+    def certificate(self) -> tuple[ReadyWitness, ...] | None:
+        """R_d for the output C: ``n - t - f`` witnesses whose ready
+        signatures verify, or None while there are too few.
+
+        Candidates are tried in promotion order (so an all-valid R_d is
+        the output's ``ready_proof``), then the late readies.  Each
+        check goes through ``ca``, which the DKG node shares with this
+        session, so no signature is verified twice; a witness that
+        fails is evicted, and asking again costs only new arrivals.
+        """
+        if self.completed is None:
+            return None
+        commitment = self.completed.commitment
+        state = self._per_c[commitment]
+        payload = ready_signing_bytes(self.session, commitment_digest(commitment))
+        need = self.config.output_threshold
+        chosen: list[ReadyWitness] = []
+        for pool in (state.ready_witnesses, state.pending_witness):
+            for m, witness in list(pool.items()):
+                if len(chosen) == need:
+                    break
+                if self.ca.verify(m, payload, witness.signature):
+                    chosen.append(witness)
+                else:
+                    del pool[m]
+        return tuple(chosen) if len(chosen) == need else None
+
     # upon a message (P_d, tau, help) from P_l:
     def _on_help(self, sender: int, ctx: Context) -> None:
         cfg = self.config
@@ -509,9 +537,7 @@ class VssSession:
         if self._rec is None or self._rec.seen(sender):
             return
         if self._rec.add(sender, msg.point, rng=self.rng):
-            value = reconstruct_raw(
-                self._rec.first_points(), self.config.group.q
-            )
+            value = reconstruct_raw(self._rec.first_points(), self.config.group.q)
             self.reconstructed = ReconstructedOutput(self.session, value)
             ctx.output(self.reconstructed)
             self.on_reconstructed(self.reconstructed)

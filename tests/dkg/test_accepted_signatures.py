@@ -4,7 +4,8 @@
 tests count calls at ``CertificateAuthority.verify`` — the same place
 the benchmark counts them — to pin what is a hit (the byte-identical
 triple under the same certified key, or the node's own signature), what
-must stay a miss, and that nothing is shared between nodes.
+must stay a miss, that nothing is shared between nodes, and that a
+signed ready costs nothing until a certificate quoting it is checked.
 """
 
 from __future__ import annotations
@@ -187,8 +188,14 @@ class TestProposals:
             for sender, ready in msgs:
                 node.on_message(sender, ready, ctx)
             assert node.sessions[dealer].completed is not None
-        assert len(calls) == 3 * 5  # each signed ready, once, on arrival
-        calls.clear()
+        assert calls == []  # a signed ready is not checked on arrival
         node.on_message(1, DkgSendMsg(0, 0, proof), ctx)
         assert len(ctx.sent_of_kind("dkg.echo")) == N
+        # The proposal is evidence: each certificate signature not this
+        # node's own is checked once (node 2 signed none of these).
+        assert len(calls) == 3 * 5
+        assert {node for node, _ in calls} == {3, 4, 5, 6, 7}
+        calls.clear()
+        # A second proposal quoting the same certificates costs nothing.
+        assert verify_proof(CONFIG.vss(), node.signatures, 0, proof)
         assert calls == []

@@ -94,20 +94,8 @@ class TestVerifierCache:
         assert schnorr._VERIFIER_KEYS == 64
 
 
-def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> None:
-    """A count that needs no clock: n=4, t=1, every node verifies for
-    itself (no verdict shared across nodes through the CA), and readies
-    arriving after a VSS session completed are not verified.
-
-    Before a node remembered what it had accepted the count was 100:
-    48 VSS readies on arrival (4 nodes x 4 sessions x n-t-f = 3), 24
-    certificate signatures (4 nodes x t+1 = 2 certificates x 3), 16 DKG
-    echoes and 12 DKG readies.  Now 59: a node's own ready is among the
-    first three in 13 of the 16 sessions (48 - 13 = 35), its own DKG
-    echo always (16 - 4 = 12), its own DKG ready twice (12 - 2 = 10),
-    and only 2 of the 24 certificate signatures were not already
-    accepted on arrival by the node checking the proposal.
-    """
+def _verifications(monkeypatch, n: int, t: int) -> int:
+    """``CertificateAuthority.verify`` calls in one seeded DKG."""
     calls = []
     verify = CertificateAuthority.verify
 
@@ -116,9 +104,49 @@ def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> No
         return verify(self, node, message, sig)
 
     monkeypatch.setattr(CertificateAuthority, "verify", counting)
-    res = run_dkg(DkgConfig(n=4, t=1, group=default_test_group()), seed=7)
+    res = run_dkg(DkgConfig(n=n, t=t, group=default_test_group()), seed=7)
     assert res.succeeded
-    assert len(calls) == 59
+    return len(calls)
+
+
+def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> None:
+    """A count that needs no clock: n=4, t=1, seed 7, every node
+    verifies for itself (no verdict shared across nodes through the
+    CA), and a signature is checked only where it becomes evidence.
+
+    Checking every signed message on arrival cost 100: 48 VSS readies
+    (4 nodes x 4 sessions x n-t-f = 3), 24 certificate signatures
+    (4 nodes x t+1 = 2 certificates x 3), 16 DKG echoes and 12 DKG
+    readies.  Remembering accepted signatures made it 59.  Checking at
+    use makes it 27:
+    - no VSS ready is checked on arrival.  The 24 certificate
+      signatures are checked when the leader builds its proposal (6,
+      2 its own: 4) and when the other three nodes check it (18, 4
+      their own: 14); the leader's check of its own proposal is all
+      hits.  That is 18;
+    - each node checks the 3 echo votes of the quorum it locks on,
+      its own among them in 3 of the 4 quorums: 12 - 3 = 9;
+    - no DKG ready: no node takes the t+1 amplify path, and the n-t-f
+      decision counts authenticated senders.
+    """
+    assert _verifications(monkeypatch, 4, 1) == 27
+
+
+def test_dkg_n10_makes_exactly_the_pinned_number_of_verifications(
+    monkeypatch,
+) -> None:
+    """The same count at n=10, t=3, seed 7, where checking on arrival
+    cost 850 even with accepted signatures remembered (698 VSS
+    readies, 90 DKG echoes, 62 DKG readies).  At use it is 315:
+    - 252 certificate signatures: the leader builds 4 certificates of
+      n-t-f = 7 and all 10 nodes check them (308), less 30 that are
+      the checker's own and 26 the leader already accepted;
+    - 63 echo votes: 10 quorums of 7, less the 7 that hold the
+      checker's own echo.
+    """
+    count = _verifications(monkeypatch, 10, 3)
+    assert count <= 350
+    assert count == 315
 
 
 def test_dkg_checks_points_in_the_field_unless_a_send_is_missing(monkeypatch) -> None:

@@ -90,7 +90,39 @@ class TestExtendedMode:
             sig = stores[7].sign(payload, rng)  # always node 7's key
             msg = ReadyMsg(SID, c, f.evaluate(sender, 2), sig, 50)
             session.handle(sender, msg, ctx)
-        assert outputs == []
+        # The channel vouches for each sender, so the points count; the
+        # signatures are evidence only, and none of them verifies.
+        assert len(outputs) == 1
+        assert session.certificate() is None
+
+        # A DKG node holding such a session never ships R_d for it.
+        from repro.dkg.config import DkgConfig
+        from repro.dkg.messages import RTypeProof
+        from repro.dkg.node import DkgNode
+
+        leader = DkgNode(1, DkgConfig(n=7, t=2, group=G), stores[1], ca)
+        lctx = StubContext(node_id=1, n_nodes=7)
+
+        def complete(dealer, key_of):
+            f, c = _dealing(secret=dealer, seed=dealer)
+            sid = SessionId(dealer, 0)
+            payload = ready_signing_bytes(sid, commitment_digest(c))
+            for sender in (2, 3, 4, 5, 6):
+                sig = stores[key_of(sender)].sign(payload, rng)
+                ready = ReadyMsg(sid, c, f.evaluate(sender, 1), sig, 50)
+                leader.on_message(sender, ready, lctx)
+            assert leader.sessions[dealer].completed is not None
+
+        complete(2, lambda sender: 7)
+        complete(3, lambda sender: sender)
+        complete(4, lambda sender: sender)
+        assert sorted(leader.q_hat) == [2, 3, 4]
+        assert lctx.sent_of_kind("dkg.send") == []  # R_2 is short
+        complete(5, lambda sender: sender)
+        leader.on_timer(("dkg-timeout", 0), lctx)  # and a lead-ch too
+        shipped = lctx.sent_of_kind("dkg.send") + lctx.sent_of_kind("dkg.lead-ch")
+        assert {type(msg.proof) for _, msg in shipped} == {RTypeProof}
+        assert {msg.proof.q_set for _, msg in shipped} == {(3, 4, 5)}
 
     def test_output_carries_n_t_f_witnesses(self, world) -> None:
         ca, stores, rng = world
