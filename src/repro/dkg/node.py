@@ -18,7 +18,10 @@ Signatures are checked where they become evidence.  The §2.3 channels
 already authenticate every sender, so a signed VSS ready, DKG echo or
 DKG ready is recorded unchecked; its signature is verified only when it
 goes into a certificate or lock proof this node builds (an R_d it ships,
-an M it locks on) or when it arrives inside another node's proof.
+an M it locks on) or when it arrives inside another node's proof.  An
+arriving R_d for a sharing this node has completed with the same
+commitment is not checked: the local completion is the evidence, and
+the certificate is neither shipped nor adopted.
 """
 
 from __future__ import annotations
@@ -113,6 +116,9 @@ class DkgNode(ProtocolNode):
                 sign_ready=True,
             )
         self.q_hat: dict[int, ReadyCert] = {}  # b-Q with b-R certificates
+        # Commitment digest of every sharing this node has completed, by
+        # dealer: an arriving R_d naming the same digest needs no check.
+        self._completed_digests: dict[int, bytes] = {}
         # Dealers whose b-R was adopted from a verified lead-ch proof;
         # the rest name this node's own VSS outputs, whose witnesses are
         # candidates until shipped (see _certificate).
@@ -259,11 +265,12 @@ class DkgNode(ProtocolNode):
     def _on_vss_shared(self, output: SharedOutput) -> None:
         dealer = output.session.dealer
         ctx = self._ctx  # None only if completions arrive outside messages
+        digest = commitment_digest(output.commitment)
+        self._completed_digests[dealer] = digest
         if dealer not in self.q_hat:
             # (q_hat may already hold this dealer's certificate adopted
             # from a lead-ch R-type proof; the local session completing
             # must still drive _try_complete below.)
-            digest = commitment_digest(output.commitment)
             self.q_hat[dealer] = ReadyCert(dealer, digest, output.ready_proof)
             # if |b-Q| = t + 1 and Q = empty: propose (leader) or arm timer
             if ctx is not None and (
@@ -335,6 +342,7 @@ class DkgNode(ProtocolNode):
             self.tau,
             msg.proof,
             q_size=self.config.proposal_size,
+            completed=self._completed_digests,
         ):
             return
         if self.locked_q is not None and self.locked_q != q:
@@ -491,13 +499,16 @@ class DkgNode(ProtocolNode):
             return
         votes[sender] = LeadChWitness(sender, msg.view, msg.signature)
         # Adopt the carried evidence if it is valid (Fig. 3: if R/M = R
-        # then b-Q <- Q, b-R <- R else Q <- Q, M <- M).
+        # then b-Q <- Q, b-R <- R else Q <- Q, M <- M).  A certificate
+        # taken on local completion names a dealer already in b-Q, so
+        # only fully checked ones are adopted.
         if msg.proof is not None and verify_proof(
             self.vss_config,
             self.signatures,
             self.tau,
             msg.proof,
             q_size=self.config.proposal_size,
+            completed=self._completed_digests,
         ):
             if isinstance(msg.proof, RTypeProof):
                 for cert in msg.proof.certs:

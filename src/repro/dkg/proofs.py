@@ -4,9 +4,17 @@ Implements the paper's ``verify-signature(Q, R/M)`` predicate (Fig. 2)
 and lead-ch election verification (Fig. 3).  All checks are against the
 CA's certificate registry, so a Byzantine node cannot fabricate quorum
 evidence without controlling more than t signing keys.
+
+An R_d certificate proves that sharing Sh_d completes with the
+commitment it names.  A node that has itself completed Sh_d with that
+commitment already holds the fact, so ``verify_r_proof`` accepts such a
+certificate without checking its signatures; by HybridVSS agreement
+(§3) every honest node completes Sh_d with the same commitment.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 from repro.sim.pki import AcceptedSignatures, CertificateAuthority
 from repro.vss.config import VssConfig
@@ -15,6 +23,7 @@ from repro.dkg.messages import (
     LeadChWitness,
     MTypeProof,
     Proof,
+    ReadyCert,
     RTypeProof,
     dkg_echo_bytes,
     dkg_ready_bytes,
@@ -26,12 +35,9 @@ def verify_ready_cert(
     config: VssConfig,
     ca: CertificateAuthority | AcceptedSignatures,
     tau: int,
-    cert: "RTypeProof | object",
+    cert: ReadyCert,
 ) -> bool:
     """Check one R_d: n-t-f distinct, valid ready signatures."""
-    from repro.dkg.messages import ReadyCert
-
-    assert isinstance(cert, ReadyCert)
     signers = {w.signer for w in cert.witnesses}
     if len(signers) < config.output_threshold:
         return False
@@ -56,9 +62,13 @@ def verify_r_proof(
     tau: int,
     proof: RTypeProof,
     q_size: int | None = None,
+    completed: Mapping[int, bytes] | None = None,
 ) -> bool:
     """An R-type proposal is valid iff it certifies >= |Q| distinct
-    dealers (|Q| defaults to t + 1; reconfiguration may require more)."""
+    dealers (|Q| defaults to t + 1; reconfiguration may require more).
+    ``completed`` maps a dealer to the commitment digest of the checking
+    node's own completed sharing; a certificate naming that digest is
+    taken as valid without checking its signatures."""
     required = q_size if q_size is not None else config.t + 1
     dealers = {c.dealer for c in proof.certs}
     if len(dealers) < required or len(dealers) != len(proof.certs):
@@ -66,7 +76,11 @@ def verify_r_proof(
     members = set(config.indices)
     if not dealers <= members:
         return False
-    return all(verify_ready_cert(config, ca, tau, c) for c in proof.certs)
+    completed = completed or {}
+    return all(
+        completed.get(c.dealer) == c.digest or verify_ready_cert(config, ca, tau, c)
+        for c in proof.certs
+    )
 
 
 def verify_m_proof(
@@ -107,10 +121,12 @@ def verify_proof(
     tau: int,
     proof: Proof,
     q_size: int | None = None,
+    completed: Mapping[int, bytes] | None = None,
 ) -> bool:
-    """The paper's verify-signature(Q, R/M)."""
+    """The paper's verify-signature(Q, R/M); ``completed`` as for
+    :func:`verify_r_proof` (an M-type proof has no local counterpart)."""
     if isinstance(proof, RTypeProof):
-        return verify_r_proof(config, ca, tau, proof, q_size)
+        return verify_r_proof(config, ca, tau, proof, q_size, completed)
     if isinstance(proof, MTypeProof):
         return verify_m_proof(config, ca, tau, proof, q_size)
     return False

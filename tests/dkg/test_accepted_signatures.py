@@ -5,7 +5,8 @@ tests count calls at ``CertificateAuthority.verify`` — the same place
 the benchmark counts them — to pin what is a hit (the byte-identical
 triple under the same certified key, or the node's own signature), what
 must stay a miss, that nothing is shared between nodes, and that a
-signed ready costs nothing until a certificate quoting it is checked.
+signed ready costs nothing until a certificate quoting it is checked —
+never, when the certificate is for a sharing the node has completed.
 """
 
 from __future__ import annotations
@@ -191,11 +192,15 @@ class TestProposals:
         assert calls == []  # a signed ready is not checked on arrival
         node.on_message(1, DkgSendMsg(0, 0, proof), ctx)
         assert len(ctx.sent_of_kind("dkg.echo")) == N
-        # The proposal is evidence: each certificate signature not this
-        # node's own is checked once (node 2 signed none of these).
+        # The node completed all three dealers with the commitments the
+        # certificates name: the completion is the evidence, and no
+        # certificate signature is checked.
+        assert calls == []
+        # The same proposal at a node that completed none of them is
+        # checked in full: t+1 certificates x n-t-f witnesses.
+        fresh = DkgNode(2, CONFIG, stores[2], ca)
+        fresh_ctx = StubContext(node_id=2, n_nodes=N)
+        fresh.on_message(1, DkgSendMsg(0, 0, proof), fresh_ctx)
+        assert len(fresh_ctx.sent_of_kind("dkg.echo")) == N
         assert len(calls) == 3 * 5
         assert {node for node, _ in calls} == {3, 4, 5, 6, 7}
-        calls.clear()
-        # A second proposal quoting the same certificates costs nothing.
-        assert verify_proof(CONFIG.vss(), node.signatures, 0, proof)
-        assert calls == []

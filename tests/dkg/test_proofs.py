@@ -126,6 +126,31 @@ class TestRTypeProof:
         bad = _ready_cert(config, ca, stores, rng, dealer=3, signers=[1, 2])
         assert not verify_r_proof(config, ca, TAU, RTypeProof(tuple(good) + (bad,)))
 
+    def test_completed_sharing_stands_in_for_its_certificate(
+        self, pki, config
+    ) -> None:
+        ca, stores, rng = pki
+        good = [_ready_cert(config, ca, stores, rng, dealer=d) for d in (1, 2)]
+        short = _ready_cert(config, ca, stores, rng, dealer=3, signers=[1, 2])
+        proof = RTypeProof(tuple(good) + (short,))
+        assert verify_r_proof(config, ca, TAU, proof, completed={3: short.digest})
+        # Only an equal digest stands in; another sharing's does not.
+        other = {3: good[0].digest}
+        assert not verify_r_proof(config, ca, TAU, proof, completed=other)
+
+    def test_completed_sharings_do_not_lift_the_size_checks(
+        self, pki, config
+    ) -> None:
+        ca, stores, rng = pki
+        certs = tuple(
+            _ready_cert(config, ca, stores, rng, dealer=d) for d in (1, 2)
+        )
+        completed = {c.dealer: c.digest for c in certs}
+        proof = RTypeProof(certs)
+        assert not verify_r_proof(config, ca, TAU, proof, completed=completed)
+        twice = RTypeProof((certs[0], certs[0], certs[1]))
+        assert not verify_r_proof(config, ca, TAU, twice, completed=completed)
+
 
 class TestMTypeProof:
     def _votes(self, stores, rng, q, kind, voters):

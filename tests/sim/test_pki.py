@@ -118,18 +118,19 @@ def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> No
     (4 nodes x 4 sessions x n-t-f = 3), 24 certificate signatures
     (4 nodes x t+1 = 2 certificates x 3), 16 DKG echoes and 12 DKG
     readies.  Remembering accepted signatures made it 59.  Checking at
-    use makes it 27:
-    - no VSS ready is checked on arrival.  The 24 certificate
-      signatures are checked when the leader builds its proposal (6,
-      2 its own: 4) and when the other three nodes check it (18, 4
-      their own: 14); the leader's check of its own proposal is all
-      hits.  That is 18;
+    use made it 27, and taking local completion as evidence makes it 13:
+    - no VSS ready is checked on arrival.  The leader checks the 6
+      certificate signatures of the proposal it builds, 2 its own: 4.
+      The other three nodes have completed both dealers of the
+      proposal with the same commitment when it arrives, so they take
+      its certificates without a check (they checked 14 before), and
+      the leader's check of its own proposal is all hits.  That is 4;
     - each node checks the 3 echo votes of the quorum it locks on,
       its own among them in 3 of the 4 quorums: 12 - 3 = 9;
     - no DKG ready: no node takes the t+1 amplify path, and the n-t-f
       decision counts authenticated senders.
     """
-    assert _verifications(monkeypatch, 4, 1) == 27
+    assert _verifications(monkeypatch, 4, 1) == 13
 
 
 def test_dkg_n10_makes_exactly_the_pinned_number_of_verifications(
@@ -137,16 +138,20 @@ def test_dkg_n10_makes_exactly_the_pinned_number_of_verifications(
 ) -> None:
     """The same count at n=10, t=3, seed 7, where checking on arrival
     cost 850 even with accepted signatures remembered (698 VSS
-    readies, 90 DKG echoes, 62 DKG readies).  At use it is 315:
-    - 252 certificate signatures: the leader builds 4 certificates of
-      n-t-f = 7 and all 10 nodes check them (308), less 30 that are
-      the checker's own and 26 the leader already accepted;
+    readies, 90 DKG echoes, 62 DKG readies).  At use it was 315, with
+    every node checking the proposal's 4 x 7 certificate signatures.
+    Taking local completion as evidence makes it 89:
+    - 26 certificate signatures: the leader builds 4 certificates of
+      n-t-f = 7, 2 of the 28 signatures its own.  The other 9 nodes
+      have completed all 4 dealers with the same commitments when the
+      proposal arrives and check none of its signatures (226 before),
+      and the leader's own check is all hits;
     - 63 echo votes: 10 quorums of 7, less the 7 that hold the
       checker's own echo.
     """
     count = _verifications(monkeypatch, 10, 3)
-    assert count <= 350
-    assert count == 315
+    assert count <= 90
+    assert count == 89
 
 
 def test_dkg_checks_points_in_the_field_unless_a_send_is_missing(monkeypatch) -> None:
