@@ -12,14 +12,22 @@ compressed points against 256-byte residues).
 The arithmetic core mirrors :mod:`repro.crypto.multiexp` term for term:
 
 * Jacobian-coordinate point addition/doubling (no per-step inversions;
-  the ``a = 0`` short-Weierstrass doubling shortcut applies);
+  the ``a = 0`` short-Weierstrass doubling shortcut applies), and an
+  affine :func:`point_add` for the group law that inverts by Euclid
+  (``pow(x, -1, P)``), several times cheaper than a Fermat inversion;
 * width-5 wNAF scalar multiplication with a batch-normalized affine
   table of odd multiples (:func:`scalar_mul`);
 * Straus interleaved-window / Pippenger bucket multi-scalar
-  multiplication (:func:`ec_multiexp`), reusing the window cost models
-  of the int engine;
-* windowed fixed-base tables (:class:`EcFixedBaseTable`) and reusable
-  Straus tables for a fixed base vector (:class:`EcSharedBases`),
+  multiplication (:func:`ec_multiexp`).  Pippenger reuses the int
+  engine's window model; Straus picks its window from an EC cost model
+  (:func:`_straus_window`) that charges each table its point additions
+  and its batch inversion, so short exponents (the Feldman matrix
+  collapse) run at window 1, where the affine inputs are the table;
+* signed-window fixed-base tables (:class:`EcFixedBaseTable`): digits
+  in ``[-2^(w-1), 2^(w-1)]``, a negative digit negating ``y``, so a row
+  holds ``2^(w-1)`` multiples.  The generator gets window 8
+  (:data:`GENERATOR_WINDOW`), every other base window 5;
+* reusable Straus tables for a fixed base vector (:class:`EcSharedBases`),
   cached process-wide exactly like their modp counterparts;
 * the fixed-base comb for ``a * G + b * X`` (:class:`EcCombPair`) behind
   Schnorr verification.
@@ -53,7 +61,6 @@ from repro.crypto.multiexp import (
     comb_digits,
     comb_span,
     _pippenger_window,
-    _straus_window,
 )
 
 try:  # soft probe: libsecp256k1 bindings, exercised in the accelerated CI lane
@@ -350,9 +357,9 @@ def point_add(a: EcPoint, b: EcPoint) -> EcPoint:
     if a.x == b.x:
         if (a.y + b.y) % P == 0:
             return INFINITY
-        slope = (3 * a.x * a.x) * pow(2 * a.y, P - 2, P) % P
+        slope = (3 * a.x * a.x) * pow(2 * a.y, -1, P) % P
     else:
-        slope = (b.y - a.y) * pow(b.x - a.x, P - 2, P) % P
+        slope = (b.y - a.y) * pow(b.x - a.x, -1, P) % P
     x3 = (slope * slope - a.x - b.x) % P
     y3 = (slope * (a.x - x3) - a.y) % P
     return EcPoint(x3, y3)
@@ -375,6 +382,44 @@ def is_on_curve(a: EcPoint) -> bool:
 # -- multi-scalar multiplication ----------------------------------------------
 
 
+# Straus cost model weights, in 256-bit field multiplications as CPython
+# pays for them (interpreter overhead included, fitted on timed
+# _straus_points runs): a mixed addition, a general Jacobian addition,
+# one table entry's share of the batch normalization, the one inversion
+# that normalization costs, and the loop's visit to one digit.
+_COST_MADD = 13
+_COST_ADD = 20
+_COST_NORM = 7
+_COST_INV = 53
+_COST_DIGIT = 1
+
+
+def _straus_window(bits: int, count: int) -> int:
+    """Straus window width for ``count`` points and ``bits``-bit
+    exponents, minimizing table build plus main loop.
+
+    At ``w > 1`` each point's table costs ``2^w - 2`` Jacobian additions
+    and ``2^w - 1`` normalized entries, and the tables share one
+    inversion; at ``w = 1`` the affine inputs are the table and cost
+    nothing.  The loop visits ``ceil(bits / w)`` digits per point and
+    pays a mixed addition for each nonzero one (``1 - 2^-w`` of them).
+    The doubling chain is ~``bits`` long at every width, so it does not
+    enter the choice.  The modp engine keeps its own model
+    (:func:`repro.crypto.multiexp._straus_window`).
+    """
+    best_w, best_cost = 1, None
+    for w in range(1, 9):
+        nonzero = 1 - 1 / (1 << w)
+        cost = count * -(-bits // w) * (_COST_MADD * nonzero + _COST_DIGIT)
+        if w > 1:
+            cost += _COST_INV + count * (
+                ((1 << w) - 2) * _COST_ADD + ((1 << w) - 1) * _COST_NORM
+            )
+        if best_cost is None or cost < best_cost:
+            best_w, best_cost = w, cost
+    return best_w
+
+
 def _straus_points(
     points: list[EcPoint], exps: list[int]
 ) -> tuple[int, int, int]:
@@ -382,17 +427,21 @@ def _straus_points(
     bits = max(e.bit_length() for e in exps)
     w = _straus_window(bits, len(points))
     mask = (1 << w) - 1
-    # tables[i][d - 1] = (d+1) * points[i] affine, one batch inversion
-    # across every table entry of every point.
-    rows: list[tuple[int, int, int]] = []
-    for pt in points:
-        base = (pt.x, pt.y, 1)
-        cur = base
-        rows.append(cur)
-        for _ in range(mask - 1):
-            cur = _jac_add(cur, base)
+    # affine[i * mask + d - 1] = d * points[i] for d in 1..mask: the
+    # points themselves at w = 1, else one batch inversion across every
+    # table entry of every point.
+    if w == 1:
+        affine = [(pt.x, pt.y) for pt in points]
+    else:
+        rows: list[tuple[int, int, int]] = []
+        for pt in points:
+            base = (pt.x, pt.y, 1)
+            cur = base
             rows.append(cur)
-    affine = _batch_to_affine(rows)
+            for _ in range(mask - 1):
+                cur = _jac_add(cur, base)
+                rows.append(cur)
+        affine = _batch_to_affine(rows)
     p = P
     X1, Y1, Z1 = _JAC_INF
     for shift in range(((bits + w - 1) // w) * w - w, -1, -w):
@@ -411,11 +460,10 @@ def _straus_points(
         for i, e in enumerate(exps):
             d = (e >> shift) & mask
             if d:
-                entry = affine[i * mask + d - 1]
-                if entry is not None:
-                    X1, Y1, Z1 = _jac_add_affine(
-                        (X1, Y1, Z1), entry[0], entry[1]
-                    )
+                # d * point with d < 2^8 is never the identity: the
+                # inputs are finite points of a prime-order group.
+                x, y = affine[i * mask + d - 1]
+                X1, Y1, Z1 = _jac_add_affine((X1, Y1, Z1), x, y)
     return (X1, Y1, Z1)
 
 
@@ -497,56 +545,109 @@ def ec_multiexp(pairs) -> EcPoint:
     return _ec_multiexp_impl(points, exps)
 
 
+# Fixed-base window widths.  The generator's table (33 rows of 128
+# entries, ~1 MB) is built once per process and serves every commit,
+# verify-poly and batch-verifier left-hand side; other bases are many
+# and short-lived, so theirs stay small.  Both are sized against the
+# benchmark's peak_rss_mb bound and pinned by tests/crypto/test_ec.py.
+GENERATOR_WINDOW = 8
+FIXED_BASE_WINDOW = 5
+
+
 class EcFixedBaseTable:
-    """Windowed fixed-base scalar multiplication: after the one-time
+    """Signed-window fixed-base scalar multiplication: after the one-time
     table build, ``pow(e)`` costs ~``|n|/window`` mixed additions and
     zero doublings — the EC mirror of
-    :class:`repro.crypto.multiexp.FixedBaseTable`."""
+    :class:`repro.crypto.multiexp.FixedBaseTable`.
+
+    The scalar is recoded into digits ``d_k`` in ``[-2^(w-1), 2^(w-1)]``
+    with ``e = sum_k d_k 2^(wk)``; a digit above ``2^(w-1)`` becomes
+    ``d - 2^w`` and carries one into the next window.  Negating a point
+    only negates ``y``, so row ``k`` holds just ``d * 2^(wk) * base`` for
+    ``d = 1 .. 2^(w-1)``, and the carry out of the top window of a
+    256-bit scalar needs ``ceil(257 / w)`` rows.
+    """
 
     __slots__ = ("base", "window", "_rows")
 
-    def __init__(self, base: EcPoint, window: int = 5):
+    def __init__(self, base: EcPoint, window: int):
         self.base = base
         self.window = window
-        self._rows: list[list[tuple[int, int] | None]] = []
+        self._rows: list[list[tuple[int, int]]] = []
         if base.is_infinity():
             return
-        windows = -(-N.bit_length() // window)
+        rows = -(-(N.bit_length() + 1) // window)
+        half = 1 << (window - 1)
         flat: list[tuple[int, int, int]] = []
         unit = (base.x, base.y, 1)
-        per_row = (1 << window) - 1
-        for _ in range(windows):
+        for _ in range(rows):
             cur = unit
             flat.append(cur)
-            for _ in range(per_row - 1):
+            for _ in range(half - 1):
                 cur = _jac_add(cur, unit)
                 flat.append(cur)
-            unit = _jac_add(cur, unit)  # base * 2^(window * (k+1))
+            unit = _jac_double(*cur)  # base * 2^(window * (k+1))
+        # No entry is the identity: |d| * 2^(wk) is never a multiple of
+        # the prime order N.
         affine = _batch_to_affine(flat)
-        for k in range(windows):
-            self._rows.append(affine[k * per_row : (k + 1) * per_row])
+        self._rows = [affine[k * half : (k + 1) * half] for k in range(rows)]
 
     def pow(self, exponent: int) -> EcPoint:
         """``exponent * base`` (exponent reduced mod the group order)."""
         e = exponent % N
-        acc = _JAC_INF
-        mask = (1 << self.window) - 1
+        w = self.window
+        full = 1 << w
+        half = full >> 1
+        mask = full - 1
+        p = P
+        X1, Y1, Z1 = _JAC_INF
         for row in self._rows:
-            if e == 0:
+            if not e:
                 break
             d = e & mask
-            if d:
-                entry = row[d - 1]
-                if entry is not None:
-                    acc = _jac_add_affine(acc, entry[0], entry[1])
-            e >>= self.window
-        return _from_jacobian(acc)
+            e >>= w
+            if not d:
+                continue
+            if d > half:
+                e += 1
+                x, y = row[full - d - 1]
+                y = p - y
+            else:
+                x, y = row[d - 1]
+            if not Z1:
+                X1, Y1, Z1 = x, y, 1
+                continue
+            # inlined _jac_add_affine (madd-2007-bl)
+            Z1Z1 = Z1 * Z1 % p
+            U2 = x * Z1Z1 % p
+            S2 = y * Z1 * Z1Z1 % p
+            if U2 == X1:
+                if S2 != Y1:
+                    X1, Y1, Z1 = _JAC_INF
+                else:
+                    X1, Y1, Z1 = _jac_double(X1, Y1, Z1)
+                continue
+            H = (U2 - X1) % p
+            HH = H * H % p
+            I = 4 * HH % p
+            J = H * I % p
+            r = 2 * (S2 - Y1) % p
+            V = X1 * I % p
+            X3 = (r * r - J - 2 * V) % p
+            Y1 = (r * (V - X3) - 2 * Y1 * J) % p
+            zh = Z1 + H
+            Z1 = (zh * zh - Z1Z1 - HH) % p
+            X1 = X3
+        return _from_jacobian((X1, Y1, Z1))
 
 
 @lru_cache(maxsize=128)
-def ec_fixed_base(base: EcPoint, window: int = 5) -> EcFixedBaseTable:
+def ec_fixed_base(base: EcPoint) -> EcFixedBaseTable:
     """Process-wide fixed-base table cache (generator, Pedersen ``h``,
-    long-lived public keys), keyed by the point itself."""
+    long-lived public keys), keyed by the point itself; the generator
+    gets :data:`GENERATOR_WINDOW`, every other base
+    :data:`FIXED_BASE_WINDOW`."""
+    window = GENERATOR_WINDOW if base == GENERATOR else FIXED_BASE_WINDOW
     return EcFixedBaseTable(base, window)
 
 

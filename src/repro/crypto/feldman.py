@@ -193,15 +193,28 @@ class FeldmanCommitment:
 
     def combine(self, other: "FeldmanCommitment") -> "FeldmanCommitment":
         """Entry-wise product: commitment to the sum of the two committed
-        polynomials (DKG Fig. 2: ``C_pq <- prod_d (C_d)_pq``)."""
+        polynomials (DKG Fig. 2: ``C_pq <- prod_d (C_d)_pq``).
+
+        The product of two symmetric matrices is symmetric, so only its
+        upper triangle is multiplied and then mirrored: (t+1)(t+2)/2
+        group operations instead of (t+1)^2.  An asymmetric operand,
+        which a Byzantine dealer may send, takes every entry.
+        """
         if self.degree != other.degree or self.group != other.group:
             raise ValueError("incompatible commitments")
         g = self.group
-        matrix = tuple(
-            tuple(g.mul(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return FeldmanCommitment(matrix, g)
+        a, b = self.matrix, other.matrix
+        if not (self._is_symmetric() and other._is_symmetric()):
+            matrix = tuple(
+                tuple(g.mul(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+            )
+            return FeldmanCommitment(matrix, g)
+        side = len(a)
+        rows: list[list] = [[None] * side for _ in range(side)]
+        for j in range(side):
+            for ell in range(j, side):
+                rows[j][ell] = rows[ell][j] = g.mul(a[j][ell], b[j][ell])
+        return FeldmanCommitment(tuple(tuple(row) for row in rows), g)
 
     def column_vector(self, index: int = 0) -> "FeldmanVector":
         """The univariate commitment to f(., index); ``index=0`` commits to

@@ -3,8 +3,10 @@
 Backend-generic behavior is covered by the ``bgroup``-parameterized
 crypto tests and the protocol suites; this module cross-checks the EC
 engine itself — wNAF against textbook double-and-add, the multiexp
-engines against per-point evaluation, the point codec, and the
-identity/negation edge cases the affine group law must get right.
+engines against per-point evaluation, the signed-window fixed-base
+table against double-and-add at its recoding boundaries, the point
+codec, and the identity/negation edge cases the affine group law must
+get right.
 """
 
 from __future__ import annotations
@@ -15,14 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ec, metering
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.ec import (
+    FIXED_BASE_WINDOW,
     GENERATOR,
+    GENERATOR_WINDOW,
     INFINITY,
     N,
     P,
+    EcFixedBaseTable,
     EcPoint,
     EcSharedBases,
+    _straus_window,
     ec_fixed_base,
     ec_multiexp,
     is_on_curve,
@@ -33,6 +40,7 @@ from repro.crypto.ec import (
     secp256k1_group,
 )
 from repro.crypto.groups import toy_group
+from repro.dkg import DkgConfig, run_dkg
 
 G = secp256k1_group()
 
@@ -68,6 +76,92 @@ class TestScalarMul:
 
     def test_n_minus_one_is_negation(self) -> None:
         assert scalar_mul(GENERATOR, N - 1) == point_neg(GENERATOR)
+
+
+class TestSignedFixedBaseTable:
+    """The signed-window table against textbook double-and-add, on the
+    generator (window 8) and on another base (window 5)."""
+
+    BASES = pytest.mark.parametrize(
+        "base", [GENERATOR, _rand_point(11)], ids=["generator", "other"]
+    )
+
+    @BASES
+    @pytest.mark.parametrize("k", [0, 1, N - 1, N, N + 1, 2**256 - 1])
+    def test_edge_scalars(self, base: EcPoint, k: int) -> None:
+        assert ec_fixed_base(base).pow(k) == scalar_mul_naive(base, k)
+
+    @BASES
+    def test_recoding_boundary_in_every_row(self, base: EcPoint) -> None:
+        # 2^(w-1) is the largest positive digit; 2^(w-1) + 1 recodes to
+        # -(2^(w-1) - 1) with a carry into the next row.
+        table = ec_fixed_base(base)
+        w = table.window
+        half = 1 << (w - 1)
+        for k in range(len(table._rows)):
+            for d in (half, half + 1):
+                e = d << (w * k)
+                assert table.pow(e) == scalar_mul_naive(base, e), (k, d)
+
+    @BASES
+    def test_carry_into_the_top_row(self, base: EcPoint) -> None:
+        table = ec_fixed_base(base)
+        w, rows = table.window, len(table._rows)
+        e = ((1 << (w - 1)) + 1) << (w * (rows - 2))
+        # e has no bit in the top row's window: only the carry reaches it.
+        assert e < N and e < 1 << (w * (rows - 1))
+        assert table.pow(e) == scalar_mul_naive(base, e)
+
+    @BASES
+    @given(k=scalars)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_naive(self, base: EcPoint, k: int) -> None:
+        assert ec_fixed_base(base).pow(k) == scalar_mul_naive(base, k)
+
+    def test_identity_base(self) -> None:
+        assert EcFixedBaseTable(INFINITY, FIXED_BASE_WINDOW).pow(5) == INFINITY
+
+
+class TestGeneratorTablePin:
+    """The generator's table is one process-wide object sized against
+    the benchmark's ``peak_rss_mb`` bound, like the comb pinned in
+    ``tests/sim/test_pki.py``; the group-operation counts are the
+    benchmark's ``crypto.group_ops``."""
+
+    def test_generator_table_is_shared_and_pinned(self, monkeypatch) -> None:
+        table = G.fixed_base(GENERATOR)
+        assert table is ec_fixed_base(GENERATOR)
+        used = []
+        pow_ = EcFixedBaseTable.pow
+
+        def spy(self, exponent):
+            used.append(self)
+            return pow_(self, exponent)
+
+        monkeypatch.setattr(EcFixedBaseTable, "pow", spy)
+        assert G.commit(5) == scalar_mul_naive(GENERATOR, 5)
+        assert used == [table]
+        assert table.window == GENERATOR_WINDOW == 8
+        assert len(table._rows) == 33
+        assert all(len(row) == 128 for row in table._rows)
+
+    def test_other_bases_get_window_five(self) -> None:
+        for base in (G.second_generator(), _rand_point(12)):
+            table = G.fixed_base(base)
+            assert table.window == FIXED_BASE_WINDOW == 5
+            assert len(table._rows) == 52
+            assert all(len(row) == 16 for row in table._rows)
+
+    def test_dkg_n10_group_ops_are_pinned(self) -> None:
+        """n=10, t=3, seed 7: 100 dealing commitments (10 dealers x the
+        10-entry upper triangle), 120 signing nonces and 10 enrolled
+        public keys are ``commit``; the 400 matrix collapses (10 nodes x
+        10 dealers x t+1 entries) are ``multiexp``."""
+        ops = ("power", "commit", "multiexp")
+        before = [getattr(metering.EC, op) for op in ops]
+        assert run_dkg(DkgConfig(n=10, t=3, group=G), seed=7).succeeded
+        after = [getattr(metering.EC, op) for op in ops]
+        assert [b - a for a, b in zip(before, after)] == [0, 230, 400]
 
 
 class TestGroupLaw:
@@ -171,6 +265,38 @@ class TestMultiexp:
         shared = EcSharedBases(points)
         exps = [3, 9, 11]
         assert shared.multiexp(exps) == ec_multiexp(zip(points, exps))
+
+
+class TestTableFreeStraus:
+    """The python Straus engine across its cost-model switch: window 1
+    (the affine inputs are the table) for short exponents, tables
+    above, against the per-point double-and-add sum."""
+
+    COUNTS = (2, 5, 9)
+    BITS = (1, 2, 3, 8, 10, 16, 24, 31, 32, 33, 40)
+
+    def test_the_switch_is_covered(self) -> None:
+        windows = {_straus_window(b, c) for b in self.BITS for c in self.COUNTS}
+        assert {1, 2} <= windows
+        # The Feldman collapse at n=10, t=3: 4 points, exponents <= 10^3.
+        assert _straus_window(10, 4) == 1
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("bits", BITS)
+    def test_matches_per_point_sum(self, monkeypatch, bits: int, count: int) -> None:
+        monkeypatch.setattr(ec, "_ec_multiexp_impl", ec._ec_multiexp_python)
+        rng = random.Random(bits * 100 + count)
+        pairs = [
+            (_rand_point(rng.randrange(2**32)), rng.getrandbits(bits))
+            for _ in range(count)
+        ]
+        # An identity base and a zero exponent ride along.
+        pairs += [(INFINITY, rng.getrandbits(bits) | 1), (_rand_point(bits), 0)]
+        rng.shuffle(pairs)
+        expected = INFINITY
+        for point, e in pairs:
+            expected = point_add(expected, scalar_mul_naive(point, e))
+        assert ec_multiexp(pairs) == expected
 
 
 class TestEcGroupSurface:

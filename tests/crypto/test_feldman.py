@@ -111,6 +111,30 @@ class TestCommitmentAlgebra:
         total = (f1.evaluate(m, i) + f2.evaluate(m, i)) % bgroup.q
         assert combined.verify_point(i, m, total)
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [("sym", "sym"), ("sym", "asym"), ("asym", "sym"), ("asym", "asym")],
+    )
+    def test_combine_matches_entrywise_product(self, bgroup, shapes) -> None:
+        # Two symmetric operands take the upper-triangle path; any
+        # asymmetric one (a Byzantine dealer's) takes every entry.
+        rng = random.Random(7)
+        c1, c2 = (
+            FeldmanCommitment.commit(
+                BivariatePolynomial.random_symmetric(3, bgroup.q, rng)
+                if shape == "sym"
+                else BivariatePolynomial.random_general(3, bgroup.q, rng),
+                bgroup,
+            )
+            for shape in shapes
+        )
+        assert [c._is_symmetric() for c in (c1, c2)] == [s == "sym" for s in shapes]
+        expected = tuple(
+            tuple(bgroup.mul(a, b) for a, b in zip(ra, rb))
+            for ra, rb in zip(c1.matrix, c2.matrix)
+        )
+        assert c1.combine(c2).matrix == expected
+
     def test_combine_rejects_mismatched_degree(self, bgroup) -> None:
         _, c1 = _commit(bgroup, 1, 0)
         _, c2 = _commit(bgroup, 2, 0)
