@@ -251,6 +251,15 @@ def sessions_pki(group: Any, members: Iterable[int], seed: int) -> Pki:
     return enroll(group, members, ("sessions-pki", seed))
 
 
+def forge_pki(group: Any, members: Iterable[int], seed: int) -> Pki:
+    """The presignature forge's one PKI for a service's life: every
+    member, crashed or not, so a crash changes no identity.  Reuse
+    across nonce DKGs is sound because every signed payload binds tau,
+    and the forge never reuses a tau (the presignature id) within a
+    service.  The simulation seed is ``seed * 1_000_003 + first id + 1``."""
+    return enroll(group, members, ("forge-pki", seed))
+
+
 def addition_pki(config: Any, seed: int) -> Pki:
     """``run_node_additions`` (simulation seed ``seed``)."""
     return enroll(config.group, config.vss().indices, ("add-pki", seed))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.deployment import AgreementView, dkg_machines, sessions_pki, simulate
+from repro.deployment import AgreementView, Pki, dkg_machines, sessions_pki, simulate
 from repro.runtime.envelope import SessionEnvelope
 from repro.runtime.runtime import ProtocolRuntime
 from repro.sim.network import DelayModel
@@ -58,12 +58,17 @@ def run_dkg_sessions(
     delay_model: DelayModel | None = None,
     until: float | None = None,
     max_events: int | None = 2_000_000,
+    pki: Pki | None = None,
 ) -> dict[str, DkgSessionResult]:
     """Run every spec'd DKG concurrently, one runtime per member.
 
     All sessions interleave over the same simulated endpoints — one
     event queue, one set of node identities — and complete
-    independently.  Returns results keyed by session id.
+    independently.  Returns results keyed by session id.  ``pki``
+    defaults to a one-shot world's, enrolled over the union of the
+    specs' members; a caller running DKG after DKG under one set of
+    identities (the presignature forge) passes its own, enrolling at
+    least every spec's members.
     """
     if len({spec.session for spec in specs}) != len(specs):
         raise ValueError("duplicate session ids")
@@ -74,7 +79,8 @@ def run_dkg_sessions(
     universe = sorted(
         {i for spec in specs for i in spec.config.vss().indices}
     )
-    pki = sessions_pki(specs[0].config.group, universe, seed)
+    if pki is None:
+        pki = sessions_pki(specs[0].config.group, universe, seed)
     # Completed DKG sessions are evicted as they finish (their outputs
     # survive for the result sweep below) so a large batch holds live
     # machines only for its stragglers.

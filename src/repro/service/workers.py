@@ -28,8 +28,10 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Awaitable, Callable
 
+from repro import deployment
 from repro.apps import (
     Beacon,
     BeaconRound,
@@ -57,18 +59,30 @@ from repro.sim.network import ConstantDelay
 Commitment = FeldmanCommitment | FeldmanVector
 
 
+@lru_cache(maxsize=32)
+def _forge_pki(
+    group: AbstractGroup, members: tuple[int, ...], seed: int
+) -> deployment.Pki:
+    """The forge's identities, enrolled once per process per service:
+    the gateway and each pool worker keep them (and the signature
+    checkers' tables warm on their keys) from forge to forge."""
+    return deployment.forge_pki(group, members, seed)
+
+
 def _forge_sessions(
     group: AbstractGroup,
+    members: tuple[int, ...],
     live: tuple[int, ...],
     t: int,
     seed: int,
     presig_ids: list[int],
 ) -> list[tuple[Presignature, dict[int, int]]]:
-    """Run one batch of nonce DKGs as concurrent sessions multiplexed
-    over one embedded runtime world.  Pure and process-safe: the serial
-    forge calls it directly, the parallel forge runs one call per chunk
-    in a pool worker (seeded exactly as a serial run of that chunk
-    alone, so forge results are deterministic given seed)."""
+    """Run one batch of nonce DKGs among ``live`` as concurrent sessions
+    multiplexed over one embedded runtime world, under the PKI of the
+    service's ``members``.  Pure and process-safe: the serial forge
+    calls it directly, the parallel forge runs one call per chunk in a
+    pool worker (seeded exactly as a serial run of that chunk alone, so
+    forge results are deterministic given seed)."""
     specs = [
         DkgSessionSpec(
             session=f"nonce-{presig_id}",
@@ -88,6 +102,7 @@ def _forge_sessions(
         specs,
         seed=seed * 1_000_003 + presig_ids[0] + 1,
         delay_model=ConstantDelay(0.0),
+        pki=_forge_pki(group, members, seed),
     )
     batch: list[tuple[Presignature, dict[int, int]]] = []
     for presig_id in presig_ids:
@@ -114,11 +129,12 @@ def _forge_sessions_job(payload: tuple) -> tuple[float, list]:
     cross back to the parent in canonical serialized form (the
     :class:`FeldmanCommitment` memo caches are per-process and must not
     travel)."""
-    spec, live, t, seed, presig_ids = payload
+    spec, members, live, t, seed, presig_ids = payload
     started = time.perf_counter()
     group = parallel.group_from_spec(spec)
     encoded = []
-    for presig, shares in _forge_sessions(group, live, t, seed, list(presig_ids)):
+    forged = _forge_sessions(group, members, live, t, seed, list(presig_ids))
+    for presig, shares in forged:
         rows = [
             [group.element_to_bytes(entry) for entry in row]
             for row in presig.commitment.matrix
@@ -433,22 +449,23 @@ class ThresholdService:
     ) -> list[tuple[Presignature, dict[int, int]]]:
         """Fresh shared nonces = more DKGs (§1), run among the
         currently-live members as *concurrent sessions* multiplexed
-        over one runtime endpoint per node.  With a crypto executor the
-        whole-deficit batch is partitioned into per-worker chunks, each
-        chunk one embedded protocol world in a pool worker; without one
-        (or if the pool fails) the batch runs serially in one world.
-        Blocking; the pool calls it off the event loop."""
-        live = sorted(i for i, w in self.workers.items() if not w.crashed)
+        over one runtime endpoint per node, under one PKI over all
+        members for the service's life.  With a crypto executor every
+        batch, a single nonce included, is partitioned into per-worker
+        chunks, each chunk one embedded protocol world in a pool worker;
+        without one (or if the pool fails) the batch runs serially in
+        one world.  Blocking; the pool calls it off the event loop."""
+        live = tuple(sorted(i for i, w in self.workers.items() if not w.crashed))
         if len(live) < 2 * self.t + 1:
             raise ServiceUnavailable(
                 f"{len(live)} live nodes cannot run a t={self.t} nonce DKG"
             )
+        members = tuple(sorted(self.workers))
         executor = self.crypto_executor
-        # A single nonce is one chunk: it stays in process.
-        if executor is not None and executor.parallel and len(presig_ids) > 1:
+        if executor is not None and executor.parallel:
             spec = parallel.group_spec(self.group)
             payloads = [
-                (spec, tuple(live), self.t, self.config.seed, chunk)
+                (spec, members, live, self.t, self.config.seed, chunk)
                 for chunk in parallel.partition(presig_ids, executor.width)
             ]
             results = executor.map_jobs("forge", _forge_sessions_job, payloads)
@@ -458,7 +475,7 @@ class ThresholdService:
                     batch.extend(self._decode_forged(item) for item in encoded)
                 return batch
         return _forge_sessions(
-            self.group, tuple(live), self.t, self.config.seed, presig_ids
+            self.group, members, live, self.t, self.config.seed, presig_ids
         )
 
     def _decode_forged(

@@ -3,7 +3,9 @@ fans the whole pool deficit across a process pool and still produces
 valid, deterministic presignatures whatever the pool's width; a member
 crashing mid-forge leaves nothing of its nonce in the pool; a failing
 pool degrades to the serial forge; ops reports the acceleration status;
-no forge worker outlives its service."""
+no forge worker outlives its service.  Every forge, a single nonce
+included, runs in the pool when there is one, under one PKI enrolled
+once per process for the service's life."""
 
 from __future__ import annotations
 
@@ -11,15 +13,24 @@ import asyncio
 import hashlib
 import json
 import multiprocessing
+import sys
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import deployment
 from repro.crypto import parallel, schnorr
 from repro.crypto.feldman import share_verifier
+from repro.dkg import DkgConfig
+from repro.dkg.messages import DkgStartInput, MTypeProof, RTypeProof
+from repro.dkg.proofs import verify_proof
 from repro.obs import metrics as obs_metrics
+from repro.service import workers
 from repro.service.shard.router import ShardRouter
 from repro.service.workers import ServiceConfig, ThresholdService
+from repro.sim.network import ConstantDelay
 
 # sha256 over the ids, nonce points and sorted shares of the forged
 # batch ids 0..5 under ``_config`` (the pool's prefill batch).
@@ -283,6 +294,247 @@ class TestForgeDegradation:
         assert chunk_counts[(("kind", "forge"), ("mode", "pool"))] == 2
         assert parallel.CHUNK_SECONDS in families
         assert parallel.WORKERS_GAUGE in families
+
+
+def _chunk_counts(families: dict) -> dict[str, float]:
+    samples = families.get(parallel.CHUNKS_TOTAL, {}).get("samples", [])
+    return {
+        sample["labels"]["mode"]: sample["value"]
+        for sample in samples
+        if sample["labels"]["kind"] == "forge"
+    }
+
+
+def _forged_one(presig, shares) -> tuple:
+    return presig.presig_id, presig.nonce_point, dict(shares)
+
+
+class TestSingleNonceForgeInPool:
+    def test_single_nonce_forges_are_pool_chunks(self) -> None:
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        service = _service(width=2)
+        try:
+            single = _forged_one(*service._forge_nonce(4))
+            after_single = _chunk_counts(registry.snapshot())
+            on_demand = _run(service.pool.forge_now())
+            after_on_demand = _chunk_counts(registry.snapshot())
+        finally:
+            _run(service.stop())
+            obs_metrics.set_registry(previous)
+        assert after_single == {"pool": 1}
+        assert after_on_demand == {"pool": 2}
+        # The same nonces as a width-1 service forging the same ids.
+        serial = _service(width=1)
+        assert single == _forged_one(*serial._forge_nonce(4))
+        presig_id = on_demand.presig_id
+        shares = {
+            worker.index: worker._nonce_shares[presig_id]
+            for worker in service.workers.values()
+        }
+        expected = _forged_one(*serial._forge_nonce(presig_id))
+        assert (presig_id, on_demand.nonce_point, shares) == expected
+
+
+def _counting_forge_pki(monkeypatch) -> list[tuple]:
+    """Record every enrolment of the forge's PKI label."""
+    calls: list[tuple] = []
+    enroll = deployment.forge_pki
+
+    def counted(group, members, seed):
+        calls.append((tuple(members), seed))
+        return enroll(group, members, seed)
+
+    monkeypatch.setattr(deployment, "forge_pki", counted)
+    workers._forge_pki.cache_clear()
+    return calls
+
+
+def _nonce_dkg(group, tau: int) -> tuple:
+    """One n=4 nonce DKG at ``tau`` under the forge PKI, its machines
+    kept for the votes and witnesses they collected."""
+    members = (1, 2, 3, 4)
+    pki = workers._forge_pki(group, members, 11)
+    config = DkgConfig(n=4, t=1, group=group, members=members, enforce_resilience=False)
+    machines = deployment.dkg_machines(config, pki, members, tau=tau)
+    deployment.simulate(
+        machines,
+        [(i, DkgStartInput(tau), 0.0) for i in members],
+        delay_model=ConstantDelay(0.0),
+        seed=tau,
+    )
+    assert all(node.completed is not None for node in machines.values())
+    return config.vss(), pki[0], machines
+
+
+class TestForgePki:
+    def test_serial_forges_enrol_once_per_service(self, monkeypatch) -> None:
+        calls = _counting_forge_pki(monkeypatch)
+        used: list = []
+        run_sessions = workers.run_dkg_sessions
+
+        def recording(specs, **kwargs):
+            used.append(kwargs["pki"])
+            return run_sessions(specs, **kwargs)
+
+        monkeypatch.setattr(workers, "run_dkg_sessions", recording)
+        service = _service(width=1)
+        for presig_id in range(3):
+            service._forge_nonce(presig_id)
+        service._forge_nonce_batch([3, 4])
+        assert calls == [((1, 2, 3, 4, 5), 3)]
+        assert len(used) == 4
+        certified = [
+            {i: ca.public_key_of(i) for i in service.workers} for ca, _ in used
+        ]
+        assert all(keys == certified[0] for keys in certified)
+        assert None not in certified[0].values()
+
+    def test_a_crash_changes_no_identity(self, monkeypatch) -> None:
+        calls = _counting_forge_pki(monkeypatch)
+        service = _service(width=1)
+        service._forge_nonce(0)
+        service.crash_node(2)
+        service._forge_nonce(1)
+        assert calls == [((1, 2, 3, 4, 5), 3)]
+
+    def test_echo_votes_prove_a_lock_at_their_own_tau_only(self, group) -> None:
+        tau = 7
+        config, ca, machines = _nonce_dkg(group, tau)
+        quorums = [
+            (q, votes)
+            for node in machines.values()
+            for q, votes in node.echo_votes.items()
+            if len(votes) >= config.echo_threshold
+        ]
+        assert quorums
+        q, votes = quorums[0]
+        proof = MTypeProof(q, tuple(votes.values()))
+        assert verify_proof(config, ca, tau, proof)
+        assert not verify_proof(config, ca, tau + 1, proof)
+
+    def test_ready_witnesses_certify_at_their_own_tau_only(self, group) -> None:
+        tau = 7
+        config, ca, machines = _nonce_dkg(group, tau)
+        node = machines[1]
+        dealers = sorted(node.q_hat)[: config.t + 1]
+        proof = RTypeProof(tuple(node.q_hat[dealer] for dealer in dealers))
+        assert all(
+            len(cert.witnesses) >= config.output_threshold for cert in proof.certs
+        )
+        assert verify_proof(config, ca, tau, proof)
+        assert not verify_proof(config, ca, tau + 1, proof)
+
+
+class _HeldFuture:
+    """A chunk that finishes when the test releases it."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def result(self):
+        assert self.release.wait(timeout=30)
+        return 0.0, []
+
+
+class _HeldPool:
+    """Stands in for a ProcessPoolExecutor whose chunks the test ends."""
+
+    def __init__(self):
+        self.futures: list[_HeldFuture] = []
+
+    def submit(self, job, payload):
+        future = _HeldFuture()
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+class _DoneFuture:
+    def result(self):
+        return 0.0, []
+
+
+class _DonePool:
+    """Stands in for a ProcessPoolExecutor whose chunks finish at once."""
+
+    def submit(self, job, payload):
+        return _DoneFuture()
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+def _inflight(registry: obs_metrics.MetricsRegistry) -> float:
+    samples = registry.snapshot()[parallel.INFLIGHT_GAUGE]["samples"]
+    (sample,) = samples
+    assert sample["labels"] == {"kind": "forge"}
+    return sample["value"]
+
+
+class TestConcurrentForgeCalls:
+    def test_inflight_gauge_counts_every_call_in_flight(self) -> None:
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        pool = _HeldPool()
+        executor = parallel.CryptoExecutor(2)
+        executor._pool = pool
+
+        def call(payloads: list) -> threading.Thread:
+            submitted = len(pool.futures) + len(payloads)
+            thread = threading.Thread(
+                target=executor.map_jobs, args=("forge", len, payloads)
+            )
+            thread.start()
+            deadline = time.monotonic() + 30
+            while len(pool.futures) < submitted and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return thread
+
+        try:
+            # The refill loop's two chunks, then an on-demand forge's one.
+            refill = call([[0], [1]])
+            on_demand = call([[2]])
+            assert _inflight(registry) == 3
+            for future in pool.futures[:2]:
+                future.release.set()
+            refill.join(timeout=30)
+            assert not refill.is_alive()
+            assert _inflight(registry) == 1
+            pool.futures[2].release.set()
+            on_demand.join(timeout=30)
+            assert not on_demand.is_alive()
+            assert _inflight(registry) == 0
+        finally:
+            for future in pool.futures:
+                future.release.set()
+            obs_metrics.set_registry(previous)
+
+    def test_inflight_gauge_returns_to_zero_under_contention(self) -> None:
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        executor = parallel.CryptoExecutor(2)
+        executor._pool = _DonePool()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def calls() -> None:
+            for _ in range(200):
+                executor.map_jobs("forge", len, [[0], [1]])
+
+        threads = [threading.Thread(target=calls) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            obs_metrics.set_registry(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert _inflight(registry) == 0
 
 
 def _forge_pids(service: ThresholdService) -> set[int]:
