@@ -114,6 +114,25 @@ def _ready() -> None:
     """The no-op job :meth:`CryptoExecutor.warm` waits on."""
 
 
+# Chunks submitted and not yet collected, per kind, summed over every
+# map_jobs call in flight in this process: each shard of a ShardRouter
+# owns its own executor, and their refills fan out concurrently.
+_inflight_lock = threading.Lock()
+_inflight: dict[str, int] = {}
+
+
+def _add_inflight(kind: str, delta: int) -> None:
+    with _inflight_lock:
+        count = _inflight.get(kind, 0) + delta
+        _inflight[kind] = count
+        obs_metrics.gauge_set(
+            INFLIGHT_GAUGE,
+            count,
+            help="chunks currently submitted to the crypto pool",
+            kind=kind,
+        )
+
+
 # -- the executor --------------------------------------------------------------
 
 
@@ -130,11 +149,6 @@ class CryptoExecutor:
         self.width = width
         self._pool: ProcessPoolExecutor | None = None
         self._broken = False
-        # Chunks submitted and not yet collected, per kind, summed over
-        # every map_jobs call in flight (the refill loop and on-demand
-        # forges call concurrently from their own threads).
-        self._lock = threading.Lock()
-        self._inflight: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -213,7 +227,7 @@ class CryptoExecutor:
         if pool is None:
             self._count_chunks(kind, "serial", len(payloads))
             return None
-        self._add_inflight(kind, len(payloads))
+        _add_inflight(kind, len(payloads))
         try:
             futures = [pool.submit(job, payload) for payload in payloads]
             results = [future.result() for future in futures]
@@ -225,7 +239,7 @@ class CryptoExecutor:
             self._count_chunks(kind, "serial", len(payloads))
             return None
         finally:
-            self._add_inflight(kind, -len(payloads))
+            _add_inflight(kind, -len(payloads))
         self._count_chunks(kind, "pool", len(payloads))
         for result in results:
             if isinstance(result, tuple) and result and isinstance(result[0], float):
@@ -236,17 +250,6 @@ class CryptoExecutor:
                     kind=kind,
                 )
         return results
-
-    def _add_inflight(self, kind: str, delta: int) -> None:
-        with self._lock:
-            count = self._inflight.get(kind, 0) + delta
-            self._inflight[kind] = count
-            obs_metrics.gauge_set(
-                INFLIGHT_GAUGE,
-                count,
-                help="chunks currently submitted to the crypto pool",
-                kind=kind,
-            )
 
     @staticmethod
     def _count_chunks(kind: str, mode: str, count: int) -> None:

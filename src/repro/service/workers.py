@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,6 +58,11 @@ from repro.service.presig import PresigPool, Presignature
 from repro.sim.network import ConstantDelay
 
 Commitment = FeldmanCommitment | FeldmanVector
+
+
+# Held by the one nonce this process forges itself at a time, whichever
+# service (shard) it belongs to: the process has one GIL.
+_forge_lane = threading.Lock()
 
 
 @lru_cache(maxsize=32)
@@ -450,11 +456,13 @@ class ThresholdService:
         """Fresh shared nonces = more DKGs (§1), run among the
         currently-live members as *concurrent sessions* multiplexed
         over one runtime endpoint per node, under one PKI over all
-        members for the service's life.  With a crypto executor every
-        batch, a single nonce included, is partitioned into per-worker
-        chunks, each chunk one embedded protocol world in a pool worker;
-        without one (or if the pool fails) the batch runs serially in
-        one world.  Blocking; the pool calls it off the event loop."""
+        members for the service's life.  A single nonce is forged in
+        this process while no other forge holds its one lane; any other
+        batch, with a crypto executor, is partitioned into per-worker
+        chunks, each chunk one embedded protocol world in a pool worker.
+        Without an executor (or if the pool fails) the batch runs
+        serially in one world.  Blocking; the pool calls it off the
+        event loop."""
         live = tuple(sorted(i for i, w in self.workers.items() if not w.crashed))
         if len(live) < 2 * self.t + 1:
             raise ServiceUnavailable(
@@ -462,21 +470,31 @@ class ThresholdService:
             )
         members = tuple(sorted(self.workers))
         executor = self.crypto_executor
-        if executor is not None and executor.parallel:
-            spec = parallel.group_spec(self.group)
-            payloads = [
-                (spec, members, live, self.t, self.config.seed, chunk)
-                for chunk in parallel.partition(presig_ids, executor.width)
-            ]
-            results = executor.map_jobs("forge", _forge_sessions_job, payloads)
-            if results is not None:
-                batch: list[tuple[Presignature, dict[int, int]]] = []
-                for _, encoded in results:
-                    batch.extend(self._decode_forged(item) for item in encoded)
-                return batch
-        return _forge_sessions(
-            self.group, members, live, self.t, self.config.seed, presig_ids
-        )
+        # The lane keeps one single-nonce forge in process, where the
+        # benchmark's tracer times it; the tracer cannot see pool
+        # workers.  A second one at the same time would share the GIL
+        # with it and with the event loop, so it goes to the pool like
+        # any batch.
+        in_lane = len(presig_ids) == 1 and _forge_lane.acquire(blocking=False)
+        try:
+            if not in_lane and executor is not None and executor.parallel:
+                spec = parallel.group_spec(self.group)
+                payloads = [
+                    (spec, members, live, self.t, self.config.seed, chunk)
+                    for chunk in parallel.partition(presig_ids, executor.width)
+                ]
+                results = executor.map_jobs("forge", _forge_sessions_job, payloads)
+                if results is not None:
+                    batch: list[tuple[Presignature, dict[int, int]]] = []
+                    for _, encoded in results:
+                        batch.extend(self._decode_forged(item) for item in encoded)
+                    return batch
+            return _forge_sessions(
+                self.group, members, live, self.t, self.config.seed, presig_ids
+            )
+        finally:
+            if in_lane:
+                _forge_lane.release()
 
     def _decode_forged(
         self, item: tuple

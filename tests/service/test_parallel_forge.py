@@ -3,9 +3,11 @@ fans the whole pool deficit across a process pool and still produces
 valid, deterministic presignatures whatever the pool's width; a member
 crashing mid-forge leaves nothing of its nonce in the pool; a failing
 pool degrades to the serial forge; ops reports the acceleration status;
-no forge worker outlives its service.  Every forge, a single nonce
-included, runs in the pool when there is one, under one PKI enrolled
-once per process for the service's life."""
+no forge worker outlives its service.  A single nonce is forged in
+process while the process's one forge lane is free, and in the pool
+while it is held; the forge runs under one PKI, enrolled once per
+process for the service's life; the pool's in-flight gauge counts every
+concurrent call."""
 
 from __future__ import annotations
 
@@ -309,17 +311,33 @@ def _forged_one(presig, shares) -> tuple:
     return presig.presig_id, presig.nonce_point, dict(shares)
 
 
-class TestSingleNonceForgeInPool:
-    def test_single_nonce_forges_are_pool_chunks(self) -> None:
+class TestForgeLane:
+    def test_a_single_nonce_takes_the_free_lane(self) -> None:
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.set_registry(registry)
         service = _service(width=2)
+        try:
+            single = _forged_one(*service._forge_nonce(4))
+            counts = _chunk_counts(registry.snapshot())
+        finally:
+            _run(service.stop())
+            obs_metrics.set_registry(previous)
+        assert counts == {}
+        assert not workers._forge_lane.locked()
+        assert single == _forged_one(*_service(width=1)._forge_nonce(4))
+
+    def test_a_single_nonce_goes_to_the_pool_while_the_lane_is_held(self) -> None:
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        service = _service(width=2)
+        assert workers._forge_lane.acquire(blocking=False)
         try:
             single = _forged_one(*service._forge_nonce(4))
             after_single = _chunk_counts(registry.snapshot())
             on_demand = _run(service.pool.forge_now())
             after_on_demand = _chunk_counts(registry.snapshot())
         finally:
+            workers._forge_lane.release()
             _run(service.stop())
             obs_metrics.set_registry(previous)
         assert after_single == {"pool": 1}
@@ -334,6 +352,50 @@ class TestSingleNonceForgeInPool:
         }
         expected = _forged_one(*serial._forge_nonce(presig_id))
         assert (presig_id, on_demand.nonce_point, shares) == expected
+
+    def test_at_most_one_forge_runs_in_process(self, monkeypatch) -> None:
+        # Concurrent single-nonce forges: one at a time holds the lane,
+        # every other one is a pool chunk.
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        service = _service_with_pool(_DonePool())
+        guard = threading.Lock()
+        running = most = in_process = 0
+
+        def forge(group, members, live, t, seed, presig_ids):
+            nonlocal running, most, in_process
+            with guard:
+                running += 1
+                in_process += 1
+                most = max(most, running)
+            time.sleep(0.001)
+            with guard:
+                running -= 1
+            return []
+
+        monkeypatch.setattr(workers, "_forge_sessions", forge)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def calls(first: int) -> None:
+            for presig_id in range(first, first + 50):
+                service._forge_nonce_batch([presig_id])
+
+        threads = [threading.Thread(target=calls, args=(50 * k,)) for k in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            obs_metrics.set_registry(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert most == 1
+        pooled = _chunk_counts(registry.snapshot()).get("pool", 0)
+        assert in_process + pooled == 400
+        assert 0 < in_process < 400
+        assert not workers._forge_lane.locked()
 
 
 def _counting_forge_pki(monkeypatch) -> list[tuple]:
@@ -476,55 +538,62 @@ def _inflight(registry: obs_metrics.MetricsRegistry) -> float:
 
 class TestConcurrentForgeCalls:
     def test_inflight_gauge_counts_every_call_in_flight(self) -> None:
+        # Two shards' executors in one process, each with a call in
+        # flight from its own refill thread.
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.set_registry(registry)
-        pool = _HeldPool()
-        executor = parallel.CryptoExecutor(2)
-        executor._pool = pool
+        pools = [_HeldPool(), _HeldPool()]
+        executors = [parallel.CryptoExecutor(2), parallel.CryptoExecutor(2)]
+        for executor, pool in zip(executors, pools):
+            executor._pool = pool
 
-        def call(payloads: list) -> threading.Thread:
-            submitted = len(pool.futures) + len(payloads)
+        def call(shard: int, payloads: list) -> threading.Thread:
+            pool = pools[shard]
             thread = threading.Thread(
-                target=executor.map_jobs, args=("forge", len, payloads)
+                target=executors[shard].map_jobs, args=("forge", len, payloads)
             )
             thread.start()
             deadline = time.monotonic() + 30
-            while len(pool.futures) < submitted and time.monotonic() < deadline:
+            while len(pool.futures) < len(payloads) and time.monotonic() < deadline:
                 time.sleep(0.001)
             return thread
 
         try:
-            # The refill loop's two chunks, then an on-demand forge's one.
-            refill = call([[0], [1]])
-            on_demand = call([[2]])
+            first = call(0, [[0], [1]])
+            second = call(1, [[2]])
             assert _inflight(registry) == 3
-            for future in pool.futures[:2]:
+            for future in pools[0].futures:
                 future.release.set()
-            refill.join(timeout=30)
-            assert not refill.is_alive()
+            first.join(timeout=30)
+            assert not first.is_alive()
             assert _inflight(registry) == 1
-            pool.futures[2].release.set()
-            on_demand.join(timeout=30)
-            assert not on_demand.is_alive()
+            pools[1].futures[0].release.set()
+            second.join(timeout=30)
+            assert not second.is_alive()
             assert _inflight(registry) == 0
         finally:
-            for future in pool.futures:
-                future.release.set()
+            for pool in pools:
+                for future in pool.futures:
+                    future.release.set()
             obs_metrics.set_registry(previous)
 
     def test_inflight_gauge_returns_to_zero_under_contention(self) -> None:
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.set_registry(registry)
-        executor = parallel.CryptoExecutor(2)
-        executor._pool = _DonePool()
+        executors = [parallel.CryptoExecutor(2), parallel.CryptoExecutor(2)]
+        for executor in executors:
+            executor._pool = _DonePool()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
 
-        def calls() -> None:
+        def calls(executor: parallel.CryptoExecutor) -> None:
             for _ in range(200):
                 executor.map_jobs("forge", len, [[0], [1]])
 
-        threads = [threading.Thread(target=calls) for _ in range(8)]
+        threads = [
+            threading.Thread(target=calls, args=(executors[k % 2],))
+            for k in range(8)
+        ]
         try:
             for thread in threads:
                 thread.start()
