@@ -104,7 +104,7 @@ def bench_tcp(config: DkgConfig, k: int, seed: int = 1) -> dict:
         keystores = {i: KeyStore.enroll(i, ca, rng) for i in members}
         async with SessionCluster(
             list(members), seed=seed, group=config.group,
-            codec=config.codec, delay_model=delay, time_scale=TIME_SCALE,
+            delay_model=delay, time_scale=TIME_SCALE,
         ) as cluster:
             for tau in range(k):
                 cluster.open_session(

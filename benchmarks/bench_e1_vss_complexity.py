@@ -30,8 +30,8 @@ def _sweep(codec_factory):
     rows = []
     for n in NS:
         t = (n - 1) // 3
-        cfg = VssConfig(n=n, t=t, group=G, codec=codec_factory())
-        res = run_vss(cfg, secret=1, seed=1)
+        cfg = VssConfig(n=n, t=t, group=G)
+        res = run_vss(cfg, secret=1, seed=1, codec=codec_factory())
         assert len(res.completed_nodes) == n
         rows.append((n, t, res.metrics.messages_total, res.metrics.bytes_total))
     return rows

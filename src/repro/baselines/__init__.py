@@ -2,7 +2,7 @@
 synchronous Joint-Feldman (Pedersen) DKG, and the general-bivariate
 AVSS cost model for the symmetric-polynomial ablation."""
 
-from repro.baselines.avss_general import GeneralAvssSession, run_general_avss
+from repro.baselines.avss_general import run_general_avss
 from repro.baselines.bracha import (
     BrachaNode,
     BroadcastInput,
@@ -19,7 +19,6 @@ __all__ = [
     "BrachaNode",
     "BroadcastInput",
     "DeliveredOutput",
-    "GeneralAvssSession",
     "JfResult",
     "JointFeldmanNode",
     "SyncMessage",

@@ -9,63 +9,32 @@ row ``f(x, i)`` and column ``f(i, y)`` polynomials, and every echo and
 ready message carries TWO points (one for each direction), because
 ``f(i, m) != f(m, i)`` in general.
 
-We model that cost by *pricing* messages as the general scheme would —
-double polynomials in ``send``, double points in ``echo``/``ready``,
-plus the verification work — while keeping the symmetric math
-underneath.  The measured quantity (bytes on the wire, the paper's
-communication complexity) is exactly what the constant-factor claim
-concerns; protocol structure, counts and thresholds are identical in
-the two schemes, so counts match by construction.
+We model that cost by running the symmetric protocol and adding, to
+every metered message, the bytes the general scheme would carry on
+top — a second polynomial in ``send``, a second point in
+``echo``/``ready``.  The measured quantity (bytes on the wire, the
+paper's communication complexity) is exactly what the constant-factor
+claim concerns; protocol structure, counts and thresholds are
+identical in the two schemes, so counts match by construction.
 """
 
 from __future__ import annotations
 
-from repro.crypto.feldman import FeldmanCommitment
-from repro.vss.session import VssSession
-
 
 def run_general_avss(config, secret=None, dealer=1, seed=0, **kwargs):
     """run_vss under the general-bivariate AVSS cost model."""
-    from dataclasses import dataclass
+    from repro.vss.node import run_vss
 
-    from repro.vss.messages import SessionId
-    from repro.vss.node import VssNode, run_vss
-
-    @dataclass
-    class GeneralAvssNode(VssNode):
-        session_cls: type[VssSession] = None  # type: ignore[assignment]
-
-        def __post_init__(self) -> None:
-            self.session_cls = GeneralAvssSession
-            super().__post_init__()
-
-    factory = {
-        i: GeneralAvssNode(i, config, SessionId(dealer, 0))
-        for i in config.indices
+    result = run_vss(config, secret=secret, dealer=dealer, seed=seed, **kwargs)
+    scalar = config.group.scalar_bytes
+    extra = {
+        "vss.send": (config.t + 1) * scalar,  # the column polynomial f(i, y)
+        "vss.echo": scalar,  # f(i, m) next to f(m, i)
+        "vss.ready": scalar,
     }
-    return run_vss(
-        config, secret=secret, dealer=dealer, seed=seed,
-        node_factory=factory, **kwargs,
-    )
-
-
-class GeneralAvssSession(VssSession):
-    """HybridVSS priced under general-bivariate AVSS message sizes.
-
-    Sizes build on the symmetric scheme's true wire lengths
-    (:mod:`repro.net.wire`) plus the general scheme's extra payload: a
-    second univariate polynomial in ``send`` and a second evaluation
-    point in every ``echo``/``ready``.
-    """
-
-    def _send_size(self, commitment: FeldmanCommitment, with_poly: bool) -> int:
-        # Second univariate polynomial (column next to row).
-        extra = (self.config.t + 1) * self._scalar_bytes() if with_poly else 0
-        return super()._send_size(commitment, with_poly) + extra
-
-    def _echo_size(self, commitment: FeldmanCommitment) -> int:
-        # Second point: f(i, m) next to f(m, i).
-        return super()._echo_size(commitment) + self._scalar_bytes()
-
-    def _ready_size(self, commitment: FeldmanCommitment) -> int:
-        return super()._ready_size(commitment) + self._scalar_bytes()
+    metrics = result.metrics
+    for kind, per_message in extra.items():
+        added = metrics.messages_by_kind[kind] * per_message
+        metrics.bytes_by_kind[kind] += added
+        metrics.bytes_total += added
+    return result

@@ -116,7 +116,7 @@ def _flight_recorder(
 
     if config is not None:
         group = config.group
-        meta = capture_meta(cmd, config, args.seed, transport, **extra)
+        meta = capture_meta(cmd, config, args.seed, transport, _codec(args), **extra)
     else:
         meta = {
             "cmd": cmd,
@@ -144,10 +144,12 @@ def _flight_recorder(
 def cmd_dkg(args: argparse.Namespace) -> int:
     config = DkgConfig(
         n=args.n, t=args.t, f=args.f,
-        group=_group(args), codec=_codec(args),
+        group=_group(args),
     )
     with _flight_recorder(args, "dkg", transport="sim", config=config, tau=0):
-        result = run_dkg(config, seed=args.seed, reconstruct=args.reconstruct)
+        result = run_dkg(
+            config, seed=args.seed, reconstruct=args.reconstruct, codec=_codec(args)
+        )
     payload = {
         "succeeded": result.succeeded,
         "q_set": list(result.q_set),
@@ -169,10 +171,14 @@ def cmd_dkg(args: argparse.Namespace) -> int:
 def cmd_vss(args: argparse.Namespace) -> int:
     config = VssConfig(
         n=args.n, t=args.t, f=args.f,
-        group=_group(args), codec=_codec(args),
+        group=_group(args),
     )
     result = run_vss(
-        config, secret=args.secret, seed=args.seed, reconstruct=args.reconstruct
+        config,
+        secret=args.secret,
+        seed=args.seed,
+        reconstruct=args.reconstruct,
+        codec=_codec(args),
     )
     payload = {
         "completed_nodes": result.completed_nodes,
@@ -202,7 +208,7 @@ def _tcp_delay_model(args: argparse.Namespace):
 def cmd_renew(args: argparse.Namespace) -> int:
     config = DkgConfig(
         n=args.n, t=args.t, f=args.f,
-        group=_group(args), codec=_codec(args),
+        group=_group(args),
     )
     if args.transport == "tcp":
         from repro.net.proactive import run_renewal_cluster
@@ -218,6 +224,7 @@ def cmd_renew(args: argparse.Namespace) -> int:
                 time_scale=args.time_scale,
                 crash_plan=args.crash,
                 timeout=args.timeout,
+                codec=_codec(args),
             )
         _emit(
             args,
@@ -248,7 +255,7 @@ def cmd_renew(args: argparse.Namespace) -> int:
     with _flight_recorder(
         args, "renew", transport="sim", config=config, phases=args.phases
     ):
-        system = ProactiveSystem(config, seed=args.seed)
+        system = ProactiveSystem(config, seed=args.seed, codec=_codec(args))
         system.bootstrap()
         secret_before = system.reconstruct()
         phases = []
@@ -278,7 +285,7 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
     share — simulated or over real asyncio TCP sockets."""
     config = DkgConfig(
         n=args.n, t=args.t, f=args.f,
-        group=_group(args), codec=_codec(args),
+        group=_group(args),
     )
     new_node = args.new_node if args.new_node is not None else args.n + 1
     if args.transport == "tcp":
@@ -295,6 +302,7 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
                 time_scale=args.time_scale,
                 crash_plan=args.crash,
                 timeout=args.timeout,
+                codec=_codec(args),
             )
         _emit(
             args,
@@ -322,7 +330,7 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
     with _flight_recorder(
         args, "groupmod", transport="sim", config=config, new_node=new_node
     ):
-        manager = GroupManager(config, seed=args.seed)
+        manager = GroupManager(config, seed=args.seed, codec=_codec(args))
         manager.bootstrap()
         secret_before = manager.reconstruct()
         report = manager.agree(
@@ -365,7 +373,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     config = DkgConfig(
         n=args.n, t=args.t, f=args.f,
-        group=_group(args), codec=_codec(args),
+        group=_group(args),
     )
     delay_model = _tcp_delay_model(args)
     if args.drop > 0:
@@ -380,6 +388,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             time_scale=args.time_scale,
             crash_plan=args.crash,
             timeout=args.timeout,
+            codec=_codec(args),
         )
     payload = {
         "transport": "asyncio-tcp",

@@ -8,8 +8,9 @@ communication to O(kappa n^3).  The paper states the trick "remains
 applicable in our HybridVSS"; the E1 benchmark measures both codecs.
 
 This module provides the digest, hash-to-scalar helpers used by the
-Fiat--Shamir constructions, and the two commitment *codecs* that the
-metrics layer uses to price messages:
+Fiat--Shamir constructions, and the two commitment *codecs*, one of
+which is a parameter of every run (of its transport, which frames and
+meters each message accordingly; see :mod:`repro.net.wire`):
 
 * :class:`FullMatrixCodec` — every message carries the full matrix;
 * :class:`HashedMatrixCodec` — ``send`` carries the matrix, while
@@ -81,18 +82,9 @@ def hash_to_element(group_p: int, group_q: int, *parts: bytes) -> int:
 
 @dataclass(frozen=True)
 class FullMatrixCodec:
-    """Price every protocol message as carrying the full commitment matrix."""
+    """Every protocol message carries the full commitment matrix."""
 
     name: str = "full-matrix"
-
-    def send_overhead(self, commitment: FeldmanCommitment) -> int:
-        return commitment.byte_size()
-
-    def echo_overhead(self, commitment: FeldmanCommitment) -> int:
-        return commitment.byte_size()
-
-    def ready_overhead(self, commitment: FeldmanCommitment) -> int:
-        return commitment.byte_size()
 
 
 @dataclass(frozen=True)
@@ -105,12 +97,3 @@ class HashedMatrixCodec:
     """
 
     name: str = "hashed-matrix"
-
-    def send_overhead(self, commitment: FeldmanCommitment) -> int:
-        return commitment.byte_size()
-
-    def echo_overhead(self, commitment: FeldmanCommitment) -> int:
-        return DIGEST_BYTES
-
-    def ready_overhead(self, commitment: FeldmanCommitment) -> int:
-        return DIGEST_BYTES

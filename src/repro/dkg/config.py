@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.groups import toy_group
-from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
 from repro.sim.clock import TimeoutPolicy
 from repro.vss.config import VssConfig
 
@@ -26,9 +25,6 @@ class DkgConfig:
     t: int
     f: int = 0
     group: AbstractGroup = field(default_factory=toy_group)
-    codec: FullMatrixCodec | HashedMatrixCodec = field(
-        default_factory=FullMatrixCodec
-    )
     d_budget: int = 10
     initial_leader: int = 1
     timeout: TimeoutPolicy = field(
@@ -57,7 +53,6 @@ class DkgConfig:
             t=self.t,
             f=self.f,
             group=self.group,
-            codec=self.codec,
             d_budget=self.d_budget,
             enforce_resilience=self.enforce_resilience,
             members=self.members,

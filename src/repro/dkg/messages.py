@@ -21,16 +21,14 @@ paper's lead-ch for leader ``pi^v(L0)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.crypto.schnorr import Signature
-from repro.vss.messages import WIRE_FRAME_OVERHEAD, ReadyWitness
+from repro.vss.messages import ReadyWitness
 
 VIEW_BYTES = 2
 TAU_BYTES = 4
-INDEX_BYTES = 2
-DIGEST_BYTES = 32
 
 
 def q_encoding(q_set: tuple[int, ...]) -> bytes:
@@ -69,13 +67,6 @@ class ReadyCert:
     digest: bytes
     witnesses: tuple[ReadyWitness, ...]
 
-    def byte_size(self, sig_bytes: int) -> int:
-        return (
-            INDEX_BYTES
-            + DIGEST_BYTES
-            + len(self.witnesses) * (INDEX_BYTES + sig_bytes)
-        )
-
 
 @dataclass(frozen=True)
 class RTypeProof:
@@ -88,9 +79,6 @@ class RTypeProof:
     @property
     def q_set(self) -> tuple[int, ...]:
         return tuple(sorted(cert.dealer for cert in self.certs))
-
-    def byte_size(self, sig_bytes: int) -> int:
-        return sum(cert.byte_size(sig_bytes) for cert in self.certs)
 
 
 @dataclass(frozen=True)
@@ -115,11 +103,6 @@ class MTypeProof:
     def q_set(self) -> tuple[int, ...]:
         return tuple(sorted(self.q))
 
-    def byte_size(self, sig_bytes: int) -> int:
-        return len(self.q) * INDEX_BYTES + len(self.votes) * (
-            INDEX_BYTES + 1 + sig_bytes
-        )
-
 
 Proof = Union[RTypeProof, MTypeProof]
 
@@ -141,16 +124,12 @@ class DkgSendMsg:
     view: int
     proof: Proof
     election: tuple[LeadChWitness, ...] = ()
-    size: int = field(compare=False, default=0)
 
     kind = "dkg.send"
 
     @property
     def q_set(self) -> tuple[int, ...]:
         return self.proof.q_set
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -161,12 +140,8 @@ class DkgEchoMsg:
     view: int
     q: tuple[int, ...]
     signature: Signature
-    size: int = field(compare=False, default=0)
 
     kind = "dkg.echo"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -177,12 +152,8 @@ class DkgReadyMsg:
     view: int
     q: tuple[int, ...]
     signature: Signature
-    size: int = field(compare=False, default=0)
 
     kind = "dkg.ready"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -193,12 +164,8 @@ class LeadChMsg:
     view: int
     proof: Proof | None
     signature: Signature
-    size: int = field(compare=False, default=0)
 
     kind = "dkg.lead-ch"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -209,12 +176,8 @@ class DkgSharePointMsg:
 
     tau: int
     point: int
-    size: int = field(compare=False, default=0)
 
     kind = "dkg.rec-share"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -243,9 +206,6 @@ class DkgHelpMsg:
     tau: int
 
     kind = "dkg.help"
-
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + TAU_BYTES
 
 
 DkgMessage = Union[DkgSendMsg, DkgEchoMsg, DkgReadyMsg, LeadChMsg, DkgHelpMsg]

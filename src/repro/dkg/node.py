@@ -152,17 +152,6 @@ class DkgNode(ProtocolNode):
         self._help_from: dict[int, int] = {}
         self._ctx: Context | None = None  # current dispatch context
 
-    # -- sizes --------------------------------------------------------------
-    #
-    # Stamped sizes are the true wire length of the frame repro.net.wire
-    # emits for the message (fixed-width given the deployment group), so
-    # the E3/E4 communication measurements meter real serialized bytes.
-
-    def _stamp(self, msg: Any) -> Any:
-        from repro.net import wire
-
-        return wire.stamp(msg, self.config.codec, group=self.config.group)
-
     # -- small helpers --------------------------------------------------------
 
     def _log_and_send(self, ctx: Context, recipient: int, msg: Any) -> None:
@@ -300,7 +289,7 @@ class DkgNode(ProtocolNode):
             return
         self.proposed_in_view.add(self.view)
         election = tuple(self.lc_votes.get(self.view, {}).values())
-        msg = self._stamp(DkgSendMsg(self.tau, self.view, proof, election))
+        msg = DkgSendMsg(self.tau, self.view, proof, election)
         self._log_and_broadcast(ctx, msg)
 
     def _arm_timer(self, ctx: Context) -> None:
@@ -349,7 +338,7 @@ class DkgNode(ProtocolNode):
             return
         self.sent_echo_for.add((self.view, q))
         signature = self.signatures.sign(dkg_echo_bytes(self.tau, q), self.rng)
-        echo = self._stamp(DkgEchoMsg(self.tau, self.view, q, signature))
+        echo = DkgEchoMsg(self.tau, self.view, q, signature)
         self._log_and_broadcast(ctx, echo)
 
     # -- Fig. 2: upon (L, tau, echo, Q)_sign from P_m (first time) -------------------
@@ -423,7 +412,7 @@ class DkgNode(ProtocolNode):
             return
         self.sent_ready_for.add(q)
         signature = self.signatures.sign(dkg_ready_bytes(self.tau, q), self.rng)
-        ready = self._stamp(DkgReadyMsg(self.tau, self.view, q, signature))
+        ready = DkgReadyMsg(self.tau, self.view, q, signature)
         self._log_and_broadcast(ctx, ready)
 
     # -- completion -------------------------------------------------------------------
@@ -476,7 +465,7 @@ class DkgNode(ProtocolNode):
     def _send_lead_ch(self, target_view: int, ctx: Context) -> None:
         proof = self._current_proof()
         signature = self.signatures.sign(lead_ch_bytes(self.tau, target_view), self.rng)
-        msg = self._stamp(LeadChMsg(self.tau, target_view, proof, signature))
+        msg = LeadChMsg(self.tau, target_view, proof, signature)
         self._log_and_broadcast(ctx, msg)
         # Record our own vote so we can count it toward the quorum.
         self.lc_votes.setdefault(target_view, {})[self.node_id] = LeadChWitness(
@@ -564,7 +553,7 @@ class DkgNode(ProtocolNode):
         self._rec = PointCollector(
             _share_verifier_for(self.completed.commitment), self.config.t + 1
         )
-        msg = self._stamp(DkgSharePointMsg(self.tau, self.completed.share))
+        msg = DkgSharePointMsg(self.tau, self.completed.share)
         self._log_and_broadcast(ctx, msg)
 
     def _on_rec_share(self, sender: int, msg: DkgSharePointMsg, ctx: Context) -> None:

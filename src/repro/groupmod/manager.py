@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Any
 
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
@@ -54,8 +55,8 @@ class AgreementReport:
 class GroupManager(ShareLifecycle):
     """A threshold deployment with evolving membership."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0):
-        super().__init__(config, seed)
+    def __init__(self, config: DkgConfig, seed: int = 0, codec: Any = None):
+        super().__init__(config, seed, codec)
         self.pending: list[ModProposal] = []
 
     @property
@@ -84,6 +85,8 @@ class GroupManager(ShareLifecycle):
             delay_model=delay_model,
             adversary=Adversary.passive(self.config.t, self.config.f),
             seed=agreement_seed(self.seed, seed_offset, self.phase),
+            group=self.config.group,
+            codec=self.codec,
         )
         report = AgreementReport(
             queues={i: list(node.queue) for i, node in nodes.items()},
@@ -112,6 +115,7 @@ class GroupManager(ShareLifecycle):
             seed=addition_seed(self.seed, seed_offset),
             tau=self.phase + 1,
             delay_model=delay_model,
+            codec=self.codec,
         )
         if result.share is None:
             raise RuntimeError("node addition failed to deliver a share")

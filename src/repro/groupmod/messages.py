@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.feldman import FeldmanVector
-from repro.vss.messages import WIRE_FRAME_OVERHEAD
-
-# Codec v4 proposal frame body: action u8 + 2-byte index + two biased
-# u8 deltas (repro.net.wire keeps these widths in sync).
-_PROPOSAL_BODY_BYTES = 5
-# Node-Add request body: 2-byte index + 4-byte tau.
-_ADD_REQUEST_BODY_BYTES = 6
 
 
 @dataclass(frozen=True)
@@ -59,9 +52,6 @@ class ProposalMsg:
 
     kind = "groupmod.propose"
 
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + _PROPOSAL_BODY_BYTES
-
 
 @dataclass(frozen=True)
 class ProposalEchoMsg:
@@ -71,9 +61,6 @@ class ProposalEchoMsg:
 
     kind = "groupmod.echo"
 
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + _PROPOSAL_BODY_BYTES
-
 
 @dataclass(frozen=True)
 class ProposalReadyMsg:
@@ -82,9 +69,6 @@ class ProposalReadyMsg:
     proposal: ModProposal
 
     kind = "groupmod.ready"
-
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + _PROPOSAL_BODY_BYTES
 
 
 @dataclass(frozen=True)
@@ -109,9 +93,6 @@ class NodeAddRequestMsg:
 
     kind = "groupmod.add-request"
 
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + _ADD_REQUEST_BODY_BYTES
-
 
 @dataclass(frozen=True)
 class NodeAddInput:
@@ -130,12 +111,8 @@ class SubshareMsg:
     tau: int
     vector: FeldmanVector
     subshare: int
-    size: int = field(compare=False, default=0)
 
     kind = "groupmod.subshare"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from repro.net.host import NodeHost
 from repro.net.peers import PeerAddress, PeerRegistry
 from repro.net.proactive import RenewalClusterResult, run_renewal_cluster
 from repro.net.transport import AsyncioTransport, DropRetryLink, SimTransport, Transport
-from repro.net.wire import WireError, decode, encode, encoded_size, stamp
+from repro.net.wire import WireError, decode, encode, encoded_size
 
 __all__ = [
     "AsyncioTransport",
@@ -55,5 +55,4 @@ __all__ = [
     "run_groupmod_cluster",
     "run_local_cluster",
     "run_renewal_cluster",
-    "stamp",
 ]

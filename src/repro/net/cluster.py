@@ -48,7 +48,11 @@ COMPLETED_KIND = "dkg.out.completed"
 
 
 class SessionCluster:
-    """n asyncio runtime endpoints multiplexing protocol sessions."""
+    """n asyncio runtime endpoints multiplexing protocol sessions.
+
+    ``group`` and ``codec`` are the run's: every endpoint frames, and
+    meters, each message under them.
+    """
 
     def __init__(
         self,
@@ -374,6 +378,7 @@ class LocalCluster(SessionCluster):
         host: str = "127.0.0.1",
         secrets: dict[int, int] | None = None,
         node_factory: Callable[..., Any] | None = None,
+        codec: Any = None,
     ):
         self.config = config
         self.tau = tau
@@ -389,7 +394,7 @@ class LocalCluster(SessionCluster):
             config.vss().indices,
             seed=seed,
             group=config.group,
-            codec=config.codec,
+            codec=codec,
             delay_model=delay_model,
             time_scale=time_scale,
             host=host,
@@ -430,11 +435,13 @@ def run_local_cluster(
     time_scale: float = DEFAULT_TIME_SCALE,
     crash_plan: list[tuple[int, float, float | None]] | None = None,
     timeout: float = 60.0,
+    codec: Any = None,
 ) -> ClusterResult:
     """Synchronous convenience wrapper: spawn, run one DKG, tear down.
 
     ``crash_plan`` entries are ``(node, at, up_after-or-None)`` in
     protocol time units, exactly like the simulator adversary's.
+    ``codec`` is the run's commitment codec (default: full matrix).
     """
 
     async def _run() -> ClusterResult:
@@ -444,6 +451,7 @@ def run_local_cluster(
             tau=tau,
             delay_model=delay_model,
             time_scale=time_scale,
+            codec=codec,
         )
         for node, at, up_after in crash_plan or []:
             cluster.crash(node, at, up_after)

@@ -220,6 +220,7 @@ class AsyncioTransport:
         self._last_payload: Any = None
         self._last_mode = "inline"
         self._last_frame = b""
+        self._last_size = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -313,37 +314,35 @@ class AsyncioTransport:
     def enqueue_message(self, sender: int, recipient: int, payload: Any) -> None:
         if self.crashed or self._loop is None:
             return
-        # Meter the protocol message, not the envelope wrapper: the
+        # Under the hashed codec, echo/ready frames really do carry only
+        # the 32-byte digest.  Broadcasts hand the same payload object
+        # to every recipient, so the last encoding is reused.
+        mode = wire.commitment_mode(self.codec, payload)
+        if payload is self._last_payload and mode == self._last_mode:
+            frame, size = self._last_frame, self._last_size
+        else:
+            frame = wire.encode(payload, group=self.group, commitments=mode)
+            size = wire.payload_length(frame)
+            self._last_payload, self._last_mode = payload, mode
+            self._last_frame, self._last_size = frame, size
+        # Meter the protocol frame, not the envelope wrapper: the
         # session id is transport framing (like the TCP header), and
         # keeping per-kind/per-byte accounting identical across
         # drivers is what makes sim-vs-real comparisons exact (E12).
         metered = payload.payload if isinstance(payload, SessionEnvelope) else payload
-        self.metrics.record_send(sender, metered.kind, metered.byte_size())
+        kind = metered.kind
+        self.metrics.record_send(sender, kind, size)
         obs_metrics.counter_inc(
             "repro_net_frames_sent_total",
             help="wire frames sent, by protocol message kind",
-            kind=metered.kind,
+            kind=kind,
         )
         obs_metrics.counter_inc(
             "repro_net_bytes_sent_total",
-            metered.byte_size(),
+            size,
             help="wire bytes sent, by protocol message kind",
-            kind=metered.kind,
+            kind=kind,
         )
-        # Under the hashed codec, echo/ready frames really do carry only
-        # the 32-byte digest — the metered (stamped) size is the true
-        # frame length in either mode.  Broadcasts hand the same payload
-        # object to every recipient, so the last encoding is reused.
-        mode = wire.commitment_mode(self.codec, payload)
-        if payload is self._last_payload and mode == self._last_mode:
-            frame = self._last_frame
-        else:
-            frame = wire.encode(payload, group=self.group, commitments=mode)
-            self._last_payload, self._last_mode, self._last_frame = (
-                payload,
-                mode,
-                frame,
-            )
         delay_units = 0.0
         if self.delay_model is not None:
             observe = getattr(self.delay_model, "observe_time", None)

@@ -9,10 +9,11 @@ is a fixed-width field layout chosen to match the paper's communication
 accounting: node indices are 2 bytes (:data:`INDEX_BYTES`), session
 identifiers 8, views 2, taus 4, digests 32, and scalars/group elements
 occupy exactly ``group.scalar_bytes`` / ``group.element_bytes``.  With
-those widths, :func:`encoded_size` is value-independent, so stamping
-``Payload.byte_size()`` from the codec gives the *true* serialized
-length (the E1/E3 communication measurements) while staying
-deterministic across runs.
+those widths, :func:`encoded_size` is value-independent given a
+message's shape.  This module is the only statement of how long a
+message is: the transport that sends a message meters the frame
+length it encodes (or, in the simulator, :func:`encoded_size`), and
+the protocol machines know nothing of sizes or codecs.
 
 Every layout is stated once, in :data:`SCHEMA`: ``kind -> (message
 type, since-version, ((attribute, field type), ...))`` over the closed
@@ -46,15 +47,18 @@ from typing import Any, Callable, Hashable
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.groups import SchnorrGroup, group_by_name, known_group
-from repro.crypto.hashing import commitment_digest, encoded_matrix_digest
+from repro.crypto.hashing import (
+    DIGEST_BYTES,
+    commitment_digest,
+    encoded_matrix_digest,
+)
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import Signature
 from repro.dkg import messages as dkg
-from repro.dkg.messages import DIGEST_BYTES, INDEX_BYTES, TAU_BYTES, VIEW_BYTES
+from repro.dkg.messages import TAU_BYTES, VIEW_BYTES
 from repro.groupmod import messages as gm
 from repro.proactive import messages as proactive
-from repro.runtime import envelope
 from repro.runtime.envelope import SessionEnvelope
 from repro.service import protocol as svc
 from repro.service.shard import api as shard
@@ -66,9 +70,7 @@ SUPPORTED_VERSIONS = range(1, VERSION + 1)
 SERVICE_KIND_MIN = 0x30  # kinds from here up are client <-> gateway frames
 ENVELOPE_KIND = 0x2F
 HEADER_BYTES = 4 + len(MAGIC) + 1 + 1  # length + magic + version + kind
-# Fixed-size messages bake this framing cost into byte_size() directly.
-assert HEADER_BYTES == vss.WIRE_FRAME_OVERHEAD
-assert HEADER_BYTES == envelope._FRAME_OVERHEAD
+INDEX_BYTES = 2
 MAX_FRAME_BYTES = 1 << 24  # 16 MiB — far above any honest frame
 
 PHASE_BYTES = 4
@@ -688,11 +690,11 @@ def _write_fields(w: _Writer, fields, value) -> None:
         field.write(w, getattr(value, attr))
 
 
-def _read_fields(r: _Reader, typ: type, fields, **stamped):
+def _read_fields(r: _Reader, typ: type, fields):
     """The generic decoder: one table row (or nested record) back."""
     values = {attr: field.read(r) for attr, field in fields}
     try:
-        return typ(**values, **stamped)
+        return typ(**values)
     except ValueError as exc:  # the type's own range checks
         raise WireError(f"invalid {typ.__name__}: {exc}") from exc
 
@@ -977,11 +979,9 @@ def decode(data: bytes, *, commitments=None, group=None) -> Any:
     ``group`` is the deployment's group: what a frame naming it resolves
     to, and the context for loose elements with no group reference
     before them (service frames; without it they fall back to raw ints
-    — correct for modp, opaque for EC backends).  The decoded message's
-    ``size`` field (when the type has one) is stamped with the frame
-    length, so ``byte_size()`` reports the true wire footprint on the
-    receive path too.  Raises :class:`WireError`, and nothing else, on
-    truncation, garbage, unknown kinds or trailing bytes.
+    — correct for modp, opaque for EC backends).  Raises
+    :class:`WireError`, and nothing else, on truncation, garbage,
+    unknown kinds or trailing bytes.
     """
     if len(data) < HEADER_BYTES:
         raise WireError("frame shorter than header")
@@ -1002,8 +1002,7 @@ def decode(data: bytes, *, commitments=None, group=None) -> Any:
     if version < since:
         raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
     reader = _Reader(data[HEADER_BYTES:], group, commitments)
-    stamped = {"size": len(data)} if "size" in typ.__dataclass_fields__ else {}
-    message = _read_fields(reader, typ, fields, **stamped)
+    message = _read_fields(reader, typ, fields)
     reader.expect_end()
     return message
 
@@ -1011,10 +1010,10 @@ def decode(data: bytes, *, commitments=None, group=None) -> Any:
 def commitment_mode(codec: Any, message: Any) -> str:
     """Which commitment form ``message`` travels as under ``codec``.
 
-    The single source of truth shared by size stamping and the real
-    transport's encoder: under the hashed codec, ``echo``/``ready``
-    frames carry the 32-byte digest; everything else is inline.
-    Session envelopes compress by what they *carry*.
+    The single source of truth shared by the simulator's pricing and
+    the real transport's encoder: under the hashed codec, ``echo``/
+    ``ready`` frames carry the 32-byte digest; everything else is
+    inline.  Session envelopes compress by what they *carry*.
     """
     if isinstance(message, SessionEnvelope):
         message = message.payload
@@ -1025,7 +1024,7 @@ def commitment_mode(codec: Any, message: Any) -> str:
 
 
 def encoded_size(message: Any, codec: Any = None, group=None) -> int:
-    """True serialized length of ``message`` under the deployment codec.
+    """True serialized length of ``message`` under the run's codec.
 
     With a :class:`~repro.crypto.hashing.HashedMatrixCodec`, ``echo``/
     ``ready`` payloads are priced in their digest-compressed form — the
@@ -1036,6 +1035,13 @@ def encoded_size(message: Any, codec: Any = None, group=None) -> int:
     return len(encode(message, group=group, commitments=mode))
 
 
-def stamp(message: Any, codec: Any = None, group=None) -> Any:
-    """Return ``message`` with ``size`` set to its true wire length."""
-    return dataclasses.replace(message, size=encoded_size(message, codec, group))
+def payload_length(frame: bytes) -> int:
+    """Length of the protocol frame in ``frame``: the inner frame when
+    ``frame`` is a session envelope (whose session id is transport
+    framing), else the whole frame."""
+    if frame[HEADER_BYTES - 1] != ENVELOPE_KIND:
+        return len(frame)
+    reader = _Reader(frame, None, None)
+    reader.pos = HEADER_BYTES
+    reader.lbytes()  # the session id
+    return len(frame) - reader.pos

@@ -14,13 +14,14 @@ recorder wrote at close.
 What replay rebuilds (and how it knows):
 
 * the deployment — the capture's leading meta record names the CLI
-  command, group, codec and full :class:`~repro.dkg.config.DkgConfig`
+  command, group and full :class:`~repro.dkg.config.DkgConfig`
   parameters, so machines are built by the live runner's own
   per-session constructor in :mod:`repro.deployment`, PKI label and
   all;
 * the network — not at all: captured ``MessageReceived`` events stand
   in for it, and ``Send``/``Broadcast`` effects are dropped on the
-  replay transport;
+  replay transport, so the run's codec (also in the meta record)
+  frames and meters nothing here;
 * timers — captured ``TimerFired`` events are dispatched directly.
   Re-execution re-arms the same timers in the same order (machine and
   runtime timer-id counters are deterministic), so recorded ids route
@@ -141,19 +142,21 @@ def capture_meta(
     config: Any,
     seed: int,
     transport: str,
+    codec: Any = None,
     **extra: Any,
 ) -> dict[str, Any]:
     """The meta record a recorder writes so replay can rebuild the run.
 
     Shared by the CLI's ``--trace-out`` plumbing and the tests, so the
-    two never drift on what replay needs.
+    two never drift on what replay needs.  ``codec`` is the run's
+    (default: full matrix).
     """
     return {
         "cmd": cmd,
         "transport": transport,
         "seed": seed,
         "group": config.group.name,
-        "codec": config.codec.name,
+        "codec": codec.name if codec is not None else "full-matrix",
         "config": {
             "n": config.n,
             "t": config.t,
@@ -182,17 +185,11 @@ def resolve_group_name(name: str) -> Any:
 
 
 def _config_from_meta(meta: dict[str, Any]) -> Any:
-    from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
     from repro.dkg.config import DkgConfig
     from repro.sim.clock import TimeoutPolicy
 
     try:
         group = resolve_group_name(meta["group"])
-        codec = (
-            HashedMatrixCodec()
-            if meta["codec"] == "hashed-matrix"
-            else FullMatrixCodec()
-        )
         params = meta["config"]
         initial, multiplier, cap = params["timeout"]
         return DkgConfig(
@@ -200,7 +197,6 @@ def _config_from_meta(meta: dict[str, Any]) -> Any:
             t=params["t"],
             f=params["f"],
             group=group,
-            codec=codec,
             d_budget=params["d_budget"],
             initial_leader=params["initial_leader"],
             timeout=TimeoutPolicy(initial, multiplier, cap),

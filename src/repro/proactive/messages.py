@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.feldman import FeldmanVector
-from repro.vss.messages import WIRE_FRAME_OVERHEAD
 
 
 @dataclass(frozen=True)
@@ -19,9 +18,6 @@ class ClockTickMsg:
     phase: int
 
     kind = "proactive.tick"
-
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + 4
 
 
 @dataclass(frozen=True)

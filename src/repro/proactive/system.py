@@ -16,6 +16,7 @@ useless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.shares import Share, reconstruct_secret
@@ -54,19 +55,21 @@ class ShareLifecycle:
     """What a long-lived deployment carries from phase to phase: its
     config, the live shares and the commitment they verify against.
     Shared by :class:`ProactiveSystem` and
-    :class:`~repro.groupmod.manager.GroupManager`."""
+    :class:`~repro.groupmod.manager.GroupManager`.  ``codec`` is the
+    commitment codec of every run in the lifecycle."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0):
+    def __init__(self, config: DkgConfig, seed: int = 0, codec: Any = None):
         self.config = config
         self.seed = seed
+        self.codec = codec
         self.phase = 0
         self.shares: dict[int, int] = {}
         self.commitment: FeldmanCommitment | FeldmanVector | None = None
         self.public_key: int | None = None
 
-    def bootstrap(self, **kwargs: object) -> DkgResult:
+    def bootstrap(self, **kwargs: Any) -> DkgResult:
         """Run the initial DKG and adopt its shares as phase 0."""
-        result = run_dkg(self.config, seed=self.seed, **kwargs)  # type: ignore[arg-type]
+        result = run_dkg(self.config, seed=self.seed, codec=self.codec, **kwargs)
         self.shares, self.commitment, _ = adopt(result.completions, "bootstrap DKG")
         self.public_key = result.public_key
         return result
@@ -107,6 +110,8 @@ class ShareLifecycle:
             delay_model=delay_model,
             adversary=adversary,
             seed=seed,
+            group=config.group,
+            codec=self.codec,
         )
         renewed = {
             i: node.renewed for i, node in machines.items() if node.renewed is not None
@@ -124,8 +129,8 @@ class ShareLifecycle:
 class ProactiveSystem(ShareLifecycle):
     """A long-lived (n, t, f) threshold system with periodic renewal."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0):
-        super().__init__(config, seed)
+    def __init__(self, config: DkgConfig, seed: int = 0, codec: Any = None):
+        super().__init__(config, seed, codec)
         self.reports: list[PhaseReport] = []
         self.adversary_view: dict[int, dict[int, int]] = {}  # phase -> node -> share
 

@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-# Must match repro.net.wire.HEADER_BYTES (kept in sync by an assert in
-# that module); duplicated literally to keep this module import-light.
-_FRAME_OVERHEAD = 8
-
 
 class SessionTimerTag(tuple):
     """A runtime-namespaced timer tag: ``(session, inner tag)``.
@@ -55,10 +51,3 @@ class SessionEnvelope:
     payload: Any
 
     kind = "runtime.envelope"
-
-    def byte_size(self) -> int:
-        """Envelope frame length: outer header + length-prefixed
-        session id + the complete inner frame."""
-        sid = len(self.session.encode())
-        prefix = 1 if sid < 0x80 else 2
-        return _FRAME_OVERHEAD + prefix + sid + self.payload.byte_size()

@@ -106,6 +106,7 @@ def run_dkg_sessions(
         max_events=max_events,
         delay_model=delay_model,
         seed=seed,
+        group=specs[0].config.group,
     )
     results: dict[str, DkgSessionResult] = {}
     for spec in specs:

@@ -26,7 +26,6 @@ class MessageDelivery(Event):
     sender: int
     recipient: int
     payload: Any
-    size_bytes: int
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,23 @@ from typing import Any, Protocol, runtime_checkable
 
 @runtime_checkable
 class Payload(Protocol):
-    """What the network requires of a message body."""
+    """What the network requires of a message body.
+
+    Its size is the transport's business: the length of the frame
+    :mod:`repro.net.wire` encodes for it.  A payload type with no wire
+    schema declares ``byte_size()`` instead.
+    """
 
     @property
     def kind(self) -> str:
         """Short message-type tag used for metrics bucketing."""
         ...
 
-    def byte_size(self) -> int:
-        """Serialized size in bytes, used for communication complexity."""
-        ...
-
 
 @dataclass(frozen=True)
 class RawPayload:
-    """A minimal payload for tests and padding traffic."""
+    """A minimal payload for tests and padding traffic (no wire schema,
+    so it declares its own size)."""
 
     kind: str
     size: int

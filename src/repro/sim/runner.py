@@ -45,7 +45,11 @@ from repro.sim.node import OutputRecord, ProtocolNode
 
 
 class Simulation:
-    """A deterministic discrete-event run of a set of protocol nodes."""
+    """A deterministic discrete-event run of a set of protocol nodes.
+
+    ``group`` and ``codec`` are the run's: every message is metered at
+    the length of the frame the real transport would send for it.
+    """
 
     def __init__(
         self,
@@ -53,7 +57,13 @@ class Simulation:
         adversary: Adversary | None = None,
         seed: int = 0,
         observers: list | None = None,
+        group: Any = None,
+        codec: Any = None,
     ):
+        # Imported here: repro.net builds on this module.
+        from repro.net.pricing import FramePricer
+
+        self.price = FramePricer(group, codec)
         self.queue = EventQueue()
         self.metrics = Metrics()
         # Observers see every dispatched event: on_event(time, event).
@@ -126,8 +136,7 @@ class Simulation:
         metered = (
             payload.payload if isinstance(payload, SessionEnvelope) else payload
         )
-        size = metered.byte_size()
-        self.metrics.record_send(sender, metered.kind, size)
+        self.metrics.record_send(sender, metered.kind, self.price(metered))
         observe = getattr(self.delay_model, "observe_time", None)
         if observe is not None:
             observe(self.queue.now)
@@ -135,7 +144,7 @@ class Simulation:
         delay = self.adversary.delivery_delay(self._net_rng, sender, recipient, base)
         self.queue.push(
             self.queue.now + delay,
-            MessageDelivery(sender, recipient, payload, size),
+            MessageDelivery(sender, recipient, payload),
         )
 
     def set_timer(self, node: int, delay: float, tag: Any) -> int:

@@ -3,7 +3,7 @@ hybrid Byzantine + crash-recovery model.
 
 Public API:
 
-* :class:`VssConfig` — deployment parameters (n, t, f, group, codec);
+* :class:`VssConfig` — deployment parameters (n, t, f, group);
 * :func:`run_vss` — one-call simulated sharing (plus optional Rec);
 * :class:`VssSession` — the per-session state machine (Fig. 1), for
   embedding (the DKG runs n of these);

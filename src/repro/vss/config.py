@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro import quorum
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.groups import toy_group
-from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
 
 
 class ResilienceError(ValueError):
@@ -41,9 +40,6 @@ class VssConfig:
     t: int
     f: int = 0
     group: AbstractGroup = field(default_factory=toy_group)
-    codec: FullMatrixCodec | HashedMatrixCodec = field(
-        default_factory=FullMatrixCodec
-    )
     d_budget: int = 10
     enforce_resilience: bool = True
     members: tuple[int, ...] | None = None

@@ -1,28 +1,22 @@
 """HybridVSS message types (Fig. 1) and session identifiers.
 
 A session is identified by ``(P_d, tau)`` — dealer index plus a counter
-(§3).  Message sizes follow the paper's accounting: the dominant cost
-is the commitment matrix ``C`` with O(n^2) entries; the commitment
-*codec* (full matrix vs. Cachin-style hash compression) decides how
-many bytes each message kind is charged for carrying ``C``.
+(§3).  Messages carry values only.  What one costs on the wire — the
+paper's accounting, dominated by the commitment matrix ``C`` with
+O(n^2) entries — is the length of its frame in :mod:`repro.net.wire`,
+metered by the transport that sends it; the run's commitment codec
+(full matrix vs. Cachin-style hash compression) is a parameter of that
+transport, not of these types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import Signature
-
-SESSION_ID_BYTES = 8  # dealer index + counter, packed
-INDEX_BYTES = 2
-# Fixed per-frame framing cost of the binary codec: 4-byte length
-# prefix + 2-byte magic + version + kind (repro.net.wire asserts the
-# two stay in sync).  Messages with a ``size`` field are stamped with
-# their full frame length; fixed-size messages add this themselves.
-WIRE_FRAME_OVERHEAD = 8
 
 
 @dataclass(frozen=True)
@@ -50,12 +44,8 @@ class SendMsg:
     session: SessionId
     commitment: FeldmanCommitment
     poly: Polynomial | None
-    size: int = field(compare=False, default=0)
 
     kind = "vss.send"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -65,12 +55,8 @@ class EchoMsg:
     session: SessionId
     commitment: FeldmanCommitment
     point: int
-    size: int = field(compare=False, default=0)
 
     kind = "vss.echo"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -85,12 +71,8 @@ class ReadyMsg:
     commitment: FeldmanCommitment
     point: int
     signature: Signature | None = None
-    size: int = field(compare=False, default=0)
 
     kind = "vss.ready"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -101,9 +83,6 @@ class HelpMsg:
 
     kind = "vss.help"
 
-    def byte_size(self) -> int:
-        return WIRE_FRAME_OVERHEAD + SESSION_ID_BYTES
-
 
 @dataclass(frozen=True)
 class SharePointMsg:
@@ -111,12 +90,8 @@ class SharePointMsg:
 
     session: SessionId
     point: int
-    size: int = field(compare=False, default=0)
 
     kind = "vss.rec-share"
-
-    def byte_size(self) -> int:
-        return self.size
 
 
 VssMessage = Union[SendMsg, EchoMsg, ReadyMsg, HelpMsg, SharePointMsg]

@@ -41,14 +41,10 @@ class VssNode(ProtocolNode):
     shared: SharedOutput | None = None
     reconstructed: ReconstructedOutput | None = None
 
-    # Subclasses may substitute a session variant (e.g. the
-    # general-bivariate AVSS cost model used by the E9 ablation).
-    session_cls: type[VssSession] = VssSession
-
     def __post_init__(self) -> None:
         if self.config is None or self.session_id is None:
             raise ValueError("VssNode requires a config and session id")
-        self.session = self.session_cls(
+        self.session = VssSession(
             self.config,
             self.node_id,
             self.session_id,
@@ -135,15 +131,15 @@ def run_vss(
     node_factory: dict[int, Any] | None = None,
     until: float | None = None,
     observers: list[Any] | None = None,
+    codec: Any = None,
 ) -> VssRunResult:
     """Simulate one full HybridVSS sharing (and optionally Rec).
 
     ``node_factory`` maps node indices to replacement ProtocolNode
     instances, which is how tests inject Byzantine dealers/participants.
     ``observers`` are forwarded to the simulation, whose run loop hands
-    each one every event it dispatches (``on_event(time, event)``); the
-    wire-codec tests use one to check that every delivered payload is
-    stamped with its true frame length.
+    each one every event it dispatches (``on_event(time, event)``).
+    ``codec`` is the run's commitment codec (default: full matrix).
     """
     rng = random.Random(("run-vss", seed).__repr__())
     if secret is None:
@@ -163,6 +159,8 @@ def run_vss(
         adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
         observers=observers,
+        group=config.group,
+        codec=codec,
     )
     nodes = {i: m for i, m in machines.items() if isinstance(m, VssNode)}
     if reconstruct:

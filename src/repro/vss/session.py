@@ -25,7 +25,6 @@ from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.hashing import commitment_digest
 from repro.crypto.polynomials import Polynomial, interpolate_polynomial
-from repro.crypto.schnorr import Signature
 from repro.crypto.shares import PointCollector, reconstruct_raw
 from repro.sim.node import Context
 from repro.sim.pki import AcceptedSignatures, CertificateAuthority, KeyStore
@@ -42,12 +41,6 @@ from repro.vss.messages import (
     SharePointMsg,
     ready_signing_bytes,
 )
-
-
-# Wire-size memo shared by all sessions: frame lengths are value-
-# independent given (kind, commitment shape, group, codec), so one
-# encode prices every message of that shape in the whole process.
-_SIZE_CACHE: dict[tuple, int] = {}
 
 
 @dataclass
@@ -205,60 +198,6 @@ class VssSession:
         self._b_log[recipient].append(msg)
         ctx.send(recipient, msg)
 
-    def _scalar_bytes(self) -> int:
-        return self.config.group.scalar_bytes
-
-    # Message sizes are the *true* wire length of the frame the codec
-    # would emit (repro.net.wire), not a hand-computed estimate.  The
-    # wire format is fixed-width given the group, so a zero-valued
-    # prototype prices every real instance of the same shape — and the
-    # result depends only on (kind, matrix dimensions, group), so one
-    # encode per shape is cached rather than re-run per broadcast.
-
-    def _wire_size(self, prototype: Any) -> int:
-        from repro.net import wire
-
-        return wire.encoded_size(prototype, self.config.codec, group=self.config.group)
-
-    def _sized(self, key: tuple, prototype_fn: Callable[[], Any]) -> int:
-        # The memo is module-level: frames are fixed-width, so the same
-        # (kind, shape, group, codec) prices every session alike —
-        # session ids are themselves fixed-width.
-        key = key + (self.config.codec.name, type(self).__name__)
-        cached = _SIZE_CACHE.get(key)
-        if cached is None:
-            cached = _SIZE_CACHE[key] = self._wire_size(prototype_fn())
-        return cached
-
-    def _send_size(self, commitment: FeldmanCommitment, with_poly: bool) -> int:
-        return self._sized(
-            ("send", commitment.degree, commitment.group, self.config.t, with_poly),
-            lambda: SendMsg(
-                self.session,
-                commitment,
-                Polynomial((0,) * (self.config.t + 1), self.config.group.q)
-                if with_poly
-                else None,
-            ),
-        )
-
-    def _echo_size(self, commitment: FeldmanCommitment) -> int:
-        return self._sized(
-            ("echo", commitment.degree, commitment.group),
-            lambda: EchoMsg(self.session, commitment, 0),
-        )
-
-    def _ready_size(self, commitment: FeldmanCommitment) -> int:
-        return self._sized(
-            ("ready", commitment.degree, commitment.group, self.sign_ready),
-            lambda: ReadyMsg(
-                self.session,
-                commitment,
-                0,
-                Signature(0, 0) if self.sign_ready else None,
-            ),
-        )
-
     # -- operator inputs --------------------------------------------------------
 
     def start_dealing(self, secret: int, ctx: Context) -> BivariatePolynomial:
@@ -277,9 +216,8 @@ class VssSession:
         )
         commitment = FeldmanCommitment.commit(poly, cfg.group)
         self.dealt_secret = secret % cfg.group.q
-        size = self._send_size(commitment, with_poly=True)
         for j in cfg.indices:
-            msg = SendMsg(self.session, commitment, poly.row_polynomial(j), size=size)
+            msg = SendMsg(self.session, commitment, poly.row_polynomial(j))
             self._log_and_send(ctx, j, msg)
         return poly
 
@@ -297,13 +235,7 @@ class VssSession:
         self._rec = PointCollector(
             self.completed.commitment.column_vector(0), self.config.t + 1
         )
-        from repro.net import wire
-
-        msg = wire.stamp(
-            SharePointMsg(self.session, self.completed.share),
-            self.config.codec,
-            group=self.config.group,
-        )
+        msg = SharePointMsg(self.session, self.completed.share)
         for j in self.config.indices:
             self._log_and_send(ctx, j, msg)
 
@@ -316,9 +248,7 @@ class VssSession:
         """
         for recipient, messages in self._b_log.items():
             self._b_log[recipient] = [
-                SendMsg(m.session, m.commitment, None, m.size)
-                if isinstance(m, SendMsg)
-                else m
+                SendMsg(m.session, m.commitment, None) if isinstance(m, SendMsg) else m
                 for m in messages
             ]
 
@@ -367,9 +297,8 @@ class VssSession:
             return
         if commitment._is_symmetric():
             self._state_for(commitment).verified_row = msg.poly
-        size = self._echo_size(commitment)
         for j in self.config.indices:
-            echo = EchoMsg(self.session, commitment, msg.poly(j), size=size)
+            echo = EchoMsg(self.session, commitment, msg.poly(j))
             self._log_and_send(ctx, j, echo)
 
     # upon a message (P_d, tau, echo, C, alpha) from P_m (first time):
@@ -450,15 +379,8 @@ class VssSession:
             assert self.keystore is not None
             payload = ready_signing_bytes(self.session, commitment_digest(commitment))
             signature = self.keystore.sign(payload, self.rng)
-        size = self._ready_size(commitment)
         for j in cfg.indices:
-            ready = ReadyMsg(
-                self.session,
-                commitment,
-                state.row_poly(j),
-                signature=signature,
-                size=size,
-            )
+            ready = ReadyMsg(self.session, commitment, state.row_poly(j), signature)
             self._log_and_send(ctx, j, ready)
 
     def _complete(

@@ -1,4 +1,4 @@
-"""Tests for commitment digests, hash-to-field helpers and codecs."""
+"""Tests for commitment digests and hash-to-field helpers."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.groups import toy_group
 from repro.crypto.hashing import (
     DIGEST_BYTES,
-    FullMatrixCodec,
-    HashedMatrixCodec,
     commitment_digest,
     hash_to_element,
     hash_to_scalar,
@@ -60,23 +58,3 @@ class TestHashToElement:
 
     def test_distinct_inputs_distinct_outputs(self) -> None:
         assert hash_to_element(G.p, G.q, b"a") != hash_to_element(G.p, G.q, b"b")
-
-
-class TestCodecs:
-    def test_full_codec_prices_matrix_everywhere(self) -> None:
-        c = _commitment(4)
-        codec = FullMatrixCodec()
-        assert codec.send_overhead(c) == c.byte_size()
-        assert codec.echo_overhead(c) == c.byte_size()
-        assert codec.ready_overhead(c) == c.byte_size()
-
-    def test_hashed_codec_compresses_echo_ready_only(self) -> None:
-        c = _commitment(5)
-        codec = HashedMatrixCodec()
-        assert codec.send_overhead(c) == c.byte_size()
-        assert codec.echo_overhead(c) == DIGEST_BYTES
-        assert codec.ready_overhead(c) == DIGEST_BYTES
-
-    def test_compression_is_strict_for_nontrivial_t(self) -> None:
-        c = _commitment(6, t=3)
-        assert HashedMatrixCodec().echo_overhead(c) < FullMatrixCodec().echo_overhead(c)

@@ -76,7 +76,7 @@ def _proposal(stores, rng, dealers=(1, 3, 4), signers=(3, 4, 5, 6, 7), me=2):
             ReadyCert(dealer, digest, tuple(ReadyWitness(m, sigs[m]) for m in signers))
         )
         readies[dealer] = [
-            (m, ReadyMsg(sid, c, f.evaluate(m, me), sigs[m], 50)) for m in signers
+            (m, ReadyMsg(sid, c, f.evaluate(m, me), sigs[m])) for m in signers
         ]
     return RTypeProof(tuple(certs)), readies
 

@@ -178,10 +178,7 @@ class TestByzantineLeader:
                 proof_b = RTypeProof(tuple(self.q_hat[d] for d in set_b))
                 for j in self.vss_config.indices:
                     proof_x = proof_a if j <= self.config.n // 2 else proof_b
-                    msg = self._stamp(
-                        DkgSendMsg(self.tau, self.view, proof_x, ())
-                    )
-                    ctx.send(j, msg)
+                    ctx.send(j, DkgSendMsg(self.tau, self.view, proof_x, ()))
 
         def factory(i, config, keystore, ca):
             if i == 1:
@@ -216,7 +213,7 @@ class TestByzantineLeader:
                     for c in list(self.q_hat.values())[: self.config.t + 1]
                 )
                 proof = RTypeProof(certs)
-                msg = self._stamp(DkgSendMsg(self.tau, self.view, proof, ()))
+                msg = DkgSendMsg(self.tau, self.view, proof, ())
                 for j in self.vss_config.indices:
                     ctx.send(j, msg)
 

@@ -62,7 +62,7 @@ def _drive_vss_to_completion(node, ctx, stores, rng, dealers):
         for m in senders:  # n - t - f = 5 signed readies
             sig = stores[m].sign(payload, rng)
             node.on_message(
-                m, ReadyMsg(sid, c, f.evaluate(m, node.node_id), sig, 50), ctx
+                m, ReadyMsg(sid, c, f.evaluate(m, node.node_id), sig), ctx
             )
         assert node.sessions[dealer].completed is not None
 
@@ -129,7 +129,7 @@ class TestUponDkgSend:
             ReadyCert(c.dealer, b"\x00" * 32, c.witnesses)
             for c in proposal.proof.certs
         )
-        forged = DkgSendMsg(0, 0, RTypeProof(bad_certs), (), 100)
+        forged = DkgSendMsg(0, 0, RTypeProof(bad_certs), ())
         node.on_message(1, forged, ctx)
         assert ctx.sent_of_kind("dkg.echo") == []
 
@@ -144,11 +144,11 @@ class TestUponDkgSend:
 class TestUponDkgEchoReady:
     def _signed_echo(self, stores, rng, voter, q):
         sig = stores[voter].sign(dkg_echo_bytes(0, q), rng)
-        return DkgEchoMsg(0, 0, q, sig, 50)
+        return DkgEchoMsg(0, 0, q, sig)
 
     def _signed_ready(self, stores, rng, voter, q):
         sig = stores[voter].sign(dkg_ready_bytes(0, q), rng)
-        return DkgReadyMsg(0, 0, q, sig, 50)
+        return DkgReadyMsg(0, 0, q, sig)
 
     def test_echo_quorum_locks_and_sends_ready(self, world) -> None:
         node, ctx, stores, ca, config, rng = world
@@ -220,14 +220,14 @@ class TestLeaderChange:
         node, ctx, stores, ca, config, rng = world
         # votes for views 2 and 1 from two other nodes
         sig3 = stores[3].sign(lead_ch_bytes(0, 2), rng)
-        node.on_message(3, LeadChMsg(0, 2, None, sig3, 50), ctx)
+        node.on_message(3, LeadChMsg(0, 2, None, sig3), ctx)
         assert ctx.sent_of_kind("dkg.lead-ch") == []
         sig4 = stores[4].sign(lead_ch_bytes(0, 1), rng)
-        node.on_message(4, LeadChMsg(0, 1, None, sig4, 50), ctx)
+        node.on_message(4, LeadChMsg(0, 1, None, sig4), ctx)
         # t+1 = 3 voters total? node's own vote counts after it sends.
         # With 2 distinct voters the rule hasn't fired yet:
         sig5 = stores[5].sign(lead_ch_bytes(0, 1), rng)
-        node.on_message(5, LeadChMsg(0, 1, None, sig5, 50), ctx)
+        node.on_message(5, LeadChMsg(0, 1, None, sig5), ctx)
         sent = ctx.sent_of_kind("dkg.lead-ch")
         assert len(sent) == N
         assert sent[0][1].view == 1  # the smallest requested view
@@ -236,7 +236,7 @@ class TestLeaderChange:
         node, ctx, stores, ca, config, rng = world
         for voter in (1, 3, 4, 5, 6):  # n - t - f = 5 votes for view 1
             sig = stores[voter].sign(lead_ch_bytes(0, 1), rng)
-            node.on_message(voter, LeadChMsg(0, 1, None, sig, 50), ctx)
+            node.on_message(voter, LeadChMsg(0, 1, None, sig), ctx)
         assert node.view == 1
         assert not node.lcflag
         assert ctx.leader_changes == 1
@@ -249,7 +249,7 @@ class TestLeaderChange:
         ctx.clear()
         for voter in (1, 3, 4, 5, 6):
             sig = stores[voter].sign(lead_ch_bytes(0, 1), rng)
-            node.on_message(voter, LeadChMsg(0, 1, None, sig, 50), ctx)
+            node.on_message(voter, LeadChMsg(0, 1, None, sig), ctx)
         # as the view-1 leader with t+1 certs it proposes immediately
         sends = ctx.sent_of_kind("dkg.send")
         assert len(sends) == N
@@ -260,7 +260,7 @@ class TestLeaderChange:
         node, ctx, stores, ca, config, rng = world
         node.view = 2
         sig = stores[3].sign(lead_ch_bytes(0, 1), rng)
-        node.on_message(3, LeadChMsg(0, 1, None, sig, 50), ctx)
+        node.on_message(3, LeadChMsg(0, 1, None, sig), ctx)
         assert node.lc_votes.get(1) is None or 3 not in node.lc_votes[1]
 
     def test_proposal_with_election_proof_fast_forwards_view(self, world) -> None:
@@ -280,7 +280,7 @@ class TestLeaderChange:
             for v in (1, 4, 5, 6, 7)
         )
         proof = RTypeProof(tuple(node3.q_hat[d] for d in (4, 5, 6)))
-        proposal = DkgSendMsg(0, 1, proof, witnesses, 100)
+        proposal = DkgSendMsg(0, 1, proof, witnesses)
         node3.on_message(2, proposal, ctx3)  # node 2 leads view 1
         assert node3.view == 1
         assert len(ctx3.sent_of_kind("dkg.echo")) == N

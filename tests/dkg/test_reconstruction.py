@@ -46,7 +46,7 @@ class TestDkgRec:
                 if isinstance(payload, DkgSharePointMsg) and not self.fired:
                     self.fired = True
                     for j in range(1, 8):
-                        ctx.send(j, DkgSharePointMsg(0, 12345, 20))
+                        ctx.send(j, DkgSharePointMsg(0, 12345))
 
         def factory(i, config, keystore, ca):
             return BadRecNode(i) if i == 7 else None

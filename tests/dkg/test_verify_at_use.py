@@ -76,7 +76,7 @@ def _ready(stores, rng, dealer, sender, me, forged=False):
     sid = SessionId(dealer, 0)
     sig = stores[sender].sign(ready_signing_bytes(sid, commitment_digest(c)), rng)
     sig = _forged(sig) if forged else sig
-    return ReadyMsg(sid, c, f.evaluate(sender, me), sig, 50)
+    return ReadyMsg(sid, c, f.evaluate(sender, me), sig)
 
 
 def _proofs(ctx, kind):
@@ -141,12 +141,12 @@ class TestLeaderCertificates:
 
 def _echo(stores, rng, voter, q, forged=False):
     sig = stores[voter].sign(dkg_echo_bytes(0, q), rng)
-    return DkgEchoMsg(0, 0, q, _forged(sig) if forged else sig, 50)
+    return DkgEchoMsg(0, 0, q, _forged(sig) if forged else sig)
 
 
 def _dkg_ready(stores, rng, voter, q, forged=False):
     sig = stores[voter].sign(dkg_ready_bytes(0, q), rng)
-    return DkgReadyMsg(0, 0, q, _forged(sig) if forged else sig, 50)
+    return DkgReadyMsg(0, 0, q, _forged(sig) if forged else sig)
 
 
 class TestLockProofs:

@@ -29,7 +29,7 @@ def _sharing(t: int = 2, secret: int = 99, seed: int = 0):
 class TestJoiningNode:
     def _msgs(self, poly, vector, senders):
         return [
-            (m, SubshareMsg(1, vector, poly(m), 100)) for m in senders
+            (m, SubshareMsg(1, vector, poly(m))) for m in senders
         ]
 
     def test_joins_after_t_plus_one_consistent_subshares(self) -> None:
@@ -46,11 +46,11 @@ class TestJoiningNode:
         poly, vector = _sharing()
         node = JoiningNode(8, t=2, group_q=G.q)
         ctx = StubContext(node_id=8)
-        node.on_message(1, SubshareMsg(1, vector, 12345, 100), ctx)
+        node.on_message(1, SubshareMsg(1, vector, 12345), ctx)
         for sender, msg in self._msgs(poly, vector, [2, 3]):
             node.on_message(sender, msg, ctx)
         assert node.joined is None  # only 2 valid
-        node.on_message(4, SubshareMsg(1, vector, poly(4), 100), ctx)
+        node.on_message(4, SubshareMsg(1, vector, poly(4)), ctx)
         assert node.joined is not None
 
     def test_rejects_vector_with_wrong_public_value(self) -> None:
@@ -63,7 +63,7 @@ class TestJoiningNode:
         # subshares of the wrong sharing verify against their own vector
         # but the vector's public value does not match expectations
         for sender, msg in [
-            (m, SubshareMsg(1, wrong_vector, wrong_poly(m), 100))
+            (m, SubshareMsg(1, wrong_vector, wrong_poly(m)))
             for m in (1, 2, 3)
         ]:
             node.on_message(sender, msg, ctx)
@@ -74,11 +74,11 @@ class TestJoiningNode:
         p2, v2 = _sharing(seed=3)
         node = JoiningNode(8, t=2, group_q=G.q)
         ctx = StubContext(node_id=8)
-        node.on_message(1, SubshareMsg(1, v1, p1(1), 100), ctx)
-        node.on_message(2, SubshareMsg(1, v2, p2(2), 100), ctx)
-        node.on_message(3, SubshareMsg(1, v1, p1(3), 100), ctx)
+        node.on_message(1, SubshareMsg(1, v1, p1(1)), ctx)
+        node.on_message(2, SubshareMsg(1, v2, p2(2)), ctx)
+        node.on_message(3, SubshareMsg(1, v1, p1(3)), ctx)
         assert node.joined is None  # neither bucket has t+1
-        node.on_message(4, SubshareMsg(1, v1, p1(4), 100), ctx)
+        node.on_message(4, SubshareMsg(1, v1, p1(4)), ctx)
         assert node.joined is not None
         assert node.joined.vector == v1
 
@@ -86,10 +86,10 @@ class TestJoiningNode:
         poly, vector = _sharing()
         node = JoiningNode(8, t=2, group_q=G.q)
         ctx = StubContext(node_id=8)
-        msg = SubshareMsg(1, vector, poly(1), 100)
+        msg = SubshareMsg(1, vector, poly(1))
         node.on_message(1, msg, ctx)
         node.on_message(1, msg, ctx)
-        node.on_message(2, SubshareMsg(1, vector, poly(2), 100), ctx)
+        node.on_message(2, SubshareMsg(1, vector, poly(2)), ctx)
         assert node.joined is None
 
 

@@ -217,9 +217,10 @@ class TestClusterOrchestration:
 
         full = run_local_cluster(_config(), seed=8, time_scale=SCALE)
         hashed = run_local_cluster(
-            DkgConfig(n=4, t=1, group=G, codec=HashedMatrixCodec()),
+            DkgConfig(n=4, t=1, group=G),
             seed=8,
             time_scale=SCALE,
+            codec=HashedMatrixCodec(),
         )
         assert full.succeeded and hashed.succeeded
         assert hashed.metrics.bytes_total < full.metrics.bytes_total
@@ -251,10 +252,11 @@ class TestClusterOrchestration:
 
         monkeypatch.setattr(wire, "decode", watching)
         result = run_local_cluster(
-            DkgConfig(n=4, t=1, group=G, codec=HashedMatrixCodec()),
+            DkgConfig(n=4, t=1, group=G),
             seed=8,
             delay_model=SlowLink(),
             time_scale=SCALE,
+            codec=HashedMatrixCodec(),
         )
         assert unresolved  # the out-of-order path was taken
         assert result.errors == [] and result.succeeded

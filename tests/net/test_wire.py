@@ -10,6 +10,7 @@ a wrong message.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from repro.groupmod.messages import (
 from repro.net import wire
 from repro.proactive.messages import ClockTickMsg, RenewedOutput, RenewInput
 from repro.runtime.envelope import SessionEnvelope
+from repro.sim.runner import Simulation
 from repro.service.shard.api import (
     FleetOpsRequest,
     FleetOpsResponse,
@@ -218,15 +220,19 @@ class TestRoundTrip:
         assert registered <= covered, registered - covered
 
     def test_decode_stamps_true_size(self) -> None:
+        # Decoding stamps nothing on the message: it carries values
+        # only, and prices again at the length of the frame it came in.
         msg = EchoMsg(SID, C, 5)
         data = wire.encode(msg, group=G)
-        assert wire.decode(data).byte_size() == len(data)
+        decoded = wire.decode(data)
+        assert not hasattr(decoded, "size")
+        assert wire.encoded_size(decoded, group=G) == len(data)
 
     def test_fixed_size_messages_report_true_frame_length(self) -> None:
-        # Messages without a size field bake the framing overhead into
-        # byte_size() — kept in sync with the codec by construction.
+        # The simulator meters fixed-size messages at their frame length.
+        price = Simulation(group=G).price
         for msg in (HelpMsg(SID), DkgHelpMsg(4), ClockTickMsg(3)):
-            assert msg.byte_size() == len(wire.encode(msg)), msg.kind
+            assert price(msg) == len(wire.encode(msg)), msg.kind
 
     def test_sizes_are_value_independent_given_group(self) -> None:
         low = wire.encoded_size(EchoMsg(SID, C, 1), group=G)
@@ -376,8 +382,9 @@ class TestRejection:
 
 
 class TestSessionSizesAreWireTrue:
-    """The sizes protocol nodes stamp match real encoded frames, so the
-    metrics layer meters true serialized bytes (E1/E3)."""
+    """The simulator meters every protocol message at the length of the
+    frame the real transport would send, so the metrics layer counts
+    true serialized bytes (E1/E3)."""
 
     def test_dealer_send_stamp_equals_encoded_length(self) -> None:
         from repro.vss.config import VssConfig
@@ -391,10 +398,9 @@ class TestSessionSizesAreWireTrue:
         ctx = StubContext(node_id=1, n_nodes=4)
         session.start_dealing(11, ctx)
         assert ctx.sent
+        price = Simulation(group=config.group).price
         for _, payload in ctx.sent:
-            assert payload.byte_size() == len(
-                wire.encode(payload, group=config.group)
-            )
+            assert price(payload) == len(wire.encode(payload, group=config.group))
 
     def test_every_simulated_vss_message_is_wire_true(self) -> None:
         from repro.sim.events import MessageDelivery
@@ -410,10 +416,10 @@ class TestSessionSizesAreWireTrue:
 
         tap = Tap()
         config = VssConfig(n=4, t=1, group=G)
-        run_vss(config, secret=9, seed=0, observers=[tap])
+        result = run_vss(config, secret=9, seed=0, observers=[tap])
         assert tap.payloads
+        # Crash-free and run to quiescence: every metered send arrived.
+        expected: Counter = Counter()
         for payload in tap.payloads:
-            expected = wire.encoded_size(
-                payload, config.codec, group=config.group
-            )
-            assert payload.byte_size() == expected, payload.kind
+            expected[payload.kind] += len(wire.encode(payload, group=G))
+        assert result.metrics.bytes_by_kind == expected

@@ -10,7 +10,7 @@ from repro.sim.events import EventQueue, MessageDelivery, TimerFired
 
 
 def _msg(i: int) -> MessageDelivery:
-    return MessageDelivery(sender=1, recipient=2, payload=i, size_bytes=0)
+    return MessageDelivery(sender=1, recipient=2, payload=i)
 
 
 class TestEventQueue:

@@ -74,12 +74,16 @@ class TestPayloadProtocol:
         assert payload.kind == "demo"
 
     def test_protocol_messages_conform(self) -> None:
-        # every protocol message class satisfies the Payload protocol
+        # every protocol message class satisfies the Payload protocol,
+        # and the simulator meters it at its frame length
+        from repro.net import wire
+        from repro.sim.runner import Simulation
         from repro.vss.messages import HelpMsg, SessionId
         from repro.dkg.messages import DkgHelpMsg
         from repro.proactive.messages import ClockTickMsg
         from repro.groupmod.messages import NodeAddRequestMsg
 
+        price = Simulation().price
         for msg in (
             HelpMsg(SessionId(1, 0)),
             DkgHelpMsg(0),
@@ -87,5 +91,5 @@ class TestPayloadProtocol:
             NodeAddRequestMsg(8, 0),
         ):
             assert isinstance(msg, Payload)
-            assert msg.byte_size() > 0
+            assert price(msg) == len(wire.encode(msg)) > 0
             assert msg.kind

@@ -50,7 +50,7 @@ def _dealing(secret=42, seed=0):
 def _signed_ready(stores, rng, sender, me, f, c):
     payload = ready_signing_bytes(SID, commitment_digest(c))
     sig = stores[sender].sign(payload, rng)
-    return ReadyMsg(SID, c, f.evaluate(sender, me), sig, 50)
+    return ReadyMsg(SID, c, f.evaluate(sender, me), sig)
 
 
 class TestExtendedMode:
@@ -77,7 +77,7 @@ class TestExtendedMode:
         session, outputs, ctx = _extended_session(ca, stores)
         f, c = _dealing()
         for sender in (1, 3, 4, 5, 6):
-            msg = ReadyMsg(SID, c, f.evaluate(sender, 2), None, 50)
+            msg = ReadyMsg(SID, c, f.evaluate(sender, 2), None)
             session.handle(sender, msg, ctx)
         assert outputs == []  # nothing counted without signatures
 
@@ -88,7 +88,7 @@ class TestExtendedMode:
         payload = ready_signing_bytes(SID, commitment_digest(c))
         for sender in (1, 3, 4, 5, 6):
             sig = stores[7].sign(payload, rng)  # always node 7's key
-            msg = ReadyMsg(SID, c, f.evaluate(sender, 2), sig, 50)
+            msg = ReadyMsg(SID, c, f.evaluate(sender, 2), sig)
             session.handle(sender, msg, ctx)
         # The channel vouches for each sender, so the points count; the
         # signatures are evidence only, and none of them verifies.
@@ -109,7 +109,7 @@ class TestExtendedMode:
             payload = ready_signing_bytes(sid, commitment_digest(c))
             for sender in (2, 3, 4, 5, 6):
                 sig = stores[key_of(sender)].sign(payload, rng)
-                ready = ReadyMsg(sid, c, f.evaluate(sender, 1), sig, 50)
+                ready = ReadyMsg(sid, c, f.evaluate(sender, 1), sig)
                 leader.on_message(sender, ready, lctx)
             assert leader.sessions[dealer].completed is not None
 
@@ -154,8 +154,19 @@ class TestExtendedMode:
         assert verify_ready_cert(CFG, ca, 0, cert)
 
     def test_ready_size_includes_signature(self, world) -> None:
+        # The simulator meters a signed ready at its frame length: the
+        # plain ready's plus the signature's two scalars.
+        from repro.net.pricing import FramePricer
+
         ca, stores, rng = world
-        session, _, ctx = _extended_session(ca, stores)
-        plain = VssSession(CFG, 3, SID, on_shared=lambda o: None)
-        _, c = _dealing()
-        assert session._ready_size(c) == plain._ready_size(c) + 2 * G.scalar_bytes
+        f, c = _dealing()
+        sent = {}
+        for signed in (True, False):
+            session, _, ctx = _extended_session(ca, stores)
+            session.sign_ready = signed
+            for sender in (1, 3, 4):
+                msg = _signed_ready(stores, rng, sender, 2, f, c)
+                session.handle(sender, msg, ctx)
+            sent[signed] = ctx.sent_of_kind("vss.ready")[0][1]
+        price = FramePricer(G)
+        assert price(sent[True]) == price(sent[False]) + 2 * G.scalar_bytes

@@ -80,7 +80,7 @@ def _session(pki=None, outputs=None):
 
 
 def _send(session, ctx, f, c) -> None:
-    session.handle(SID.dealer, SendMsg(SID, c, f.row_polynomial(ME), 100), ctx)
+    session.handle(SID.dealer, SendMsg(SID, c, f.row_polynomial(ME)), ctx)
 
 
 def _ready(pki, sender, c, point) -> ReadyMsg:
@@ -89,7 +89,7 @@ def _ready(pki, sender, c, point) -> ReadyMsg:
         _, stores, rng = pki
         payload = ready_signing_bytes(SID, commitment_digest(c))
         signature = stores[sender].sign(payload, rng)
-    return ReadyMsg(SID, c, point, signature, 50)
+    return ReadyMsg(SID, c, point, signature)
 
 
 def _snapshot(session, c):
@@ -142,7 +142,7 @@ class TestDifferential:
         _send(held, held_ctx, f, c)
         for session, ctx in ((held, held_ctx), (blind, blind_ctx)):
             for m, point in echoes:
-                session.handle(m, EchoMsg(SID, c, point, 50), ctx)
+                session.handle(m, EchoMsg(SID, c, point), ctx)
             for (m, _), msg in zip(readies, ready_msgs):
                 session.handle(m, msg, ctx)
 
@@ -170,7 +170,7 @@ class TestDifferential:
         session, ctx = _session(outputs=outputs)
         _send(session, ctx, f, c)
         for m in CFG.indices:
-            session.handle(m, EchoMsg(SID, c, f.evaluate(m, ME), 50), ctx)
+            session.handle(m, EchoMsg(SID, c, f.evaluate(m, ME)), ctx)
         for m in CFG.indices:
             session.handle(m, _ready(None, m, c, f.evaluate(m, ME)), ctx)
         assert outputs and outputs[0].share == f.evaluate(ME, 0)
@@ -182,7 +182,7 @@ class TestFallBack:
 
     def _complete(self, session, ctx, f, c) -> None:
         for m in CFG.indices:
-            session.handle(m, EchoMsg(SID, c, f.evaluate(m, ME), 50), ctx)
+            session.handle(m, EchoMsg(SID, c, f.evaluate(m, ME)), ctx)
         for m in CFG.indices:
             session.handle(m, _ready(None, m, c, f.evaluate(m, ME)), ctx)
 
@@ -200,7 +200,7 @@ class TestFallBack:
         outputs = []
         session, ctx = _session(outputs=outputs)
         for m in list(CFG.indices)[: CFG.echo_threshold]:
-            session.handle(m, EchoMsg(SID, c, f.evaluate(m, ME), 50), ctx)
+            session.handle(m, EchoMsg(SID, c, f.evaluate(m, ME)), ctx)
         assert len(group_batches) == 1  # flushed before any row was held
         assert ctx.sent_of_kind("vss.ready")
         _send(session, ctx, f, c)
@@ -232,7 +232,7 @@ class TestNoCrossTalk:
         # C, then that commitment's own points.
         for m in CFG.indices:
             source = f if m <= 2 else other_f
-            session.handle(m, EchoMsg(SID, other_c, source.evaluate(m, ME), 50), ctx)
+            session.handle(m, EchoMsg(SID, other_c, source.evaluate(m, ME)), ctx)
         state = session._per_c[other_c]
         assert state.verified_row is None
         assert len(group_batches) == 2  # judged in the group, against other_c
@@ -247,7 +247,7 @@ class TestNoCrossTalk:
     def test_rejected_send_records_no_row(self) -> None:
         f, c = _dealing()
         session, ctx = _session()
-        session.handle(SID.dealer, SendMsg(SID, c, f.row_polynomial(3), 100), ctx)
+        session.handle(SID.dealer, SendMsg(SID, c, f.row_polynomial(3)), ctx)
         assert ctx.sent == []
         assert all(s.verified_row is None for s in session._per_c.values())
 

@@ -115,7 +115,7 @@ class TestEfficiency:
     def test_hashed_codec_reduces_bytes(self) -> None:
         full = run_vss(_config(n=7, t=2), secret=1, seed=10)
         hashed = run_vss(
-            _config(n=7, t=2, codec=HashedMatrixCodec()), secret=1, seed=10
+            _config(n=7, t=2), secret=1, seed=10, codec=HashedMatrixCodec()
         )
         assert hashed.metrics.bytes_total < full.metrics.bytes_total
         # message counts are identical; only sizes change
@@ -173,10 +173,9 @@ class EquivocatingDealer(ProtocolNode):
         f2 = BivariatePolynomial.random_symmetric(cfg.t, cfg.group.q, rng, secret=222)
         c1 = FeldmanCommitment.commit(f1, cfg.group)
         c2 = FeldmanCommitment.commit(f2, cfg.group)
-        size = 100
         for j in cfg.indices:
             poly, com = (f1, c1) if j <= cfg.n // 2 else (f2, c2)
-            ctx.send(j, SendMsg(self.session_id, com, poly.row_polynomial(j), size))
+            ctx.send(j, SendMsg(self.session_id, com, poly.row_polynomial(j)))
 
 
 @dataclass
@@ -194,7 +193,7 @@ class BadShareDealer(ProtocolNode):
         wrong = BivariatePolynomial.random_symmetric(cfg.t, cfg.group.q, rng)
         for j in cfg.indices:
             ctx.send(
-                j, SendMsg(self.session_id, commitment, wrong.row_polynomial(j), 100)
+                j, SendMsg(self.session_id, commitment, wrong.row_polynomial(j))
             )
 
 
@@ -241,7 +240,7 @@ class LyingEchoNode(VssNode):
             commitment = payload.commitment
             for j in self.config.indices:
                 bad_point = (payload.poly(j) + 1) % self.config.group.q
-                ctx.send(j, EchoMsg(self.session_id, commitment, bad_point, 100))
+                ctx.send(j, EchoMsg(self.session_id, commitment, bad_point))
             return
         super().on_message(sender, payload, ctx)
 

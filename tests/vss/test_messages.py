@@ -1,4 +1,4 @@
-"""Tests for VSS message types, sizes and session identifiers."""
+"""Tests for VSS message types, their metered sizes and session identifiers."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment
+from repro.net import wire
+from repro.sim.runner import Simulation
 from repro.vss.messages import (
 
     EchoMsg,
@@ -49,26 +51,36 @@ class TestSessionId:
 
 
 class TestMessageSizes:
+    """Messages carry values only; the transport prices each at the
+    length of its frame."""
+
     def test_sizes_are_what_the_sender_stamped(self) -> None:
+        # The simulator meters what the real transport would frame.
         c = _commitment()
         sid = SessionId(1, 0)
-        assert SendMsg(sid, c, None, size=123).byte_size() == 123
-        assert EchoMsg(sid, c, 5, size=77).byte_size() == 77
-        assert ReadyMsg(sid, c, 5, None, size=88).byte_size() == 88
-        assert SharePointMsg(sid, 5, size=20).byte_size() == 20
+        poly = BivariatePolynomial.random_symmetric(2, G.q, random.Random(1))
+        price = Simulation(group=G).price
+        for msg in (
+            SendMsg(sid, c, poly.row_polynomial(2)),
+            SendMsg(sid, c, None),
+            EchoMsg(sid, c, 5),
+            ReadyMsg(sid, c, 5, None),
+            SharePointMsg(sid, 5),
+        ):
+            assert price(msg) == len(wire.encode(msg, group=G)), msg.kind
 
     def test_size_not_part_of_equality(self) -> None:
-        # Retransmitted messages compare equal regardless of the size
-        # stamp, which keeps dedup by value semantics.
+        # No message type has a size to disagree on: a retransmission
+        # compares equal by value, which keeps dedup by value semantics.
         c = _commitment()
         sid = SessionId(1, 0)
-        assert EchoMsg(sid, c, 5, size=10) == EchoMsg(sid, c, 5, size=99)
+        for typ in (SendMsg, EchoMsg, ReadyMsg, HelpMsg, SharePointMsg):
+            assert "size" not in typ.__dataclass_fields__
+        assert EchoMsg(sid, c, 5) == EchoMsg(sid, c, 5)
 
     def test_help_msg_size_is_true_frame_length(self) -> None:
-        from repro.net import wire
-
         msg = HelpMsg(SessionId(1, 0))
-        assert msg.byte_size() == len(wire.encode(msg)) == 16
+        assert Simulation(group=G).price(msg) == len(wire.encode(msg)) == 16
 
 
 class TestReadySigningBytes:

@@ -46,7 +46,7 @@ class TestUponSend:
     def test_valid_send_triggers_n_echoes(self) -> None:
         session, ctx = _session(me=2)
         f, c = _dealing()
-        session.handle(1, SendMsg(SID, c, f.row_polynomial(2), 100), ctx)
+        session.handle(1, SendMsg(SID, c, f.row_polynomial(2)), ctx)
         echoes = ctx.sent_of_kind("vss.echo")
         assert len(echoes) == 7
         # echo to P_j carries a(j) = f(2, j)
@@ -56,13 +56,13 @@ class TestUponSend:
     def test_send_from_non_dealer_ignored(self) -> None:
         session, ctx = _session(me=2)
         f, c = _dealing()
-        session.handle(3, SendMsg(SID, c, f.row_polynomial(2), 100), ctx)
+        session.handle(3, SendMsg(SID, c, f.row_polynomial(2)), ctx)
         assert ctx.sent == []
 
     def test_second_send_ignored_first_time_semantics(self) -> None:
         session, ctx = _session(me=2)
         f, c = _dealing()
-        msg = SendMsg(SID, c, f.row_polynomial(2), 100)
+        msg = SendMsg(SID, c, f.row_polynomial(2))
         session.handle(1, msg, ctx)
         first = len(ctx.sent)
         session.handle(1, msg, ctx)
@@ -71,30 +71,30 @@ class TestUponSend:
     def test_wrong_row_polynomial_rejected(self) -> None:
         session, ctx = _session(me=2)
         f, c = _dealing()
-        session.handle(1, SendMsg(SID, c, f.row_polynomial(3), 100), ctx)
+        session.handle(1, SendMsg(SID, c, f.row_polynomial(3)), ctx)
         assert ctx.sent == []
 
     def test_commitment_mismatch_rejected_when_expected_pk_set(self) -> None:
         session, ctx = _session(me=2)
         session.expected_secret_commitment = G.commit(999)  # wrong value
         f, c = _dealing(secret=42)
-        session.handle(1, SendMsg(SID, c, f.row_polynomial(2), 100), ctx)
+        session.handle(1, SendMsg(SID, c, f.row_polynomial(2)), ctx)
         assert ctx.sent == []
 
     def test_poly_none_renewal_retransmission_is_inert(self) -> None:
         session, ctx = _session(me=2)
         f, c = _dealing()
-        session.handle(1, SendMsg(SID, c, None, 100), ctx)
+        session.handle(1, SendMsg(SID, c, None), ctx)
         assert ctx.sent == []
         # the real send may still arrive later and be processed
-        session.handle(1, SendMsg(SID, c, f.row_polynomial(2), 100), ctx)
+        session.handle(1, SendMsg(SID, c, f.row_polynomial(2)), ctx)
         assert len(ctx.sent_of_kind("vss.echo")) == 7
 
 
 class TestUponEcho:
     def _feed_echoes(self, session, ctx, f, c, senders, me):
         for m in senders:
-            session.handle(m, EchoMsg(SID, c, f.evaluate(m, me), 50), ctx)
+            session.handle(m, EchoMsg(SID, c, f.evaluate(m, me)), ctx)
 
     def test_echo_threshold_triggers_ready_with_interpolated_points(self) -> None:
         session, ctx = _session(me=2)
@@ -112,7 +112,7 @@ class TestUponEcho:
         session, ctx = _session(me=2)
         f, c = _dealing()
         self._feed_echoes(session, ctx, f, c, [1, 3, 4, 5], 2)
-        session.handle(6, EchoMsg(SID, c, 12345, 50), ctx)  # garbage point
+        session.handle(6, EchoMsg(SID, c, 12345), ctx)  # garbage point
         assert ctx.sent_of_kind("vss.ready") == []
 
     def test_duplicate_echo_from_same_sender_not_counted(self) -> None:
@@ -133,7 +133,7 @@ class TestUponEcho:
 
 class TestUponReady:
     def _ready(self, session, ctx, f, c, m, me):
-        session.handle(m, ReadyMsg(SID, c, f.evaluate(m, me), None, 50), ctx)
+        session.handle(m, ReadyMsg(SID, c, f.evaluate(m, me), None), ctx)
 
     def test_t_plus_one_readies_amplify_without_echo_quorum(self) -> None:
         session, ctx = _session(me=2)
@@ -239,7 +239,7 @@ class TestRecClause:
         session, ctx = _session(me=me, on_shared=outputs.append)
         f, c = _dealing(secret=secret, seed=9)
         for m in [1, 3, 4, 5, 6]:
-            session.handle(m, ReadyMsg(SID, c, f.evaluate(m, me), None, 50), ctx)
+            session.handle(m, ReadyMsg(SID, c, f.evaluate(m, me), None), ctx)
         assert session.completed
         return session, ctx, f, c
 
@@ -258,16 +258,16 @@ class TestRecClause:
         done = []
         session.on_reconstructed = done.append
         for m in (1, 3, 4):
-            session.handle(m, SharePointMsg(SID, f.evaluate(m, 0), 20), ctx)
+            session.handle(m, SharePointMsg(SID, f.evaluate(m, 0)), ctx)
         assert session.reconstructed is not None
         assert session.reconstructed.value == 42
 
     def test_rec_filters_bad_shares(self) -> None:
         session, ctx, f, c = self._completed_session()
         session.start_reconstruction(ctx)
-        session.handle(1, SharePointMsg(SID, 999, 20), ctx)  # invalid
+        session.handle(1, SharePointMsg(SID, 999), ctx)  # invalid
         for m in (3, 4):
-            session.handle(m, SharePointMsg(SID, f.evaluate(m, 0), 20), ctx)
+            session.handle(m, SharePointMsg(SID, f.evaluate(m, 0)), ctx)
         assert session.reconstructed is None  # only 2 valid so far
-        session.handle(5, SharePointMsg(SID, f.evaluate(5, 0), 20), ctx)
+        session.handle(5, SharePointMsg(SID, f.evaluate(5, 0)), ctx)
         assert session.reconstructed.value == 42
