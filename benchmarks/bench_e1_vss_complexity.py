@@ -5,8 +5,10 @@ Paper claims:
 * communication complexity O(kappa n^4) with full commitment matrices;
 * O(kappa n^3) using the Cachin et al. hash compression.
 
-The bench sweeps n, measures both codecs, and checks the growth orders
-via log-log regression.
+The bench sweeps n and checks the growth orders via log-log
+regression.  Runs send echo/ready with the commitment digest; the
+inline-matrix comparison prices the same messages with every matrix
+inline, through ``wire.encode(..., commitments="inline")``.
 """
 
 from __future__ import annotations
@@ -19,26 +21,43 @@ from repro.analysis import (
     vss_messages_crash_free,
 )
 from repro.crypto.groups import toy_group
-from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
+from repro.net import wire
+from repro.sim.events import MessageDelivery
 from repro.vss import VssConfig, run_vss
 
 NS = [7, 10, 13, 16, 19, 22]
 G = toy_group()
 
 
-def _sweep(codec_factory):
+class _Tap:
+    def __init__(self) -> None:
+        self.payloads: list = []
+
+    def on_event(self, time, event) -> None:
+        if isinstance(event, MessageDelivery):
+            self.payloads.append(event.payload)
+
+
+def _sweep(form: str):
+    """``(n, t, messages, bytes)`` per n: the bytes the run metered
+    (``form="digest"``), or its messages priced with every matrix
+    inline (``form="inline"``)."""
     rows = []
     for n in NS:
         t = (n - 1) // 3
         cfg = VssConfig(n=n, t=t, group=G)
-        res = run_vss(cfg, secret=1, seed=1, codec=codec_factory())
+        tap = _Tap()
+        res = run_vss(cfg, secret=1, seed=1, observers=[tap])
         assert len(res.completed_nodes) == n
-        rows.append((n, t, res.metrics.messages_total, res.metrics.bytes_total))
+        total = res.metrics.bytes_total
+        if form == "inline":
+            total = sum(len(wire.encode(p, group=G)) for p in tap.payloads)
+        rows.append((n, t, res.metrics.messages_total, total))
     return rows
 
 
 def test_e1_message_complexity_quadratic(benchmark, save_table) -> None:
-    rows = once(benchmark, lambda: _sweep(FullMatrixCodec))
+    rows = once(benchmark, lambda: _sweep("digest"))
     table = Table(
         "E1a: HybridVSS messages vs n (paper: exactly n + 2n^2)",
         ["n", "t", "measured msgs", "paper msgs", "ratio"],
@@ -53,9 +72,9 @@ def test_e1_message_complexity_quadratic(benchmark, save_table) -> None:
 
 
 def test_e1_bytes_full_matrix_quartic(benchmark, save_table) -> None:
-    rows = once(benchmark, lambda: _sweep(FullMatrixCodec))
+    rows = once(benchmark, lambda: _sweep("inline"))
     table = Table(
-        "E1b: HybridVSS bytes, full-matrix codec (paper: O(kappa n^4))",
+        "E1b: HybridVSS bytes, every matrix inline (paper: O(kappa n^4))",
         ["n", "t", "measured bytes", "fitted order"],
     )
     exponent = fit_exponent([r[0] for r in rows], [r[3] for r in rows])
@@ -67,10 +86,10 @@ def test_e1_bytes_full_matrix_quartic(benchmark, save_table) -> None:
 
 
 def test_e1_bytes_hashed_codec_cubic(benchmark, save_table) -> None:
-    full = _sweep(FullMatrixCodec)
-    hashed = once(benchmark, lambda: _sweep(HashedMatrixCodec))
+    full = _sweep("inline")
+    hashed = once(benchmark, lambda: _sweep("digest"))
     table = Table(
-        "E1c: hash-compressed codec (paper: O(kappa n^3)); savings vs full",
+        "E1c: digest-form echo/ready (paper: O(kappa n^3)); savings vs inline",
         ["n", "full bytes", "hashed bytes", "savings factor"],
     )
     for (n, _, _, fb), (_, _, _, hb) in zip(full, hashed):
@@ -80,14 +99,19 @@ def test_e1_bytes_hashed_codec_cubic(benchmark, save_table) -> None:
     # Savings must *grow* with n (quartic vs cubic asymptotics).
     savings = [fb / hb for (_, _, _, fb), (_, _, _, hb) in zip(full, hashed)]
     assert savings[-1] > savings[0]
-    # Exact analytic accounting for the measured bytes: at toy element
-    # sizes the quadratic digest term still dominates the cubic matrix
-    # term, so the asymptotic order is checked on the closed form below.
+    # Exact frame accounting for the measured bytes: n sends carrying
+    # the matrix (named group, side, entries) and a row polynomial, and
+    # 2n^2 votes carrying its digest and a point (a ready one more byte,
+    # its absent signature).  At toy element sizes the quadratic digest
+    # term still dominates the cubic matrix term, so the asymptotic
+    # order is checked on the closed form below.
+    q_bytes = (G.q.bit_length() + 7) // 8
+    framing = wire.HEADER_BYTES + 8  # header, session id
+    echo = framing + 1 + 32 + G.scalar_bytes
     for n, t, _, hb in hashed:
-        matrix = (t + 1) ** 2 * G.element_bytes
-        send = n * (8 + matrix + (t + 1) * G.scalar_bytes)
-        votes = 2 * n * n * (8 + 32 + G.scalar_bytes)
-        assert hb == send + votes
+        matrix = 2 + len(G.name) + 1 + (t + 1) ** 2 * G.element_bytes
+        poly = 1 + 1 + q_bytes + 1 + (t + 1) * q_bytes
+        assert hb == n * (framing + matrix + poly) + n * n * (2 * echo + 1)
 
 
 def test_e1_asymptotic_orders_of_the_codec_model(benchmark, save_table) -> None:
@@ -108,8 +132,8 @@ def test_e1_asymptotic_orders_of_the_codec_model(benchmark, save_table) -> None:
 
     big_ns, full_order, hashed_order = once(benchmark, orders)
     table = Table(
-        "E1d: asymptotic byte orders of the two codecs (model, large n)",
-        ["codec", "fitted order", "paper"],
+        "E1d: asymptotic byte orders of the two forms (model, large n)",
+        ["form", "fitted order", "paper"],
     )
     table.add("full matrix", f"n^{full_order:.2f}", "O(kappa n^4)")
     table.add("hashed", f"n^{hashed_order:.2f}", "O(kappa n^3)")

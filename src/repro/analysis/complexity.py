@@ -28,15 +28,17 @@ def vss_messages_crash_free(n: int) -> int:
 
 
 def vss_bytes_crash_free_full(n: int, t: int, kappa_bytes: int) -> int:
-    """O(kappa n^4) envelope with the full-matrix codec: every one of the
-    ~2n^2 echo/ready messages carries the (t+1)^2-entry matrix."""
+    """O(kappa n^4) envelope were the matrix inline in every message:
+    each of the ~2n^2 echo/ready messages would carry the (t+1)^2-entry
+    matrix."""
     matrix = (t + 1) ** 2 * 2 * kappa_bytes  # elements are ~2 kappa bits
     return vss_messages_crash_free(n) * matrix
 
 
 def vss_bytes_crash_free_hashed(n: int, t: int, kappa_bytes: int) -> int:
-    """O(kappa n^3) envelope with hash compression: only the n sends carry
-    the matrix; the 2n^2 votes carry a digest."""
+    """O(kappa n^3) envelope with hash compression, the form endpoints
+    send: only the n sends carry the matrix; the 2n^2 votes carry a
+    digest."""
     matrix = (t + 1) ** 2 * 2 * kappa_bytes
     return n * matrix + 2 * n * n * 32
 

@@ -33,7 +33,6 @@ from contextlib import contextmanager
 
 from repro.crypto.backend import element_hex
 from repro.crypto.groups import BACKENDS, group_by_name
-from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
 from repro.dkg import DkgConfig, run_dkg
 from repro.proactive import ProactiveSystem
 from repro.sim.adversary import Adversary
@@ -56,16 +55,8 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
              "or the secp256k1 elliptic curve",
     )
     parser.add_argument(
-        "--hashed-codec", action="store_true",
-        help="use the Cachin-style hash-compressed commitment codec",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-
-
-def _codec(args: argparse.Namespace):
-    return HashedMatrixCodec() if args.hashed_codec else FullMatrixCodec()
 
 
 def _group(args: argparse.Namespace):
@@ -116,7 +107,7 @@ def _flight_recorder(
 
     if config is not None:
         group = config.group
-        meta = capture_meta(cmd, config, args.seed, transport, _codec(args), **extra)
+        meta = capture_meta(cmd, config, args.seed, transport, **extra)
     else:
         meta = {
             "cmd": cmd,
@@ -147,9 +138,7 @@ def cmd_dkg(args: argparse.Namespace) -> int:
         group=_group(args),
     )
     with _flight_recorder(args, "dkg", transport="sim", config=config, tau=0):
-        result = run_dkg(
-            config, seed=args.seed, reconstruct=args.reconstruct, codec=_codec(args)
-        )
+        result = run_dkg(config, seed=args.seed, reconstruct=args.reconstruct)
     payload = {
         "succeeded": result.succeeded,
         "q_set": list(result.q_set),
@@ -178,7 +167,6 @@ def cmd_vss(args: argparse.Namespace) -> int:
         secret=args.secret,
         seed=args.seed,
         reconstruct=args.reconstruct,
-        codec=_codec(args),
     )
     payload = {
         "completed_nodes": result.completed_nodes,
@@ -224,7 +212,6 @@ def cmd_renew(args: argparse.Namespace) -> int:
                 time_scale=args.time_scale,
                 crash_plan=args.crash,
                 timeout=args.timeout,
-                codec=_codec(args),
             )
         _emit(
             args,
@@ -255,7 +242,7 @@ def cmd_renew(args: argparse.Namespace) -> int:
     with _flight_recorder(
         args, "renew", transport="sim", config=config, phases=args.phases
     ):
-        system = ProactiveSystem(config, seed=args.seed, codec=_codec(args))
+        system = ProactiveSystem(config, seed=args.seed)
         system.bootstrap()
         secret_before = system.reconstruct()
         phases = []
@@ -302,7 +289,6 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
                 time_scale=args.time_scale,
                 crash_plan=args.crash,
                 timeout=args.timeout,
-                codec=_codec(args),
             )
         _emit(
             args,
@@ -330,7 +316,7 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
     with _flight_recorder(
         args, "groupmod", transport="sim", config=config, new_node=new_node
     ):
-        manager = GroupManager(config, seed=args.seed, codec=_codec(args))
+        manager = GroupManager(config, seed=args.seed)
         manager.bootstrap()
         secret_before = manager.reconstruct()
         report = manager.agree(
@@ -388,7 +374,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             time_scale=args.time_scale,
             crash_plan=args.crash,
             timeout=args.timeout,
-            codec=_codec(args),
         )
     payload = {
         "transport": "asyncio-tcp",

@@ -5,22 +5,16 @@ AVSS-style sharing is dominated by every ``echo``/``ready`` message
 carrying the full (t+1) x (t+1) commitment matrix, and that replacing
 the matrix with a collision-resistant hash in those messages reduces
 communication to O(kappa n^3).  The paper states the trick "remains
-applicable in our HybridVSS"; the E1 benchmark measures both codecs.
+applicable in our HybridVSS", and it is how every endpoint sends
+``echo``/``ready`` (see :func:`repro.net.wire.commitment_mode`).
 
-This module provides the digest, hash-to-scalar helpers used by the
-Fiat--Shamir constructions, and the two commitment *codecs*, one of
-which is a parameter of every run (of its transport, which frames and
-meters each message accordingly; see :mod:`repro.net.wire`):
-
-* :class:`FullMatrixCodec` — every message carries the full matrix;
-* :class:`HashedMatrixCodec` — ``send`` carries the matrix, while
-  ``echo``/``ready`` carry only its 32-byte digest.
+This module provides that digest and the hash-to-scalar helpers used by
+the Fiat--Shamir constructions.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from repro.crypto.feldman import FeldmanCommitment
 
@@ -78,22 +72,3 @@ def hash_to_element(group_p: int, group_q: int, *parts: bytes) -> int:
         if element != 1:
             return element
         counter += 1
-
-
-@dataclass(frozen=True)
-class FullMatrixCodec:
-    """Every protocol message carries the full commitment matrix."""
-
-    name: str = "full-matrix"
-
-
-@dataclass(frozen=True)
-class HashedMatrixCodec:
-    """Cachin et al. compression: echo/ready carry only a digest.
-
-    The dealer's ``send`` must still carry the matrix (nodes need it to
-    run verify-poly / verify-point), so only the quadratic number of
-    echo/ready messages are compressed — exactly the dominant term.
-    """
-
-    name: str = "hashed-matrix"

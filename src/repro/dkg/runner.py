@@ -104,13 +104,11 @@ def run_dkg(
     until: float | None = None,
     max_events: int | None = 2_000_000,
     reconstruct: bool = False,
-    codec: Any = None,
 ) -> DkgResult:
     """Simulate one DKG session.
 
     ``node_factory(i, config, keystore, ca)`` may return a replacement
     (Byzantine) node for index ``i`` or None for the default honest node.
-    ``codec`` is the run's commitment codec (default: full matrix).
     """
     pki = dkg_pki(config, seed)
     machines = dkg_machines(
@@ -130,7 +128,6 @@ def run_dkg(
         adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
         group=config.group,
-        codec=codec,
     )
     nodes = {i: m for i, m in machines.items() if isinstance(m, DkgNode)}
     if reconstruct:

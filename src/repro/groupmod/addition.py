@@ -210,14 +210,12 @@ def run_node_additions(
     delay_model: DelayModel | None = None,
     adversary: Adversary | None = None,
     until: float | None = None,
-    codec: Any = None,
 ) -> dict[int, AdditionResult]:
     """Simulate §6.2 for one or more joiners simultaneously.
 
     ``shares``/``commitment`` come from a prior DKG or renewal phase.
     Each returned share verifies against the *existing* commitment at
     the joiner's index — the sharing polynomial is unchanged.
-    ``codec`` is the run's commitment codec (default: full matrix).
     """
     members = config.vss().indices
     for new_node in new_nodes:
@@ -242,7 +240,6 @@ def run_node_additions(
         adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
         group=config.group,
-        codec=codec,
     )
     joined = {new_node: machines[new_node].joined for new_node in new_nodes}
     return {
@@ -267,11 +264,10 @@ def run_node_addition(
     delay_model: DelayModel | None = None,
     adversary: Adversary | None = None,
     until: float | None = None,
-    codec: Any = None,
 ) -> AdditionResult:
     """Single-joiner convenience wrapper over :func:`run_node_additions`."""
     return run_node_additions(
         config, shares, commitment, [new_node],
         seed=seed, tau=tau, delay_model=delay_model,
-        adversary=adversary, until=until, codec=codec,
+        adversary=adversary, until=until,
     )[new_node]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any
 
 from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
@@ -55,8 +54,8 @@ class AgreementReport:
 class GroupManager(ShareLifecycle):
     """A threshold deployment with evolving membership."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0, codec: Any = None):
-        super().__init__(config, seed, codec)
+    def __init__(self, config: DkgConfig, seed: int = 0):
+        super().__init__(config, seed)
         self.pending: list[ModProposal] = []
 
     @property
@@ -86,7 +85,6 @@ class GroupManager(ShareLifecycle):
             adversary=Adversary.passive(self.config.t, self.config.f),
             seed=agreement_seed(self.seed, seed_offset, self.phase),
             group=self.config.group,
-            codec=self.codec,
         )
         report = AgreementReport(
             queues={i: list(node.queue) for i, node in nodes.items()},
@@ -115,7 +113,6 @@ class GroupManager(ShareLifecycle):
             seed=addition_seed(self.seed, seed_offset),
             tau=self.phase + 1,
             delay_model=delay_model,
-            codec=self.codec,
         )
         if result.share is None:
             raise RuntimeError("node addition failed to deliver a share")

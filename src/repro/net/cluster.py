@@ -50,8 +50,8 @@ COMPLETED_KIND = "dkg.out.completed"
 class SessionCluster:
     """n asyncio runtime endpoints multiplexing protocol sessions.
 
-    ``group`` and ``codec`` are the run's: every endpoint frames, and
-    meters, each message under them.
+    ``group`` is the run's: every endpoint frames, and meters, each
+    message under it.
     """
 
     def __init__(
@@ -60,7 +60,6 @@ class SessionCluster:
         *,
         seed: int = 0,
         group: Any = None,
-        codec: Any = None,
         delay_model: DelayModel | None = None,
         time_scale: float = DEFAULT_TIME_SCALE,
         host: str = "127.0.0.1",
@@ -68,7 +67,6 @@ class SessionCluster:
         self.members = sorted(members)
         self.seed = seed
         self.group = group
-        self.codec = codec
         self.delay_model = delay_model
         self.time_scale = time_scale
         self.host_address = host
@@ -96,7 +94,6 @@ class SessionCluster:
             delay_model=self.delay_model,
             time_scale=self.time_scale,
             group=self.group,
-            codec=self.codec,
             host=self.host_address,
         )
         host = NodeHost(ProtocolRuntime(index), transport)
@@ -378,7 +375,6 @@ class LocalCluster(SessionCluster):
         host: str = "127.0.0.1",
         secrets: dict[int, int] | None = None,
         node_factory: Callable[..., Any] | None = None,
-        codec: Any = None,
     ):
         self.config = config
         self.tau = tau
@@ -394,7 +390,6 @@ class LocalCluster(SessionCluster):
             config.vss().indices,
             seed=seed,
             group=config.group,
-            codec=codec,
             delay_model=delay_model,
             time_scale=time_scale,
             host=host,
@@ -435,13 +430,11 @@ def run_local_cluster(
     time_scale: float = DEFAULT_TIME_SCALE,
     crash_plan: list[tuple[int, float, float | None]] | None = None,
     timeout: float = 60.0,
-    codec: Any = None,
 ) -> ClusterResult:
     """Synchronous convenience wrapper: spawn, run one DKG, tear down.
 
     ``crash_plan`` entries are ``(node, at, up_after-or-None)`` in
     protocol time units, exactly like the simulator adversary's.
-    ``codec`` is the run's commitment codec (default: full matrix).
     """
 
     async def _run() -> ClusterResult:
@@ -451,7 +444,6 @@ def run_local_cluster(
             tau=tau,
             delay_model=delay_model,
             time_scale=time_scale,
-            codec=codec,
         )
         for node, at, up_after in crash_plan or []:
             cluster.crash(node, at, up_after)

@@ -81,15 +81,13 @@ def run_groupmod_cluster(
     time_scale: float = DEFAULT_TIME_SCALE,
     crash_plan: list[tuple[int, float, float | None]] | None = None,
     timeout: float = 60.0,
-    codec: Any = None,
 ) -> GroupModClusterResult:
     """Bootstrap, agree on an add proposal, and deliver the joiner its
     share — all over one set of real asyncio TCP endpoints.
 
     ``crash_plan`` entries are ``(node, at, up_after-or-None)`` with
     ``at`` in protocol time units *from the start of the addition
-    phase* (the resharing is the crash-sensitive window).  ``codec`` is
-    the run's commitment codec (default: full matrix).
+    phase* (the resharing is the crash-sensitive window).
     """
 
     async def _run() -> GroupModClusterResult:
@@ -102,7 +100,6 @@ def run_groupmod_cluster(
             list(members),
             seed=seed,
             group=config.group,
-            codec=codec,
             delay_model=delay_model,
             time_scale=time_scale,
         )

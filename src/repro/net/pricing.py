@@ -2,10 +2,11 @@
 
 :class:`~repro.net.transport.AsyncioTransport` meters the frame it
 encodes.  The discrete-event simulator encodes nothing, so it asks
-:func:`repro.net.wire.encoded_size` for the same length, through a
-:class:`FramePricer`.  Encoding every message would be a visible share
-of a simulated DKG's time, so the pricer encodes once per broadcast and
-once per VSS frame shape instead.
+:func:`repro.net.wire.encoded_size` for the same length — echo/ready in
+digest form, as endpoints send them — through a :class:`FramePricer`.
+Encoding every message would be a visible share of a simulated DKG's
+time, so the pricer encodes once per broadcast and once per VSS frame
+shape instead.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ _SIZE_BY_SHAPE: dict[tuple, int] = {}
 
 
 class FramePricer:
-    """Prices the messages of one run under the run's group and codec."""
+    """Prices the messages of one run under the run's group."""
 
-    def __init__(self, group: Any = None, codec: Any = None):
+    def __init__(self, group: Any = None):
         self.group = group
-        self.codec = codec
         self._last: Any = None
         self._last_size = 0
 
@@ -45,7 +45,7 @@ class FramePricer:
     def _wire_size(self, message: Any) -> int:
         commitment = getattr(message, "commitment", None)
         if not isinstance(commitment, FeldmanCommitment):
-            return wire.encoded_size(message, self.codec, group=self.group)
+            return wire.encoded_size(message, group=self.group)
         poly = getattr(message, "poly", None)
         key = (
             type(message),
@@ -53,10 +53,9 @@ class FramePricer:
             commitment.group,
             None if poly is None else len(poly.coeffs),
             getattr(message, "signature", None) is None,
-            wire.commitment_mode(self.codec, message),
         )
         size = _SIZE_BY_SHAPE.get(key)
         if size is None:
-            size = wire.encoded_size(message, self.codec, group=self.group)
+            size = wire.encoded_size(message, group=self.group)
             _SIZE_BY_SHAPE[key] = size
         return size

@@ -75,15 +75,13 @@ def run_renewal_cluster(
     time_scale: float = DEFAULT_TIME_SCALE,
     crash_plan: list[tuple[int, float, float | None]] | None = None,
     timeout: float = 60.0,
-    codec: Any = None,
 ) -> RenewalClusterResult:
     """Bootstrap a DKG and run ``phases`` share-renewal phases, all
     over one set of real asyncio TCP endpoints.
 
     ``crash_plan`` entries are ``(node, at, up_after-or-None)`` with
     ``at`` in protocol time units *from the start of the first renewal
-    phase* — the window the proactive model cares about.  ``codec`` is
-    the run's commitment codec (default: full matrix).
+    phase* — the window the proactive model cares about.
     """
 
     async def _run() -> RenewalClusterResult:
@@ -93,7 +91,6 @@ def run_renewal_cluster(
             list(members),
             seed=seed,
             group=config.group,
-            codec=codec,
             delay_model=delay_model,
             time_scale=time_scale,
         )

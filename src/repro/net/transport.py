@@ -22,6 +22,12 @@ Time discipline: protocol code thinks in simulation time units; an
 ``time_scale`` (seconds per unit), applied to both timers and injected
 delays, so a DKG timeout policy tuned in the simulator behaves
 identically on the wire.
+
+Commitments travel in one form (:func:`repro.net.wire.commitment_mode`):
+``echo``/``ready`` carry the matrix's digest.  A digest frame that
+arrives before its matrix waits; if the matrix has not come after
+:data:`MATRIX_FETCH_AFTER`, the endpoint asks a sender of a waiting
+frame for it, and on each further expiry the next one.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ _CONNECT_BACKOFF_S = 0.05
 _MAX_PENDING_FRAMES = 1024  # digest frames held awaiting their matrix
 _MAX_COMMITMENTS = 1024  # decoded matrices kept (the commitment table)
 _PEER_QUOTA = 64  # of either, charged to any one link
+# Protocol time units a digest frame waits for its matrix before the
+# endpoint asks a peer for it; no fault-free run waits this long
+# (tests/net/test_matrix_fetch.py).
+MATRIX_FETCH_AFTER = 10.0
 
 
 @runtime_checkable
@@ -181,7 +191,6 @@ class AsyncioTransport:
         delay_model: DelayModel | None = None,
         time_scale: float = DEFAULT_TIME_SCALE,
         group: Any = None,
-        codec: Any = None,
         host: str = "127.0.0.1",
         connect_attempts: int = _CONNECT_ATTEMPTS,
         connect_backoff: float = _CONNECT_BACKOFF_S,
@@ -193,7 +202,6 @@ class AsyncioTransport:
         self.delay_model = delay_model
         self.time_scale = time_scale
         self.group = group
-        self.codec = codec
         self.host = host
         self.seed = seed
         self.connect_attempts = connect_attempts
@@ -210,15 +218,18 @@ class AsyncioTransport:
 
         self._net_rng = random.Random(("net", seed, node_id).__repr__())
         self._node_rngs: dict[int, random.Random] = {}
-        # Every matrix this endpoint has decoded: repeats of it are not
-        # decoded again, and digest-only frames (hashed codec) resolve
-        # against it — or wait here, by digest, for their matrix.
+        # Every matrix this endpoint has decoded (repeats of it are not
+        # decoded again) or sent: digest-form frames resolve against it
+        # — or wait here, by digest, for their matrix, with the timer
+        # that fetches it armed and the links already asked — and a
+        # peer's request for one is answered from it.
         self._table = wire.CommitmentTable(_MAX_COMMITMENTS, _PEER_QUOTA)
         self._pending_frames: dict[bytes, list[tuple[int, bytes]]] = {}
         self._pending_by_peer: Counter[int] = Counter()
+        self._fetch_timers: dict[bytes, asyncio.TimerHandle] = {}
+        self._asked: dict[bytes, set[int]] = {}
         # Broadcast encode memo (identity-keyed, single entry).
         self._last_payload: Any = None
-        self._last_mode = "inline"
         self._last_frame = b""
         self._last_size = 0
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -250,6 +261,7 @@ class AsyncioTransport:
     async def stop(self) -> None:
         """Tear the endpoint down completely (end of deployment)."""
         self._close_links()
+        self._forget_pending()
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
@@ -264,8 +276,7 @@ class AsyncioTransport:
             "repro_net_crashes_total", help="endpoint crash transitions"
         )
         self._close_links()
-        self._pending_frames.clear()
-        self._pending_by_peer.clear()
+        self._forget_pending()
 
     async def recover(self) -> None:
         """Come back up on the same address."""
@@ -274,6 +285,14 @@ class AsyncioTransport:
         obs_metrics.counter_inc(
             "repro_net_recoveries_total", help="endpoint recovery transitions"
         )
+
+    def _forget_pending(self) -> None:
+        for handle in self._fetch_timers.values():
+            handle.cancel()
+        self._fetch_timers.clear()
+        self._asked.clear()
+        self._pending_frames.clear()
+        self._pending_by_peer.clear()
 
     def _close_links(self) -> None:
         if self._server is not None:
@@ -314,22 +333,24 @@ class AsyncioTransport:
     def enqueue_message(self, sender: int, recipient: int, payload: Any) -> None:
         if self.crashed or self._loop is None:
             return
-        # Under the hashed codec, echo/ready frames really do carry only
-        # the 32-byte digest.  Broadcasts hand the same payload object
-        # to every recipient, so the last encoding is reused.
-        mode = wire.commitment_mode(self.codec, payload)
-        if payload is self._last_payload and mode == self._last_mode:
-            frame, size = self._last_frame, self._last_size
-        else:
-            frame = wire.encode(payload, group=self.group, commitments=mode)
-            size = wire.payload_length(frame)
-            self._last_payload, self._last_mode = payload, mode
-            self._last_frame, self._last_size = frame, size
         # Meter the protocol frame, not the envelope wrapper: the
         # session id is transport framing (like the TCP header), and
         # keeping per-kind/per-byte accounting identical across
         # drivers is what makes sim-vs-real comparisons exact (E12).
         metered = payload.payload if isinstance(payload, SessionEnvelope) else payload
+        # Echo/ready frames carry only the 32-byte digest.  Broadcasts
+        # hand the same payload object to every recipient, so the last
+        # encoding is reused.
+        if payload is self._last_payload:
+            frame, size = self._last_frame, self._last_size
+        else:
+            mode = wire.commitment_mode(payload)
+            frame = wire.encode(payload, group=self.group, commitments=mode)
+            size = wire.payload_length(frame)
+            self._last_payload = payload
+            self._last_frame, self._last_size = frame, size
+            if metered.kind == "vss.send":
+                self._table.record_sent(metered.commitment)
         kind = metered.kind
         self.metrics.record_send(sender, kind, size)
         obs_metrics.counter_inc(
@@ -408,20 +429,7 @@ class AsyncioTransport:
                 frame, commitments=self._table.charged_to(peer), group=self.group
             )
         except wire.UnresolvedDigest as exc:
-            # Compressed vote arrived before the dealer's send; hold it
-            # until the matrix shows up (the receiver-side cache the
-            # Cachin trick presumes).  Under a non-hashed codec nothing
-            # will ever resolve it, and the buffer is bounded, per link,
-            # against peers flooding bogus digests.
-            if (
-                getattr(self.codec, "name", None) != "hashed-matrix"
-                or self._pending_by_peer[peer] >= _PEER_QUOTA
-                or self._pending_by_peer.total() >= _MAX_PENDING_FRAMES
-            ):
-                self.metrics.record_drop()
-                return
-            self._pending_frames.setdefault(exc.digest, []).append((peer, frame))
-            self._pending_by_peer[peer] += 1
+            self._hold(peer, frame, exc.digest)
             return
         except wire.WireError:
             self.metrics.record_drop()
@@ -443,11 +451,55 @@ class AsyncioTransport:
             help="wire bytes received, by protocol message kind",
             kind=kind,
         )
+        if isinstance(inner, wire.MatrixRequest):
+            commitment = self._table.answer(inner.digest, peer)
+            if commitment is not None:
+                self.enqueue_message(self.node_id, peer, wire.MatrixReply(commitment))
+            return
         self._release_pending(inner)
+        if isinstance(inner, wire.MatrixReply):
+            return
         try:
             self.on_message(peer, message)
         except Exception as exc:
             self.errors.append(exc)
+
+    def _hold(self, peer: int, frame: bytes, digest: bytes) -> None:
+        """Keep a digest frame that arrived before its matrix (the
+        receiver-side cache the Cachin trick presumes) until the dealer's
+        send or a :class:`~repro.net.wire.MatrixReply` brings it.  Bounded
+        per link and in total against peers flooding bogus digests."""
+        if (
+            self._pending_by_peer[peer] >= _PEER_QUOTA
+            or self._pending_by_peer.total() >= _MAX_PENDING_FRAMES
+        ):
+            self.metrics.record_drop()
+            return
+        self._pending_frames.setdefault(digest, []).append((peer, frame))
+        self._pending_by_peer[peer] += 1
+        self._arm_fetch(digest)
+
+    def _arm_fetch(self, digest: bytes) -> None:
+        """Arm ``digest``'s fetch timer, unless it is armed or every
+        sender of a waiting frame has been asked already."""
+        if digest in self._fetch_timers or self._loop is None:
+            return
+        asked = self._asked.get(digest, ())
+        if all(peer in asked for peer, _ in self._pending_frames[digest]):
+            return
+        self._fetch_timers[digest] = self._loop.call_later(
+            MATRIX_FETCH_AFTER * self.time_scale, self._fetch, digest
+        )
+
+    def _fetch(self, digest: bytes) -> None:
+        """``digest`` has waited past the bound: ask the next sender of a
+        waiting frame not asked yet for the matrix."""
+        del self._fetch_timers[digest]
+        asked = self._asked.setdefault(digest, set())
+        peer = next(p for p, _ in self._pending_frames[digest] if p not in asked)
+        asked.add(peer)
+        self.enqueue_message(self.node_id, peer, wire.MatrixRequest(digest))
+        self._arm_fetch(digest)
 
     def _release_pending(self, message: Any) -> None:
         """Dispatch the digest frames that waited for ``message``'s matrix
@@ -455,7 +507,12 @@ class AsyncioTransport:
         commitment = getattr(message, "commitment", None)
         if not self._pending_frames or not isinstance(commitment, FeldmanCommitment):
             return
-        for peer, frame in self._pending_frames.pop(commitment_digest(commitment), ()):
+        digest = commitment_digest(commitment)
+        handle = self._fetch_timers.pop(digest, None)
+        if handle is not None:
+            handle.cancel()
+        self._asked.pop(digest, None)
+        for peer, frame in self._pending_frames.pop(digest, ()):
             self._pending_by_peer[peer] -= 1
             if not self._pending_by_peer[peer]:
                 del self._pending_by_peer[peer]

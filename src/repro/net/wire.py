@@ -22,16 +22,20 @@ one generic decoder; ``docs/wire.md`` and the round-trip and
 hostile-decode tests are generated from it.  ``since`` is the codec
 version that introduced the kind (history in ``docs/protocols.md``):
 :func:`encode` stamps it — or 3 when a non-modp group shaped the
-frame — and :func:`decode` rejects a kind claiming an earlier one.
+frame — and :func:`decode` accepts no other version byte for the kind.
 
 Commitment compression (Cachin et al., the paper's §3 efficiency note)
-is a first-class wire feature: ``echo``/``ready`` frames may carry the
-32-byte commitment digest instead of the full matrix
-(``commitments="digest"``); decoding such a frame needs the
-:class:`CommitmentTable` the receiver filled from the dealer's ``send``.
-The same table makes inline matrices decode once: every ``echo`` and
-``ready`` of a sharing repeats the dealer's matrix, and a frame whose
-matrix bytes the table has already decoded gets that object back.
+is the one form endpoints exchange: :func:`commitment_mode` sends every
+``echo``/``ready`` — enveloped or not — with the 32-byte commitment
+digest in place of the matrix, and everything else inline.  Decoding a
+digest needs the :class:`CommitmentTable` the receiver filled from the
+dealer's ``send``; an endpoint that never got that ``send`` asks a peer
+for the matrix with a :class:`MatrixRequest` and is answered with a
+:class:`MatrixReply`.  The same table makes inline matrices decode
+once: a frame whose matrix bytes the table has already decoded gets
+that object back.  :func:`encode` defaults to the inline form
+(``commitments="inline"``), which is what captures, transcript hashes
+and the golden frames hold.
 
 :func:`decode` takes bytes from the network, so it raises nothing but
 :class:`WireError` and does no work a peer can inflate: a group named
@@ -65,8 +69,7 @@ from repro.service.shard import api as shard
 from repro.vss import messages as vss
 
 MAGIC = b"KG"
-VERSION = 6  # the newest ``since`` in SCHEMA
-SUPPORTED_VERSIONS = range(1, VERSION + 1)
+VERSION = 7  # the newest ``since`` in SCHEMA
 SERVICE_KIND_MIN = 0x30  # kinds from here up are client <-> gateway frames
 ENVELOPE_KIND = 0x2F
 HEADER_BYTES = 4 + len(MAGIC) + 1 + 1  # length + magic + version + kind
@@ -87,7 +90,7 @@ class WireError(ValueError):
 class UnresolvedDigest(WireError):
     """A digest-compressed frame referenced a commitment the table
     does not (yet) hold.  Receivers buffer such frames until the
-    dealer's ``send`` supplies the matrix (Cachin-style compression)."""
+    dealer's ``send``, or a :class:`MatrixReply`, supplies the matrix."""
 
     def __init__(self, digest: bytes):
         super().__init__("digest-compressed frame with no matching commitment")
@@ -111,6 +114,11 @@ class CommitmentTable:
     owner at its quota evicts its own oldest entry; a full table evicts
     the oldest entry of whoever holds the most.  Eviction costs a later
     re-decode, nothing else.
+
+    It also keeps the last ``quota`` matrices its endpoint sent inline
+    (:meth:`record_sent`).  Decoding never consults those; they and the
+    decoded entries are what :meth:`answer` serves a peer's
+    :class:`MatrixRequest` from, at most once per (link, digest).
     """
 
     def __init__(self, cap: int, quota: int):
@@ -118,6 +126,8 @@ class CommitmentTable:
         self.quota = quota
         self._entries: dict[bytes, FeldmanCommitment] = {}
         self._owned: dict[Hashable, dict[bytes, None]] = {}  # oldest first
+        self._sent: dict[bytes, FeldmanCommitment] = {}  # oldest first
+        self._answered: dict[bytes, set[Hashable]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -141,6 +151,29 @@ class CommitmentTable:
         del owned[digest], self._entries[digest]
         if not owned:
             del self._owned[owner]
+        if digest not in self._sent:
+            self._answered.pop(digest, None)
+
+    def record_sent(self, commitment: FeldmanCommitment) -> None:
+        """Remember a matrix this endpoint sent inline."""
+        digest = commitment_digest(commitment)
+        if digest in self._sent:
+            return
+        if len(self._sent) >= self.quota:
+            oldest = next(iter(self._sent))
+            del self._sent[oldest]
+            if oldest not in self._entries:
+                self._answered.pop(oldest, None)
+        self._sent[digest] = commitment
+
+    def answer(self, digest: bytes, link: Hashable) -> FeldmanCommitment | None:
+        """The matrix behind ``digest`` for ``link``'s request: None if
+        this table does not hold it, or has answered ``link`` for it."""
+        commitment = self._entries.get(digest) or self._sent.get(digest)
+        if commitment is None or link in self._answered.get(digest, ()):
+            return None
+        self._answered.setdefault(digest, set()).add(link)
+        return commitment
 
     def charged_to(self, owner: Hashable) -> "_ChargedTable":
         """This table, with inserts charged to ``owner``'s quota."""
@@ -316,8 +349,8 @@ class _Writer:
 
     def commitment(self, c: FeldmanCommitment) -> None:
         """u8 tag, then 0 = the matrix inline | 1 = its 32-byte digest
-        (how echo/ready travel under the hashed codec; the receiver
-        resolves it against the dealer's send)."""
+        (how echo/ready travel between endpoints; the receiver resolves
+        it against the dealer's send, or fetches the matrix)."""
         if self.mode == "digest":
             self.u8(1)
             self.buf += commitment_digest(c)
@@ -345,8 +378,7 @@ class _Writer:
 
     def frame(self, payload: Any) -> None:
         """One complete embedded frame, to the end of the body, in the
-        commitment mode the deployment codec chose for it.  Never
-        another envelope."""
+        commitment mode of the envelope.  Never another envelope."""
         if isinstance(payload, SessionEnvelope):
             raise WireError("session envelopes do not nest")
         self.buf += encode(payload, group=self.group, commitments=self.mode)
@@ -772,6 +804,25 @@ OUTPUT_COMMITMENT = _union(
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class MatrixRequest:
+    """Endpoint -> peer: send me the matrix behind ``digest`` — asked
+    when digest-form frames have waited too long for it."""
+
+    digest: bytes
+
+    kind = "net.matrix_request"
+
+
+@dataclasses.dataclass(frozen=True)
+class MatrixReply:
+    """Peer -> endpoint: the matrix a :class:`MatrixRequest` named."""
+
+    commitment: FeldmanCommitment
+
+    kind = "net.matrix_reply"
+
+
 def _row(typ: type, since: int, /, **fields: _Field):
     return typ, since, tuple(fields.items())
 
@@ -860,6 +911,9 @@ SCHEMA: dict[int, tuple[type, int, tuple[tuple[str, _Field], ...]]] = {
     0x29: _row(gm.NodeAddInput, 4, new_node=INDEX, tau=TAU),
     0x2A: _row(gm.SubshareMsg, 4, tau=TAU, vector=VECTOR, subshare=SCALAR),
     0x2B: _row(gm.JoinedOutput, 4, tau=TAU, vector=VECTOR, share=SCALAR),
+    # endpoint <-> endpoint: the matrix behind a digest that found none
+    0x2C: _row(MatrixRequest, 7, digest=DIGEST),
+    0x2D: _row(MatrixReply, 7, commitment=MATRIX),
     # session multiplexing: the payload's commitment mode and digest
     # resolution pass straight through the envelope
     ENVELOPE_KIND: _row(
@@ -948,8 +1002,9 @@ def encode(message: Any, *, group=None, commitments: str = "inline") -> bytes:
     ``group`` pins scalar field widths (signatures, loose scalars) so
     frame sizes are value-independent; without it minimal widths are
     used.  ``commitments="digest"`` emits the Cachin-style compressed
-    form for ``echo``/``ready`` frames (decoding then needs the
-    receiver's :class:`CommitmentTable`).
+    form for ``echo``/``ready`` frames, as endpoints send them (see
+    :func:`commitment_mode`; decoding then needs the receiver's
+    :class:`CommitmentTable`).
     """
     if commitments not in ("inline", "digest"):
         raise WireError(f"unknown commitment mode {commitments!r}")
@@ -993,46 +1048,42 @@ def decode(data: bytes, *, commitments=None, group=None) -> Any:
     if data[4:6] != MAGIC:
         raise WireError("bad magic")
     version, kind = data[6], data[7]
-    if version not in SUPPORTED_VERSIONS:
-        raise WireError(f"unsupported wire version {version}")
     entry = SCHEMA.get(kind)
     if entry is None:
         raise WireError(f"unknown frame kind 0x{kind:02x}")
     typ, since, fields = entry
     if version < since:
         raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
+    if version not in (since, max(since, 3)):
+        raise WireError(f"frame kind 0x{kind:02x} is never stamped version {version}")
     reader = _Reader(data[HEADER_BYTES:], group, commitments)
     message = _read_fields(reader, typ, fields)
     reader.expect_end()
     return message
 
 
-def commitment_mode(codec: Any, message: Any) -> str:
-    """Which commitment form ``message`` travels as under ``codec``.
+_DIGEST_KINDS = frozenset({"vss.echo", "vss.ready"})
+
+
+def commitment_mode(message: Any) -> str:
+    """Which commitment form ``message`` travels as between endpoints.
 
     The single source of truth shared by the simulator's pricing and
-    the real transport's encoder: under the hashed codec, ``echo``/
-    ``ready`` frames carry the 32-byte digest; everything else is
-    inline.  Session envelopes compress by what they *carry*.
+    the real transport's encoder, decided by the message kind alone:
+    ``echo``/``ready`` frames carry the 32-byte digest — the dealer's
+    ``send`` has the matrix — and everything else is inline.  Session
+    envelopes compress by what they *carry*.
     """
     if isinstance(message, SessionEnvelope):
         message = message.payload
-    hashed = getattr(codec, "name", None) == "hashed-matrix"
-    if hashed and getattr(message, "kind", "") in ("vss.echo", "vss.ready"):
-        return "digest"
-    return "inline"
+    return "digest" if getattr(message, "kind", "") in _DIGEST_KINDS else "inline"
 
 
-def encoded_size(message: Any, codec: Any = None, group=None) -> int:
-    """True serialized length of ``message`` under the run's codec.
-
-    With a :class:`~repro.crypto.hashing.HashedMatrixCodec`, ``echo``/
-    ``ready`` payloads are priced in their digest-compressed form — the
-    paper's O(kappa n^3) accounting; everything else (and the default
-    full-matrix codec) is priced as the self-contained inline frame.
-    """
-    mode = commitment_mode(codec, message)
-    return len(encode(message, group=group, commitments=mode))
+def encoded_size(message: Any, group=None) -> int:
+    """Length of the frame an endpoint sends for ``message``: echo/ready
+    in digest form — the paper's O(kappa n^3) accounting — and
+    everything else inline."""
+    return len(encode(message, group=group, commitments=commitment_mode(message)))
 
 
 def payload_length(frame: bytes) -> int:

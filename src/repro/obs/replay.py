@@ -20,8 +20,7 @@ What replay rebuilds (and how it knows):
   all;
 * the network — not at all: captured ``MessageReceived`` events stand
   in for it, and ``Send``/``Broadcast`` effects are dropped on the
-  replay transport, so the run's codec (also in the meta record)
-  frames and meters nothing here;
+  replay transport, so nothing is framed or metered here;
 * timers — captured ``TimerFired`` events are dispatched directly.
   Re-execution re-arms the same timers in the same order (machine and
   runtime timer-id counters are deterministic), so recorded ids route
@@ -142,21 +141,21 @@ def capture_meta(
     config: Any,
     seed: int,
     transport: str,
-    codec: Any = None,
     **extra: Any,
 ) -> dict[str, Any]:
     """The meta record a recorder writes so replay can rebuild the run.
 
     Shared by the CLI's ``--trace-out`` plumbing and the tests, so the
-    two never drift on what replay needs.  ``codec`` is the run's
-    (default: full matrix).
+    two never drift on what replay needs.  ``codec`` names the form
+    the capture's frames take: every commitment matrix inline, whatever
+    the live run put on the wire.
     """
     return {
         "cmd": cmd,
         "transport": transport,
         "seed": seed,
         "group": config.group.name,
-        "codec": codec.name if codec is not None else "full-matrix",
+        "codec": "full-matrix",
         "config": {
             "n": config.n,
             "t": config.t,

@@ -55,13 +55,11 @@ class ShareLifecycle:
     """What a long-lived deployment carries from phase to phase: its
     config, the live shares and the commitment they verify against.
     Shared by :class:`ProactiveSystem` and
-    :class:`~repro.groupmod.manager.GroupManager`.  ``codec`` is the
-    commitment codec of every run in the lifecycle."""
+    :class:`~repro.groupmod.manager.GroupManager`."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0, codec: Any = None):
+    def __init__(self, config: DkgConfig, seed: int = 0):
         self.config = config
         self.seed = seed
-        self.codec = codec
         self.phase = 0
         self.shares: dict[int, int] = {}
         self.commitment: FeldmanCommitment | FeldmanVector | None = None
@@ -69,7 +67,7 @@ class ShareLifecycle:
 
     def bootstrap(self, **kwargs: Any) -> DkgResult:
         """Run the initial DKG and adopt its shares as phase 0."""
-        result = run_dkg(self.config, seed=self.seed, codec=self.codec, **kwargs)
+        result = run_dkg(self.config, seed=self.seed, **kwargs)
         self.shares, self.commitment, _ = adopt(result.completions, "bootstrap DKG")
         self.public_key = result.public_key
         return result
@@ -111,7 +109,6 @@ class ShareLifecycle:
             adversary=adversary,
             seed=seed,
             group=config.group,
-            codec=self.codec,
         )
         renewed = {
             i: node.renewed for i, node in machines.items() if node.renewed is not None
@@ -129,8 +126,8 @@ class ShareLifecycle:
 class ProactiveSystem(ShareLifecycle):
     """A long-lived (n, t, f) threshold system with periodic renewal."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0, codec: Any = None):
-        super().__init__(config, seed, codec)
+    def __init__(self, config: DkgConfig, seed: int = 0):
+        super().__init__(config, seed)
         self.reports: list[PhaseReport] = []
         self.adversary_view: dict[int, dict[int, int]] = {}  # phase -> node -> share
 

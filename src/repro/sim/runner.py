@@ -47,8 +47,8 @@ from repro.sim.node import OutputRecord, ProtocolNode
 class Simulation:
     """A deterministic discrete-event run of a set of protocol nodes.
 
-    ``group`` and ``codec`` are the run's: every message is metered at
-    the length of the frame the real transport would send for it.
+    ``group`` is the run's: every message is metered at the length of
+    the frame the real transport would send for it.
     """
 
     def __init__(
@@ -58,12 +58,11 @@ class Simulation:
         seed: int = 0,
         observers: list | None = None,
         group: Any = None,
-        codec: Any = None,
     ):
         # Imported here: repro.net builds on this module.
         from repro.net.pricing import FramePricer
 
-        self.price = FramePricer(group, codec)
+        self.price = FramePricer(group)
         self.queue = EventQueue()
         self.metrics = Metrics()
         # Observers see every dispatched event: on_event(time, event).

@@ -4,9 +4,9 @@ A session is identified by ``(P_d, tau)`` — dealer index plus a counter
 (§3).  Messages carry values only.  What one costs on the wire — the
 paper's accounting, dominated by the commitment matrix ``C`` with
 O(n^2) entries — is the length of its frame in :mod:`repro.net.wire`,
-metered by the transport that sends it; the run's commitment codec
-(full matrix vs. Cachin-style hash compression) is a parameter of that
-transport, not of these types.
+metered by the transport that sends it.  How the matrix travels — inline
+in ``send``, as its digest in ``echo``/``ready`` (Cachin-style hash
+compression) — is the wire's business, not these types'.
 """
 
 from __future__ import annotations

@@ -131,7 +131,6 @@ def run_vss(
     node_factory: dict[int, Any] | None = None,
     until: float | None = None,
     observers: list[Any] | None = None,
-    codec: Any = None,
 ) -> VssRunResult:
     """Simulate one full HybridVSS sharing (and optionally Rec).
 
@@ -139,7 +138,6 @@ def run_vss(
     instances, which is how tests inject Byzantine dealers/participants.
     ``observers`` are forwarded to the simulation, whose run loop hands
     each one every event it dispatches (``on_event(time, event)``).
-    ``codec`` is the run's commitment codec (default: full matrix).
     """
     rng = random.Random(("run-vss", seed).__repr__())
     if secret is None:
@@ -160,7 +158,6 @@ def run_vss(
         seed=seed,
         observers=observers,
         group=config.group,
-        codec=codec,
     )
     nodes = {i: m for i, m in machines.items() if isinstance(m, VssNode)}
     if reconstruct:

@@ -19,6 +19,18 @@ if TEST_BACKEND not in ("modp", "secp256k1"):
     )
 
 
+def sent_frame(message: Any, group: Any = None) -> bytes:
+    """The frame an endpoint puts on the wire for ``message`` (or for
+    what a session envelope carries): ``echo``/``ready`` with the
+    commitment digest, everything else with its matrix inline."""
+    from repro.net import wire
+
+    inner = getattr(message, "payload", message)
+    votes = getattr(inner, "kind", "") in ("vss.echo", "vss.ready")
+    form = "digest" if votes else "inline"
+    return wire.encode(message, group=group, commitments=form)
+
+
 def default_test_group():
     """The group protocol tests run over, honouring the CI backend
     matrix: the 64-bit-q toy modp group by default, secp256k1 when

@@ -210,29 +210,36 @@ class TestClusterOrchestration:
         assert result.succeeded
 
     def test_hashed_codec_compresses_real_wire_traffic(self) -> None:
-        """With the Cachin hash-compressed codec, echo/ready frames on
-        the real wire carry digests; total bytes shrink and the run
-        still completes (receivers buffer votes until the matrix)."""
-        from repro.crypto.hashing import HashedMatrixCodec
+        """Echo/ready frames on the real wire carry the commitment's
+        digest (Cachin et al.), not the matrix, and the run completes."""
+        import random
 
-        full = run_local_cluster(_config(), seed=8, time_scale=SCALE)
-        hashed = run_local_cluster(
-            DkgConfig(n=4, t=1, group=G),
-            seed=8,
-            time_scale=SCALE,
-            codec=HashedMatrixCodec(),
-        )
-        assert full.succeeded and hashed.succeeded
-        assert hashed.metrics.bytes_total < full.metrics.bytes_total
-        assert hashed.public_key
+        from repro.crypto.bivariate import BivariatePolynomial
+        from repro.crypto.feldman import FeldmanCommitment
+        from repro.crypto.schnorr import Signature
+        from repro.net import wire
+        from repro.vss.messages import EchoMsg, ReadyMsg, SessionId
+
+        config = _config()
+        result = run_local_cluster(config, seed=8, time_scale=SCALE)
+        assert result.succeeded and result.public_key
+        poly = BivariatePolynomial.random_symmetric(config.t, G.q, random.Random(8))
+        c = FeldmanCommitment.commit(poly, G)
+        sid = SessionId(1, 0)
+        metrics = result.metrics
+        for vote in (EchoMsg(sid, c, 0), ReadyMsg(sid, c, 0, Signature(1, 1))):
+            digest = len(wire.encode(vote, group=G, commitments="digest"))
+            assert digest < len(wire.encode(vote, group=G))
+            count = metrics.messages_by_kind[vote.kind]
+            assert count and metrics.bytes_by_kind[vote.kind] == count * digest
 
     def test_hashed_codec_digest_frames_that_overtake_their_send(
         self, monkeypatch
     ) -> None:
         """Node 4 hears of dealer 1's sharing from everyone else first:
         the digest-form echoes and readies wait, and resolve through
-        node 4's commitment table once the slow ``send`` is decoded."""
-        from repro.crypto.hashing import HashedMatrixCodec
+        node 4's commitment table once the slow ``send`` is decoded —
+        before the wait is long enough to fetch the matrix."""
         from repro.net import wire
         from repro.sim.network import DelayModel
 
@@ -256,12 +263,12 @@ class TestClusterOrchestration:
             seed=8,
             delay_model=SlowLink(),
             time_scale=SCALE,
-            codec=HashedMatrixCodec(),
         )
         assert unresolved  # the out-of-order path was taken
         assert result.errors == [] and result.succeeded
         assert result.completed_nodes == [1, 2, 3, 4]
         assert result.metrics.deliveries_dropped == 0
+        assert "net.matrix_request" not in result.metrics.messages_by_kind
 
     def test_timeout_yields_failed_result(self) -> None:
         # An impossible deadline: the run returns (rather than hangs)

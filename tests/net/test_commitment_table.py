@@ -18,7 +18,7 @@ import pytest
 from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.groups import SchnorrGroup, group_by_name, toy_group
-from repro.crypto.hashing import HashedMatrixCodec, commitment_digest
+from repro.crypto.hashing import commitment_digest
 from repro.dkg import DkgConfig
 from repro.net import run_local_cluster
 from repro.net import transport as net_transport
@@ -208,8 +208,8 @@ def single_entry_frames(count: int):
         yield message, wire.encode(message, group=G)
 
 
-def endpoint(codec=None) -> tuple[AsyncioTransport, list]:
-    transport = AsyncioTransport(1, PeerRegistry(), [1, 2, 3, 4], group=G, codec=codec)
+def endpoint() -> tuple[AsyncioTransport, list]:
+    transport = AsyncioTransport(1, PeerRegistry(), [1, 2, 3, 4], group=G)
     delivered: list = []
     transport.on_message = lambda peer, message: delivered.append((peer, message))
     return transport, delivered
@@ -274,7 +274,7 @@ def test_tcp_dkg_makes_exactly_the_pinned_number_of_element_decodes(
     assert len(calls) == 4 * 4 * (1 + 1) ** 2
 
 
-# -- pending digest frames (hashed codec) --------------------------------------
+# -- pending digest frames -----------------------------------------------------
 
 
 def unknown_digest_frames(count: int):
@@ -288,7 +288,7 @@ def unknown_digest_frames(count: int):
 
 class TestPendingDigestFrames:
     def test_one_peer_cannot_starve_the_others(self) -> None:
-        transport, delivered = endpoint(HashedMatrixCodec())
+        transport, delivered = endpoint()
         for frame in unknown_digest_frames(2000):
             transport._dispatch_frame(2, frame)
         assert transport._pending_by_peer == {2: net_transport._PEER_QUOTA}
@@ -310,7 +310,7 @@ class TestPendingDigestFrames:
         assert transport._pending_by_peer == {2: net_transport._PEER_QUOTA}
 
     def test_crash_loses_what_was_waiting(self) -> None:
-        transport, delivered = endpoint(HashedMatrixCodec())
+        transport, delivered = endpoint()
         for frame in unknown_digest_frames(5):
             transport._dispatch_frame(2, frame)
         assert transport._pending_frames
@@ -318,8 +318,15 @@ class TestPendingDigestFrames:
         assert not transport._pending_frames and not transport._pending_by_peer
 
     def test_full_matrix_codec_buffers_nothing(self) -> None:
+        """A frame with its full matrix inline — a send, or an echo a
+        peer chose to send whole — is delivered at once; only digests
+        wait, and every one of them does."""
         transport, delivered = endpoint()
+        echo = EchoMsg(SID, commitment_over(G, seed=5), 7)
+        transport._dispatch_frame(2, wire.encode(echo, group=G))
+        assert delivered == [(2, echo)]
+        assert not transport._pending_frames
         for frame in unknown_digest_frames(3):
             transport._dispatch_frame(2, frame)
-        assert not transport._pending_frames
-        assert transport.metrics.deliveries_dropped == 3
+        assert transport._pending_by_peer == {2: 3}
+        assert transport.metrics.deliveries_dropped == 0

@@ -4,16 +4,18 @@
 encodes; the simulator prices through :func:`repro.net.wire.encoded_size`.
 Nothing in the protocol core states a size, so the two can only
 disagree if the simulator's memo does — and both are checked here
-against ``len(wire.encode(message))``, message by message, on the
-lifecycles with the rarest frames: node additions (subshares) and
+against the frame an endpoint sends (echo and ready with the
+commitment digest, everything else inline), message by message, on
+the lifecycles with the rarest frames: node additions (subshares) and
 renewal recovery (an erased dealer ``send`` carries no polynomial).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec
 from repro.dkg import DkgConfig, run_dkg
 from repro.groupmod import run_node_additions
 from repro.net import wire
@@ -25,7 +27,7 @@ from repro.runtime.envelope import SessionEnvelope
 from repro.sim.clock import TimeoutPolicy
 from repro.sim.runner import Simulation
 
-from tests.helpers import default_test_group
+from tests.helpers import default_test_group, sent_frame
 
 G = default_test_group()
 SEED = 3
@@ -56,7 +58,7 @@ def _mispriced(metered) -> list[tuple[str, int, int]]:
     wrong = []
     for payload, size in metered:
         inner = payload.payload if isinstance(payload, SessionEnvelope) else payload
-        frame = len(wire.encode(inner, group=G))
+        frame = len(sent_frame(inner, G))
         if size != frame:
             wrong.append((inner.kind, size, frame))
     return wrong
@@ -94,20 +96,49 @@ class TestEveryMessageMeteredAtItsFrame:
         assert _mispriced(metered) == []
 
 
-class TestSimAndTcpMeterAlike:
-    @pytest.mark.parametrize(
-        "codec", [FullMatrixCodec(), HashedMatrixCodec()], ids=["full", "hashed"]
+@pytest.fixture(scope="module")
+def sim_and_tcp():
+    # Q is every dealer and no view changes, so the message pattern
+    # does not depend on arrival order.
+    config = DkgConfig(
+        n=4, t=1, group=G, q_size=4, timeout=TimeoutPolicy(initial=1_000_000.0)
     )
-    def test_fault_free_dkg(self, codec) -> None:
-        # Q is every dealer and no view changes, so the message pattern
-        # does not depend on arrival order.
-        config = DkgConfig(
-            n=4, t=1, group=G, q_size=4, timeout=TimeoutPolicy(initial=1_000_000.0)
-        )
-        sim = run_dkg(config, seed=SEED, codec=codec)
-        tcp = run_local_cluster(
-            config, seed=SEED, time_scale=0.005, timeout=120.0, codec=codec
-        )
-        assert sim.succeeded and tcp.succeeded, tcp.errors
-        assert sim.metrics.messages_by_kind == tcp.metrics.messages_by_kind
-        assert sim.metrics.bytes_by_kind == tcp.metrics.bytes_by_kind
+    sim = run_dkg(config, seed=SEED)
+    tcp = run_local_cluster(config, seed=SEED, time_scale=0.005, timeout=120.0)
+    assert sim.succeeded and tcp.succeeded, tcp.errors
+    return sim.metrics, tcp.metrics
+
+
+_PROTOCOL_KINDS = (
+    "vss.send",
+    "vss.echo",
+    "vss.ready",
+    "dkg.send",
+    "dkg.echo",
+    "dkg.ready",
+)
+
+
+class TestSimAndTcpMeterAlike:
+    @pytest.mark.parametrize("form", ["inline", "digest"], ids=["full", "hashed"])
+    def test_fault_free_dkg(self, sim_and_tcp, form) -> None:
+        # One wire form, two commitment shapes inside it: echo and ready
+        # cross the sockets with the digest, everything else with its
+        # matrix inline.  Each case checks the kinds of one shape, priced
+        # alike by the simulator and the sockets, and no endpoint
+        # fetches a matrix: the kinds are the protocol's own.
+        sim, tcp = sim_and_tcp
+        assert set(sim.messages_by_kind) == set(_PROTOCOL_KINDS)
+        assert set(tcp.messages_by_kind) == set(_PROTOCOL_KINDS)
+        kinds = [
+            kind
+            for kind in _PROTOCOL_KINDS
+            if wire.commitment_mode(SimpleNamespace(kind=kind)) == form
+        ]
+        assert kinds
+
+        def of_form(by_kind: dict) -> dict:
+            return {kind: by_kind[kind] for kind in kinds}
+
+        assert of_form(sim.messages_by_kind) == of_form(tcp.messages_by_kind)
+        assert of_form(sim.bytes_by_kind) == of_form(tcp.bytes_by_kind)

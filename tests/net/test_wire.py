@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.groups import SchnorrGroup, small_group, toy_group
-from repro.crypto.hashing import FullMatrixCodec, HashedMatrixCodec, commitment_digest
+from repro.crypto.hashing import commitment_digest
 from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import SigningKey
 from repro.groupmod.messages import (
@@ -97,6 +97,8 @@ from repro.dkg.messages import (
 )
 
 from repro.crypto.pedersen import PedersenCommitment  # noqa: E402
+
+from tests.helpers import sent_frame  # noqa: E402
 
 SID = SessionId(3, 7)
 
@@ -194,6 +196,9 @@ def build_messages(group) -> list:
         ShardCtlRequest(18, "drain", "shard-1"),
         ShardCtlRequest(19, "add", ""),
         ShardCtlResponse(18, b'{"api_version":1,"state":"retired"}'),
+        # the matrix fetch between endpoints (codec v7)
+        wire.MatrixRequest(commitment_digest(c)),
+        wire.MatrixReply(c),
     ]
 
 
@@ -221,10 +226,13 @@ class TestRoundTrip:
 
     def test_decode_stamps_true_size(self) -> None:
         # Decoding stamps nothing on the message: it carries values
-        # only, and prices again at the length of the frame it came in.
+        # only, and prices again at the length of the frame it came in
+        # — an echo's, with the digest in place of the matrix.
         msg = EchoMsg(SID, C, 5)
-        data = wire.encode(msg, group=G)
-        decoded = wire.decode(data)
+        data = wire.encode(msg, group=G, commitments="digest")
+        table = wire.CommitmentTable(8, 8)
+        table.insert(commitment_digest(C), C)
+        decoded = wire.decode(data, commitments=table)
         assert not hasattr(decoded, "size")
         assert wire.encoded_size(decoded, group=G) == len(data)
 
@@ -295,12 +303,21 @@ class TestDigestCompression:
         )
 
     def test_encoded_size_tracks_codec(self) -> None:
-        msg = EchoMsg(SID, C, 7)
-        full = wire.encoded_size(msg, FullMatrixCodec(), G)
-        hashed = wire.encoded_size(msg, HashedMatrixCodec(), G)
-        assert full == len(wire.encode(msg, group=G))
-        assert hashed == len(wire.encode(msg, group=G, commitments="digest"))
-        assert hashed < full
+        # Echo and ready are priced in digest form, sends inline, and an
+        # envelope by what it carries.
+        echo = EchoMsg(SID, C, 7)
+        send = SendMsg(SID, C, None)
+        digest = len(wire.encode(echo, group=G, commitments="digest"))
+        assert wire.encoded_size(echo, G) == digest
+        assert wire.encoded_size(send, G) == len(wire.encode(send, group=G))
+        assert digest < len(wire.encode(echo, group=G))
+        for payload in (echo, send, HelpMsg(SID)):
+            enveloped = SessionEnvelope("vss", payload)
+            mode = wire.commitment_mode(payload)
+            assert wire.commitment_mode(enveloped) == mode
+            assert wire.encoded_size(enveloped, G) == len(
+                wire.encode(enveloped, group=G, commitments=mode)
+            )
 
     def test_unknown_commitment_mode_rejected(self) -> None:
         with pytest.raises(wire.WireError):
@@ -418,8 +435,12 @@ class TestSessionSizesAreWireTrue:
         config = VssConfig(n=4, t=1, group=G)
         result = run_vss(config, secret=9, seed=0, observers=[tap])
         assert tap.payloads
-        # Crash-free and run to quiescence: every metered send arrived.
+        # Crash-free and run to quiescence: every metered send arrived,
+        # echo and ready as the digest frames endpoints send.
         expected: Counter = Counter()
         for payload in tap.payloads:
-            expected[payload.kind] += len(wire.encode(payload, group=G))
+            expected[payload.kind] += len(sent_frame(payload, G))
+        assert result.metrics.bytes_by_kind["vss.echo"] < sum(
+            len(wire.encode(p, group=G)) for p in tap.payloads if p.kind == "vss.echo"
+        )
         assert result.metrics.bytes_by_kind == expected

@@ -3,7 +3,7 @@
 ``golden_frames.json`` holds ``wire.encode`` of every entry of
 ``tests.net.test_wire.build_messages`` on the toy modp group (with and
 without a ``group=`` width context) and on secp256k1, inline and — for
-the frames the hashed codec compresses — in digest mode.  It was
+the frames endpoints send compressed — in digest mode.  It was
 written by the hand-written codec this table-driven one replaced, so a
 frame that differs here is a wire-format change: recorded captures,
 fuzz-corpus digests and transcript hashes would stop matching.
@@ -22,7 +22,7 @@ import pathlib
 import pytest
 
 from repro.crypto.groups import group_by_name, toy_group
-from repro.crypto.hashing import HashedMatrixCodec, commitment_digest
+from repro.crypto.hashing import commitment_digest
 from repro.net import wire
 
 from tests.net.test_wire import build_messages
@@ -43,7 +43,7 @@ def golden_cases() -> dict[str, tuple]:
             name = f"{index:02d}-{type(message).__name__}"
             kwargs = {"group": group} if ctx else {}
             cases[f"{lane}/inline/{name}"] = (message, group, kwargs)
-            if wire.commitment_mode(HashedMatrixCodec(), message) == "digest":
+            if wire.commitment_mode(message) == "digest":
                 cases[f"{lane}/digest/{name}"] = (
                     message,
                     group,

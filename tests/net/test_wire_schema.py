@@ -75,6 +75,21 @@ class TestTable:
             with pytest.raises(wire.WireError, match="version"):
                 wire.decode(predated, group=group)
 
+    @pytest.mark.parametrize("kind", wire.SCHEMA, ids=KIND_IDS)
+    def test_decode_accepts_only_a_version_encode_stamps(self, kind: int) -> None:
+        # since, or 3 for a frame a non-modp group shaped: no other byte.
+        typ, since, _ = wire.SCHEMA[kind]
+        group = GROUPS["modp"]
+        message = next(m for m in SAMPLES["modp"] if type(m) is typ)
+        frame = wire.encode(message, group=group)
+        for version in range(256):
+            claimed = frame[:6] + bytes([version]) + frame[7:]
+            if version in (since, max(since, 3)):
+                assert wire.decode(claimed, group=group) == message
+            else:
+                with pytest.raises(wire.WireError, match="version"):
+                    wire.decode(claimed, group=group)
+
 
 # -- hostile decode ------------------------------------------------------------
 
@@ -250,7 +265,7 @@ class TestEnvelopesDoNotNest:
         nested = SessionEnvelope("a", SessionEnvelope("b", HelpMsg(SessionId(1, 2))))
         with pytest.raises(wire.WireError, match="do not nest"):
             wire.encode(nested)
-        assert wire.commitment_mode(None, nested) == "inline"
+        assert wire.commitment_mode(nested) == "inline"
 
 
 def renamed(frame: bytes, old: bytes, new: bytes) -> bytes:

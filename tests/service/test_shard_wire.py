@@ -31,8 +31,8 @@ def test_stamped_version_6(message):
 
 
 def test_version_constants():
-    assert wire.VERSION == 6
-    assert 6 in wire.SUPPORTED_VERSIONS
+    # v7 added only the endpoints' matrix fetch kinds.
+    assert wire.VERSION == 7
     # The v6 kinds are one contiguous range, colliding with no earlier
     # kind assignment.
     v6_kinds = {kind for kind, (_, since, _) in wire.SCHEMA.items() if since == 6}

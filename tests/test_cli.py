@@ -41,11 +41,30 @@ class TestCli:
         assert set(payload["reconstructions"].values()) == {42}
 
     def test_vss_hashed_codec_smaller(self, capsys) -> None:
+        # Echo and ready always travel as digests: the bytes reported
+        # are those frames', below every message carrying the matrix.
+        from repro.crypto.groups import group_by_name
+        from repro.net import wire
+        from repro.sim.events import MessageDelivery
+        from repro.vss import VssConfig, run_vss
+
+        from tests.helpers import sent_frame
+
         main(["vss", "--n", "7", "--t", "2", "--json"])
-        full = json.loads(capsys.readouterr().out)
-        main(["vss", "--n", "7", "--t", "2", "--hashed-codec", "--json"])
-        hashed = json.loads(capsys.readouterr().out)
-        assert hashed["bytes"] < full["bytes"]
+        reported = json.loads(capsys.readouterr().out)["bytes"]
+        group = group_by_name("toy")
+        payloads: list = []
+
+        class Tap:
+            def on_event(self, time, event) -> None:
+                if isinstance(event, MessageDelivery):
+                    payloads.append(event.payload)
+
+        run_vss(VssConfig(n=7, t=2, group=group), seed=0, observers=[Tap()])
+        assert reported == sum(len(sent_frame(p, group)) for p in payloads)
+        assert reported < sum(len(wire.encode(p, group=group)) for p in payloads)
+        with pytest.raises(SystemExit):
+            main(["vss", "--n", "7", "--t", "2", "--hashed-codec"])
 
     def test_renew_command(self, capsys) -> None:
         code = main(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.crypto import Share, reconstruct_secret
 from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment
-from repro.crypto.hashing import HashedMatrixCodec
+from repro.net import wire
 from repro.sim.adversary import Adversary
 from repro.sim.network import ConstantDelay, ExponentialDelay, UniformDelay
 from repro.sim.node import Context, ProtocolNode
@@ -23,7 +23,7 @@ from repro.vss.config import VssConfig
 from repro.vss.messages import SendMsg, SessionId
 from repro.vss.node import VssNode, run_vss
 
-from tests.helpers import default_test_group
+from tests.helpers import default_test_group, sent_frame
 
 G = default_test_group()
 
@@ -113,13 +113,22 @@ class TestEfficiency:
         assert m.messages_total == 7 + 2 * 49
 
     def test_hashed_codec_reduces_bytes(self) -> None:
-        full = run_vss(_config(n=7, t=2), secret=1, seed=10)
-        hashed = run_vss(
-            _config(n=7, t=2), secret=1, seed=10, codec=HashedMatrixCodec()
-        )
-        assert hashed.metrics.bytes_total < full.metrics.bytes_total
-        # message counts are identical; only sizes change
-        assert hashed.metrics.messages_total == full.metrics.messages_total
+        # Echo and ready carry the matrix's digest (Cachin et al.), so
+        # only the n sends pay for the matrix.
+        from repro.sim.events import MessageDelivery
+
+        payloads: list = []
+
+        class Tap:
+            def on_event(self, time, event) -> None:
+                if isinstance(event, MessageDelivery):
+                    payloads.append(event.payload)
+
+        res = run_vss(_config(n=7, t=2), secret=1, seed=10, observers=[Tap()])
+        sent = sum(len(sent_frame(p, G)) for p in payloads)
+        inline = sum(len(wire.encode(p, group=G)) for p in payloads)
+        assert res.metrics.messages_total == len(payloads) == 7 + 2 * 49
+        assert res.metrics.bytes_total == sent < inline
 
     def test_recovery_cost_bounded(self) -> None:
         # A single crash/recovery adds O(n) help messages and O(n^2)

@@ -59,15 +59,17 @@ class TestMessageSizes:
         c = _commitment()
         sid = SessionId(1, 0)
         poly = BivariatePolynomial.random_symmetric(2, G.q, random.Random(1))
+        # Sends carry the matrix; echo and ready carry its digest.
         price = Simulation(group=G).price
-        for msg in (
-            SendMsg(sid, c, poly.row_polynomial(2)),
-            SendMsg(sid, c, None),
-            EchoMsg(sid, c, 5),
-            ReadyMsg(sid, c, 5, None),
-            SharePointMsg(sid, 5),
+        for msg, form in (
+            (SendMsg(sid, c, poly.row_polynomial(2)), "inline"),
+            (SendMsg(sid, c, None), "inline"),
+            (EchoMsg(sid, c, 5), "digest"),
+            (ReadyMsg(sid, c, 5, None), "digest"),
+            (SharePointMsg(sid, 5), "inline"),
         ):
-            assert price(msg) == len(wire.encode(msg, group=G)), msg.kind
+            frame = wire.encode(msg, group=G, commitments=form)
+            assert price(msg) == len(frame), msg.kind
 
     def test_size_not_part_of_equality(self) -> None:
         # No message type has a size to disagree on: a retransmission
