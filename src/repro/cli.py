@@ -12,12 +12,7 @@ Examples::
     python -m repro cluster --n 7 --t 2 --f 1 --crash 7@2
     python -m repro serve --n 7 --t 2 --port 7710       # threshold service
     python -m repro serve --n 7 --t 2 --port 7710 --metrics-port 9100
-    python -m repro serve --n 4 --t 1 --shards 4        # sharded fleet
-    python -m repro shardctl status --port 7710         # shard map
-    python -m repro shardctl add --port 7710            # grow the fleet
-    python -m repro shardctl drain --shard shard-1 --port 7710
     python -m repro ops --port 7710                     # live metrics snapshot
-    python -m repro ops --port 7710 --fleet             # aggregated fleet view
     python -m repro loadgen --port 7710 --clients 32 --requests 4
     python -m repro dkg --n 7 --t 2 --trace-out run.jsonl   # flight recorder
     python -m repro replay run.jsonl                    # bit-identical re-run
@@ -435,8 +430,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pool_target=args.pool,
         pool_low_watermark=args.low_watermark,
     )
-    if args.shards is not None:
-        return _serve_shards(args, config)
 
     async def _main() -> dict:
         service = ThresholdService(config)
@@ -508,97 +501,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         return 0
     _emit(args, summary)
-    return 0
-
-
-def _serve_shards(args: argparse.Namespace, template) -> int:
-    """Run the multi-committee shard router on a TCP port."""
-    import asyncio
-
-    from repro.service import ShardFrontend, ShardRouter
-
-    if args.crash:
-        print(
-            "serve --shards does not take --crash (crash individual "
-            "shard processes instead)",
-            file=sys.stderr,
-        )
-        return 2
-
-    async def _main() -> dict:
-        router = ShardRouter(template)
-        await router.start(shards=args.shards)
-        frontend = ShardFrontend(
-            router, host=args.host, port=args.port, max_queue=args.max_queue
-        )
-        await frontend.start()
-        metrics_server = None
-        if args.metrics_port is not None:
-            from repro.obs.http import MetricsHttpServer
-
-            metrics_server = MetricsHttpServer(
-                host=args.host, port=args.metrics_port
-            )
-            await metrics_server.start()
-            print(
-                f"metrics on http://{metrics_server.host}:"
-                f"{metrics_server.port}/metrics",
-                flush=True,
-            )
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        print(
-            f"serving shards={args.shards} n={args.n} t={args.t} "
-            f"pool={args.pool} on {frontend.host}:{frontend.port}",
-            flush=True,
-        )
-        try:
-            if args.duration > 0:
-                await asyncio.sleep(args.duration)
-            else:
-                await asyncio.Event().wait()
-        finally:
-            if metrics_server is not None:
-                await metrics_server.stop()
-            await frontend.stop()
-            await router.stop()
-        return {
-            "address": f"{frontend.host}:{frontend.port}",
-            "uptime_seconds": round(loop.time() - started, 2),
-            "shard_map": router.describe(),
-            "busy_rejections": frontend.rejected_busy,
-            "connections": frontend.connections_total,
-        }
-
-    try:
-        summary = asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
-        return 0
-    _emit(args, summary)
-    return 0
-
-
-def cmd_shardctl(args: argparse.Namespace) -> int:
-    """Administer a running shard router: add / drain / status."""
-    import asyncio
-
-    from repro.service.loadgen import ServiceClient
-
-    async def _run() -> dict:
-        client = await ServiceClient.connect(
-            args.host, args.port, attempts=args.attempts
-        )
-        try:
-            return await client.shardctl(args.op, args.shard or "")
-        finally:
-            await client.close()
-
-    try:
-        document = asyncio.run(_run())
-    except (ConnectionError, RuntimeError, OSError) as exc:
-        print(f"shardctl {args.op} failed: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(document, indent=2, default=str))
     return 0
 
 
@@ -753,8 +655,6 @@ def cmd_ops(args: argparse.Namespace) -> int:
             args.host, args.port, attempts=args.attempts
         )
         try:
-            if args.fleet:
-                return await client.fleet_ops()
             return await client.ops()
         finally:
             await client.close()
@@ -780,7 +680,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         op=args.op,
         payload_bytes=args.payload_bytes,
         expect_backend=args.backend,
-        keys=args.keys,
     )
     _emit(args, report.as_dict())
     if report.invalid_signatures:
@@ -909,12 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded request queue size (backpressure beyond it)",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=None, metavar="M",
-        help="serve M independent committees behind a consistent-hash "
-             "shard router instead of one service (codec v6 shard "
-             "frames; administer with `repro shardctl`)",
-    )
-    p_serve.add_argument(
         "--metrics-port", type=int, default=None,
         help="also serve the live metrics registry over HTTP on this "
              "port (0 = ephemeral; /metrics, /metrics.json, /healthz)",
@@ -1019,33 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--attempts", type=int, default=4,
         help="connection attempts before giving up",
     )
-    p_ops.add_argument(
-        "--fleet", action="store_true",
-        help="against a shard router: the aggregated fleet snapshot "
-             "(per-shard pool depth, refill lag, per-kind latency, "
-             "fleet totals) instead of one service's OPS document",
-    )
     p_ops.set_defaults(func=cmd_ops)
-
-    p_shardctl = sub.add_parser(
-        "shardctl",
-        help="administer a running shard router: add a committee, "
-             "drain one out of rotation, or dump the shard map",
-    )
-    p_shardctl.add_argument(
-        "op", choices=("add", "drain", "status"), help="admin verb"
-    )
-    p_shardctl.add_argument(
-        "--shard", default="",
-        help="target shard id (required for drain; optional name for add)",
-    )
-    p_shardctl.add_argument("--host", default="127.0.0.1")
-    p_shardctl.add_argument("--port", type=int, default=7710)
-    p_shardctl.add_argument(
-        "--attempts", type=int, default=4,
-        help="connection attempts before giving up",
-    )
-    p_shardctl.set_defaults(func=cmd_shardctl)
 
     p_loadgen = sub.add_parser(
         "loadgen", help="generate client load against a running service"
@@ -1060,13 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_loadgen.add_argument(
         "--op", default="sign",
-        choices=("sign", "beacon", "dprf", "status", "mix", "shard"),
-        help="operation mix to issue (`shard` drives keyed signs "
-             "against a shard router)",
-    )
-    p_loadgen.add_argument(
-        "--keys", type=int, default=16,
-        help="[shard] distinct key ids to spread requests over",
+        choices=("sign", "beacon", "dprf", "status", "mix"),
+        help="operation mix to issue",
     )
     p_loadgen.add_argument("--payload-bytes", type=int, default=16)
     p_loadgen.add_argument(

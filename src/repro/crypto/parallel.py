@@ -115,8 +115,8 @@ def _ready() -> None:
 
 
 # Chunks submitted and not yet collected, per kind, summed over every
-# map_jobs call in flight in this process: each shard of a ShardRouter
-# owns its own executor, and their refills fan out concurrently.
+# map_jobs call in flight in this process: each ThresholdService owns
+# its own executor, and their refills may fan out concurrently.
 _inflight_lock = threading.Lock()
 _inflight: dict[str, int] = {}
 

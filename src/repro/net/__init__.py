@@ -9,8 +9,8 @@ discrete-event simulator:
 * :mod:`repro.net.peers` — addressing: node index -> (host, port);
 * :mod:`repro.net.transport` — the :class:`Transport` protocol the
   :class:`~repro.runtime.driver.MachineDriver` interprets effects
-  against, with :class:`SimTransport` (discrete-event) and
-  :class:`AsyncioTransport` (real TCP) backends;
+  against, met by the discrete-event simulator and by
+  :class:`AsyncioTransport` (real TCP);
 * :mod:`repro.net.host` — :class:`NodeHost`, one runtime endpoint
   (any number of protocol sessions) on a transport;
 * :mod:`repro.net.cluster` — :class:`SessionCluster`, n asyncio
@@ -32,7 +32,7 @@ from repro.net.groupmod import GroupModClusterResult, run_groupmod_cluster
 from repro.net.host import NodeHost
 from repro.net.peers import PeerAddress, PeerRegistry
 from repro.net.proactive import RenewalClusterResult, run_renewal_cluster
-from repro.net.transport import AsyncioTransport, DropRetryLink, SimTransport, Transport
+from repro.net.transport import AsyncioTransport, DropRetryLink, Transport
 from repro.net.wire import WireError, decode, encode, encoded_size
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "PeerRegistry",
     "RenewalClusterResult",
     "SessionCluster",
-    "SimTransport",
     "Transport",
     "WireError",
     "decode",

@@ -54,13 +54,6 @@ class GroupModClusterResult:
     metrics: Metrics
     wall_seconds: float
     errors: list[Exception] = field(default_factory=list)
-    # The committee's key material: the system commitment plus every
-    # member's share (the joiner included when it joined).  With these a
-    # successful result duck-types a DKG outcome, so a committee grown
-    # over real TCP can be commissioned directly as a ThresholdService
-    # (the shard router's ``commission="tcp"`` add path).
-    commitment: Any = None
-    shares: dict[int, int] = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:
@@ -184,10 +177,6 @@ def run_groupmod_cluster(
                 metrics=cluster.metrics,
                 wall_seconds=loop.time() - t_start,
                 errors=cluster.collect_errors(),
-                commitment=commitment,
-                shares=dict(shares)
-                if joined_share is None
-                else {**shares, joiner: joined_share},
             )
         finally:
             await cluster.stop()

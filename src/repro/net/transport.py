@@ -4,10 +4,8 @@ A :class:`~repro.runtime.driver.MachineDriver` interprets a node's
 effects through the narrow :class:`Transport` protocol.  Two backends
 implement it:
 
-* :class:`SimTransport` — a thin adapter over the discrete-event
-  :class:`~repro.sim.runner.Simulation` (which already satisfies the
-  protocol structurally; the adapter exists to make the contract
-  explicit and to host transport-level knobs);
+* the discrete-event :class:`~repro.sim.runner.Simulation`, which
+  satisfies the protocol structurally;
 * :class:`AsyncioTransport` — a real TCP endpoint: frames from
   :mod:`repro.net.wire` over asyncio streams, timers on the event
   loop, lazy outbound connections with reconnect, and the same
@@ -47,7 +45,6 @@ from repro.runtime.envelope import SessionEnvelope
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 from repro.sim.node import OutputRecord
-from repro.sim.runner import Simulation
 
 DEFAULT_TIME_SCALE = 0.02  # seconds of wall clock per simulation time unit
 _CONNECT_ATTEMPTS = 20
@@ -93,42 +90,6 @@ class Transport(Protocol):
         ...
 
     def record_leader_change(self) -> None: ...
-
-
-class SimTransport:
-    """Discrete-event backend: delegates to a :class:`Simulation`.
-
-    ``Simulation`` itself satisfies :class:`Transport`; this adapter is
-    the explicit seam where code written against the transport
-    abstraction plugs into the simulator.
-    """
-
-    def __init__(self, simulation: Simulation):
-        self.simulation = simulation
-
-    def current_time(self) -> float:
-        return self.simulation.current_time()
-
-    def member_ids(self) -> list[int]:
-        return self.simulation.member_ids()
-
-    def node_rng(self, node_id: int) -> random.Random:
-        return self.simulation.node_rng(node_id)
-
-    def enqueue_message(self, sender: int, recipient: int, payload: Any) -> None:
-        self.simulation.enqueue_message(sender, recipient, payload)
-
-    def set_timer(self, node: int, delay: float, tag: Any) -> int:
-        return self.simulation.set_timer(node, delay, tag)
-
-    def cancel_timer(self, node: int, timer_id: int) -> None:
-        self.simulation.cancel_timer(node, timer_id)
-
-    def record_output(self, node: int, payload: Any) -> None:
-        self.simulation.record_output(node, payload)
-
-    def record_leader_change(self) -> None:
-        self.simulation.record_leader_change()
 
 
 @dataclass

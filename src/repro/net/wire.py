@@ -65,7 +65,6 @@ from repro.groupmod import messages as gm
 from repro.proactive import messages as proactive
 from repro.runtime.envelope import SessionEnvelope
 from repro.service import protocol as svc
-from repro.service.shard import api as shard
 from repro.vss import messages as vss
 
 MAGIC = b"KG"
@@ -973,21 +972,8 @@ SCHEMA: dict[int, tuple[type, int, tuple[tuple[str, _Field], ...]]] = {
     # observability: the metrics registry as one JSON document
     0x3C: _row(svc.OpsRequest, 5, request_id=REQUEST_ID),
     0x3D: _row(svc.OpsResponse, 5, **_JSON_SNAPSHOT),
-    # shard router: keyed data path, fleet observability, admin
-    0x3E: _row(
-        shard.ShardSignRequest, 6, request_id=REQUEST_ID, key_id=BYTES, message=BYTES
-    ),
-    0x3F: _row(shard.ShardStatusRequest, 6, request_id=REQUEST_ID, key_id=BYTES),
-    0x40: _row(shard.FleetOpsRequest, 6, request_id=REQUEST_ID),
-    0x41: _row(shard.FleetOpsResponse, 6, **_JSON_SNAPSHOT),
-    0x42: _row(
-        shard.ShardCtlRequest,
-        6,
-        request_id=REQUEST_ID,
-        op=_enum("shardctl op", shard.SHARDCTL_OPS),
-        shard_id=_bytes("shard id", text=True),
-    ),
-    0x43: _row(shard.ShardCtlResponse, 6, request_id=REQUEST_ID, document=BYTES),
+    # 0x3E-0x43 are retired (a multi-committee router's frames, codec
+    # version 6): decode rejects them, and they must never be reused.
 }
 
 _KIND_BY_TYPE: dict[type, int] = {typ: kind for kind, (typ, _, _) in SCHEMA.items()}

@@ -15,8 +15,6 @@
 * :mod:`repro.obs.analysis` — offline capture analytics: phase
   latencies, flow matrices, critical paths, step-duration percentiles
   (``repro trace``);
-* :mod:`repro.obs.fleet` — aggregation of per-shard OPS snapshots into
-  one fleet view (``repro ops --fleet``, the shard router's surface);
 * :mod:`repro.obs.http` — a dependency-free HTTP endpoint serving the
   text and JSON expositions (``repro serve --metrics-port``);
 * :mod:`repro.obs.logging` — named structured loggers carrying
@@ -51,9 +49,6 @@ from repro.obs.trace import (
 )
 
 _LAZY = {
-    "FLEET_SCHEMA": "repro.obs.fleet",
-    "merge_fleet": "repro.obs.fleet",
-    "shard_digest": "repro.obs.fleet",
     "Capture": "repro.obs.replay",
     "ReplayError": "repro.obs.replay",
     "ReplayResult": "repro.obs.replay",

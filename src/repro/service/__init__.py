@@ -25,11 +25,7 @@ actually send requests to:
   per-client backpressure, a bounded request queue and request
   batching;
 * :mod:`repro.service.loadgen` — a concurrent client load generator
-  with latency percentiles (``repro loadgen``);
-* :mod:`repro.service.shard` — the multi-committee layer: a
-  consistent-hash router over M independent committees with live
-  add/drain (§6.2 over real sockets) and fleet ops aggregation
-  (``repro serve --shards``, ``repro shardctl``, codec version 6).
+  with latency percentiles (``repro loadgen``).
 
 Exports are lazy (PEP 562) so :mod:`repro.net.wire` can register the
 protocol frame codecs without importing the server machinery.
@@ -42,7 +38,6 @@ _EXPORTS = {
     "ERR_BUSY": "protocol",
     "ERR_FAILED": "protocol",
     "ERR_UNAVAILABLE": "protocol",
-    "HashRing": "shard.ring",
     "LoadGenerator": "loadgen",
     "LoadReport": "loadgen",
     "PresigPool": "presig",
@@ -51,9 +46,6 @@ _EXPORTS = {
     "ServiceConfig": "workers",
     "ServiceFrontend": "frontend",
     "ServiceUnavailable": "workers",
-    "ShardFrontend": "shard.frontend",
-    "ShardHandle": "shard.router",
-    "ShardRouter": "shard.router",
     "SignerWorker": "workers",
     "ThresholdService": "workers",
     "WorkerCrashed": "workers",

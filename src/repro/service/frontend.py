@@ -66,10 +66,6 @@ class _ClientConn:
 class ServiceFrontend:
     """Accepts client connections and drives the threshold service."""
 
-    # The frame types this frontend admits; subclasses serving a
-    # different dispatch surface (the shard router) override this.
-    request_types: tuple[type, ...] = protocol.REQUEST_TYPES
-
     def __init__(
         self,
         service: ThresholdService,
@@ -156,7 +152,7 @@ class ServiceFrontend:
                     )
                 except wire.WireError:
                     break
-                if not isinstance(request, self.request_types):
+                if not isinstance(request, protocol.REQUEST_TYPES):
                     await client.send(
                         protocol.ErrorResponse(
                             getattr(request, "request_id", 0),

@@ -27,14 +27,13 @@ from repro.crypto import schnorr
 from repro.crypto.groups import group_by_name
 from repro.net import wire
 from repro.service import protocol
-from repro.service.shard import api as shard_api
 
 _CONNECT_ATTEMPTS = 40
 _CONNECT_BACKOFF_S = 0.25
 _BUSY_RETRIES = 50
 _BUSY_BACKOFF_S = 0.05
 
-OPS = ("sign", "beacon", "dprf", "decrypt", "status", "mix", "shard")
+OPS = ("sign", "beacon", "dprf", "decrypt", "status", "mix")
 
 
 class ServiceClient:
@@ -152,41 +151,6 @@ class ServiceClient:
             raise RuntimeError(f"ops failed: {response}")
         return json.loads(response.snapshot.decode())
 
-    # -- shard-router conveniences (codec v6) ----------------------------------
-
-    async def shard_sign(self, key_id: bytes, message: bytes) -> object:
-        return await self.request(
-            lambda rid: shard_api.ShardSignRequest(rid, key_id, message)
-        )
-
-    async def shard_status(self, key_id: bytes) -> protocol.StatusResponse:
-        response = await self.request(
-            lambda rid: shard_api.ShardStatusRequest(rid, key_id)
-        )
-        if not isinstance(response, protocol.StatusResponse):
-            raise RuntimeError(f"shard status failed: {response}")
-        return response
-
-    async def fleet_ops(self) -> dict:
-        """The router's aggregated fleet snapshot (see repro.obs.fleet)."""
-        response = await self.request(shard_api.FleetOpsRequest)
-        if not isinstance(response, shard_api.FleetOpsResponse):
-            raise RuntimeError(f"fleet ops failed: {response}")
-        return json.loads(response.snapshot.decode())
-
-    async def shardctl(self, op: str, shard_id: str = "") -> dict:
-        """Administer the shard set; returns the outcome document."""
-        response = await self.request(
-            lambda rid: shard_api.ShardCtlRequest(rid, op, shard_id)
-        )
-        if isinstance(response, protocol.ErrorResponse):
-            raise RuntimeError(
-                f"shardctl {op} failed: {response.detail}"
-            )
-        if not isinstance(response, shard_api.ShardCtlResponse):
-            raise RuntimeError(f"shardctl {op} failed: {response}")
-        return json.loads(response.document.decode())
-
 
 @dataclass
 class LoadReport:
@@ -254,12 +218,9 @@ class LoadGenerator:
         op: str = "sign",
         payload_bytes: int = 16,
         expect_backend: str | None = None,
-        keys: int = 16,
     ):
         if op not in OPS:
             raise ValueError(f"unknown op {op!r} (choose from {OPS})")
-        if keys < 1:
-            raise ValueError("keys must be >= 1")
         self.host = host
         self.port = port
         self.clients = clients
@@ -267,28 +228,15 @@ class LoadGenerator:
         self.op = op
         self.payload_bytes = payload_bytes
         self.expect_backend = expect_backend
-        # Shard mode: requests spread over this many distinct key ids,
-        # so consistent hashing exercises every shard of the fleet.
-        self.keys = keys
         self._group = None
         self._public_key = 0
-        self._shard_pubkeys: dict[bytes, int] = {}
 
     async def run(self) -> LoadReport:
         report = LoadReport(clients=self.clients)
         probe = await ServiceClient.connect(self.host, self.port)
         try:
-            if self.op == "shard":
-                # Against a shard router there is no fleet-wide public
-                # key: resolve each key id's owning committee up front
-                # (STATUS per key) so signatures verify per shard.
-                for index in range(self.keys):
-                    key_id = self._key_id(index)
-                    status = await probe.shard_status(key_id)
-                    self._shard_pubkeys[key_id] = status.public_key
-            else:
-                status = await probe.status()
-                self._public_key = status.public_key
+            status = await probe.status()
+            self._public_key = status.public_key
             try:
                 self._group = group_by_name(status.group_name)
             except KeyError:
@@ -332,11 +280,7 @@ class LoadGenerator:
                 self.host, self.port, group=self._group, attempts=2
             )
             try:
-                report.server_snapshot = (
-                    await probe.fleet_ops()
-                    if self.op == "shard"
-                    else await probe.ops()
-                )
+                report.server_snapshot = await probe.ops()
             finally:
                 await probe.close()
         except Exception:
@@ -381,22 +325,14 @@ class LoadGenerator:
             : self.payload_bytes
         ]
 
-    def _key_id(self, index: int) -> bytes:
-        return f"key-{index % self.keys}".encode()
-
     def _verify(
         self, client_id: int, sequence: int, response: protocol.SignResponse
     ) -> bool:
         if self._group is None:
             return True
-        public_key = self._public_key
-        if self.op == "shard":
-            public_key = self._shard_pubkeys[
-                self._key_id(client_id + sequence)
-            ]
         return schnorr.verify(
             self._group,
-            public_key,
+            self._public_key,
             self._payload(client_id, sequence),
             schnorr.Signature(response.challenge, response.response),
         )
@@ -427,11 +363,6 @@ class LoadGenerator:
     ) -> object:
         if op == "sign":
             return await client.sign(self._payload(client_id, sequence))
-        if op == "shard":
-            return await client.shard_sign(
-                self._key_id(client_id + sequence),
-                self._payload(client_id, sequence),
-            )
         if op == "beacon":
             return await client.beacon_next()
         if op == "dprf":
@@ -452,7 +383,6 @@ def run_loadgen(
     op: str = "sign",
     payload_bytes: int = 16,
     expect_backend: str | None = None,
-    keys: int = 16,
 ) -> LoadReport:
     """Synchronous convenience wrapper around :class:`LoadGenerator`."""
     generator = LoadGenerator(
@@ -463,6 +393,5 @@ def run_loadgen(
         op=op,
         payload_bytes=payload_bytes,
         expect_backend=expect_backend,
-        keys=keys,
     )
     return asyncio.run(generator.run())

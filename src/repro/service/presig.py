@@ -81,13 +81,9 @@ class PresigPool:
         low_watermark: int | None = None,
         discard: Discard | None = None,
         forge_batch: ForgeBatch | None = None,
-        labels: dict[str, str] | None = None,
     ):
         if target < 0:
             raise ValueError("pool target must be >= 0")
-        # Extra metric labels (e.g. {"shard": ...} when this pool is one
-        # of a fleet sharing the process registry).
-        self._labels = dict(labels or {})
         self.target = target
         self.low_watermark = (
             max(1, target // 2) if low_watermark is None else low_watermark
@@ -125,7 +121,6 @@ class PresigPool:
             "repro_service_pool_depth",
             self.level,
             help="presignatures ready in the pool",
-            **self._labels,
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -178,7 +173,6 @@ class PresigPool:
         obs_metrics.counter_inc(
             "repro_service_presigs_forged_total",
             help="presignatures forged (pooled and on-demand)",
-            **self._labels,
         )
         return presig, shares
 
@@ -197,7 +191,6 @@ class PresigPool:
             "repro_service_presigs_forged_total",
             amount=len(batch),
             help="presignatures forged (pooled and on-demand)",
-            **self._labels,
         )
         return batch
 
@@ -228,7 +221,6 @@ class PresigPool:
                     obs_metrics.counter_inc(
                         "repro_service_presigs_invalidated_total",
                         help="pooled presignatures discarded or screened out",
-                        **self._labels,
                     )
                     screened += 1
                     continue
@@ -241,7 +233,6 @@ class PresigPool:
             "repro_service_pool_refill_seconds",
             time.perf_counter() - started,
             help="wall time to bring the pool back to target",
-            **self._labels,
         )
 
     async def _refill_loop(self) -> None:
@@ -287,7 +278,6 @@ class PresigPool:
                 "repro_service_presigs_invalidated_total",
                 amount=dropped,
                 help="pooled presignatures discarded or screened out",
-                **self._labels,
             )
         self._publish_level()
         if self.enabled and self.level < self.low_watermark:

@@ -61,7 +61,7 @@ Commitment = FeldmanCommitment | FeldmanVector
 
 
 # Held by the one nonce this process forges itself at a time, whichever
-# service (shard) it belongs to: the process has one GIL.
+# service it belongs to: the process has one GIL.
 _forge_lane = threading.Lock()
 
 
@@ -304,11 +304,6 @@ class ServiceConfig:
     pool_low_watermark: int | None = None  # default: half the target
     beacon_output_bytes: int = 32
     forge_concurrency: int = 4  # concurrent on-demand nonce DKGs
-    # Shard id when this service is one committee of a ShardRouter
-    # fleet: embedded shards share the process registry, so every
-    # service/pool metric is labelled with the shard for the fleet
-    # merge to scope by (see repro.obs.fleet).
-    shard: str | None = None
 
 
 class ThresholdService:
@@ -322,42 +317,28 @@ class ThresholdService:
     are the dispatch surface the frontend uses.
     """
 
-    def __init__(self, config: ServiceConfig, *, bootstrap=None):
+    def __init__(self, config: ServiceConfig):
         self.config = config
         self.group = config.group
-        self._labels = {"shard": config.shard} if config.shard else {}
-        if bootstrap is None:
-            dkg_config = DkgConfig(
-                n=config.n, t=config.t, f=config.f, group=config.group
+        dkg_config = DkgConfig(n=config.n, t=config.t, f=config.f, group=config.group)
+        # Each member's contributed secret depends on the service seed:
+        # node-local DKG randomness is seeded by (tau, node_id) alone and
+        # the bootstrap runs at tau=0, so without this every service of a
+        # given (n, t) would derive the same group key whatever its seed.
+        secrets = {
+            i: config.group.random_scalar(
+                random.Random(("svc-bootstrap", config.seed, i).__repr__())
             )
-            # Each member's contributed secret must depend on the
-            # service seed: node-local DKG randomness is seeded by
-            # (tau, node_id) alone, and every shard of a router runs
-            # tau=0 — without this, all shards would derive the same
-            # group key.
-            secrets = {
-                i: config.group.random_scalar(
-                    random.Random(("svc-bootstrap", config.seed, i).__repr__())
-                )
-                for i in dkg_config.vss().indices
-            }
-            bootstrap = run_dkg(
-                dkg_config,
-                seed=config.seed,
-                delay_model=ConstantDelay(0.0),
-                secrets=secrets,
-            )
-            if not bootstrap.succeeded:
-                raise RuntimeError("bootstrap DKG did not complete")
-        # ``bootstrap`` may also be any completed key-establishment
-        # outcome carrying .commitment / .shares / .public_key — e.g. a
-        # GroupModClusterResult, so a committee grown over real TCP via
-        # the §6.2 machinery can be commissioned as a service directly.
-        if len(bootstrap.shares) != config.n:
-            raise ValueError(
-                f"bootstrap carries {len(bootstrap.shares)} shares "
-                f"for an n={config.n} service"
-            )
+            for i in dkg_config.vss().indices
+        }
+        bootstrap = run_dkg(
+            dkg_config,
+            seed=config.seed,
+            delay_model=ConstantDelay(0.0),
+            secrets=secrets,
+        )
+        if not bootstrap.succeeded:
+            raise RuntimeError("bootstrap DKG did not complete")
         self.key_commitment: Commitment = bootstrap.commitment
         self.public_key = bootstrap.public_key
         self.workers = {
@@ -379,7 +360,6 @@ class ThresholdService:
             low_watermark=config.pool_low_watermark,
             discard=self._discard_nonce,
             forge_batch=self._forge_nonce_batch,
-            labels=self._labels,
         )
         self.served = 0
         self.failed = 0
@@ -430,9 +410,9 @@ class ThresholdService:
 
     def flush_presignatures(self) -> int:
         """Drain the pool and discard every worker's nonce shares for
-        the drained presignatures (the shard-drain step: a retiring
-        committee must not leave usable one-time nonces behind).
-        Returns the number of presignatures flushed."""
+        the drained presignatures, so no usable one-time nonce outlives
+        the pool entry that held it.  Returns the number of
+        presignatures flushed."""
         flushed = 0
         while (presig := self.pool.take()) is not None:
             self._discard_nonce(presig.presig_id)
@@ -604,7 +584,6 @@ class ThresholdService:
                 "repro_service_bad_partials_total",
                 help="partial signatures that failed verification, by signer",
                 node=index,
-                **self._labels,
             )
         self.logger.warning(
             "presignature %d: bad partial signatures from nodes %s",
@@ -730,7 +709,6 @@ class ThresholdService:
             time.perf_counter() - started,
             help="request handling latency by request kind",
             kind=kind,
-            **self._labels,
         )
         obs_metrics.counter_inc(
             "repro_service_requests_total",
@@ -739,7 +717,6 @@ class ThresholdService:
             outcome="error"
             if isinstance(response, protocol.ErrorResponse)
             else "ok",
-            **self._labels,
         )
         return response
 
@@ -753,14 +730,12 @@ class ThresholdService:
                 elapsed,
                 help="request handling latency by request kind",
                 kind=kind,
-                **self._labels,
             )
             obs_metrics.counter_inc(
                 "repro_service_requests_total",
                 help="requests handled by kind and outcome",
                 kind=kind,
                 outcome="ok" if ok else "error",
-                **self._labels,
             )
 
     async def _handle_inner(self, request) -> object:

@@ -11,7 +11,6 @@ from repro.net.peers import PeerRegistry
 from repro.net.transport import (
     AsyncioTransport,
     DropRetryLink,
-    SimTransport,
     Transport,
 )
 from repro.net.host import NodeHost
@@ -53,7 +52,7 @@ class TestTransportProtocol:
         peer = RecordingNode(2)
         sim.add_node(node)
         sim.add_node(peer)
-        transport = SimTransport(sim)
+        transport: Transport = sim
         assert transport.member_ids() == [1, 2]
         assert transport.current_time() == 0.0
         transport.enqueue_message(1, 2, RawPayload("ping", 10))
@@ -84,7 +83,7 @@ class TestTransportProtocol:
         sim = Simulation()
         node = RecordingNode(1)
         sim.add_node(node)
-        transport = SimTransport(sim)
+        transport: Transport = sim
         transport.set_timer(1, 5.0, "tick")
         sim.run()
         assert node.timers == []

@@ -38,14 +38,6 @@ from repro.net import wire
 from repro.proactive.messages import ClockTickMsg, RenewedOutput, RenewInput
 from repro.runtime.envelope import SessionEnvelope
 from repro.sim.runner import Simulation
-from repro.service.shard.api import (
-    FleetOpsRequest,
-    FleetOpsResponse,
-    ShardCtlRequest,
-    ShardCtlResponse,
-    ShardSignRequest,
-    ShardStatusRequest,
-)
 from repro.service.protocol import (
     ERR_UNAVAILABLE,
     BeaconGetRequest,
@@ -188,14 +180,6 @@ def build_messages(group) -> list:
         # observability frames (codec v5)
         OpsRequest(14),
         OpsResponse(14, b'{"schema":1,"status":{},"metrics":{}}'),
-        # shard-router frames (codec v6)
-        ShardSignRequest(15, b"wallet-7", b"pay carol"),
-        ShardStatusRequest(16, b"wallet-7"),
-        FleetOpsRequest(17),
-        FleetOpsResponse(17, b'{"schema":1,"api_version":1,"fleet":{}}'),
-        ShardCtlRequest(18, "drain", "shard-1"),
-        ShardCtlRequest(19, "add", ""),
-        ShardCtlResponse(18, b'{"api_version":1,"state":"retired"}'),
         # the matrix fetch between endpoints (codec v7)
         wire.MatrixRequest(commitment_digest(c)),
         wire.MatrixReply(c),

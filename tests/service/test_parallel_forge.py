@@ -30,7 +30,6 @@ from repro.dkg.messages import DkgStartInput, MTypeProof, RTypeProof
 from repro.dkg.proofs import verify_proof
 from repro.obs import metrics as obs_metrics
 from repro.service import workers
-from repro.service.shard.router import ShardRouter
 from repro.service.workers import ServiceConfig, ThresholdService
 from repro.sim.network import ConstantDelay
 
@@ -538,7 +537,7 @@ def _inflight(registry: obs_metrics.MetricsRegistry) -> float:
 
 class TestConcurrentForgeCalls:
     def test_inflight_gauge_counts_every_call_in_flight(self) -> None:
-        # Two shards' executors in one process, each with a call in
+        # Two services' executors in one process, each with a call in
         # flight from its own refill thread.
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.set_registry(registry)
@@ -547,10 +546,10 @@ class TestConcurrentForgeCalls:
         for executor, pool in zip(executors, pools):
             executor._pool = pool
 
-        def call(shard: int, payloads: list) -> threading.Thread:
-            pool = pools[shard]
+        def call(index: int, payloads: list) -> threading.Thread:
+            pool = pools[index]
             thread = threading.Thread(
-                target=executors[shard].map_jobs, args=("forge", len, payloads)
+                target=executors[index].map_jobs, args=("forge", len, payloads)
             )
             thread.start()
             deadline = time.monotonic() + 30
@@ -618,21 +617,24 @@ def _live_pids() -> set[int]:
 
 
 class TestNoLeakedWorkers:
-    def test_router_stop_and_drain_reap_every_forge_worker(self) -> None:
-        async def scenario():
-            router = ShardRouter(ServiceConfig(n=4, t=1, seed=5, pool_target=2))
-            await router.start(2, prefill=False)
-            drained = _forge_pids(router.handles["shard-0"].service)
-            kept = _forge_pids(router.handles["shard-1"].service)
-            await router.drain("shard-0")
-            after_drain = _live_pids()
-            await router.stop()
-            return drained, kept, after_drain, _live_pids()
+    def test_stop_reaps_the_stopped_services_workers_only(self) -> None:
+        before = _live_pids()
 
-        drained, kept, after_drain, after_stop = _run(scenario())
+        async def scenario():
+            first = ThresholdService(ServiceConfig(n=4, t=1, seed=5, pool_target=2))
+            second = ThresholdService(ServiceConfig(n=4, t=1, seed=6, pool_target=2))
+            await first.start(prefill=False)
+            await second.start(prefill=False)
+            stopped, kept = _forge_pids(first), _forge_pids(second)
+            await first.stop()
+            after_first = _live_pids()
+            await second.stop()
+            return stopped, kept, after_first, _live_pids()
+
+        stopped, kept, after_first, after_both = _run(scenario())
         if parallel.available_cpus() >= 2:
-            # One pool per shard: M shards run M x width processes.
-            assert len(drained) == len(kept) == 2
-        assert not drained & after_drain
-        assert kept <= after_drain
-        assert not (drained | kept) & after_stop
+            # One pool per service: two services run 2 x width processes.
+            assert len(stopped) == len(kept) == 2
+        assert not stopped & after_first
+        assert kept <= after_first
+        assert after_both <= before

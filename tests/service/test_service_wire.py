@@ -65,8 +65,8 @@ class TestServiceRoundTrip:
         # Unchanged service kinds stay at their v2 introduction stamp;
         # STATUS responses changed layout in v3 (name precedes key).
         # (v4 added only new kinds — envelope and groupmod frames;
-        # v5 likewise the OPS observability frames, v6 the shard
-        # router frames, v7 the matrix fetch between endpoints.)
+        # v5 likewise the OPS observability frames, v6 frames since
+        # retired, v7 the matrix fetch between endpoints.)
         assert wire.VERSION == 7
         assert wire.encode(SignRequest(1, b"m"))[6] == 2
         status = StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 0, 1, "toy-0")

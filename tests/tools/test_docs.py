@@ -130,7 +130,6 @@ class TestDocLinks:
 @pytest.mark.parametrize(
     "claim, anchor",
     [
-        ("tests/service/test_shard_ring.py", "routing stability golden vector"),
         ("tests/runtime/test_driver_equivalence.py", "driver equivalence"),
         ("tests/obs/test_replay.py", "capture = execution"),
     ],
