@@ -4,8 +4,8 @@
 The package implements, from scratch:
 
 * the paper's cryptographic substrate (Schnorr groups, symmetric
-  bivariate polynomials, Feldman/Pedersen commitments, Schnorr
-  signatures, DLEQ proofs) — :mod:`repro.crypto`;
+  bivariate polynomials, Feldman commitments, Schnorr signatures, DLEQ
+  proofs) — :mod:`repro.crypto`;
 * a deterministic discrete-event network simulator with the paper's
   hybrid fault model (t Byzantine + f crash/link failures, weak
   synchrony for liveness) — :mod:`repro.sim`;
@@ -14,10 +14,9 @@ The package implements, from scratch:
   :mod:`repro.dkg`;
 * proactive share renewal and recovery (§5) — :mod:`repro.proactive`;
 * group modification protocols (§6) — :mod:`repro.groupmod`;
-* synchronous / classic baselines (Joint-Feldman DKG, Bracha broadcast)
-  — :mod:`repro.baselines`;
 * threshold applications driven by DKG output (ElGamal, Schnorr
-  signatures, DDH-based distributed PRF / coin flipping) —
+  signatures, DDH-based distributed PRF / coin flipping, a randomness
+  beacon), each served by a request verb of :mod:`repro.service` —
   :mod:`repro.apps`;
 * the sans-I/O execution core — protocols as pure
   ``step(event, env) -> [Effect]`` machines, a session-multiplexing

@@ -1,6 +1,8 @@
 """Threshold applications built on DKG output (§1 motivation):
-threshold ElGamal encryption, threshold Schnorr signatures, and a
-DDH-based distributed PRF / common coin.
+threshold ElGamal encryption, threshold Schnorr signatures, a
+DDH-based distributed PRF / common coin and a randomness beacon — each
+behind a request verb of :mod:`repro.service` (DECRYPT, SIGN,
+DPRF_EVAL, BEACON_NEXT / BEACON_GET).
 
 This namespace is the one stable surface the serving layer
 (:mod:`repro.service`) imports: the application *modules* for their
@@ -9,10 +11,9 @@ and ``combine``, so they are not flattened) plus the unambiguous
 classes, exceptions and uniquely-named helpers.
 """
 
-from repro.apps import beacon, dprf, kdc, threshold_elgamal, threshold_schnorr
+from repro.apps import beacon, dprf, threshold_elgamal, threshold_schnorr
 from repro.apps.beacon import Beacon, BeaconRound
 from repro.apps.dprf import EvaluationError, PartialEval, coin_flip
-from repro.apps.kdc import AccessDenied, KdcClient, KdcServer, build_kdc
 from repro.apps.threshold_elgamal import (
     Ciphertext,
     DecryptionError,
@@ -26,25 +27,20 @@ from repro.apps.threshold_schnorr import (
 )
 
 __all__ = [
-    "AccessDenied",
     "Beacon",
     "BeaconRound",
     "Ciphertext",
     "DecryptionError",
     "EvaluationError",
     "HybridCiphertext",
-    "KdcClient",
-    "KdcServer",
     "PartialDecryption",
     "PartialEval",
     "PartialSignature",
     "SigningError",
     "batch_verify",
     "beacon",
-    "build_kdc",
     "coin_flip",
     "dprf",
-    "kdc",
     "threshold_elgamal",
     "threshold_schnorr",
 ]

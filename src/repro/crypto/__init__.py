@@ -35,7 +35,6 @@ from repro.crypto.groups import (
     toy_group,
 )
 from repro.crypto.parallel import CryptoExecutor, acceleration_status
-from repro.crypto.pedersen import PedersenCommitment, PedersenShare, deal_pedersen
 from repro.crypto.polynomials import (
     Polynomial,
     interpolate_at,
@@ -64,8 +63,6 @@ __all__ = [
     "fixed_base_table",
     "multiexp",
     "share_verifier",
-    "PedersenCommitment",
-    "PedersenShare",
     "Polynomial",
     "ReconstructionError",
     "RFC5114_1024_160",
@@ -74,7 +71,6 @@ __all__ = [
     "Share",
     "Signature",
     "SigningKey",
-    "deal_pedersen",
     "group_by_name",
     "interpolate_at",
     "interpolate_polynomial",

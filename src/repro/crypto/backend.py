@@ -97,7 +97,6 @@ class AbstractGroup(Protocol):
     # hashing into the group / scalar field
     def hash_to_scalar(self, *parts: bytes) -> int: ...
     def hash_to_element(self, *parts: bytes) -> Any: ...
-    def second_generator(self, label: bytes = ...) -> Any: ...
 
     def validate(self) -> None: ...
 

@@ -8,14 +8,14 @@ symmetry gives ``f(i, m) = f(m, i)``, which is exactly what lets node
 from node ``m`` against the public commitment.
 
 The paper notes that using a symmetric rather than a general bivariate
-polynomial yields a constant-factor complexity reduction; we implement
-both so the ablation benchmark (E9) can measure that factor.
+polynomial yields a constant-factor complexity reduction.  General
+polynomials are here too: they are what a dealer that breaks symmetry
+deals, so the checks that must not assume it can be tested.
 
 Like :mod:`repro.crypto.polynomials`, everything here lives in the
 scalar field Z_q and is therefore shared verbatim by every group
 backend; only the *commitments* to these polynomials
-(:mod:`repro.crypto.feldman`, :mod:`repro.crypto.pedersen`) touch
-group elements.
+(:mod:`repro.crypto.feldman`) touch group elements.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class BivariatePolynomial:
         secret: int | None = None,
     ) -> "BivariatePolynomial":
         """Uniformly random (not necessarily symmetric) bivariate
-        polynomial — the AVSS baseline for the E9 ablation."""
+        polynomial — a dealing that breaks HybridVSS's symmetry."""
         t = degree
         coeffs = [[rng.randrange(q) for _ in range(t + 1)] for _ in range(t + 1)]
         if secret is not None:

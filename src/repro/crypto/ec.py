@@ -643,10 +643,9 @@ class EcFixedBaseTable:
 
 @lru_cache(maxsize=128)
 def ec_fixed_base(base: EcPoint) -> EcFixedBaseTable:
-    """Process-wide fixed-base table cache (generator, Pedersen ``h``,
-    long-lived public keys), keyed by the point itself; the generator
-    gets :data:`GENERATOR_WINDOW`, every other base
-    :data:`FIXED_BASE_WINDOW`."""
+    """Process-wide fixed-base table cache (generator, long-lived public
+    keys), keyed by the point itself; the generator gets
+    :data:`GENERATOR_WINDOW`, every other base :data:`FIXED_BASE_WINDOW`."""
     window = GENERATOR_WINDOW if base == GENERATOR else FIXED_BASE_WINDOW
     return EcFixedBaseTable(base, window)
 
@@ -965,9 +964,6 @@ class EcGroup:
                 return EcPoint(x, y if y % 2 == 0 else P - y)
             counter += 1
 
-    def second_generator(self, label: bytes = b"pedersen-h") -> EcPoint:
-        return _second_generator_cached(label)
-
     def validate(self) -> None:
         if not is_on_curve(GENERATOR):
             raise ValueError("generator is not on the curve")
@@ -976,19 +972,6 @@ class EcGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EcGroup({self.name}, |q|={N.bit_length()} bits)"
-
-
-@lru_cache(maxsize=16)
-def _second_generator_cached(label: bytes) -> EcPoint:
-    group = secp256k1_group()
-    counter = 0
-    while True:
-        h = group.hash_to_element(
-            b"second-generator", label, counter.to_bytes(4, "big")
-        )
-        if not h.is_infinity() and h != GENERATOR:
-            return h
-        counter += 1
 
 
 @lru_cache(maxsize=1)

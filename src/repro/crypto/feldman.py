@@ -26,7 +26,7 @@ randomized-linear-combination check via :meth:`FeldmanVector.batch_verify`.
 A univariate variant (:class:`FeldmanVector`) commits to a degree-t
 polynomial by its coefficient exponentiations; it is used by the Rec
 protocol to validate shares, by share renewal (the ``V_l`` values of
-§5.2), and by the synchronous baselines.
+§5.2) and by node addition (§6.2).
 """
 
 from __future__ import annotations

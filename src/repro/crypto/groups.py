@@ -25,10 +25,8 @@ Three kinds of parameter sets are exposed:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.crypto.intops import invert, powmod
 from repro.crypto import metering
@@ -197,34 +195,11 @@ class SchnorrGroup:
 
         return hash_to_element(self.p, self.q, *parts)
 
-    def second_generator(self, label: bytes = b"pedersen-h") -> int:
-        """A generator ``h`` with unknown discrete log w.r.t. ``g``
-        (hash-to-element, so no dlog relation is ever computed)."""
-        return _modp_second_generator(self.p, self.q, self.g, label)
-
     def validate(self) -> None:
         SchnorrParams(self.p, self.q, self.g).validate()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SchnorrGroup({self.name}, |q|={self.q.bit_length()} bits)"
-
-
-@lru_cache(maxsize=128)
-def _modp_second_generator(p: int, q: int, g: int, label: bytes) -> int:
-    """Hash-to-element derivation of the Pedersen ``h`` (moved here from
-    :mod:`repro.crypto.pedersen`; the derivation bytes are unchanged, so
-    cached test vectors and seeded runs see the same ``h``)."""
-    cofactor = (p - 1) // q
-    counter = 0
-    while True:
-        digest = hashlib.sha256(
-            label + b"|" + str(p).encode() + b"|" + str(counter).encode()
-        ).digest()
-        candidate = int.from_bytes(digest, "big") % p
-        h = powmod(candidate, cofactor, p)
-        if h != 1 and h != g:
-            return h
-        counter += 1
 
 
 # Every seeded group this process has generated, by self-reported name:

@@ -12,9 +12,9 @@ work three ways:
   where grouping terms by window digit amortizes the multiplications
   too;
 * :class:`FixedBaseTable` — windowed precomputation for a base that is
-  exponentiated over and over (the group generator ``g``, the Pedersen
-  ``h``, long-lived public keys): after a one-time table build, an
-  exponentiation costs ~|q|/w multiplications and *zero* squarings;
+  exponentiated over and over (the group generator ``g``, long-lived
+  public keys): after a one-time table build, an exponentiation costs
+  ~|q|/w multiplications and *zero* squarings;
 * :class:`SharedBases` — Straus tables for a fixed base *vector*
   exponentiated with many different scalar vectors (one collapsed
   commitment row checked against many senders);

@@ -35,10 +35,6 @@ from repro.obs.replay import Capture, ReplayError, capture_meta, load_capture
 _LIFECYCLE = ("timer", "operator", "crash", "recover")
 
 
-def record_id(record: dict[str, Any]) -> str | None:
-    return record.get("_fid")
-
-
 def is_span(record: dict[str, Any]) -> bool:
     return "event" in record
 
@@ -119,12 +115,6 @@ class Schedule:
             recorded_hash=self.recorded_hash,
         )
 
-    def index_of(self, fid: str) -> int:
-        for index, record in enumerate(self.records):
-            if record.get("_fid") == fid:
-                return index
-        raise KeyError(f"no record with id {fid!r}")
-
     @property
     def spans(self) -> list[dict[str, Any]]:
         return [r for r in self.records if is_span(r)]
@@ -199,23 +189,10 @@ def can_swap(a: dict[str, Any], b: dict[str, Any]) -> bool:
             and emits(a, kind)
         ):
             return False
-    # Symmetric: a must not move after a step it caused... which is the
-    # same rule seen from the other side; moving a later is moving b
-    # earlier.  Nothing else constrains two cross-node receives.
-    if is_message(a):
-        kind = message_kind(a)
-        sender = (a.get("data") or {}).get("sender")
-        if (
-            kind is not None
-            and sender == b.get("node")
-            and a.get("session") == b.get("session")
-            and emits(b, kind)
-        ):
-            # b emitted what a receives: a is already *after* its cause
-            # in file order only if the cause is earlier; b here is
-            # later, so swapping would move a's cause before it — that
-            # direction is fine.  Kept explicit for symmetry; allowed.
-            pass
+    # The other direction needs no check: a swap that moves a step b
+    # before a receive of what b emits moves a sender earlier, which
+    # causal delivery allows.  Nothing else constrains two cross-node
+    # receives.
     return True
 
 

@@ -8,12 +8,7 @@ operator inputs ``OperatorInput`` — and the effects each ``step``
 returns are interpreted against the transport.  Any number of
 concurrent protocol sessions (VSS, DKG, renewal phases, group
 modification) share the host's single server socket and connection
-set; un-enveloped frames from single-protocol peers route to the
-default session.
-
-The one-argument form ``NodeHost(node, transport)`` keeps the historic
-one-node-per-endpoint API: it opens the node as the runtime's default
-session.
+set, each addressed by the session envelope its frames travel in.
 """
 
 from __future__ import annotations
@@ -29,8 +24,6 @@ from repro.runtime.envelope import SessionEnvelope
 from repro.runtime.runtime import ProtocolRuntime
 from repro.sim.node import OutputRecord, ProtocolNode
 
-DEFAULT_SESSION = "main"
-
 
 def _discard(*_args: Any) -> None:
     """Dispatch hook of a stopped endpoint."""
@@ -39,25 +32,10 @@ def _discard(*_args: Any) -> None:
 class NodeHost:
     """Drives one runtime (one or many sessions) over one endpoint."""
 
-    def __init__(
-        self,
-        node: ProtocolNode | ProtocolRuntime | None,
-        transport: AsyncioTransport,
-        *,
-        session: str = DEFAULT_SESSION,
-    ):
-        if isinstance(node, ProtocolRuntime):
-            if node.node_id != transport.node_id:
-                raise ValueError("runtime and transport disagree on the index")
-            self.runtime = node
-        else:
-            self.runtime = ProtocolRuntime(transport.node_id)
-            if node is not None:
-                if node.node_id != transport.node_id:
-                    raise ValueError(
-                        "node and transport disagree on the node index"
-                    )
-                self.runtime.open_session(session, node, default=True)
+    def __init__(self, runtime: ProtocolRuntime, transport: AsyncioTransport):
+        if runtime.node_id != transport.node_id:
+            raise ValueError("runtime and transport disagree on the index")
+        self.runtime = runtime
         self.transport = transport
         self.logger = get_logger("repro.net.host", node=transport.node_id)
         self.driver = MachineDriver(self.runtime, transport, transport.node_id)
@@ -65,14 +43,6 @@ class NodeHost:
         transport.on_timer = self._on_timer
 
     # -- plumbing ------------------------------------------------------------
-
-    @property
-    def node(self) -> ProtocolNode | None:
-        """The default session's machine (the historic one-node
-        surface), tracked live as sessions open and close."""
-        if self.runtime.default_session is None:
-            return None
-        return self.runtime.sessions.get(self.runtime.default_session)
 
     def _on_timer(self, tag: Any, backend_id: int) -> None:
         self.driver.handle_timer(backend_id, tag)
@@ -141,18 +111,17 @@ class NodeHost:
 
     # -- operator surface ----------------------------------------------------
 
-    def inject(self, payload: Any, *, session: str | None = None) -> bool:
-        """Deliver an operator ``in`` message; returns False (and logs)
-        when the endpoint is crashed and the input was dropped."""
+    def inject(self, payload: Any, *, session: str) -> bool:
+        """Deliver an operator ``in`` message to ``session``; returns
+        False (and logs) when the endpoint is crashed and the input was
+        dropped."""
         if self.transport.crashed:
             self.logger.bind(session=session).warning(
                 "operator input %r dropped (endpoint crashed)",
                 getattr(payload, "kind", type(payload).__name__),
             )
             return False
-        if session is not None:
-            payload = SessionEnvelope(session, payload)
-        self.driver.handle_operator(payload)
+        self.driver.handle_operator(SessionEnvelope(session, payload))
         return True
 
     @property
@@ -195,8 +164,3 @@ class NodeHost:
                 await event.wait()
 
         return await asyncio.wait_for(_wait(), timeout)
-
-    def raise_errors(self) -> None:
-        """Surface the first handler exception, if any (tests/cluster)."""
-        if self.transport.errors:
-            raise self.transport.errors[0]

@@ -48,9 +48,6 @@ class PeerRegistry:
         self._addresses[node_id] = address
         return address
 
-    def unregister(self, node_id: int) -> None:
-        self._addresses.pop(node_id, None)
-
     def address_of(self, node_id: int) -> PeerAddress:
         try:
             return self._addresses[node_id]

@@ -56,7 +56,6 @@ from repro.crypto.hashing import (
     commitment_digest,
     encoded_matrix_digest,
 )
-from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import Signature
 from repro.dkg import messages as dkg
@@ -338,14 +337,6 @@ class _Writer:
         self.uvarint(len(v.entries))
         self._elements(v.group, v.entries)
 
-    def pedersen(self, c: PedersenCommitment) -> None:
-        """A Pedersen commitment vector: group reference (as in matrix),
-        element h, uvarint count, then that many fixed-width elements."""
-        self.group_ref(c.group)
-        self._elements(c.group, (c.h,))
-        self.uvarint(len(c.entries))
-        self._elements(c.group, c.entries)
-
     def commitment(self, c: FeldmanCommitment) -> None:
         """u8 tag, then 0 = the matrix inline | 1 = its 32-byte digest
         (how echo/ready travel between endpoints; the receiver resolves
@@ -522,12 +513,6 @@ class _Reader:
         count = self.count(MAX_COMMITMENT_SIDE, "vector length")
         return FeldmanVector(self._elements(group, count), group)
 
-    def pedersen(self) -> PedersenCommitment:
-        group = self.group_ref()
-        h = self.sized_element(group)
-        count = self.count(MAX_COMMITMENT_SIDE, "vector length")
-        return PedersenCommitment(self._elements(group, count), group, h)
-
     def commitment(self) -> FeldmanCommitment:
         if self.choice(range(2), "commitment tag") == 0:
             return self.matrix()
@@ -689,10 +674,13 @@ def _list(field: _Field) -> _Field:
     return _Field(f"list of {field.doc}", "", write, read, (field,))
 
 
-def _union(what: str, *alternatives: tuple[type, _Field | None]) -> _Field:
+def _union(
+    what: str, *alternatives: tuple[type, _Field | None], retired: tuple[int, ...] = ()
+) -> _Field:
     """A tag byte, then the alternative it selects — chosen by Python
     type on the way out.  ``None`` for a field: no body, decodes to
-    ``None``."""
+    ``None``.  ``retired`` tags, past the live ones, decode as hostile
+    bytes and are listed only so that nobody reuses them."""
 
     def write(w: _Writer, value) -> None:
         for tag, (typ, field) in enumerate(alternatives):
@@ -708,8 +696,11 @@ def _union(what: str, *alternatives: tuple[type, _Field | None]) -> _Field:
         return field.read(r) if field is not None else None
 
     listing = " | ".join(
-        f"{tag} = {field.doc if field is not None else 'nothing'}"
-        for tag, (_, field) in enumerate(alternatives)
+        [
+            f"{tag} = {field.doc if field is not None else 'nothing'}"
+            for tag, (_, field) in enumerate(alternatives)
+        ]
+        + [f"{tag} = retired" for tag in retired]
     )
     inner = tuple(field for _, field in alternatives if field is not None)
     return _Field(what, f"u8 tag, then {listing}", write, read, inner)
@@ -762,7 +753,6 @@ SIGNATURE = _prim("signature")
 # points, signatures and elements after one are sized by its group.
 MATRIX = _prim("matrix")
 VECTOR = _prim("vector")
-PEDERSEN = _prim("pedersen")
 COMMITMENT = _prim("commitment")
 POINT = _prim("point")
 POLYNOMIAL = _prim("polynomial")
@@ -793,13 +783,13 @@ PROPOSAL = _record(
     t_delta=DELTA,
     f_delta=DELTA,
 )
-# Pedersen: the hardened variants (Gennaro et al. baseline, E9
-# ablation) publish an unconditionally hiding commitment.
+# Tag 2 carried a Pedersen commitment, which no protocol emitted:
+# decode rejects it, and it must never be reused.
 OUTPUT_COMMITMENT = _union(
     "commitment shape",
     (FeldmanCommitment, MATRIX),
     (FeldmanVector, VECTOR),
-    (PedersenCommitment, PEDERSEN),
+    retired=(2,),
 )
 
 

@@ -188,12 +188,3 @@ class ProactiveSystem(ShareLifecycle):
         )
         self.reports.append(report)
         return report
-
-    # -- oracle helpers for tests/benches ---------------------------------------------
-
-    def exposed_union(self) -> dict[int, list[tuple[int, int]]]:
-        """Everything the mobile adversary ever saw: phase -> (node, share)."""
-        return {
-            phase: sorted(view.items())
-            for phase, view in self.adversary_view.items()
-        }

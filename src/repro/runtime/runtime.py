@@ -6,7 +6,8 @@ machine (a VSS sharing, a DKG, a renewal phase, a group-modification
 agreement...), and
 
 * routes inbound :class:`~repro.runtime.envelope.SessionEnvelope`
-  traffic to the addressed session (enveloped operator inputs too);
+  traffic to the addressed session (enveloped operator inputs too),
+  and drops and counts anything else;
 * wraps each session's outbound ``Send``/``Broadcast`` in an envelope
   carrying its session id;
 * namespaces session timers into its own timer-id space so any number
@@ -47,10 +48,6 @@ from repro.runtime.events import (
 )
 
 
-class UnknownSession(KeyError):
-    """An operation referenced a session id this runtime has not opened."""
-
-
 class ProtocolRuntime:
     """Multiplexes protocol sessions over one transport endpoint."""
 
@@ -58,20 +55,17 @@ class ProtocolRuntime:
         self,
         node_id: int,
         *,
-        strict: bool = False,
         evict_completed: bool = False,
     ):
         self.node_id = node_id
-        self.strict = strict  # raise on unroutable traffic (tests)
         # Evict a session's machine (and timers) once it reports a
         # non-None ``completed`` attribute, keeping only its recorded
         # outputs — bounds live state on long-lived endpoints that open
         # sessions forever (proactive phases, presignature forging).
         self.evict_completed = evict_completed
         self.sessions: dict[str, Machine] = {}
-        self.default_session: str | None = None
         self.session_outputs: dict[str, list[Any]] = {}
-        self.dropped = 0  # unroutable frames (unknown/closed session)
+        self.dropped = 0  # unroutable frames (no envelope, unknown session)
         self.sessions_completed = 0  # evicted-after-completion count
         self._next_timer_id = 1
         # runtime timer id -> (session, machine timer id, machine tag)
@@ -80,21 +74,12 @@ class ProtocolRuntime:
 
     # -- session management ----------------------------------------------------
 
-    def open_session(
-        self, session: str, machine: Machine, *, default: bool = False
-    ) -> Machine:
-        """Register ``machine`` under id ``session``.
-
-        The first session opened becomes the default route for
-        un-enveloped traffic (legacy single-protocol peers); pass
-        ``default=True`` to move that role explicitly.
-        """
+    def open_session(self, session: str, machine: Machine) -> Machine:
+        """Register ``machine`` under id ``session``."""
         if session in self.sessions:
             raise ValueError(f"session {session!r} already open")
         self.sessions[session] = machine
         self.session_outputs.setdefault(session, [])
-        if default or self.default_session is None:
-            self.default_session = session
         self._publish_active()
         return machine
 
@@ -116,8 +101,6 @@ class ProtocolRuntime:
         for timer_id in stale:
             _sid, inner_id, _tag = self._timers.pop(timer_id)
             self._by_inner.pop((session, inner_id), None)
-        if self.default_session == session:
-            self.default_session = next(iter(self.sessions), None)
         self._publish_active()
 
     def _evict_session(self, session: str) -> None:
@@ -136,8 +119,6 @@ class ProtocolRuntime:
         for timer_id in stale:
             _sid, inner_id, _tag = self._timers.pop(timer_id)
             self._by_inner.pop((session, inner_id), None)
-        if self.default_session == session:
-            self.default_session = next(iter(self.sessions), None)
         self.sessions_completed += 1
         obs_metrics.counter_inc(
             "repro_runtime_sessions_completed_total",
@@ -192,18 +173,10 @@ class ProtocolRuntime:
     # -- internals -------------------------------------------------------------
 
     def _route(self, payload: Any) -> tuple[str | None, Any]:
-        """Resolve (session id, inner payload) for an inbound payload."""
-        if isinstance(payload, SessionEnvelope):
-            if payload.session in self.sessions:
-                return payload.session, payload.payload
-            if self.strict:
-                raise UnknownSession(payload.session)
-            self.dropped += 1
-            return None, None
-        if self.default_session is not None:
-            return self.default_session, payload
-        if self.strict:
-            raise UnknownSession("<default>")
+        """Resolve (session id, inner payload) for an inbound payload;
+        anything but an envelope naming an open session is dropped."""
+        if isinstance(payload, SessionEnvelope) and payload.session in self.sessions:
+            return payload.session, payload.payload
         self.dropped += 1
         return None, None
 

@@ -146,7 +146,7 @@ class TestGeneratorTablePin:
         assert all(len(row) == 128 for row in table._rows)
 
     def test_other_bases_get_window_five(self) -> None:
-        for base in (G.second_generator(), _rand_point(12)):
+        for base in (G.hash_to_element(b"fixed base"), _rand_point(12)):
             table = G.fixed_base(base)
             assert table.window == FIXED_BASE_WINDOW == 5
             assert len(table._rows) == 52
@@ -325,9 +325,3 @@ class TestEcGroupSurface:
             point = G.hash_to_element(tag)
             assert G.is_element(point) and point != INFINITY
         assert G.hash_to_element(b"x") != G.hash_to_element(b"y")
-
-    def test_second_generator_differs_from_g(self) -> None:
-        h = G.second_generator()
-        assert G.is_element(h)
-        assert h not in (G.g, INFINITY)
-        assert h != G.second_generator(b"another-label")

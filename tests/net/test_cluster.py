@@ -158,7 +158,11 @@ class TestClusterOrchestration:
             finally:
                 await cluster.stop()
             assert res.succeeded
-            return [weakref.ref(host.node) for host in cluster.hosts.values()]
+            return [
+                weakref.ref(machine)
+                for host in cluster.hosts.values()
+                for machine in host.runtime.sessions.values()
+            ]
 
         gc.collect()
         gc.disable()

@@ -153,10 +153,10 @@ class TestInjectReportsDrops:
         async def scenario():
             async with cluster:
                 host = cluster.hosts[2]
-                assert host.inject(DkgStartInput(0)) is True
+                assert host.inject(DkgStartInput(0), session="dkg") is True
                 host.crash()
                 with caplog.at_level(logging.WARNING, "repro.net.host"):
-                    accepted = host.inject(DkgStartInput(0))
+                    accepted = host.inject(DkgStartInput(0), session="dkg")
                 return accepted
 
         assert asyncio.run(scenario()) is False

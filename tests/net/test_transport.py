@@ -14,6 +14,8 @@ from repro.net.transport import (
     Transport,
 )
 from repro.net.host import NodeHost
+from repro.runtime.envelope import SessionEnvelope
+from repro.runtime.runtime import ProtocolRuntime
 from repro.sim.network import ConstantDelay, RawPayload
 from repro.sim.node import RecordingNode
 from repro.sim.runner import Simulation
@@ -282,12 +284,15 @@ class TestAsyncioTransport:
             ta = AsyncioTransport(1, registry, members)
             tb = AsyncioTransport(2, registry, members)
             na, nb = RecordingNode(1), RecordingNode(2)
-            ha, hb = NodeHost(na, ta), NodeHost(nb, tb)
+            ra, rb = ProtocolRuntime(1), ProtocolRuntime(2)
+            ra.open_session("s", na)
+            rb.open_session("s", nb)
+            ha, hb = NodeHost(ra, ta), NodeHost(rb, tb)
             await ha.start()
             await hb.start()
             from repro.vss.messages import HelpMsg, SessionId
 
-            ta.enqueue_message(1, 2, HelpMsg(SessionId(1, 0)))
+            ta.enqueue_message(1, 2, SessionEnvelope("s", HelpMsg(SessionId(1, 0))))
             for _ in range(100):
                 if nb.received:
                     break

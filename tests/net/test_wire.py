@@ -20,7 +20,6 @@ from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.groups import SchnorrGroup, small_group, toy_group
 from repro.crypto.hashing import commitment_digest
-from repro.crypto.polynomials import Polynomial
 from repro.crypto.schnorr import SigningKey
 from repro.groupmod.messages import (
     JoinedOutput,
@@ -88,8 +87,6 @@ from repro.dkg.messages import (
     SetVote,
 )
 
-from repro.crypto.pedersen import PedersenCommitment  # noqa: E402
-
 from tests.helpers import sent_frame  # noqa: E402
 
 SID = SessionId(3, 7)
@@ -99,7 +96,9 @@ def build_messages(group) -> list:
     """One representative instance per wire-codec message type, over
     ``group``.  Every type the codec registers must appear here —
     enforced below — and the golden frames of ``golden_frames.json``
-    are this list encoded on both backends."""
+    are this list encoded on both backends.  ``None`` holds the slot of
+    a retired entry, so every other entry keeps its number (and with
+    it its test id and golden key)."""
     rng = random.Random(42)
     poly = BivariatePolynomial.random_symmetric(2, group.q, rng)
     c = FeldmanCommitment.commit(poly, group)
@@ -114,9 +113,6 @@ def build_messages(group) -> list:
         (SetVote(1, "echo", sig), SetVote(6, "ready", key.sign(b"v", rng))),
     )
     election = (LeadChWitness(2, 1, sig), LeadChWitness(5, 1, key.sign(b"l", rng)))
-    pedersen = PedersenCommitment.commit(
-        Polynomial((3, 1, 4), group.q), Polynomial((1, 5, 9), group.q), group
-    )
     return [
         SendMsg(SID, c, poly.row_polynomial(2)),
         SendMsg(SID, c, None),  # §5.2 erased-polynomial retransmission
@@ -145,7 +141,7 @@ def build_messages(group) -> list:
         DkgReconstructedOutput(0, 55),
         DkgCompletedOutput(0, 1, (1, 2, 3), c, 10, c.public_key()),
         DkgCompletedOutput(0, 1, (1, 2), vec, 10, vec.public_key()),
-        DkgCompletedOutput(0, 1, (1, 2), pedersen, 10, group.identity),
+        None,  # retired: a DkgCompletedOutput of commitment shape 2
         ClockTickMsg(3),
         RenewInput(2),
         RenewedOutput(1, vec, 9, (1, 2)),
@@ -187,11 +183,12 @@ def build_messages(group) -> list:
 
 
 G = toy_group()
-MESSAGES = build_messages(G)
+_NUMBERED = [(i, m) for i, m in enumerate(build_messages(G)) if m is not None]
+MESSAGES = [m for _, m in _NUMBERED]
 C = MESSAGES[0].commitment
 SIG = MESSAGES[3].signature
 
-_IDS = [f"{type(m).__name__}-{i}" for i, m in enumerate(MESSAGES)]
+_IDS = [f"{type(m).__name__}-{i}" for i, m in _NUMBERED]
 
 
 class TestRoundTrip:

@@ -15,6 +15,7 @@ import gc
 from repro.dkg import DkgConfig, run_dkg
 from repro.runtime.core import Env
 from repro.runtime.effects import Output, SetTimer
+from repro.runtime.envelope import SessionEnvelope
 from repro.runtime.events import MessageReceived, OperatorInput
 from repro.runtime.runtime import ProtocolRuntime
 from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
@@ -60,9 +61,10 @@ class TestEviction:
         runtime = ProtocolRuntime(1, evict_completed=True)
         runtime.open_session("job", _OneShot())
         env = _EnvStub()
-        runtime.step(OperatorInput(object()), env)  # arms the timer
+        job = SessionEnvelope("job", object())
+        runtime.step(OperatorInput(job), env)  # arms the timer
         assert runtime._timers  # the session holds live timer state
-        runtime.step(MessageReceived(2, object()), env)  # completes
+        runtime.step(MessageReceived(2, job), env)  # completes
         return runtime
 
     def test_completed_session_is_dropped(self) -> None:
@@ -81,21 +83,10 @@ class TestEviction:
         assert runtime._timers == {}
         assert runtime._by_inner == {}
 
-    def test_default_session_reassigned(self) -> None:
-        runtime = ProtocolRuntime(1, evict_completed=True)
-        runtime.open_session("job", _OneShot())
-        runtime.open_session("survivor", _OneShot())
-        assert runtime.default_session == "job"
-        env = _EnvStub()
-        runtime.step(
-            MessageReceived(2, object()), env
-        )  # default routes to "job"; completes and evicts it
-        assert runtime.default_session == "survivor"
-
     def test_disabled_by_default(self) -> None:
         runtime = ProtocolRuntime(1)
         runtime.open_session("job", _OneShot())
-        runtime.step(MessageReceived(2, object()), _EnvStub())
+        runtime.step(MessageReceived(2, SessionEnvelope("job", object())), _EnvStub())
         assert "job" in runtime.sessions
         assert runtime.sessions_completed == 0
 

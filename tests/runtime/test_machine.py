@@ -58,9 +58,8 @@ class TestProtocolNodeStep:
         assert isinstance(RecordingNode(1), Machine)
 
     def test_every_protocol_family_speaks_step(self) -> None:
-        # VSS, DKG, proactive renewal, groupmod agreement/addition and
-        # the baselines are all ported to the uniform interface.
-        from repro.baselines.bracha import BrachaNode
+        # VSS, DKG, proactive renewal and groupmod agreement/addition
+        # are all ported to the uniform interface.
         from repro.groupmod.addition import JoiningNode
         from repro.groupmod.agreement import GroupModAgreementNode
         from repro.proactive.renewal import RenewalNode
@@ -73,7 +72,6 @@ class TestProtocolNodeStep:
             RenewalNode,
             GroupModAgreementNode,
             JoiningNode,
-            BrachaNode,
         ):
             assert issubclass(node_type, ProtocolNode), node_type
             assert node_type.step is ProtocolNode.step, node_type

@@ -22,7 +22,6 @@ from repro.runtime import (
     SetTimer,
     TimerFired,
 )
-from repro.runtime.runtime import UnknownSession
 from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
 from repro.sim.node import ProtocolNode, RecordingNode
 from repro.dkg import DkgConfig
@@ -65,12 +64,13 @@ class TestRouting:
         # The reply leaves wrapped in the same session's envelope.
         assert effects == [Send(2, SessionEnvelope("b", ("ack", "ping")))]
 
-    def test_unenveloped_message_routes_to_default_session(self) -> None:
+    def test_unenveloped_message_is_dropped(self) -> None:
         runtime = ProtocolRuntime(1)
         a = Chatty(1)
         runtime.open_session("main", a)
-        runtime.step(MessageReceived(2, "legacy"), env())
-        assert a.heard == ["legacy"]
+        assert runtime.step(MessageReceived(2, "bare"), env()) == []
+        assert runtime.step(OperatorInput("bare"), env()) == []
+        assert a.heard == [] and runtime.dropped == 2
 
     def test_unknown_session_dropped_and_counted(self) -> None:
         runtime = ProtocolRuntime(1)
@@ -79,11 +79,6 @@ class TestRouting:
             MessageReceived(2, SessionEnvelope("ghost", "x")), env()
         )
         assert out == [] and runtime.dropped == 1
-
-    def test_strict_mode_raises_on_unknown_session(self) -> None:
-        runtime = ProtocolRuntime(1, strict=True)
-        with pytest.raises(UnknownSession):
-            runtime.step(MessageReceived(2, SessionEnvelope("ghost", "x")), env())
 
     def test_operator_input_routes_by_envelope(self) -> None:
         runtime = ProtocolRuntime(1)
