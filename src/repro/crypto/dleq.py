@@ -39,9 +39,6 @@ class DleqProof:
     challenge: int
     response: int
 
-    def byte_size(self, group: AbstractGroup) -> int:
-        return 2 * group.scalar_bytes
-
 
 def prove(
     group: AbstractGroup,

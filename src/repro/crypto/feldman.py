@@ -236,10 +236,6 @@ class FeldmanCommitment:
     def num_entries(self) -> int:
         return len(self.matrix) ** 2
 
-    def byte_size(self) -> int:
-        """Serialized size: (t+1)^2 group elements."""
-        return self.num_entries * self.group.element_bytes
-
 
 @dataclass(frozen=True)
 class FeldmanVector:
@@ -308,9 +304,6 @@ class FeldmanVector:
         return FeldmanVector(
             tuple(g.mul(a, b) for a, b in zip(self.entries, other.entries)), g
         )
-
-    def byte_size(self) -> int:
-        return len(self.entries) * self.group.element_bytes
 
 
 def share_verifier(

@@ -39,9 +39,6 @@ class Signature:
     challenge: int
     response: int
 
-    def byte_size(self, group: AbstractGroup) -> int:
-        return 2 * group.scalar_bytes
-
 
 @dataclass(frozen=True)
 class SigningKey:

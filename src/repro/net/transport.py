@@ -7,7 +7,7 @@ implement it:
 * the discrete-event :class:`~repro.sim.runner.Simulation`, which
   satisfies the protocol structurally;
 * :class:`AsyncioTransport` — a real TCP endpoint: frames from
-  :mod:`repro.net.wire` over asyncio streams, timers on the event
+  :mod:`repro.net.wire` over asyncio sockets, timers on the event
   loop, lazy outbound connections with reconnect, and the same
   :class:`~repro.sim.network.DelayModel` fault-injection surface as
   the simulator (added latency, partitions via
@@ -129,6 +129,49 @@ class DropRetryLink(DelayModel):
         return delay
 
 
+class _InboundLink(asyncio.Protocol):
+    """One accepted connection: a 4-byte peer-index handshake, then
+    ``[u32 length]`` frames, each dispatched as soon as its last byte
+    has arrived."""
+
+    def __init__(self, endpoint: "AsyncioTransport"):
+        self.endpoint = endpoint
+        self.peer: int | None = None
+        self.buffer = bytearray()
+        self.transport: asyncio.BaseTransport | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.endpoint._inbound.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.endpoint._inbound.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        pos = 0
+        if self.peer is None:
+            if len(buffer) < 4:
+                return
+            self.peer = int.from_bytes(buffer[:4], "big")
+            pos = 4
+        while len(buffer) - pos >= 4:
+            length = int.from_bytes(buffer[pos : pos + 4], "big")
+            if length > wire.MAX_FRAME_BYTES:
+                # A garbled stream: drop this link and what it buffered.
+                buffer.clear()
+                self.transport.close()
+                return
+            end = pos + 4 + length
+            if end > len(buffer):
+                break
+            frame = bytes(buffer[pos:end])
+            pos = end
+            self.endpoint._receive(self.peer, frame)
+        del buffer[:pos]
+
+
 class AsyncioTransport:
     """One node's real network endpoint: TCP frames on localhost/WAN.
 
@@ -138,7 +181,9 @@ class AsyncioTransport:
     dispatched to ``on_message``.  Outgoing connections are opened
     lazily per recipient and re-dialed on failure; a message whose
     recipient stays unreachable is dropped — exactly the in-flight loss
-    the hybrid model ascribes to crashed nodes (§2.2).
+    the hybrid model ascribes to crashed nodes (§2.2).  A message a node
+    sends itself crosses no socket: after its sampled delay the object
+    itself is delivered, as in the simulator.
     """
 
     def __init__(
@@ -180,7 +225,8 @@ class AsyncioTransport:
         self._net_rng = random.Random(("net", seed, node_id).__repr__())
         self._node_rngs: dict[int, random.Random] = {}
         # Every matrix this endpoint has decoded (repeats of it are not
-        # decoded again) or sent: digest-form frames resolve against it
+        # decoded again), delivered to itself or sent: digest-form
+        # frames resolve against it
         # — or wait here, by digest, for their matrix, with the timer
         # that fetches it armed and the links already asked — and a
         # peer's request for one is answered from it.
@@ -189,8 +235,10 @@ class AsyncioTransport:
         self._pending_by_peer: Counter[int] = Counter()
         self._fetch_timers: dict[bytes, asyncio.TimerHandle] = {}
         self._asked: dict[bytes, set[int]] = {}
-        # Broadcast encode memo (identity-keyed, single entry).
+        # Broadcast encode memo (single entry): the protocol payload, by
+        # identity, and the session it travels in.
         self._last_payload: Any = None
+        self._last_session: str | None = None
         self._last_frame = b""
         self._last_size = 0
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -198,11 +246,15 @@ class AsyncioTransport:
         self._server: asyncio.AbstractServer | None = None
         self._port: int | None = None
         self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._dial_locks: dict[int, asyncio.Lock] = {}
-        self._reader_tasks: set[asyncio.Task] = set()
-        self._send_tasks: set[asyncio.Task] = set()
+        # Frames for a link being dialled, in send order; one dial each.
+        self._dialing: dict[int, list[bytes]] = {}
+        self._dial_tasks: set[asyncio.Task] = set()
+        self._inbound: set[_InboundLink] = set()
         self._timers: dict[int, asyncio.TimerHandle] = {}
         self._timer_seq = 0
+        # Deliveries waiting out their sampled delay, by sequence number.
+        self._in_flight: dict[int, asyncio.Handle] = {}
+        self._flight_seq = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -211,8 +263,8 @@ class AsyncioTransport:
         self._loop = asyncio.get_running_loop()
         if self._t0 is None:
             self._t0 = self._loop.time()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._port or 0
+        self._server = await self._loop.create_server(
+            lambda: _InboundLink(self), self.host, self._port or 0
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self.registry.register(self.node_id, self.host, self._port)
@@ -223,12 +275,16 @@ class AsyncioTransport:
         """Tear the endpoint down completely (end of deployment)."""
         self._close_links()
         self._forget_pending()
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
-        for task in list(self._send_tasks):
+        for handles in (self._timers, self._in_flight):
+            for handle in handles.values():
+                handle.cancel()
+            handles.clear()
+        self._dialing.clear()
+        tasks = list(self._dial_tasks)
+        for task in tasks:
             task.cancel()
-        await self._drain_tasks()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     def crash(self) -> None:
         """Take the node's links down (§2.2: in-flight messages lost)."""
@@ -259,20 +315,12 @@ class AsyncioTransport:
         if self._server is not None:
             self._server.close()
             self._server = None
-        for task in list(self._reader_tasks):
-            task.cancel()
-        self._reader_tasks.clear()
+        for link in self._inbound:
+            link.transport.close()
+        self._inbound.clear()
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
-
-    async def _drain_tasks(self) -> None:
-        pending = list(self._send_tasks) + list(self._reader_tasks)
-        for task in pending:
-            if not task.done():
-                task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
 
     # -- Transport protocol --------------------------------------------------
 
@@ -298,17 +346,19 @@ class AsyncioTransport:
         # session id is transport framing (like the TCP header), and
         # keeping per-kind/per-byte accounting identical across
         # drivers is what makes sim-vs-real comparisons exact (E12).
-        metered = payload.payload if isinstance(payload, SessionEnvelope) else payload
+        enveloped = isinstance(payload, SessionEnvelope)
+        metered = payload.payload if enveloped else payload
+        session = payload.session if enveloped else None
         # Echo/ready frames carry only the 32-byte digest.  Broadcasts
-        # hand the same payload object to every recipient, so the last
-        # encoding is reused.
-        if payload is self._last_payload:
+        # hand the same payload object to every recipient (each in an
+        # envelope of its own), so the last encoding is reused.
+        if metered is self._last_payload and session == self._last_session:
             frame, size = self._last_frame, self._last_size
         else:
             mode = wire.commitment_mode(payload)
             frame = wire.encode(payload, group=self.group, commitments=mode)
             size = wire.payload_length(frame)
-            self._last_payload = payload
+            self._last_payload, self._last_session = metered, session
             self._last_frame, self._last_size = frame, size
             if metered.kind == "vss.send":
                 self._table.record_sent(metered.commitment)
@@ -331,11 +381,13 @@ class AsyncioTransport:
             if observe is not None:
                 observe(self.current_time())
             delay_units = self.delay_model.sample(self._net_rng, sender, recipient)
-        task = self._loop.create_task(
-            self._deliver(recipient, frame, delay_units * self.time_scale)
-        )
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
+        delay_s = delay_units * self.time_scale
+        if recipient == self.node_id:
+            self._later(delay_s, self._deliver_local, payload, len(frame))
+        elif delay_s > 0:
+            self._later(delay_s, self._transmit, recipient, frame)
+        else:
+            self._transmit(recipient, frame)
 
     def set_timer(self, node: int, delay: float, tag: Any) -> int:
         assert self._loop is not None, "transport not started"
@@ -384,6 +436,55 @@ class AsyncioTransport:
         except Exception as exc:  # pragma: no cover - defensive
             self.errors.append(exc)
 
+    def _later(self, delay_s: float, callback: Callable[..., None], *args) -> None:
+        """Run ``callback(*args)`` after ``delay_s`` seconds, unless the
+        endpoint is stopped first.  At zero delay it runs as soon as the
+        current callback returns, ahead of frames polled after it — in
+        send order, as the simulator delivers zero-delay messages."""
+        assert self._loop is not None
+        self._flight_seq += 1
+        seq = self._flight_seq
+        if delay_s > 0:
+            handle = self._loop.call_later(delay_s, self._land, seq, callback, args)
+        else:
+            handle = self._loop.call_soon(self._land, seq, callback, args)
+        self._in_flight[seq] = handle
+
+    def _land(self, seq: int, callback: Callable[..., None], args: tuple) -> None:
+        del self._in_flight[seq]
+        callback(*args)
+
+    def _drop_inbound(self) -> None:
+        self.metrics.record_drop()
+        obs_metrics.counter_inc(
+            "repro_net_frames_dropped_total",
+            help="inbound frames dropped (undecodable or node down)",
+        )
+
+    def _deliver_local(self, message: Any, size: int) -> None:
+        """A message this node sent itself, delivered as the object.  Its
+        own ``send`` enters the commitment table here, as decoding the
+        frame would have put it there."""
+        if self.crashed:
+            self._drop_inbound()
+            return
+        inner = message.payload if isinstance(message, SessionEnvelope) else message
+        if inner.kind == "vss.send":
+            digest = commitment_digest(inner.commitment)
+            if self._table.get(digest) is None:
+                self._table.insert(digest, inner.commitment, self.node_id)
+        self._accept(self.node_id, message, size)
+
+    def _receive(self, peer: int, frame: bytes) -> None:
+        """One complete frame off ``peer``'s inbound link."""
+        if self.crashed:
+            # Links are down: the frame is lost, and metered as such —
+            # same accounting as the simulator's delivery-to-crashed-node
+            # path.
+            self._drop_inbound()
+            return
+        self._dispatch_frame(peer, frame)
+
     def _dispatch_frame(self, peer: int, frame: bytes) -> None:
         try:
             message = wire.decode(
@@ -393,12 +494,11 @@ class AsyncioTransport:
             self._hold(peer, frame, exc.digest)
             return
         except wire.WireError:
-            self.metrics.record_drop()
-            obs_metrics.counter_inc(
-                "repro_net_frames_dropped_total",
-                help="inbound frames dropped (undecodable or node down)",
-            )
+            self._drop_inbound()
             return
+        self._accept(peer, message, len(frame))
+
+    def _accept(self, peer: int, message: Any, size: int) -> None:
         inner = message.payload if isinstance(message, SessionEnvelope) else message
         kind = getattr(inner, "kind", type(inner).__name__)
         obs_metrics.counter_inc(
@@ -408,7 +508,7 @@ class AsyncioTransport:
         )
         obs_metrics.counter_inc(
             "repro_net_bytes_received_total",
-            len(frame),
+            size,
             help="wire bytes received, by protocol message kind",
             kind=kind,
         )
@@ -479,84 +579,62 @@ class AsyncioTransport:
                 del self._pending_by_peer[peer]
             self._dispatch_frame(peer, frame)
 
-    async def _deliver(self, recipient: int, frame: bytes, delay_s: float) -> None:
-        if delay_s > 0:
-            await asyncio.sleep(delay_s)
+    def _transmit(self, recipient: int, frame: bytes) -> None:
+        """Write ``frame`` to ``recipient``'s link, or queue it behind
+        the link's dial (starting one if none is under way)."""
+        if self.crashed:
+            self.metrics.record_drop()
+            return
+        queue = self._dialing.get(recipient)
+        if queue is not None:
+            queue.append(frame)
+            return
+        writer = self._writers.get(recipient)
+        if writer is not None and not writer.is_closing():
+            writer.write(frame)
+            return
+        assert self._loop is not None
+        self._dialing[recipient] = [frame]
+        task = self._loop.create_task(self._dial(recipient))
+        self._dial_tasks.add(task)
+        task.add_done_callback(self._dial_tasks.discard)
+
+    async def _dial(self, recipient: int) -> None:
+        """Connect to ``recipient``, then flush the frames that queued
+        meanwhile, in order; if it stays unreachable, drop them."""
         try:
             writer = await self._connect(recipient)
-            writer.write(frame)
-            await writer.drain()
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError):
-            self._writers.pop(recipient, None)
-            self.metrics.record_drop()
+        except ConnectionError:
+            writer = None
+        queue = self._dialing.pop(recipient, ())
+        for frame in queue:
+            if writer is None:
+                self.metrics.record_drop()
+            else:
+                writer.write(frame)
 
     async def _connect(self, recipient: int) -> asyncio.StreamWriter:
-        # One dial at a time per recipient: concurrent sends before the
-        # first connection completes must share it (a second parallel
-        # connection would leak and could reorder frames).
-        lock = self._dial_locks.setdefault(recipient, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(recipient)
-            if writer is not None and not writer.is_closing():
+        last_error: Exception = ConnectionError(f"no route to node {recipient}")
+        for attempt in range(self.connect_attempts):
+            if self.crashed:
+                break
+            try:
+                address = self.registry.address_of(recipient)
+                _, writer = await asyncio.open_connection(address.host, address.port)
+                writer.write(self.node_id.to_bytes(4, "big"))
+                self._writers[recipient] = writer
+                obs_metrics.counter_inc(
+                    "repro_net_connects_total",
+                    help="outbound connections established",
+                )
                 return writer
-            last_error: Exception = ConnectionError(f"no route to node {recipient}")
-            for attempt in range(self.connect_attempts):
-                if self.crashed:
-                    break
-                try:
-                    address = self.registry.address_of(recipient)
-                    _, writer = await asyncio.open_connection(
-                        address.host, address.port
-                    )
-                    writer.write(self.node_id.to_bytes(4, "big"))
-                    self._writers[recipient] = writer
-                    obs_metrics.counter_inc(
-                        "repro_net_connects_total",
-                        help="outbound connections established",
-                    )
-                    return writer
-                except (KeyError, ConnectionError, OSError) as exc:
-                    last_error = exc
-                    obs_metrics.counter_inc(
-                        "repro_net_connect_retries_total",
-                        help="failed outbound dial attempts (will back off)",
-                    )
-                    await asyncio.sleep(self.connect_backoff * (attempt + 1))
+            except (KeyError, ConnectionError, OSError) as exc:
+                last_error = exc
+                obs_metrics.counter_inc(
+                    "repro_net_connect_retries_total",
+                    help="failed outbound dial attempts (will back off)",
+                )
+                await asyncio.sleep(self.connect_backoff * (attempt + 1))
         raise ConnectionError(
             f"node {recipient} unreachable: {last_error}"
         ) from last_error
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        try:
-            peer = int.from_bytes(await reader.readexactly(4), "big")
-            while True:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "big")
-                if length > wire.MAX_FRAME_BYTES:
-                    break  # garbled stream; drop the connection
-                body = await reader.readexactly(length)
-                if self.crashed:
-                    # Links are down: the frame is lost, and metered as
-                    # such — same accounting as the simulator's
-                    # delivery-to-crashed-node path.
-                    self.metrics.record_drop()
-                    obs_metrics.counter_inc(
-                        "repro_net_frames_dropped_total",
-                        help="inbound frames dropped (undecodable or node down)",
-                    )
-                    continue
-                self._dispatch_frame(peer, header + body)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # peer went away; it will re-dial if it needs us
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()

@@ -33,7 +33,9 @@ dealer's ``send``; an endpoint that never got that ``send`` asks a peer
 for the matrix with a :class:`MatrixRequest` and is answered with a
 :class:`MatrixReply`.  The same table makes inline matrices decode
 once: a frame whose matrix bytes the table has already decoded gets
-that object back.  :func:`encode` defaults to the inline form
+that object back.  Within one matrix, each distinct entry encoding is
+decoded once, so a symmetric matrix costs (t+1)(t+2)/2 element
+decodes.  :func:`encode` defaults to the inline form
 (``commitments="inline"``), which is what captures, transcript hashes
 and the golden frames hold.
 
@@ -96,7 +98,8 @@ class UnresolvedDigest(WireError):
 
 
 class CommitmentTable:
-    """The commitment matrices one endpoint has decoded, by digest.
+    """The commitment matrices one endpoint has decoded, by digest —
+    and those of its own ``send``s, which reach it without a frame.
 
     :func:`decode` consults it for every inline matrix — identical
     matrix bytes under an equal group come back as the object the first
@@ -383,6 +386,9 @@ class _Reader:
         self.pos = 0
         self.group = group  # element-decoding context (see _Writer.group)
         self.commitments = commitments  # CommitmentTable (or a charged view)
+        # The entries of the matrix being read, by encoding: a dealt
+        # matrix is symmetric, so each distinct point is decoded once.
+        self._memo: dict[bytes, Any] | None = None
 
     def take(self, n: int) -> bytes:
         if n < 0 or self.pos + n > len(self.data):
@@ -444,12 +450,17 @@ class _Reader:
             return int.from_bytes(raw, "big")
         return self._decode_element(self.group, raw)
 
-    @staticmethod
-    def _decode_element(group, raw: bytes):
+    def _decode_element(self, group, raw: bytes):
+        memo = self._memo
+        if memo is not None and raw in memo:
+            return memo[raw]  # validated when first seen in this matrix
         try:
-            return group.element_decode(raw)
+            element = group.element_decode(raw)
         except ValueError as exc:
             raise WireError(f"garbled group element: {exc}") from exc
+        if memo is not None:
+            memo[raw] = element
+        return element
 
     def sized_element(self, group):
         """A fixed-width element (commitment entries): exactly
@@ -502,7 +513,9 @@ class _Reader:
             if known is not None and known.group == group:
                 return known
             self.pos = start
+        self._memo = {}
         rows = tuple(self._elements(group, side) for _ in range(side))
+        self._memo = None
         commitment = FeldmanCommitment(rows, group)
         if table is not None and known is None:
             table.insert(digest, commitment)
@@ -1032,7 +1045,8 @@ def decode(data: bytes, *, commitments=None, group=None) -> Any:
         raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
     if version not in (since, max(since, 3)):
         raise WireError(f"frame kind 0x{kind:02x} is never stamped version {version}")
-    reader = _Reader(data[HEADER_BYTES:], group, commitments)
+    # bytes, not a mutable buffer: element encodings key the matrix memo.
+    reader = _Reader(bytes(data[HEADER_BYTES:]), group, commitments)
     message = _read_fields(reader, typ, fields)
     reader.expect_end()
     return message

@@ -141,7 +141,16 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class _Family:
     """All children (label sets) of one metric name."""
 
-    __slots__ = ("kind", "name", "help", "buckets", "label_limit", "_children", "_lock")
+    __slots__ = (
+        "kind",
+        "name",
+        "help",
+        "buckets",
+        "label_limit",
+        "_children",
+        "_by_call",
+        "_lock",
+    )
 
     def __init__(
         self,
@@ -156,14 +165,30 @@ class _Family:
         self.help = help_text
         self.buckets = buckets
         self.label_limit = label_limit
-        self._children: dict[tuple, Any] = {}
+        self._children: dict[tuple, Any] = {}  # by normalised label set
+        # The same children by label items as a caller spelled them, so a
+        # hot path that repeats its call skips the sort and the str().
+        # Only all-str spellings: 1 == True, but str(1) != str(True).
+        self._by_call: dict[tuple, Any] = {}
         self._lock = threading.Lock()
 
     def child(self, labels: dict[str, Any]) -> Any:
+        call = tuple(labels.items())
+        try:
+            return self._by_call[call]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            pass
         key = tuple(sorted((k, str(v)) for k, v in labels.items()))
         child = self._children.get(key)
-        if child is not None:
-            return child
+        if child is None:
+            child = self._new_child(key)
+        if len(self._by_call) < 4 * self.label_limit and all(
+            type(v) is str for v in labels.values()
+        ):
+            self._by_call[call] = child
+        return child
+
+    def _new_child(self, key: tuple) -> Any:
         with self._lock:
             child = self._children.get(key)
             if child is None:

@@ -54,8 +54,3 @@ class TestDleq:
         # modp residues, not points at all for the curve).
         assert not dleq.verify(bgroup, bgroup.g, 0, g2, h2, proof)
         assert not dleq.verify(bgroup, bgroup.g, h1, g2, -1, proof)
-
-    def test_proof_size(self, bgroup) -> None:
-        rng = random.Random(9)
-        _, _, proof = dleq.prove(bgroup, 5, bgroup.g, bgroup.commit(3), rng)
-        assert proof.byte_size(bgroup) == 2 * bgroup.scalar_bytes

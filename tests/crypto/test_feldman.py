@@ -178,9 +178,8 @@ class TestCommitmentAlgebra:
         wanted = (t + 1) * (t + 2) // 2 if symmetric else (t + 1) ** 2
         assert len(exponentiated) == wanted
 
-    def test_byte_size(self, bgroup) -> None:
+    def test_num_entries(self, bgroup) -> None:
         _, c = _commit(bgroup, 3, 0)
-        assert c.byte_size() == 16 * bgroup.element_bytes
         assert c.num_entries == 16
 
     def test_rejects_non_square(self, bgroup) -> None:

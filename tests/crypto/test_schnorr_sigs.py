@@ -94,11 +94,6 @@ class TestSignVerify:
         assert not verify(bgroup, 0, b"msg", sig)
         assert not verify(bgroup, -1, b"msg", sig)
 
-    def test_signature_size(self, bgroup) -> None:
-        rng = random.Random(5)
-        sig = SigningKey.generate(bgroup, rng).sign(b"x", rng)
-        assert sig.byte_size(bgroup) == 2 * bgroup.scalar_bytes
-
     def test_distinct_nonces_give_distinct_signatures(self, bgroup) -> None:
         rng = random.Random(6)
         key = SigningKey.generate(bgroup, rng)

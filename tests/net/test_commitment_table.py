@@ -29,6 +29,7 @@ from repro.vss.messages import EchoMsg, SendMsg, SessionId
 
 from tests.helpers import default_test_group
 from tests.net.test_wire_golden import CASES, GOLDEN, table_holding
+from tests.net.test_wire_schema import bad_elements
 
 G = default_test_group()
 SID = SessionId(3, 7)
@@ -252,15 +253,8 @@ def test_full_table_evicts_from_the_largest_holder() -> None:
     assert len(table) == 4
 
 
-def test_tcp_dkg_makes_exactly_the_pinned_number_of_element_decodes(
-    monkeypatch,
-) -> None:
-    """A count that needs no clock: n=4, t=1 over real sockets, every
-    node decodes each dealer's (t+1) x (t+1) matrix once — not once per
-    send, echo and ready carrying it (that was 576), and not once per
-    process (16): the four nodes of this LocalCluster share an
-    interpreter, never a table.  DKG frames carry no loose elements."""
-    group = group_by_name("secp256k1")
+def counting_element_decodes(monkeypatch, group) -> list:
+    """Every encoding ``group`` is asked to decode from now on."""
     calls = []
     element_decode = type(group).element_decode
 
@@ -269,9 +263,82 @@ def test_tcp_dkg_makes_exactly_the_pinned_number_of_element_decodes(
         return element_decode(self, raw)
 
     monkeypatch.setattr(type(group), "element_decode", counting)
+    return calls
+
+
+class TestEachDistinctEntryDecodesOnce:
+    """Within one matrix, an encoding seen before is not decoded again."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["toy", "secp256k1"])
+    def test_symmetric_matrix_decodes_its_triangle(
+        self, monkeypatch, name: str, t: int
+    ) -> None:
+        group = group_by_name(name)
+        c = commitment_over(group, t=t)
+        frame = wire.encode(SendMsg(SID, c, None))
+        calls = counting_element_decodes(monkeypatch, group)
+        decoded = wire.decode(frame).commitment
+        assert decoded == c
+        assert len(calls) == (t + 1) * (t + 2) // 2
+        assert decoded.matrix[0][1] is decoded.matrix[1][0]
+
+    @pytest.mark.parametrize("name", ["toy", "secp256k1"])
+    def test_asymmetric_matrix_decodes_every_entry(self, monkeypatch, name) -> None:
+        group = group_by_name(name)
+        side = 3
+        rows = tuple(
+            tuple(group.commit(1 + side * j + k) for k in range(side))
+            for j in range(side)
+        )
+        c = FeldmanCommitment(rows, group)
+        frame = wire.encode(SendMsg(SID, c, None))
+        calls = counting_element_decodes(monkeypatch, group)
+        assert wire.decode(frame).commitment == c
+        assert len(calls) == side * side
+
+    def test_memo_spans_one_matrix_not_the_next(self, monkeypatch) -> None:
+        group = group_by_name("secp256k1")
+        c = commitment_over(group, t=1)
+        frames = [wire.encode(SendMsg(SID, c, None)) for _ in range(2)]
+        calls = counting_element_decodes(monkeypatch, group)
+        for frame in frames:
+            wire.decode(frame)
+        assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), "both"])
+    def test_garbled_mirrored_entry_is_a_wire_error(self, entry) -> None:
+        group = group_by_name("secp256k1")
+        c = commitment_over(group, t=2)
+        frame = wire.encode(SendMsg(SID, c, None))
+        raw = matrix_bytes(c)
+        start = frame.index(raw)
+        width = group.element_bytes
+        off_curve = bad_elements(group)[0]
+        hostile = bytearray(frame)
+        for j, k in [(0, 1), (1, 0)] if entry == "both" else [entry]:
+            at = start + (3 * j + k) * width
+            hostile[at : at + width] = off_curve
+        with pytest.raises(wire.WireError, match="garbled group element"):
+            wire.decode(bytes(hostile))
+
+
+def test_tcp_dkg_makes_exactly_the_pinned_number_of_element_decodes(
+    monkeypatch,
+) -> None:
+    """A count that needs no clock: n=4, t=1 over real sockets, every
+    node decodes each of the n - 1 other dealers' (t+1) x (t+1) matrices
+    once — not once per send, echo and ready carrying it (that was 576),
+    and not once per process: the four nodes of this LocalCluster share
+    an interpreter, never a table.  A dealt matrix is symmetric, so its
+    (t+1)(t+2)/2 distinct entries are all that is decompressed, and a
+    node's own send reaches it as the object, not as a frame.  DKG
+    frames carry no loose elements."""
+    group = group_by_name("secp256k1")
+    calls = counting_element_decodes(monkeypatch, group)
     res = run_local_cluster(DkgConfig(n=4, t=1, group=group), seed=7, time_scale=0.01)
     assert res.succeeded and res.errors == []
-    assert len(calls) == 4 * 4 * (1 + 1) ** 2
+    assert len(calls) == 4 * 3 * 3
 
 
 # -- pending digest frames -----------------------------------------------------

@@ -7,18 +7,25 @@ import random
 
 import pytest
 
+from repro.crypto.bivariate import BivariatePolynomial
+from repro.crypto.feldman import FeldmanCommitment
+from repro.crypto.hashing import commitment_digest
+from repro.net import wire
 from repro.net.peers import PeerRegistry
 from repro.net.transport import (
     AsyncioTransport,
     DropRetryLink,
     Transport,
+    _InboundLink,
 )
 from repro.net.host import NodeHost
+from repro.obs import metrics as obs_metrics
 from repro.runtime.envelope import SessionEnvelope
 from repro.runtime.runtime import ProtocolRuntime
-from repro.sim.network import ConstantDelay, RawPayload
+from repro.sim.network import ConstantDelay, DelayModel, RawPayload
 from repro.sim.node import RecordingNode
 from repro.sim.runner import Simulation
+from repro.vss.messages import HelpMsg, SendMsg, SessionId
 
 from tests.helpers import default_test_group
 
@@ -304,3 +311,253 @@ class TestAsyncioTransport:
         na, nb = asyncio.run(scenario())
         assert len(nb.received) == 1
         assert nb.received[0][1] == 1  # sender attribution via handshake
+
+
+# -- the frame path: one protocol object per link, no task per frame ----------
+
+
+class FakeSocket:
+    """The transport side of an inbound link, without a socket."""
+
+    def __init__(self) -> None:
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def help_frames(count: int) -> tuple[list, bytes]:
+    messages = [HelpMsg(SessionId(1, k)) for k in range(count)]
+    return messages, b"".join(wire.encode(m) for m in messages)
+
+
+def inbound_endpoint() -> tuple[AsyncioTransport, list]:
+    transport = AsyncioTransport(1, PeerRegistry(), [1, 2, 3], group=G)
+    delivered: list = []
+    transport.on_message = lambda peer, message: delivered.append((peer, message))
+    return transport, delivered
+
+
+def open_link(transport: AsyncioTransport) -> tuple[_InboundLink, FakeSocket]:
+    link, sock = _InboundLink(transport), FakeSocket()
+    link.connection_made(sock)
+    return link, sock
+
+
+HANDSHAKE = (2).to_bytes(4, "big")
+
+
+class TestInboundFrames:
+    def test_a_stream_split_at_every_byte_boundary(self) -> None:
+        messages, frames = help_frames(3)
+        stream = HANDSHAKE + frames
+        for cut in range(len(stream) + 1):
+            transport, delivered = inbound_endpoint()
+            link, _ = open_link(transport)
+            link.data_received(stream[:cut])
+            link.data_received(stream[cut:])
+            assert delivered == [(2, m) for m in messages], cut
+        transport, delivered = inbound_endpoint()
+        link, _ = open_link(transport)
+        for at in range(len(stream)):
+            link.data_received(stream[at : at + 1])
+        assert delivered == [(2, m) for m in messages]
+        assert not link.buffer
+
+    def test_many_frames_in_one_chunk_arrive_in_order(self) -> None:
+        messages, frames = help_frames(50)
+        transport, delivered = inbound_endpoint()
+        link, _ = open_link(transport)
+        link.data_received(HANDSHAKE + frames)
+        assert delivered == [(2, m) for m in messages]
+
+    def test_oversize_length_closes_only_that_link(self) -> None:
+        messages, frames = help_frames(2)
+        transport, delivered = inbound_endpoint()
+        bad, bad_sock = open_link(transport)
+        good, good_sock = open_link(transport)
+        oversize = (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        bad.data_received(HANDSHAKE + oversize + frames)
+        good.data_received((3).to_bytes(4, "big") + frames)
+        assert bad_sock.closed and not good_sock.closed
+        assert delivered == [(3, m) for m in messages]
+
+    def test_oversize_length_is_answered_by_a_closed_socket(self) -> None:
+        async def scenario():
+            _, a, b = _pair()
+            received: list = []
+            b.on_message = lambda sender, msg: received.append(msg)
+            await a.start()
+            await b.start()
+            port = a.registry.address_of(2).port
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(HANDSHAKE + (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            eof = await asyncio.wait_for(reader.read(), 5.0)
+            messages, _ = help_frames(1)
+            a.enqueue_message(1, 2, messages[0])
+            for _ in range(100):
+                if received:
+                    break
+                await asyncio.sleep(0.01)
+            writer.close()
+            await a.stop()
+            await b.stop()
+            return eof, received, messages
+
+        eof, received, messages = asyncio.run(scenario())
+        assert eof == b""
+        assert received == messages
+
+    def test_frames_after_a_crash_are_dropped_and_metered(self) -> None:
+        messages, frames = help_frames(3)
+        transport, delivered = inbound_endpoint()
+        link, sock = open_link(transport)
+
+        def crash_on_first(peer, message) -> None:
+            delivered.append((peer, message))
+            transport.crash()
+
+        transport.on_message = crash_on_first
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        try:
+            link.data_received(HANDSHAKE + frames)
+        finally:
+            obs_metrics.set_registry(previous)
+        assert delivered == [(2, messages[0])]
+        assert sock.closed  # the crash took the link down
+        assert transport.metrics.deliveries_dropped == 2
+        dropped = registry.snapshot()["repro_net_frames_dropped_total"]
+        assert dropped["samples"][0]["value"] == 2
+
+
+class TestSelfDelivery:
+    def test_own_message_arrives_as_the_object_without_a_socket(self) -> None:
+        async def scenario():
+            _, a, _ = _pair()
+            received: list = []
+            a.on_message = lambda sender, msg: received.append((sender, msg))
+            registry = obs_metrics.MetricsRegistry()
+            previous = obs_metrics.set_registry(registry)
+            try:
+                await a.start()
+                message = SessionEnvelope("s", HelpMsg(SessionId(1, 0)))
+                a.enqueue_message(1, 1, message)
+                await asyncio.sleep(0.05)
+                await a.stop()
+            finally:
+                obs_metrics.set_registry(previous)
+            return a, registry.snapshot(), message, received
+
+        a, snapshot, message, received = asyncio.run(scenario())
+        assert received == [(1, message)] and received[0][1] is message
+        assert not a._writers and not a._dial_tasks
+        assert "repro_net_connects_total" not in snapshot
+        assert a.metrics.messages_total == 1
+        assert a.metrics.bytes_by_kind["vss.help"] > 0
+        for name in ("frames_sent", "frames_received"):
+            family = snapshot[f"repro_net_{name}_total"]
+            assert family["samples"] == [{"labels": {"kind": "vss.help"}, "value": 1}]
+
+    def test_own_message_to_a_crashed_node_is_dropped(self) -> None:
+        async def scenario():
+            _, a, _ = _pair(delay_model=ConstantDelay(1.0), time_scale=0.01)
+            received: list = []
+            a.on_message = lambda sender, msg: received.append(msg)
+            await a.start()
+            a.enqueue_message(1, 1, HelpMsg(SessionId(1, 0)))
+            a.crash()
+            await asyncio.sleep(0.05)
+            await a.recover()
+            await asyncio.sleep(0.02)
+            await a.stop()
+            return a, received
+
+        a, received = asyncio.run(scenario())
+        assert received == []
+        assert a.metrics.messages_total == 1  # metered when it was sent
+        assert a.metrics.deliveries_dropped == 1
+
+    def test_own_send_enters_the_commitment_table(self) -> None:
+        poly = BivariatePolynomial.random_symmetric(1, G.q, random.Random(3))
+        commitment = FeldmanCommitment.commit(poly, G)
+
+        async def scenario():
+            _, a, _ = _pair(group=G)
+            await a.start()
+            a.enqueue_message(1, 1, SendMsg(SessionId(1, 0), commitment, None))
+            held_at_enqueue = a._table.get(commitment_digest(commitment))
+            await asyncio.sleep(0.05)
+            await a.stop()
+            return a, held_at_enqueue
+
+        a, held_at_enqueue = asyncio.run(scenario())
+        assert held_at_enqueue is None
+        assert a._table.get(commitment_digest(commitment)) is commitment
+
+
+class RecordingDelay(DelayModel):
+    """No delay, but one draw from the link rng per message."""
+
+    def __init__(self) -> None:
+        self.links: list[tuple[int, int]] = []
+
+    def sample(self, rng: random.Random, sender: int, recipient: int) -> float:
+        self.links.append((sender, recipient))
+        rng.random()
+        return 0.0
+
+
+class TestOutboundFrames:
+    def test_net_rng_draws_once_per_message_self_addressed_or_not(self) -> None:
+        delay = RecordingDelay()
+
+        async def scenario():
+            _, a, b = _pair(seed=5, delay_model=delay)
+            await a.start()
+            await b.start()
+            for recipient in (1, 2, 1, 2, 2):
+                a.enqueue_message(1, recipient, HelpMsg(SessionId(1, 0)))
+            await asyncio.sleep(0.05)
+            await a.stop()
+            await b.stop()
+            return a
+
+        a = asyncio.run(scenario())
+        assert delay.links == [(1, 1), (1, 2), (1, 1), (1, 2), (1, 2)]
+        reference = random.Random(("net", 5, 1).__repr__())
+        for _ in range(5):
+            reference.random()
+        assert a._net_rng.getstate() == reference.getstate()
+
+    def test_one_dial_per_link_and_fifo_across_it(self) -> None:
+        messages, _ = help_frames(60)
+
+        async def scenario():
+            _, a, b = _pair()
+            received: list = []
+            b.on_message = lambda sender, msg: received.append(msg)
+            await a.start()
+            await b.start()
+            for message in messages[:40]:
+                a.enqueue_message(1, 2, message)  # queue behind the dial
+            dials = len(a._dial_tasks)
+            queued = len(a._dialing[2])
+            for _ in range(100):
+                if len(received) == 40:
+                    break
+                await asyncio.sleep(0.01)
+            for message in messages[40:]:
+                a.enqueue_message(1, 2, message)  # straight to the socket
+            for _ in range(100):
+                if len(received) == 60:
+                    break
+                await asyncio.sleep(0.01)
+            inbound = len(b._inbound)
+            await a.stop()
+            await b.stop()
+            return dials, queued, inbound, received
+
+        dials, queued, inbound, received = asyncio.run(scenario())
+        assert (dials, queued, inbound) == (1, 40, 1)
+        assert received == messages

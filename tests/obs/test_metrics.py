@@ -50,6 +50,42 @@ class TestCountersAndGauges:
         samples = reg.snapshot()["c"]["samples"]
         assert len(samples) == 1 and samples[0]["value"] == 2
 
+    def test_every_spelling_of_a_label_set_reaches_one_child(self) -> None:
+        reg = MetricsRegistry()
+        spellings = [
+            {"kind": "1", "node": "a"},
+            {"node": "a", "kind": "1"},
+            {"kind": 1, "node": "a"},
+            {"node": "a", "kind": 1},
+        ]
+        for _ in range(2):  # the second pass takes the remembered spellings
+            children = {id(reg.counter("c", **labels)) for labels in spellings}
+            assert len(children) == 1
+        # 1 == True, but they are distinct label values, as ever.
+        assert reg.counter("c", node="a", kind=True) is not reg.counter(
+            "c", node="a", kind=1
+        )
+        assert [s["labels"] for s in reg.snapshot()["c"]["samples"]] == [
+            {"kind": "1", "node": "a"},
+            {"kind": "True", "node": "a"},
+        ]
+
+    def test_cardinality_limit_counts_label_sets_not_spellings(self) -> None:
+        reg = MetricsRegistry(label_limit=2)
+        for _ in range(3):
+            for kind in ("echo", "ready"):
+                reg.counter("c", kind=kind, node="1").inc()
+                reg.counter("c", node=1, kind=kind).inc()
+        assert sum(s["value"] for s in reg.snapshot()["c"]["samples"]) == 12
+        with pytest.raises(CardinalityError):
+            reg.counter("c", kind="send", node="1")
+
+    def test_unhashable_label_value_is_stringified(self) -> None:
+        reg = MetricsRegistry()
+        reg.counter("c", q=[1, 2]).inc()
+        reg.counter("c", q="[1, 2]").inc()
+        assert reg.snapshot()["c"]["samples"][0]["value"] == 2
+
     def test_kind_mismatch_raises(self) -> None:
         reg = MetricsRegistry()
         reg.counter("x").inc()
