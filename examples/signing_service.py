@@ -6,9 +6,8 @@ threshold services; this example assembles one end to end:
 1. bootstrap a (n=5, t=1) group key with the DKG;
 2. start the serving layer — per-node signer workers, a presignature
    pool of precomputed nonce DKGs, and the asyncio TCP gateway;
-3. act as a client: threshold-sign a message (verifying the result is
-   an ordinary Schnorr signature), advance the randomness beacon,
-   evaluate the distributed PRF, and threshold-decrypt a ciphertext;
+3. act as a client: threshold-sign a message and verify the result
+   as an ordinary Schnorr signature under the group key;
 4. crash one node mid-run and show the service keeps serving — pooled
    presignatures the crashed node contributed to are invalidated and
    the pool refills from the survivors.
@@ -21,9 +20,7 @@ Run::
 from __future__ import annotations
 
 import asyncio
-import random
 
-from repro.apps import threshold_elgamal
 from repro.crypto import schnorr
 from repro.service import (
     ServiceClient,
@@ -55,28 +52,6 @@ async def main() -> None:
         signature = schnorr.Signature(signed.challenge, signed.response)
         assert schnorr.verify(service.group, service.public_key, message, signature)
         print(f"SIGN    : verified, presig_used={signed.presig_used}")
-
-        # -- randomness beacon: chained, publicly verifiable rounds
-        for _ in range(2):
-            round_ = await client.beacon_next()
-            print(
-                f"BEACON  : round {round_.round_number} -> "
-                f"{round_.output.hex()[:24]}..."
-            )
-
-        # -- distributed PRF: deterministic, unbiasable
-        tag = b"lottery-2026-07-31"
-        first = await client.dprf_eval(tag)
-        again = await client.dprf_eval(tag)
-        assert first.output == again.output
-        print(f"DPRF    : f_s({tag.decode()}) = {first.output.hex()[:24]}...")
-
-        # -- threshold decryption: no node ever sees the key
-        ciphertext = threshold_elgamal.encrypt_bytes(
-            service.group, service.public_key, b"dealerless!", random.Random(2)
-        )
-        plain = await client.decrypt(ciphertext.c1, ciphertext.pad)
-        print(f"DECRYPT : {plain.plaintext!r}")
 
         # -- crash one member mid-run; the service keeps signing
         victim = 2

@@ -486,7 +486,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "connections": frontend.connections_total,
             "presigs_forged": service.pool.forged,
             "presigs_invalidated": service.pool.invalidated,
-            "beacon_height": service.beacon.height,
             "public_key": element_hex(config.group, service.public_key),
         }
 
@@ -927,8 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_loadgen.add_argument(
         "--op", default="sign",
-        choices=("sign", "beacon", "dprf", "status", "mix"),
-        help="operation mix to issue",
+        choices=("sign", "status"),
+        help="operation to issue",
     )
     p_loadgen.add_argument("--payload-bytes", type=int, default=16)
     p_loadgen.add_argument(

@@ -1,5 +1,5 @@
-"""Cryptographic substrate: discrete-log groups, polynomials, commitments,
-signatures and zero-knowledge proofs.
+"""Cryptographic substrate: discrete-log groups, polynomials, commitments
+and signatures.
 
 Everything in this subpackage is pure (no simulator dependencies) and
 deterministic given a seeded ``random.Random``.  Group arithmetic is
@@ -14,7 +14,6 @@ from repro.crypto.backend import (
     element_hex,
 )
 from repro.crypto.bivariate import BivariatePolynomial
-from repro.crypto.dleq import DleqProof
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector, share_verifier
 from repro.crypto.multiexp import (
     FixedBaseTable,
@@ -54,7 +53,6 @@ __all__ = [
     "secp256k1_group",
     "BivariatePolynomial",
     "CryptoExecutor",
-    "DleqProof",
     "acceleration_status",
     "FeldmanCommitment",
     "FeldmanVector",

@@ -132,7 +132,9 @@ class DropRetryLink(DelayModel):
 class _InboundLink(asyncio.Protocol):
     """One accepted connection: a 4-byte peer-index handshake, then
     ``[u32 length]`` frames, each dispatched as soon as its last byte
-    has arrived."""
+    has arrived.  A link that connects while its endpoint is down
+    drains: every frame on it is dropped and metered, until recovery
+    closes it."""
 
     def __init__(self, endpoint: "AsyncioTransport"):
         self.endpoint = endpoint
@@ -143,6 +145,8 @@ class _InboundLink(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
         self.endpoint._inbound.add(self)
+        if self.endpoint._stopped:
+            transport.close()  # accepted as the endpoint stopped
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.endpoint._inbound.discard(self)
@@ -244,6 +248,7 @@ class AsyncioTransport:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
         self._server: asyncio.AbstractServer | None = None
+        self._stopped = False
         self._port: int | None = None
         self._writers: dict[int, asyncio.StreamWriter] = {}
         # Frames for a link being dialled, in send order; one dial each.
@@ -267,12 +272,14 @@ class AsyncioTransport:
             lambda: _InboundLink(self), self.host, self._port or 0
         )
         self._port = self._server.sockets[0].getsockname()[1]
+        self._stopped = False
         self.registry.register(self.node_id, self.host, self._port)
         if self.output_event is None:
             self.output_event = asyncio.Event()
 
     async def stop(self) -> None:
         """Tear the endpoint down completely (end of deployment)."""
+        self._stopped = True
         self._close_links()
         self._forget_pending()
         for handles in (self._timers, self._in_flight):
@@ -285,6 +292,7 @@ class AsyncioTransport:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.sleep(0)  # the server finishes closing
 
     def crash(self) -> None:
         """Take the node's links down (§2.2: in-flight messages lost)."""
@@ -296,7 +304,10 @@ class AsyncioTransport:
         self._forget_pending()
 
     async def recover(self) -> None:
-        """Come back up on the same address."""
+        """Come back up on the same address, on fresh links: those that
+        connected while the node was down are closed."""
+        self._close_links()
+        await asyncio.sleep(0)  # the old server finishes closing
         await self.start()
         self.crashed = False
         obs_metrics.counter_inc(
@@ -312,9 +323,16 @@ class AsyncioTransport:
         self._pending_by_peer.clear()
 
     def _close_links(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            # A socket the server accepted in this loop pass becomes a
+            # link in the next one, and asyncio cannot attach it to a
+            # closed server: it would stay open and unread.  So the
+            # server stops accepting now and closes behind those
+            # accepts; their links then drain or close as they connect.
+            for sock in server.sockets:
+                self._loop.remove_reader(sock.fileno())
+            self._loop.call_soon(server.close)
         for link in self._inbound:
             link.transport.close()
         self._inbound.clear()

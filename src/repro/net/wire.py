@@ -49,6 +49,7 @@ search — and session envelopes do not nest.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Any, Callable, Hashable
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
@@ -69,7 +70,7 @@ from repro.service import protocol as svc
 from repro.vss import messages as vss
 
 MAGIC = b"KG"
-VERSION = 7  # the newest ``since`` in SCHEMA
+VERSION = 8  # the newest ``since`` in SCHEMA
 SERVICE_KIND_MIN = 0x30  # kinds from here up are client <-> gateway frames
 ENVELOPE_KIND = 0x2F
 HEADER_BYTES = 4 + len(MAGIC) + 1 + 1  # length + magic + version + kind
@@ -78,7 +79,6 @@ MAX_FRAME_BYTES = 1 << 24  # 16 MiB — far above any honest frame
 
 PHASE_BYTES = 4
 REQUEST_ID_BYTES = 8  # client-chosen correlation id (service frames)
-ROUND_BYTES = 8  # beacon round numbers
 MAX_COMMITMENT_SIDE = 1024
 MAX_POLYNOMIAL_COEFFS = 4096
 
@@ -586,10 +586,13 @@ class _Field:
 
 def _prim(name: str) -> _Field:
     """The field type the ``_Writer``/``_Reader`` methods called ``name``
-    code; the writer's docstring is its entry in docs/wire.md."""
+    code; the writer's docstring is its entry in docs/wire.md.  Reads
+    look the method up on the reader itself, so a reader subclass sees
+    every primitive it overrides."""
     write = getattr(_Writer, name)
     detail = " ".join((write.__doc__ or "").split())
-    return _Field(name.replace("_", " "), detail, write, getattr(_Reader, name))
+    read = operator.methodcaller(name)
+    return _Field(name.replace("_", " "), detail, write, read)
 
 
 def _int(width: int, what: str, bias: int = 0) -> _Field:
@@ -752,7 +755,6 @@ VIEW = _int(VIEW_BYTES, "view")
 PHASE = _int(PHASE_BYTES, "phase")
 REQUEST_ID = _int(REQUEST_ID_BYTES, "request id")
 COUNT = _int(INDEX_BYTES, "count")  # of nodes, so as wide as an index
-ROUND = _int(ROUND_BYTES, "beacon round")
 DELTA = _int(1, "delta + 128", bias=128)  # t/f deltas are small signed ints
 UVARINT = _prim("uvarint")
 FLAG = _prim("flag")
@@ -934,25 +936,13 @@ SCHEMA: dict[int, tuple[type, int, tuple[tuple[str, _Field], ...]]] = {
         response=SCALAR,
         presig_used=FLAG,
     ),
-    0x32: _row(svc.BeaconNextRequest, 2, request_id=REQUEST_ID),
-    0x33: _row(svc.BeaconGetRequest, 2, request_id=REQUEST_ID, round_number=ROUND),
-    0x34: _row(
-        svc.BeaconResponse,
-        2,
-        request_id=REQUEST_ID,
-        round_number=ROUND,
-        output=BYTES,
-        value=ELEMENT,
-    ),
-    0x35: _row(svc.DprfEvalRequest, 2, request_id=REQUEST_ID, tag=BYTES),
-    0x36: _row(svc.DprfResponse, 2, request_id=REQUEST_ID, output=BYTES),
-    0x37: _row(svc.DecryptRequest, 2, request_id=REQUEST_ID, c1=ELEMENT, pad=BYTES),
-    0x38: _row(svc.DecryptResponse, 2, request_id=REQUEST_ID, plaintext=BYTES),
+    # 0x32-0x38: retired (RETIRED_KINDS)
     0x39: _row(svc.StatusRequest, 2, request_id=REQUEST_ID),
-    # since 3, when the layout changed: the name moved ahead of the key
+    # since 8, when the layout last changed: the beacon height left
+    # (since 3 the name had moved ahead of the key)
     0x3A: _row(
         svc.StatusResponse,
-        3,
+        8,
         request_id=REQUEST_ID,
         n=COUNT,
         t=COUNT,
@@ -961,7 +951,6 @@ SCHEMA: dict[int, tuple[type, int, tuple[tuple[str, _Field], ...]]] = {
         pool_target=UVARINT,
         served=UVARINT,
         failed=UVARINT,
-        beacon_height=UVARINT,
         group_name=GROUP_NAME,
         public_key=ELEMENT,
     ),
@@ -975,9 +964,16 @@ SCHEMA: dict[int, tuple[type, int, tuple[tuple[str, _Field], ...]]] = {
     # observability: the metrics registry as one JSON document
     0x3C: _row(svc.OpsRequest, 5, request_id=REQUEST_ID),
     0x3D: _row(svc.OpsResponse, 5, **_JSON_SNAPSHOT),
-    # 0x3E-0x43 are retired (a multi-committee router's frames, codec
-    # version 6): decode rejects them, and they must never be reused.
+    # 0x3E-0x43: retired (RETIRED_KINDS)
 }
+
+# Kinds that once had a layout: (first, last, the codec version that
+# introduced them, what they carried).  Decode rejects them as unknown,
+# and no message may take one again.
+RETIRED_KINDS = (
+    (0x32, 0x38, 2, "the beacon, DPRF and threshold-decryption verbs"),
+    (0x3E, 0x43, 6, "a multi-committee router's frames"),
+)
 
 _KIND_BY_TYPE: dict[type, int] = {typ: kind for kind, (typ, _, _) in SCHEMA.items()}
 

@@ -5,17 +5,16 @@ the missing building block for Internet-scale distributed services:
 threshold signatures, threshold encryption, distributed PRFs, random
 oracles and coin tossing all start from a shared key that no dealer
 ever held.  :mod:`repro.dkg` produces that key and :mod:`repro.net`
-runs the protocol over real sockets; this package is the layer §1
-promises on top — a long-running service that external clients can
-actually send requests to:
+runs the protocol over real sockets; this package puts the first of
+those on top — a long-running threshold-signing service that external
+clients can actually send requests to:
 
 * :mod:`repro.service.protocol` — the client wire frames (SIGN,
-  BEACON_NEXT/GET, DPRF_EVAL, DECRYPT, STATUS) on the
-  :mod:`repro.net.wire` framing, codec version 2;
+  STATUS, OPS) on the :mod:`repro.net.wire` framing;
 * :mod:`repro.service.workers` — per-node request handlers holding the
   key/nonce shares, threshold fan-out with batch partial verification,
   and :class:`ThresholdService`, the assembled service (bootstrap DKG,
-  workers, pool, beacon chain);
+  workers, pool);
 * :mod:`repro.service.presig` — the presignature pool: signing needs a
   *fresh shared nonce, which is another DKG* (§1's "building block"
   observation cuts both ways) — the pool keeps K nonce DKGs

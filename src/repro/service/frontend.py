@@ -12,12 +12,11 @@ frames of :mod:`repro.service.protocol` (codec v2 on the
    ``max_queue`` admitted requests; when it is full, new arrivals get
    ``ERR_BUSY`` (shed load early, at the cheap layer);
 3. **request batching** — the dispatcher drains up to ``batch_max``
-   already-queued requests at a time and groups them by kind, so
-   compatible work is handed to
-   :meth:`~repro.service.workers.ThresholdService.handle_batch`
-   together (BEACON_NEXT coalesces into one round advance, DPRF_EVAL
-   deduplicates tags, SIGNs run concurrently).  Draining never waits:
-   under light load a lone request is dispatched immediately.
+   already-queued requests at a time and groups them by kind, each
+   group handed to
+   :meth:`~repro.service.workers.ThresholdService.handle_batch`, which
+   runs its requests concurrently.  Draining never waits: under light
+   load a lone request is dispatched immediately.
 
 Responses are written back on the requesting connection, serialized by
 a per-connection lock so frames from concurrent handlers never

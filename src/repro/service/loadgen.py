@@ -33,7 +33,7 @@ _CONNECT_BACKOFF_S = 0.25
 _BUSY_RETRIES = 50
 _BUSY_BACKOFF_S = 0.05
 
-OPS = ("sign", "beacon", "dprf", "decrypt", "status", "mix")
+OPS = ("sign", "status")
 
 
 class ServiceClient:
@@ -47,9 +47,9 @@ class ServiceClient:
     ):
         self._reader = reader
         self._writer = writer
-        # Element-decoding context for responses (and element-bearing
-        # requests); STATUS responses are self-describing, so the first
-        # status round-trip can bootstrap this from None.
+        # Element-decoding context for responses; STATUS responses are
+        # self-describing, so the first status round-trip can bootstrap
+        # this from None.
         self.group = group
         self._ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
@@ -121,22 +121,6 @@ class ServiceClient:
 
     async def sign(self, message: bytes) -> object:
         return await self.request(lambda rid: protocol.SignRequest(rid, message))
-
-    async def beacon_next(self) -> object:
-        return await self.request(protocol.BeaconNextRequest)
-
-    async def beacon_get(self, round_number: int) -> object:
-        return await self.request(
-            lambda rid: protocol.BeaconGetRequest(rid, round_number)
-        )
-
-    async def dprf_eval(self, tag: bytes) -> object:
-        return await self.request(lambda rid: protocol.DprfEvalRequest(rid, tag))
-
-    async def decrypt(self, c1, pad: bytes) -> object:
-        return await self.request(
-            lambda rid: protocol.DecryptRequest(rid, c1, pad)
-        )
 
     async def status(self) -> protocol.StatusResponse:
         response = await self.request(protocol.StatusRequest)
@@ -287,21 +271,13 @@ class LoadGenerator:
             report.server_snapshot = None
         return report
 
-    def _op_for(self, client_id: int, sequence: int) -> str:
-        if self.op != "mix":
-            return self.op
-        return ("sign", "beacon", "dprf", "status")[
-            (client_id + sequence) % 4
-        ]
-
     async def _drive(
         self, client_id: int, client: ServiceClient, report: LoadReport
     ) -> None:
         for sequence in range(self.requests_per_client):
-            op = self._op_for(client_id, sequence)
             started = time.perf_counter()
             try:
-                response = await self._issue(client, client_id, sequence, op, report)
+                response = await self._issue(client, client_id, sequence, report)
             except (ConnectionError, RuntimeError):
                 report.errors += 1
                 continue
@@ -342,11 +318,10 @@ class LoadGenerator:
         client: ServiceClient,
         client_id: int,
         sequence: int,
-        op: str,
         report: LoadReport,
     ) -> object:
         for attempt in range(_BUSY_RETRIES):
-            response = await self._issue_once(client, client_id, sequence, op)
+            response = await self._issue_once(client, client_id, sequence)
             if (
                 isinstance(response, protocol.ErrorResponse)
                 and response.code == protocol.ERR_BUSY
@@ -359,18 +334,10 @@ class LoadGenerator:
         return response
 
     async def _issue_once(
-        self, client: ServiceClient, client_id: int, sequence: int, op: str
+        self, client: ServiceClient, client_id: int, sequence: int
     ) -> object:
-        if op == "sign":
+        if self.op == "sign":
             return await client.sign(self._payload(client_id, sequence))
-        if op == "beacon":
-            return await client.beacon_next()
-        if op == "dprf":
-            return await client.dprf_eval(self._payload(client_id, sequence))
-        if op == "decrypt":
-            raise RuntimeError(
-                "decrypt load requires a ciphertext; use the Python API"
-            )
         return await client.status()
 
 

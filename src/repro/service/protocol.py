@@ -3,11 +3,9 @@
 These are the messages that cross the *northbound* wire: an external
 client speaks them to the :class:`~repro.service.frontend.ServiceFrontend`
 gateway over the same length-prefixed binary framing as the protocol
-traffic (:mod:`repro.net.wire`, codec version 2).  Each operation maps
-to one of the threshold applications the paper motivates DKG with
-(§1): SIGN to threshold Schnorr, BEACON_* to the chained randomness
-beacon, DPRF_EVAL to the DDH distributed PRF, DECRYPT to threshold
-(hashed) ElGamal, STATUS to service introspection.
+traffic (:mod:`repro.net.wire`, codec version 2).  SIGN asks for a
+threshold Schnorr signature, the one threshold application of §1 this
+repository serves; STATUS and OPS are service introspection.
 
 Every request carries a client-chosen ``request_id`` echoed in the
 response, so a client may pipeline many requests on one connection and
@@ -50,46 +48,6 @@ class SignRequest:
 
 
 @dataclass(frozen=True)
-class BeaconNextRequest:
-    """Advance the randomness beacon and return the new round."""
-
-    request_id: int
-
-    kind = "svc.beacon-next"
-
-
-@dataclass(frozen=True)
-class BeaconGetRequest:
-    """Fetch an already-published beacon round by number."""
-
-    request_id: int
-    round_number: int
-
-    kind = "svc.beacon-get"
-
-
-@dataclass(frozen=True)
-class DprfEvalRequest:
-    """Evaluate the distributed PRF f_s(tag) = H1(tag)^s."""
-
-    request_id: int
-    tag: bytes
-
-    kind = "svc.dprf-eval"
-
-
-@dataclass(frozen=True)
-class DecryptRequest:
-    """Threshold-decrypt a hashed-ElGamal ciphertext (c1, pad)."""
-
-    request_id: int
-    c1: int
-    pad: bytes
-
-    kind = "svc.decrypt"
-
-
-@dataclass(frozen=True)
 class StatusRequest:
     """Service introspection: thresholds, pool level, counters."""
 
@@ -127,38 +85,6 @@ class SignResponse:
 
 
 @dataclass(frozen=True)
-class BeaconResponse:
-    """One beacon round: chained output bytes + the group element."""
-
-    request_id: int
-    round_number: int
-    output: bytes
-    value: int
-
-    kind = "svc.beacon.ok"
-
-
-@dataclass(frozen=True)
-class DprfResponse:
-    """The PRF output string H2(H1(tag)^s)."""
-
-    request_id: int
-    output: bytes
-
-    kind = "svc.dprf.ok"
-
-
-@dataclass(frozen=True)
-class DecryptResponse:
-    """The recovered plaintext bytes."""
-
-    request_id: int
-    plaintext: bytes
-
-    kind = "svc.decrypt.ok"
-
-
-@dataclass(frozen=True)
 class StatusResponse:
     """Service health snapshot.
 
@@ -177,7 +103,6 @@ class StatusResponse:
     pool_target: int
     served: int
     failed: int
-    beacon_height: int
     public_key: int
     group_name: str
 
@@ -213,19 +138,12 @@ class ErrorResponse:
 
 REQUEST_TYPES = (
     SignRequest,
-    BeaconNextRequest,
-    BeaconGetRequest,
-    DprfEvalRequest,
-    DecryptRequest,
     StatusRequest,
     OpsRequest,
 )
 
 RESPONSE_TYPES = (
     SignResponse,
-    BeaconResponse,
-    DprfResponse,
-    DecryptResponse,
     StatusResponse,
     OpsResponse,
     ErrorResponse,

@@ -3,21 +3,20 @@
 :class:`SignerWorker` is the serving-layer stand-in for one cluster
 member's *request path*: it holds the node's long-term key share from
 the bootstrap DKG plus its node-local shares of pooled nonces, and
-answers partial-operation calls (partial Schnorr signatures, DPRF
-contributions, partial ElGamal decryptions) by reusing the
-:mod:`repro.apps` logic.  Shares never leave the worker — only public,
-proof-carrying partials do — and a crash wipes the worker's ephemeral
-nonce shares, exactly the memory-loss semantics the paper's crash model
-ascribes to rebooted nodes (§2.2).
+answers partial-signature calls by reusing the :mod:`repro.apps`
+logic.  Shares never leave the worker — only public partials do — and
+a crash wipes the worker's ephemeral nonce shares, exactly the
+memory-loss semantics the paper's crash model ascribes to rebooted
+nodes (§2.2).
 
 :class:`ThresholdService` assembles a full service: it bootstraps the
 group key with one DKG, builds a worker per member, attaches the
-presignature pool (:mod:`repro.service.presig`) and the randomness
-beacon chain, and exposes the operation handlers the frontend gateway
-fans requests out to.  The signing path verifies the signature, not
-the partials: :func:`repro.apps.threshold_schnorr.combine` interpolates,
-checks the result once under the group key, and examines partials one by
-one only when that check fails; the signers it then rejects are counted
+presignature pool (:mod:`repro.service.presig`), and exposes the
+operation handlers the frontend gateway fans requests out to.  The
+signing path verifies the signature, not the partials:
+:func:`repro.apps.threshold_schnorr.combine` interpolates, checks the
+result once under the group key, and examines partials one by one
+only when that check fails; the signers it then rejects are counted
 in ``repro_service_bad_partials_total``.
 """
 
@@ -33,14 +32,7 @@ from functools import lru_cache
 from typing import Awaitable, Callable
 
 from repro import deployment
-from repro.apps import (
-    Beacon,
-    BeaconRound,
-    PartialSignature,
-    dprf,
-    threshold_elgamal,
-    threshold_schnorr,
-)
+from repro.apps import PartialSignature, threshold_schnorr
 from repro.crypto import parallel, schnorr
 from repro.crypto.feldman import (
     FeldmanCommitment,
@@ -168,7 +160,6 @@ class SignerWorker:
         group: AbstractGroup,
         key_share: int,
         key_commitment: Commitment,
-        seed: int = 0,
     ):
         self.index = index
         self.group = group
@@ -176,7 +167,6 @@ class SignerWorker:
         self.crashed = False
         self.handled = 0
         self._key_share = key_share
-        self._rng = random.Random(("svc-worker", seed, index).__repr__())
         # presig id -> this node's share of the shared nonce k.
         self._nonce_shares: dict[int, int] = {}
 
@@ -240,26 +230,6 @@ class SignerWorker:
         self.handled += 1
         return PartialSignature(self.index, response)
 
-    async def dprf_contribute(self, tag: bytes) -> dprf.PartialEval:
-        """H1(tag)^{s_i} with its DLEQ proof (PRF and beacon rounds)."""
-        await asyncio.sleep(0)
-        self._check_up()
-        self.handled += 1
-        return dprf.partial_eval(self.group, tag, self.index, self._key_share, self._rng)
-
-    async def partial_decrypt(self, c1: int) -> threshold_elgamal.PartialDecryption:
-        """c1^{s_i} with its DLEQ proof (threshold ElGamal)."""
-        await asyncio.sleep(0)
-        self._check_up()
-        self.handled += 1
-        return threshold_elgamal.partial_decrypt(
-            self.group,
-            threshold_elgamal.Ciphertext(c1, self.group.identity),
-            self.index,
-            self._key_share,
-            self._rng,
-        )
-
 
 async def collect_partials(
     workers: list[SignerWorker],
@@ -302,7 +272,6 @@ class ServiceConfig:
     seed: int = 0
     pool_target: int = 16  # 0 disables the pool (every sign forges on demand)
     pool_low_watermark: int | None = None  # default: half the target
-    beacon_output_bytes: int = 32
     forge_concurrency: int = 4  # concurrent on-demand nonce DKGs
 
 
@@ -342,17 +311,9 @@ class ThresholdService:
         self.key_commitment: Commitment = bootstrap.commitment
         self.public_key = bootstrap.public_key
         self.workers = {
-            i: SignerWorker(
-                i, config.group, share, self.key_commitment, seed=config.seed
-            )
+            i: SignerWorker(i, config.group, share, self.key_commitment)
             for i, share in bootstrap.shares.items()
         }
-        self.beacon = Beacon(
-            config.group,
-            self.key_commitment,
-            config.t,
-            output_bytes=config.beacon_output_bytes,
-        )
         self.pool = PresigPool(
             self._forge_nonce,
             self._install_nonce,
@@ -369,7 +330,6 @@ class ThresholdService:
         # The seed string is older than the name; changing it would change
         # the share-check weights.
         self._share_check_rng = random.Random(("svc-combine", config.seed).__repr__())
-        self._beacon_lock = asyncio.Lock()
         self._forge_gate = asyncio.Semaphore(max(1, config.forge_concurrency))
         # The forge's process pool: one worker per CPU, never more than
         # a refill can use (None = serial: one CPU, or pool disabled).
@@ -591,59 +551,6 @@ class ThresholdService:
             sorted(indices),
         )
 
-    async def beacon_next(self) -> BeaconRound:
-        """Advance the beacon chain by one round (serialized: rounds
-        are chained, so advances cannot interleave)."""
-        async with self._beacon_lock:
-            tag = self.beacon.next_tag()
-            contributions = await collect_partials(
-                list(self.workers.values()),
-                lambda w: w.dprf_contribute(tag),
-                self.t + 1,
-            )
-            try:
-                return self.beacon.advance(contributions)
-            except dprf.EvaluationError as exc:
-                raise ServiceUnavailable(str(exc)) from exc
-
-    def beacon_get(self, round_number: int) -> BeaconRound | None:
-        if 0 <= round_number < self.beacon.height:
-            return self.beacon.rounds[round_number]
-        return None
-
-    async def dprf_eval(self, tag: bytes) -> bytes:
-        partials = await collect_partials(
-            list(self.workers.values()),
-            lambda w: w.dprf_contribute(tag),
-            self.t + 1,
-        )
-        try:
-            value = dprf.combine(
-                self.group, tag, self.key_commitment, partials, self.t
-            )
-        except dprf.EvaluationError as exc:
-            raise ServiceUnavailable(str(exc)) from exc
-        return dprf.prf_bytes(self.group, value, self.config.beacon_output_bytes)
-
-    async def decrypt(self, c1: int, pad: bytes) -> bytes:
-        if not self.group.is_element(c1):
-            raise ValueError("c1 is not a group element")
-        partials = await collect_partials(
-            list(self.workers.values()),
-            lambda w: w.partial_decrypt(c1),
-            self.t + 1,
-        )
-        try:
-            return threshold_elgamal.decrypt_bytes_combine(
-                self.group,
-                threshold_elgamal.HybridCiphertext(c1, pad),
-                self.key_commitment,
-                partials,
-                self.t,
-            )
-        except threshold_elgamal.DecryptionError as exc:
-            raise ServiceUnavailable(str(exc)) from exc
-
     def status(self, request_id: int = 0) -> protocol.StatusResponse:
         return protocol.StatusResponse(
             request_id=request_id,
@@ -654,7 +561,6 @@ class ThresholdService:
             pool_target=self.pool.target,
             served=self.served,
             failed=self.failed,
-            beacon_height=self.beacon.height,
             public_key=self.public_key,
             group_name=self.group.name,
         )
@@ -677,7 +583,6 @@ class ThresholdService:
                 "pool_target": self.pool.target,
                 "served": self.served,
                 "failed": self.failed,
-                "beacon_height": self.beacon.height,
                 "group": self.group.name,
                 # Which fast paths this server actually has: native
                 # probes (gmpy2, coincurve) and the forge's pool width.
@@ -697,9 +602,8 @@ class ThresholdService:
     async def handle(self, request) -> object:
         """Map one protocol request to its response (never raises).
 
-        Every singly-dispatched request is timed into
-        ``repro_service_request_seconds{kind}`` (coalesced batch paths
-        in :meth:`handle_batch` meter themselves).
+        Every request is timed into
+        ``repro_service_request_seconds{kind}``.
         """
         started = time.perf_counter()
         response = await self._handle_inner(request)
@@ -720,24 +624,6 @@ class ThresholdService:
         )
         return response
 
-    def _meter_batch(self, requests: list, started: float, *, ok: bool) -> None:
-        """Meter a coalesced batch as if each request were handled alone."""
-        elapsed = time.perf_counter() - started
-        for request in requests:
-            kind = getattr(request, "kind", type(request).__name__)
-            obs_metrics.observe(
-                "repro_service_request_seconds",
-                elapsed,
-                help="request handling latency by request kind",
-                kind=kind,
-            )
-            obs_metrics.counter_inc(
-                "repro_service_requests_total",
-                help="requests handled by kind and outcome",
-                kind=kind,
-                outcome="ok" if ok else "error",
-            )
-
     async def _handle_inner(self, request) -> object:
         rid = request.request_id
         try:
@@ -745,28 +631,6 @@ class ThresholdService:
                 signature, from_pool = await self.sign(request.message)
                 response: object = protocol.SignResponse(
                     rid, signature.challenge, signature.response, from_pool
-                )
-            elif isinstance(request, protocol.BeaconNextRequest):
-                round_ = await self.beacon_next()
-                response = protocol.BeaconResponse(
-                    rid, round_.round_number, round_.output, round_.value
-                )
-            elif isinstance(request, protocol.BeaconGetRequest):
-                found = self.beacon_get(request.round_number)
-                if found is None:
-                    raise ValueError(
-                        f"beacon round {request.round_number} not published"
-                    )
-                response = protocol.BeaconResponse(
-                    rid, found.round_number, found.output, found.value
-                )
-            elif isinstance(request, protocol.DprfEvalRequest):
-                response = protocol.DprfResponse(
-                    rid, await self.dprf_eval(request.tag)
-                )
-            elif isinstance(request, protocol.DecryptRequest):
-                response = protocol.DecryptResponse(
-                    rid, await self.decrypt(request.c1, request.pad)
                 )
             elif isinstance(request, protocol.StatusRequest):
                 response = self.status(rid)
@@ -787,68 +651,6 @@ class ThresholdService:
         return response
 
     async def handle_batch(self, requests: list) -> list:
-        """Handle a same-kind batch, exploiting compatibility:
-
-        * BEACON_NEXT — the whole batch is *coalesced* into one round
-          advance; every requester receives the same fresh round;
-        * DPRF_EVAL — duplicate tags are deduplicated and evaluated
-          once;
-        * everything else (SIGN included — each signature needs its own
-          nonce) runs concurrently.
-        """
-        if len(requests) > 1 and isinstance(requests[0], protocol.BeaconNextRequest):
-            started = time.perf_counter()
-            try:
-                round_ = await self.beacon_next()
-            except ServiceUnavailable as exc:
-                self.failed += len(requests)
-                self._meter_batch(requests, started, ok=False)
-                return [
-                    protocol.ErrorResponse(
-                        r.request_id, protocol.ERR_UNAVAILABLE, str(exc)
-                    )
-                    for r in requests
-                ]
-            self.served += len(requests)
-            self._meter_batch(requests, started, ok=True)
-            return [
-                protocol.BeaconResponse(
-                    r.request_id, round_.round_number, round_.output, round_.value
-                )
-                for r in requests
-            ]
-        if len(requests) > 1 and isinstance(requests[0], protocol.DprfEvalRequest):
-            started = time.perf_counter()
-            unique_tags = list(dict.fromkeys(r.tag for r in requests))
-            outputs: dict[bytes, object] = {}
-            for tag, outcome in zip(
-                unique_tags,
-                await asyncio.gather(
-                    *(self.dprf_eval(tag) for tag in unique_tags),
-                    return_exceptions=True,
-                ),
-            ):
-                outputs[tag] = outcome
-            responses = []
-            for request in requests:
-                outcome = outputs[request.tag]
-                if isinstance(outcome, BaseException):
-                    self.failed += 1
-                    self._meter_batch([request], started, ok=False)
-                    responses.append(
-                        protocol.ErrorResponse(
-                            request.request_id,
-                            protocol.ERR_UNAVAILABLE
-                            if isinstance(outcome, ServiceUnavailable)
-                            else protocol.ERR_FAILED,
-                            str(outcome),
-                        )
-                    )
-                else:
-                    self.served += 1
-                    self._meter_batch([request], started, ok=True)
-                    responses.append(
-                        protocol.DprfResponse(request.request_id, outcome)
-                    )
-            return responses
+        """Handle a same-kind batch concurrently (each SIGN needs its
+        own nonce, so nothing in a batch is shared)."""
         return list(await asyncio.gather(*(self.handle(r) for r in requests)))

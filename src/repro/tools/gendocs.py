@@ -138,6 +138,11 @@ one `decode` accepts for it — the version history is in
 themselves are pinned by `tests/net/golden_frames.json`.
 """
 
+_RETIRED_INTRO = """\
+Kinds that once had a layout.  `decode` rejects them as unknown kinds,
+and no new message may take one; their last golden frames are kept as
+hostile inputs in `tests/net/test_wire_golden.py`."""
+
 _COMBINATORS = [
     ("u8 / u16 / u32 / u64 *x*", "fixed-width unsigned int"),
     ("optional *X*", "u8 flag (0 or 1), then *X* if 1"),
@@ -172,6 +177,10 @@ def render_wire() -> str:
             f"| `0x{kind:02X}` | `{typ.__name__}` (`{typ.kind}`) | {since} "
             f"| {_escape(body)} |"
         )
+    lines += ["", "## Retired kinds", "", _RETIRED_INTRO, ""]
+    lines += ["| kinds | since | what they carried |", "|---|---|---|"]
+    for first, last, since, what in wire.RETIRED_KINDS:
+        lines.append(f"| `0x{first:02X}`–`0x{last:02X}` | {since} | {what} |")
     lines += ["", "## Field types", "", "| field type | layout |", "|---|---|"]
     for name, layout in _COMBINATORS + _field_types():
         lines.append(f"| {name} | {_escape(layout)} |")

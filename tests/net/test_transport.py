@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
+import socket
+import warnings
 
 import pytest
 
@@ -347,6 +350,13 @@ def open_link(transport: AsyncioTransport) -> tuple[_InboundLink, FakeSocket]:
 HANDSHAKE = (2).to_bytes(4, "big")
 
 
+def _sees_eof(sock: socket.socket) -> bool:
+    try:
+        return sock.recv(1) == b""
+    except OSError:  # timed out: the far end never closed
+        return False
+
+
 class TestInboundFrames:
     def test_a_stream_split_at_every_byte_boundary(self) -> None:
         messages, frames = help_frames(3)
@@ -407,6 +417,42 @@ class TestInboundFrames:
         eof, received, messages = asyncio.run(scenario())
         assert eof == b""
         assert received == messages
+
+    def test_links_accepted_as_the_node_crashes_drain_into_drops(self) -> None:
+        messages, frames = help_frames(2)
+
+        async def scenario():
+            _, a, _ = _pair()
+            await a.start()
+            peers = []
+            for peer in (2, 3):
+                sock = socket.create_connection(("127.0.0.1", a._port))
+                sock.sendall(peer.to_bytes(4, "big") + frames)
+                sock.settimeout(2.0)
+                peers.append(sock)
+            # Due timers run after the I/O callbacks of their loop pass,
+            # so the crash comes just after the server accepted both.
+            asyncio.get_running_loop().call_later(0, a.crash)
+            for _ in range(100):
+                if a.metrics.deliveries_dropped == 4:
+                    break
+                await asyncio.sleep(0.01)
+            draining = len(a._inbound)
+            await a.recover()
+            closed = [await asyncio.to_thread(_sees_eof, sock) for sock in peers]
+            await a.stop()
+            for sock in peers:
+                sock.close()
+            return a.metrics.deliveries_dropped, draining, closed
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            dropped, draining, closed = asyncio.run(scenario())
+            gc.collect()
+        assert dropped == 4  # both peers' frames, metered as drops
+        assert draining == 2
+        assert closed == [True, True]  # recovery closed them
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_frames_after_a_crash_are_dropped_and_metered(self) -> None:
         messages, frames = help_frames(3)

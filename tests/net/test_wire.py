@@ -39,13 +39,6 @@ from repro.runtime.envelope import SessionEnvelope
 from repro.sim.runner import Simulation
 from repro.service.protocol import (
     ERR_UNAVAILABLE,
-    BeaconGetRequest,
-    BeaconNextRequest,
-    BeaconResponse,
-    DecryptRequest,
-    DecryptResponse,
-    DprfEvalRequest,
-    DprfResponse,
     ErrorResponse,
     OpsRequest,
     OpsResponse,
@@ -163,15 +156,16 @@ def build_messages(group) -> list:
         # service frames (codec v2)
         SignRequest(7, b"pay carol"),
         SignResponse(7, 123, 456, True),
-        BeaconNextRequest(8),
-        BeaconGetRequest(9, 4),
-        BeaconResponse(9, 4, b"\xaa" * 32, group.commit(5)),
-        DprfEvalRequest(10, b"tag"),
-        DprfResponse(10, b"\xbb" * 32),
-        DecryptRequest(11, group.commit(4), b"\x01\x02"),
-        DecryptResponse(11, b"plaintext"),
+        # retired: the beacon, DPRF and decryption frames (kinds 0x32-0x38)
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
         StatusRequest(12),
-        StatusResponse(12, 7, 2, 6, 5, 16, 100, 2, 3, group.commit(9), group.name),
+        StatusResponse(12, 7, 2, 6, 5, 16, 100, 2, group.commit(9), group.name),
         ErrorResponse(13, ERR_UNAVAILABLE, "too few signers"),
         # observability frames (codec v5)
         OpsRequest(14),

@@ -39,9 +39,9 @@ LANES = {
     "secp256k1/ctx": group_by_name("secp256k1"),
 }
 
-# Kinds 0x3E-0x43, a multi-committee router's frames (codec version 6),
-# exactly as the golden file held them before they were retired.  Their
-# bytes were the same on every lane.
+# Frames the codec no longer speaks, exactly as the golden file held
+# them before they were retired.  Kinds 0x3E-0x43, a multi-committee
+# router's frames (codec version 6), had the same bytes on every lane.
 RETIRED_FRAMES = {
     "ShardSignRequest": "0000001f4b47063e000000000000000f0877616c6c65742d3709706179206361726f6c",
     "ShardStatusRequest": "000000154b47063f00000000000000100877616c6c65742d37",
@@ -50,6 +50,42 @@ RETIRED_FRAMES = {
     "ShardCtlRequest-drain": "000000154b4706420000000000000012010773686172642d31",
     "ShardCtlRequest-add": "0000000e4b47064200000000000000130000",
     "ShardCtlResponse": "000000304b4706430000000000000012237b226170695f76657273696f6e223a312c227374617465223a2272657469726564227d",
+    # Kinds 0x32-0x38, the beacon, DPRF and threshold-decryption verbs
+    # (codec version 2): the same bytes on both modp lanes, and on
+    # secp256k1 too unless a group element shaped the frame.
+    "BeaconNextRequest": "0000000c4b4702320000000000000008",
+    "BeaconGetRequest": "000000144b47023300000000000000090000000000000004",
+    "BeaconResponse": (
+        "000000464b4702340000000000000009000000000000000420aaaaaaaaaaaaaaaaaaaaaa"
+        "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa10351eef5cb16f438fb141fe098750"
+        "ef23"
+    ),
+    "BeaconResponse-secp256k1": (
+        "000000574b4703340000000000000009000000000000000420aaaaaaaaaaaaaaaaaaaaaa"
+        "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa21022f8bde4d1a07209355b4a7250a"
+        "5c5128e88b84bddc619ab7cba8d569b240efe4"
+    ),
+    "DprfEvalRequest": "000000104b470235000000000000000a03746167",
+    "DprfResponse": (
+        "0000002d4b470236000000000000000a20bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"
+        "bbbbbbbbbbbbbbbbbbbbbbbbbb"
+    ),
+    "DecryptRequest": "000000204b470237000000000000000b104bfaac4a766fc4cae173dcc151512960020102",
+    "DecryptRequest-secp256k1": (
+        "000000314b470337000000000000000b2102e493dbf1c10d80f3581e4904930b1404cc6c"
+        "13900ee0758474fa94abe8c4cd13020102"
+    ),
+    "DecryptResponse": "000000164b470238000000000000000b09706c61696e74657874",
+    # StatusResponse in its version-3 layout, with the beacon height
+    # (retired at codec version 8): modp and secp256k1.
+    "StatusResponse-v3": (
+        "0000002e4b47033a000000000000000c000700020006051064020305746f792d301029de"
+        "f996aec5c01800a109f9ddece5d1"
+    ),
+    "StatusResponse-v3-secp256k1": (
+        "000000434b47033a000000000000000c000700020006051064020309736563703235366b"
+        "312103acd484e2f0c7f65309ad178a9f559abde09796974c57e714c35f110dfc27ccbe"
+    ),
     # DkgCompletedOutput with commitment shape tag 2 (a Pedersen vector,
     # retired at codec version 7): the parent golden file's frames of
     # lanes modp/bare, modp/ctx and secp256k1/ctx.
@@ -133,8 +169,10 @@ def test_golden_frame_decodes_and_re_encodes(case: str) -> None:
 @pytest.mark.parametrize("name", RETIRED_FRAMES)
 def test_retired_kind_is_rejected(name: str, lane: str) -> None:
     frame = bytes.fromhex(RETIRED_FRAMES[name])
-    # A retired kind left the table; a retired union tag's kind did not.
-    assert (frame[7] in wire.SCHEMA) == name.startswith("DkgCompletedOutput")
+    # A retired kind left the table; the kind of a retired union tag or
+    # of a retired layout did not.
+    kept_kind = name.startswith(("DkgCompletedOutput", "StatusResponse"))
+    assert (frame[7] in wire.SCHEMA) == kept_kind
     for table in (None, wire.CommitmentTable(8, 8)):
         with pytest.raises(wire.WireError):
             wire.decode(frame, group=LANES[lane], commitments=table)

@@ -55,6 +55,11 @@ class TestTable:
     def test_one_kind_per_type(self) -> None:
         assert len(REGISTERED) == len(wire.SCHEMA)
 
+    def test_no_kind_reuses_a_retired_one(self) -> None:
+        for first, last, since, _ in wire.RETIRED_KINDS:
+            assert not [kind for kind in wire.SCHEMA if first <= kind <= last]
+            assert 1 <= since < wire.VERSION
+
     @pytest.mark.parametrize("backend", GROUPS)
     @pytest.mark.parametrize("kind", wire.SCHEMA, ids=KIND_IDS)
     def test_round_trip(self, kind: int, backend: str) -> None:
@@ -212,6 +217,22 @@ def test_recorder_locates_every_kind_of_structural_read() -> None:
     assert all(frame != splice(frame, m, b"\xff") for m in marks)
 
 
+@pytest.mark.parametrize("lane", ["modp/bare", "modp/ctx", "secp256k1/ctx"])
+def test_recorder_marks_every_top_level_uvarint(lane: str) -> None:
+    # A UVARINT field read straight off the table, not from inside
+    # another reader method, is a structural read too.
+    fields = wire.SCHEMA[0x3A][2]
+    counters = [attr for attr, field in fields if field is wire.UVARINT]
+    assert counters == ["pool_ready", "pool_target", "served", "failed"]
+    case = f"{lane}/inline/54-StatusResponse"
+    _, _, kwargs = CASES[case]
+    marks = structural_reads(bytes.fromhex(GOLDEN[case]), group=kwargs.get("group"))
+    # After the request id and the n, t, alive counts; one byte each.
+    first = wire.HEADER_BYTES + wire.REQUEST_ID_BYTES + 3 * wire.INDEX_BYTES
+    uvarints = [(start, end) for _, start, end, role, _ in marks if role == "uvarint"]
+    assert uvarints[:4] == [(first + k, first + k + 1) for k in range(4)]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_hostile_decode_raises_only_wire_error(case: str) -> None:
     message, _, kwargs = CASES[case]
@@ -292,7 +313,7 @@ class TestDecodeNeverGeneratesGroups:
         assert groups.known_group(name) is None
 
     def test_status_naming_an_unbuilt_group_reads_the_key_raw(self) -> None:
-        status = StatusResponse(1, 4, 1, 4, 0, 0, 0, 0, 0, 5, "toy-0")
+        status = StatusResponse(1, 4, 1, 4, 0, 0, 0, 0, 5, "toy-0")
         frame = renamed(wire.encode(status), b"toy-0", b"large-987654321")
         started = time.perf_counter()
         decoded = wire.decode(frame)

@@ -3,19 +3,17 @@
 These are the acceptance tests for the service subsystem: external
 clients speak the v2 wire frames to the gateway across kernel sockets,
 the gateway fans out to the workers, and what comes back verifies
-against the group key — signatures with plain single-signer Schnorr,
-beacon rounds against the chain, decryptions against the plaintext.
-Backpressure, batching and mid-run crashes are exercised at the same
-layer a real client would hit them.
+against the group key with plain single-signer Schnorr.  Backpressure,
+retired verbs and mid-run crashes are exercised at the same layer a
+real client would hit them.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 
+import pytest
 
-from repro.apps import threshold_elgamal
 from repro.crypto import schnorr
 from repro.service import protocol
 from repro.service.frontend import ServiceFrontend
@@ -64,68 +62,6 @@ class TestRequestResponse:
         ok, presig_used = _run(scenario())
         assert ok
         assert presig_used  # the pool was prefilled
-
-    def test_beacon_rounds_chain_and_replay(self) -> None:
-        async def scenario():
-            service, frontend = await _stack(
-                ServiceConfig(n=4, t=1, seed=2, pool_target=0)
-            )
-            client = await ServiceClient.connect(frontend.host, frontend.port)
-            first = await client.beacon_next()
-            second = await client.beacon_next()
-            replay = await client.beacon_get(first.round_number)
-            missing = await client.beacon_get(99)
-            chain_ok = service.beacon.verify_chain()
-            await _teardown(service, frontend, client)
-            return first, second, replay, missing, chain_ok
-
-        first, second, replay, missing, chain_ok = _run(scenario())
-        assert (first.round_number, second.round_number) == (0, 1)
-        assert first.output != second.output
-        assert replay == protocol.BeaconResponse(
-            replay.request_id, 0, first.output, first.value
-        )
-        assert isinstance(missing, protocol.ErrorResponse)
-        assert missing.code == protocol.ERR_BAD_REQUEST
-        assert chain_ok
-
-    def test_dprf_is_deterministic_across_requests(self) -> None:
-        async def scenario():
-            service, frontend = await _stack(
-                ServiceConfig(n=4, t=1, seed=3, pool_target=0)
-            )
-            client = await ServiceClient.connect(frontend.host, frontend.port)
-            one = await client.dprf_eval(b"tag-a")
-            two = await client.dprf_eval(b"tag-a")
-            other = await client.dprf_eval(b"tag-b")
-            await _teardown(service, frontend, client)
-            return one, two, other
-
-        one, two, other = _run(scenario())
-        assert one.output == two.output
-        assert one.output != other.output
-
-    def test_decrypt_round_trip(self) -> None:
-        async def scenario():
-            service, frontend = await _stack(
-                ServiceConfig(n=4, t=1, seed=4, pool_target=0)
-            )
-            client = await ServiceClient.connect(frontend.host, frontend.port)
-            ciphertext = threshold_elgamal.encrypt_bytes(
-                service.group,
-                service.public_key,
-                b"no single node saw this",
-                random.Random(7),
-            )
-            response = await client.decrypt(ciphertext.c1, ciphertext.pad)
-            bogus = await client.decrypt(0, b"x")  # 0 is not a group element
-            await _teardown(service, frontend, client)
-            return response, bogus
-
-        response, bogus = _run(scenario())
-        assert response.plaintext == b"no single node saw this"
-        assert isinstance(bogus, protocol.ErrorResponse)
-        assert bogus.code == protocol.ERR_BAD_REQUEST
 
     def test_status_reports_service_shape(self) -> None:
         async def scenario():
@@ -256,52 +192,47 @@ class TestBackpressure:
         assert isinstance(response, protocol.ErrorResponse)
         assert response.code == protocol.ERR_BAD_REQUEST
 
-
-class TestBatching:
-    def test_concurrent_beacon_next_coalesce(self) -> None:
-        """Queued BEACON_NEXT requests collapse into one round advance:
-        everyone gets a fresh round, far fewer rounds than requests."""
+    @pytest.mark.parametrize(
+        "verb", ["BeaconNextRequest", "DprfEvalRequest", "DecryptRequest"]
+    )
+    def test_retired_verb_closes_only_its_connection(self, verb: str) -> None:
+        from tests.net.test_wire_golden import RETIRED_FRAMES
 
         async def scenario():
             service, frontend = await _stack(
-                ServiceConfig(n=7, t=2, seed=11, pool_target=0)
-            )
-            clients = await asyncio.gather(
-                *(
-                    ServiceClient.connect(frontend.host, frontend.port)
-                    for _ in range(8)
-                )
-            )
-            responses = await asyncio.gather(
-                *(c.beacon_next() for c in clients)
-            )
-            height = service.beacon.height
-            chain_ok = service.beacon.verify_chain()
-            await _teardown(service, frontend, *clients)
-            return responses, height, chain_ok
-
-        responses, height, chain_ok = _run(scenario())
-        assert all(isinstance(r, protocol.BeaconResponse) for r in responses)
-        assert chain_ok
-        assert height <= len(responses)
-        rounds = {r.round_number for r in responses}
-        assert rounds == set(range(height))  # every round went to someone
-
-    def test_duplicate_dprf_tags_deduplicate(self) -> None:
-        async def scenario():
-            service, frontend = await _stack(
-                ServiceConfig(n=4, t=1, seed=12, pool_target=0)
+                ServiceConfig(n=4, t=1, seed=15, pool_target=2)
             )
             client = await ServiceClient.connect(frontend.host, frontend.port)
-            responses = await asyncio.gather(
-                *(client.dprf_eval(b"same-tag") for _ in range(6))
+            reader, writer = await asyncio.open_connection(
+                frontend.host, frontend.port
             )
-            await _teardown(service, frontend, client)
-            return responses
 
-        responses = _run(scenario())
-        outputs = {r.output for r in responses}
-        assert len(outputs) == 1  # deterministic PRF, one evaluation fans out
+            async def send_retired() -> bytes:
+                writer.write(bytes.fromhex(RETIRED_FRAMES[verb]))
+                await writer.drain()
+                return await reader.read(64)  # the gateway closes on us
+
+            message = b"signed beside a retired verb"
+            closed, signed = await asyncio.gather(
+                send_retired(), client.sign(message)
+            )
+            after = await client.sign(b"and after it")
+            writer.close()
+            ok = [
+                schnorr.verify(
+                    service.group,
+                    service.public_key,
+                    m,
+                    schnorr.Signature(r.challenge, r.response),
+                )
+                for m, r in ((message, signed), (b"and after it", after))
+            ]
+            await _teardown(service, frontend, client)
+            return closed, ok
+
+        closed, ok = _run(scenario())
+        assert closed == b""
+        assert ok == [True, True]
 
 
 class TestCrashMidRun:

@@ -1,4 +1,4 @@
-"""Wire-level tests for the service frames (codec versions 2/3/5).
+"""Wire-level tests for the service frames (codec versions 2/5/8).
 
 Mirrors the :mod:`tests.net.test_wire` acceptance bar for the new
 kinds: every service message round-trips, truncated/garbled frames are
@@ -15,13 +15,6 @@ from repro.net import wire
 from repro.service.protocol import (
     ERR_BUSY,
     ERROR_NAMES,
-    BeaconGetRequest,
-    BeaconNextRequest,
-    BeaconResponse,
-    DecryptRequest,
-    DecryptResponse,
-    DprfEvalRequest,
-    DprfResponse,
     ErrorResponse,
     OpsRequest,
     OpsResponse,
@@ -32,20 +25,22 @@ from repro.service.protocol import (
 )
 from repro.vss.messages import HelpMsg, SessionId
 
-MESSAGES = [
+# ``None`` holds the slot of a retired frame (the beacon, DPRF and
+# decryption verbs), so every other entry keeps its test id.
+SLOTS = [
     SignRequest(1, b""),
     SignRequest(2**64 - 1, b"x" * 300),
     SignResponse(1, 0, 0, False),
     SignResponse(2, 10**30, 10**30, True),
-    BeaconNextRequest(3),
-    BeaconGetRequest(4, 2**63),
-    BeaconResponse(4, 0, b"\x00" * 32, 1),
-    DprfEvalRequest(5, b"lottery|2026"),
-    DprfResponse(5, b"\xff" * 64),
-    DecryptRequest(6, 2, b"\x80" * 48),
-    DecryptResponse(6, b""),
+    None,
+    None,
+    None,
+    None,
+    None,
+    None,
+    None,
     StatusRequest(7),
-    StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 0, 123456, "rfc5114-1024-160"),
+    StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 123456, "rfc5114-1024-160"),
     ErrorResponse(8, ERR_BUSY, "service saturated"),
     ErrorResponse(9, ERR_BUSY, ""),
     OpsRequest(10),
@@ -53,7 +48,8 @@ MESSAGES = [
     OpsResponse(11, b""),
 ]
 
-_IDS = [f"{type(m).__name__}-{i}" for i, m in enumerate(MESSAGES)]
+MESSAGES = [m for m in SLOTS if m is not None]
+_IDS = [f"{type(m).__name__}-{i}" for i, m in enumerate(SLOTS) if m is not None]
 
 
 class TestServiceRoundTrip:
@@ -63,14 +59,15 @@ class TestServiceRoundTrip:
 
     def test_frames_carry_minimum_codec_version(self) -> None:
         # Unchanged service kinds stay at their v2 introduction stamp;
-        # STATUS responses changed layout in v3 (name precedes key).
+        # STATUS responses changed layout in v3 (name precedes key) and
+        # again in v8 (the beacon height left).
         # (v4 added only new kinds — envelope and groupmod frames;
         # v5 likewise the OPS observability frames, v6 frames since
         # retired, v7 the matrix fetch between endpoints.)
-        assert wire.VERSION == 7
+        assert wire.VERSION == 8
         assert wire.encode(SignRequest(1, b"m"))[6] == 2
-        status = StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 0, 1, "toy-0")
-        assert wire.encode(status)[6] == 3
+        status = StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 1, "toy-0")
+        assert wire.encode(status)[6] == 8
 
     def test_ops_frames_stamped_v5(self) -> None:
         assert wire.encode(OpsRequest(1))[6] == 5
@@ -114,28 +111,31 @@ class TestVersionGating:
 
     def test_ec_element_frames_stamped_v3(self) -> None:
         # A frame whose fields a pre-v3 decoder would misread (compressed
-        # points instead of modp residues) must claim version 3, so old
-        # peers reject it at the version gate instead of decoding garbage.
+        # points instead of modp residues) must claim version 3 or later,
+        # so old peers reject it at the version gate instead of decoding
+        # garbage.  STATUS, the one service frame with an element, is
+        # newer than that already, and keeps its own stamp.
         from repro.crypto.groups import group_by_name
 
         ec = group_by_name("secp256k1")
-        beacon = BeaconResponse(4, 0, b"\x00" * 32, ec.commit(5))
-        frame = wire.encode(beacon, group=ec)
-        assert frame[6] == 3
-        assert wire.decode(frame, group=ec) == beacon
-        decrypt = DecryptRequest(6, ec.commit(9), b"\x80" * 8)
-        frame = wire.encode(decrypt, group=ec)
-        assert frame[6] == 3
-        assert wire.decode(frame, group=ec) == decrypt
+        status = StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, ec.commit(5), ec.name)
+        frame = wire.encode(status, group=ec)
+        assert frame[6] == 8
+        assert wire.decode(frame, group=ec) == status
+        claimed_v3 = frame[:6] + bytes([3]) + frame[7:]
+        with pytest.raises(wire.WireError, match="version >= 8"):
+            wire.decode(claimed_v3, group=ec)
 
     def test_v2_status_layout_rejected(self) -> None:
-        # The v3 layout moved the group name ahead of the public key; a
-        # frame still claiming v2 must not be parsed with v3 field order.
-        status = StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 0, 1, "toy-0")
-        frame = bytearray(wire.encode(status))
-        frame[6] = 2
-        with pytest.raises(wire.WireError, match="version >= 3"):
-            wire.decode(bytes(frame))
+        # The v3 layout moved the group name ahead of the public key and
+        # the v8 layout dropped the beacon height; a frame claiming an
+        # older version must not be parsed with the v8 field order.
+        status = StatusResponse(7, 7, 2, 7, 0, 0, 0, 0, 1, "toy-0")
+        for older in (2, 3):
+            frame = bytearray(wire.encode(status))
+            frame[6] = older
+            with pytest.raises(wire.WireError, match="version >= 8"):
+                wire.decode(bytes(frame))
 
 
 class TestServiceRejection:
@@ -175,7 +175,7 @@ class TestServiceRejection:
             wire.decode(bytes(data))
 
     def test_status_garbled_group_name_rejected(self) -> None:
-        status = StatusResponse(1, 4, 1, 4, 0, 0, 0, 0, 0, 5, "ab")
+        status = StatusResponse(1, 4, 1, 4, 0, 0, 0, 0, 5, "ab")
         data = bytearray(wire.encode(status))
         data[-2:] = b"\xff\xff"
         with pytest.raises(wire.WireError):

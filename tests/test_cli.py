@@ -177,8 +177,11 @@ class TestCli:
         parser = build_parser()
         serve = parser.parse_args(["serve"])
         assert (serve.pool, serve.port, serve.duration) == (16, 7710, 0.0)
-        loadgen = parser.parse_args(["loadgen", "--op", "mix"])
-        assert (loadgen.clients, loadgen.requests, loadgen.op) == (8, 10, "mix")
+        loadgen = parser.parse_args(["loadgen", "--op", "status"])
+        assert (loadgen.clients, loadgen.requests, loadgen.op) == (8, 10, "status")
+        for retired in ("beacon", "dprf", "decrypt", "mix"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["loadgen", "--op", retired])
         with pytest.raises(SystemExit):
             parser.parse_args(["loadgen", "--op", "nope"])
 

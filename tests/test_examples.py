@@ -37,5 +37,5 @@ def test_example_runs(script: pathlib.Path) -> None:
 
 def test_examples_present() -> None:
     names = {p.stem for p in EXAMPLES}
-    assert {"quickstart", "threshold_wallet", "randomness_beacon",
+    assert {"quickstart", "threshold_wallet", "signing_service",
             "resilient_cluster"} <= names

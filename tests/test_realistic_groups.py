@@ -50,17 +50,30 @@ class TestMediumGroupDkg:
         assert res.public_key == group.commit(res.expected_secret())
 
     def test_threshold_app_on_medium_group(self) -> None:
-        from repro.apps import threshold_elgamal as eg
+        from repro.apps import threshold_schnorr as ts
 
         group = medium_group()
-        res = run_dkg(DkgConfig(n=4, t=1, group=group), seed=3)
-        rng = random.Random(3)
-        message = group.commit(777)
-        ct = eg.encrypt(group, res.public_key, message, rng)
+        key = run_dkg(DkgConfig(n=4, t=1, group=group), seed=3)
+        nonce = run_dkg(DkgConfig(n=4, t=1, group=group), seed=4)
+        message = b"signed over a 256-bit q"
         partials = [
-            eg.partial_decrypt(group, ct, i, res.shares[i], rng) for i in (1, 3)
+            ts.PartialSignature(
+                i,
+                ts.partial_sign(
+                    group,
+                    message,
+                    key.shares[i],
+                    nonce.shares[i],
+                    key.public_key,
+                    nonce.public_key,
+                ),
+            )
+            for i in (1, 3)
         ]
-        assert eg.combine(group, ct, res.commitment, partials, t=1) == message
+        signature = ts.combine(
+            group, message, partials, key.commitment, nonce.commitment, t=1
+        )
+        assert verify(group, key.public_key, message, signature)
 
 
 @pytest.mark.parametrize(
