@@ -94,9 +94,8 @@ class AbstractGroup(Protocol):
     def scalar_to_bytes(self, x: int) -> bytes: ...
     def scalar_from_bytes(self, raw: bytes) -> int: ...
 
-    # hashing into the group / scalar field
+    # hashing into the scalar field
     def hash_to_scalar(self, *parts: bytes) -> int: ...
-    def hash_to_element(self, *parts: bytes) -> Any: ...
 
     def validate(self) -> None: ...
 

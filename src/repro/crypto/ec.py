@@ -29,8 +29,24 @@ The arithmetic core mirrors :mod:`repro.crypto.multiexp` term for term:
   (:data:`GENERATOR_WINDOW`), every other base window 5;
 * reusable Straus tables for a fixed base vector (:class:`EcSharedBases`),
   cached process-wide exactly like their modp counterparts;
-* the fixed-base comb for ``a * G + b * X`` (:class:`EcCombPair`) behind
-  Schnorr verification.
+* ``a * G + b * X`` for Schnorr verification in two tiers, chosen by
+  how often the key has been verified.  Every key starts with the
+  fixed-base comb of :class:`EcCombPair` (a 64-entry table, 2.6 ms to
+  build).  A key's pair counts its calls, and at
+  :data:`HOT_KEY_VERIFICATIONS` it builds an :class:`EcHotKeyTable`:
+  the GLV endomorphism splits ``b`` into two 128-bit halves that share
+  one signed window-8 table of ``X`` (17 rows of 128 points, flat
+  coordinates, ~0.3 MB), so the whole sum is ~66 mixed additions with
+  the generator's window-8 table and no doubling — about 0.6 ms
+  against the comb's 1.1 ms.  The threshold is the build cost over the
+  saving per verification (35 ms / 0.5 ms = 70): the comb has then
+  cost the key what the table costs, so it never pays more than twice
+  the best choice made knowing the key's future.  At most
+  :data:`HOT_KEYS` tables live in a process.  Long-lived keys cross
+  the threshold — a gateway's group key, checked twice per signature,
+  and a signing service's forge identities, checked on every nonce
+  DKG — while the keys a DKG enrolls are checked at most 5, 12 and 21
+  times at n = 4, 10 and 16 and never do.
 
 Group elements are immutable :class:`EcPoint` values (affine, with a
 single :data:`INFINITY` identity), so they hash and compare exactly
@@ -51,6 +67,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -673,20 +690,209 @@ def _generator_comb() -> list[tuple[int, int] | None]:
     return _comb_table(GENERATOR)
 
 
+# -- the hot-key tier: an endomorphism-split window table -------------------
+
+# secp256k1 has an endomorphism that costs one field multiplication
+# (Gallant, Lambert and Vanstone, CRYPTO 2001): phi(x, y) = (BETA * x, y)
+# = LAMBDA * (x, y), BETA a cube root of unity mod P and LAMBDA one mod N.
+GLV_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+GLV_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# A reduced basis (a1, b1), (a2, b2) of the lattice of pairs (a, b) with
+# a + b * LAMBDA = 0 mod N.  Rounding to the nearest lattice vector
+# leaves at most half of each basis vector, so both halves of a split
+# are below 2^129 (in practice 2^128).
+_GLV_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_GLV_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_GLV_B2 = _GLV_A1
+GLV_BITS = 129  # bound on |k1| and |k2| from glv_split
+
+
+def glv_split(k: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 * LAMBDA = k (mod N)`` and both
+    shorter than :data:`GLV_BITS` bits (either may be negative):
+    ``(k, 0)`` minus the lattice vector nearest to it."""
+    c1 = (_GLV_B2 * k + N // 2) // N
+    c2 = (-_GLV_B1 * k + N // 2) // N
+    return k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2
+
+
+def _signed_bytes(e: int, rows: int) -> list[tuple[int, int]]:
+    """``(row, digit)`` for the nonzero signed window-8 digits of
+    ``0 <= e < 2^(8 * rows - 1)``: digits in ``[-128, 128]`` with
+    ``e = sum digit * 256^row`` (the recoding of
+    :class:`EcFixedBaseTable` at window 8, read off the bytes of ``e``)."""
+    digits = []
+    carry = 0
+    for row, d in enumerate(e.to_bytes(rows, "little")):
+        d += carry
+        carry = d > 128
+        if carry:
+            d -= 256
+        if d:
+            digits.append((row, d))
+    return digits
+
+
+# The hot table's window is the generator table's, one byte, so both
+# recode from the scalars' bytes (:func:`_signed_bytes`): 128 multiples
+# per row and ceil((GLV_BITS + 1) / 8) = 17 rows serve both halves of a
+# split scalar, so X's share of a verification is ~34 mixed additions.
+HOT_WINDOW = GENERATOR_WINDOW
+HOT_ROWS = -(-(GLV_BITS + 1) // HOT_WINDOW)
+_HOT_HALF = 1 << (HOT_WINDOW - 1)
+_G_ROWS = -(-(N.bit_length() + 1) // GENERATOR_WINDOW)
+
+
+class EcHotKeyTable:
+    """``a * G + b * X`` with no doubling, for a key ``X`` verified often.
+
+    ``b`` is split as ``k1 + k2 * LAMBDA`` (:func:`glv_split`), so
+    ``b * X = k1 * X + k2 * phi(X)``; one signed window-8 table of ``X``
+    serves both halves, an entry of ``phi(X)``'s table being the same
+    entry with ``x`` times :data:`GLV_BETA`.  ``a * G`` reads the
+    generator's :class:`EcFixedBaseTable`.  All ~66 addends are affine
+    and go into one Jacobian accumulator.  The table is
+    ``HOT_ROWS x 2^(w-1)`` points kept as one flat list of coordinates
+    (``x, y, x, y, ...``), about a third of a megabyte.
+    """
+
+    __slots__ = ("_coords", "_g_rows", "__weakref__")
+
+    def __init__(self, base: EcPoint):
+        half = _HOT_HALF
+        coords: list[int] = []
+        ux, uy = base.x, base.y  # 2^(w * row) * base, affine
+        for _ in range(HOT_ROWS):
+            cur = (ux, uy, 1)
+            row = [cur]
+            for _ in range(half - 1):
+                cur = _jac_add_affine(cur, ux, uy)
+                row.append(cur)
+            row.append(_jac_double(*cur))  # the next row's unit
+            # One inversion per row keeps the build's transient memory
+            # to a row.  No entry is the identity: |d| * 2^(wk) < N.
+            affine = _batch_to_affine(row)
+            for x, y in affine[:half]:
+                coords += (x, y)
+            ux, uy = affine[half]
+        self._coords = coords
+        self._g_rows = ec_fixed_base(GENERATOR)._rows
+
+    def multiexp(self, a: int, b: int) -> EcPoint:
+        """``a * G + b * base`` (scalars reduced mod the group order)."""
+        p = P
+        g_rows = self._g_rows
+        addends = []
+        for row, d in _signed_bytes(a % N, _G_ROWS):
+            x, y = g_rows[row][abs(d) - 1]
+            addends.append((x, y if d > 0 else p - y))
+        coords, half = self._coords, _HOT_HALF
+        for k, beta in zip(glv_split(b % N), (1, GLV_BETA)):
+            negative = k < 0
+            for row, d in _signed_bytes(abs(k), HOT_ROWS):
+                i = 2 * (row * half + abs(d) - 1)
+                y = coords[i + 1]
+                if (d < 0) != negative:
+                    y = p - y
+                addends.append((coords[i] * beta % p, y))
+        if not addends:
+            return INFINITY
+        (X1, Y1), Z1 = addends[0], 1
+        for x, y in addends[1:]:
+            if not Z1:
+                X1, Y1, Z1 = x, y, 1
+                continue
+            # Mixed addition with as few reductions as CPython allows:
+            # H and R stay unreduced, H^3 too.
+            Z1Z1 = Z1 * Z1 % p
+            H = x * Z1Z1 % p - X1
+            R = y * Z1 * Z1Z1 % p - Y1
+            if not H:
+                if R:
+                    X1, Y1, Z1 = _JAC_INF
+                else:
+                    X1, Y1, Z1 = _jac_double(X1, Y1, Z1)
+                continue
+            HH = H * H % p
+            HHH = H * HH
+            V = X1 * HH % p
+            X1 = (R * R - HHH - 2 * V) % p
+            Y1 = (R * (V - X1) - Y1 * HHH) % p
+            Z1 = Z1 * H % p
+        return _from_jacobian((X1, Y1, Z1))
+
+
+# When a key earns a hot table, and how many a process may hold.  A
+# build costs about HOT_BUILD_MS and each verification it serves saves
+# about HOT_SAVING_MS against the comb (medians on a 2-core Intel Xeon
+# VM, pure python), so a key is promoted once the comb has cost it what
+# the build costs: the ski-rental rule, never more than twice the work
+# of knowing in advance how often the key will be verified.  HOT_KEYS
+# tables are ~2.4 MB at most; a signing service holds five hot keys
+# (its group key and its forge's four identities).
+HOT_BUILD_MS = 35.0
+HOT_SAVING_MS = 0.5
+HOT_KEY_VERIFICATIONS = round(HOT_BUILD_MS / HOT_SAVING_MS)
+HOT_KEYS = 8
+
+# One token per hot table this process may still build; a table's
+# finalizer gives its token back.  list.pop/append need no lock, and
+# there is none for a fork to copy in a held state.
+_hot_tokens: list[None] = [None] * HOT_KEYS
+
+
 class EcCombPair:
     """Lim--Lee fixed-base comb for ``a * G + b * base`` with both
     points fixed — the EC mirror of
     :class:`repro.crypto.multiexp.CombPair`: ``span`` shared doublings
     and at most ``2 * span`` mixed additions.  The generator's table is
-    shared process-wide, ``base``'s belongs to this object."""
+    shared process-wide, ``base``'s belongs to this object.
 
-    __slots__ = ("_table",)
+    The pair counts its calls; at :data:`HOT_KEY_VERIFICATIONS` it
+    builds an :class:`EcHotKeyTable` for ``base``, if fewer than
+    :data:`HOT_KEYS` are alive, and answers every later call from it.
+    The table is assigned only once complete, so a call from another
+    thread sees either no table or a whole one."""
+
+    __slots__ = ("_base", "_table", "_calls", "_hot")
 
     def __init__(self, base: EcPoint):
+        self._base = base
         self._table = _comb_table(base)
+        self._calls = 0
+        self._hot: EcHotKeyTable | None = None
 
     def multiexp(self, a: int, b: int) -> EcPoint:
         """``a * G + b * base`` (scalars reduced mod the group order)."""
+        hot = self._hot
+        if hot is None:
+            self._calls += 1
+            if self._calls < HOT_KEY_VERIFICATIONS:
+                return self._comb(a, b)
+            hot = self._promote()
+            if hot is None:
+                return self._comb(a, b)
+        return hot.multiexp(a, b)
+
+    def _promote(self) -> EcHotKeyTable | None:
+        """Build and publish the hot table; for the identity, or when
+        the process holds :data:`HOT_KEYS` tables already, restart the
+        count instead."""
+        if self._base.is_infinity():
+            self._calls = 0
+            return None
+        try:
+            _hot_tokens.pop()
+        except IndexError:
+            self._calls = 0
+            return None
+        hot = EcHotKeyTable(self._base)
+        weakref.finalize(hot, _hot_tokens.append, None)
+        self._hot = hot
+        return hot
+
+    def _comb(self, a: int, b: int) -> EcPoint:
         g_table, table = _generator_comb(), self._table
         p = P
         X1, Y1, Z1 = _JAC_INF
@@ -939,7 +1145,7 @@ class EcGroup:
     def scalar_from_bytes(self, raw: bytes) -> int:
         return int.from_bytes(raw, "big") % N
 
-    # -- hashing into the group --------------------------------------------
+    # -- hashing into the scalar field -------------------------------------
 
     def hash_to_scalar(self, *parts: bytes) -> int:
         h = hashlib.sha256()
@@ -947,22 +1153,6 @@ class EcGroup:
             h.update(len(part).to_bytes(4, "big"))
             h.update(part)
         return int.from_bytes(h.digest(), "big") % N
-
-    def hash_to_element(self, *parts: bytes) -> EcPoint:
-        """Try-and-increment hash-to-curve with canonical even-y choice
-        (no known discrete log relative to the generator)."""
-        counter = 0
-        while True:
-            h = hashlib.sha256()
-            h.update(b"hash-to-curve|" + str(counter).encode() + b"|")
-            for part in parts:
-                h.update(len(part).to_bytes(4, "big"))
-                h.update(part)
-            x = int.from_bytes(h.digest(), "big") % P
-            y = _sqrt_mod_p((x * x * x + B) % P)
-            if y is not None and (x or y):
-                return EcPoint(x, y if y % 2 == 0 else P - y)
-            counter += 1
 
     def validate(self) -> None:
         if not is_on_curve(GENERATOR):

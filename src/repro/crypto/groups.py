@@ -179,7 +179,7 @@ class SchnorrGroup:
     def scalar_from_bytes(self, raw: bytes) -> int:
         return int.from_bytes(raw, "big") % self.q
 
-    # -- hashing into the group ----------------------------------------------
+    # -- hashing into the scalar field ---------------------------------------
 
     def hash_to_scalar(self, *parts: bytes) -> int:
         # Lazy import: repro.crypto.hashing imports feldman, which
@@ -187,13 +187,6 @@ class SchnorrGroup:
         from repro.crypto.hashing import hash_to_scalar
 
         return hash_to_scalar(self.q, *parts)
-
-    def hash_to_element(self, *parts: bytes) -> int:
-        """Hash into the order-q subgroup (cofactor exponentiation,
-        delegating to :func:`repro.crypto.hashing.hash_to_element`)."""
-        from repro.crypto.hashing import hash_to_element
-
-        return hash_to_element(self.p, self.q, *parts)
 
     def validate(self) -> None:
         SchnorrParams(self.p, self.q, self.g).validate()

@@ -53,22 +53,3 @@ def hash_to_scalar(q: int, *parts: bytes) -> int:
         h.update(part)
     return int.from_bytes(h.digest(), "big") % q
 
-
-def hash_to_element(group_p: int, group_q: int, *parts: bytes) -> int:
-    """Hash into the order-q subgroup of Z_p^* (for DPRF inputs).
-
-    Hashes to Z_p then raises to the cofactor, retrying on the identity.
-    """
-    cofactor = (group_p - 1) // group_q
-    counter = 0
-    while True:
-        h = hashlib.sha256()
-        h.update(b"hash-to-element|" + str(counter).encode() + b"|")
-        for part in parts:
-            h.update(len(part).to_bytes(4, "big"))
-            h.update(part)
-        candidate = int.from_bytes(h.digest(), "big") % group_p
-        element = pow(candidate, cofactor, group_p)
-        if element != 1:
-            return element
-        counter += 1

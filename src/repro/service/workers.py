@@ -56,6 +56,9 @@ Commitment = FeldmanCommitment | FeldmanVector
 # service it belongs to: the process has one GIL.
 _forge_lane = threading.Lock()
 
+# On-demand nonce DKGs one service runs at once (pool misses).
+FORGE_CONCURRENCY = 4
+
 
 @lru_cache(maxsize=32)
 def _forge_pki(
@@ -272,7 +275,6 @@ class ServiceConfig:
     seed: int = 0
     pool_target: int = 16  # 0 disables the pool (every sign forges on demand)
     pool_low_watermark: int | None = None  # default: half the target
-    forge_concurrency: int = 4  # concurrent on-demand nonce DKGs
 
 
 class ThresholdService:
@@ -330,7 +332,7 @@ class ThresholdService:
         # The seed string is older than the name; changing it would change
         # the share-check weights.
         self._share_check_rng = random.Random(("svc-combine", config.seed).__repr__())
-        self._forge_gate = asyncio.Semaphore(max(1, config.forge_concurrency))
+        self._forge_gate = asyncio.Semaphore(FORGE_CONCURRENCY)
         # The forge's process pool: one worker per CPU, never more than
         # a refill can use (None = serial: one CPU, or pool disabled).
         # Created and warmed here, before any event loop runs, so the

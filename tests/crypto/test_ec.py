@@ -11,27 +11,36 @@ get right.
 
 from __future__ import annotations
 
+import gc
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec, metering
+from repro.crypto import ec, metering, schnorr
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.ec import (
     FIXED_BASE_WINDOW,
     GENERATOR,
     GENERATOR_WINDOW,
+    GLV_BETA,
+    GLV_BITS,
+    GLV_LAMBDA,
+    HOT_KEY_VERIFICATIONS,
     INFINITY,
     N,
     P,
+    EcCombPair,
     EcFixedBaseTable,
+    EcHotKeyTable,
     EcPoint,
     EcSharedBases,
     _straus_window,
     ec_fixed_base,
     ec_multiexp,
+    glv_split,
     is_on_curve,
     point_add,
     point_neg,
@@ -40,6 +49,7 @@ from repro.crypto.ec import (
     secp256k1_group,
 )
 from repro.crypto.groups import toy_group
+from repro.crypto.schnorr import Signature, SigningKey
 from repro.dkg import DkgConfig, run_dkg
 
 G = secp256k1_group()
@@ -146,11 +156,10 @@ class TestGeneratorTablePin:
         assert all(len(row) == 128 for row in table._rows)
 
     def test_other_bases_get_window_five(self) -> None:
-        for base in (G.hash_to_element(b"fixed base"), _rand_point(12)):
-            table = G.fixed_base(base)
-            assert table.window == FIXED_BASE_WINDOW == 5
-            assert len(table._rows) == 52
-            assert all(len(row) == 16 for row in table._rows)
+        table = G.fixed_base(_rand_point(12))
+        assert table.window == FIXED_BASE_WINDOW == 5
+        assert len(table._rows) == 52
+        assert all(len(row) == 16 for row in table._rows)
 
     def test_dkg_n10_group_ops_are_pinned(self) -> None:
         """n=10, t=3, seed 7: 100 dealing commitments (10 dealers x the
@@ -162,6 +171,126 @@ class TestGeneratorTablePin:
         assert run_dkg(DkgConfig(n=10, t=3, group=G), seed=7).succeeded
         after = [getattr(metering.EC, op) for op in ops]
         assert [b - a for a, b in zip(before, after)] == [0, 230, 400]
+
+
+@lru_cache(maxsize=None)
+def _pair_and_hot(seed: int) -> tuple[EcCombPair, EcHotKeyTable]:
+    base = _rand_point(seed)
+    return EcCombPair(base), EcHotKeyTable(base)
+
+
+class TestHotKeyTier:
+    """The second verifier tier: a key's :class:`EcCombPair` counts its
+    calls and, at :data:`HOT_KEY_VERIFICATIONS`, answers from an
+    :class:`EcHotKeyTable` (endomorphism split, no doubling) instead
+    of the comb — with bit-identical points and verdicts."""
+
+    def test_endomorphism_constants(self) -> None:
+        assert pow(GLV_BETA, 3, P) == 1 != GLV_BETA
+        assert pow(GLV_LAMBDA, 3, N) == 1 != GLV_LAMBDA
+        point = _rand_point(20)
+        phi = EcPoint(point.x * GLV_BETA % P, point.y)
+        assert scalar_mul_naive(point, GLV_LAMBDA) == phi
+        for a, b in ((ec._GLV_A1, ec._GLV_B1), (ec._GLV_A2, ec._GLV_B2)):
+            assert (a + b * GLV_LAMBDA) % N == 0
+
+    @given(scalars)
+    @settings(max_examples=200)
+    def test_split_recombines_and_is_short(self, k: int) -> None:
+        k1, k2 = glv_split(k % N)
+        assert (k1 + k2 * GLV_LAMBDA - k) % N == 0
+        assert max(abs(k1), abs(k2)).bit_length() <= GLV_BITS
+
+    def test_split_at_the_ends_of_the_range(self) -> None:
+        for k in (0, 1, N - 1, N // 2, GLV_LAMBDA, N - GLV_LAMBDA):
+            k1, k2 = glv_split(k)
+            assert (k1 + k2 * GLV_LAMBDA - k) % N == 0
+            assert max(abs(k1), abs(k2)).bit_length() <= GLV_BITS
+
+    @given(scalars, scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_hot_matches_comb(self, a: int, b: int) -> None:
+        pair, hot = _pair_and_hot(21)
+        assert hot.multiexp(a, b) == pair._comb(a, b)
+
+    def test_recoding_boundaries(self) -> None:
+        """Digits of 128 (kept) and 129 (carried) in every row of both
+        tables, and each half of the split negative."""
+        pair, hot = _pair_and_hot(22)
+        for k in range(33):
+            for d in (128, 129, 255):
+                e = (d << (8 * k)) % N
+                assert hot.multiexp(e, 0) == scalar_mul_naive(GENERATOR, e)
+                assert hot.multiexp(0, e) == pair._comb(0, e), (k, d)
+        for b in (GLV_LAMBDA, N - GLV_LAMBDA, N - 1, 1):
+            assert hot.multiexp(7, b) == pair._comb(7, b)
+
+    def test_doubling_and_identity_inside_the_sum(self) -> None:
+        """With ``X = G`` an addend of ``X``'s table can equal or cancel
+        the accumulator: the doubling and the identity branch."""
+        hot = EcHotKeyTable(GENERATOR)
+        for a, b in ((1, 1), (1, N - 1), (5, N - 5), (2, 3), (0, 0), (N - 1, 2)):
+            assert hot.multiexp(a, b) == scalar_mul_naive(GENERATOR, a + b)
+
+    @given(st.integers(0, 2**32), st.binary(max_size=32))
+    @settings(max_examples=4, deadline=None)
+    def test_verdicts_are_the_same_across_the_threshold(
+        self, seed: int, message: bytes
+    ) -> None:
+        # A fresh verifier for every example: the count starts at 0.
+        schnorr._key_verifier.cache_clear()
+        rng = random.Random(seed)
+        key, other = SigningKey.generate(G, rng), SigningKey.generate(G, rng)
+        sig, other_sig = key.sign(message, rng), other.sign(message, rng)
+        c, z = sig.challenge, sig.response
+        X = key.public_key
+        cases = [
+            (X, message, sig),  # valid
+            (X, message + b"!", sig),  # other message
+            (X, message, other_sig),  # other key's signature
+            (other.public_key, message, sig),  # other key
+            (X, message, Signature(c + N, z)),  # c >= q
+            (X, message, Signature(c, z + N)),  # z >= q
+            (X, message, Signature(N, N)),
+            (X, message, Signature(z, c)),
+            (EcPoint(1, 1), message, sig),  # no group element
+        ]
+        before = [schnorr.verify(G, *case) for case in cases]
+        assert before == [True] + [False] * (len(cases) - 1)
+        pair = schnorr._key_verifier(G, X)
+        assert pair._hot is None
+        for _ in range(HOT_KEY_VERIFICATIONS):
+            assert schnorr.verify(G, X, message, sig)
+        assert pair._hot is not None
+        assert [schnorr.verify(G, *case) for case in cases] == before
+        schnorr._key_verifier.cache_clear()
+
+    def test_promotion_waits_for_a_token_and_returns_it(self, monkeypatch) -> None:
+        tokens: list[None] = []
+        monkeypatch.setattr(ec, "_hot_tokens", tokens)
+        base = _rand_point(23)
+        pair = EcCombPair(base)
+        expected = scalar_mul_naive(base, 3)
+        for _ in range(HOT_KEY_VERIFICATIONS):
+            assert pair.multiexp(0, 3) == expected
+        # No token: the comb answers and the count starts over.
+        assert pair._hot is None and pair._calls == 0
+        tokens.append(None)
+        for _ in range(HOT_KEY_VERIFICATIONS):
+            assert pair.multiexp(0, 3) == expected
+        assert pair._hot is not None and tokens == []
+        assert pair.multiexp(0, 3) == expected
+        del pair
+        gc.collect()
+        assert tokens == [None]
+
+    def test_the_identity_is_never_promoted(self, monkeypatch) -> None:
+        tokens = [None]
+        monkeypatch.setattr(ec, "_hot_tokens", tokens)
+        pair = EcCombPair(INFINITY)
+        for _ in range(HOT_KEY_VERIFICATIONS + 1):
+            assert pair.multiexp(2, 9) == scalar_mul_naive(GENERATOR, 2)
+        assert pair._hot is None and tokens == [None]
 
 
 class TestGroupLaw:
@@ -319,9 +448,3 @@ class TestEcGroupSurface:
         # 8x smaller than a 2048-bit modp residue (256 bytes), within
         # the one-byte compression prefix.
         assert G.element_bytes * 8 == 264
-
-    def test_hash_to_element_lands_on_curve(self) -> None:
-        for tag in (b"", b"a", b"dprf-input"):
-            point = G.hash_to_element(tag)
-            assert G.is_element(point) and point != INFINITY
-        assert G.hash_to_element(b"x") != G.hash_to_element(b"y")

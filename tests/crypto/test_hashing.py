@@ -13,7 +13,6 @@ from repro.crypto.groups import toy_group
 from repro.crypto.hashing import (
     DIGEST_BYTES,
     commitment_digest,
-    hash_to_element,
     hash_to_scalar,
 )
 
@@ -48,13 +47,3 @@ class TestHashToScalar:
     def test_length_prefixing_prevents_concatenation_ambiguity(self) -> None:
         assert hash_to_scalar(G.q, b"ab", b"c") != hash_to_scalar(G.q, b"a", b"bc")
 
-
-class TestHashToElement:
-    @given(st.binary(max_size=64))
-    @settings(max_examples=30)
-    def test_lands_in_subgroup(self, data: bytes) -> None:
-        x = hash_to_element(G.p, G.q, data)
-        assert G.is_element(x)
-
-    def test_distinct_inputs_distinct_outputs(self) -> None:
-        assert hash_to_element(G.p, G.q, b"a") != hash_to_element(G.p, G.q, b"b")

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from repro.crypto import schnorr
+import pytest
+
+from repro.crypto import ec, schnorr
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.dkg import DkgConfig, DkgNode, run_dkg
 from repro.sim.pki import CertificateAuthority, KeyStore
@@ -93,9 +96,23 @@ class TestVerifierCache:
         assert len(group.comb_pair(group.commit(99))._table) == 64
         assert schnorr._VERIFIER_KEYS == 64
 
+    def test_hot_table_shape_and_cap_are_pinned(self) -> None:
+        # A secp256k1 key verified HOT_KEY_VERIFICATIONS times gets a
+        # 17 x 128 table (both halves of a split scalar, coordinates
+        # flat, ~0.3 MB), and a process holds at most 8: the group key
+        # and the forge's four keys of sign_sustained keep its peak RSS
+        # within 5 % of the comb-only verifier; plain 33 x 128 tuple
+        # tables for those five keys do not.
+        assert (ec.HOT_WINDOW, ec.HOT_ROWS) == (8, 17)
+        table = ec.EcHotKeyTable(ec.secp256k1_group().commit(99))
+        assert len(table._coords) == 2 * 17 * 128
+        assert len(ec._hot_tokens) <= ec.HOT_KEYS == 8
+        assert ec.HOT_KEY_VERIFICATIONS == round(35.0 / 0.5) == 70
 
-def _verifications(monkeypatch, n: int, t: int) -> int:
-    """``CertificateAuthority.verify`` calls in one seeded DKG."""
+
+def _verified_signers(monkeypatch, n: int, t: int) -> list[int]:
+    """The signer of each ``CertificateAuthority.verify`` call in one
+    seeded DKG."""
     calls = []
     verify = CertificateAuthority.verify
 
@@ -106,7 +123,29 @@ def _verifications(monkeypatch, n: int, t: int) -> int:
     monkeypatch.setattr(CertificateAuthority, "verify", counting)
     res = run_dkg(DkgConfig(n=n, t=t, group=default_test_group()), seed=7)
     assert res.succeeded
-    return len(calls)
+    return calls
+
+
+def _verifications(monkeypatch, n: int, t: int) -> int:
+    """``CertificateAuthority.verify`` calls in one seeded DKG."""
+    return len(_verified_signers(monkeypatch, n, t))
+
+
+@pytest.mark.parametrize(("n", "t", "busiest"), [(4, 1, 5), (10, 3, 12)])
+def test_no_key_of_a_dkg_reaches_the_hot_threshold(
+    monkeypatch, n: int, t: int, busiest: int
+) -> None:
+    """Every DKG enrolls fresh keys, and none of them is verified
+    often enough to earn a hot table (``ec.HOT_KEY_VERIFICATIONS`` =
+    35 ms build / 0.5 ms saved = 70 calls).  Seed 7: the 13 checks at
+    n=4 fall 2, 3, 3 and 5 on the four keys; the 89 at n=10 fall at
+    most 12 on one key.  A key is checked for its echo vote by each
+    node whose lock quorum holds it and for its ready witnesses in the
+    leader's certificates, so the busiest count grows about linearly
+    in n: 21 at n=16, still under a third of the threshold."""
+    counts = Counter(_verified_signers(monkeypatch, n, t))
+    assert max(counts.values()) == busiest
+    assert busiest < ec.HOT_KEY_VERIFICATIONS
 
 
 def test_dkg_makes_exactly_the_pinned_number_of_verifications(monkeypatch) -> None:
