@@ -70,6 +70,7 @@ class AbstractGroup(Protocol):
     def identity(self) -> Any: ...
     def power(self, base: Any, exponent: int) -> Any: ...
     def commit(self, exponent: int) -> Any: ...
+    def commit_many(self, exponents: Any) -> list[Any]: ...
     def mul(self, a: Any, b: Any) -> Any: ...
     def inv(self, a: Any) -> Any: ...
     def is_element(self, a: Any) -> bool: ...

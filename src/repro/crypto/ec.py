@@ -26,7 +26,11 @@ The arithmetic core mirrors :mod:`repro.crypto.multiexp` term for term:
 * signed-window fixed-base tables (:class:`EcFixedBaseTable`): digits
   in ``[-2^(w-1), 2^(w-1)]``, a negative digit negating ``y``, so a row
   holds ``2^(w-1)`` multiples.  The generator gets window 8
-  (:data:`GENERATOR_WINDOW`), every other base window 5;
+  (:data:`GENERATOR_WINDOW`), every other base window 5.  A caller
+  holding several scalars uses ``pow_many``, which sums every scalar's
+  addends as trees of affine additions with one shared inversion per
+  tree level, and verify-poly uses ``verify_row``, which adds a Horner
+  fold of the matrix in Jacobian form, compared without inverting;
 * reusable Straus tables for a fixed base vector (:class:`EcSharedBases`),
   cached process-wide exactly like their modp counterparts;
 * ``a * G + b * X`` for Schnorr verification in two tiers, chosen by
@@ -226,6 +230,18 @@ def _jac_add_affine(
     zh = Z1 + H
     Z3 = (zh * zh - Z1Z1 - HH) % P
     return (X3, Y3, Z3)
+
+
+def _jac_mul_small(pt: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """``k * pt`` by left-to-right double-and-add, all in Jacobian
+    form: the step of a Horner fold by a node index, a few bits long."""
+    acc = _JAC_INF
+    for bit in bin(k)[2:]:
+        if acc[2]:
+            acc = _jac_double(*acc)
+        if bit == "1":
+            acc = _jac_add(acc, pt)
+    return acc
 
 
 def _batch_to_affine(
@@ -609,15 +625,15 @@ class EcFixedBaseTable:
         affine = _batch_to_affine(flat)
         self._rows = [affine[k * half : (k + 1) * half] for k in range(rows)]
 
-    def pow(self, exponent: int) -> EcPoint:
-        """``exponent * base`` (exponent reduced mod the group order)."""
+    def _addends(self, exponent: int) -> list[tuple[int, int]]:
+        """The affine table entries whose sum is ``exponent * base``:
+        one per nonzero signed digit, ``y`` negated for a negative one."""
         e = exponent % N
         w = self.window
         full = 1 << w
         half = full >> 1
         mask = full - 1
-        p = P
-        X1, Y1, Z1 = _JAC_INF
+        addends = []
         for row in self._rows:
             if not e:
                 break
@@ -628,9 +644,19 @@ class EcFixedBaseTable:
             if d > half:
                 e += 1
                 x, y = row[full - d - 1]
-                y = p - y
+                addends.append((x, P - y))
             else:
-                x, y = row[d - 1]
+                addends.append(row[d - 1])
+        return addends
+
+    def pow(self, exponent: int) -> EcPoint:
+        """``exponent * base`` (exponent reduced mod the group order)."""
+        addends = self._addends(exponent)
+        if not addends:
+            return INFINITY
+        p = P
+        (X1, Y1), Z1 = addends[0], 1
+        for x, y in addends[1:]:
             if not Z1:
                 X1, Y1, Z1 = x, y, 1
                 continue
@@ -656,6 +682,112 @@ class EcFixedBaseTable:
             Z1 = (zh * zh - Z1Z1 - HH) % p
             X1 = X3
         return _from_jacobian((X1, Y1, Z1))
+
+    def _affine_many(self, exponents) -> list[tuple[int, int] | None]:
+        """``exponents[k] * base`` for every ``k``, affine (``None`` for
+        the identity): summed by :meth:`_tree_sums` when there are two
+        or more, else, or if the tree meets a zero denominator, by
+        :meth:`pow`."""
+        exponents = list(exponents)
+        if len(exponents) > 1:
+            sums = self._tree_sums([self._addends(e) for e in exponents])
+            if sums is not None:
+                return sums
+        return [
+            None if pt.is_infinity() else (pt.x, pt.y)
+            for pt in map(self.pow, exponents)
+        ]
+
+    @staticmethod
+    def _tree_sums(lanes: list[list[tuple[int, int]]]) -> list | None:
+        """The sum of each lane of affine addends, or ``None`` if an
+        addition meets a zero denominator (two equal addends, or an
+        inverse pair), where the affine formula is undefined.
+
+        Each lane is summed as a tree of affine additions, level by
+        level across all lanes, and each level's denominators share one
+        inversion (Montgomery's trick): ~6 inversions in all and ~6
+        multiplications per addition, against one inversion and ~33
+        mixed additions of ~11 multiplications each per :meth:`pow`.
+        """
+        p = P
+        while True:
+            dens = [
+                lane[k][0] - lane[k - 1][0]
+                for lane in lanes
+                for k in range(1, len(lane), 2)
+            ]
+            if not dens:
+                return [lane[0] if lane else None for lane in lanes]
+            prefix = []
+            acc = 1
+            for d in dens:
+                prefix.append(acc)
+                acc = acc * d % p
+            if not acc:
+                return None
+            inv = pow(acc, -1, p)
+            invs = [0] * len(dens)
+            for k in range(len(dens) - 1, -1, -1):
+                invs[k] = prefix[k] * inv % p
+                inv = inv * dens[k] % p
+            k = 0
+            for lane_at, lane in enumerate(lanes):
+                summed = []
+                for at in range(1, len(lane), 2):
+                    x1, y1 = lane[at - 1]
+                    x2, y2 = lane[at]
+                    s = (y2 - y1) * invs[k] % p
+                    k += 1
+                    x3 = (s * s - x1 - x2) % p
+                    summed.append((x3, (s * (x1 - x3) - y1) % p))
+                if len(lane) & 1:
+                    summed.append(lane[-1])
+                lanes[lane_at] = summed
+
+    def pow_many(self, exponents) -> list[EcPoint]:
+        """``[self.pow(e) for e in exponents]``, the exponentiations'
+        field inversions shared (:meth:`_affine_many`)."""
+        # The points outlive the call, but their coordinates were made
+        # among its temporaries.  Fresh copies (``x + 0`` is a new int),
+        # made once those are freed, pack into few allocator pools: kept
+        # as they were, they held many pools half empty and raised the
+        # dkg_sim_ec_n10 benchmark's peak RSS by ~0.4 MB.
+        return [
+            INFINITY if xy is None else EcPoint(xy[0] + 0, xy[1] + 0)
+            for xy in self._affine_many(exponents)
+        ]
+
+    def verify_row(self, exponents, matrix, x: int) -> bool:
+        """True iff ``exponents[l] * base == sum_j x^j * matrix[j][l]``
+        for every column ``l`` of ``matrix``: Fig. 1's verify-poly.
+
+        The left-hand sides come from :meth:`_affine_many`.  Each
+        right-hand side is folded by Horner in Jacobian coordinates and
+        compared projectively (``X == x * Z^2``, ``Y == y * Z^3``), so
+        the check inverts nothing beyond the left-hand sides' shared
+        inversions.  Metered as one multiexp per column folded, the
+        matrix fold it replaces.
+        """
+        x %= N
+        p = P
+        for ell, lhs in enumerate(self._affine_many(exponents)):
+            metering.EC.multiexp += 1
+            X1, Y1, Z1 = _JAC_INF
+            for row in reversed(matrix):
+                if Z1:
+                    X1, Y1, Z1 = _jac_mul_small((X1, Y1, Z1), x)
+                entry = row[ell]
+                if not entry.is_infinity():
+                    X1, Y1, Z1 = _jac_add_affine((X1, Y1, Z1), entry.x, entry.y)
+            if lhs is None or not Z1:
+                if lhs is not None or Z1:
+                    return False
+                continue
+            ZZ = Z1 * Z1 % p
+            if X1 != lhs[0] * ZZ % p or Y1 != lhs[1] * ZZ * Z1 % p:
+                return False
+        return True
 
 
 @lru_cache(maxsize=128)
@@ -1065,6 +1197,14 @@ class EcGroup:
     def commit(self, exponent: int) -> EcPoint:
         metering.EC.commit += 1
         return ec_fixed_base(GENERATOR).pow(exponent)
+
+    def commit_many(self, exponents) -> list[EcPoint]:
+        """``[self.commit(e) for e in exponents]``, metered alike, with
+        the exponentiations' inversions shared
+        (:meth:`EcFixedBaseTable.pow_many`)."""
+        exponents = list(exponents)
+        metering.EC.commit += len(exponents)
+        return ec_fixed_base(GENERATOR).pow_many(exponents)
 
     def mul(self, a: EcPoint, b: EcPoint) -> EcPoint:
         return point_add(a, b)

@@ -13,15 +13,26 @@ from Fig. 1 are implemented verbatim:
 
 Both predicates are O(t^2) exponentiations when evaluated from the raw
 matrix, and they run on every echo/ready/send of every session — the
-protocol's verification hot path.  This implementation therefore
-collapses the matrix *once per node index* (the cached row verifier
-``W_l(i) = prod_j (C_jl)^{i^j}``, shared between ``verify_poly``,
-``verify_point``, ``share_commitment`` and ``column_vector`` because
-the dealt matrices are symmetric) and evaluates everything downstream
-of the collapse with :mod:`repro.crypto.multiexp` — so repeated
+protocol's verification hot path.
+
+verify-poly runs once per (node, dealer) pair and is answered by the
+generator's fixed-base table (``verify_row``): the ``t+1`` values
+``g^{a_l}`` come from one batched call whose exponentiations share
+their field inversions, and each ``W_l(i) = prod_j (C_jl)^{i^j}`` is
+folded by Horner and compared without inverting (on secp256k1; modp
+has no inversion to share and runs the plain multiexps).  It keeps
+nothing.
+
+Everything else collapses the matrix *once per node index* (the cached
+vector ``W_l(i)``, shared between ``verify_point``, ``share_commitment``
+and ``column_vector`` because the dealt matrices are symmetric; at
+index 0 it is column 0 itself) and evaluates downstream of the
+collapse with :mod:`repro.crypto.multiexp` — so repeated
 ``verify_point(m, i, alpha)`` calls cost O(t) multiplications, and
 many buffered points against one commitment batch into a single
 randomized-linear-combination check via :meth:`FeldmanVector.batch_verify`.
+A node reaches ``verify_point`` only on the fallback path, where it
+holds no verified row.
 
 A univariate variant (:class:`FeldmanVector`) commits to a degree-t
 polynomial by its coefficient exponentiations; it is used by the Rec
@@ -45,16 +56,22 @@ class FeldmanCommitment:
 
     matrix: tuple[tuple, ...]
     group: AbstractGroup
-    # Per-instance memo for collapsed rows, share commitments and
-    # symmetry; excluded from equality/hashing so two commitments to the
+    # Per-instance memo for collapsed rows, share commitments, symmetry
+    # and the hash; excluded from equality so two commitments to the
     # same matrix stay interchangeable as dict keys.
-    _cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(len(row) != len(self.matrix) for row in self.matrix):
             raise ValueError("commitment matrix must be square")
+
+    def __hash__(self) -> int:
+        # Every echo and ready looks its session state up by commitment,
+        # and hashing the matrix hashes (t+1)^2 points.
+        cached = self._cache.get("hash")
+        if cached is None:
+            cached = self._cache["hash"] = hash((self.matrix, self.group))
+        return cached
 
     @property
     def degree(self) -> int:
@@ -68,20 +85,25 @@ class FeldmanCommitment:
 
         A coefficient equal to its transpose is exponentiated once: the
         symmetric polynomials HybridVSS deals cost (t+1)(t+2)/2
-        exponentiations instead of (t+1)^2.
+        exponentiations instead of (t+1)^2, in one batched call.
         """
         if poly.q != group.q:
             raise ValueError("polynomial field does not match group order")
         coeffs = poly.coeffs
         side = len(coeffs)
+        cells = [
+            (j, ell)
+            for j in range(side)
+            for ell in range(side)
+            if ell >= j or coeffs[ell][j] != coeffs[j][ell]
+        ]
         rows: list[list] = [[None] * side for _ in range(side)]
-        for j in range(side):
-            for ell in range(j, side):
-                rows[j][ell] = group.commit(coeffs[j][ell])
-                if coeffs[ell][j] == coeffs[j][ell]:
-                    rows[ell][j] = rows[j][ell]
-                else:
-                    rows[ell][j] = group.commit(coeffs[ell][j])
+        for (j, ell), point in zip(
+            cells, group.commit_many(coeffs[j][ell] for j, ell in cells)
+        ):
+            rows[j][ell] = point
+            if ell > j:
+                rows[ell][j] = point  # replaced later if f_lj != f_jl
         return cls(tuple(tuple(row) for row in rows), group)
 
     # -- the per-node collapse cache -----------------------------------------
@@ -92,9 +114,7 @@ class FeldmanCommitment:
             m = self.matrix
             n = len(m)
             sym = all(
-                m[j][ell] == m[ell][j]
-                for j in range(n)
-                for ell in range(j + 1, n)
+                m[j][ell] == m[ell][j] for j in range(n) for ell in range(j + 1, n)
             )
             self._cache["sym"] = sym
         return sym
@@ -108,12 +128,18 @@ class FeldmanCommitment:
         point verifier for receiver ``i``).  For the symmetric matrices
         HybridVSS deals the two coincide and share one cache slot, so a
         node pays for the O(t^2) collapse exactly once per commitment.
+        At index 0 the fold is row 0 (``axis=0``) or column 0, taken
+        as it stands.
         """
         g = self.group
         i = index % g.q
         key = ("collapse", i, 0 if self._is_symmetric() else axis)
         cached = self._cache.get(key)
-        if cached is None:
+        if cached is None and i == 0:
+            m = self.matrix
+            column = m[0] if axis == 0 else tuple(row[0] for row in m)
+            cached = self._cache[key] = FeldmanVector(column, g)
+        elif cached is None:
             n = len(self.matrix)
             i_pows = []
             ip = 1
@@ -133,8 +159,9 @@ class FeldmanCommitment:
 
     def row_verifier(self, i: int) -> "FeldmanVector":
         """The matrix collapsed once for node ``i``: entries
-        ``W_l = prod_j C_jl^{i^j}``, against which both the node's row
-        polynomial and its share commitment check in O(t)."""
+        ``W_l = prod_j C_jl^{i^j}``, against which a row polynomial and
+        a share commitment check in O(t) (:meth:`verify_poly` folds
+        without it)."""
         return self._collapse(i, axis=0)
 
     # -- Fig. 1 predicates ----------------------------------------------------
@@ -143,18 +170,15 @@ class FeldmanCommitment:
         """Fig. 1 predicate verify-poly(C, i, a).
 
         True iff ``a`` is the correct row polynomial f(i, .) under C:
-        each coefficient commitment ``g^{a_l}`` (fixed-base table) must
-        equal the cached collapsed entry ``W_l(i)``.
+        each ``g^{a_l}`` must equal ``W_l(i)``.  The generator's table
+        computes both sides at once (``verify_row``) and caches
+        nothing: a node checks one row per commitment.
         """
         t = self.degree
         if a.degree != t or a.q != self.group.q:
             return False
         g = self.group
-        table = g.fixed_base(g.g)
-        return all(
-            table.pow(c) == w
-            for c, w in zip(a.coeffs, self.row_verifier(i).entries)
-        )
+        return g.fixed_base(g.g).verify_row(a.coeffs, self.matrix, i)
 
     def verify_point(self, i: int, m: int, alpha: int) -> bool:
         """Fig. 1 predicate verify-point(C, i, m, alpha).
@@ -186,9 +210,7 @@ class FeldmanCommitment:
         key = ("sharec", i % self.group.q)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._cache[key] = self.column_vector(
-                0
-            ).evaluate_in_exponent(i)
+            cached = self._cache[key] = self.column_vector(0).evaluate_in_exponent(i)
         return cached
 
     def combine(self, other: "FeldmanCommitment") -> "FeldmanCommitment":
@@ -243,9 +265,7 @@ class FeldmanVector:
 
     entries: tuple
     group: AbstractGroup
-    _cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -255,7 +275,7 @@ class FeldmanVector:
     def commit(cls, poly: Polynomial, group: AbstractGroup) -> "FeldmanVector":
         if poly.q != group.q:
             raise ValueError("polynomial field does not match group order")
-        return cls(tuple(group.commit(c) for c in poly.coeffs), group)
+        return cls(tuple(group.commit_many(poly.coeffs)), group)
 
     def _batcher(self):
         """The cached batch verifier; its shared Straus tables also back

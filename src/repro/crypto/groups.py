@@ -105,6 +105,12 @@ class SchnorrGroup:
         metering.MODP.commit += 1
         return fixed_base_table(self.p, self.q, self.g).pow(exponent)
 
+    def commit_many(self, exponents) -> list[int]:
+        """``[self.commit(e) for e in exponents]``, metered alike."""
+        exponents = list(exponents)
+        metering.MODP.commit += len(exponents)
+        return fixed_base_table(self.p, self.q, self.g).pow_many(exponents)
+
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
+from repro.crypto import metering
 from repro.crypto.intops import powmod
 
 # Below this many terms Straus wins (its precomputation is linear in
@@ -194,6 +195,27 @@ class FixedBaseTable:
                 acc = acc * row[d] % self.p
             e >>= self.window
         return acc
+
+    def pow_many(self, exponents: Iterable[int]) -> list[int]:
+        """``[self.pow(e) for e in exponents]``: the entry point the
+        secp256k1 table batches, a plain loop here (a multiplication
+        has no inversion to share)."""
+        return [self.pow(e) for e in exponents]
+
+    def verify_row(
+        self, exponents: Sequence[int], matrix: Sequence[Sequence[int]], x: int
+    ) -> bool:
+        """True iff ``base^exponents[l] == prod_j matrix[j][l]^(x^j)``
+        for every column ``l``: Fig. 1's verify-poly, one multiexp per
+        column folded, as the secp256k1 table meters its Horner fold."""
+        q = self.q
+        x_pows = [pow(x, j, q) for j in range(len(matrix))]
+        for ell, exponent in enumerate(exponents):
+            metering.MODP.multiexp += 1
+            fold = multiexp(zip([row[ell] for row in matrix], x_pows), self.p, q)
+            if self.pow(exponent) != fold:
+                return False
+        return True
 
 
 @lru_cache(maxsize=256)

@@ -41,6 +41,7 @@ from repro.crypto.feldman import (
 )
 from repro.crypto.backend import AbstractGroup
 from repro.crypto.groups import toy_group
+from repro.crypto.polynomials import interpolate_polynomial
 from repro.dkg import DkgConfig, run_dkg
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -144,6 +145,24 @@ def _forge_sessions_job(payload: tuple) -> tuple[float, list]:
             (presig.presig_id, tuple(presig.contributors), dict(shares), rows)
         )
     return time.perf_counter() - started, encoded
+
+
+def _on_committed_polynomial(vector: FeldmanVector, shares: dict[int, int]) -> bool:
+    """True iff every ``(index, share)`` lies on the polynomial that
+    ``vector`` commits to: the one through the t+1 lowest-index shares
+    must pass through the others, in the field, and its coefficients
+    must exponentiate to ``vector``'s entries, in one batch.  Exact,
+    so its verdict is every share's :meth:`FeldmanVector.verify_share`
+    at once."""
+    group = vector.group
+    points = sorted(shares.items())
+    k = len(vector.entries)
+    if len(points) < k:
+        return all(vector.verify_share(i, share) for i, share in points)
+    poly = interpolate_polynomial(points[:k], group.q)
+    if any(poly(i) != share % group.q for i, share in points[k:]):
+        return False
+    return group.fixed_base(group.g).pow_many(poly.coeffs) == list(vector.entries)
 
 
 class WorkerCrashed(Exception):
@@ -329,9 +348,6 @@ class ThresholdService:
         self.logger = get_logger(
             "repro.service.workers", n=config.n, t=config.t
         )
-        # The seed string is older than the name; changing it would change
-        # the share-check weights.
-        self._share_check_rng = random.Random(("svc-combine", config.seed).__repr__())
         self._forge_gate = asyncio.Semaphore(FORGE_CONCURRENCY)
         # The forge's process pool: one worker per CPU, never more than
         # a refill can use (None = serial: one CPU, or pool disabled).
@@ -467,14 +483,14 @@ class ThresholdService:
 
     def _install_nonce(self, presig: Presignature, shares: dict[int, int]) -> None:
         # Refill-time defense in depth: check every nonce share against
-        # the presignature commitment in ONE randomized-linear-
-        # combination batch before any worker takes custody.  A share
-        # that would later produce an unusable partial is caught here,
-        # off the request path, with the culprit identified.
-        _good, bad = share_verifier(presig.commitment).batch_verify(
-            list(shares.items()), rng=self._share_check_rng
-        )
-        if bad:
+        # the presignature commitment before any worker takes custody.
+        # A share that would later produce an unusable partial is caught
+        # here, off the request path, with the culprit identified.
+        vector = share_verifier(presig.commitment)
+        if not _on_committed_polynomial(vector, shares):
+            bad = [
+                i for i, share in shares.items() if not vector.verify_share(i, share)
+            ]
             raise RuntimeError(
                 f"presignature {presig.presig_id}: nonce shares failed "
                 f"commitment verification for nodes {sorted(bad)}"

@@ -128,6 +128,9 @@ class VssSession:
         # B: outgoing message log for crash recovery, keyed by recipient
         self._b_log: dict[int, list[Any]] = {i: [] for i in config.indices}
         self._seen_send = False
+        # The send start_dealing addressed to this node: its row holds by
+        # construction, so that one object skips verify-poly.
+        self._own_send: SendMsg | None = None
         self.completed: SharedOutput | None = None
         self.dealt_secret: int | None = None
         # Rec state
@@ -218,6 +221,8 @@ class VssSession:
         self.dealt_secret = secret % cfg.group.q
         for j in cfg.indices:
             msg = SendMsg(self.session, commitment, poly.row_polynomial(j))
+            if j == self.me:
+                self._own_send = msg
             self._log_and_send(ctx, j, msg)
         return poly
 
@@ -246,6 +251,7 @@ class VssSession:
         so that a later compromise cannot expose its previous-phase
         share; recovery retransmissions then carry commitments only.
         """
+        self._own_send = None
         for recipient, messages in self._b_log.items():
             self._b_log[recipient] = [
                 SendMsg(m.session, m.commitment, None) if isinstance(m, SendMsg) else m
@@ -286,6 +292,10 @@ class VssSession:
             # re-publishes C and cannot trigger echoes.
             return
         self._seen_send = True
+        # Identity, not equality: only the very object start_dealing
+        # built skips the check; a copy of it is checked.
+        own = msg is self._own_send
+        self._own_send = None
         commitment = msg.commitment
         if (
             self.expected_secret_commitment is not None
@@ -293,7 +303,7 @@ class VssSession:
         ):
             return  # dealer is not resharing its certified previous share
         # if verify-poly(C, i, a) then send echo(C, a(j)) to each P_j
-        if not commitment.verify_poly(self.me, msg.poly):
+        if not own and not commitment.verify_poly(self.me, msg.poly):
             return
         if commitment._is_symmetric():
             self._state_for(commitment).verified_row = msg.poly

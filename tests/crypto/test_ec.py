@@ -132,6 +132,69 @@ class TestSignedFixedBaseTable:
         assert EcFixedBaseTable(INFINITY, FIXED_BASE_WINDOW).pow(5) == INFINITY
 
 
+# Scalars the recoding treats specially: the ends of the range, a
+# single top digit, zero windows between nonzero ones, and the largest
+# kept digit next to the smallest carried one.
+EDGE_SCALARS = [0, 1, N - 1, N, N + 1, 1 << 255, 0x80 << 64, (0xFF << 128) | 0xFF, 129]
+edge_or_random = st.one_of(st.sampled_from(EDGE_SCALARS), scalars)
+
+
+class TestPowMany:
+    """``EcFixedBaseTable.pow_many`` sums every lane as a tree of affine
+    additions with one shared inversion per level: bit-identical to
+    separate ``pow`` calls, on the window-8 generator table and a
+    window-5 one."""
+
+    BASES = pytest.mark.parametrize(
+        "base", [GENERATOR, _rand_point(13)], ids=["generator", "other"]
+    )
+
+    @BASES
+    @pytest.mark.parametrize("k", [0, 1, 2, 4, 10])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_pow(self, base: EcPoint, k: int, data) -> None:
+        exponents = data.draw(st.lists(edge_or_random, min_size=k, max_size=k))
+        table = ec_fixed_base(base)
+        assert table.pow_many(exponents) == [table.pow(e) for e in exponents]
+
+    @BASES
+    def test_edge_scalars_in_one_call(self, base: EcPoint) -> None:
+        got = ec_fixed_base(base).pow_many(EDGE_SCALARS)
+        assert got == [scalar_mul_naive(base, e) for e in EDGE_SCALARS]
+
+    def test_commit_many_is_commit(self) -> None:
+        before = metering.EC.commit
+        assert G.commit_many(EDGE_SCALARS) == [G.commit(e) for e in EDGE_SCALARS]
+        assert metering.EC.commit - before == 2 * len(EDGE_SCALARS)
+
+    def test_zero_denominator_falls_back_to_pow(self, monkeypatch) -> None:
+        """A table whose row 1 repeats row 0, so that two addends of a
+        lane can be equal (digits 5, 5: a doubling) or opposite (5, -5:
+        an inverse pair).  The affine tree cannot add either; the whole
+        call is recomputed with ``pow``, whose mixed addition can."""
+        real = ec_fixed_base(GENERATOR)
+        table = EcFixedBaseTable(INFINITY, GENERATOR_WINDOW)
+        table._rows = [real._rows[0]] + real._rows[:-1]
+        calls = []
+        pow_ = EcFixedBaseTable.pow
+
+        def spy(self, exponent):
+            calls.append(exponent)
+            return pow_(self, exponent)
+
+        monkeypatch.setattr(EcFixedBaseTable, "pow", spy)
+        doubling = 5 + (5 << 8)
+        inverse = 5 + (251 << 8)  # 251 recodes to -5, carrying into row 2
+        for e, expected in ((doubling, 10), (inverse, 1 << 8)):
+            calls.clear()
+            assert table.pow_many([e, 7]) == [
+                scalar_mul_naive(GENERATOR, expected),
+                scalar_mul_naive(GENERATOR, 7),
+            ]
+            assert calls == [e, 7]
+
+
 class TestGeneratorTablePin:
     """The generator's table is one process-wide object sized against
     the benchmark's ``peak_rss_mb`` bound, like the comb pinned in
@@ -163,14 +226,17 @@ class TestGeneratorTablePin:
 
     def test_dkg_n10_group_ops_are_pinned(self) -> None:
         """n=10, t=3, seed 7: 100 dealing commitments (10 dealers x the
-        10-entry upper triangle), 120 signing nonces and 10 enrolled
-        public keys are ``commit``; the 400 matrix collapses (10 nodes x
-        10 dealers x t+1 entries) are ``multiexp``."""
+        10-entry upper triangle, batched by ``commit_many`` and metered
+        one each), 120 signing nonces and 10 enrolled public keys are
+        ``commit``; each row check folds t+1 = 4 columns, metered as
+        one ``multiexp`` each, and runs once per node and other dealer
+        (a dealer's own row is not checked): 10 x 9 x 4 = 360.  The
+        row check's ``g^{a_l}`` are not metered, as before."""
         ops = ("power", "commit", "multiexp")
         before = [getattr(metering.EC, op) for op in ops]
         assert run_dkg(DkgConfig(n=10, t=3, group=G), seed=7).succeeded
         after = [getattr(metering.EC, op) for op in ops]
-        assert [b - a for a, b in zip(before, after)] == [0, 230, 400]
+        assert [b - a for a, b in zip(before, after)] == [0, 230, 360]
 
 
 @lru_cache(maxsize=None)

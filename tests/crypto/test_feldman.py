@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import metering
 from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.polynomials import Polynomial
@@ -56,6 +57,91 @@ class TestVerifyPoly:
     def test_rejects_polynomial_for_other_node(self, bgroup) -> None:
         f, c = _commit(bgroup, 2, 1)
         assert not c.verify_poly(3, f.row_polynomial(4))
+
+
+def _collapsed_verify_poly(c: FeldmanCommitment, i: int, a: Polynomial) -> bool:
+    """verify-poly as the cached collapse computes it: each ``g^{a_l}``
+    against the multiexp fold ``W_l(i)`` of :meth:`row_verifier`."""
+    g = c.group
+    table = g.fixed_base(g.g)
+    entries = c.row_verifier(i).entries
+    return a.degree == c.degree and all(
+        table.pow(x) == w for x, w in zip(a.coeffs, entries)
+    )
+
+
+def _matrix_commitment(group, coeffs) -> FeldmanCommitment:
+    """Commit to ``coeffs`` entry by entry: a zero coefficient gives an
+    identity entry, an asymmetric one an asymmetric matrix."""
+    return FeldmanCommitment(
+        tuple(tuple(group.commit(x) for x in row) for row in coeffs), group
+    )
+
+
+class TestRowCheck:
+    """verify-poly folds each column by Horner and compares projectively
+    (secp256k1) or by plain multiexps (modp); either way its verdict is
+    the cached collapse's, which it no longer computes."""
+
+    @given(degrees, seeds, st.integers(min_value=0, max_value=30))
+    @settings(max_examples=20, deadline=None)
+    def test_valid_tampered_and_misaddressed_rows(
+        self, bgroup, t: int, seed: int, i: int
+    ) -> None:
+        f, c = _commit(bgroup, t, seed)
+        a = f.row_polynomial(i)
+        assert c.verify_poly(i, a) and _collapsed_verify_poly(c, i, a)
+        for ell in range(t + 1):
+            coeffs = list(a.coeffs)
+            coeffs[ell] += 1
+            tampered = Polynomial(tuple(coeffs), bgroup.q)
+            assert not c.verify_poly(i, tampered)
+            assert not _collapsed_verify_poly(c, i, tampered)
+        # A constant row (t = 0) is every node's row.
+        assert c.verify_poly(i + 1, a) == _collapsed_verify_poly(c, i + 1, a)
+        assert c.verify_poly(i + 1, a) == (t == 0)
+
+    @given(degrees, seeds, st.integers(min_value=0, max_value=30))
+    @settings(max_examples=20, deadline=None)
+    def test_asymmetric_matrices(self, bgroup, t: int, seed: int, i: int) -> None:
+        f = BivariatePolynomial.random_general(t, bgroup.q, random.Random(seed))
+        c = FeldmanCommitment.commit(f, bgroup)
+        for a in (f.row_polynomial(i), f.column_polynomial(i)):
+            assert c.verify_poly(i, a) == _collapsed_verify_poly(c, i, a)
+        assert c.verify_poly(i, f.row_polynomial(i))
+
+    def test_identity_entries(self, bgroup) -> None:
+        """Zero coefficients commit to the identity: a column of them, a
+        fold that cancels to the identity at the checked index, and a
+        right-hand side that is the identity while ``g^{a_l}`` is not."""
+        q, i = bgroup.q, 3
+        s = 11
+        # Column 0 folds to g^(s - s) at index 3; column 2 is all zero.
+        coeffs = [
+            [s, 5, 0],
+            [-s * pow(i, -1, q) % q, 0, 0],
+            [0, 7, 0],
+        ]
+        c = _matrix_commitment(bgroup, coeffs)
+        assert not c._is_symmetric()
+        row = BivariatePolynomial(tuple(map(tuple, coeffs)), q).row_polynomial(i)
+        assert row.coeffs[0] == 0 and row.coeffs[2] == 0
+        cases = [row, Polynomial((1,) + row.coeffs[1:], q)]
+        cases.append(Polynomial(row.coeffs[:2] + (1,), q))
+        cases.append(Polynomial((0, 0, 0), q))
+        verdicts = [c.verify_poly(i, a) for a in cases]
+        assert verdicts == [True, False, False, False]
+        assert verdicts == [_collapsed_verify_poly(c, i, a) for a in cases]
+        zero = _matrix_commitment(bgroup, [[0] * 3] * 3)
+        assert zero.verify_poly(i, Polynomial((0, 0, 0), q))
+        assert not zero.verify_poly(i, Polynomial((0, 1, 0), q))
+
+    def test_metered_as_one_multiexp_per_column(self, bgroup) -> None:
+        ops = metering.EC if bgroup.name == "secp256k1" else metering.MODP
+        f, c = _commit(bgroup, 3, 4)
+        before = (ops.commit, ops.multiexp)
+        assert c.verify_poly(2, f.row_polynomial(2))
+        assert (ops.commit - before[0], ops.multiexp - before[1]) == (0, 4)
 
 
 class TestVerifyPoint:
@@ -166,17 +252,35 @@ class TestCommitmentAlgebra:
         f = make(t, bgroup.q, random.Random(9))
         expected = tuple(tuple(bgroup.commit(c) for c in row) for row in f.coeffs)
         exponentiated = []
-        commit = type(bgroup).commit
+        commit_many = type(bgroup).commit_many
 
-        def counting(self, scalar):
-            exponentiated.append(scalar)
-            return commit(self, scalar)
+        def counting(self, scalars):
+            scalars = list(scalars)
+            exponentiated.extend(scalars)
+            return commit_many(self, scalars)
 
-        monkeypatch.setattr(type(bgroup), "commit", counting)
+        monkeypatch.setattr(type(bgroup), "commit_many", counting)
         assert FeldmanCommitment.commit(f, bgroup).matrix == expected
         # The triangle of a symmetric f (10 of 16 at t = 3), else all.
         wanted = (t + 1) * (t + 2) // 2 if symmetric else (t + 1) ** 2
         assert len(exponentiated) == wanted
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_index_zero_vector_is_column_zero(self, bgroup, symmetric: bool) -> None:
+        """At index 0 the fold's exponents are (1, 0, ..., 0): the
+        vector is column 0 (row 0 along the other axis), taken with no
+        group operation."""
+        make = (
+            BivariatePolynomial.random_symmetric
+            if symmetric
+            else BivariatePolynomial.random_general
+        )
+        c = FeldmanCommitment.commit(make(3, bgroup.q, random.Random(5)), bgroup)
+        ops = metering.EC if bgroup.name == "secp256k1" else metering.MODP
+        before = ops.multiexp
+        assert c.column_vector(0).entries == tuple(row[0] for row in c.matrix)
+        assert c.row_verifier(0).entries == c.matrix[0]
+        assert ops.multiexp == before
 
     def test_num_entries(self, bgroup) -> None:
         _, c = _commit(bgroup, 3, 0)

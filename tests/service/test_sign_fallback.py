@@ -113,6 +113,35 @@ def test_a_partial_under_another_index_is_charged_to_its_sender(registry) -> Non
     assert _bad_partials(registry) == {"2": SIGNS}
 
 
+@pytest.mark.parametrize(
+    "liars",
+    [(1,), (4,), (1, 2, 3, 4)],
+    ids=["interpolated", "checked-in-field", "consistent-but-uncommitted"],
+)
+def test_an_off_by_one_nonce_share_is_refused_and_named(liars) -> None:
+    """The install-time share check: a share off by one, among the t+1
+    the check interpolates or among the rest, refuses the whole
+    presignature, names that node and leaves no worker a share of it.
+    Every share off by one lies on one polynomial, which only the
+    commitment check refuses."""
+    service = ThresholdService(_config(seed=23))
+    try:
+        presig, shares = service._forge_nonce(1000)
+        bad = {i: (share + (i in liars)) % G.q for i, share in shares.items()}
+        names = ", ".join(map(str, liars))
+        with pytest.raises(
+            RuntimeError,
+            match=rf"presignature 1000: nonce shares failed commitment "
+            rf"verification for nodes \[{names}\]$",
+        ):
+            service._install_nonce(presig, bad)
+        assert all(w.nonce_count == 0 for w in service.workers.values())
+        service._install_nonce(presig, shares)
+        assert all(w.nonce_count == 1 for w in service.workers.values())
+    finally:
+        asyncio.run(service.stop())
+
+
 def test_too_few_honest_signers_is_unavailable_not_failed(registry) -> None:
     service, status, responses = _serve(_config(), liars=(1, 2, 3))
     for response in responses:

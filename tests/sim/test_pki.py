@@ -195,9 +195,11 @@ def test_dkg_n10_makes_exactly_the_pinned_number_of_verifications(
 
 def test_dkg_checks_points_in_the_field_unless_a_send_is_missing(monkeypatch) -> None:
     """The twin count for commitments: the same seeded DKG runs
-    ``verify-poly`` once per (node, dealer) and never batches points in
-    the group; deny one node one dealer's ``send`` and exactly that
-    session verifies its points in the group instead."""
+    ``verify-poly`` once per node and other dealer, 4 x 3 = 12 (a
+    dealer takes the row it dealt itself unchecked), and never batches
+    points in the group; deny one node one dealer's ``send`` and
+    exactly that session, 12 - 1 = 11, verifies its points in the
+    group instead."""
     counts = {"verify_poly": 0, "batch_verify": 0}
 
     def counted(owner, name):
@@ -214,7 +216,7 @@ def test_dkg_checks_points_in_the_field_unless_a_send_is_missing(monkeypatch) ->
     config = DkgConfig(n=4, t=1, group=default_test_group())
 
     assert run_dkg(config, seed=7).succeeded
-    assert counts == {"verify_poly": 16, "batch_verify": 0}
+    assert counts == {"verify_poly": 12, "batch_verify": 0}
 
     class MissesOneSend(DkgNode):
         def on_message(self, sender, payload, ctx):
@@ -228,7 +230,7 @@ def test_dkg_checks_points_in_the_field_unless_a_send_is_missing(monkeypatch) ->
     counts.update(verify_poly=0, batch_verify=0)
     res = run_dkg(config, seed=7, node_factory=factory)
     assert res.succeeded
-    assert counts == {"verify_poly": 15, "batch_verify": 2}
+    assert counts == {"verify_poly": 11, "batch_verify": 2}
     fell_back = {
         (node.node_id, dealer)
         for node in res.nodes.values()

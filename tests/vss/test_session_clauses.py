@@ -9,6 +9,7 @@ import pytest
 
 from repro.crypto.bivariate import BivariatePolynomial
 from repro.crypto.feldman import FeldmanCommitment
+from repro.crypto.polynomials import Polynomial
 from repro.vss.config import VssConfig
 from repro.vss.messages import (
     EchoMsg,
@@ -198,6 +199,61 @@ class TestDealerClause:
         session.start_recovery(ctx)
         resent = ctx.sent_of_kind("vss.send")
         assert resent and all(msg.poly is None for _, msg in resent)
+
+
+class TestOwnRow:
+    """A dealer takes the row it addressed to itself without
+    verify-poly: only that very object, and only until it is used or
+    the dealt polynomials are erased."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        verify_poly = FeldmanCommitment.verify_poly
+
+        def counting(self, i, a):
+            calls.append(i)
+            return verify_poly(self, i, a)
+
+        monkeypatch.setattr(FeldmanCommitment, "verify_poly", counting)
+        return calls
+
+    def _deal(self) -> tuple[VssSession, StubContext, SendMsg]:
+        session, ctx = _session(me=1)
+        session.start_dealing(42, ctx)
+        (own,) = [msg for j, msg in ctx.sent_of_kind("vss.send") if j == 1]
+        ctx.clear()
+        return session, ctx, own
+
+    def test_own_send_is_not_checked(self, checked) -> None:
+        session, ctx, own = self._deal()
+        session.handle(1, own, ctx)
+        assert checked == []
+        assert len(ctx.sent_of_kind("vss.echo")) == 7
+        assert session._own_send is None
+
+    def test_an_equal_copy_is_checked(self, checked) -> None:
+        session, ctx, own = self._deal()
+        copy = SendMsg(own.session, own.commitment, own.poly)
+        assert copy == own and copy is not own
+        session.handle(1, copy, ctx)
+        assert checked == [1]
+        assert len(ctx.sent_of_kind("vss.echo")) == 7
+
+    def test_a_tampered_copy_is_checked_and_refused(self, checked) -> None:
+        session, ctx, own = self._deal()
+        coeffs = own.poly.coeffs
+        poly = Polynomial((coeffs[0] + 1,) + coeffs[1:], G.q)
+        session.handle(1, SendMsg(own.session, own.commitment, poly), ctx)
+        assert checked == [1]
+        assert ctx.sent == []
+
+    def test_erasure_drops_the_reference(self, checked) -> None:
+        session, ctx, own = self._deal()
+        session.erase_dealt_polynomials()
+        assert session._own_send is None
+        session.handle(1, own, ctx)
+        assert checked == [1]
 
 
 class TestHelpClause:
