@@ -25,7 +25,7 @@ from repro.proactive import ProactiveSystem
 
 
 def sign(message: bytes, key, nonce, signers, t):
-    group = key.config.group
+    group = nonce.config.group
     partials = [
         ts.PartialSignature(
             i,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from contextlib import contextmanager
 
 from repro.crypto.backend import element_hex
@@ -180,7 +181,7 @@ def cmd_vss(args: argparse.Namespace) -> int:
     return 0 if len(result.completed_nodes) == args.n else 1
 
 
-def _tcp_delay_model(args: argparse.Namespace):
+def _delay_model(args: argparse.Namespace):
     from repro.sim.network import UniformDelay
 
     if getattr(args, "latency", 0.0) > 0:
@@ -188,149 +189,130 @@ def _tcp_delay_model(args: argparse.Namespace):
     return None
 
 
+def _lifecycle(args: argparse.Namespace, cls, config: DkgConfig):
+    """``cls`` (a share lifecycle) in the world ``--transport`` names."""
+    world = {"delay_model": _delay_model(args)}
+    if args.transport == "tcp":
+        from repro.net.cluster import TcpWorld
+
+        world.update(world=TcpWorld, time_scale=args.time_scale, timeout=args.timeout)
+    return cls(config, seed=args.seed, **world)
+
+
+def _crash_plan(args: argparse.Namespace) -> list[tuple[float, int, float | None]]:
+    """``--crash`` entries as ``(at, node, up_after)``, from the stage's start."""
+    return [(at, node, up_after) for node, at, up_after in args.crash]
+
+
+def _totals(args: argparse.Namespace, stages: list) -> dict:
+    """The JSON fields every lifecycle command reports over its stages."""
+    return {
+        "transport": "asyncio-tcp" if args.transport == "tcp" else "sim",
+        "crashes": sum(m.crashes for m in stages),
+        "recoveries": sum(m.recoveries for m in stages),
+        "messages": sum(m.messages_total for m in stages),
+        "bytes": sum(m.bytes_total for m in stages),
+    }
+
+
 def cmd_renew(args: argparse.Namespace) -> int:
+    """§5: bootstrap, then ``--phases`` renewals; ``--crash`` entries
+    count from the start of the first renewal."""
     config = DkgConfig(
         n=args.n, t=args.t, f=args.f,
         group=_group(args),
     )
-    if args.transport == "tcp":
-        from repro.net.proactive import run_renewal_cluster
-
-        with _flight_recorder(
-            args, "renew", transport="tcp", config=config, phases=args.phases
-        ):
-            result = run_renewal_cluster(
-                config,
-                seed=args.seed,
-                phases=args.phases,
-                delay_model=_tcp_delay_model(args),
-                time_scale=args.time_scale,
-                crash_plan=args.crash,
-                timeout=args.timeout,
-            )
-        _emit(
-            args,
-            {
-                "transport": "asyncio-tcp",
-                "succeeded": result.succeeded,
-                "public_key": element_hex(config.group, result.public_key),
-                "phases": [
-                    {
-                        "phase": p.phase,
-                        "session": p.session,
-                        "renewed_nodes": p.renewed_nodes,
-                        "public_key_stable": p.public_key_stable,
-                        "wall_seconds": round(p.wall_seconds, 4),
-                    }
-                    for p in result.phases
-                ],
-                "crashes": result.metrics.crashes,
-                "recoveries": result.metrics.recoveries,
-                "secret_invariant": result.secret_invariant,
-                "messages": result.metrics.messages_total,
-                "bytes": result.metrics.bytes_total,
-            },
-        )
-        return 0 if result.succeeded else 1
-    # Sim renewal spins up a fresh simulation per phase, so its capture
-    # is analysis-only (`repro trace`); replay needs the tcp transport.
     with _flight_recorder(
-        args, "renew", transport="sim", config=config, phases=args.phases
-    ):
-        system = ProactiveSystem(config, seed=args.seed)
-        system.bootstrap()
+        args, "renew", transport=args.transport, config=config, phases=args.phases
+    ), _lifecycle(args, ProactiveSystem, config) as system:
+        stages = [system.bootstrap().metrics]
         secret_before = system.reconstruct()
         phases = []
-        for _ in range(args.phases):
-            report = system.renew()
+        for phase in range(1, args.phases + 1):
+            started = time.perf_counter()
+            report = system.renew(crash_plan=_crash_plan(args) if phase == 1 else None)
+            stages.append(report.metrics)
             phases.append(
                 {
                     "phase": report.phase,
-                    "messages": report.metrics.messages_total,
+                    "session": f"renew-{report.phase}",
+                    "renewed_nodes": sorted(report.shares),
                     "public_key_stable": report.public_key == system.public_key,
+                    "messages": report.metrics.messages_total,
+                    "wall_seconds": round(time.perf_counter() - started, 4),
                 }
             )
+        errors = system.world.collect_errors()
+    secret_invariant = system.reconstruct() == secret_before
+    succeeded = (
+        not errors
+        and all(p["public_key_stable"] for p in phases)
+        and secret_invariant
+    )
     _emit(
         args,
         {
-            "transport": "sim",
+            **_totals(args, stages),
+            "succeeded": succeeded,
             "public_key": element_hex(config.group, system.public_key),
             "phases": phases,
-            "secret_invariant": system.reconstruct() == secret_before,
+            "secret_invariant": secret_invariant,
         },
     )
-    return 0
+    return 0 if succeeded else 1
 
 
 def cmd_groupmod(args: argparse.Namespace) -> int:
     """§6 lifecycle: agree on an add proposal, deliver the joiner its
-    share — simulated or over real asyncio TCP sockets."""
+    share; ``--crash`` entries count from the start of the addition."""
+    from repro.crypto.polynomials import interpolate_at
+    from repro.groupmod import GroupManager
+    from repro.groupmod.messages import ModProposal
+
     config = DkgConfig(
         n=args.n, t=args.t, f=args.f,
         group=_group(args),
     )
     new_node = args.new_node if args.new_node is not None else args.n + 1
-    if args.transport == "tcp":
-        from repro.net.groupmod import run_groupmod_cluster
-
-        with _flight_recorder(
-            args, "groupmod", transport="tcp", config=config, new_node=new_node
-        ):
-            result = run_groupmod_cluster(
-                config,
-                seed=args.seed,
-                new_node=new_node,
-                delay_model=_tcp_delay_model(args),
-                time_scale=args.time_scale,
-                crash_plan=args.crash,
-                timeout=args.timeout,
-            )
-        _emit(
-            args,
-            {
-                "transport": "asyncio-tcp",
-                "succeeded": result.succeeded,
-                "new_node": result.new_node,
-                "agreement_nodes": result.agreement_nodes,
-                "share_verified": result.share_verified,
-                "secret_invariant": result.secret_invariant,
-                "crashes": result.metrics.crashes,
-                "recoveries": result.metrics.recoveries,
-                "public_key": element_hex(config.group, result.public_key),
-                "wall_seconds": round(result.wall_seconds, 4),
-                "messages": result.metrics.messages_total,
-                "bytes": result.metrics.bytes_total,
-            },
-        )
-        return 0 if result.succeeded else 1
-    from repro.groupmod import GroupManager
-    from repro.groupmod.messages import ModProposal
-
-    # Sim groupmod simulates each stage separately; capture is
-    # analysis-only, like sim renewal.
+    proposal = ModProposal("add", new_node)
     with _flight_recorder(
-        args, "groupmod", transport="sim", config=config, new_node=new_node
-    ):
-        manager = GroupManager(config, seed=args.seed)
-        manager.bootstrap()
+        args, "groupmod", transport=args.transport, config=config, new_node=new_node
+    ), _lifecycle(args, GroupManager, config) as manager:
+        stages = [manager.bootstrap().metrics]
+        old = sorted(manager.shares.items())
         secret_before = manager.reconstruct()
-        report = manager.agree(
-            {min(manager.members): ModProposal("add", new_node)}
-        )
-        addition = manager.add_node(new_node)
+        started = time.perf_counter()
+        report = manager.agree({min(manager.members): proposal})
+        addition = manager.add_node(new_node, crash_plan=_crash_plan(args))
+        wall = time.perf_counter() - started
+        stages += [report.metrics, addition.metrics]
+        errors = manager.world.collect_errors()
+    # The joiner's share lies on the *original* polynomial: it verifies
+    # against the unchanged commitment and reconstructs the secret with
+    # any t old shares.
+    share_verified = manager.commitment.verify_share(new_node, addition.share)
+    mixed = [(new_node, addition.share)] + old[: config.t]
+    secret_invariant = interpolate_at(mixed, 0, config.group.q) == secret_before
+    succeeded = not errors and share_verified and secret_invariant
     _emit(
         args,
         {
-            "transport": "sim",
+            **_totals(args, stages),
+            "succeeded": succeeded,
             "new_node": new_node,
+            "agreement_nodes": sorted(
+                i for i, queue in report.queues.items() if proposal in queue
+            ),
             "agreed_proposals": len(report.common_queue()),
             "members": list(manager.members),
             "share_delivered": addition.share is not None,
-            "secret_invariant": manager.reconstruct() == secret_before,
+            "share_verified": share_verified,
+            "secret_invariant": secret_invariant,
             "public_key": element_hex(config.group, manager.public_key),
+            "wall_seconds": round(wall, 4),
         },
     )
-    return 0 if addition.share is not None else 1
+    return 0 if succeeded else 1
 
 
 def _parse_crash(spec: str) -> tuple[int, float, float | None]:
@@ -356,7 +338,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         n=args.n, t=args.t, f=args.f,
         group=_group(args),
     )
-    delay_model = _tcp_delay_model(args)
+    delay_model = _delay_model(args)
     if args.drop > 0:
         delay_model = DropRetryLink(
             base=delay_model, drop_probability=args.drop
@@ -532,7 +514,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.smoke:
         # The bounded CI/acceptance shape: smallest resilient
-        # deployment, capped mutation count, fast tcp phases.
+        # deployment, capped mutation count, one renewal phase.
         args.n, args.t, args.f = 4, 1, 0
         args.max_ops = min(args.max_ops, 6)
         args.phases = 1
@@ -709,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _transport_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             "--transport", default="sim", choices=("sim", "tcp"),
-            help="execution backend: deterministic simulation or real "
-                 "asyncio TCP sockets on localhost",
+            help="the lifecycle's world: one deterministic simulation or "
+                 "real asyncio TCP sockets on localhost (the same stages)",
         )
         parser.add_argument(
             "--time-scale", type=float, default=0.02,
@@ -718,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--latency", type=float, default=0.0,
-            help="[tcp] mean injected link latency in time units",
+            help="mean injected link latency in time units (default: "
+                 "the simulator's delay model; none on tcp)",
         )
         parser.add_argument(
             "--crash", type=_parse_crash, action="append", default=[],
@@ -728,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--timeout", type=float, default=60.0,
-            help="[tcp] wall-clock seconds to wait per protocol stage",
+            help="[tcp] wall-clock seconds to wait per lifecycle stage",
         )
 
     p_renew = sub.add_parser("renew", help="bootstrap + proactive renewal")
@@ -842,8 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(p_fuzz)
     p_fuzz.add_argument(
         "--protocol", default="dkg", choices=("dkg", "renew", "groupmod"),
-        help="protocol whose schedules to fuzz (renew/groupmod generate "
-             "their base capture over local TCP)",
+        help="protocol whose schedules to fuzz (every base capture is "
+             "generated in the simulator)",
     )
     p_fuzz.add_argument(
         "--seeds", type=int, default=50,
@@ -870,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--capture", default=None, metavar="FILE.jsonl",
         help="fuzz this recorded capture instead of generating one "
-             "(must be replayable: sim dkg or tcp renew/groupmod)",
+             "(any replayable dkg, renew or groupmod capture)",
     )
     p_fuzz.add_argument(
         "--reproduce", default=None, metavar="FILE.jsonl",
@@ -946,7 +929,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "transport", None) == "sim" and getattr(args, "crash", None):
-        # The sim lifecycles take no wall-clock crash plan.
+        # A CLI crash plan is a wall-clock fault plan for the TCP world;
+        # a simulated run does not check one against f.
         parser.error("--crash needs --transport tcp")
     return args.func(args)
 

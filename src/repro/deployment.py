@@ -10,7 +10,7 @@ that built the live one.
 
 * :func:`enroll` is the one PKI enrolment: a CA for the group, and one
   signing key per member drawn in member order from an rng seeded by
-  the lifecycle's label.
+  the lifecycle's label; :func:`enroll_member` adds a joiner.
 * :func:`dkg_machines`, :func:`renewal_machines`,
   :func:`addition_machines` and :func:`agreement_machines` are the one
   constructor per session kind.  Each takes the member indices to
@@ -18,6 +18,11 @@ that built the live one.
   runner does) and the prior session's shares and commitment.
 * :func:`simulate` is the one discrete-event run: add machines, inject
   operator inputs, run.
+* :class:`LifecycleSessions` builds every session of a long-lived
+  lifecycle under one PKI, and :class:`SimWorld` (one
+  :class:`Simulation` for the lifecycle's life) is the world it runs
+  in unless it runs over the real sockets of a
+  :class:`~repro.net.cluster.TcpWorld`.
 * :class:`AgreementView` and :func:`adopt` are Definition 4.1's
   agreement view over a completions dict: one public key, one ``Q``,
   one commitment, and the shares a session hands to the next.
@@ -37,8 +42,6 @@ from repro.sim.runner import Simulation
 Pki = tuple[CertificateAuthority, dict[int, KeyStore]]
 # (shares, commitment) a finished session hands to the next one.
 Prior = tuple[dict[int, int], Any]
-# session, member indices, prior(session) -> {member: machine}
-SessionMachines = Callable[[str, Iterable[int], Callable[[str], Prior]], dict]
 
 DKG_SESSION = "dkg"
 
@@ -48,6 +51,17 @@ def enroll(group: Any, members: Iterable[int], label: tuple) -> Pki:
     rng = random.Random(label.__repr__())
     ca = CertificateAuthority(group)
     return ca, {i: KeyStore.enroll(i, ca, rng) for i in members}
+
+
+def enroll_member(pki: Pki, index: int, label: tuple) -> None:
+    """Enrol a member that joins after :func:`enroll` (a no-op for one
+    already enrolled).  Its key comes from an rng seeded by the label
+    and its index alone, so a replay enrols it alike whenever it first
+    appears."""
+    ca, keystores = pki
+    if index not in keystores:
+        rng = random.Random((label, index).__repr__())
+        keystores[index] = KeyStore.enroll(index, ca, rng)
 
 
 # -- one constructor per session kind ------------------------------------------
@@ -155,6 +169,54 @@ def agreement_machines(config: Any, members: Iterable[int]) -> dict[int, Any]:
     return {i: GroupModAgreementNode(i, vss_config) for i in members}
 
 
+class LifecycleSessions:
+    """Every session of a long-lived deployment under one PKI: ``dkg``,
+    ``agree-k``, and ``renew-k`` / ``add-k`` (k the instance tau), which
+    reshare what ``prior(session)`` says the lifecycle holds to
+    :attr:`config`, the group as the session opens, or to
+    :attr:`joiner`.  A member new to the PKI is enrolled on first use."""
+
+    def __init__(self, config: Any, label: tuple, joiner: int | None = None):
+        self.config = config
+        self.joiner = joiner
+        self.label = label
+        self.pki = enroll(config.group, config.vss().indices, label)
+
+    def __call__(
+        self, session: str, members: Iterable[int], prior: Callable[[str], Prior]
+    ) -> dict[int, Any]:
+        """``session``'s machines for ``members``."""
+        members = list(members)
+        kind, _, tau = session.partition("-")
+        if kind == "agree":
+            return agreement_machines(self.config, members)
+        for i in members:
+            enroll_member(self.pki, i, self.label)
+        if session == DKG_SESSION:
+            return dkg_machines(self.config, self.pki, members)
+        shares, commitment = prior(session)
+        if kind == "renew":
+            return renewal_machines(
+                self.config,
+                self.pki,
+                members,
+                phase=int(tau),
+                shares=shares,
+                commitment=commitment,
+            )
+        if kind == "add":
+            return addition_machines(
+                self.config,
+                self.pki,
+                members,
+                [self.joiner],
+                shares=shares,
+                commitment=commitment,
+                tau=int(tau),
+            )
+        raise ValueError(f"unexpected session {session!r} in a lifecycle")
+
+
 # -- the simulator loop -----------------------------------------------------------
 
 
@@ -175,6 +237,80 @@ def simulate(
         sim.inject(node, payload, at=at)
     sim.run(until=until, max_events=max_events)
     return sim
+
+
+class SimWorld:
+    """A lifecycle's simulated world: one ``ProtocolRuntime`` per member
+    in one :class:`Simulation`.  A stage runs until the queue is empty
+    (or ``until`` time units have passed)."""
+
+    def __init__(
+        self, group: Any, members: Iterable[int], seed: int, delay_model: Any = None
+    ):
+        self.sim = Simulation(delay_model=delay_model, seed=seed, group=group)
+        self.delay_model = self.sim.delay_model
+        self.runtimes: dict[int, Any] = {}
+        for i in members:
+            self.join(i)
+
+    def join(self, index: int) -> None:
+        """Give a joining node its endpoint (a no-op for a known one)."""
+        from repro.runtime.runtime import ProtocolRuntime
+
+        if index not in self.runtimes:
+            self.runtimes[index] = ProtocolRuntime(index)
+            self.sim.add_node(self.runtimes[index])
+
+    def open_session(self, session: str, nodes: dict[int, Any]) -> None:
+        from repro.obs.trace import record_open
+
+        for index, node in nodes.items():
+            self.runtimes[index].open_session(session, node)
+            record_open(index, session, self.sim.member_ids())
+
+    def run_session(
+        self,
+        session: str,
+        nodes: dict[int, Any],
+        inputs: dict[int, Any],
+        kind: str,
+        expected: set[int],
+        *,
+        starts: dict[int, float] | None = None,
+        crash_plan: Iterable[tuple[float, int, float | None]] = (),
+        delay_model: Any = None,
+        until: float | None = None,
+    ) -> tuple[dict[int, Any], Any]:
+        """Open ``session``, land each input at its node's ``starts``
+        offset, apply ``crash_plan`` ``(at, node, up_after)`` entries
+        (times from the stage's start), run; each node's first ``kind``
+        output and the stage's metrics (``expected`` is for TCP)."""
+        from repro.runtime.envelope import SessionEnvelope
+        from repro.sim.metrics import Metrics
+
+        sim, now = self.sim, self.sim.queue.now
+        sim.metrics, sim.delay_model = Metrics(), delay_model or self.delay_model
+        self.open_session(session, nodes)
+        for index, payload in inputs.items():
+            at = now + (starts or {}).get(index, 0.0)
+            sim.inject(index, SessionEnvelope(session, payload), at=at)
+        for at, node, up_after in crash_plan or ():
+            sim.crash(node, now + at)
+            if up_after is not None:
+                sim.recover(node, now + at + up_after)
+        sim.run(until=None if until is None else now + until)
+        firsts: dict[int, Any] = {}
+        for i in nodes:
+            for out in self.runtimes[i].outputs_of(session):
+                if out.kind == kind:
+                    firsts.setdefault(i, out)
+        return firsts, sim.metrics
+
+    def collect_errors(self) -> list[Exception]:
+        return []  # a machine that raises stops the run instead
+
+    def close(self) -> None:
+        """Nothing to release: the world is garbage once dropped."""
 
 
 # -- Definition 4.1's agreement view ----------------------------------------------
@@ -265,62 +401,17 @@ def addition_pki(config: Any, seed: int) -> Pki:
     return enroll(config.group, config.vss().indices, ("add-pki", seed))
 
 
-def proactive_phase(seed: int, phase: int) -> tuple[tuple, int]:
-    """``ProactiveSystem.renew``: (PKI label, simulation seed)."""
-    return ("proactive-pki", seed, phase), seed * 1009 + phase
 
 
-def groupmod_phase(seed: int, phase: int) -> tuple[tuple, int]:
-    """``GroupManager.phase_change``: (PKI label, simulation seed)."""
-    return ("gm-pki", seed, phase), seed * 101 + phase
+def renewal_cluster_sessions(config: Any, seed: int) -> LifecycleSessions:
+    """:class:`~repro.proactive.system.ProactiveSystem` and its replay
+    (simulation seed ``seed``)."""
+    return LifecycleSessions(config, ("net-renewal-pki", seed))
 
 
-def agreement_seed(seed: int, offset: int, phase: int) -> int:
-    """``GroupManager.agree``'s simulation seed."""
-    return seed * 31 + offset + phase
-
-
-def addition_seed(seed: int, offset: int) -> int:
-    """``GroupManager.add_node``'s simulation seed."""
-    return seed * 17 + offset
-
-
-def renewal_cluster_sessions(config: Any, seed: int) -> SessionMachines:
-    """The TCP renewal lifecycle (``run_renewal_cluster`` and its
-    replay): a bootstrap ``dkg`` session, then ``renew-N`` for phase N,
-    each resharing the previous session's shares."""
-    pki = enroll(config.group, config.vss().indices, ("net-renewal-pki", seed))
-
-    def machines(session: str, members: Iterable[int], prior: Callable) -> dict:
-        if session == DKG_SESSION:
-            return dkg_machines(config, pki, members)
-        if not session.startswith("renew-"):
-            raise ValueError(f"unexpected session {session!r} in renew lifecycle")
-        phase = int(session.split("-", 1)[1])
-        shares, commitment = prior(DKG_SESSION if phase == 1 else f"renew-{phase - 1}")
-        return renewal_machines(
-            config, pki, members, phase=phase, shares=shares, commitment=commitment
-        )
-
-    return machines
-
-
-def groupmod_cluster_sessions(config: Any, seed: int, joiner: int) -> SessionMachines:
-    """The TCP group-modification lifecycle (``run_groupmod_cluster`` and
-    its replay): ``dkg``, ``agree-*`` on the add proposal, then
-    ``add-*`` handing ``joiner`` a share of the bootstrap sharing."""
-    pki = enroll(config.group, config.vss().indices, ("net-groupmod-pki", seed))
-
-    def machines(session: str, members: Iterable[int], prior: Callable) -> dict:
-        if session == DKG_SESSION:
-            return dkg_machines(config, pki, members)
-        if session.startswith("agree-"):
-            return agreement_machines(config, members)
-        if not session.startswith("add-"):
-            raise ValueError(f"unexpected session {session!r} in groupmod lifecycle")
-        shares, commitment = prior(DKG_SESSION)
-        return addition_machines(
-            config, pki, members, [joiner], shares=shares, commitment=commitment, tau=1
-        )
-
-    return machines
+def groupmod_cluster_sessions(
+    config: Any, seed: int, joiner: int | None = None
+) -> LifecycleSessions:
+    """:class:`~repro.groupmod.manager.GroupManager` and its replay
+    (simulation seed ``seed``)."""
+    return LifecycleSessions(config, ("net-groupmod-pki", seed), joiner)

@@ -208,15 +208,11 @@ def generate_capture(
     seed: int = 0,
     group: Any = None,
     phases: int = 1,
-    time_scale: float = 0.01,
 ) -> Capture:
-    """Run a protocol under a payload-mode recorder, in memory.
-
-    ``dkg`` runs in the deterministic simulator; ``renew`` and
-    ``groupmod`` run their asyncio-TCP clusters on localhost (the sim
-    orchestrators' captures are analysis-only — they cannot replay, so
-    they cannot fuzz either).
-    """
+    """Run a protocol in the simulator under a payload-mode recorder,
+    in memory, so the capture is a function of its arguments: one DKG,
+    or the shapes ``repro renew`` (``phases`` renewals) and ``repro
+    groupmod`` (agree on, then add, node ``n + 1``) run."""
     from repro.crypto.groups import toy_group
     from repro.dkg.config import DkgConfig
     from repro.obs import trace as obs_trace
@@ -233,28 +229,26 @@ def generate_capture(
             run_dkg(config, seed=seed)
 
     elif protocol == "renew":
-        meta = capture_meta("renew", config, seed, "tcp", phases=phases)
+        meta = capture_meta("renew", config, seed, "sim", phases=phases)
 
         def run() -> None:
-            from repro.net.proactive import run_renewal_cluster
+            from repro.proactive import ProactiveSystem
 
-            result = run_renewal_cluster(
-                config, seed=seed, phases=phases, time_scale=time_scale
-            )
-            if not result.succeeded:
-                raise ReplayError("base renewal run did not complete")
+            system = ProactiveSystem(config, seed=seed)
+            system.bootstrap()
+            for _ in range(phases):
+                system.renew()
 
     elif protocol == "groupmod":
-        meta = capture_meta("groupmod", config, seed, "tcp", new_node=n + 1)
+        meta = capture_meta("groupmod", config, seed, "sim", new_node=n + 1)
 
         def run() -> None:
-            from repro.net.groupmod import run_groupmod_cluster
+            from repro.groupmod import GroupManager, ModProposal
 
-            result = run_groupmod_cluster(
-                config, seed=seed, new_node=n + 1, time_scale=time_scale
-            )
-            if not result.succeeded:
-                raise ReplayError("base groupmod run did not complete")
+            manager = GroupManager(config, seed=seed)
+            manager.bootstrap()
+            manager.agree({1: ModProposal("add", n + 1)})
+            manager.add_node(n + 1)
 
     else:
         raise ValueError(f"unknown fuzz protocol {protocol!r}")
@@ -266,6 +260,8 @@ def generate_capture(
     previous = obs_trace.set_trace_sink(sink)
     try:
         run()
+    except RuntimeError as exc:
+        raise ReplayError(f"base {protocol} run did not complete: {exc}") from exc
     finally:
         obs_trace.set_trace_sink(previous)
         sink.close()

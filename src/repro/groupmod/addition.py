@@ -32,7 +32,6 @@ from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 from repro.sim.node import Context, ProtocolNode
 from repro.sim.pki import CertificateAuthority, KeyStore
-from repro.sim.runner import Simulation
 from repro.deployment import addition_machines, addition_pki, simulate
 from repro.dkg.config import DkgConfig
 from repro.dkg.node import DkgNode
@@ -197,7 +196,6 @@ class AdditionResult:
     share: int | None
     vector: FeldmanVector | None
     metrics: Metrics
-    simulation: Simulation
 
 
 def run_node_additions(
@@ -248,7 +246,6 @@ def run_node_additions(
             share=out.share if out else None,
             vector=out.vector if out else None,
             metrics=sim.metrics,
-            simulation=sim,
         )
         for new_node, out in joined.items()
     }

@@ -7,30 +7,31 @@ operator would run: it bootstraps the initial DKG, collects agreed
 modification proposals during a phase (§6.1), applies them at the next
 phase change by running a *reconfiguring* share renewal (§6.3/§6.4 —
 the resharing polynomials get the new degree ``t'`` and the member set
-changes), and supports §6.2 node addition inside a phase.
+changes), and supports §6.2 node addition inside a phase.  Each stage
+is a session in one world (see
+:class:`~repro.proactive.system.ShareLifecycle`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Any
 
-from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
-from repro.deployment import (
-    addition_seed,
-    adopt,
-    agreement_machines,
-    agreement_seed,
-    groupmod_phase,
-    simulate,
-)
+from repro.deployment import adopt, groupmod_cluster_sessions
 from repro.dkg.config import DkgConfig
-from repro.proactive.system import ShareLifecycle
-from repro.groupmod.addition import AdditionResult, run_node_addition
+from repro.proactive.system import CrashPlan, ShareLifecycle
+from repro.groupmod.addition import AdditionResult
 from repro.groupmod.agreement import apply_proposals
-from repro.groupmod.messages import ModProposal, ProposeInput
+from repro.groupmod.messages import (
+    JoinedOutput,
+    ModProposal,
+    NodeAddInput,
+    ProposalDeliveredOutput,
+    ProposeInput,
+)
 
 
 @dataclass
@@ -54,20 +55,25 @@ class AgreementReport:
 class GroupManager(ShareLifecycle):
     """A threshold deployment with evolving membership."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0):
-        super().__init__(config, seed)
+    def __init__(self, config: DkgConfig, seed: int = 0, **options: Any):
+        sessions = groupmod_cluster_sessions(config, seed)
+        super().__init__(config, seed, sessions, **options)
         self.pending: list[ModProposal] = []
+        self.agreements = 0
 
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(self.config.vss().indices)
+
+    def _regroup(self, config: DkgConfig) -> None:
+        """The group as the next session opens."""
+        self.config = self.sessions.config = config
 
     # -- §6.1 agreement --------------------------------------------------------------
 
     def agree(
         self,
         proposals: dict[int, ModProposal],
-        seed_offset: int = 0,
         delay_model: DelayModel | None = None,
         until: float | None = None,
     ) -> AgreementReport:
@@ -76,19 +82,19 @@ class GroupManager(ShareLifecycle):
         Proposals delivered at every node are appended to the pending
         modification queue (applied at the next phase change).
         """
-        nodes = agreement_machines(self.config, self.members)
-        sim = simulate(
-            nodes,
-            [(proposer, ProposeInput(p), 0.0) for proposer, p in proposals.items()],
-            until=until,
+        self.agreements += 1
+        members = list(self.members)
+        nodes, _, metrics = self._run(
+            f"agree-{self.agreements}",
+            members,
+            {proposer: ProposeInput(p) for proposer, p in proposals.items()},
+            ProposalDeliveredOutput.kind,
             delay_model=delay_model,
-            adversary=Adversary.passive(self.config.t, self.config.f),
-            seed=agreement_seed(self.seed, seed_offset, self.phase),
-            group=self.config.group,
+            until=until,
         )
         report = AgreementReport(
             queues={i: list(node.queue) for i, node in nodes.items()},
-            metrics=sim.metrics,
+            metrics=metrics,
         )
         self.pending.extend(report.common_queue())
         return report
@@ -98,40 +104,49 @@ class GroupManager(ShareLifecycle):
     def add_node(
         self,
         new_node: int,
-        seed_offset: int = 0,
         delay_model: DelayModel | None = None,
+        crash_plan: CrashPlan | None = None,
     ) -> AdditionResult:
         """Provide ``new_node`` a share *now* (without renewal), then
         extend the member list.  The commitment is unchanged."""
         if self.commitment is None:
             raise RuntimeError("bootstrap() must run first")
-        result = run_node_addition(
-            self.config,
-            self.shares,
-            self.commitment,
-            new_node,
-            seed=addition_seed(self.seed, seed_offset),
-            tau=self.phase + 1,
+        if new_node in self.members:
+            raise ValueError(f"node {new_node} is already a member")
+        self.phase += 1
+        self.sessions.joiner = new_node
+        self.world.join(new_node)
+        members = list(self.members)
+        _, joined, metrics = self._run(
+            f"add-{self.phase}",
+            [*members, new_node],
+            {i: NodeAddInput(new_node, self.phase) for i in members},
+            JoinedOutput.kind,
+            expected={new_node},
             delay_model=delay_model,
+            crash_plan=crash_plan,
         )
-        if result.share is None:
+        if new_node not in joined:
             raise RuntimeError("node addition failed to deliver a share")
-        new_members = tuple(sorted(set(self.members) | {new_node}))
-        self.config = dataclasses.replace(
-            self.config,
-            n=len(new_members),
-            members=new_members,
-            initial_leader=min(new_members),
+        out = joined[new_node]
+        new_members = tuple(sorted(set(members) | {new_node}))
+        self._regroup(
+            dataclasses.replace(
+                self.config,
+                n=len(new_members),
+                members=new_members,
+                initial_leader=min(new_members),
+            )
         )
-        self.shares[new_node] = result.share
-        return result
+        self.shares[new_node] = out.share
+        return AdditionResult(new_node, out.share, out.vector, metrics)
 
     # -- §6.3/§6.4 phase change: apply queued modifications ---------------------------------
 
     def phase_change(
         self,
         delay_model: DelayModel | None = None,
-        crash_plan: list[tuple[float, int, float | None]] | None = None,
+        crash_plan: CrashPlan | None = None,
         until: float | None = None,
     ) -> Metrics:
         """Apply all pending proposals and renew shares for the new group.
@@ -140,7 +155,11 @@ class GroupManager(ShareLifecycle):
         (§6.3); the resharing polynomials take the *new* degree t'
         (§6.4); the agreement still needs old_t + 1 dealer subsharings,
         so the reconfiguration DKG runs with ``q_size = old_t + 1``.
+        A node an agreed proposal adds gets its endpoint here and takes
+        part without dealing.
         """
+        from repro.proactive.messages import RenewedOutput, RenewInput
+
         if self.commitment is None:
             raise RuntimeError("bootstrap() must run first")
         old_t = self.config.t
@@ -158,15 +177,19 @@ class GroupManager(ShareLifecycle):
             initial_leader=min(new_members),
             q_size=old_t + 1,
         )
-        renewed, metrics = self._renewal_phase(
-            new_config,
+        self._regroup(new_config)
+        for i in new_members:
+            self.world.join(i)
+        _, renewed, metrics = self._run(
+            f"renew-{self.phase}",
             list(new_members),
-            groupmod_phase(self.seed, self.phase),
+            {i: RenewInput(self.phase) for i in new_members},
+            RenewedOutput.kind,
             crash_plan=crash_plan,
             delay_model=delay_model,
             until=until,
         )
         self.shares, self.commitment, _ = adopt(renewed, "phase change renewal")
         # Adopt the new world: config without the q_size override.
-        self.config = dataclasses.replace(new_config, q_size=None)
+        self._regroup(dataclasses.replace(new_config, q_size=None))
         return metrics

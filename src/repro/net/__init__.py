@@ -14,12 +14,10 @@ discrete-event simulator:
 * :mod:`repro.net.host` — :class:`NodeHost`, one runtime endpoint
   (any number of protocol sessions) on a transport;
 * :mod:`repro.net.cluster` — :class:`SessionCluster`, n asyncio
-  runtime endpoints multiplexing named protocol sessions, and
-  :class:`LocalCluster`, the one-DKG convenience on top of it, both
-  with transport-level fault injection;
-* :mod:`repro.net.proactive` / :mod:`repro.net.groupmod` — the §5
-  share-renewal and §6 group-modification lifecycles over real
-  sockets.
+  runtime endpoints multiplexing named protocol sessions, with
+  transport-level fault injection; :class:`LocalCluster`, the one-DKG
+  convenience on top of it; and :class:`TcpWorld`, where the §5 and
+  §6 lifecycles run their sessions when given ``world=TcpWorld``.
 """
 
 from repro.net.cluster import (
@@ -28,10 +26,8 @@ from repro.net.cluster import (
     SessionCluster,
     run_local_cluster,
 )
-from repro.net.groupmod import GroupModClusterResult, run_groupmod_cluster
 from repro.net.host import NodeHost
 from repro.net.peers import PeerAddress, PeerRegistry
-from repro.net.proactive import RenewalClusterResult, run_renewal_cluster
 from repro.net.transport import AsyncioTransport, DropRetryLink, Transport
 from repro.net.wire import WireError, decode, encode, encoded_size
 
@@ -39,19 +35,15 @@ __all__ = [
     "AsyncioTransport",
     "ClusterResult",
     "DropRetryLink",
-    "GroupModClusterResult",
     "LocalCluster",
     "NodeHost",
     "PeerAddress",
     "PeerRegistry",
-    "RenewalClusterResult",
     "SessionCluster",
     "Transport",
     "WireError",
     "decode",
     "encode",
     "encoded_size",
-    "run_groupmod_cluster",
     "run_local_cluster",
-    "run_renewal_cluster",
 ]

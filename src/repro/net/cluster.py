@@ -45,6 +45,8 @@ from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 
 COMPLETED_KIND = "dkg.out.completed"
+# Protocol time units without a send that end a TCP lifecycle stage.
+QUIET_UNITS = 10.0
 
 
 class SessionCluster:
@@ -139,23 +141,6 @@ class SessionCluster:
             if session in host.runtime.sessions
         }
 
-    async def run_session(
-        self,
-        session: str,
-        nodes: dict[int, Any],
-        inputs: dict[int, Any],
-        kind: str,
-        expected: set[int],
-        timeout: float = 60.0,
-    ) -> dict[int, Any]:
-        """Open ``session``, inject each ``inputs`` entry at its node, and
-        wait for ``kind`` outputs from ``expected`` (see
-        :meth:`wait_session_outputs`)."""
-        self.open_session(session, nodes)
-        for index, payload in inputs.items():
-            self.inject(session, index, payload)
-        return await self.wait_session_outputs(session, kind, expected, timeout)
-
     async def wait_session_outputs(
         self,
         session: str,
@@ -192,16 +177,6 @@ class SessionCluster:
         if self._loop is None or self._t0 is None:
             return 0.0
         return (self._loop.time() - self._t0) / self.time_scale
-
-    def schedule_crashes_from_now(
-        self, entries: list[tuple[int, float, float | None]]
-    ) -> None:
-        """Register crash-plan entries whose ``at`` is relative to *this
-        moment* rather than cluster start — how the lifecycle runners
-        aim a fault at one specific protocol phase."""
-        now_units = self.elapsed_units()
-        for node, at, up_after in entries:
-            self.crash(node, now_units + at, up_after)
 
     def crash(self, node: int, at: float, up_after: float | None = None) -> None:
         """Crash ``node`` at time ``at`` (protocol units); if
@@ -329,6 +304,80 @@ class SessionCluster:
 
     async def __aexit__(self, *exc: Any) -> None:
         await self.stop()
+
+
+class TcpWorld(SessionCluster):
+    """A lifecycle's real-socket world: this cluster driven stage by
+    stage on one private event loop (python 3.10 has no
+    :class:`asyncio.Runner`).  A stage ends when the expected nodes the
+    crash plan leaves up have their outputs, the plan has played out
+    and no endpoint has sent for :data:`QUIET_UNITS` time units (a
+    simulated stage's empty queue), or after ``timeout`` seconds."""
+
+    def __init__(
+        self, group: Any, members: Any, seed: int, *, timeout: float = 60.0, **options
+    ):
+        super().__init__(list(members), seed=seed, group=group, **options)
+        self.timeout = timeout
+        self._world_loop = asyncio.new_event_loop()
+
+    def join(self, index: int) -> None:
+        """Bring up a joining node's endpoint (a no-op for a known one)."""
+        if index not in self.hosts:
+            self._world_loop.run_until_complete(self.add_member(index))
+
+    def run_session(
+        self,
+        session: str,
+        nodes: dict[int, Any],
+        inputs: dict[int, Any],
+        kind: str,
+        expected: set[int],
+        *,
+        starts: dict[int, float] | None = None,
+        crash_plan: Any = (),
+        delay_model: DelayModel | None = None,
+        until: float | None = None,
+    ) -> tuple[dict[int, Any], Metrics]:
+        """As :meth:`repro.deployment.SimWorld.run_session`, waiting for
+        ``kind`` outputs at most ``until`` time units when given."""
+
+        async def stage() -> tuple[dict[int, Any], Metrics]:
+            await self.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.timeout
+            self.metrics = metrics = Metrics()
+            for host in self.hosts.values():
+                host.transport.metrics = metrics
+                host.transport.delay_model = delay_model or self.delay_model
+            self.open_session(session, nodes)
+            for index, payload in inputs.items():
+                at = (starts or {}).get(index, 0.0) * self.time_scale
+                loop.call_later(at, self.inject, session, index, payload)
+            now = self.elapsed_units()
+            for at, node, up_after in crash_plan or ():
+                self.crash(node, now + at, up_after)
+            wait = self.timeout if until is None else until * self.time_scale
+            up = expected & self.finally_up()
+            await self.wait_session_outputs(session, kind, up, min(wait, self.timeout))
+            await self.settle_recoveries()
+            sent = -1
+            while sent != metrics.messages_total and loop.time() < deadline:
+                sent = metrics.messages_total
+                await asyncio.sleep(QUIET_UNITS * self.time_scale)
+            return await self.wait_session_outputs(session, kind, set()), metrics
+
+        return self._world_loop.run_until_complete(stage())
+
+    def close(self) -> None:
+        """Stop every endpoint, then the loop."""
+        loop, self._world_loop = self._world_loop, None
+        if loop is not None:
+            try:
+                if self._started:
+                    loop.run_until_complete(self.stop())
+            finally:
+                loop.close()
 
 
 @dataclass

@@ -52,32 +52,13 @@ class NodeHost:
     def open_session(self, session: str, node: ProtocolNode) -> None:
         """Multiplex another protocol instance onto this endpoint."""
         self.runtime.open_session(session, node)
-        self._record_open(session)
+        obs_trace.record_open(
+            self.transport.node_id,
+            session,
+            self.transport.members,
+            self.driver.trace_sink,
+        )
         self.logger.bind(session=session).debug("session opened")
-
-    def _record_open(self, session: str) -> None:
-        """Flight-recorder control line for an *orchestrated* open.
-
-        Replay re-creates these sessions from the capture; sessions a
-        machine spawns itself (``SpawnSession``) re-happen naturally
-        during re-execution and must not be recorded here — which is
-        why this hook sits on the host, not inside the runtime.
-        """
-        sink = self.driver.trace_sink
-        if sink is None:
-            sink = obs_trace.trace_sink()
-        if sink is None or getattr(sink, "payload_codec", None) is None:
-            return
-        record_control = getattr(sink, "record_control", None)
-        if record_control is not None:
-            record_control(
-                {
-                    "record": "open",
-                    "node": self.transport.node_id,
-                    "session": session,
-                    "members": sorted(self.transport.members),
-                }
-            )
 
     def close_session(self, session: str) -> None:
         self.runtime.close_session(session)

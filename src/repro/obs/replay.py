@@ -25,10 +25,10 @@ What replay rebuilds (and how it knows):
   Re-execution re-arms the same timers in the same order (machine and
   runtime timer-id counters are deterministic), so recorded ids route
   to the right session;
-* multi-session state — that constructor is handed the *replayed*
-  outputs of a ``renew-N`` / ``add-1`` session's predecessor where the
-  live runner hands it its own (a crashed node that never renewed gets
-  ``prev_share=None``, exactly like live).
+* multi-session state — where the live lifecycle hands a ``renew-N``
+  or ``add-N`` session the shares it holds, that constructor is handed
+  the ones the *replayed* outputs give (a crashed node that never
+  renewed gets ``prev_share=None``, exactly like live).
 
 Captures from ``repro serve`` (client-driven traffic) record fine but
 are analysis-only; :func:`replay_capture` raises :class:`ReplayError`
@@ -56,6 +56,8 @@ from repro.runtime.runtime import ProtocolRuntime
 from repro.runtime.trace import transcript_hash
 
 _TABLE_ENTRIES = 1024  # decoded commitment matrices a replay world keeps
+# Output kinds whose shares a lifecycle carries into its next session.
+_HANDED_ON = ("dkg.out.completed", "proactive.out.renewed")
 
 
 class ReplayError(Exception):
@@ -301,17 +303,11 @@ class ReplayWorld:
         self.config = _config_from_meta(meta)
         self.group = self.config.group
         self.seed = meta["seed"]
-        self.transport_kind = meta.get("transport", "sim")
-        cmd = meta.get("cmd")
-        if cmd in ("renew", "groupmod") and self.transport_kind != "tcp":
-            # The sim orchestrators spin up a fresh simulation per
-            # stage, so their captures interleave worlds replay cannot
-            # reconstruct; the tcp runners keep one world end to end.
-            raise ReplayError(
-                f"sim-transport {cmd!r} captures are analysis-only; "
-                "record with --transport tcp to replay"
-            )
+        # A simulated DKG drives plain machines; every other capture
+        # multiplexes sessions over per-node runtimes and records opens.
+        self.multiplexed = meta.get("cmd") != "dkg"
         self.session_machines = _session_machines(meta, self.config)
+        self.opened: list[str] = []  # sessions in the order they opened
         from repro.net import wire
 
         # One table for the whole world: a capture repeats each dealer's
@@ -321,9 +317,8 @@ class ReplayWorld:
         self.transports: dict[int, ReplayTransport] = {}
         self.drivers: dict[int, MachineDriver] = {}
         self.runtimes: dict[int, ProtocolRuntime] = {}
-        if self.transport_kind == "sim":
-            # Plain machines, no session multiplexing, fixed membership
-            # (exactly what the sim runner drives).
+        if not self.multiplexed:
+            # Plain machines, fixed membership (what run_dkg drives).
             for i in self.config.vss().indices:
                 transport = ReplayTransport(
                     i, self.seed, list(self.config.vss().indices), self.outputs
@@ -331,7 +326,7 @@ class ReplayWorld:
                 self.transports[i] = transport
                 self.drivers[i] = MachineDriver(self.machine(i, "dkg"), transport, i)
 
-    def _tcp_driver(self, node: int) -> MachineDriver:
+    def _runtime_driver(self, node: int) -> MachineDriver:
         if node not in self.drivers:
             transport = ReplayTransport(node, self.seed, [], self.outputs)
             runtime = ProtocolRuntime(node)
@@ -343,9 +338,11 @@ class ReplayWorld:
     def open_session(self, record: dict[str, Any]) -> None:
         node = record["node"]
         session = record["session"]
-        self._tcp_driver(node)
+        self._runtime_driver(node)
         self.transports[node].members = sorted(record.get("members", []))
         runtime = self.runtimes[node]
+        if session not in self.opened:
+            self.opened.append(session)
         if session not in runtime.sessions:
             runtime.open_session(session, self.machine(node, session))
 
@@ -360,18 +357,22 @@ class ReplayWorld:
             ) from exc
 
     def _prior(self, session: str) -> tuple[dict[int, int], Any]:
-        """(shares, commitment) of a finished session, as replayed."""
+        """(shares, commitment) the lifecycle holds as ``session`` opens,
+        as replayed: the last DKG's or renewal's outputs, plus each share
+        a joiner received since."""
         shares: dict[int, int] = {}
         commitment = None
-        for node, runtime in self.runtimes.items():
-            for payload in runtime.session_outputs.get(session, []):
-                if hasattr(payload, "share"):
-                    shares[node] = payload.share
-                    commitment = getattr(payload, "commitment", commitment)
+        for name in self.opened[: self.opened.index(session)]:
+            if name == "dkg" or name.startswith("renew-"):
+                shares = {}  # §5.1: a share not renewed is gone
+            for node, runtime in sorted(self.runtimes.items()):
+                for out in runtime.session_outputs.get(name, []):
+                    if out.kind in _HANDED_ON:
+                        shares[node], commitment = out.share, out.commitment
+                    elif out.kind == "groupmod.out.joined":
+                        shares[node] = out.share
         if not shares:
-            raise ReplayError(
-                f"session {session!r} produced no outputs to chain from"
-            )
+            raise ReplayError(f"no session before {session!r} handed on shares")
         return shares, commitment
 
     def decode_frame(self, frame_hex: str) -> Any:
@@ -393,12 +394,12 @@ class ReplayWorld:
                 "(payload mode) to make it replayable"
             )
         node = record["node"]
-        if self.transport_kind == "sim":
+        if not self.multiplexed:
             driver = self.drivers.get(node)
             if driver is None:
                 raise ReplayError(f"span for unknown node {node}")
         else:
-            driver = self._tcp_driver(node)
+            driver = self._runtime_driver(node)
         kind = data["type"]
         if kind == "message":
             payload = self.decode_frame(data["frame"])

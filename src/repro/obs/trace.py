@@ -418,3 +418,16 @@ def set_trace_sink(sink: TraceSink | None) -> TraceSink | None:
     previous = _sink
     _sink = sink
     return previous
+
+
+def record_open(
+    node: int, session: str, members: Any, sink: TraceSink | None = None
+) -> None:
+    """A payload capture's line for a session a world opens (replay
+    re-creates it; a ``SpawnSession`` re-happens by itself)."""
+    sink = sink if sink is not None else trace_sink()
+    if getattr(sink, "payload_codec", None) is not None:
+        members = sorted(members)
+        sink.record_control(
+            {"record": "open", "node": node, "session": session, "members": members}
+        )

@@ -1,11 +1,12 @@
 """Multi-phase proactive DKG orchestration (§5).
 
 :class:`ProactiveSystem` strings together an initial DKG (phase 0) and
-successive share-renewal phases, each run as its own deterministic
-simulation.  It tracks the authoritative share set and commitment
-across phases, injects per-node clock skew (local clocks, §5.1),
-applies per-phase crash/corruption schedules, and rotates the keys of
-recovering nodes (§5.1's reboot procedure).
+successive share-renewal phases as sessions ``dkg``, ``renew-1``, ...
+in one simulated or real-socket world under one PKI.  It tracks the
+authoritative share set and commitment across phases, injects
+per-node clock skew (local clocks, §5.1) and applies per-phase
+crash/recovery schedules.  A node keeps its one signing key: the §5.1
+reboot procedure's key rotation is not modelled.
 
 A mobile adversary is modelled by giving each phase its own corruption
 set; the system records what the adversary saw (the corrupted nodes'
@@ -20,100 +21,105 @@ from typing import Any
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.shares import Share, reconstruct_secret
-from repro.sim.adversary import Adversary
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 from repro.deployment import (
+    DKG_SESSION,
+    LifecycleSessions,
+    SimWorld,
     adopt,
-    enroll,
-    proactive_phase,
-    renewal_machines,
-    simulate,
+    renewal_cluster_sessions,
 )
 from repro.dkg.config import DkgConfig
-from repro.dkg.runner import DkgResult, run_dkg
 from repro.proactive.messages import RenewedOutput, RenewInput
+
+CrashPlan = list[tuple[float, int, float | None]]
 
 
 @dataclass
 class PhaseReport:
-    """Result of one renewal phase."""
+    """Result of one stage that hands on shares: the bootstrap DKG
+    (phase 0) or a renewal phase."""
 
     phase: int
     shares: dict[int, int]
-    commitment: FeldmanVector
+    commitment: FeldmanCommitment | FeldmanVector
     metrics: Metrics
     exposed_shares: dict[int, int] = field(default_factory=dict)
     q_set: tuple[int, ...] = ()
 
     @property
-    def public_key(self) -> int:
+    def public_key(self) -> Any:
         return self.commitment.public_key()
 
 
 class ShareLifecycle:
-    """What a long-lived deployment carries from phase to phase: its
-    config, the live shares and the commitment they verify against.
-    Shared by :class:`ProactiveSystem` and
-    :class:`~repro.groupmod.manager.GroupManager`."""
+    """What a long-lived deployment carries from stage to stage: its
+    config, the live shares and the commitment they verify against,
+    and the one world every stage runs in as a session: ``world``
+    (:class:`~repro.deployment.SimWorld`, or a
+    :class:`~repro.net.cluster.TcpWorld`, which holds sockets until
+    :meth:`close`) built with ``options`` such as ``delay_model``."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0):
+    def __init__(
+        self,
+        config: DkgConfig,
+        seed: int,
+        sessions: LifecycleSessions,
+        *,
+        world: Any = SimWorld,
+        **options: Any,
+    ):
         self.config = config
         self.seed = seed
+        self.sessions = sessions
+        # The protocol instance tau last run: 0 after the bootstrap.
         self.phase = 0
         self.shares: dict[int, int] = {}
         self.commitment: FeldmanCommitment | FeldmanVector | None = None
-        self.public_key: int | None = None
+        self.public_key: Any = None
+        self.world = world(config.group, config.vss().indices, seed, **options)
 
-    def bootstrap(self, **kwargs: Any) -> DkgResult:
-        """Run the initial DKG and adopt its shares as phase 0."""
-        result = run_dkg(self.config, seed=self.seed, **kwargs)
-        self.shares, self.commitment, _ = adopt(result.completions, "bootstrap DKG")
-        self.public_key = result.public_key
-        return result
+    def close(self) -> None:
+        self.world.close()
 
-    def _renewal_phase(
-        self,
-        config: DkgConfig,
-        members: list[int],
-        label_and_seed: tuple[tuple, int],
-        *,
-        crash_plan: list[tuple[float, int, float | None]] | None,
-        delay_model: DelayModel | None,
-        until: float | None,
-        starts: dict[int, float] | None = None,
-    ) -> tuple[dict[int, RenewedOutput], Metrics]:
-        """Simulate renewal phase ``self.phase`` of ``config`` over
-        ``members`` (a fresh PKI and world per phase, under the PKI
-        label and simulation seed given); each member starts at its
-        ``starts`` offset.  Returns the renewed outputs and metrics."""
-        label, seed = label_and_seed
-        adversary = (
-            Adversary.crash_only(config.t, config.f, crash_plan)
-            if crash_plan
-            else Adversary.passive(config.t, config.f)
+    def __enter__(self) -> "ShareLifecycle":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def _run(
+        self, session: str, members: list[int], inputs: dict, kind: str, **stage: Any
+    ) -> tuple[dict[int, Any], dict[int, Any], Metrics]:
+        """Run one stage: ``members``' machines, first ``kind`` outputs
+        and metrics (a TCP world waits for ``expected``, default all)."""
+        machines = self.sessions(
+            session, members, lambda _: (self.shares, self.commitment)
         )
-        machines = renewal_machines(
-            config,
-            enroll(config.group, members, label),
+        stage.setdefault("expected", set(members))
+        outputs, metrics = self.world.run_session(
+            session, machines, inputs, kind, **stage
+        )
+        return machines, outputs, metrics
+
+    def bootstrap(self, **stage: Any) -> PhaseReport:
+        """Run the initial DKG and adopt its shares as phase 0; ``stage``
+        takes ``delay_model``, ``crash_plan`` and ``until`` as a renewal
+        does."""
+        from repro.dkg.messages import DkgCompletedOutput, DkgStartInput
+
+        members = list(self.config.vss().indices)
+        _, outputs, metrics = self._run(
+            DKG_SESSION,
             members,
-            phase=self.phase,
-            shares=self.shares,
-            commitment=self.commitment,
+            {i: DkgStartInput(0) for i in members},
+            DkgCompletedOutput.kind,
+            **stage,
         )
-        sim = simulate(
-            machines,
-            [(i, RenewInput(self.phase), (starts or {}).get(i, 0.0)) for i in machines],
-            until=until,
-            delay_model=delay_model,
-            adversary=adversary,
-            seed=seed,
-            group=config.group,
-        )
-        renewed = {
-            i: node.renewed for i, node in machines.items() if node.renewed is not None
-        }
-        return renewed, sim.metrics
+        self.shares, self.commitment, q_set = adopt(outputs, "bootstrap DKG")
+        self.public_key = self.commitment.public_key()
+        return PhaseReport(0, dict(self.shares), self.commitment, metrics, q_set=q_set)
 
     def reconstruct(self) -> int:
         """Reconstruct the current secret from the live share set."""
@@ -126,9 +132,9 @@ class ShareLifecycle:
 class ProactiveSystem(ShareLifecycle):
     """A long-lived (n, t, f) threshold system with periodic renewal."""
 
-    def __init__(self, config: DkgConfig, seed: int = 0):
-        super().__init__(config, seed)
-        self.reports: list[PhaseReport] = []
+    def __init__(self, config: DkgConfig, seed: int = 0, **options: Any):
+        sessions = renewal_cluster_sessions(config, seed)
+        super().__init__(config, seed, sessions, **options)
         self.adversary_view: dict[int, dict[int, int]] = {}  # phase -> node -> share
 
     # -- renewal phases ------------------------------------------------------------
@@ -136,7 +142,7 @@ class ProactiveSystem(ShareLifecycle):
     def renew(
         self,
         corrupted: set[int] | None = None,
-        crash_plan: list[tuple[float, int, float | None]] | None = None,
+        crash_plan: CrashPlan | None = None,
         delay_model: DelayModel | None = None,
         clock_skews: dict[int, float] | None = None,
         until: float | None = None,
@@ -147,8 +153,10 @@ class ProactiveSystem(ShareLifecycle):
         phase* (their current shares are recorded as exposed); they
         still follow the protocol (honest-but-curious corruption),
         which suffices for the mobile-adversary privacy experiments.
-        ``crash_plan`` — per-phase crash/recovery schedule.
-        ``clock_skews`` — per-node local-clock offsets for the tick.
+        ``crash_plan`` — ``(at, node, up_after)`` entries, times from
+        the phase's start.  ``clock_skews`` — per-node local-clock
+        offsets for the tick.  A member that holds no share (it crashed
+        through an earlier phase) takes part without dealing.
         """
         if self.commitment is None:
             raise RuntimeError("bootstrap() must run before renew()")
@@ -162,16 +170,16 @@ class ProactiveSystem(ShareLifecycle):
         exposed = {i: self.shares[i] for i in corrupted if i in self.shares}
         self.adversary_view[phase] = dict(exposed)
 
-        renewed, metrics = self._renewal_phase(
-            self.config,
-            # A node that lost its share (e.g. crashed through a phase)
-            # sits the phase out.
-            [i for i in range(1, self.config.n + 1) if i in self.shares],
-            proactive_phase(self.seed, phase),
+        members = list(self.config.vss().indices)
+        _, renewed, metrics = self._run(
+            f"renew-{phase}",
+            members,
+            {i: RenewInput(phase) for i in members},
+            RenewedOutput.kind,
+            starts=clock_skews,
             crash_plan=crash_plan,
             delay_model=delay_model,
             until=until,
-            starts=clock_skews,
         )
         # §5.1: safety over liveness — shares not renewed this phase are
         # gone (their owners deleted them when the protocol started).
@@ -186,5 +194,4 @@ class ProactiveSystem(ShareLifecycle):
             exposed_shares=exposed,
             q_set=q_set,
         )
-        self.reports.append(report)
         return report

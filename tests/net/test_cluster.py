@@ -301,21 +301,21 @@ class TestClusterOrchestration:
     def test_replay_builds_the_live_lifecycle_machines(
         self, protocol, monkeypatch
     ) -> None:
-        """For every (node, session) of a TCP lifecycle, replay rebuilds
-        the machine the live runner built: same keystore, same prior
+        """For every (node, session) of a lifecycle, replay rebuilds
+        the machine the live lifecycle built: same keystore, same prior
         share and commitment."""
+        from repro.deployment import SimWorld
         from repro.fuzz.schedule import generate_capture
-        from repro.net.cluster import SessionCluster
         from repro.obs.replay import ReplayWorld
 
         live: dict[tuple[int, str], object] = {}
-        open_session = SessionCluster.open_session
+        open_session = SimWorld.open_session
 
-        def recording(cluster, session, nodes):
+        def recording(world, session, nodes):
             live.update({(i, session): node for i, node in nodes.items()})
-            open_session(cluster, session, nodes)
+            open_session(world, session, nodes)
 
-        monkeypatch.setattr(SessionCluster, "open_session", recording)
+        monkeypatch.setattr(SimWorld, "open_session", recording)
         capture = generate_capture(protocol, n=4, t=1, seed=7, group=G, phases=2)
         world = ReplayWorld(capture)
         for record in capture.records:

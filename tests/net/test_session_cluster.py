@@ -1,9 +1,9 @@
 """SessionCluster: concurrent sessions, renewal and groupmod on TCP.
 
 Everything here crosses real kernel sockets: concurrent DKG sessions
-multiplexed over one endpoint per node, the §5 renewal lifecycle and
-the §6 agree-then-add lifecycle, with crash/recovery against live
-endpoints.  The scales are kept small (n <= 5, toy group) so the whole
+multiplexed over one endpoint per node, and the §5 renewal and §6
+agree-then-add lifecycles in their TCP world, with crash/recovery
+against live endpoints.  The scales are kept small (n <= 5, toy group) so the whole
 module stays a few seconds.
 """
 
@@ -15,14 +15,14 @@ import logging
 import pytest
 
 from repro.crypto.groups import toy_group
-from repro.net.cluster import COMPLETED_KIND, LocalCluster, SessionCluster
-from repro.net.groupmod import run_groupmod_cluster
-from repro.net.proactive import run_renewal_cluster
+from repro.net.cluster import COMPLETED_KIND, LocalCluster, SessionCluster, TcpWorld
 from repro.sim.network import UniformDelay
 from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.dkg import DkgConfig
 from repro.dkg.messages import DkgStartInput
 from repro.dkg.node import DkgNode
+from repro.groupmod import GroupManager, ModProposal
+from repro.proactive import ProactiveSystem
 
 G = toy_group()
 FAST = 0.005  # wall seconds per protocol time unit
@@ -99,49 +99,57 @@ class TestConcurrentSessionsOverTcp:
 
 class TestRenewalOverTcp:
     def test_renewal_phase_with_crash_and_recover(self) -> None:
-        result = run_renewal_cluster(
+        with ProactiveSystem(
             DkgConfig(n=5, t=1, group=G),
             seed=7,
-            phases=1,
+            world=TcpWorld,
             time_scale=0.01,
             delay_model=UniformDelay(1.0, 3.0),
-            crash_plan=[(3, 2.0, 25.0)],
             timeout=90.0,
-        )
-        assert result.succeeded, result.errors
-        assert result.metrics.crashes == 1
-        assert result.metrics.recoveries == 1
-        [phase] = result.phases
-        assert phase.renewed_nodes == [1, 2, 3, 4, 5]
-        assert phase.public_key_stable
-        assert result.secret_invariant
+        ) as system:
+            system.bootstrap()
+            secret = system.reconstruct()
+            report = system.renew(crash_plan=[(2.0, 3, 25.0)])
+            assert system.world.collect_errors() == []
+        assert report.metrics.crashes == 1
+        assert report.metrics.recoveries == 1
+        assert sorted(report.shares) == [1, 2, 3, 4, 5]
+        assert report.public_key == system.public_key
+        assert system.reconstruct() == secret
 
     def test_two_phases_share_stable_public_key(self) -> None:
-        result = run_renewal_cluster(
-            DkgConfig(n=4, t=1, group=G), seed=3, phases=2, time_scale=FAST
-        )
-        assert result.succeeded, result.errors
-        assert [p.phase for p in result.phases] == [1, 2]
-        assert all(p.public_key_stable for p in result.phases)
+        with ProactiveSystem(
+            DkgConfig(n=4, t=1, group=G), seed=3, world=TcpWorld, time_scale=FAST
+        ) as system:
+            system.bootstrap()
+            reports = [system.renew(), system.renew()]
+            assert system.world.collect_errors() == []
+        assert [r.phase for r in reports] == [1, 2]
+        assert all(r.public_key == system.public_key for r in reports)
 
 
 class TestGroupModOverTcp:
     def test_agree_then_add_with_crash_and_recover(self) -> None:
-        result = run_groupmod_cluster(
+        with GroupManager(
             DkgConfig(n=5, t=1, group=G),
             seed=9,
+            world=TcpWorld,
             time_scale=0.01,
             delay_model=UniformDelay(1.0, 3.0),
-            crash_plan=[(2, 2.0, 25.0)],
             timeout=90.0,
-        )
-        assert result.succeeded, result.errors
-        assert result.new_node == 6
-        assert result.metrics.crashes == 1
-        assert result.metrics.recoveries == 1
-        assert result.share_verified
-        assert result.secret_invariant
-        assert result.agreement_nodes == [1, 2, 3, 4, 5]
+        ) as manager:
+            manager.bootstrap()
+            secret = manager.reconstruct()
+            report = manager.agree({1: ModProposal("add", 6)})
+            addition = manager.add_node(6, crash_plan=[(2.0, 2, 25.0)])
+            assert manager.world.collect_errors() == []
+        assert sorted(report.queues) == [1, 2, 3, 4, 5]
+        assert report.common_queue() == [ModProposal("add", 6)]
+        assert addition.metrics.crashes == 1
+        assert addition.metrics.recoveries == 1
+        assert manager.commitment.verify_share(6, addition.share)
+        assert manager.members == (1, 2, 3, 4, 5, 6)
+        assert manager.reconstruct() == secret
 
 
 class TestInjectReportsDrops:

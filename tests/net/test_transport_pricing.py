@@ -17,10 +17,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.dkg import DkgConfig, run_dkg
-from repro.groupmod import run_node_additions
+from repro.groupmod import GroupManager, ModProposal, run_node_additions
 from repro.net import wire
-from repro.net.cluster import run_local_cluster
-from repro.net.groupmod import run_groupmod_cluster
+from repro.net.cluster import TcpWorld, run_local_cluster
 from repro.net.transport import AsyncioTransport
 from repro.proactive import ProactiveSystem
 from repro.runtime.envelope import SessionEnvelope
@@ -83,15 +82,26 @@ class TestEveryMessageMeteredAtItsFrame:
             crash_plan=[(0.5, 4, 40.0)],
             clock_skews={1: 0.0, 2: 0.3, 3: 1.1, 5: 0.7},
         )
-        erased = [p for p, _ in metered if p.kind == "vss.send" and p.poly is None]
+        erased = [
+            p.payload
+            for p, _ in metered
+            if p.payload.kind == "vss.send" and p.payload.poly is None
+        ]
         assert erased
         assert _mispriced(metered) == []
 
     def test_groupmod_cluster(self, metered) -> None:
-        result = run_groupmod_cluster(
-            DkgConfig(n=4, t=1, group=G), seed=SEED, time_scale=0.005, timeout=120.0
-        )
-        assert result.succeeded, result.errors
+        with GroupManager(
+            DkgConfig(n=4, t=1, group=G),
+            seed=SEED,
+            world=TcpWorld,
+            time_scale=0.005,
+            timeout=120.0,
+        ) as manager:
+            manager.bootstrap()
+            manager.agree({1: ModProposal("add", 5)})
+            manager.add_node(5)
+            assert manager.world.collect_errors() == []
         assert any(isinstance(p, SessionEnvelope) for p, _ in metered)
         assert _mispriced(metered) == []
 
@@ -142,3 +152,39 @@ class TestSimAndTcpMeterAlike:
 
         assert of_form(sim.messages_by_kind) == of_form(tcp.messages_by_kind)
         assert of_form(sim.bytes_by_kind) == of_form(tcp.bytes_by_kind)
+
+
+def _lifecycle_counts(tcp: bool) -> dict[str, dict]:
+    """Per-session, per-kind message counts of the renewal and
+    group-modification lifecycles in one world."""
+    from repro.sim.network import ConstantDelay
+
+    config = DkgConfig(
+        n=4, t=1, group=G, q_size=4, timeout=TimeoutPolicy(initial=1_000_000.0)
+    )
+    world = {"delay_model": ConstantDelay(0.0)}
+    if tcp:
+        world.update(world=TcpWorld, time_scale=0.005, timeout=120.0)
+    counts: dict[str, dict] = {}
+    with ProactiveSystem(config, seed=SEED, **world) as system:
+        counts["renew/dkg"] = system.bootstrap().metrics
+        counts["renew/renew-1"] = system.renew().metrics
+        counts["renew/renew-2"] = system.renew().metrics
+        assert system.world.collect_errors() == []
+    with GroupManager(config, seed=SEED, **world) as manager:
+        counts["groupmod/dkg"] = manager.bootstrap().metrics
+        counts["groupmod/agree-1"] = manager.agree({1: ModProposal("add", 5)}).metrics
+        counts["groupmod/add-1"] = manager.add_node(5).metrics
+        assert manager.world.collect_errors() == []
+    return {stage: dict(m.messages_by_kind) for stage, m in counts.items()}
+
+
+class TestSimAndTcpLifecyclesCountAlike:
+    def test_renew_and_groupmod_sessions(self) -> None:
+        # The sim_and_tcp shape: Q is every dealer, no view changes and
+        # no delay, so each session's message pattern does not depend on
+        # arrival order, and a stage in either world ends with its
+        # session quiet.
+        sim = _lifecycle_counts(tcp=False)
+        assert sim["groupmod/add-1"]["groupmod.subshare"] == 4
+        assert _lifecycle_counts(tcp=True) == sim

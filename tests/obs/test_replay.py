@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.dkg import DkgConfig, run_dkg
+from repro.net.cluster import TcpWorld
 from repro.obs.replay import (
     ReplayError,
     capture_meta,
@@ -24,6 +25,29 @@ from repro.obs.replay import (
     replay_file,
 )
 from repro.obs.trace import JsonlTraceSink, set_trace_sink
+
+
+def _renew(config, seed, **world) -> None:
+    """Bootstrap and two renewals, as ``repro renew --phases 2`` runs."""
+    from repro.proactive import ProactiveSystem
+
+    with ProactiveSystem(config, seed=seed, **world) as system:
+        system.bootstrap()
+        system.renew()
+        system.renew()
+        assert system.world.collect_errors() == []
+
+
+def _groupmod(config, seed, crash_plan=None, **world) -> None:
+    """Agree on and add node n + 1, as ``repro groupmod`` runs."""
+    from repro.groupmod import GroupManager, ModProposal
+
+    joiner = config.n + 1
+    with GroupManager(config, seed=seed, **world) as manager:
+        manager.bootstrap()
+        manager.agree({1: ModProposal("add", joiner)})
+        manager.add_node(joiner, crash_plan=crash_plan)
+        assert manager.world.collect_errors() == []
 
 
 def _record(tmp_path, name, meta, group, run):
@@ -63,45 +87,37 @@ class TestTcpReplay:
     def test_renewal_phases_replay_with_state_chaining(
         self, group, tmp_path
     ) -> None:
-        from repro.net.proactive import run_renewal_cluster
-
         config = DkgConfig(n=4, t=1, group=group)
-        path, sink, result = _record(
+        path, sink, _ = _record(
             tmp_path,
             "renew.jsonl",
             capture_meta("renew", config, 5, "tcp", phases=2),
             group,
-            lambda: run_renewal_cluster(
-                config, seed=5, phases=2, time_scale=0.01, timeout=60.0
-            ),
+            lambda: _renew(config, 5, world=TcpWorld, time_scale=0.01),
         )
-        assert result.succeeded
         replay = replay_file(path)
         # The renew-2 machines were rebuilt from *replayed* renew-1
         # outputs; a hash match certifies the whole chain.
         assert replay.matched
 
     def test_groupmod_with_crash_recover_replays(self, group, tmp_path) -> None:
-        from repro.net.groupmod import run_groupmod_cluster
         from repro.sim.network import UniformDelay
 
         config = DkgConfig(n=5, t=1, group=group)
-        path, sink, result = _record(
+        path, sink, _ = _record(
             tmp_path,
             "groupmod.jsonl",
             capture_meta("groupmod", config, 9, "tcp", new_node=6),
             group,
-            lambda: run_groupmod_cluster(
+            lambda: _groupmod(
                 config,
-                seed=9,
-                new_node=6,
+                9,
+                crash_plan=[(2.0, 2, 25.0)],
+                world=TcpWorld,
                 delay_model=UniformDelay(1.0, 3.0),
                 time_scale=0.01,
-                crash_plan=[(2, 2.0, 25.0)],
-                timeout=60.0,
             ),
         )
-        assert result.succeeded
         capture = load_capture(path)
         # The mid-protocol fault is part of the transcript...
         events = {s.get("data", {}).get("type") for s in capture.spans}
@@ -159,6 +175,39 @@ class TestSimReplay:
         assert replay_file(path).matched
 
 
+class TestSimLifecycleReplay:
+    """The simulated lifecycles record session opens as the TCP hosts
+    do, so their captures replay through the same world-building."""
+
+    def test_sim_renew_replays_identically(self, group, tmp_path) -> None:
+        config = DkgConfig(n=4, t=1, group=group)
+        path, sink, _ = _record(
+            tmp_path,
+            "renew.jsonl",
+            capture_meta("renew", config, 5, "sim", phases=2),
+            group,
+            lambda: _renew(config, 5),
+        )
+        replay = replay_file(path)
+        assert replay.recorded_hash == sink.transcript
+        assert replay.matched
+
+    def test_sim_groupmod_replays_identically(self, group, tmp_path) -> None:
+        config = DkgConfig(n=5, t=1, group=group)
+        path, sink, _ = _record(
+            tmp_path,
+            "groupmod.jsonl",
+            capture_meta("groupmod", config, 9, "sim", new_node=6),
+            group,
+            lambda: _groupmod(config, 9, crash_plan=[(2.0, 2, 25.0)]),
+        )
+        events = {s.get("data", {}).get("type") for s in load_capture(path).spans}
+        assert "crash" in events and "recover" in events
+        replay = replay_file(path)
+        assert replay.recorded_hash == sink.transcript
+        assert replay.matched
+
+
 class TestReplayRejections:
     def test_label_only_capture_is_rejected(self, group, tmp_path) -> None:
         config = DkgConfig(n=4, t=1, group=group)
@@ -183,16 +232,6 @@ class TestReplayRejections:
     def test_serve_capture_is_analysis_only(self, group) -> None:
         config = DkgConfig(n=4, t=1, group=group)
         meta = {"record": "meta", **capture_meta("serve", config, 0, "tcp")}
-        buffer = io.StringIO(json.dumps(meta) + "\n")
-        with pytest.raises(ReplayError, match="analysis-only"):
-            replay_capture(load_capture(buffer))
-
-    def test_sim_renew_capture_is_analysis_only(self, group) -> None:
-        config = DkgConfig(n=4, t=1, group=group)
-        meta = {
-            "record": "meta",
-            **capture_meta("renew", config, 0, "sim", phases=1),
-        }
         buffer = io.StringIO(json.dumps(meta) + "\n")
         with pytest.raises(ReplayError, match="analysis-only"):
             replay_capture(load_capture(buffer))

@@ -78,13 +78,13 @@ LIFECYCLES: dict[str, Callable] = {
 
 # lifecycle group digest
 PINNED = """
-proactive toy d243f7eac5d1c2cfd406eebd23e8554b84c0ba0bcb7d2b5f366c2efe5dfbd9de
-groupmod toy 45b9d940d28b8c919ae8a4c98afb90ebae98a8ac0495974a45518f55a3f807aa
+proactive toy e87ee7d2cc66c4f6a7ba0ab3ff164bae9d2c095bef683f88fc636c53a2e57513
+groupmod toy 5f42fc5ba22e1338c8ac3a3753e8c76d2581c6511e01982ba4751a203fda65c9
 additions toy cdb77a0a215c4cfef38a44f5fa2275665a57f793e15cec17eb10e5a05a1aba9e
 sessions toy ea7d0f4415d044665919faf3447b5cded6071350c3d64ed03c8fad63c3fddbba
 vss toy e1c9c48a30e07ebe4d3146790f896365b68b505c4692e9d6e147d9b0d4d07cb8
-proactive secp256k1 082a8cd3b074337fdcac829056975ae7d3ff337c730c73d5cb8a7b64c1211099
-groupmod secp256k1 a02ba725ae3b8cbfe8bec9a1775765fedac76bb5a16cb192906c93692731d98e
+proactive secp256k1 08a79f4546383334b04326e0bca5a819f5c2b196310c7611251effc176485dfe
+groupmod secp256k1 31fdc47b5a60a9dc0db5331bd0a9f1bee067708070826197e2803fe1d8b346a4
 additions secp256k1 aecc89b81d1d3348186bc34a27fa4b9eb4db766141140d9f7b1a0896307d2d20
 sessions secp256k1 d1f1c65c226be82fcbec66a07376a9a19ca9260d22229b74af4bdab2f35e43e4
 vss secp256k1 4c07d691d4f16906bf48808736c3c4c1e073c1a9a7e7d615db04eadac6ee0411
