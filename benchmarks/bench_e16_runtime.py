@@ -10,7 +10,7 @@ both layouts in both execution backends:
 
 * **sim** — K nonce-style DKGs (n=5, t=1): K independent
   ``run_dkg`` worlds (sequential, the old service forge path) vs. one
-  ``run_dkg_sessions`` world with K multiplexed sessions (the new
+  stage of K multiplexed sessions in one ``SimWorld`` (the
   batch-refill path).  Virtual time makes both CPU-bound, so this row
   is an *overhead parity check*: the envelope and session routing must
   not cost measurable wall time;
@@ -18,8 +18,8 @@ both layouts in both execution backends:
   latency (the paper's over-the-Internet setting, where protocol
   rounds wait on the network): K separate ``LocalCluster``
   deployments run back to back (K·n server sockets, latency paid K
-  times over) vs. one ``SessionCluster`` carrying K concurrent
-  sessions (n sockets, rounds of different sessions overlapping in
+  times over) vs. one stage of K concurrent sessions in one
+  ``TcpWorld`` (n sockets, rounds of different sessions overlapping in
   the latency gaps), wall-clock timed end to end.
 
 Run::
@@ -37,23 +37,42 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import random
 import time
 from pathlib import Path
 
 from repro.crypto.groups import toy_group
-from repro.net.cluster import COMPLETED_KIND, SessionCluster, run_local_cluster
-from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
+from repro.deployment import SimWorld, adopt, dkg_machines, enroll
+from repro.net.cluster import COMPLETED_KIND, TcpWorld, run_local_cluster
 from repro.sim.network import ConstantDelay, UniformDelay
-from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.dkg import DkgConfig, run_dkg
 from repro.dkg.messages import DkgStartInput
-from repro.dkg.node import DkgNode
 
 TIME_SCALE = 0.005
 # 5–15 ms per hop at TIME_SCALE: a LAN-to-metro link, enough that
 # protocol rounds are latency-bound (the regime the runtime targets).
 TCP_DELAY = (1.0, 3.0)
+
+
+def _stage(config: DkgConfig, k: int, seed: int) -> dict:
+    """K DKG sessions ``dkg-<tau>`` of one stage, under one PKI."""
+    members = config.vss().indices
+    pki = enroll(config.group, members, ("e16", seed))
+    return {
+        f"dkg-{tau}": (
+            dkg_machines(config, pki, members, tau=tau),
+            {i: DkgStartInput(tau) for i in members},
+        )
+        for tau in range(k)
+    }
+
+
+def _keys(config: DkgConfig, outputs: dict) -> set:
+    """Each session's agreed public key; every member completed."""
+    keys = set()
+    for session, completions in outputs.items():
+        assert sorted(completions) == list(config.vss().indices), session
+        keys.add(adopt(completions, session)[1].public_key())
+    return keys
 
 
 def bench_sim(config: DkgConfig, k: int, seed: int = 1) -> dict:
@@ -66,14 +85,10 @@ def bench_sim(config: DkgConfig, k: int, seed: int = 1) -> dict:
     separate_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    results = run_dkg_sessions(
-        [DkgSessionSpec(f"dkg-{tau}", config, tau=tau) for tau in range(k)],
-        seed=seed,
-        delay_model=ConstantDelay(0.0),
-    )
+    world = SimWorld(config.group, config.vss().indices, seed, ConstantDelay(0.0))
+    outputs, _ = world.run_stage(_stage(config, k, seed), COMPLETED_KIND)
     multiplexed_s = time.perf_counter() - t0
-    assert all(r.succeeded for r in results.values())
-    assert len({r.public_key for r in results.values()}) == k
+    assert len(_keys(config, outputs)) == k
     return {
         "k": k,
         "separate_worlds_s": round(separate_s, 4),
@@ -97,45 +112,31 @@ def bench_tcp(config: DkgConfig, k: int, seed: int = 1) -> dict:
         assert result.succeeded, result.errors
     separate_s = time.perf_counter() - t0
 
-    # New layout: ONE cluster, K concurrent sessions over n endpoints.
+    # New layout: ONE world, K concurrent sessions over n endpoints,
+    # timed like a cluster: until the outputs are in.
+    world = TcpWorld(
+        config.group, members, seed,
+        delay_model=delay, time_scale=TIME_SCALE, timeout=120.0,
+    )
+
     async def multiplexed() -> dict:
-        ca = CertificateAuthority(config.group)
-        rng = random.Random(seed)
-        keystores = {i: KeyStore.enroll(i, ca, rng) for i in members}
-        async with SessionCluster(
-            list(members), seed=seed, group=config.group,
-            delay_model=delay, time_scale=TIME_SCALE,
-        ) as cluster:
-            for tau in range(k):
-                cluster.open_session(
-                    f"dkg-{tau}",
-                    {
-                        i: DkgNode(i, config, keystores[i], ca, tau=tau)
-                        for i in members
-                    },
-                )
-            for tau in range(k):
-                cluster.inject_all(f"dkg-{tau}", DkgStartInput(tau))
-            keys = set()
-            for tau in range(k):
-                outs = await cluster.wait_session_outputs(
-                    f"dkg-{tau}", COMPLETED_KIND, set(members), timeout=120.0
-                )
-                assert sorted(outs) == list(members), f"session {tau}"
-                keys |= {o.public_key for o in outs.values()}
-            assert cluster.collect_errors() == []
-            assert len(keys) == k
-            return {"endpoints": len(cluster.hosts)}
+        try:
+            outputs, _ = await world.stage(_stage(config, k, seed), COMPLETED_KIND)
+            assert world.collect_errors() == []
+            return outputs
+        finally:
+            await world.stop()
 
     t0 = time.perf_counter()
-    info = asyncio.run(multiplexed())
+    outputs = asyncio.run(multiplexed())
     multiplexed_s = time.perf_counter() - t0
+    assert len(_keys(config, outputs)) == k
     return {
         "k": k,
         "separate_clusters_s": round(separate_s, 4),
         "separate_server_sockets": k * len(members),
         "multiplexed_s": round(multiplexed_s, 4),
-        "multiplexed_server_sockets": info["endpoints"],
+        "multiplexed_server_sockets": len(world.hosts),
         "speedup": round(separate_s / multiplexed_s, 2),
     }
 

@@ -20,9 +20,11 @@ that built the live one.
   operator inputs, run.
 * :class:`LifecycleSessions` builds every session of a long-lived
   lifecycle under one PKI, and :class:`SimWorld` (one
-  :class:`Simulation` for the lifecycle's life) is the world it runs
-  in unless it runs over the real sockets of a
-  :class:`~repro.net.cluster.TcpWorld`.
+  :class:`Simulation` for the world's life) is the world it runs in
+  unless it runs over the real sockets of a
+  :class:`~repro.net.cluster.TcpWorld`.  Both worlds run a stage —
+  one session or many at once, such as the presignature forge's
+  nonce DKGs — through one ``run_stage`` call.
 * :class:`AgreementView` and :func:`adopt` are Definition 4.1's
   agreement view over a completions dict: one public key, one ``Q``,
   one commitment, and the shares a session hands to the next.
@@ -42,6 +44,9 @@ from repro.sim.runner import Simulation
 Pki = tuple[CertificateAuthority, dict[int, KeyStore]]
 # (shares, commitment) a finished session hands to the next one.
 Prior = tuple[dict[int, int], Any]
+
+# One stage's sessions: session id -> (machines by node, inputs by node).
+Stage = dict[str, tuple[dict[int, Any], dict[int, Any]]]
 
 DKG_SESSION = "dkg"
 
@@ -240,7 +245,7 @@ def simulate(
 
 
 class SimWorld:
-    """A lifecycle's simulated world: one ``ProtocolRuntime`` per member
+    """A deployment's simulated world: one ``ProtocolRuntime`` per member
     in one :class:`Simulation`.  A stage runs until the queue is empty
     (or ``until`` time units have passed)."""
 
@@ -268,43 +273,47 @@ class SimWorld:
             self.runtimes[index].open_session(session, node)
             record_open(index, session, self.sim.member_ids())
 
-    def run_session(
+    def run_stage(
         self,
-        session: str,
-        nodes: dict[int, Any],
-        inputs: dict[int, Any],
+        sessions: Stage,
         kind: str,
-        expected: set[int],
+        expected: set[int] | None = None,
         *,
         starts: dict[int, float] | None = None,
         crash_plan: Iterable[tuple[float, int, float | None]] = (),
         delay_model: Any = None,
         until: float | None = None,
-    ) -> tuple[dict[int, Any], Any]:
-        """Open ``session``, land each input at its node's ``starts``
-        offset, apply ``crash_plan`` ``(at, node, up_after)`` entries
-        (times from the stage's start), run; each node's first ``kind``
-        output and the stage's metrics (``expected`` is for TCP)."""
+    ) -> tuple[dict[str, dict[int, Any]], Any]:
+        """Open every session of ``sessions`` (id -> (machines, inputs)),
+        land each input at its node's ``starts`` offset, apply
+        ``crash_plan`` ``(at, node, up_after)`` entries (times from the
+        stage's start), run; each session's first ``kind`` output per
+        node and the stage's metrics (``expected`` is for TCP)."""
         from repro.runtime.envelope import SessionEnvelope
         from repro.sim.metrics import Metrics
 
         sim, now = self.sim, self.sim.queue.now
         sim.metrics, sim.delay_model = Metrics(), delay_model or self.delay_model
-        self.open_session(session, nodes)
-        for index, payload in inputs.items():
-            at = now + (starts or {}).get(index, 0.0)
-            sim.inject(index, SessionEnvelope(session, payload), at=at)
+        for session, (nodes, _) in sessions.items():
+            self.open_session(session, nodes)
+        for session, (_, inputs) in sessions.items():
+            for index, payload in inputs.items():
+                at = now + (starts or {}).get(index, 0.0)
+                sim.inject(index, SessionEnvelope(session, payload), at=at)
         for at, node, up_after in crash_plan or ():
             sim.crash(node, now + at)
             if up_after is not None:
                 sim.recover(node, now + at + up_after)
         sim.run(until=None if until is None else now + until)
-        firsts: dict[int, Any] = {}
-        for i in nodes:
-            for out in self.runtimes[i].outputs_of(session):
-                if out.kind == kind:
-                    firsts.setdefault(i, out)
-        return firsts, sim.metrics
+        outputs: dict[str, dict[int, Any]] = {}
+        for session, (nodes, _) in sessions.items():
+            found = outputs[session] = {}
+            for i in nodes:
+                for out in self.runtimes[i].outputs_of(session):
+                    if out.kind == kind:
+                        found[i] = out
+                        break
+        return outputs, sim.metrics
 
     def collect_errors(self) -> list[Exception]:
         return []  # a machine that raises stops the run instead
@@ -382,11 +391,6 @@ def dkg_pki(config: Any, seed: int) -> Pki:
     return enroll(config.group, config.vss().indices, ("dkg-pki", seed))
 
 
-def sessions_pki(group: Any, members: Iterable[int], seed: int) -> Pki:
-    """``run_dkg_sessions`` (simulation seed ``seed``)."""
-    return enroll(group, members, ("sessions-pki", seed))
-
-
 def forge_pki(group: Any, members: Iterable[int], seed: int) -> Pki:
     """The presignature forge's one PKI for a service's life: every
     member, crashed or not, so a crash changes no identity.  Reuse
@@ -399,8 +403,6 @@ def forge_pki(group: Any, members: Iterable[int], seed: int) -> Pki:
 def addition_pki(config: Any, seed: int) -> Pki:
     """``run_node_additions`` (simulation seed ``seed``)."""
     return enroll(config.group, config.vss().indices, ("add-pki", seed))
-
-
 
 
 def renewal_cluster_sessions(config: Any, seed: int) -> LifecycleSessions:

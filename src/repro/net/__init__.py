@@ -13,17 +13,17 @@ discrete-event simulator:
   :class:`AsyncioTransport` (real TCP);
 * :mod:`repro.net.host` — :class:`NodeHost`, one runtime endpoint
   (any number of protocol sessions) on a transport;
-* :mod:`repro.net.cluster` — :class:`SessionCluster`, n asyncio
-  runtime endpoints multiplexing named protocol sessions, with
-  transport-level fault injection; :class:`LocalCluster`, the one-DKG
-  convenience on top of it; and :class:`TcpWorld`, where the §5 and
-  §6 lifecycles run their sessions when given ``world=TcpWorld``.
+* :mod:`repro.net.cluster` — :class:`TcpWorld`, n asyncio runtime
+  endpoints running stages of named protocol sessions, with
+  transport-level fault injection (the §5 and §6 lifecycles run
+  there when given ``world=TcpWorld``); :class:`LocalCluster`, a
+  :class:`TcpWorld` running one DKG.
 """
 
 from repro.net.cluster import (
     ClusterResult,
     LocalCluster,
-    SessionCluster,
+    TcpWorld,
     run_local_cluster,
 )
 from repro.net.host import NodeHost
@@ -39,7 +39,7 @@ __all__ = [
     "NodeHost",
     "PeerAddress",
     "PeerRegistry",
-    "SessionCluster",
+    "TcpWorld",
     "Transport",
     "WireError",
     "decode",

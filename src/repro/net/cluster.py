@@ -1,19 +1,22 @@
-"""Real-socket clusters: n runtime endpoints, any number of sessions.
+"""Real-socket worlds: n runtime endpoints, any number of sessions.
 
-:class:`SessionCluster` is the generic orchestrator — it spawns one
-:class:`~repro.net.host.NodeHost` per member index (each a
-:class:`~repro.runtime.runtime.ProtocolRuntime` on its own server
-socket with its own timers and metrics tap) and multiplexes named
-protocol sessions over those endpoints: a DKG, four concurrent
-presignature DKGs, a proactive renewal phase and a group-modification
-agreement can all interleave on the same n sockets, every message
-wrapped in the :class:`~repro.runtime.envelope.SessionEnvelope` wire
-frame.  The byte streams are real: every protocol message is
-serialized by :mod:`repro.net.wire`, crosses a kernel socket, and is
-decoded on the far side.
+:class:`TcpWorld` spawns one :class:`~repro.net.host.NodeHost` per
+member index (each a :class:`~repro.runtime.runtime.ProtocolRuntime`
+on its own server socket with its own timers and metrics tap) and runs
+stages of named protocol sessions over those endpoints: a DKG, four
+concurrent presignature DKGs, a proactive renewal phase and a
+group-modification agreement can all interleave on the same n
+sockets, every message wrapped in the
+:class:`~repro.runtime.envelope.SessionEnvelope` wire frame.  The byte
+streams are real: every protocol message is serialized by
+:mod:`repro.net.wire`, crosses a kernel socket, and is decoded on the
+far side.  A stage is one call, as in
+:class:`~repro.deployment.SimWorld`: :meth:`TcpWorld.run_stage` from
+synchronous code, or ``await`` :meth:`TcpWorld.stage` inside a running
+event loop.
 
-:class:`LocalCluster` keeps the historic one-DKG-per-cluster surface
-on top of it.
+:class:`LocalCluster` is a :class:`TcpWorld` running one ``dkg``
+session, and :func:`run_local_cluster` its one-call wrapper.
 
 Fault injection mirrors the simulator's scenarios at the transport
 level:
@@ -23,7 +26,7 @@ level:
   :class:`~repro.sim.network.PartitionDelay`) as ``delay_model``;
 * message loss healed by retransmission —
   :class:`~repro.net.transport.DropRetryLink`;
-* crash (+ optional later recovery) — :meth:`SessionCluster.crash`
+* crash (+ optional later recovery) — :meth:`TcpWorld.crash`
   entries, executed as wall-clock events against the live hosts (a
   crash takes down the endpoint, and with it *every* session on it).
 """
@@ -32,9 +35,15 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Coroutine
 
-from repro.deployment import DKG_SESSION, AgreementView, dkg_machines, dkg_pki
+from repro.deployment import (
+    DKG_SESSION,
+    AgreementView,
+    Stage,
+    dkg_machines,
+    dkg_pki,
+)
 from repro.dkg.config import DkgConfig
 from repro.dkg.messages import DkgCompletedOutput, DkgStartInput
 from repro.net.host import NodeHost
@@ -45,23 +54,29 @@ from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 
 COMPLETED_KIND = "dkg.out.completed"
-# Protocol time units without a send that end a TCP lifecycle stage.
+# Protocol time units without a send that end a synchronous TCP stage.
 QUIET_UNITS = 10.0
 
 
-class SessionCluster:
-    """n asyncio runtime endpoints multiplexing protocol sessions.
+class TcpWorld:
+    """n asyncio runtime endpoints on localhost, running stages of
+    multiplexed sessions.
 
-    ``group`` is the run's: every endpoint frames, and meters, each
-    message under it.
+    ``group`` is the world's: every endpoint frames, and meters, each
+    message under it.  Driven from synchronous code (a lifecycle's
+    stages, one after another), the world runs on one private event
+    loop, made at its first use and closed by :meth:`close` (python
+    3.10 has no :class:`asyncio.Runner`); inside a running loop,
+    ``await`` :meth:`stage` and :meth:`stop` instead.
     """
 
     def __init__(
         self,
-        members: list[int],
+        group: Any,
+        members: Any,
+        seed: int,
         *,
-        seed: int = 0,
-        group: Any = None,
+        timeout: float = 60.0,
         delay_model: DelayModel | None = None,
         time_scale: float = DEFAULT_TIME_SCALE,
         host: str = "127.0.0.1",
@@ -69,6 +84,7 @@ class SessionCluster:
         self.members = sorted(members)
         self.seed = seed
         self.group = group
+        self.timeout = timeout
         self.delay_model = delay_model
         self.time_scale = time_scale
         self.host_address = host
@@ -81,6 +97,7 @@ class SessionCluster:
         self._fault_handles: list[asyncio.TimerHandle] = []
         self._recover_tasks: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._world_loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
         self._started = False
         for i in self.members:
@@ -102,11 +119,17 @@ class SessionCluster:
         self.hosts[index] = host
         return host
 
+    def _sync(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``coro`` to completion on the world's private loop."""
+        if self._world_loop is None:
+            self._world_loop = asyncio.new_event_loop()
+        return self._world_loop.run_until_complete(coro)
+
     # -- membership (§6.2: joiners get their own endpoint) ---------------------
 
     async def add_member(self, index: int) -> NodeHost:
         """Bring up an endpoint for a joining node (started if the
-        cluster already runs).  Every existing endpoint's membership
+        world already runs).  Every existing endpoint's membership
         view is extended too, so Broadcast effects and ``Env.members``
         include the joiner from now on (protocol-level membership —
         which sharings count, what the thresholds are — still comes
@@ -121,6 +144,11 @@ class SessionCluster:
             await host.start()
         return host
 
+    def join(self, index: int) -> None:
+        """Bring up a joining node's endpoint (a no-op for a known one)."""
+        if index not in self.hosts:
+            self._sync(self.add_member(index))
+
     # -- sessions --------------------------------------------------------------
 
     def open_session(self, session: str, nodes: dict[int, Any]) -> None:
@@ -133,47 +161,85 @@ class SessionCluster:
         """Operator input to one session at one node; False if dropped."""
         return self.hosts[index].inject(payload, session=session)
 
-    def inject_all(self, session: str, payload: Any) -> dict[int, bool]:
-        """Operator input to every node hosting ``session``."""
-        return {
-            i: self.inject(session, i, payload)
-            for i, host in sorted(self.hosts.items())
-            if session in host.runtime.sessions
-        }
+    def _outputs(self, sessions: Stage, kind: str) -> dict[str, dict[int, Any]]:
+        """Each session's first ``kind`` output per node, so far."""
+        found: dict[str, dict[int, Any]] = {}
+        for session in sessions:
+            found[session] = {}
+            for i, host in self.hosts.items():
+                outputs = host.outputs_of_kind(kind, session=session)
+                if outputs:
+                    found[session][i] = outputs[0].payload
+        return found
 
-    async def wait_session_outputs(
+    async def stage(
         self,
-        session: str,
+        sessions: Stage,
         kind: str,
-        nodes: set[int],
-        timeout: float = 60.0,
-    ) -> dict[int, Any]:
-        """Wait until every node in ``nodes`` emitted a ``kind`` output
-        within ``session`` (or the wall-clock timeout passes); returns
-        whatever arrived."""
+        expected: set[int] | None = None,
+        *,
+        starts: dict[int, float] | None = None,
+        crash_plan: Any = (),
+        delay_model: DelayModel | None = None,
+        until: float | None = None,
+    ) -> tuple[dict[str, dict[int, Any]], Metrics]:
+        """As :meth:`repro.deployment.SimWorld.run_stage`, returning
+        once every session's ``expected`` nodes (default: its machines'
+        nodes) that the crash plan leaves up have a ``kind`` output, or
+        after ``until`` time units or :attr:`timeout` seconds."""
+        await self.start()
+        loop = asyncio.get_running_loop()
+        self.metrics = metrics = Metrics()
+        for host in self.hosts.values():
+            host.transport.metrics = metrics
+            host.transport.delay_model = delay_model or self.delay_model
+        for session, (nodes, _) in sessions.items():
+            self.open_session(session, nodes)
+        for session, (_, inputs) in sessions.items():
+            for index, payload in inputs.items():
+                at = (starts or {}).get(index, 0.0) * self.time_scale
+                loop.call_later(at, self.inject, session, index, payload)
+        now = self.elapsed_units()
+        for at, node, up_after in crash_plan or ():
+            self.crash(node, now + at, up_after)
+        wait = self.timeout if until is None else until * self.time_scale
+        up = self.finally_up()
+        waits = [
+            self.hosts[i].wait_for_output(kind, session=session)
+            for session, (nodes, _) in sessions.items()
+            for i in sorted((set(nodes) if expected is None else expected) & up)
+        ]
         try:
-            await asyncio.wait_for(
-                asyncio.gather(
-                    *(
-                        self.hosts[i].wait_for_output(kind, session=session)
-                        for i in sorted(nodes)
-                    )
-                ),
-                timeout,
-            )
+            await asyncio.wait_for(asyncio.gather(*waits), min(wait, self.timeout))
         except asyncio.TimeoutError:
             pass  # partial result; the caller inspects completeness
-        found: dict[int, Any] = {}
-        for i, host in self.hosts.items():
-            outputs = host.outputs_of_kind(kind, session=session)
-            if outputs:
-                found[i] = outputs[0].payload
-        return found
+        return self._outputs(sessions, kind), metrics
+
+    def run_stage(
+        self, sessions: Stage, kind: str, expected: set[int] | None = None, **stage
+    ) -> tuple[dict[str, dict[int, Any]], Metrics]:
+        """:meth:`stage` on the world's loop, then the tail a following
+        stage needs: the crash plan has played out and no endpoint has
+        sent for :data:`QUIET_UNITS` time units (a simulated stage's
+        empty queue), or :attr:`timeout` seconds have passed."""
+
+        async def settled() -> tuple[dict[str, dict[int, Any]], Metrics]:
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.timeout
+            _, metrics = await self.stage(sessions, kind, expected, **stage)
+            await self.settle_recoveries()
+            sent = -1
+            while sent != metrics.messages_total and loop.time() < deadline:
+                sent = metrics.messages_total
+                await asyncio.sleep(QUIET_UNITS * self.time_scale)
+            return self._outputs(sessions, kind), metrics
+
+        return self._sync(settled())
 
     # -- fault injection -------------------------------------------------------
 
     def elapsed_units(self) -> float:
-        """Protocol time units since cluster start (0 before start)."""
+        """Protocol time units since the world started (0 before)."""
         if self._loop is None or self._t0 is None:
             return 0.0
         return (self._loop.time() - self._t0) / self.time_scale
@@ -190,14 +256,10 @@ class SessionCluster:
         if self._started and self._loop is not None:
             self._schedule_entry(self._loop, entry)
 
-    def _schedule_faults(self, loop: asyncio.AbstractEventLoop) -> None:
-        for entry in self._crash_plan:
-            self._schedule_entry(loop, entry)
-
     def _schedule_entry(
         self, loop: asyncio.AbstractEventLoop, entry: tuple[int, float, float | None]
     ) -> None:
-        # ``at`` is absolute protocol time from cluster start (the
+        # ``at`` is absolute protocol time from the world's start (the
         # simulator crash plan's semantics), so entries registered
         # after start() are scheduled against the elapsed clock.
         node, at, up_after = entry
@@ -239,8 +301,8 @@ class SessionCluster:
 
     async def settle_recoveries(self, timeout: float = 30.0) -> None:
         """Wait until every planned crash-and-recover entry has actually
-        run (a protocol can outrace its fault plan; smokes and tests
-        want the recovery to have happened before teardown)."""
+        run (a protocol can outrace its fault plan; a following stage
+        wants the recovery to have happened)."""
         planned = {node for node, _at, up in self._crash_plan if up is not None}
         if not planned or self._loop is None:
             return
@@ -282,7 +344,8 @@ class SessionCluster:
             await hst.start()
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
-        self._schedule_faults(self._loop)
+        for entry in self._crash_plan:
+            self._schedule_entry(self._loop, entry)
         self._started = True
 
     async def stop(self) -> None:
@@ -298,79 +361,8 @@ class SessionCluster:
             return_exceptions=True,
         )
 
-    async def __aenter__(self) -> "SessionCluster":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc: Any) -> None:
-        await self.stop()
-
-
-class TcpWorld(SessionCluster):
-    """A lifecycle's real-socket world: this cluster driven stage by
-    stage on one private event loop (python 3.10 has no
-    :class:`asyncio.Runner`).  A stage ends when the expected nodes the
-    crash plan leaves up have their outputs, the plan has played out
-    and no endpoint has sent for :data:`QUIET_UNITS` time units (a
-    simulated stage's empty queue), or after ``timeout`` seconds."""
-
-    def __init__(
-        self, group: Any, members: Any, seed: int, *, timeout: float = 60.0, **options
-    ):
-        super().__init__(list(members), seed=seed, group=group, **options)
-        self.timeout = timeout
-        self._world_loop = asyncio.new_event_loop()
-
-    def join(self, index: int) -> None:
-        """Bring up a joining node's endpoint (a no-op for a known one)."""
-        if index not in self.hosts:
-            self._world_loop.run_until_complete(self.add_member(index))
-
-    def run_session(
-        self,
-        session: str,
-        nodes: dict[int, Any],
-        inputs: dict[int, Any],
-        kind: str,
-        expected: set[int],
-        *,
-        starts: dict[int, float] | None = None,
-        crash_plan: Any = (),
-        delay_model: DelayModel | None = None,
-        until: float | None = None,
-    ) -> tuple[dict[int, Any], Metrics]:
-        """As :meth:`repro.deployment.SimWorld.run_session`, waiting for
-        ``kind`` outputs at most ``until`` time units when given."""
-
-        async def stage() -> tuple[dict[int, Any], Metrics]:
-            await self.start()
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.timeout
-            self.metrics = metrics = Metrics()
-            for host in self.hosts.values():
-                host.transport.metrics = metrics
-                host.transport.delay_model = delay_model or self.delay_model
-            self.open_session(session, nodes)
-            for index, payload in inputs.items():
-                at = (starts or {}).get(index, 0.0) * self.time_scale
-                loop.call_later(at, self.inject, session, index, payload)
-            now = self.elapsed_units()
-            for at, node, up_after in crash_plan or ():
-                self.crash(node, now + at, up_after)
-            wait = self.timeout if until is None else until * self.time_scale
-            up = expected & self.finally_up()
-            await self.wait_session_outputs(session, kind, up, min(wait, self.timeout))
-            await self.settle_recoveries()
-            sent = -1
-            while sent != metrics.messages_total and loop.time() < deadline:
-                sent = metrics.messages_total
-                await asyncio.sleep(QUIET_UNITS * self.time_scale)
-            return await self.wait_session_outputs(session, kind, set()), metrics
-
-        return self._world_loop.run_until_complete(stage())
-
     def close(self) -> None:
-        """Stop every endpoint, then the loop."""
+        """Stop every endpoint, then the world's private loop."""
         loop, self._world_loop = self._world_loop, None
         if loop is not None:
             try:
@@ -378,6 +370,13 @@ class TcpWorld(SessionCluster):
                     loop.run_until_complete(self.stop())
             finally:
                 loop.close()
+
+    async def __aenter__(self) -> "TcpWorld":
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc: Any) -> None:
+        await self.stop()
 
 
 @dataclass
@@ -404,14 +403,9 @@ class ClusterResult(AgreementView):
         )
 
 
-class LocalCluster(SessionCluster):
-    """n asyncio hosts on localhost running one DKG session.
-
-    The historic single-protocol surface: the DKG rides as the
-    runtime's default session, so this class is now a thin veneer over
-    :class:`SessionCluster` (and additional sessions can still be
-    opened beside the DKG).
-    """
+class LocalCluster(TcpWorld):
+    """A :class:`TcpWorld` for one DKG: session ``dkg``, whose machines
+    (:attr:`nodes`) are built here and opened by :meth:`run_dkg`."""
 
     def __init__(
         self,
@@ -425,6 +419,14 @@ class LocalCluster(SessionCluster):
         secrets: dict[int, int] | None = None,
         node_factory: Callable[..., Any] | None = None,
     ):
+        super().__init__(
+            config.group,
+            config.vss().indices,
+            seed,
+            delay_model=delay_model,
+            time_scale=time_scale,
+            host=host,
+        )
         self.config = config
         self.tau = tau
         self.nodes = dkg_machines(
@@ -435,35 +437,26 @@ class LocalCluster(SessionCluster):
             secrets=secrets,
             node_factory=node_factory,
         )
-        super().__init__(
-            config.vss().indices,
-            seed=seed,
-            group=config.group,
-            delay_model=delay_model,
-            time_scale=time_scale,
-            host=host,
-        )
-        self.open_session(DKG_SESSION, self.nodes)
-
-    # -- the protocol run ------------------------------------------------------
 
     async def run_dkg(self, timeout: float = 60.0) -> ClusterResult:
-        """Drive one DKG to completion; ``timeout`` in wall seconds."""
+        """Run the DKG as one stage, returning once every node the
+        crash plan leaves up has completed; ``timeout`` in wall
+        seconds."""
         await self.start()
         loop = asyncio.get_running_loop()
         t_start = loop.time()
-        self.inject_all(DKG_SESSION, DkgStartInput(self.tau))
+        self.timeout = timeout
         expected = self.finally_up()
-        completions = await self.wait_session_outputs(
-            DKG_SESSION, COMPLETED_KIND, expected, timeout
+        inputs = {i: DkgStartInput(self.tau) for i in self.nodes}
+        outputs, metrics = await self.stage(
+            {DKG_SESSION: (self.nodes, inputs)}, COMPLETED_KIND
         )
-        wall = loop.time() - t_start
         return ClusterResult(
             config=self.config,
             seed=self.seed,
-            completions=completions,
-            metrics=self.metrics,
-            wall_seconds=wall,
+            completions=outputs[DKG_SESSION],
+            metrics=metrics,
+            wall_seconds=loop.time() - t_start,
             crashed=set(self.crashed),
             expected=expected,
             errors=self.collect_errors(),

@@ -92,16 +92,16 @@ class ShareLifecycle:
     def _run(
         self, session: str, members: list[int], inputs: dict, kind: str, **stage: Any
     ) -> tuple[dict[int, Any], dict[int, Any], Metrics]:
-        """Run one stage: ``members``' machines, first ``kind`` outputs
-        and metrics (a TCP world waits for ``expected``, default all)."""
+        """Run one stage of one session: ``members``' machines, first
+        ``kind`` outputs and metrics (a TCP world waits for
+        ``expected``, default all)."""
         machines = self.sessions(
             session, members, lambda _: (self.shares, self.commitment)
         )
-        stage.setdefault("expected", set(members))
-        outputs, metrics = self.world.run_session(
-            session, machines, inputs, kind, **stage
+        outputs, metrics = self.world.run_stage(
+            {session: (machines, inputs)}, kind, **stage
         )
-        return machines, outputs, metrics
+        return machines, outputs[session], metrics
 
     def bootstrap(self, **stage: Any) -> PhaseReport:
         """Run the initial DKG and adopt its shares as phase 0; ``stage``

@@ -58,8 +58,8 @@ class Presignature:
 Forge = Callable[[int], tuple[Presignature, dict[int, int]]]
 # forge_batch(presig_ids) -> list of (presig, shares); blocking.  When a
 # service provides one, whole-deficit refills run as *concurrent* DKG
-# sessions multiplexed over one endpoint set (repro.runtime.sessions)
-# instead of one isolated protocol world per nonce.
+# sessions, one stage of one world (repro.deployment.SimWorld), instead
+# of one isolated protocol world per nonce.
 ForgeBatch = Callable[[list[int]], list[tuple[Presignature, dict[int, int]]]]
 # install(presig, shares): place shares into live workers; loop thread.
 Install = Callable[[Presignature, dict[int, int]], None]

@@ -43,9 +43,9 @@ from repro.crypto.backend import AbstractGroup
 from repro.crypto.groups import toy_group
 from repro.crypto.polynomials import interpolate_polynomial
 from repro.dkg import DkgConfig, run_dkg
+from repro.dkg.messages import DkgCompletedOutput, DkgStartInput
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
-from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
 from repro.service import protocol
 from repro.service.presig import PresigPool, Presignature
 from repro.sim.network import ConstantDelay
@@ -71,6 +71,20 @@ def _forge_pki(
     return deployment.forge_pki(group, members, seed)
 
 
+def run_dkg_sessions(
+    group: AbstractGroup, live: tuple[int, ...], seed: int, sessions: deployment.Stage
+) -> dict[str, dict[int, DkgCompletedOutput]]:
+    """Run nonce DKG ``sessions`` as one stage of a world of ``live``
+    runtimes with instant delivery; each session's completions.  The
+    runtimes evict a session as it completes (its outputs survive), so
+    a large batch holds live machines only for its stragglers."""
+    world = deployment.SimWorld(group, live, seed, ConstantDelay(0.0))
+    for runtime in world.runtimes.values():
+        runtime.evict_completed = True
+    outputs, _ = world.run_stage(sessions, DkgCompletedOutput.kind)
+    return outputs
+
+
 def _forge_sessions(
     group: AbstractGroup,
     members: tuple[int, ...],
@@ -85,42 +99,39 @@ def _forge_sessions(
     calls it directly, the parallel forge runs one call per chunk in a
     pool worker (seeded exactly as a serial run of that chunk alone, so
     forge results are deterministic given seed)."""
-    specs = [
-        DkgSessionSpec(
-            session=f"nonce-{presig_id}",
-            config=DkgConfig(
-                n=len(live),
-                t=t,
-                group=group,
-                members=tuple(live),
-                initial_leader=live[presig_id % len(live)],
-                enforce_resilience=False,
-            ),
-            tau=presig_id,
+    pki = _forge_pki(group, members, seed)
+    sessions: deployment.Stage = {}
+    for presig_id in presig_ids:
+        config = DkgConfig(
+            n=len(live),
+            t=t,
+            group=group,
+            members=tuple(live),
+            initial_leader=live[presig_id % len(live)],
+            enforce_resilience=False,
         )
-        for presig_id in presig_ids
-    ]
+        sessions[f"nonce-{presig_id}"] = (
+            deployment.dkg_machines(config, pki, live, tau=presig_id),
+            {i: DkgStartInput(presig_id) for i in live},
+        )
     results = run_dkg_sessions(
-        specs,
-        seed=seed * 1_000_003 + presig_ids[0] + 1,
-        delay_model=ConstantDelay(0.0),
-        pki=_forge_pki(group, members, seed),
+        group, live, seed * 1_000_003 + presig_ids[0] + 1, sessions
     )
     batch: list[tuple[Presignature, dict[int, int]]] = []
     for presig_id in presig_ids:
-        result = results[f"nonce-{presig_id}"]
-        if not result.succeeded:
+        outputs = results[f"nonce-{presig_id}"]
+        if set(outputs) != set(live):
             raise RuntimeError(f"nonce DKG {presig_id} did not complete")
-        commitment = result.commitment
+        shares, commitment, q_set = deployment.adopt(outputs, "nonce DKG")
         batch.append(
             (
                 Presignature(
                     presig_id=presig_id,
                     commitment=commitment,
                     nonce_point=commitment.public_key(),
-                    contributors=result.q_set,
+                    contributors=q_set,
                 ),
-                result.shares,
+                shares,
             )
         )
     return batch

@@ -31,6 +31,21 @@ def sent_frame(message: Any, group: Any = None) -> bytes:
     return wire.encode(message, group=group, commitments=form)
 
 
+def dkg_stage(pki: Any, sessions: dict[str, tuple[Any, int]]) -> dict:
+    """One world stage of DKG sessions: each session id's ``(config,
+    tau)`` becomes its members' machines under ``pki``, every member
+    given the start input."""
+    from repro.deployment import dkg_machines
+    from repro.dkg.messages import DkgStartInput
+
+    stage = {}
+    for session, (config, tau) in sessions.items():
+        members = config.vss().indices
+        machines = dkg_machines(config, pki, members, tau=tau)
+        stage[session] = (machines, {i: DkgStartInput(tau) for i in members})
+    return stage
+
+
 def default_test_group():
     """The group protocol tests run over, honouring the CI backend
     matrix: the 64-bit-q toy modp group by default, secp256k1 when

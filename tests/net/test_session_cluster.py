@@ -1,10 +1,10 @@
-"""SessionCluster: concurrent sessions, renewal and groupmod on TCP.
+"""TcpWorld: concurrent sessions, renewal and groupmod on TCP.
 
 Everything here crosses real kernel sockets: concurrent DKG sessions
-multiplexed over one endpoint per node, and the §5 renewal and §6
-agree-then-add lifecycles in their TCP world, with crash/recovery
-against live endpoints.  The scales are kept small (n <= 5, toy group) so the whole
-module stays a few seconds.
+multiplexed over one endpoint per node as one world stage, and the §5
+renewal and §6 agree-then-add lifecycles in their TCP world, with
+crash/recovery against live endpoints.  The scales are kept small (n
+<= 5, toy group) so the whole module stays a few seconds.
 """
 
 from __future__ import annotations
@@ -15,24 +15,18 @@ import logging
 import pytest
 
 from repro.crypto.groups import toy_group
-from repro.net.cluster import COMPLETED_KIND, LocalCluster, SessionCluster, TcpWorld
+from repro.deployment import DKG_SESSION, enroll
+from repro.net.cluster import COMPLETED_KIND, LocalCluster, TcpWorld
 from repro.sim.network import UniformDelay
-from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.dkg import DkgConfig
 from repro.dkg.messages import DkgStartInput
-from repro.dkg.node import DkgNode
 from repro.groupmod import GroupManager, ModProposal
 from repro.proactive import ProactiveSystem
 
+from tests.helpers import dkg_stage
+
 G = toy_group()
 FAST = 0.005  # wall seconds per protocol time unit
-
-
-def _dkg_nodes(config: DkgConfig, ca, keystores, tau: int) -> dict:
-    return {
-        i: DkgNode(i, config, keystores[i], ca, tau=tau)
-        for i in config.vss().indices
-    }
 
 
 class TestConcurrentSessionsOverTcp:
@@ -42,53 +36,46 @@ class TestConcurrentSessionsOverTcp:
         4n), all completing with independent keys."""
         config = DkgConfig(n=4, t=1, group=G)
         members = config.vss().indices
-
-        async def scenario():
-            import random
-
-            ca = CertificateAuthority(G)
-            rng = random.Random(1)
-            keystores = {i: KeyStore.enroll(i, ca, rng) for i in members}
-            async with SessionCluster(
-                list(members), seed=3, group=G, time_scale=FAST
-            ) as cluster:
-                for k in range(4):
-                    cluster.open_session(
-                        f"dkg-{k}", _dkg_nodes(config, ca, keystores, tau=k)
-                    )
-                # One server socket per member, however many sessions.
-                assert len(cluster.hosts) == len(members)
-                for k in range(4):
-                    cluster.inject_all(f"dkg-{k}", DkgStartInput(k))
-                completions = {}
-                for k in range(4):
-                    completions[k] = await cluster.wait_session_outputs(
-                        f"dkg-{k}", COMPLETED_KIND, set(members), timeout=60.0
-                    )
-                assert cluster.collect_errors() == []
-                return completions
-
-        completions = asyncio.run(scenario())
+        pki = enroll(G, members, ("tcp-sessions-test", 1))
+        stage = dkg_stage(pki, {f"dkg-{k}": (config, k) for k in range(4)})
+        world = TcpWorld(G, members, 3, time_scale=FAST)
+        try:
+            completions, _ = world.run_stage(stage, COMPLETED_KIND)
+            # One server socket per member, however many sessions.
+            assert len(world.hosts) == len(members)
+            assert world.collect_errors() == []
+        finally:
+            world.close()
         keys = set()
-        for k, outs in completions.items():
-            assert sorted(outs) == list(range(1, 5)), f"session dkg-{k}"
+        for session, outs in completions.items():
+            assert sorted(outs) == list(range(1, 5)), session
             session_keys = {o.public_key for o in outs.values()}
             assert len(session_keys) == 1  # agreement inside the session
             keys |= session_keys
         assert len(keys) == 4  # independence across sessions
 
-    def test_local_cluster_is_a_session_cluster(self) -> None:
-        cluster = LocalCluster(DkgConfig(n=4, t=1, group=G), seed=2)
-        assert isinstance(cluster, SessionCluster)
-        assert "dkg" in cluster.hosts[1].runtime.sessions
+    def test_local_cluster_is_a_tcp_world(self) -> None:
+        async def scenario():
+            config = DkgConfig(n=4, t=1, group=G)
+            cluster = LocalCluster(config, seed=2, time_scale=FAST)
+            try:
+                result = await cluster.run_dkg(timeout=30.0)
+            finally:
+                await cluster.stop()
+            return cluster, result
+
+        cluster, result = asyncio.run(scenario())
+        assert isinstance(cluster, TcpWorld)
+        assert result.succeeded
+        assert DKG_SESSION in cluster.hosts[1].runtime.sessions
 
     def test_add_member_updates_every_endpoints_membership(self) -> None:
         async def scenario():
-            async with SessionCluster([1, 2, 3], seed=1, group=G) as cluster:
-                await cluster.add_member(4)
+            async with TcpWorld(G, [1, 2, 3], 1) as world:
+                await world.add_member(4)
                 return {
                     i: host.transport.member_ids()
-                    for i, host in cluster.hosts.items()
+                    for i, host in world.hosts.items()
                 }
 
         views = asyncio.run(scenario())

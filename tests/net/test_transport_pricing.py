@@ -12,21 +12,23 @@ renewal recovery (an erased dealer ``send`` carries no polynomial).
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
 
+from repro.deployment import SimWorld, adopt, enroll
 from repro.dkg import DkgConfig, run_dkg
 from repro.groupmod import GroupManager, ModProposal, run_node_additions
 from repro.net import wire
-from repro.net.cluster import TcpWorld, run_local_cluster
+from repro.net.cluster import COMPLETED_KIND, TcpWorld, run_local_cluster
 from repro.net.transport import AsyncioTransport
 from repro.proactive import ProactiveSystem
 from repro.runtime.envelope import SessionEnvelope
 from repro.sim.clock import TimeoutPolicy
 from repro.sim.runner import Simulation
 
-from tests.helpers import default_test_group, sent_frame
+from tests.helpers import default_test_group, dkg_stage, sent_frame
 
 G = default_test_group()
 SEED = 3
@@ -188,3 +190,47 @@ class TestSimAndTcpLifecyclesCountAlike:
         sim = _lifecycle_counts(tcp=False)
         assert sim["groupmod/add-1"]["groupmod.subshare"] == 4
         assert _lifecycle_counts(tcp=True) == sim
+
+
+def _three_session_stage(metered, world: type, **options) -> tuple[dict, dict]:
+    """Three DKGs as one stage of ``world``: each session's public key
+    and per-kind message counts."""
+    from repro.sim.network import ConstantDelay
+
+    config = DkgConfig(
+        n=4, t=1, group=G, q_size=4, timeout=TimeoutPolicy(initial=1_000_000.0)
+    )
+    members = config.vss().indices
+    pki = enroll(G, members, ("k-session-test", SEED))
+    stage = dkg_stage(pki, {f"dkg-{k}": (config, k) for k in range(3)})
+    built = world(G, members, SEED, delay_model=ConstantDelay(0.0), **options)
+    try:
+        outputs, _ = built.run_stage(stage, COMPLETED_KIND)
+        assert built.collect_errors() == []
+    finally:
+        built.close()
+    keys = {}
+    for session, completions in outputs.items():
+        assert sorted(completions) == members, session
+        keys[session] = adopt(completions, session)[1].public_key()
+    counts: dict[str, Counter] = defaultdict(Counter)
+    for payload, _ in metered:
+        counts[payload.session][payload.payload.kind] += 1
+    metered.clear()
+    return keys, dict(counts)
+
+
+class TestSimAndTcpConcurrentSessionsCountAlike:
+    def test_three_dkg_sessions_in_one_stage(self, metered) -> None:
+        # The sim_and_tcp shape, three sessions at once: each session's
+        # message pattern does not depend on arrival order, so either
+        # world sends the same messages per session, and the sessions'
+        # keys are independent.
+        sim_keys, sim = _three_session_stage(metered, SimWorld)
+        tcp_keys, tcp = _three_session_stage(
+            metered, TcpWorld, time_scale=0.005, timeout=120.0
+        )
+        assert sorted(sim) == ["dkg-0", "dkg-1", "dkg-2"]
+        assert tcp == sim
+        assert len(set(sim_keys.values())) == 3
+        assert tcp_keys == sim_keys

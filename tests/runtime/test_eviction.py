@@ -18,10 +18,10 @@ from repro.runtime.effects import Output, SetTimer
 from repro.runtime.envelope import SessionEnvelope
 from repro.runtime.events import MessageReceived, OperatorInput
 from repro.runtime.runtime import ProtocolRuntime
-from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
-from repro.sim.network import ConstantDelay
+from repro.deployment import enroll
+from repro.service.workers import run_dkg_sessions
 
-from tests.helpers import default_test_group
+from tests.helpers import default_test_group, dkg_stage
 
 
 class _Done:
@@ -91,21 +91,30 @@ class TestEviction:
         assert runtime.sessions_completed == 0
 
 
+def _forge_stage(config: DkgConfig, sessions: int) -> dict:
+    pki = enroll(config.group, config.vss().indices, ("eviction-test", 0))
+    return dkg_stage(pki, {f"nonce-{k}": (config, k) for k in range(sessions)})
+
+
 class TestMultiplexedDkgStillCompletes:
-    def test_run_dkg_sessions_evicts_but_returns_results(self) -> None:
+    def test_run_dkg_sessions_evicts_but_returns_results(self, monkeypatch) -> None:
         # The presignature forge path: concurrent nonce DKGs over one
         # endpoint set, evicted as they finish, results swept afterwards.
-        specs = [
-            DkgSessionSpec(
-                session=f"nonce-{k}", config=DkgConfig(n=4, t=1), tau=k
-            )
-            for k in range(2)
-        ]
-        results = run_dkg_sessions(
-            specs, seed=11, delay_model=ConstantDelay(0.0)
-        )
-        for spec in specs:
-            assert results[spec.session].succeeded
+        config = DkgConfig(n=4, t=1)
+        runtimes: list[ProtocolRuntime] = []
+        opened = ProtocolRuntime.open_session
+
+        def recording(runtime, session, machine):
+            runtimes.append(runtime)
+            return opened(runtime, session, machine)
+
+        monkeypatch.setattr(ProtocolRuntime, "open_session", recording)
+        stage = _forge_stage(config, sessions=2)
+        results = run_dkg_sessions(config.group, (1, 2, 3, 4), 11, stage)
+        for session in stage:
+            assert sorted(results[session]) == [1, 2, 3, 4]
+        assert runtimes and all(not runtime.sessions for runtime in runtimes)
+        assert {runtime.sessions_completed for runtime in runtimes} == {2}
 
 
 class TestFinishedWorldIsFreed:
@@ -131,5 +140,10 @@ class TestFinishedWorldIsFreed:
 
     def test_run_dkg_sessions(self) -> None:
         config = DkgConfig(n=4, t=1, group=default_test_group())
-        specs = [DkgSessionSpec(f"s{k}", config, tau=k) for k in range(2)]
-        assert self._cyclic_garbage_of(lambda: run_dkg_sessions(specs, seed=3)) == 0
+        members = tuple(config.vss().indices)
+
+        def forge() -> None:
+            stage = _forge_stage(config, sessions=2)
+            run_dkg_sessions(config.group, members, 3, stage)
+
+        assert self._cyclic_garbage_of(forge) == 0

@@ -17,15 +17,18 @@ from typing import Callable
 import pytest
 
 from repro.crypto.groups import group_by_name, toy_group
+from repro.deployment import SimWorld, enroll
 from repro.dkg import DkgConfig, run_dkg
+from repro.dkg.messages import DkgCompletedOutput
 from repro.fuzz.schedule import Schedule
 from repro.groupmod import GroupManager, ModProposal, run_node_additions
 from repro.obs import trace as obs_trace
 from repro.obs.replay import load_capture
 from repro.proactive import ProactiveSystem
-from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
 from repro.vss.config import VssConfig
 from repro.vss.node import run_vss
+
+from tests.helpers import dkg_stage
 
 SEED = 3
 
@@ -57,10 +60,15 @@ def _additions(group) -> None:
 
 
 def _sessions(group) -> None:
+    # Three concurrent DKGs as one stage of one world.
     config = DkgConfig(n=4, t=1, group=group)
-    specs = [DkgSessionSpec(f"s{k}", config, tau=k) for k in range(3)]
-    results = run_dkg_sessions(specs, seed=SEED)
-    assert all(result.succeeded for result in results.values())
+    members = config.vss().indices
+    pki = enroll(group, members, ("sessions-pki", SEED))
+    stage = dkg_stage(pki, {f"s{k}": (config, k) for k in range(3)})
+    outputs, _ = SimWorld(group, members, SEED).run_stage(
+        stage, DkgCompletedOutput.kind
+    )
+    assert all(sorted(found) == members for found in outputs.values())
 
 
 def _vss(group) -> None:
@@ -81,12 +89,12 @@ PINNED = """
 proactive toy e87ee7d2cc66c4f6a7ba0ab3ff164bae9d2c095bef683f88fc636c53a2e57513
 groupmod toy 5f42fc5ba22e1338c8ac3a3753e8c76d2581c6511e01982ba4751a203fda65c9
 additions toy cdb77a0a215c4cfef38a44f5fa2275665a57f793e15cec17eb10e5a05a1aba9e
-sessions toy ea7d0f4415d044665919faf3447b5cded6071350c3d64ed03c8fad63c3fddbba
+sessions toy cf9033f7b36f609d2edef606f47c2394e91df60e09f36a6eb339688885082053
 vss toy e1c9c48a30e07ebe4d3146790f896365b68b505c4692e9d6e147d9b0d4d07cb8
 proactive secp256k1 08a79f4546383334b04326e0bca5a819f5c2b196310c7611251effc176485dfe
 groupmod secp256k1 31fdc47b5a60a9dc0db5331bd0a9f1bee067708070826197e2803fe1d8b346a4
 additions secp256k1 aecc89b81d1d3348186bc34a27fa4b9eb4db766141140d9f7b1a0896307d2d20
-sessions secp256k1 d1f1c65c226be82fcbec66a07376a9a19ca9260d22229b74af4bdab2f35e43e4
+sessions secp256k1 a9a7a41a2de77c7d7da30d16c7535ccfd7856eee79cbd00ac6cec300b2e07a90
 vss secp256k1 4c07d691d4f16906bf48808736c3c4c1e073c1a9a7e7d615db04eadac6ee0411
 """
 

@@ -22,9 +22,12 @@ from repro.runtime import (
     SetTimer,
     TimerFired,
 )
-from repro.runtime.sessions import DkgSessionSpec, run_dkg_sessions
+from repro.deployment import SimWorld, adopt, enroll
 from repro.sim.node import ProtocolNode, RecordingNode
 from repro.dkg import DkgConfig
+from repro.dkg.messages import DkgCompletedOutput
+
+from tests.helpers import dkg_stage
 
 
 def env(node_id: int = 1) -> Env:
@@ -187,20 +190,34 @@ class TestSpawn:
         assert runtime.sessions["child"].received[0][1:] == (2, "hi")
 
 
+def _run_dkg_stage(
+    sessions: dict[str, tuple[DkgConfig, int]], seed: int
+) -> tuple[SimWorld, dict]:
+    """``sessions`` as one stage of a world over their members' union."""
+    group = toy_group()
+    members = sorted(
+        {i for config, _ in sessions.values() for i in config.vss().indices}
+    )
+    world = SimWorld(group, members, seed)
+    pki = enroll(group, members, ("runtime-test", seed))
+    outputs, _ = world.run_stage(dkg_stage(pki, sessions), DkgCompletedOutput.kind)
+    return world, outputs
+
+
 class TestConcurrentDkgSessions:
     def test_four_concurrent_dkgs_over_one_endpoint_set(self) -> None:
         """The acceptance bar: >= 4 concurrent DKG sessions multiplexed
         over one runtime endpoint per node, all completing and
         producing independent keys."""
         config = DkgConfig(n=4, t=1, group=toy_group())
-        specs = [
-            DkgSessionSpec(f"dkg-{k}", config, tau=k) for k in range(4)
-        ]
-        results = run_dkg_sessions(specs, seed=3)
-        assert len(results) == 4
-        for result in results.values():
-            assert result.succeeded, result.spec.session
-        keys = {r.public_key for r in results.values()}
+        world, outputs = _run_dkg_stage(
+            {f"dkg-{k}": (config, k) for k in range(4)}, seed=3
+        )
+        assert len(world.runtimes) == 4
+        keys = set()
+        for session, completions in outputs.items():
+            assert sorted(completions) == [1, 2, 3, 4], session
+            keys.add(adopt(completions, session)[1].public_key())
         assert len(keys) == 4  # sessions are cryptographically independent
 
     def test_sessions_with_distinct_member_subsets(self) -> None:
@@ -210,20 +227,15 @@ class TestConcurrentDkgSessions:
             n=4, t=1, group=group, members=(1, 2, 4, 5),
             initial_leader=2, enforce_resilience=False,
         )
-        results = run_dkg_sessions(
-            [
-                DkgSessionSpec("all", full, tau=0),
-                DkgSessionSpec("subset", subset, tau=1),
-            ],
-            seed=9,
-        )
-        assert results["all"].succeeded
-        assert results["subset"].succeeded
-        assert sorted(results["subset"].completions) == [1, 2, 4, 5]
+        _, outputs = _run_dkg_stage({"all": (full, 0), "subset": (subset, 1)}, seed=9)
+        assert sorted(outputs["all"]) == [1, 2, 3, 4, 5]
+        assert sorted(outputs["subset"]) == [1, 2, 4, 5]
+        for session, completions in outputs.items():
+            adopt(completions, session)  # one commitment, one Q
 
     def test_duplicate_session_ids_rejected(self) -> None:
         config = DkgConfig(n=4, t=1, group=toy_group())
-        with pytest.raises(ValueError):
-            run_dkg_sessions(
-                [DkgSessionSpec("x", config), DkgSessionSpec("x", config)]
-            )
+        world, _ = _run_dkg_stage({"x": (config, 0)}, seed=3)
+        pki = enroll(config.group, [1, 2, 3, 4], ("runtime-test", 3))
+        with pytest.raises(ValueError, match="already open"):
+            world.run_stage(dkg_stage(pki, {"x": (config, 1)}), "dkg.out.completed")

@@ -431,12 +431,18 @@ def _nonce_dkg(group, tau: int) -> tuple:
 class TestForgePki:
     def test_serial_forges_enrol_once_per_service(self, monkeypatch) -> None:
         calls = _counting_forge_pki(monkeypatch)
-        used: list = []
+        used: list = []  # per forge call, the CAs its machines certify under
         run_sessions = workers.run_dkg_sessions
 
-        def recording(specs, **kwargs):
-            used.append(kwargs["pki"])
-            return run_sessions(specs, **kwargs)
+        def recording(group, live, seed, sessions):
+            used.append(
+                [
+                    machine.signatures.ca
+                    for machines, _ in sessions.values()
+                    for machine in machines.values()
+                ]
+            )
+            return run_sessions(group, live, seed, sessions)
 
         monkeypatch.setattr(workers, "run_dkg_sessions", recording)
         service = _service(width=1)
@@ -445,8 +451,9 @@ class TestForgePki:
         service._forge_nonce_batch([3, 4])
         assert calls == [((1, 2, 3, 4, 5), 3)]
         assert len(used) == 4
+        assert all(ca is cas[0] for cas in used for ca in cas)
         certified = [
-            {i: ca.public_key_of(i) for i in service.workers} for ca, _ in used
+            {i: cas[0].public_key_of(i) for i in service.workers} for cas in used
         ]
         assert all(keys == certified[0] for keys in certified)
         assert None not in certified[0].values()
