@@ -8,10 +8,12 @@ Paper claims:
 The bench sweeps n and checks the growth orders via log-log
 regression.  Runs send echo/ready with the commitment digest; the
 inline-matrix comparison prices the same messages with every matrix
-inline, through ``wire.encode(..., commitments="inline")``.
+inline: the frames a payload-mode flight recorder captures for them.
 """
 
 from __future__ import annotations
+
+import io
 
 from conftest import once
 
@@ -22,20 +24,31 @@ from repro.analysis import (
 )
 from repro.crypto.groups import toy_group
 from repro.net import wire
-from repro.sim.events import MessageDelivery
+from repro.obs.replay import load_capture
+from repro.obs.trace import JsonlTraceSink, set_trace_sink
 from repro.vss import VssConfig, run_vss
 
 NS = [7, 10, 13, 16, 19, 22]
 G = toy_group()
 
 
-class _Tap:
-    def __init__(self) -> None:
-        self.payloads: list = []
-
-    def on_event(self, time, event) -> None:
-        if isinstance(event, MessageDelivery):
-            self.payloads.append(event.payload)
+def _inline_bytes(cfg: VssConfig):
+    """Run the sharing under a flight recorder, whose frames carry every
+    matrix inline; returns the run and its delivered messages' bytes."""
+    capture = io.StringIO()
+    sink = JsonlTraceSink(capture, payloads=True, group=G)
+    previous = set_trace_sink(sink)
+    try:
+        res = run_vss(cfg, secret=1, seed=1)
+    finally:
+        set_trace_sink(previous)
+        sink.close()
+    spans = load_capture(io.StringIO(capture.getvalue())).spans
+    return res, sum(
+        len(span["data"]["frame"]) // 2
+        for span in spans
+        if span["data"]["type"] == "message"
+    )
 
 
 def _sweep(form: str):
@@ -46,12 +59,12 @@ def _sweep(form: str):
     for n in NS:
         t = (n - 1) // 3
         cfg = VssConfig(n=n, t=t, group=G)
-        tap = _Tap()
-        res = run_vss(cfg, secret=1, seed=1, observers=[tap])
-        assert len(res.completed_nodes) == n
-        total = res.metrics.bytes_total
         if form == "inline":
-            total = sum(len(wire.encode(p, group=G)) for p in tap.payloads)
+            res, total = _inline_bytes(cfg)
+        else:
+            res = run_vss(cfg, secret=1, seed=1)
+            total = res.metrics.bytes_total
+        assert len(res.completed_nodes) == n
         rows.append((n, t, res.metrics.messages_total, total))
     return rows
 

@@ -48,7 +48,7 @@ def main() -> None:
     # Same deployment, but node N crashes two time units in (f=1
     # budget): the remaining nodes must still reach agreement.
     crashed = run_local_cluster(
-        config, seed=SEED, time_scale=0.01, crash_plan=[(N, 2.0, None)]
+        config, seed=SEED, time_scale=0.01, crash_plan=[(2.0, N, None)]
     )
     assert crashed.succeeded, crashed.errors
     print(f"\nreal run with node {N} crashing at t=2:")

@@ -5,11 +5,11 @@ Examples::
     python -m repro dkg --n 10 --t 3 --seed 7
     python -m repro vss --n 7 --t 2 --secret 42 --reconstruct
     python -m repro renew --n 7 --t 2 --phases 3
-    python -m repro renew --n 5 --t 1 --transport tcp --crash 3@2+25
+    python -m repro renew --n 6 --t 1 --f 1 --transport tcp --crash 3@2+25
     python -m repro groupmod --n 5 --t 1 --transport tcp
     python -m repro resilience --t 2 --f 1
     python -m repro cluster --n 7 --t 2 --seed 7        # real asyncio TCP
-    python -m repro cluster --n 7 --t 2 --f 1 --crash 7@2
+    python -m repro cluster --n 6 --t 1 --f 1 --crash 6@2
     python -m repro serve --n 7 --t 2 --port 7710       # threshold service
     python -m repro serve --n 7 --t 2 --port 7710 --metrics-port 9100
     python -m repro ops --port 7710                     # live metrics snapshot
@@ -31,7 +31,7 @@ from repro.crypto.backend import element_hex
 from repro.crypto.groups import BACKENDS, group_by_name
 from repro.dkg import DkgConfig, run_dkg
 from repro.proactive import ProactiveSystem
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Adversary, check_crash_plan
 from repro.vss import VssConfig, run_vss
 
 
@@ -199,11 +199,6 @@ def _lifecycle(args: argparse.Namespace, cls, config: DkgConfig):
     return cls(config, seed=args.seed, **world)
 
 
-def _crash_plan(args: argparse.Namespace) -> list[tuple[float, int, float | None]]:
-    """``--crash`` entries as ``(at, node, up_after)``, from the stage's start."""
-    return [(at, node, up_after) for node, at, up_after in args.crash]
-
-
 def _totals(args: argparse.Namespace, stages: list) -> dict:
     """The JSON fields every lifecycle command reports over its stages."""
     return {
@@ -230,7 +225,7 @@ def cmd_renew(args: argparse.Namespace) -> int:
         phases = []
         for phase in range(1, args.phases + 1):
             started = time.perf_counter()
-            report = system.renew(crash_plan=_crash_plan(args) if phase == 1 else None)
+            report = system.renew(crash_plan=args.crash if phase == 1 else None)
             stages.append(report.metrics)
             phases.append(
                 {
@@ -273,7 +268,7 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
         n=args.n, t=args.t, f=args.f,
         group=_group(args),
     )
-    new_node = args.new_node if args.new_node is not None else args.n + 1
+    new_node = _joiner(args)
     proposal = ModProposal("add", new_node)
     with _flight_recorder(
         args, "groupmod", transport=args.transport, config=config, new_node=new_node
@@ -283,7 +278,7 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
         secret_before = manager.reconstruct()
         started = time.perf_counter()
         report = manager.agree({min(manager.members): proposal})
-        addition = manager.add_node(new_node, crash_plan=_crash_plan(args))
+        addition = manager.add_node(new_node, crash_plan=args.crash)
         wall = time.perf_counter() - started
         stages += [report.metrics, addition.metrics]
         errors = manager.world.collect_errors()
@@ -315,15 +310,21 @@ def cmd_groupmod(args: argparse.Namespace) -> int:
     return 0 if succeeded else 1
 
 
-def _parse_crash(spec: str) -> tuple[int, float, float | None]:
-    """Parse NODE@AT[+UP]: crash NODE at time AT, recover UP later."""
+def _joiner(args: argparse.Namespace) -> int:
+    """The node ``groupmod`` adds: ``--new-node``, default n + 1."""
+    return args.new_node if args.new_node is not None else args.n + 1
+
+
+def _parse_crash(spec: str) -> tuple[float, int, float | None]:
+    """Parse NODE@AT[+UP] into a crash-plan entry ``(at, node, up_after)``:
+    crash NODE at time AT, recover UP later."""
     try:
         node_part, _, time_part = spec.partition("@")
         at_part, plus, up_part = time_part.partition("+")
         node = int(node_part)
         at = float(at_part)
         up_after = float(up_part) if plus else None
-        return node, at, up_after
+        return at, node, up_after
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad crash spec {spec!r} (want NODE@AT or NODE@AT+UP)"
@@ -435,7 +436,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
         loop = asyncio.get_running_loop()
         started = loop.time()
-        for node, at, up_after in args.crash:
+        for at, node, up_after in args.outages:
             loop.call_later(at, service.crash_node, node)
             if up_after is not None:
                 loop.call_later(at + up_after, service.recover_node, node)
@@ -706,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--crash", type=_parse_crash, action="append", default=[],
             metavar="NODE@AT[+UP]",
-            help="[tcp] crash NODE at time AT into the phase (recover UP "
+            help="crash NODE at time AT into the phase (recover UP "
                  "units later); repeatable",
         )
         parser.add_argument(
@@ -798,9 +799,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=0.0,
         help="seconds to serve before exiting (0 = until interrupted)",
     )
+    # Signer outages in wall seconds, bounded by the gateway, not a
+    # §2.2 crash plan: a dest of their own keeps main()'s check off them.
     p_serve.add_argument(
         "--crash", type=_parse_crash, action="append", default=[],
-        metavar="NODE@AT[+UP]",
+        dest="outages", metavar="NODE@AT[+UP]",
         help="crash NODE after AT seconds (recover UP later); repeatable",
     )
     _trace_arg(p_serve)
@@ -928,10 +931,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "transport", None) == "sim" and getattr(args, "crash", None):
-        # A CLI crash plan is a wall-clock fault plan for the TCP world;
-        # a simulated run does not check one against f.
-        parser.error("--crash needs --transport tcp")
+    if getattr(args, "crash", None):
+        # §2.2, before anything runs: the check each stage applies again.
+        members = set(range(1, args.n + 1))
+        if args.command == "groupmod":
+            members.add(_joiner(args))
+        try:
+            check_crash_plan(args.crash, args.f, DkgConfig.d_budget, members=members)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Iterable
 
+from repro.sim.adversary import CrashPlan, check_crash_plan
 from repro.sim.pki import CertificateAuthority, KeyStore
 from repro.sim.runner import Simulation
 
@@ -234,8 +235,17 @@ def simulate(
     **kwargs: Any,
 ) -> Simulation:
     """Run ``machines`` in one :class:`Simulation` (built from
-    ``kwargs``) after injecting each ``(node, payload, at)`` input."""
+    ``kwargs``) after injecting each ``(node, payload, at)`` input.  The
+    adversary's crash plan may name only these machines' nodes."""
     sim = Simulation(**kwargs)
+    adversary = sim.adversary
+    check_crash_plan(
+        adversary.crash_plan,
+        adversary.f,
+        adversary.d_budget,
+        members=machines,
+        byzantine=adversary.byzantine,
+    )
     for machine in machines.values():
         sim.add_node(machine)
     for node, payload, at in inputs:
@@ -266,6 +276,11 @@ class SimWorld:
             self.runtimes[index] = ProtocolRuntime(index)
             self.sim.add_node(self.runtimes[index])
 
+    @property
+    def crashed(self) -> set[int]:
+        """The members down now."""
+        return self.sim.crashed
+
     def open_session(self, session: str, nodes: dict[int, Any]) -> None:
         from repro.obs.trace import record_open
 
@@ -280,7 +295,7 @@ class SimWorld:
         expected: set[int] | None = None,
         *,
         starts: dict[int, float] | None = None,
-        crash_plan: Iterable[tuple[float, int, float | None]] = (),
+        crash_plan: CrashPlan = (),
         delay_model: Any = None,
         until: float | None = None,
     ) -> tuple[dict[str, dict[int, Any]], Any]:
@@ -300,10 +315,7 @@ class SimWorld:
             for index, payload in inputs.items():
                 at = now + (starts or {}).get(index, 0.0)
                 sim.inject(index, SessionEnvelope(session, payload), at=at)
-        for at, node, up_after in crash_plan or ():
-            sim.crash(node, now + at)
-            if up_after is not None:
-                sim.recover(node, now + at + up_after)
+        sim.schedule_crash_plan(crash_plan, now)
         sim.run(until=None if until is None else now + until)
         outputs: dict[str, dict[int, Any]] = {}
         for session, (nodes, _) in sessions.items():

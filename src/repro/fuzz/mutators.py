@@ -89,11 +89,12 @@ class MutationBudget:
 
     @property
     def crash_nodes(self) -> int:
-        # Injected crashes always pair with a recovery, so the node is
-        # only *transiently* down — the hybrid model's f bounds nodes
-        # that stay down, so one transient crash is admitted even at
-        # f=0 (open-loop replay still exempts the node from liveness:
-        # its lost inbox cannot be re-delivered).
+        # How many nodes a mutated replay may crash: a budget of this
+        # fuzzer, not §2.2's bound (that is check_crash_plan's, on live
+        # runs).  An injected crash always pairs with a recovery, and
+        # one is admitted even at f=0 so every capture gets crash
+        # mutations; open-loop replay exempts the node from liveness,
+        # since its lost inbox cannot be re-delivered.
         return max(self.f, 1)
 
 

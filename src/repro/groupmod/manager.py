@@ -18,11 +18,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from repro.sim.adversary import CrashPlan
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 from repro.deployment import adopt, groupmod_cluster_sessions
 from repro.dkg.config import DkgConfig
-from repro.proactive.system import CrashPlan, ShareLifecycle
+from repro.proactive.system import ShareLifecycle
 from repro.groupmod.addition import AdditionResult
 from repro.groupmod.agreement import apply_proposals
 from repro.groupmod.messages import (

@@ -26,9 +26,12 @@ level:
   :class:`~repro.sim.network.PartitionDelay`) as ``delay_model``;
 * message loss healed by retransmission —
   :class:`~repro.net.transport.DropRetryLink`;
-* crash (+ optional later recovery) — :meth:`TcpWorld.crash`
-  entries, executed as wall-clock events against the live hosts (a
-  crash takes down the endpoint, and with it *every* session on it).
+* crash (+ optional later recovery) — a stage's ``crash_plan``, the
+  simulator's ``(at, node, up_after)`` entries
+  (:func:`~repro.sim.adversary.check_crash_plan`) timed from the
+  stage's start and run as wall-clock events against the live hosts
+  (a crash takes down the endpoint, and with it *every* session on
+  it).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from repro.net.host import NodeHost
 from repro.net.peers import PeerRegistry
 from repro.net.transport import DEFAULT_TIME_SCALE, AsyncioTransport
 from repro.runtime.runtime import ProtocolRuntime
+from repro.sim.adversary import CrashPlan, check_crash_plan
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 
@@ -93,12 +97,8 @@ class TcpWorld:
         self.hosts: dict[int, NodeHost] = {}
         self.crashed: set[int] = set()
         self.errors: list[Exception] = []
-        self._crash_plan: list[tuple[int, float, float | None]] = []
-        self._fault_handles: list[asyncio.TimerHandle] = []
-        self._recover_tasks: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._faults: set[asyncio.Task] = set()
         self._world_loop: asyncio.AbstractEventLoop | None = None
-        self._t0: float | None = None
         self._started = False
         for i in self.members:
             self._build_host(i)
@@ -179,16 +179,18 @@ class TcpWorld:
         expected: set[int] | None = None,
         *,
         starts: dict[int, float] | None = None,
-        crash_plan: Any = (),
+        crash_plan: CrashPlan = (),
         delay_model: DelayModel | None = None,
         until: float | None = None,
     ) -> tuple[dict[str, dict[int, Any]], Metrics]:
         """As :meth:`repro.deployment.SimWorld.run_stage`, returning
         once every session's ``expected`` nodes (default: its machines'
-        nodes) that the crash plan leaves up have a ``kind`` output, or
-        after ``until`` time units or :attr:`timeout` seconds."""
+        nodes) that are up and that the crash plan leaves up have a
+        ``kind`` output, or after ``until`` time units or
+        :attr:`timeout` seconds."""
         await self.start()
         loop = asyncio.get_running_loop()
+        up = self.finally_up(crash_plan)
         self.metrics = metrics = Metrics()
         for host in self.hosts.values():
             host.transport.metrics = metrics
@@ -199,11 +201,11 @@ class TcpWorld:
             for index, payload in inputs.items():
                 at = (starts or {}).get(index, 0.0) * self.time_scale
                 loop.call_later(at, self.inject, session, index, payload)
-        now = self.elapsed_units()
-        for at, node, up_after in crash_plan or ():
-            self.crash(node, now + at, up_after)
+        for entry in crash_plan:
+            task = asyncio.ensure_future(self._play(*entry))
+            self._faults.add(task)
+            task.add_done_callback(self._faults.discard)
         wait = self.timeout if until is None else until * self.time_scale
-        up = self.finally_up()
         waits = [
             self.hosts[i].wait_for_output(kind, session=session)
             for session, (nodes, _) in sessions.items()
@@ -227,7 +229,7 @@ class TcpWorld:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self.timeout
             _, metrics = await self.stage(sessions, kind, expected, **stage)
-            await self.settle_recoveries()
+            await self.settle_crash_plan()
             sent = -1
             while sent != metrics.messages_total and loop.time() < deadline:
                 sent = metrics.messages_total
@@ -238,57 +240,15 @@ class TcpWorld:
 
     # -- fault injection -------------------------------------------------------
 
-    def elapsed_units(self) -> float:
-        """Protocol time units since the world started (0 before)."""
-        if self._loop is None or self._t0 is None:
-            return 0.0
-        return (self._loop.time() - self._t0) / self.time_scale
-
-    def crash(self, node: int, at: float, up_after: float | None = None) -> None:
-        """Crash ``node`` at time ``at`` (protocol units); if
-        ``up_after`` is given, recover it that much later — the same
-        shape as the simulator adversary's crash plan.  Entries added
-        after :meth:`start` are scheduled immediately."""
-        if node not in self.hosts:
-            raise KeyError(f"unknown node {node}")
-        entry = (node, at, up_after)
-        self._crash_plan.append(entry)
-        if self._started and self._loop is not None:
-            self._schedule_entry(self._loop, entry)
-
-    def _schedule_entry(
-        self, loop: asyncio.AbstractEventLoop, entry: tuple[int, float, float | None]
-    ) -> None:
-        # ``at`` is absolute protocol time from the world's start (the
-        # simulator crash plan's semantics), so entries registered
-        # after start() are scheduled against the elapsed clock.
-        node, at, up_after = entry
-        elapsed = loop.time() - self._t0 if self._t0 is not None else 0.0
-        self._fault_handles.append(
-            loop.call_later(
-                max(0.0, at * self.time_scale - elapsed), self._crash_now, node
-            )
-        )
-        if up_after is not None:
-            self._fault_handles.append(
-                loop.call_later(
-                    max(0.0, (at + up_after) * self.time_scale - elapsed),
-                    self._recover_now,
-                    node,
-                )
-            )
-
-    def _crash_now(self, node: int) -> None:
+    async def _play(self, at: float, node: int, up_after: float | None) -> None:
+        """One crash-plan entry, ``at`` protocol time units from now."""
+        await asyncio.sleep(at * self.time_scale)
         self.hosts[node].crash()
         self.crashed.add(node)
         self.metrics.record_crash()
-
-    def _recover_now(self, node: int) -> None:
-        task = asyncio.ensure_future(self._do_recover(node))
-        self._recover_tasks.add(task)
-        task.add_done_callback(self._recover_tasks.discard)
-
-    async def _do_recover(self, node: int) -> None:
+        if up_after is None:
+            return
+        await asyncio.sleep(up_after * self.time_scale)
         try:
             await self.hosts[node].recover()
         except Exception as exc:
@@ -299,35 +259,19 @@ class TcpWorld:
         self.crashed.discard(node)
         self.metrics.record_recovery()
 
-    async def settle_recoveries(self, timeout: float = 30.0) -> None:
-        """Wait until every planned crash-and-recover entry has actually
-        run (a protocol can outrace its fault plan; a following stage
-        wants the recovery to have happened)."""
-        planned = {node for node, _at, up in self._crash_plan if up is not None}
-        if not planned or self._loop is None:
-            return
-        deadline = self._loop.time() + timeout
-        while self._loop.time() < deadline:
-            latest = max(
-                (h.when() for h in self._fault_handles), default=0.0
-            )
-            if (
-                self._loop.time() >= latest
-                and not self._recover_tasks
-                and not planned & self.crashed
-            ):
-                return
-            await asyncio.sleep(0.02)
+    async def settle_crash_plan(self, timeout: float = 30.0) -> None:
+        """Wait until every planned crash and recovery has run (a
+        protocol can outrace its crash plan; a following stage wants
+        the plan played out)."""
+        if self._faults:
+            await asyncio.wait(set(self._faults), timeout=timeout)
 
-    def finally_up(self) -> set[int]:
-        """Nodes the paper's liveness clause obligates to finish: every
-        member not left crashed by the fault plan."""
-        down = {
-            node
-            for node, _at, up_after in self._crash_plan
-            if up_after is None
-        }
-        return {i for i in self.hosts if i not in down}
+    def finally_up(self, crash_plan: CrashPlan = ()) -> set[int]:
+        """Nodes the paper's liveness clause obligates to finish a stage
+        under ``crash_plan``: every member neither down now nor left
+        down by the plan."""
+        down = {node for _, node, up_after in crash_plan if up_after is None}
+        return set(self.hosts) - self.crashed - down
 
     def collect_errors(self) -> list[Exception]:
         errors = list(self.errors)
@@ -342,20 +286,13 @@ class TcpWorld:
             return
         for hst in self.hosts.values():
             await hst.start()
-        self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
-        for entry in self._crash_plan:
-            self._schedule_entry(self._loop, entry)
         self._started = True
 
     async def stop(self) -> None:
-        for handle in self._fault_handles:
-            handle.cancel()
-        self._fault_handles.clear()
-        for task in list(self._recover_tasks):
+        for task in list(self._faults):
             task.cancel()
-        if self._recover_tasks:
-            await asyncio.gather(*self._recover_tasks, return_exceptions=True)
+        if self._faults:
+            await asyncio.gather(*self._faults, return_exceptions=True)
         await asyncio.gather(
             *(hst.stop() for hst in self.hosts.values()),
             return_exceptions=True,
@@ -438,18 +375,28 @@ class LocalCluster(TcpWorld):
             node_factory=node_factory,
         )
 
-    async def run_dkg(self, timeout: float = 60.0) -> ClusterResult:
-        """Run the DKG as one stage, returning once every node the
-        crash plan leaves up has completed; ``timeout`` in wall
-        seconds."""
+    async def run_dkg(
+        self, timeout: float = 60.0, crash_plan: CrashPlan = ()
+    ) -> ClusterResult:
+        """Run the DKG as one stage under ``crash_plan`` (checked by
+        :func:`~repro.sim.adversary.check_crash_plan` before anything
+        starts), returning once every node the plan leaves up has
+        completed; ``timeout`` in wall seconds."""
+        crash_plan = check_crash_plan(
+            crash_plan,
+            self.config.f,
+            self.config.d_budget,
+            members=self.hosts,
+            down=self.crashed,
+        )
         await self.start()
         loop = asyncio.get_running_loop()
         t_start = loop.time()
         self.timeout = timeout
-        expected = self.finally_up()
+        expected = self.finally_up(crash_plan)
         inputs = {i: DkgStartInput(self.tau) for i in self.nodes}
         outputs, metrics = await self.stage(
-            {DKG_SESSION: (self.nodes, inputs)}, COMPLETED_KIND
+            {DKG_SESSION: (self.nodes, inputs)}, COMPLETED_KIND, crash_plan=crash_plan
         )
         return ClusterResult(
             config=self.config,
@@ -470,14 +417,11 @@ def run_local_cluster(
     *,
     delay_model: DelayModel | None = None,
     time_scale: float = DEFAULT_TIME_SCALE,
-    crash_plan: list[tuple[int, float, float | None]] | None = None,
+    crash_plan: CrashPlan = (),
     timeout: float = 60.0,
 ) -> ClusterResult:
-    """Synchronous convenience wrapper: spawn, run one DKG, tear down.
-
-    ``crash_plan`` entries are ``(node, at, up_after-or-None)`` in
-    protocol time units, exactly like the simulator adversary's.
-    """
+    """Synchronous convenience wrapper: spawn, run one DKG under
+    ``crash_plan`` (as :meth:`LocalCluster.run_dkg`), tear down."""
 
     async def _run() -> ClusterResult:
         cluster = LocalCluster(
@@ -487,10 +431,8 @@ def run_local_cluster(
             delay_model=delay_model,
             time_scale=time_scale,
         )
-        for node, at, up_after in crash_plan or []:
-            cluster.crash(node, at, up_after)
         try:
-            return await cluster.run_dkg(timeout=timeout)
+            return await cluster.run_dkg(timeout=timeout, crash_plan=crash_plan)
         finally:
             await cluster.stop()
 

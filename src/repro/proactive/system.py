@@ -21,6 +21,7 @@ from typing import Any
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.shares import Share, reconstruct_secret
+from repro.sim.adversary import CrashPlan, check_crash_plan
 from repro.sim.metrics import Metrics
 from repro.sim.network import DelayModel
 from repro.deployment import (
@@ -32,8 +33,6 @@ from repro.deployment import (
 )
 from repro.dkg.config import DkgConfig
 from repro.proactive.messages import RenewedOutput, RenewInput
-
-CrashPlan = list[tuple[float, int, float | None]]
 
 
 @dataclass
@@ -94,7 +93,16 @@ class ShareLifecycle:
     ) -> tuple[dict[int, Any], dict[int, Any], Metrics]:
         """Run one stage of one session: ``members``' machines, first
         ``kind`` outputs and metrics (a TCP world waits for
-        ``expected``, default all)."""
+        ``expected``, default all).  The stage's crash plan is checked
+        against §2.2 under the config as the session opens, counting
+        the members the world holds down, before anything runs."""
+        stage["crash_plan"] = check_crash_plan(
+            stage.get("crash_plan") or (),
+            self.config.f,
+            self.config.d_budget,
+            members=members,
+            down=self.world.crashed.intersection(members),
+        )
         machines = self.sessions(
             session, members, lambda _: (self.shares, self.commitment)
         )

@@ -22,10 +22,62 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Collection, Iterable
 
 
-class CrashBudgetExceeded(RuntimeError):
+CrashPlan = list[tuple[float, int, float | None]]
+
+
+class CrashBudgetExceeded(ValueError):
     """The adversary attempted more crashes than d(kappa) allows."""
+
+
+def check_crash_plan(
+    plan: Iterable[tuple[float, int, float | None]],
+    f: int,
+    d_budget: int,
+    *,
+    members: Collection[int] | None = None,
+    byzantine: Collection[int] = (),
+    down: Collection[int] = (),
+) -> CrashPlan:
+    """§2.2's bound on a crash plan: ``(at, node, up_after)`` entries,
+    ``at`` in protocol units from the start of the run or stage, the
+    node recovering ``up_after`` units later (None: never).
+
+    Raises ValueError, before anything runs, when an entry's node is
+    not an ``int`` index of ``members`` (when given) or is Byzantine,
+    when more than ``d_budget`` crashes are planned, or when more than
+    ``f`` nodes — counting the ``down`` ones — are down at any instant.
+    """
+    plan = list(plan)
+    for _, node, _ in plan:
+        # ``2.0 in members`` holds, so the type is checked first: an
+        # entry written (node, at, up_after) must not crash node ``at``.
+        if type(node) is not int or (members is not None and node not in members):
+            raise ValueError(f"crash plan names {node!r}, not a member index")
+        if node in byzantine:
+            raise ValueError(
+                "crash plan may only target non-Byzantine nodes; "
+                f"node {node} is corrupted"
+            )
+    if len(plan) > d_budget:
+        raise CrashBudgetExceeded(
+            f"{len(plan)} crashes exceed d(kappa)={d_budget}"
+        )
+    # Sweep the crash intervals; at no instant may more than f overlap.
+    boundaries: list[tuple[float, int]] = []
+    for start, _, duration in plan:
+        boundaries.append((start, +1))
+        if duration is not None:
+            boundaries.append((start + duration, -1))
+    boundaries.sort()
+    depth = len(down)
+    for _, delta in boundaries:
+        depth += delta
+        if depth > f:
+            raise ValueError(f"crash plan exceeds f={f} simultaneous crashes")
+    return plan
 
 
 @dataclass
@@ -33,56 +85,26 @@ class Adversary:
     """Fault configuration and scheduling policy for one run.
 
     ``byzantine`` is the static corruption set (|byzantine| <= t);
-    ``crash_plan`` is a list of (time, node, up_duration) triples — the
-    node crashes at ``time`` and recovers after ``up_duration`` (None
-    means it stays down forever).
+    ``crash_plan`` is a :func:`check_crash_plan` plan, times from the
+    run's start.
     """
 
     t: int
     f: int
     byzantine: frozenset[int] = frozenset()
-    crash_plan: list[tuple[float, int, float | None]] = field(default_factory=list)
+    crash_plan: CrashPlan = field(default_factory=list)
     d_budget: int = 10
     rushing: bool = True
     rush_delay: float = 1e-6
-    # Extra delay applied to messages *sent by* Byzantine nodes, used by
-    # E6 to model the adversary holding back its messages to the verge
-    # of the honest nodes' timeout.
-    byzantine_send_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.byzantine) > self.t:
             raise ValueError(
                 f"{len(self.byzantine)} corrupt nodes exceeds t={self.t}"
             )
-        for _, node, _ in self.crash_plan:
-            if node in self.byzantine:
-                raise ValueError(
-                    "crash plan may only target non-Byzantine nodes; "
-                    f"node {node} is corrupted"
-                )
-        self._validate_crash_plan()
-
-    def _validate_crash_plan(self) -> None:
-        """Enforce the f-at-any-instant and d-lifetime crash bounds."""
-        if len(self.crash_plan) > self.d_budget:
-            raise CrashBudgetExceeded(
-                f"{len(self.crash_plan)} crashes exceed d(kappa)={self.d_budget}"
-            )
-        # Sweep the crash intervals; at no instant may more than f overlap.
-        boundaries: list[tuple[float, int]] = []
-        for start, _, duration in self.crash_plan:
-            boundaries.append((start, +1))
-            if duration is not None:
-                boundaries.append((start + duration, -1))
-        boundaries.sort()
-        depth = 0
-        for _, delta in boundaries:
-            depth += delta
-            if depth > self.f:
-                raise ValueError(
-                    f"crash plan exceeds f={self.f} simultaneous crashes"
-                )
+        check_crash_plan(
+            self.crash_plan, self.f, self.d_budget, byzantine=self.byzantine
+        )
 
     def is_byzantine(self, node: int) -> bool:
         return node in self.byzantine
@@ -98,8 +120,6 @@ class Adversary:
         if self.rushing and recipient in self.byzantine:
             # Rushing adversary: its nodes see honest traffic "first".
             return self.rush_delay
-        if sender in self.byzantine and self.byzantine_send_delay > 0:
-            return base_delay + self.byzantine_send_delay
         return base_delay
 
     @classmethod
@@ -112,7 +132,7 @@ class Adversary:
         cls,
         t: int,
         f: int,
-        crash_plan: list[tuple[float, int, float | None]],
+        crash_plan: CrashPlan,
         d_budget: int | None = None,
     ) -> "Adversary":
         """Crash/recovery faults without Byzantine corruption."""

@@ -30,7 +30,7 @@ from typing import Any
 
 from repro.runtime.driver import MachineDriver
 from repro.runtime.envelope import SessionEnvelope
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Adversary, CrashPlan
 from repro.sim.events import (
     CrashNode,
     EventQueue,
@@ -56,7 +56,6 @@ class Simulation:
         delay_model: DelayModel | None = None,
         adversary: Adversary | None = None,
         seed: int = 0,
-        observers: list | None = None,
         group: Any = None,
     ):
         # Imported here: repro.net builds on this module.
@@ -65,8 +64,6 @@ class Simulation:
         self.price = FramePricer(group)
         self.queue = EventQueue()
         self.metrics = Metrics()
-        # Observers see every dispatched event: on_event(time, event).
-        self.observers = list(observers or [])
         self.nodes: dict[int, ProtocolNode] = {}
         self._drivers: dict[int, MachineDriver] = {}
         self.delay_model = delay_model or UniformDelay()
@@ -79,7 +76,7 @@ class Simulation:
         self._timer_ids = iter(range(1, 1 << 62))
         self._cancelled_timers: set[int] = set()
         self._events_processed = 0
-        self._schedule_crash_plan()
+        self.schedule_crash_plan(self.adversary.crash_plan)
 
     # -- construction --------------------------------------------------------
 
@@ -117,11 +114,13 @@ class Simulation:
         """Meter one DKG leader change (Transport protocol)."""
         self.metrics.record_leader_change()
 
-    def _schedule_crash_plan(self) -> None:
-        for time, node, up_duration in self.adversary.crash_plan:
-            self.queue.push(time, CrashNode(node))
-            if up_duration is not None:
-                self.queue.push(time + up_duration, RecoverNode(node))
+    def schedule_crash_plan(self, plan: CrashPlan, start: float = 0.0) -> None:
+        """Queue each ``(at, node, up_after)`` entry's crash ``at`` units
+        after ``start``, and its recovery ``up_after`` units later."""
+        for at, node, up_after in plan:
+            self.crash(node, start + at)
+            if up_after is not None:
+                self.recover(node, start + at + up_after)
 
     # -- effects interpreted by MachineDriver ----------------------------------
 
@@ -169,7 +168,7 @@ class Simulation:
         )
 
     def crash(self, node: int, at: float) -> None:
-        """Manually schedule a crash (bench/test convenience)."""
+        """Schedule a crash of ``node`` at time ``at``."""
         self.queue.push(at, CrashNode(node))
 
     def recover(self, node: int, at: float) -> None:
@@ -193,10 +192,8 @@ class Simulation:
             if until is not None and next_time > until:
                 self.queue.now = until
                 return
-            time, event = self.queue.pop()
+            _, event = self.queue.pop()
             self._events_processed += 1
-            for observer in self.observers:
-                observer.on_event(time, event)
             self._dispatch(event)
 
     def _dispatch(self, event: Any) -> None:

@@ -130,14 +130,11 @@ def run_vss(
     reconstruct: bool = False,
     node_factory: dict[int, Any] | None = None,
     until: float | None = None,
-    observers: list[Any] | None = None,
 ) -> VssRunResult:
     """Simulate one full HybridVSS sharing (and optionally Rec).
 
     ``node_factory`` maps node indices to replacement ProtocolNode
     instances, which is how tests inject Byzantine dealers/participants.
-    ``observers`` are forwarded to the simulation, whose run loop hands
-    each one every event it dispatches (``on_event(time, event)``).
     """
     rng = random.Random(("run-vss", seed).__repr__())
     if secret is None:
@@ -156,7 +153,6 @@ def run_vss(
         delay_model=delay_model,
         adversary=adversary or Adversary.passive(config.t, config.f),
         seed=seed,
-        observers=observers,
         group=config.group,
     )
     nodes = {i: m for i, m in machines.items() if isinstance(m, VssNode)}

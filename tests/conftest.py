@@ -1,4 +1,5 @@
-"""Shared fixtures: the protocol-default group and deterministic RNGs.
+"""Shared fixtures: the protocol-default group, deterministic RNGs and
+a tap on every metered message.
 
 ``REPRO_TEST_BACKEND`` selects the group backend the suite-wide
 ``group`` fixture hands to protocol tests:
@@ -17,6 +18,8 @@ import random
 import pytest
 
 from repro.crypto.groups import SchnorrGroup, small_group
+from repro.net.transport import AsyncioTransport
+from repro.sim.runner import Simulation
 
 from tests.helpers import TEST_BACKEND, default_test_group
 
@@ -42,3 +45,24 @@ def group160() -> SchnorrGroup:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def metered(monkeypatch) -> list[tuple[object, int]]:
+    """Every message either transport meters, with the bytes it metered."""
+    seen: list[tuple[object, int]] = []
+
+    def tap(cls) -> None:
+        original = cls.enqueue_message
+
+        def enqueue_message(self, sender, recipient, payload) -> None:
+            messages, sent = self.metrics.messages_total, self.metrics.bytes_total
+            original(self, sender, recipient, payload)
+            if self.metrics.messages_total > messages:
+                seen.append((payload, self.metrics.bytes_total - sent))
+
+        monkeypatch.setattr(cls, "enqueue_message", enqueue_message)
+
+    tap(Simulation)
+    tap(AsyncioTransport)
+    return seen

@@ -87,7 +87,7 @@ class TestConcurrentSessionsOverTcp:
 class TestRenewalOverTcp:
     def test_renewal_phase_with_crash_and_recover(self) -> None:
         with ProactiveSystem(
-            DkgConfig(n=5, t=1, group=G),
+            DkgConfig(n=6, t=1, f=1, group=G),
             seed=7,
             world=TcpWorld,
             time_scale=0.01,
@@ -100,7 +100,7 @@ class TestRenewalOverTcp:
             assert system.world.collect_errors() == []
         assert report.metrics.crashes == 1
         assert report.metrics.recoveries == 1
-        assert sorted(report.shares) == [1, 2, 3, 4, 5]
+        assert sorted(report.shares) == [1, 2, 3, 4, 5, 6]
         assert report.public_key == system.public_key
         assert system.reconstruct() == secret
 
@@ -118,7 +118,7 @@ class TestRenewalOverTcp:
 class TestGroupModOverTcp:
     def test_agree_then_add_with_crash_and_recover(self) -> None:
         with GroupManager(
-            DkgConfig(n=5, t=1, group=G),
+            DkgConfig(n=6, t=1, f=1, group=G),
             seed=9,
             world=TcpWorld,
             time_scale=0.01,
@@ -127,15 +127,15 @@ class TestGroupModOverTcp:
         ) as manager:
             manager.bootstrap()
             secret = manager.reconstruct()
-            report = manager.agree({1: ModProposal("add", 6)})
-            addition = manager.add_node(6, crash_plan=[(2.0, 2, 25.0)])
+            report = manager.agree({1: ModProposal("add", 7)})
+            addition = manager.add_node(7, crash_plan=[(2.0, 2, 25.0)])
             assert manager.world.collect_errors() == []
-        assert sorted(report.queues) == [1, 2, 3, 4, 5]
-        assert report.common_queue() == [ModProposal("add", 6)]
+        assert sorted(report.queues) == [1, 2, 3, 4, 5, 6]
+        assert report.common_queue() == [ModProposal("add", 7)]
         assert addition.metrics.crashes == 1
         assert addition.metrics.recoveries == 1
-        assert manager.commitment.verify_share(6, addition.share)
-        assert manager.members == (1, 2, 3, 4, 5, 6)
+        assert manager.commitment.verify_share(7, addition.share)
+        assert manager.members == (1, 2, 3, 4, 5, 6, 7)
         assert manager.reconstruct() == secret
 
 

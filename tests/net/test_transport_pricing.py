@@ -22,37 +22,14 @@ from repro.dkg import DkgConfig, run_dkg
 from repro.groupmod import GroupManager, ModProposal, run_node_additions
 from repro.net import wire
 from repro.net.cluster import COMPLETED_KIND, TcpWorld, run_local_cluster
-from repro.net.transport import AsyncioTransport
 from repro.proactive import ProactiveSystem
 from repro.runtime.envelope import SessionEnvelope
 from repro.sim.clock import TimeoutPolicy
-from repro.sim.runner import Simulation
 
 from tests.helpers import default_test_group, dkg_stage, sent_frame
 
 G = default_test_group()
 SEED = 3
-
-
-@pytest.fixture
-def metered(monkeypatch) -> list[tuple[object, int]]:
-    """Every message either transport meters, with the bytes it metered."""
-    seen: list[tuple[object, int]] = []
-
-    def tap(cls) -> None:
-        original = cls.enqueue_message
-
-        def enqueue_message(self, sender, recipient, payload) -> None:
-            messages, sent = self.metrics.messages_total, self.metrics.bytes_total
-            original(self, sender, recipient, payload)
-            if self.metrics.messages_total > messages:
-                seen.append((payload, self.metrics.bytes_total - sent))
-
-        monkeypatch.setattr(cls, "enqueue_message", enqueue_message)
-
-    tap(Simulation)
-    tap(AsyncioTransport)
-    return seen
 
 
 def _mispriced(metered) -> list[tuple[str, int, int]]:

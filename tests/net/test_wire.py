@@ -394,28 +394,19 @@ class TestSessionSizesAreWireTrue:
         for _, payload in ctx.sent:
             assert price(payload) == len(wire.encode(payload, group=config.group))
 
-    def test_every_simulated_vss_message_is_wire_true(self) -> None:
-        from repro.sim.events import MessageDelivery
+    def test_every_simulated_vss_message_is_wire_true(self, metered) -> None:
         from repro.vss import VssConfig, run_vss
 
-        class Tap:
-            def __init__(self) -> None:
-                self.payloads: list = []
-
-            def on_event(self, time, event) -> None:
-                if isinstance(event, MessageDelivery):
-                    self.payloads.append(event.payload)
-
-        tap = Tap()
         config = VssConfig(n=4, t=1, group=G)
-        result = run_vss(config, secret=9, seed=0, observers=[tap])
-        assert tap.payloads
+        result = run_vss(config, secret=9, seed=0)
+        payloads = [payload for payload, _ in metered]
+        assert payloads
         # Crash-free and run to quiescence: every metered send arrived,
         # echo and ready as the digest frames endpoints send.
         expected: Counter = Counter()
-        for payload in tap.payloads:
+        for payload in payloads:
             expected[payload.kind] += len(sent_frame(payload, G))
         assert result.metrics.bytes_by_kind["vss.echo"] < sum(
-            len(wire.encode(p, group=G)) for p in tap.payloads if p.kind == "vss.echo"
+            len(wire.encode(p, group=G)) for p in payloads if p.kind == "vss.echo"
         )
         assert result.metrics.bytes_by_kind == expected

@@ -103,11 +103,11 @@ class TestTcpReplay:
     def test_groupmod_with_crash_recover_replays(self, group, tmp_path) -> None:
         from repro.sim.network import UniformDelay
 
-        config = DkgConfig(n=5, t=1, group=group)
+        config = DkgConfig(n=6, t=1, f=1, group=group)
         path, sink, _ = _record(
             tmp_path,
             "groupmod.jsonl",
-            capture_meta("groupmod", config, 9, "tcp", new_node=6),
+            capture_meta("groupmod", config, 9, "tcp", new_node=7),
             group,
             lambda: _groupmod(
                 config,
@@ -124,7 +124,7 @@ class TestTcpReplay:
         assert "crash" in events and "recover" in events
         # ...and the joiner's session opens with the grown membership.
         opens = [r for r in capture.records if r.get("record") == "open"]
-        assert any(r["node"] == 6 and 6 in r["members"] for r in opens)
+        assert any(r["node"] == 7 and 7 in r["members"] for r in opens)
         assert replay_capture(capture).matched
 
     def test_replay_is_idempotent(self, group, tmp_path) -> None:
@@ -193,11 +193,11 @@ class TestSimLifecycleReplay:
         assert replay.matched
 
     def test_sim_groupmod_replays_identically(self, group, tmp_path) -> None:
-        config = DkgConfig(n=5, t=1, group=group)
+        config = DkgConfig(n=6, t=1, f=1, group=group)
         path, sink, _ = _record(
             tmp_path,
             "groupmod.jsonl",
-            capture_meta("groupmod", config, 9, "sim", new_node=6),
+            capture_meta("groupmod", config, 9, "sim", new_node=7),
             group,
             lambda: _groupmod(config, 9, crash_plan=[(2.0, 2, 25.0)]),
         )

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.sim.adversary import Adversary, CrashBudgetExceeded
+from repro.sim.adversary import Adversary, CrashBudgetExceeded, check_crash_plan
 
 
 class TestConstruction:
@@ -47,6 +47,13 @@ class TestConstruction:
         )
         assert len(adv.crash_plan) == 2
 
+    def test_nodes_already_down_count_against_f(self) -> None:
+        # A stage opens with the world's down nodes already spent.
+        plan = [(0.0, 2, 5.0)]
+        assert check_crash_plan(plan, 1, 5) == plan
+        with pytest.raises(ValueError, match="simultaneous"):
+            check_crash_plan(plan, 1, 5, down={3})
+
     def test_permanent_crashes_counted_against_f(self) -> None:
         with pytest.raises(ValueError, match="simultaneous"):
             Adversary(
@@ -68,14 +75,6 @@ class TestScheduling:
         adv = Adversary.corrupting(t=1, f=0, byzantine={2}, rushing=False)
         rng = random.Random(0)
         assert adv.delivery_delay(rng, 1, 2, base_delay=5.0) == 5.0
-
-    def test_byzantine_send_delay_stretches_corrupt_traffic(self) -> None:
-        adv = Adversary.corrupting(
-            t=1, f=0, byzantine={2}, byzantine_send_delay=30.0, rushing=False
-        )
-        rng = random.Random(0)
-        assert adv.delivery_delay(rng, 2, 1, base_delay=1.0) == 31.0
-        assert adv.delivery_delay(rng, 1, 3, base_delay=1.0) == 1.0
 
     def test_passive_factory(self) -> None:
         adv = Adversary.passive(t=2, f=1)

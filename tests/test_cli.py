@@ -40,27 +40,18 @@ class TestCli:
         assert payload["completed_nodes"] == [1, 2, 3, 4]
         assert set(payload["reconstructions"].values()) == {42}
 
-    def test_vss_hashed_codec_smaller(self, capsys) -> None:
+    def test_vss_hashed_codec_smaller(self, capsys, metered) -> None:
         # Echo and ready always travel as digests: the bytes reported
         # are those frames', below every message carrying the matrix.
         from repro.crypto.groups import group_by_name
         from repro.net import wire
-        from repro.sim.events import MessageDelivery
-        from repro.vss import VssConfig, run_vss
 
         from tests.helpers import sent_frame
 
         main(["vss", "--n", "7", "--t", "2", "--json"])
         reported = json.loads(capsys.readouterr().out)["bytes"]
         group = group_by_name("toy")
-        payloads: list = []
-
-        class Tap:
-            def on_event(self, time, event) -> None:
-                if isinstance(event, MessageDelivery):
-                    payloads.append(event.payload)
-
-        run_vss(VssConfig(n=7, t=2, group=group), seed=0, observers=[Tap()])
+        payloads = [payload for payload, _ in metered]
         assert reported == sum(len(sent_frame(p, group)) for p in payloads)
         assert reported < sum(len(wire.encode(p, group=group)) for p in payloads)
         with pytest.raises(SystemExit):
@@ -107,25 +98,27 @@ class TestCli:
         assert payload["share_verified"] is True
         assert payload["agreement_nodes"] == [1, 2, 3, 4]
 
-    def test_renew_sim_rejects_crash(self, capsys) -> None:
-        # The sim lifecycle has no place for a wall-clock crash plan; a
-        # plan that exceeds f must not print a green result.
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_renew_sim_rejects_crash(self, capsys, transport) -> None:
+        # A plan that exceeds f (§2.2) must not print a green result,
+        # in either world.
         argv = ["renew", "--n", "6", "--t", "1", "--f", "1", "--phases", "1"]
         for crash in ("3@2+25", "4@2+25", "5@2", "6@2"):
             argv += ["--crash", crash]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + ["--transport", transport])
         assert exc.value.code == 2
-        assert "--crash needs --transport tcp" in capsys.readouterr().err
+        assert "exceeds f=1 simultaneous crashes" in capsys.readouterr().err
 
-    def test_groupmod_sim_rejects_crash(self, capsys) -> None:
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_groupmod_sim_rejects_crash(self, capsys, transport) -> None:
         argv = ["groupmod", "--n", "4", "--t", "1", "--f", "0"]
         for node in (1, 2, 3):
             argv += ["--crash", f"{node}@0"]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + ["--transport", transport])
         assert exc.value.code == 2
-        assert "--crash needs --transport tcp" in capsys.readouterr().err
+        assert "exceeds f=0 simultaneous crashes" in capsys.readouterr().err
 
     def test_resilience_command(self, capsys) -> None:
         code = main(["resilience", "--t", "1", "--f", "0", "--json"])

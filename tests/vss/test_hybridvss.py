@@ -112,19 +112,11 @@ class TestEfficiency:
         assert m.messages_by_kind["vss.ready"] == 49
         assert m.messages_total == 7 + 2 * 49
 
-    def test_hashed_codec_reduces_bytes(self) -> None:
+    def test_hashed_codec_reduces_bytes(self, metered) -> None:
         # Echo and ready carry the matrix's digest (Cachin et al.), so
         # only the n sends pay for the matrix.
-        from repro.sim.events import MessageDelivery
-
-        payloads: list = []
-
-        class Tap:
-            def on_event(self, time, event) -> None:
-                if isinstance(event, MessageDelivery):
-                    payloads.append(event.payload)
-
-        res = run_vss(_config(n=7, t=2), secret=1, seed=10, observers=[Tap()])
+        res = run_vss(_config(n=7, t=2), secret=1, seed=10)
+        payloads = [payload for payload, _ in metered]
         sent = sum(len(sent_frame(p, G)) for p in payloads)
         inline = sum(len(wire.encode(p, group=G)) for p in payloads)
         assert res.metrics.messages_total == len(payloads) == 7 + 2 * 49
