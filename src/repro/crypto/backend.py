@@ -72,6 +72,7 @@ class AbstractGroup(Protocol):
     def commit(self, exponent: int) -> Any: ...
     def commit_many(self, exponents: Any) -> list[Any]: ...
     def mul(self, a: Any, b: Any) -> Any: ...
+    def products(self, terms: Any) -> list[Any]: ...
     def inv(self, a: Any) -> Any: ...
     def is_element(self, a: Any) -> bool: ...
 

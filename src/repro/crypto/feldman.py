@@ -213,29 +213,35 @@ class FeldmanCommitment:
             cached = self._cache[key] = self.column_vector(0).evaluate_in_exponent(i)
         return cached
 
-    def combine(self, other: "FeldmanCommitment") -> "FeldmanCommitment":
-        """Entry-wise product: commitment to the sum of the two committed
-        polynomials (DKG Fig. 2: ``C_pq <- prod_d (C_d)_pq``).
+    @staticmethod
+    def combine(commitments: list["FeldmanCommitment"]) -> "FeldmanCommitment":
+        """Entry-wise product: commitment to the sum of the committed
+        polynomials (DKG Fig. 2: ``C_pq <- prod_d (C_d)_pq``), every
+        entry from one ``products`` call — one inversion on a curve.
 
-        The product of two symmetric matrices is symmetric, so only its
+        The product of symmetric matrices is symmetric, so only its
         upper triangle is multiplied and then mirrored: (t+1)(t+2)/2
-        group operations instead of (t+1)^2.  An asymmetric operand,
-        which a Byzantine dealer may send, takes every entry.
+        entries instead of (t+1)^2.  An asymmetric operand, which a
+        Byzantine dealer may send, takes every entry.
         """
-        if self.degree != other.degree or self.group != other.group:
+        first = commitments[0]
+        g, side = first.group, len(first.matrix)
+        if any(c.degree != first.degree or c.group != g for c in commitments):
             raise ValueError("incompatible commitments")
-        g = self.group
-        a, b = self.matrix, other.matrix
-        if not (self._is_symmetric() and other._is_symmetric()):
-            matrix = tuple(
-                tuple(g.mul(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
-            return FeldmanCommitment(matrix, g)
-        side = len(a)
+        if len(commitments) == 1:
+            return first
+        symmetric = all(c._is_symmetric() for c in commitments)
+        cells = [
+            (j, ell) for j in range(side) for ell in range(j if symmetric else 0, side)
+        ]
+        entries = g.products(
+            [c.matrix[j][ell] for c in commitments] for j, ell in cells
+        )
         rows: list[list] = [[None] * side for _ in range(side)]
-        for j in range(side):
-            for ell in range(j, side):
-                rows[j][ell] = rows[ell][j] = g.mul(a[j][ell], b[j][ell])
+        for (j, ell), entry in zip(cells, entries):
+            rows[j][ell] = entry
+            if symmetric:
+                rows[ell][j] = entry
         return FeldmanCommitment(tuple(tuple(row) for row in rows), g)
 
     def column_vector(self, index: int = 0) -> "FeldmanVector":

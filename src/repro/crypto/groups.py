@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from repro.crypto.intops import invert, powmod
 from repro.crypto import metering
@@ -113,6 +114,10 @@ class SchnorrGroup:
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
+
+    def products(self, terms) -> list[int]:
+        """``[prod(factors) for factors in terms]``, unmetered as ``mul``."""
+        return [reduce(self.mul, factors, 1) for factors in terms]
 
     def inv(self, a: int) -> int:
         return invert(a, self.p)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.hashing import commitment_digest
 from repro.sim.node import Context, ProtocolNode
 from repro.sim.pki import AcceptedSignatures, CertificateAuthority, KeyStore
@@ -429,15 +430,9 @@ class DkgNode(ProtocolNode):
             outputs.append(session.completed)
         # s_i <- sum s_{i,d};  C_pq <- prod (C_d)_pq
         share = 0
-        commitment = None
         for out in outputs:
             share = (share + out.share) % self.config.group.q
-            commitment = (
-                out.commitment
-                if commitment is None
-                else commitment.combine(out.commitment)
-            )
-        assert commitment is not None
+        commitment = FeldmanCommitment.combine([out.commitment for out in outputs])
         self._stop_timer(ctx)
         self.completed = DkgCompletedOutput(
             tau=self.tau,

@@ -114,10 +114,11 @@ class GroupManager(ShareLifecycle):
             raise RuntimeError("bootstrap() must run first")
         if new_node in self.members:
             raise ValueError(f"node {new_node} is already a member")
+        members = list(self.members)
+        crash_plan = self._checked(crash_plan, [*members, new_node], self.config)
         self.phase += 1
         self.sessions.joiner = new_node
         self.world.join(new_node)
-        members = list(self.members)
         _, joined, metrics = self._run(
             f"add-{self.phase}",
             [*members, new_node],
@@ -167,8 +168,6 @@ class GroupManager(ShareLifecycle):
         new_members, new_t, new_f = apply_proposals(
             self.members, old_t, self.config.f, self.pending
         )
-        self.pending = []
-        self.phase += 1
         new_config = dataclasses.replace(
             self.config,
             n=len(new_members),
@@ -178,6 +177,9 @@ class GroupManager(ShareLifecycle):
             initial_leader=min(new_members),
             q_size=old_t + 1,
         )
+        crash_plan = self._checked(crash_plan, list(new_members), new_config)
+        self.pending = []
+        self.phase += 1
         self._regroup(new_config)
         for i in new_members:
             self.world.join(i)

@@ -57,6 +57,24 @@ _PEER_QUOTA = 64  # of either, charged to any one link
 # (tests/net/test_matrix_fetch.py).
 MATRIX_FETCH_AFTER = 10.0
 
+# Metered on every frame, so looked up once per registry.
+_FRAMES_SENT = obs_metrics.Bound(
+    "repro_net_frames_sent_total", "wire frames sent, by protocol message kind", "kind"
+)
+_BYTES_SENT = obs_metrics.Bound(
+    "repro_net_bytes_sent_total", "wire bytes sent, by protocol message kind", "kind"
+)
+_FRAMES_RECEIVED = obs_metrics.Bound(
+    "repro_net_frames_received_total",
+    "wire frames received, by protocol message kind",
+    "kind",
+)
+_BYTES_RECEIVED = obs_metrics.Bound(
+    "repro_net_bytes_received_total",
+    "wire bytes received, by protocol message kind",
+    "kind",
+)
+
 
 @runtime_checkable
 class Transport(Protocol):
@@ -382,17 +400,8 @@ class AsyncioTransport:
                 self._table.record_sent(metered.commitment)
         kind = metered.kind
         self.metrics.record_send(sender, kind, size)
-        obs_metrics.counter_inc(
-            "repro_net_frames_sent_total",
-            help="wire frames sent, by protocol message kind",
-            kind=kind,
-        )
-        obs_metrics.counter_inc(
-            "repro_net_bytes_sent_total",
-            size,
-            help="wire bytes sent, by protocol message kind",
-            kind=kind,
-        )
+        _FRAMES_SENT.inc(kind)
+        _BYTES_SENT.inc(kind, size)
         delay_units = 0.0
         if self.delay_model is not None:
             observe = getattr(self.delay_model, "observe_time", None)
@@ -519,17 +528,8 @@ class AsyncioTransport:
     def _accept(self, peer: int, message: Any, size: int) -> None:
         inner = message.payload if isinstance(message, SessionEnvelope) else message
         kind = getattr(inner, "kind", type(inner).__name__)
-        obs_metrics.counter_inc(
-            "repro_net_frames_received_total",
-            help="wire frames received, by protocol message kind",
-            kind=kind,
-        )
-        obs_metrics.counter_inc(
-            "repro_net_bytes_received_total",
-            size,
-            help="wire bytes received, by protocol message kind",
-            kind=kind,
-        )
+        _FRAMES_RECEIVED.inc(kind)
+        _BYTES_RECEIVED.inc(kind, size)
         if isinstance(inner, wire.MatrixRequest):
             commitment = self._table.answer(inner.digest, peer)
             if commitment is not None:

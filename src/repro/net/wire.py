@@ -17,12 +17,14 @@ the protocol machines know nothing of sizes or codecs.
 
 Every layout is stated once, in :data:`SCHEMA`: ``kind -> (message
 type, since-version, ((attribute, field type), ...))`` over the closed
-set of field types defined above it, walked by one generic encoder and
-one generic decoder; ``docs/wire.md`` and the round-trip and
-hostile-decode tests are generated from it.  ``since`` is the codec
-version that introduced the kind (history in ``docs/protocols.md``):
-:func:`encode` stamps it — or 3 when a non-modp group shaped the
-frame — and :func:`decode` accepts no other version byte for the kind.
+set of field types defined above it.  From a kind's row come one
+straight-line reader and one writer, each compiled on its first use
+from the source the field types emit; ``docs/wire.md`` and the
+round-trip and hostile-decode tests are generated from the same table.
+``since`` is the codec version that introduced the kind (history in
+``docs/protocols.md``): :func:`encode` stamps it — or 3 when a non-modp
+group shaped the frame — and :func:`decode` accepts no other version
+byte for the kind.
 
 Commitment compression (Cachin et al., the paper's §3 efficiency note)
 is the one form endpoints exchange: :func:`commitment_mode` sends every
@@ -48,9 +50,9 @@ search — and session envelopes do not nest.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import operator
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterator
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVector
 from repro.crypto.groups import SchnorrGroup, group_by_name, known_group
@@ -236,9 +238,6 @@ class _Writer:
         # not decodable pre-v3 and must be stamped accordingly.
         self.needs_v3 = False
 
-    def u8(self, n: int) -> None:
-        self.buf += _fixed(n, 1)
-
     def uvarint(self, n: int) -> None:
         """Unsigned LEB128."""
         if n < 0:
@@ -248,16 +247,13 @@ class _Writer:
             n >>= 7
         self.buf.append(n)
 
-    def fixed(self, n: int, width: int) -> None:
-        self.buf += _fixed(n, width)
-
     def lbytes(self, data: bytes) -> None:
         self.uvarint(len(data))
         self.buf += data
 
     def flag(self, value: bool) -> None:
         """One byte, 0 or 1."""
-        self.u8(1 if value else 0)
+        self.buf.append(1 if value else 0)
 
     def digest(self, value: bytes) -> None:
         """32 bytes: a SHA-256 commitment digest."""
@@ -267,14 +263,14 @@ class _Writer:
 
     def point(self, n: int) -> None:
         """A share point: |q| bytes, q from the preceding commitment's group."""
-        self.fixed(n, self.group.scalar_bytes)
+        self.buf += _fixed(n, self.group.scalar_bytes)
 
     def scalar(self, n: int) -> None:
         """A loose scalar: uvarint width, then the value in that many
         bytes.  The width is |q| of the group in context, else minimal."""
         width = _scalar_width(self.group, n)
         self.uvarint(width)
-        self.fixed(n, width)
+        self.buf += _fixed(n, width)
 
     def element(self, e) -> None:
         """A loose group element: uvarint length, then the owning
@@ -298,8 +294,8 @@ class _Writer:
             return
         width = _scalar_width(self.group, sig.challenge, sig.response)
         self.uvarint(width)
-        self.fixed(sig.challenge, width)
-        self.fixed(sig.response, width)
+        self.buf += _fixed(sig.challenge, width)
+        self.buf += _fixed(sig.response, width)
 
     def group_ref(self, group) -> None:
         """Named registry reference when possible, inline (p, q, g) for
@@ -310,12 +306,12 @@ class _Writer:
         if not isinstance(group, SchnorrGroup):
             self.needs_v3 = True
         if group.name != "custom" and _trusted_group(group.name) == group:
-            self.u8(0)
+            self.buf.append(0)
             self.lbytes(group.name.encode())
             return
         if not isinstance(group, SchnorrGroup):
             raise WireError(f"group {group.name!r} is not registry-resolvable")
-        self.u8(1)
+        self.buf.append(1)
         for param in (group.p, group.q, group.g):
             self.lbytes(_fixed(param, _byte_length(param)))
 
@@ -345,11 +341,11 @@ class _Writer:
         (how echo/ready travel between endpoints; the receiver resolves
         it against the dealer's send, or fetches the matrix)."""
         if self.mode == "digest":
-            self.u8(1)
+            self.buf.append(1)
             self.buf += commitment_digest(c)
             self.group = c.group
         else:
-            self.u8(0)
+            self.buf.append(0)
             self.matrix(c)
 
     def polynomial(self, poly: Polynomial) -> None:
@@ -359,7 +355,7 @@ class _Writer:
         self.lbytes(_fixed(poly.q, width))
         self.uvarint(len(poly.coeffs))
         for coeff in poly.coeffs:
-            self.fixed(coeff, width)
+            self.buf += _fixed(coeff, width)
 
     def group_name(self, name: str) -> None:
         """Length-prefixed utf-8 name of the service's group.  When the
@@ -381,6 +377,9 @@ class _Writer:
 
 
 class _Reader:
+    """One frame body being decoded: the structural reads (tags,
+    counts, lengths, group elements) and composite fields."""
+
     def __init__(self, data: bytes, group, commitments):
         self.data = data
         self.pos = 0
@@ -397,23 +396,23 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def choice(self, valid, what: str) -> int:
         """A tag / enum / flag byte, which must be one of ``valid``."""
-        byte = self.u8()
+        byte = self.take(1)[0]
         if byte not in valid:
             raise WireError(f"unknown {what} {byte}")
         return byte
 
     def uvarint(self) -> int:
-        shift = 0
-        value = 0
+        data, pos, value, shift = self.data, self.pos, 0, 0
         while True:
-            byte = self.u8()
+            if pos >= len(data):
+                raise WireError("truncated frame")
+            byte = data[pos]
+            pos += 1
             value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
+            if byte < 0x80:
+                self.pos = pos
                 return value
             shift += 7
             if shift > 63:
@@ -426,23 +425,11 @@ class _Reader:
             raise WireError(f"implausible {what} {count}")
         return count
 
-    def fixed(self, width: int) -> int:
-        return int.from_bytes(self.take(width), "big")
-
     def lbytes(self) -> bytes:
         return self.take(self.uvarint())
 
     def flag(self) -> bool:
         return bool(self.choice(range(2), "flag"))
-
-    def digest(self) -> bytes:
-        return self.take(DIGEST_BYTES)
-
-    def point(self) -> int:
-        return self.fixed(self.group.scalar_bytes)
-
-    def scalar(self) -> int:
-        return self.fixed(self.uvarint())
 
     def element(self):
         raw = self.lbytes()
@@ -466,16 +453,6 @@ class _Reader:
         """A fixed-width element (commitment entries): exactly
         ``group.element_bytes`` bytes of the backend's canonical form."""
         return self._decode_element(group, self.take(group.element_bytes))
-
-    def signature(self) -> Signature | None:
-        width = self.uvarint()
-        if width == 0:
-            return None
-        return Signature(self.fixed(width), self.fixed(width))
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise WireError(f"{len(self.data) - self.pos} trailing bytes after payload")
 
     def group_ref(self):
         """See ``_Writer.group_ref``.  A name is looked up, never
@@ -529,7 +506,7 @@ class _Reader:
     def commitment(self) -> FeldmanCommitment:
         if self.choice(range(2), "commitment tag") == 0:
             return self.matrix()
-        digest = self.digest()
+        digest = self.take(DIGEST_BYTES)
         table = self.commitments
         commitment = table.get(digest) if table is not None else None
         if commitment is None:
@@ -546,7 +523,8 @@ class _Reader:
             raise WireError("bad polynomial modulus")
         count = self.count(MAX_POLYNOMIAL_COEFFS, "coefficient count")
         width = len(q_bytes)
-        return Polynomial(tuple(self.fixed(width) for _ in range(count)), q)
+        coeffs = tuple(int.from_bytes(self.take(width), "big") for _ in range(count))
+        return Polynomial(coeffs, q)
 
     def group_name(self) -> str:
         name = _utf8(self.lbytes(), "group name")
@@ -555,10 +533,15 @@ class _Reader:
         return name
 
     def frame(self) -> Any:
-        inner = self.take(len(self.data) - self.pos)
-        if inner[HEADER_BYTES - 1 : HEADER_BYTES] == bytes([ENVELOPE_KIND]):
+        """The embedded frame, which runs to the end of the body, its
+        header checked once.  Never another envelope."""
+        data, body = self.data, self.pos + HEADER_BYTES  # where its body starts
+        if data[body - 1 : body] == bytes([ENVELOPE_KIND]):
             raise WireError("session envelopes do not nest")
-        return decode(inner, commitments=self.commitments, group=self.group)
+        read = _opened(data, self.pos)
+        message = read(type(self)(data[body:], self.group, self.commitments))
+        self.pos = len(data)
+        return message
 
 
 def _utf8(raw: bytes, what: str) -> str:
@@ -569,64 +552,137 @@ def _utf8(raw: bytes, what: str) -> str:
 
 
 # -- field types ---------------------------------------------------------------
+#
+# A field type emits the source of its read and of its write (see
+# :func:`_compiled`).  A read keeps the position in a local ``pos`` and
+# checks it before every slice; the ``_Reader`` does the structural ones.
+
+
+class _Source:
+    """The source of one compiled reader (``read(r)``) or writer
+    (``write(w, m)``), and the constants it names."""
+
+    def __init__(self, head: str, consts: dict[str, Any]):
+        self.lines, self.consts, self.depth, self.names = [head], consts, 1, 0
+
+    def line(self, *lines: str) -> None:
+        self.lines += ["    " * self.depth + text for text in lines]
+
+    def local(self) -> str:
+        self.names += 1
+        return f"v{self.names}"
+
+    def const(self, value: Any) -> str:
+        name = f"K{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    @contextlib.contextmanager
+    def block(self, head: str) -> Iterator[None]:
+        self.line(head)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def call(self, method: str) -> str:
+        """``r.<method>``, with the reader's position kept in step."""
+        value = self.local()
+        self.line("r.pos = pos", f"{value} = r.{method}", "pos = r.pos")
+        return value
+
+    def take(self, width: str, convert: str = "{}") -> str:
+        """``width`` bytes, bounds-checked first, through ``convert``."""
+        value, raw = self.local(), f"data[pos : (pos := pos + {width})]"
+        self.line(
+            f"if pos + {width} > end: raise WireError('truncated frame')",
+            f"{value} = {convert.format(raw)}",
+        )
+        return value
+
+    def fixed(self, width: str, bias: int = 0) -> str:
+        """A big-endian unsigned int ``width`` bytes wide, less ``bias``."""
+        less = f" - {bias}" if bias else ""
+        return self.take(width, "int.from_bytes({}, 'big')" + less)
 
 
 @dataclasses.dataclass(frozen=True)
 class _Field:
     """One of the closed set of field types SCHEMA is written in.
     ``doc`` names it in docs/wire.md, ``detail`` spells its layout out
-    there, ``inner`` lists the field types it is built from."""
+    there, ``inner`` lists the field types it is built from.  ``read``
+    emits a read and returns an expression for the value, to be used
+    once; ``write`` emits the write of an expression."""
 
     doc: str
     detail: str
-    write: Callable[[_Writer, Any], None]
-    read: Callable[[_Reader], Any]
+    read: Callable[[_Source], str]
+    write: Callable[[_Source, str], None]
     inner: tuple[_Field, ...] = ()
 
 
-def _prim(name: str) -> _Field:
-    """The field type the ``_Writer``/``_Reader`` methods called ``name``
-    code; the writer's docstring is its entry in docs/wire.md.  Reads
-    look the method up on the reader itself, so a reader subclass sees
-    every primitive it overrides."""
-    write = getattr(_Writer, name)
-    detail = " ".join((write.__doc__ or "").split())
-    read = operator.methodcaller(name)
-    return _Field(name.replace("_", " "), detail, write, read)
+def _prim(name: str, read: Callable[[_Source], str] | None = None) -> _Field:
+    """The field type the ``_Writer`` method called ``name`` writes; its
+    docstring is the entry in docs/wire.md.  Reads call the ``_Reader``
+    method of the same name unless ``read`` emits them inline."""
+    detail = " ".join((getattr(_Writer, name).__doc__ or "").split())
+
+    def write(src: _Source, value: str) -> None:
+        src.line(f"w.{name}({value})")
+
+    def call(src: _Source) -> str:
+        return src.call(f"{name}()")
+
+    return _Field(name.replace("_", " "), detail, read or call, write)
+
+
+def _read_signature(src: _Source) -> str:
+    width, value = src.call("uvarint()"), src.local()
+    with src.block(f"if {width} == 0:"):
+        src.line(f"{value} = None")
+    with src.block("else:"):
+        src.line(f"{value} = Signature({src.fixed(width)}, {src.fixed(width)})")
+    return value
 
 
 def _int(width: int, what: str, bias: int = 0) -> _Field:
     """Fixed-width big-endian unsigned int; ``bias`` shifts a small
     signed range into it."""
 
-    def write(w: _Writer, value: int) -> None:
-        w.fixed(value + bias, width)
+    def write(src: _Source, value: str) -> None:
+        biased = f"({value} + {bias})" if bias else value
+        src.line(f"buf += {biased}.to_bytes({width}, 'big')")
 
-    def read(r: _Reader) -> int:
-        return r.fixed(width) - bias
-
-    return _Field(f"u{8 * width} {what}", "", write, read)
+    return _Field(
+        f"u{8 * width} {what}", "", lambda src: src.fixed(str(width), bias), write
+    )
 
 
 def _bytes(what: str, text: bool = False, limit: int | None = None) -> _Field:
     """Length-prefixed bytes; ``text`` makes them a UTF-8 string."""
 
-    def check(raw: bytes) -> bytes:
-        if limit is not None and len(raw) > limit:
-            raise WireError(f"{what} too long")
+    def checked(src: _Source, raw: str) -> str:
+        if limit is not None:
+            too_long = f"{what} too long"
+            src.line(f"if len({raw}) > {limit}: raise WireError({too_long!r})")
         return raw
 
-    def write(w: _Writer, value) -> None:
-        w.lbytes(check(value.encode() if text else value))
+    def read(src: _Source) -> str:
+        raw = checked(src, src.take(src.call("uvarint()")))
+        if not text:
+            return raw
+        value = src.local()
+        src.line(f"{value} = {src.const(_utf8)}({raw}, {what!r})")
+        return value
 
-    def read(r: _Reader):
-        raw = check(r.lbytes())
-        return _utf8(raw, what) if text else raw
+    def write(src: _Source, value: str) -> None:
+        raw = src.local()
+        src.line(f"{raw} = {value}.encode()" if text else f"{raw} = {value}")
+        src.line(f"w.lbytes({checked(src, raw)})")
 
     detail = f"uvarint length, then that many bytes{' of utf-8' if text else ''}"
     if limit is not None:
         detail += f"; at most {limit}"
-    return _Field(what, detail, write, read)
+    return _Field(what, detail, read, write)
 
 
 def _enum(what: str, values) -> _Field:
@@ -638,56 +694,53 @@ def _enum(what: str, values) -> _Field:
         names = by_byte = dict(enumerate(values))
     by_value = {value: byte for byte, value in by_byte.items()}
 
-    def write(w: _Writer, value) -> None:
-        if value not in by_value:
-            raise WireError(f"unknown {what} {value!r}")
-        w.u8(by_value[value])
+    def read(src: _Source) -> str:
+        table, value = src.const(by_byte), src.local()
+        byte = src.call(f"choice({table}, {what + ' index'!r})")
+        src.line(f"{value} = {table}[{byte}]")
+        return value
 
-    def read(r: _Reader):
-        return by_byte[r.choice(by_byte, f"{what} index")]
+    def write(src: _Source, value: str) -> None:
+        byte, unknown = src.local(), repr(f"unknown {what} ")
+        src.line(
+            f"{byte} = {src.const(by_value)}.get({value})",
+            f"if {byte} is None: raise WireError({unknown} + repr({value}))",
+            f"buf.append({byte})",
+        )
 
     listing = ", ".join(f"{byte} = {name}" for byte, name in names.items())
-    return _Field(what, f"u8: {listing}", write, read)
-
-
-def _optional(field: _Field) -> _Field:
-    """A presence flag, then the value if present (else ``None``)."""
-
-    def write(w: _Writer, value) -> None:
-        w.flag(value is not None)
-        if value is not None:
-            field.write(w, value)
-
-    def read(r: _Reader):
-        return field.read(r) if r.flag() else None
-
-    return _Field(f"optional {field.doc}", "", write, read, (field,))
+    return _Field(what, f"u8: {listing}", read, write)
 
 
 def _required(field: _Field) -> _Field:
     """``field``, whose absent encoding decode refuses."""
 
-    def read(r: _Reader):
-        value = field.read(r)
-        if value is None:
-            raise WireError(f"missing required {field.doc}")
+    def read(src: _Source) -> str:
+        value, missing = src.local(), f"missing required {field.doc}"
+        src.line(f"{value} = {field.read(src)}")
+        src.line(f"if {value} is None: raise WireError({missing!r})")
         return value
 
-    return _Field(f"required {field.doc}", "", field.write, read, (field,))
+    return _Field(f"required {field.doc}", "", read, field.write, (field,))
 
 
 def _list(field: _Field) -> _Field:
     """uvarint count, then that many items; decodes to a tuple."""
 
-    def write(w: _Writer, values) -> None:
-        w.uvarint(len(values))
-        for value in values:
-            field.write(w, value)
+    def read(src: _Source) -> str:
+        count, items = src.call("uvarint()"), src.local()
+        src.line(f"{items} = []")
+        with src.block(f"for _ in range({count}):"):
+            src.line(f"{items}.append({field.read(src)})")
+        return f"tuple({items})"
 
-    def read(r: _Reader) -> tuple:
-        return tuple(field.read(r) for _ in range(r.uvarint()))
+    def write(src: _Source, value: str) -> None:
+        item = src.local()
+        src.line(f"w.uvarint(len({value}))")
+        with src.block(f"for {item} in {value}:"):
+            field.write(src, item)
 
-    return _Field(f"list of {field.doc}", "", write, read, (field,))
+    return _Field(f"list of {field.doc}", "", read, write, (field,))
 
 
 def _union(
@@ -698,18 +751,26 @@ def _union(
     ``None``.  ``retired`` tags, past the live ones, decode as hostile
     bytes and are listed only so that nobody reuses them."""
 
-    def write(w: _Writer, value) -> None:
-        for tag, (typ, field) in enumerate(alternatives):
-            if isinstance(value, typ):
-                w.u8(tag)
-                if field is not None:
-                    field.write(w, value)
-                return
-        raise WireError(f"unencodable {what} {type(value).__name__}")
+    def read(src: _Source) -> str:
+        tags, value = src.const(range(len(alternatives))), src.local()
+        tag = src.call(f"choice({tags}, {what + ' tag'!r})")
+        for index, (_, field) in enumerate(alternatives):
+            # choice() has checked the tag, so the last test is implied.
+            test = f"{'elif' if index else 'if'} {tag} == {index}:"
+            with src.block("else:" if index == len(alternatives) - 1 else test):
+                src.line(f"{value} = {'None' if field is None else field.read(src)}")
+        return value
 
-    def read(r: _Reader):
-        field = alternatives[r.choice(range(len(alternatives)), f"{what} tag")][1]
-        return field.read(r) if field is not None else None
+    def write(src: _Source, value: str) -> None:
+        for index, (typ, field) in enumerate(alternatives):
+            test = f"{'elif' if index else 'if'} isinstance({value}, {src.const(typ)}):"
+            with src.block(test):
+                src.line(f"buf.append({index})")
+                if field is not None:
+                    field.write(src, value)
+        with src.block("else:"):
+            unencodable = f"unencodable {what} "
+            src.line(f"raise WireError({unencodable!r} + type({value}).__name__)")
 
     listing = " | ".join(
         [
@@ -719,32 +780,41 @@ def _union(
         + [f"{tag} = retired" for tag in retired]
     )
     inner = tuple(field for _, field in alternatives if field is not None)
-    return _Field(what, f"u8 tag, then {listing}", write, read, inner)
+    return _Field(what, f"u8 tag, then {listing}", read, write, inner)
 
 
-def _write_fields(w: _Writer, fields, value) -> None:
-    """The generic encoder: one table row (or nested record) out."""
-    for attr, field in fields:
-        field.write(w, getattr(value, attr))
-
-
-def _read_fields(r: _Reader, typ: type, fields):
-    """The generic decoder: one table row (or nested record) back."""
-    values = {attr: field.read(r) for attr, field in fields}
-    try:
-        return typ(**values)
-    except ValueError as exc:  # the type's own range checks
-        raise WireError(f"invalid {typ.__name__}: {exc}") from exc
+def _optional(field: _Field) -> _Field:
+    """A presence flag, then the value if present (else ``None``): a
+    union of nothing and ``field``."""
+    union = _union("flag", (type(None), None), (object, field))
+    return dataclasses.replace(union, doc=f"optional {field.doc}", detail="")
 
 
 def _record(typ: type, /, **fields: _Field) -> _Field:
-    """A nested dataclass: its fields back to back, no framing."""
+    """A dataclass: its fields back to back, no framing.  Its own range
+    checks surface as :class:`WireError`."""
     pairs = tuple(fields.items())
+
+    def read(src: _Source) -> str:
+        args = ", ".join(f"{attr}={field.read(src)}" for attr, field in pairs)
+        if not hasattr(typ, "__post_init__"):  # then its __init__ refuses nothing
+            return f"{src.const(typ)}({args})"
+        value, invalid = src.local(), f"invalid {typ.__name__}: "
+        with src.block("try:"):
+            src.line(f"{value} = {src.const(typ)}({args})")
+        with src.block("except ValueError as exc:"):
+            src.line(f"raise WireError({invalid!r} + str(exc)) from exc")
+        return value
+
+    def write(src: _Source, value: str) -> None:
+        for attr, field in pairs:
+            field.write(src, f"{value}.{attr}")
+
     return _Field(
         typ.__name__,
         ", ".join(f"`{attr}`: {field.doc}" for attr, field in pairs),
-        lambda w, value: _write_fields(w, pairs, value),
-        lambda r: _read_fields(r, typ, pairs),
+        read,
+        write,
         tuple(fields.values()),
     )
 
@@ -759,17 +829,17 @@ DELTA = _int(1, "delta + 128", bias=128)  # t/f deltas are small signed ints
 UVARINT = _prim("uvarint")
 FLAG = _prim("flag")
 BYTES = _bytes("bytes")
-DIGEST = _prim("digest")
+DIGEST = _prim("digest", lambda src: src.take(str(DIGEST_BYTES)))
 SESSION = _record(vss.SessionId, dealer=_int(4, "dealer"), tau=_int(4, "tau"))
-SCALAR = _prim("scalar")
+SCALAR = _prim("scalar", lambda src: src.fixed(src.call("uvarint()")))
 ELEMENT = _prim("element")
-SIGNATURE = _prim("signature")
+SIGNATURE = _prim("signature", _read_signature)
 # The four commitment fields set the width context: scalars, share
 # points, signatures and elements after one are sized by its group.
 MATRIX = _prim("matrix")
 VECTOR = _prim("vector")
 COMMITMENT = _prim("commitment")
-POINT = _prim("point")
+POINT = _prim("point", lambda src: src.fixed("r.group.scalar_bytes"))
 POLYNOMIAL = _prim("polynomial")
 GROUP_NAME = _prim("group_name")
 FRAME = _prim("frame")
@@ -978,6 +1048,32 @@ RETIRED_KINDS = (
 _KIND_BY_TYPE: dict[type, int] = {typ: kind for kind, (typ, _, _) in SCHEMA.items()}
 
 
+_READERS: dict[int, Callable[[_Reader], Any]] = {}
+_WRITERS: dict[int, Callable[[_Writer, Any], None]] = {}
+
+
+def _compiled(kind: int, part: str) -> Callable:
+    """``kind``'s ``part``, compiled from its SCHEMA row on first use:
+    ``"read"``, a reader of a frame body to its last byte, or
+    ``"write"``, a writer of one."""
+    typ, _, fields = SCHEMA[kind]
+    record = _record(typ, **dict(fields))
+    consts = {"WireError": WireError, "Signature": Signature}
+    if part == "read":
+        src = _Source("def read(r):", consts)
+        src.line("data, pos, end = r.data, r.pos, len(r.data)")
+        message = record.read(src)
+        trailing = "f'{end - pos} trailing bytes after payload'"
+        src.line(f"if pos != end: raise WireError({trailing})", f"return {message}")
+    else:
+        src = _Source("def write(w, m):", consts)
+        src.line("buf = w.buf")
+        record.write(src, "m")
+    exec(compile("\n".join(src.lines), f"<wire {part} 0x{kind:02x}>", "exec"), consts)
+    compiled = (_READERS if part == "read" else _WRITERS)[kind] = consts[part]
+    return compiled
+
+
 # -- public API ----------------------------------------------------------------
 
 
@@ -996,15 +1092,42 @@ def encode(message: Any, *, group=None, commitments: str = "inline") -> bytes:
     kind = _KIND_BY_TYPE.get(type(message))
     if kind is None:
         raise WireError(f"no wire codec for {type(message).__name__}")
-    _, since, fields = SCHEMA[kind]
+    write = _WRITERS.get(kind) or _compiled(kind, "write")
     w = _Writer(group, commitments)
-    _write_fields(w, fields, message)
+    try:
+        write(w, message)
+    except OverflowError as exc:  # a fixed-width int out of its range
+        raise WireError(f"unencodable {type(message).__name__}: {exc}") from exc
     # The version that introduced the kind, so frames stay byte-stable
     # as the codec grows; a frame shaped by a non-modp group (EC
     # commitments, compressed-point elements) only reads under v3 rules.
+    since = SCHEMA[kind][1]
     version = max(since, 3) if w.needs_v3 else since
-    frame = MAGIC + bytes([version, kind]) + bytes(w.buf)
-    return len(frame).to_bytes(4, "big") + frame
+    head = (len(w.buf) + HEADER_BYTES - 4).to_bytes(4, "big") + MAGIC
+    return head + bytes((version, kind)) + w.buf
+
+
+def _opened(data: bytes, start: int) -> Callable[[_Reader], Any]:
+    """The compiled reader for the frame at ``data[start:]``, which runs
+    to the end of ``data``, once its header has been checked."""
+    if len(data) - start < HEADER_BYTES:
+        raise WireError("frame shorter than header")
+    length = int.from_bytes(data[start : start + 4], "big")
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame length {length} exceeds cap")
+    if length != len(data) - start - 4:
+        raise WireError("frame length mismatch")
+    if data[start + 4 : start + 6] != MAGIC:
+        raise WireError("bad magic")
+    version, kind = data[start + 6], data[start + 7]
+    if kind not in SCHEMA:
+        raise WireError(f"unknown frame kind 0x{kind:02x}")
+    since = SCHEMA[kind][1]
+    if version < since:
+        raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
+    if version != since and version != max(since, 3):
+        raise WireError(f"frame kind 0x{kind:02x} is never stamped version {version}")
+    return _READERS.get(kind) or _compiled(kind, "read")
 
 
 def decode(data: bytes, *, commitments=None, group=None) -> Any:
@@ -1023,29 +1146,9 @@ def decode(data: bytes, *, commitments=None, group=None) -> Any:
     :class:`WireError`, and nothing else, on truncation, garbage,
     unknown kinds or trailing bytes.
     """
-    if len(data) < HEADER_BYTES:
-        raise WireError("frame shorter than header")
-    length = int.from_bytes(data[:4], "big")
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds cap")
-    if length != len(data) - 4:
-        raise WireError("frame length mismatch")
-    if data[4:6] != MAGIC:
-        raise WireError("bad magic")
-    version, kind = data[6], data[7]
-    entry = SCHEMA.get(kind)
-    if entry is None:
-        raise WireError(f"unknown frame kind 0x{kind:02x}")
-    typ, since, fields = entry
-    if version < since:
-        raise WireError(f"frame kind 0x{kind:02x} requires codec version >= {since}")
-    if version not in (since, max(since, 3)):
-        raise WireError(f"frame kind 0x{kind:02x} is never stamped version {version}")
+    read = _opened(data, 0)
     # bytes, not a mutable buffer: element encodings key the matrix memo.
-    reader = _Reader(bytes(data[HEADER_BYTES:]), group, commitments)
-    message = _read_fields(reader, typ, fields)
-    reader.expect_end()
-    return message
+    return read(_Reader(bytes(data[HEADER_BYTES:]), group, commitments))
 
 
 _DIGEST_KINDS = frozenset({"vss.echo", "vss.ready"})
@@ -1080,5 +1183,5 @@ def payload_length(frame: bytes) -> int:
         return len(frame)
     reader = _Reader(frame, None, None)
     reader.pos = HEADER_BYTES
-    reader.lbytes()  # the session id
-    return len(frame) - reader.pos
+    length = reader.uvarint()  # the session id's
+    return len(frame) - reader.pos - length

@@ -14,12 +14,13 @@ JSON-serializable dict (the OPS wire frame and ``/metrics.json``), and
 :meth:`render_text`, Prometheus text exposition (``/metrics``).
 
 Hot paths use the module-level helpers (:func:`counter_inc`,
-:func:`gauge_set`, :func:`observe`) against the *active* registry; when
-:func:`set_registry` has installed ``None`` they are no-ops, which is
-how the overhead benchmark measures the instrumented stack against the
-bare one.  Subsystems that cannot afford even a dict lookup per event
-(the crypto engines) keep plain counters and publish them lazily via
-:func:`register_collector` — collectors run at snapshot/render time.
+:func:`gauge_set`, :func:`observe`), or a :class:`Bound` family, against
+the *active* registry; when :func:`set_registry` has installed ``None``
+they are no-ops, which is how the overhead benchmark measures the
+instrumented stack against the bare one.  Subsystems that cannot
+afford even a dict lookup per event (the crypto engines) keep plain
+counters and publish them lazily via :func:`register_collector` —
+collectors run at snapshot/render time.
 
 Label cardinality is bounded: a family that accumulates more than
 ``label_limit`` distinct label sets raises :class:`CardinalityError`
@@ -372,6 +373,40 @@ def run_collectors(reg: MetricsRegistry) -> None:
             fn(reg)
         except Exception:  # pragma: no cover - collectors are best-effort
             pass
+
+
+class Bound:
+    """One metric family of the active registry, held by a hot path:
+    each label value's child is looked up once, and again after
+    :func:`set_registry` swaps the registry (a no-op while none is)."""
+
+    __slots__ = ("name", "help", "label", "kind", "_state")
+
+    def __init__(self, name: str, help: str, label: str = "", kind: str = "counter"):
+        self.name, self.help, self.label, self.kind = name, help, label, kind
+        # (registry, label value -> child), swapped whole: no thread
+        # pairs one registry with another's children.
+        self._state: tuple[MetricsRegistry | None, dict] = (None, {})
+
+    def child(self, value: str = "") -> Any:
+        reg, children = self._state
+        if reg is not _active:
+            reg, children = self._state = (_active, {})
+        child = children.get(value)
+        if child is None and reg is not None:
+            labels = {self.label: value} if self.label else {}
+            child = children[value] = reg._metric(
+                self.kind, self.name, self.help, DEFAULT_BUCKETS, labels
+            )
+        return child
+
+    def inc(self, value: str = "", amount: int = 1) -> None:
+        if (child := self.child(value)) is not None:
+            child.inc(amount)
+
+    def observe(self, amount: float) -> None:
+        if (child := self.child()) is not None:
+            child.observe(amount)
 
 
 def counter_inc(name: str, amount: int = 1, help: str = "", **labels: Any) -> None:

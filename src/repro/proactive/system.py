@@ -88,21 +88,29 @@ class ShareLifecycle:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
+    def _checked(
+        self, crash_plan: CrashPlan | None, members: list[int], config: DkgConfig
+    ) -> CrashPlan:
+        """``crash_plan`` checked against §2.2 under ``config``, counting
+        the members the world holds down: before a stage changes any
+        state, so a refused plan changes nothing."""
+        return check_crash_plan(
+            crash_plan or (),
+            config.f,
+            config.d_budget,
+            members=members,
+            down=self.world.crashed.intersection(members),
+        )
+
     def _run(
         self, session: str, members: list[int], inputs: dict, kind: str, **stage: Any
     ) -> tuple[dict[int, Any], dict[int, Any], Metrics]:
         """Run one stage of one session: ``members``' machines, first
         ``kind`` outputs and metrics (a TCP world waits for
         ``expected``, default all).  The stage's crash plan is checked
-        against §2.2 under the config as the session opens, counting
-        the members the world holds down, before anything runs."""
-        stage["crash_plan"] = check_crash_plan(
-            stage.get("crash_plan") or (),
-            self.config.f,
-            self.config.d_budget,
-            members=members,
-            down=self.world.crashed.intersection(members),
-        )
+        under the config as the session opens, before anything runs."""
+        plan = self._checked(stage.get("crash_plan"), members, self.config)
+        stage["crash_plan"] = plan
         machines = self.sessions(
             session, members, lambda _: (self.shares, self.commitment)
         )
@@ -171,6 +179,8 @@ class ProactiveSystem(ShareLifecycle):
         corrupted = corrupted or set()
         if len(corrupted) > self.config.t:
             raise ValueError("mobile adversary exceeds t corruptions in a phase")
+        members = list(self.config.vss().indices)
+        crash_plan = self._checked(crash_plan, members, self.config)
         self.phase += 1
         phase = self.phase
 
@@ -178,7 +188,6 @@ class ProactiveSystem(ShareLifecycle):
         exposed = {i: self.shares[i] for i in corrupted if i in self.shares}
         self.adversary_view[phase] = dict(exposed)
 
-        members = list(self.config.vss().indices)
         _, renewed, metrics = self._run(
             f"renew-{phase}",
             members,

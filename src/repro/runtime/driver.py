@@ -37,6 +37,23 @@ from repro.runtime.events import (
     TimerFired,
 )
 
+# Metered on every transition, so looked up once per registry.
+_EVENTS = obs_metrics.Bound(
+    "repro_runtime_events_total",
+    "events stepped through MachineDriver by kind",
+    "event",
+)
+_EFFECTS = obs_metrics.Bound(
+    "repro_runtime_effects_total",
+    "effects emitted by machine transitions by kind",
+    "effect",
+)
+_STEP_SECONDS = obs_metrics.Bound(
+    "repro_runtime_step_seconds",
+    "step + effect-apply duration of one machine transition",
+    kind="histogram",
+)
+
 
 class MachineDriver:
     """Drives one machine against one transport endpoint."""
@@ -121,23 +138,10 @@ class MachineDriver:
     ) -> None:
         """Per-transition metering and tracing (the one cross-driver
         observability seam); both paths no-op when disabled."""
-        reg = obs_metrics.registry()
-        if reg is not None:
-            reg.counter(
-                "repro_runtime_events_total",
-                "events stepped through MachineDriver by kind",
-                event=type(event).__name__,
-            ).inc()
-            for effect in effects:
-                reg.counter(
-                    "repro_runtime_effects_total",
-                    "effects emitted by machine transitions by kind",
-                    effect=type(effect).__name__,
-                ).inc()
-            reg.histogram(
-                "repro_runtime_step_seconds",
-                "step + effect-apply duration of one machine transition",
-            ).observe(duration)
+        _EVENTS.inc(type(event).__name__)
+        for effect in effects:
+            _EFFECTS.inc(type(effect).__name__)
+        _STEP_SECONDS.observe(duration)
         sink = self.trace_sink
         if sink is None:
             sink = obs_trace.trace_sink()

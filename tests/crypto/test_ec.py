@@ -425,6 +425,36 @@ class TestPointCodec:
         assert G.element_from_bytes(bytes(raw)) == point_neg(point)
 
 
+class TestChainedSquareRoot:
+    """Point decompression's root is an addition chain, not ``pow``."""
+
+    @staticmethod
+    def _reference(a: int) -> int | None:
+        root = pow(a, (P + 1) // 4, P)
+        return root if root * root % P == a % P else None
+
+    @given(st.integers(0, P - 1))
+    @settings(max_examples=200)
+    def test_equals_pow_on_every_input(self, a: int) -> None:
+        assert ec._sqrt_mod_p(a) == self._reference(a)
+
+    def test_residues_and_edges(self) -> None:
+        rng = random.Random(17)
+        for _ in range(50):
+            a = pow(rng.randrange(1, P), 2, P)
+            root = ec._sqrt_mod_p(a)
+            assert root == pow(a, (P + 1) // 4, P) and root * root % P == a
+        assert ec._sqrt_mod_p(0) == 0
+        assert ec._sqrt_mod_p(1) == 1
+
+    def test_non_residues_have_none(self) -> None:
+        # P = 3 mod 4, so -1 and -(any square) are non-residues.
+        assert ec._sqrt_mod_p(P - 1) is None
+        rng = random.Random(18)
+        for _ in range(50):
+            assert ec._sqrt_mod_p(P - pow(rng.randrange(1, P), 2, P)) is None
+
+
 class TestMultiexp:
     @given(seeds, st.integers(2, 12))
     @settings(max_examples=20, deadline=None)

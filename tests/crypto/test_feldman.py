@@ -191,7 +191,7 @@ class TestCommitmentAlgebra:
     def test_combine_commits_to_sum(self, bgroup, t: int, s1: int, s2: int) -> None:
         f1, c1 = _commit(bgroup, t, s1)
         f2, c2 = _commit(bgroup, t, s2 + 10_000)
-        combined = c1.combine(c2)
+        combined = FeldmanCommitment.combine([c1, c2])
         # the combined commitment verifies points of f1 + f2
         i, m = 2, 3
         total = (f1.evaluate(m, i) + f2.evaluate(m, i)) % bgroup.q
@@ -219,13 +219,42 @@ class TestCommitmentAlgebra:
             tuple(bgroup.mul(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(c1.matrix, c2.matrix)
         )
-        assert c1.combine(c2).matrix == expected
+        assert FeldmanCommitment.combine([c1, c2]).matrix == expected
+
+    def test_combine_of_many_matches_the_pairwise_fold(self, bgroup) -> None:
+        # One n-ary product (one inversion per matrix on a curve) equals
+        # folding group.mul entry by entry, identity entries included.
+        rng = random.Random(11)
+        symmetric = [
+            FeldmanCommitment.commit(
+                BivariatePolynomial.random_symmetric(2, bgroup.q, rng), bgroup
+            )
+            for _ in range(3)
+        ]
+        negated = FeldmanCommitment(
+            tuple(tuple(bgroup.inv(e) for e in row) for row in symmetric[0].matrix),
+            bgroup,
+        )
+        general = FeldmanCommitment.commit(
+            BivariatePolynomial.random_general(2, bgroup.q, rng), bgroup
+        )
+        for operands in (symmetric, [*symmetric, negated], [*symmetric, general]):
+            expected = operands[0].matrix
+            for c in operands[1:]:
+                expected = tuple(
+                    tuple(bgroup.mul(a, b) for a, b in zip(ra, rb))
+                    for ra, rb in zip(expected, c.matrix)
+                )
+            assert FeldmanCommitment.combine(operands).matrix == expected
+        cancelled = FeldmanCommitment.combine([symmetric[0], negated]).matrix
+        assert {e for row in cancelled for e in row} == {bgroup.identity}
+        assert FeldmanCommitment.combine([general]) is general
 
     def test_combine_rejects_mismatched_degree(self, bgroup) -> None:
         _, c1 = _commit(bgroup, 1, 0)
         _, c2 = _commit(bgroup, 2, 0)
         with pytest.raises(ValueError):
-            c1.combine(c2)
+            FeldmanCommitment.combine([c1, c2])
 
     @given(degrees, seeds)
     @settings(max_examples=30)

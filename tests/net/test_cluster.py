@@ -16,9 +16,13 @@ import weakref
 import pytest
 
 from repro.crypto.shares import Share, reconstruct_secret
+from repro.deployment import DKG_SESSION
 from repro.dkg import DkgConfig
-from repro.net import DropRetryLink, LocalCluster, run_local_cluster
+from repro.net import DropRetryLink, LocalCluster, run_local_cluster, wire
+from repro.obs import metrics as obs_metrics
+from repro.runtime.envelope import SessionEnvelope
 from repro.sim.network import PartitionDelay, UniformDelay
+from repro.vss.messages import HelpMsg, SessionId
 
 from tests.helpers import default_test_group
 
@@ -313,3 +317,79 @@ class TestClusterOrchestration:
         )
         for key, machine in live.items():
             assert _construction(replayed[key]) == _construction(machine), key
+
+
+def _per_kind(registry, family: str) -> dict[str, int]:
+    samples = registry.snapshot().get(family, {}).get("samples", ())
+    return {s["labels"]["kind"]: s["value"] for s in samples}
+
+
+def _frame_counts(registry) -> dict[str, dict[str, int]]:
+    return {
+        f"{what}_{way}": _per_kind(registry, f"repro_net_{what}_{way}_total")
+        for what in ("frames", "bytes")
+        for way in ("sent", "received")
+    }
+
+
+async def _metered_dkg(seed: int):
+    """One n=4 DKG; returns its metrics once every frame sent has
+    been received (the last completion can beat a late frame)."""
+    cluster = LocalCluster(_config(), seed=seed, time_scale=SCALE)
+    try:
+        result = await cluster.run_dkg()
+        assert result.succeeded
+        registry = obs_metrics.registry()
+        for _ in range(500):
+            counts = _frame_counts(registry)
+            if counts["frames_received"] == counts["frames_sent"]:
+                break
+            await asyncio.sleep(0.01)
+    finally:
+        await cluster.stop()
+    return result.metrics
+
+
+class TestMetricBinding:
+    """The per-frame counters are bound once per registry: they still
+    agree with the run's own tallies, and follow a registry swap."""
+
+    @staticmethod
+    def _assert_counts_match(registry, metrics) -> None:
+        counts = _frame_counts(registry)
+        # A received frame is metered whole: the payload's frame inside
+        # a ``dkg`` session envelope.
+        payload = HelpMsg(SessionId(1, 0))
+        envelope = len(wire.encode(SessionEnvelope(DKG_SESSION, payload)))
+        overhead = envelope - len(wire.encode(payload))
+        assert counts["frames_sent"] == dict(metrics.messages_by_kind)
+        assert counts["bytes_sent"] == dict(metrics.bytes_by_kind)
+        assert counts["frames_received"] == counts["frames_sent"]
+        assert counts["bytes_received"] == {
+            kind: size + overhead * metrics.messages_by_kind[kind]
+            for kind, size in metrics.bytes_by_kind.items()
+        }
+
+    def test_frame_counters_equal_the_run_metrics(self) -> None:
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        try:
+            metrics = asyncio.run(_metered_dkg(seed=5))
+        finally:
+            obs_metrics.set_registry(previous)
+        self._assert_counts_match(registry, metrics)
+
+    def test_a_swapped_registry_gets_the_next_run_alone(self) -> None:
+        first, second = obs_metrics.MetricsRegistry(), obs_metrics.MetricsRegistry()
+        events = "repro_runtime_events_total"
+        previous = obs_metrics.set_registry(first)
+        try:
+            asyncio.run(_metered_dkg(seed=5))
+            before = (_frame_counts(first), first.snapshot()[events])
+            obs_metrics.set_registry(second)
+            metrics = asyncio.run(_metered_dkg(seed=6))
+        finally:
+            obs_metrics.set_registry(previous)
+        assert (_frame_counts(first), first.snapshot()[events]) == before
+        self._assert_counts_match(second, metrics)
+        assert second.snapshot()[events]["samples"]

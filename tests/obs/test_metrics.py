@@ -15,6 +15,7 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    Bound,
     CardinalityError,
     MetricsRegistry,
     counter_inc,
@@ -200,6 +201,29 @@ class TestActiveRegistry:
             assert registry() is None
         finally:
             set_registry(previous)
+
+    def test_bound_family_follows_the_active_registry(self) -> None:
+        frames = Bound("bound_total", "frames", "kind")
+        step = Bound("bound_seconds", "steps", kind="histogram")
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_registry(first)
+        try:
+            frames.inc("a")
+            frames.inc("a", 2)
+            step.observe(0.5)
+            assert frames.child("a") is first.counter("bound_total", kind="a")
+            set_registry(second)
+            frames.inc("a")
+            set_registry(None)
+            frames.inc("a")  # a no-op with metering off
+            step.observe(0.5)
+            assert frames.child("a") is None
+        finally:
+            set_registry(previous)
+        assert first.counter("bound_total", kind="a").value == 3
+        assert first.histogram("bound_seconds").total == 1
+        assert second.counter("bound_total", kind="a").value == 1
+        assert "bound_seconds" not in second.snapshot(collect=False)
 
     def test_helpers_route_to_installed_registry(self) -> None:
         mine = MetricsRegistry()

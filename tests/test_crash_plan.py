@@ -19,6 +19,7 @@ import pytest
 from repro.cli import main
 from repro.dkg import DkgConfig, run_dkg
 from repro.net.cluster import TcpWorld, run_local_cluster
+from repro.groupmod import GroupManager, ModProposal
 from repro.proactive import ProactiveSystem
 from repro.sim.adversary import Adversary
 
@@ -123,3 +124,62 @@ def test_a_node_left_down_counts_against_the_next_stage(world) -> None:
         assert 4 not in system.shares
         with pytest.raises(ValueError, match="simultaneous"):
             system.renew(crash_plan=[(0.5, 5, 10.0)])
+
+
+def _spy(world, calls: list) -> None:
+    """Record the sessions ``world`` runs and the nodes it joins."""
+    run_stage, join = world.run_stage, world.join
+
+    def spied_run_stage(sessions, *args, **kwargs):
+        calls.append(("run", *sessions))
+        return run_stage(sessions, *args, **kwargs)
+
+    def spied_join(index):
+        calls.append(("join", index))
+        return join(index)
+
+    world.run_stage, world.join = spied_run_stage, spied_join
+
+
+OVERLAPPING = REFUSED["f+1-overlapping"][0]
+
+
+@pytest.mark.parametrize("world", list(WORLDS))
+def test_a_refused_renewal_changes_nothing(world) -> None:
+    with ProactiveSystem(CONFIG, seed=SEED, **WORLDS[world]) as system:
+        system.bootstrap()
+        calls: list = []
+        _spy(system.world, calls)
+        before = (system.phase, dict(system.adversary_view), system.config)
+        with pytest.raises(ValueError, match="simultaneous"):
+            system.renew(corrupted={1}, crash_plan=OVERLAPPING)
+        assert (system.phase, system.adversary_view, system.config) == before
+        assert calls == []
+        report = system.renew(corrupted={1})
+        assert report.phase == system.phase == 1
+        assert list(system.adversary_view) == [1]
+        assert calls == [("run", "renew-1")]
+
+
+@pytest.mark.parametrize("world", list(WORLDS))
+def test_a_refused_group_change_changes_nothing(world) -> None:
+    with GroupManager(CONFIG, seed=SEED, **WORLDS[world]) as manager:
+        manager.bootstrap()
+        manager.pending = [ModProposal("add", 8)]
+        calls: list = []
+        _spy(manager.world, calls)
+        before = (manager.phase, list(manager.pending), manager.members)
+        config = manager.config
+        for refused in (
+            lambda: manager.add_node(7, crash_plan=OVERLAPPING),
+            lambda: manager.phase_change(crash_plan=OVERLAPPING),
+        ):
+            with pytest.raises(ValueError, match="simultaneous"):
+                refused()
+            assert (manager.phase, manager.pending, manager.members) == before
+            assert manager.config is manager.sessions.config is config
+            assert calls == []
+        manager.add_node(7)
+        assert manager.phase == 1
+        assert manager.members == (1, 2, 3, 4, 5, 6, 7)
+        assert calls == [("join", 7), ("run", "add-1")]
