@@ -34,18 +34,17 @@ The arithmetic core mirrors :mod:`repro.crypto.multiexp` term for term:
 * reusable Straus tables for a fixed base vector (:class:`EcSharedBases`),
   cached process-wide exactly like their modp counterparts;
 * ``a * G + b * X`` for Schnorr verification in two tiers, chosen by
-  how often the key has been verified.  Every key starts with the
-  fixed-base comb of :class:`EcCombPair` (a 64-entry table, 2.6 ms to
-  build).  A key's pair counts its calls, and at
-  :data:`HOT_KEY_VERIFICATIONS` it builds an :class:`EcHotKeyTable`:
-  the GLV endomorphism splits ``b`` into two 128-bit halves that share
-  one signed window-8 table of ``X`` (17 rows of 128 points, flat
-  coordinates, ~0.3 MB), so the whole sum is ~66 mixed additions with
-  the generator's window-8 table and no doubling — about 0.6 ms
-  against the comb's 1.1 ms.  The threshold is the build cost over the
-  saving per verification (35 ms / 0.5 ms = 70): the comb has then
-  cost the key what the table costs, so it never pays more than twice
-  the best choice made knowing the key's future.  At most
+  how often the key has been verified.  Both split ``b`` by the GLV
+  endomorphism into two halves below 2^129, ``b * X = k1 * X + k2 *
+  phi(X)``, and both take ``a * G`` as ~32 addends of the generator's
+  window-8 table.  Every key starts with :class:`EcCombPair`: a
+  6-tooth comb of ``X`` (64 entries, ~0.73 ms to build) that both
+  halves read, so ``b * X`` is 22 shared doublings and at most 44
+  mixed additions, ~0.38 ms in all.  A key's pair counts its calls,
+  and at :data:`HOT_KEY_VERIFICATIONS` it builds an
+  :class:`EcHotKeyTable`: one signed window-8 table of ``X`` (17 rows
+  of 128 points, flat coordinates, ~0.3 MB, ~15 ms to build), so the
+  whole sum is ~66 mixed additions and no doubling, ~0.27 ms.  At most
   :data:`HOT_KEYS` tables live in a process.  Long-lived keys cross
   the threshold — a gateway's group key, checked twice per signature,
   and a signing service's forge identities, checked on every nonce
@@ -80,7 +79,6 @@ from repro.crypto.multiexp import (
     COMB_TEETH,
     PIPPENGER_CUTOFF,
     comb_digits,
-    comb_span,
     _pippenger_window,
 )
 
@@ -799,30 +797,7 @@ def ec_fixed_base(base: EcPoint) -> EcFixedBaseTable:
     return EcFixedBaseTable(base, window)
 
 
-_COMB_SPAN = comb_span(N)
-
-
-def _comb_table(base: EcPoint) -> list[tuple[int, int] | None]:
-    """The ``2^COMB_TEETH`` affine comb entries of ``base``:
-    ``table[d] = sum_{j in bits(d)} 2^(j * span) * base``, entry 0 (and
-    every entry of the identity's table) ``None``.  One batch inversion
-    for the whole table."""
-    tooth = _JAC_INF if base.is_infinity() else (base.x, base.y, 1)
-    table = [_JAC_INF]
-    for j in range(COMB_TEETH):
-        table += [_jac_add(entry, tooth) for entry in table]
-        if j < COMB_TEETH - 1:
-            for _ in range(_COMB_SPAN):
-                tooth = _jac_double(*tooth)
-    return _batch_to_affine(table)
-
-
-@lru_cache(maxsize=1)
-def _generator_comb() -> list[tuple[int, int] | None]:
-    return _comb_table(GENERATOR)
-
-
-# -- the hot-key tier: an endomorphism-split window table -------------------
+# -- Schnorr verification: the endomorphism split and two verifier tiers --
 
 # secp256k1 has an endomorphism that costs one field multiplication
 # (Gallant, Lambert and Vanstone, CRYPTO 2001): phi(x, y) = (BETA * x, y)
@@ -956,16 +931,18 @@ class EcHotKeyTable:
 
 
 # When a key earns a hot table, and how many a process may hold.  A
-# build costs about HOT_BUILD_MS and each verification it serves saves
-# about HOT_SAVING_MS against the comb (medians on a 2-core Intel Xeon
-# VM, pure python), so a key is promoted once the comb has cost it what
-# the build costs: the ski-rental rule, never more than twice the work
-# of knowing in advance how often the key will be verified.  HOT_KEYS
-# tables are ~2.4 MB at most; a signing service holds five hot keys
-# (its group key and its forge's four identities).
-HOT_BUILD_MS = 35.0
-HOT_SAVING_MS = 0.5
-HOT_KEY_VERIFICATIONS = round(HOT_BUILD_MS / HOT_SAVING_MS)
+# hot table costs ~15 ms to build and a verification ~0.27 ms from it,
+# against ~0.38 ms from the comb (medians on a 2-core Intel Xeon VM,
+# pure python).  The threshold was set at 70 when the comb walked all
+# 256 bits, as build cost over saving (35 ms / 0.5 ms); it stays there
+# by choice, so a gateway key promotes when it did.  At 70 the comb
+# has cost a key ~27 ms before its table is built, so a key never
+# verified again has paid at most ~1.6 times the best choice made
+# knowing its future; and at most HOT_KEYS tables are alive, so at
+# most that many builds at a time wait to pay off.  HOT_KEYS tables
+# are ~2.4 MB at most; a signing service holds five hot keys (its
+# group key and its forge's four identities).
+HOT_KEY_VERIFICATIONS = 70
 HOT_KEYS = 8
 
 # One token per hot table this process may still build; a table's
@@ -974,12 +951,43 @@ HOT_KEYS = 8
 _hot_tokens: list[None] = [None] * HOT_KEYS
 
 
+# The comb walks the halves of a split scalar, so its span covers
+# GLV_BITS, not the order: 22 columns.
+_COMB_SPAN = -(-GLV_BITS // COMB_TEETH)
+
+
+def _comb_table(base: EcPoint) -> list[tuple[int, int] | None]:
+    """The ``2^COMB_TEETH`` affine comb entries of ``base``:
+    ``table[d] = sum_{j in bits(d)} 2^(j * span) * base``, entry 0 (and
+    every entry of the identity's table) ``None``.  The teeth are made
+    affine in one batch, so each subset sum is one mixed addition, and
+    the table in a second."""
+    if base.is_infinity():
+        return [None] * (1 << COMB_TEETH)
+    tooth = (base.x, base.y, 1)
+    teeth = [tooth]
+    for _ in range(COMB_TEETH - 1):
+        for _ in range(_COMB_SPAN):
+            tooth = _jac_double(*tooth)
+        teeth.append(tooth)
+    table = [_JAC_INF]
+    for x, y in _batch_to_affine(teeth):
+        table += [_jac_add_affine(entry, x, y) for entry in table]
+    return _batch_to_affine(table)
+
+
 class EcCombPair:
-    """Lim--Lee fixed-base comb for ``a * G + b * base`` with both
-    points fixed — the EC mirror of
-    :class:`repro.crypto.multiexp.CombPair`: ``span`` shared doublings
-    and at most ``2 * span`` mixed additions.  The generator's table is
-    shared process-wide, ``base``'s belongs to this object.
+    """``a * G + b * base`` for Schnorr verification, with ``base``
+    fixed: a Lim--Lee comb over the endomorphism's halves of ``b``.
+
+    ``b = k1 + k2 * LAMBDA`` (:func:`glv_split`), both halves shorter
+    than :data:`GLV_BITS` bits, so ``b * base = k1 * base + k2 *
+    phi(base)`` is one comb of ``span`` = 22 shared doublings and at
+    most ``2 * span`` mixed additions.  Both halves read ``base``'s one
+    64-entry table: an entry of ``phi(base)``'s table is the same entry
+    with ``x`` times :data:`GLV_BETA`, and a negative half negates
+    ``y``.  ``a * G`` is ~32 addends of the generator's
+    :class:`EcFixedBaseTable`, added after the doublings.
 
     The pair counts its calls; at :data:`HOT_KEY_VERIFICATIONS` it
     builds an :class:`EcHotKeyTable` for ``base``, if fewer than
@@ -1025,26 +1033,54 @@ class EcCombPair:
         return hot
 
     def _comb(self, a: int, b: int) -> EcPoint:
-        g_table, table = _generator_comb(), self._table
-        p = P
-        X1, Y1, Z1 = _JAC_INF
-        for d_g, d_b in zip(
-            comb_digits(a % N, _COMB_SPAN), comb_digits(b % N, _COMB_SPAN)
+        p, table = P, self._table
+        k1, k2 = glv_split(b % N)
+        # The affine addends in order, None where the sum doubles.
+        steps: list[tuple[int, int] | None] = []
+        for d1, d2 in zip(
+            comb_digits(abs(k1), _COMB_SPAN), comb_digits(abs(k2), _COMB_SPAN)
         ):
-            if Z1:  # inlined _jac_double
-                A = X1 * X1 % p
-                Bv = Y1 * Y1 % p
-                C = Bv * Bv % p
-                sm = X1 + Bv
-                D = 2 * (sm * sm - A - C) % p
-                E = 3 * A % p
-                X3 = (E * E - 2 * D) % p
-                Z1 = 2 * Y1 * Z1 % p
-                Y1 = (E * (D - X3) - 8 * C) % p
-                X1 = X3
-            for entry in (g_table[d_g], table[d_b]):
-                if entry is not None:
-                    X1, Y1, Z1 = _jac_add_affine((X1, Y1, Z1), entry[0], entry[1])
+            steps.append(None)
+            if d1 and table[d1] is not None:
+                x, y = table[d1]
+                steps.append((x, p - y if k1 < 0 else y))
+            if d2 and table[d2] is not None:
+                x, y = table[d2]
+                steps.append((x * GLV_BETA % p, p - y if k2 < 0 else y))
+        steps += ec_fixed_base(GENERATOR)._addends(a)
+        X1, Y1, Z1 = _JAC_INF
+        for step in steps:
+            if step is None:
+                if Z1:  # inlined _jac_double
+                    A = X1 * X1 % p
+                    Bv = Y1 * Y1 % p
+                    C = Bv * Bv % p
+                    sm = X1 + Bv
+                    D = 2 * (sm * sm - A - C) % p
+                    E = 3 * A
+                    X1, Z1 = (E * E - 2 * D) % p, 2 * Y1 * Z1 % p
+                    Y1 = (E * (D - X1) - 8 * C) % p
+                continue
+            x, y = step
+            if not Z1:
+                X1, Y1, Z1 = x, y, 1
+                continue
+            # The hot table's mixed addition: H, R and H^3 unreduced.
+            Z1Z1 = Z1 * Z1 % p
+            H = x * Z1Z1 % p - X1
+            R = y * Z1 * Z1Z1 % p - Y1
+            if not H:
+                if R:
+                    X1, Y1, Z1 = _JAC_INF
+                else:
+                    X1, Y1, Z1 = _jac_double(X1, Y1, Z1)
+                continue
+            HH = H * H % p
+            HHH = H * HH
+            V = X1 * HH % p
+            X1 = (R * R - HHH - 2 * V) % p
+            Y1 = (R * (V - X1) - Y1 * HHH) % p
+            Z1 = Z1 * H % p
         return _from_jacobian((X1, Y1, Z1))
 
 

@@ -323,14 +323,6 @@ class FeldmanVector:
         """g^{a_0}."""
         return self.entries[0]
 
-    def combine(self, other: "FeldmanVector") -> "FeldmanVector":
-        if self.degree != other.degree or self.group != other.group:
-            raise ValueError("incompatible commitments")
-        g = self.group
-        return FeldmanVector(
-            tuple(g.mul(a, b) for a, b in zip(self.entries, other.entries)), g
-        )
-
 
 def share_verifier(
     commitment: FeldmanCommitment | FeldmanVector,

@@ -62,7 +62,9 @@ _FRAMES_SENT = obs_metrics.Bound(
     "repro_net_frames_sent_total", "wire frames sent, by protocol message kind", "kind"
 )
 _BYTES_SENT = obs_metrics.Bound(
-    "repro_net_bytes_sent_total", "wire bytes sent, by protocol message kind", "kind"
+    "repro_net_bytes_sent_total",
+    "protocol-frame bytes sent (session envelope excluded), by message kind",
+    "kind",
 )
 _FRAMES_RECEIVED = obs_metrics.Bound(
     "repro_net_frames_received_total",
@@ -71,7 +73,7 @@ _FRAMES_RECEIVED = obs_metrics.Bound(
 )
 _BYTES_RECEIVED = obs_metrics.Bound(
     "repro_net_bytes_received_total",
-    "wire bytes received, by protocol message kind",
+    "protocol-frame bytes received (session envelope excluded), by message kind",
     "kind",
 )
 
@@ -410,7 +412,7 @@ class AsyncioTransport:
             delay_units = self.delay_model.sample(self._net_rng, sender, recipient)
         delay_s = delay_units * self.time_scale
         if recipient == self.node_id:
-            self._later(delay_s, self._deliver_local, payload, len(frame))
+            self._later(delay_s, self._deliver_local, payload, size)
         elif delay_s > 0:
             self._later(delay_s, self._transmit, recipient, frame)
         else:
@@ -523,7 +525,7 @@ class AsyncioTransport:
         except wire.WireError:
             self._drop_inbound()
             return
-        self._accept(peer, message, len(frame))
+        self._accept(peer, message, wire.payload_length(frame))
 
     def _accept(self, peer: int, message: Any, size: int) -> None:
         inner = message.payload if isinstance(message, SessionEnvelope) else message

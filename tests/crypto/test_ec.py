@@ -245,6 +245,47 @@ def _pair_and_hot(seed: int) -> tuple[EcCombPair, EcHotKeyTable]:
     return EcCombPair(base), EcHotKeyTable(base)
 
 
+def _oracle(base: EcPoint, a: int, b: int) -> EcPoint:
+    """``a * G + b * base`` by textbook double-and-add, independent of
+    both verifier tiers."""
+    return point_add(scalar_mul_naive(GENERATOR, a), scalar_mul_naive(base, b))
+
+
+class TestCombPair:
+    """The first verifier tier: :class:`EcCombPair`'s comb over the two
+    halves of ``b``'s endomorphism split, against textbook
+    double-and-add."""
+
+    def test_comb_matches_the_oracle(self) -> None:
+        pair, _ = _pair_and_hot(24)
+        base = _rand_point(24)
+        rng = random.Random(24)
+        # A b for each sign pattern of its split, and a short one whose
+        # second half is 0.
+        by_signs = {}
+        while len(by_signs) < 4:
+            b = rng.randrange(N)
+            k1, k2 = glv_split(b)
+            by_signs.setdefault((k1 < 0, k2 < 0), b)
+        short = 2**64 - 1
+        assert glv_split(short) == (short, 0)
+        for b in (0, 1, N - 1, GLV_LAMBDA, N - GLV_LAMBDA, short, *by_signs.values()):
+            for a in (0, 1, N - 1, rng.randrange(N)):
+                assert pair._comb(a, b) == _oracle(base, a, b), (a, b)
+
+    def test_comb_reads_a_half_near_the_bound(self, monkeypatch) -> None:
+        """glv_split's halves stay below 2^128, but the comb's 22
+        columns serve its whole bound: a half of 2^129 - 1, either
+        sign, sets 19 of the top tooth's 22 columns."""
+        pair, _ = _pair_and_hot(25)
+        base = _rand_point(25)
+        top = 2**GLV_BITS - 1
+        for k1, k2 in ((top, 0), (-top, 0), (0, top), (0, -top), (top, -top)):
+            b = (k1 + k2 * GLV_LAMBDA) % N
+            monkeypatch.setattr(ec, "glv_split", lambda k, split=(k1, k2): split)
+            assert pair._comb(3, b) == _oracle(base, 3, b), (k1, k2)
+
+
 class TestHotKeyTier:
     """The second verifier tier: a key's :class:`EcCombPair` counts its
     calls and, at :data:`HOT_KEY_VERIFICATIONS`, answers from an
@@ -281,22 +322,26 @@ class TestHotKeyTier:
 
     def test_recoding_boundaries(self) -> None:
         """Digits of 128 (kept) and 129 (carried) in every row of both
-        tables, and each half of the split negative."""
+        tables, and each half of the split negative, through both
+        tiers."""
         pair, hot = _pair_and_hot(22)
+        base = _rand_point(22)
         for k in range(33):
             for d in (128, 129, 255):
                 e = (d << (8 * k)) % N
                 assert hot.multiexp(e, 0) == scalar_mul_naive(GENERATOR, e)
-                assert hot.multiexp(0, e) == pair._comb(0, e), (k, d)
+                expected = scalar_mul_naive(base, e)
+                assert hot.multiexp(0, e) == pair._comb(0, e) == expected, (k, d)
         for b in (GLV_LAMBDA, N - GLV_LAMBDA, N - 1, 1):
-            assert hot.multiexp(7, b) == pair._comb(7, b)
+            assert hot.multiexp(7, b) == pair._comb(7, b) == _oracle(base, 7, b)
 
     def test_doubling_and_identity_inside_the_sum(self) -> None:
         """With ``X = G`` an addend of ``X``'s table can equal or cancel
         the accumulator: the doubling and the identity branch."""
-        hot = EcHotKeyTable(GENERATOR)
+        tiers = (EcHotKeyTable(GENERATOR).multiexp, EcCombPair(GENERATOR)._comb)
         for a, b in ((1, 1), (1, N - 1), (5, N - 5), (2, 3), (0, 0), (N - 1, 2)):
-            assert hot.multiexp(a, b) == scalar_mul_naive(GENERATOR, a + b)
+            for tier in tiers:
+                assert tier(a, b) == scalar_mul_naive(GENERATOR, a + b), tier
 
     @given(st.integers(0, 2**32), st.binary(max_size=32))
     @settings(max_examples=4, deadline=None)
@@ -357,6 +402,8 @@ class TestHotKeyTier:
         for _ in range(HOT_KEY_VERIFICATIONS + 1):
             assert pair.multiexp(2, 9) == scalar_mul_naive(GENERATOR, 2)
         assert pair._hot is None and tokens == [None]
+        for a, b in ((0, 0), (N - 1, N - 1), (5, GLV_LAMBDA)):
+            assert pair.multiexp(a, b) == scalar_mul_naive(GENERATOR, a)
 
 
 class TestGroupLaw:

@@ -337,16 +337,6 @@ class TestFeldmanVector:
         vec = FeldmanVector.commit(poly, bgroup)
         assert vec.evaluate_in_exponent(i) == bgroup.commit(poly(i))
 
-    @given(degrees, seeds, seeds)
-    @settings(max_examples=30)
-    def test_combine(self, bgroup, t: int, s1: int, s2: int) -> None:
-        p1 = Polynomial.random(t, bgroup.q, random.Random(s1))
-        p2 = Polynomial.random(t, bgroup.q, random.Random(s2 + 1))
-        v = FeldmanVector.commit(p1, bgroup).combine(
-            FeldmanVector.commit(p2, bgroup)
-        )
-        assert v.verify_share(4, p1.add(p2)(4))
-
     def test_mismatched_field_rejected(self, bgroup) -> None:
         with pytest.raises(ValueError):
             FeldmanVector.commit(Polynomial((1,), bgroup.q - 2), bgroup)

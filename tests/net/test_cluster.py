@@ -16,13 +16,10 @@ import weakref
 import pytest
 
 from repro.crypto.shares import Share, reconstruct_secret
-from repro.deployment import DKG_SESSION
 from repro.dkg import DkgConfig
 from repro.net import DropRetryLink, LocalCluster, run_local_cluster, wire
 from repro.obs import metrics as obs_metrics
-from repro.runtime.envelope import SessionEnvelope
 from repro.sim.network import PartitionDelay, UniformDelay
-from repro.vss.messages import HelpMsg, SessionId
 
 from tests.helpers import default_test_group
 
@@ -357,18 +354,12 @@ class TestMetricBinding:
     @staticmethod
     def _assert_counts_match(registry, metrics) -> None:
         counts = _frame_counts(registry)
-        # A received frame is metered whole: the payload's frame inside
-        # a ``dkg`` session envelope.
-        payload = HelpMsg(SessionId(1, 0))
-        envelope = len(wire.encode(SessionEnvelope(DKG_SESSION, payload)))
-        overhead = envelope - len(wire.encode(payload))
+        # Both directions meter the protocol frame, session envelope
+        # excluded.
         assert counts["frames_sent"] == dict(metrics.messages_by_kind)
         assert counts["bytes_sent"] == dict(metrics.bytes_by_kind)
         assert counts["frames_received"] == counts["frames_sent"]
-        assert counts["bytes_received"] == {
-            kind: size + overhead * metrics.messages_by_kind[kind]
-            for kind, size in metrics.bytes_by_kind.items()
-        }
+        assert counts["bytes_received"] == counts["bytes_sent"]
 
     def test_frame_counters_equal_the_run_metrics(self) -> None:
         registry = obs_metrics.MetricsRegistry()

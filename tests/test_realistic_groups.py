@@ -83,7 +83,8 @@ class TestMediumGroupDkg:
 )
 class TestSignatureVerifierOnBenchmarkGroups:
     """The two groups the benchmark signs over: 256-bit scalars fill the
-    comb's top tooth, which the 64-bit toy group never reaches."""
+    modp comb's top tooth, and split into 128-bit halves on secp256k1,
+    which the 64-bit toy group never reaches."""
 
     def test_comb_matches_textbook(self, group) -> None:
         rng = random.Random(17)
